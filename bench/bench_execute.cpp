@@ -182,7 +182,7 @@ BENCHMARK(BM_ExecMode)->Arg(1)->Unit(benchmark::kMillisecond);
 /// The gate-fusion acceptance workload: per-shot resimulation of a
 /// rotation-dense 16-qubit circuit (four constant-angle rotations per
 /// qubit per layer — a generic Euler unitary plus one — then a CX
-/// ladder), fused vs --fusion=off. The static export turns every operand
+/// ladder), fused vs unfused bytecode on the VM. The static export turns every operand
 /// into a compile-time constant, so the fusion pass folds each rotation
 /// chain into a single 2x2 sweep (rule 1: 4 sweeps -> 1); the
 /// shots_per_second ratio between the two rows is the headline number
@@ -218,16 +218,19 @@ void BM_FusionResim(benchmark::State& state) {
   }
   ir::Context ctx;
   const auto module = ir::parseModule(ctx, text);
-  vm::ShotOptions options;
-  options.shots = kShots;
-  options.execMode = vm::ExecMode::Resim;
-  options.fusion = fusion;
+  vm::Vm machine(vm::compileModule(*module, {.fuseGates = fusion}));
+  runtime::QuantumRuntime rt(0, nullptr);
+  rt.bind(machine);
+  std::uint64_t seed = 1;
   std::uint64_t shotsCompleted = 0;
   for (auto _ : state) {
-    options.seed += kShots;
-    const vm::ShotBatchResult result = vm::runShots(*module, options);
-    shotsCompleted += result.completedShots;
-    benchmark::DoNotOptimize(result);
+    for (std::uint64_t shot = 0; shot < kShots; ++shot) {
+      rt.reset(seed++);
+      machine.reset();
+      machine.runEntryPoint();
+      benchmark::DoNotOptimize(rt.outputBitString());
+    }
+    shotsCompleted += kShots;
   }
   state.SetLabel(fusion ? "rotdense/fused" : "rotdense/unfused");
   state.counters["qubits"] = kQubits;

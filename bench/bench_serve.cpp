@@ -15,7 +15,6 @@
 #include "service/json.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
-#include "support/telemetry/telemetry.hpp"
 #include "vm/cache.hpp"
 #include "vm/executor.hpp"
 
@@ -26,8 +25,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -68,30 +69,34 @@ const std::string& workloadQasm() {
 
 constexpr std::uint64_t kShots = 100;
 
-/// Per-iteration latency distribution for one benchmark, kept out of the
-/// global telemetry registry (each repetition constructs its own). The
-/// power-of-two buckets cost one increment per iteration and give the
-/// report the tail the mean hides.
-using LatencyTally = telemetry::LatencyHistogram;
+/// Raw per-iteration wall times (ns) of one benchmark, so the reported
+/// percentiles are exact order statistics, giving the report the tail the
+/// mean hides.
+using LatencyTally = std::vector<std::uint64_t>;
 
 /// Run \p body once and record its wall time.
 template <typename Body>
 void timeInto(LatencyTally& tally, Body&& body) {
   const auto t0 = std::chrono::steady_clock::now();
   body();
-  tally.recordUnchecked(static_cast<std::uint64_t>(
+  tally.push_back(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count()));
 }
 
-/// Attach p50/p95/p99 iteration-latency counters to the row. kAvgThreads
-/// keeps threaded benchmarks reporting a per-thread percentile instead of
-/// a meaningless sum.
-void reportPercentiles(benchmark::State& state, const LatencyTally& tally) {
+/// Attach p50/p95/p99 iteration-latency counters to the row: nearest-rank
+/// order statistics of the samples. kAvgThreads keeps threaded benchmarks
+/// reporting a per-thread percentile instead of a meaningless sum.
+void reportPercentiles(benchmark::State& state, LatencyTally& tally) {
+  std::sort(tally.begin(), tally.end());
   const auto q = [&](double p) {
-    return benchmark::Counter(static_cast<double>(tally.quantileNs(p)),
-                              benchmark::Counter::kAvgThreads);
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(p * static_cast<double>(tally.size())));
+    const double ns =
+        tally.empty() ? 0.0
+                      : static_cast<double>(tally[std::max<std::size_t>(rank, 1) - 1]);
+    return benchmark::Counter(ns, benchmark::Counter::kAvgThreads);
   };
   state.counters["p50_ns"] = q(0.50);
   state.counters["p95_ns"] = q(0.95);
@@ -213,7 +218,7 @@ void BM_ServeSubmitCached(benchmark::State& state) {
   service::Client client(daemon().options().socketPath);
   const std::string ref = registerProgram(client);
   const std::string line = submitLine("bench", ref);
-  LatencyTally tally{"bench.serve.cached", telemetry::Unregistered{}};
+  LatencyTally tally;
   for (auto _ : state) {
     timeInto(tally, [&] { benchmark::DoNotOptimize(client.call(line)); });
   }
@@ -234,7 +239,7 @@ void BM_ServeConcurrentTenants(benchmark::State& state) {
   const std::string ref = registerProgram(client);
   const std::string line =
       submitLine("tenant" + std::to_string(state.thread_index()), ref);
-  LatencyTally tally{"bench.serve.concurrent", telemetry::Unregistered{}};
+  LatencyTally tally;
   for (auto _ : state) {
     timeInto(tally, [&] { benchmark::DoNotOptimize(client.call(line)); });
   }
@@ -260,7 +265,7 @@ void BM_ServePerProcessBaseline(benchmark::State& state) {
                         "(set QIRKIT_BIN to override)");
     return;
   }
-  LatencyTally tally{"bench.serve.baseline", telemetry::Unregistered{}};
+  LatencyTally tally;
   for (auto _ : state) {
     bool ok = true;
     timeInto(tally, [&] { ok = runCliOnce(bin); });
@@ -284,7 +289,7 @@ BENCHMARK(BM_ServePerProcessBaseline)
 /// per-process cost is compilation (amortized by the daemon's caches)
 /// versus process startup.
 void BM_ServeColdCompileInProcess(benchmark::State& state) {
-  LatencyTally tally{"bench.serve.cold", telemetry::Unregistered{}};
+  LatencyTally tally;
   for (auto _ : state) {
     timeInto(tally, [&] {
       ir::Context ctx;
@@ -474,7 +479,7 @@ void BM_ServeOverload(benchmark::State& state) {
   // Let the hostile load ramp before measuring the in-budget tenant.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  LatencyTally tally{"bench.serve.overload", telemetry::Unregistered{}};
+  LatencyTally tally;
   std::uint64_t contendedCalls = 0;
   const auto contendedStart = std::chrono::steady_clock::now();
   for (auto _ : state) {

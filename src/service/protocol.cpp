@@ -45,50 +45,19 @@ SubmitRequest parseSubmit(const json::Value& root) {
   if (const json::Value* v = root.find("seed")) {
     req.seed = v->asU64("seed");
   }
-  const std::string engine = stringField(root, "engine", "vm");
-  if (engine == "vm") {
-    req.engine = vm::Engine::Vm;
-  } else if (engine == "interp") {
-    req.engine = vm::Engine::Interp;
-  } else {
-    badField("field 'engine' must be vm or interp");
-  }
-  const std::string mode = stringField(root, "exec_mode", "auto");
-  if (mode == "auto") {
-    req.execMode = vm::ExecMode::Auto;
-  } else if (mode == "resim") {
-    req.execMode = vm::ExecMode::Resim;
-  } else if (mode == "sample") {
-    req.execMode = vm::ExecMode::Sample;
-  } else {
-    badField("field 'exec_mode' must be auto, resim, or sample");
-  }
-  if (const json::Value* v = root.find("fusion")) {
-    if (!v->isBool()) {
-      badField("field 'fusion' must be a boolean");
+  for (const vm::RunOption& option : vm::runOptions()) {
+    const json::Value* v = root.find(option.wire);
+    if (v == nullptr) {
+      continue;
     }
-    req.fusion = v->boolean;
-  }
-  // Absent means "the server build's default" — clients need not know
-  // whether the server carries the threaded loop.
-  const std::string dispatch =
-      stringField(root, "dispatch", vm::dispatchModeName(req.dispatch));
-  if (dispatch == "switch") {
-    req.dispatch = vm::DispatchMode::Switch;
-  } else if (dispatch == "threaded") {
-    req.dispatch = vm::DispatchMode::Threaded;
-  } else {
-    badField("field 'dispatch' must be switch or threaded");
-  }
-  if (!sim::parsePrecision(stringField(root, "precision", "f64"),
-                           req.precision)) {
-    badField("field 'precision' must be f64 or f32");
-  }
-  if (const json::Value* v = root.find("force_f32")) {
-    if (!v->isBool()) {
-      badField("field 'force_f32' must be a boolean");
+    const bool ok = option.flag
+                        ? v->isBool() &&
+                              option.assign(req, v->boolean ? "true" : "false")
+                        : v->isString() && option.assign(req, v->string);
+    if (!ok) {
+      badField("field '" + std::string(option.wire) + "' must be " +
+               (option.flag ? "a boolean" : option.allowed()));
     }
-    req.forceF32 = v->boolean;
   }
   if (const json::Value* v = root.find("priority")) {
     if (!v->isNumber() || std::floor(v->number) != v->number) {
@@ -179,13 +148,12 @@ std::string submitRequestJson(const SubmitRequest& request) {
   if (request.seed.has_value()) {
     out << ",\"seed\":" << *request.seed;
   }
-  out << ",\"engine\":\"" << vm::engineName(request.engine)
-      << "\",\"exec_mode\":\"" << vm::execModeName(request.execMode)
-      << "\",\"fusion\":" << (request.fusion ? "true" : "false")
-      << ",\"dispatch\":\"" << vm::dispatchModeName(request.dispatch) << "\""
-      << ",\"precision\":\"" << sim::precisionName(request.precision)
-      << "\",\"force_f32\":" << (request.forceF32 ? "true" : "false")
-      << ",\"priority\":" << request.priority;
+  for (const vm::RunOption& option : vm::runOptions()) {
+    const char* quote = option.flag ? "" : "\"";
+    out << ",\"" << option.wire << "\":" << quote
+        << option.values[option.get(request)] << quote;
+  }
+  out << ",\"priority\":" << request.priority;
   if (request.deadlineMs != 0) {
     out << ",\"deadline_ms\":" << request.deadlineMs;
   }

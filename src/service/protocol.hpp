@@ -22,14 +22,14 @@
 ///   {"type":"shutdown"}                               drain and exit
 ///
 /// Submit fields: shots (default 100), seed (default: the tenant's seed
-/// stream), engine ("vm"|"interp"), exec_mode ("auto"|"resim"|"sample"),
-/// fusion (bool), dispatch ("switch"|"threaded"; absent = server default),
-/// precision ("f64"|"f32"), force_f32 (bool; admit f32 for
-/// feedback-dependent programs), priority (higher runs earlier within the
-/// tenant),
-/// deadline_ms (wall budget from admission; 0/absent = none — covers queue
-/// wait, so a job can expire while still pending), request_id (caller tag
-/// that makes the job addressable by the cancel verb).
+/// stream), the run-option table's fields (vm::runOptions(): engine
+/// "vm"|"interp", exec_mode "auto"|"resim"|"sample", precision
+/// "f64"|"f32", force_f32 bool), priority (higher runs earlier within the
+/// tenant), deadline_ms (wall budget from admission; 0/absent = none —
+/// covers queue wait, so a job can expire while still pending), request_id
+/// (caller tag that makes the job addressable by the cancel verb). Unknown
+/// fields are ignored, including the retired fusion and dispatch: the
+/// server always runs fused code on its build's default dispatch loop.
 ///
 /// Responses: {"ok":true,...} per verb, or
 ///   {"ok":false,"error":{"code":"<kebab-case ErrorCode>","message":M},...}
@@ -66,22 +66,12 @@ enum class RequestType : std::uint8_t {
   Events,
 };
 
-struct SubmitRequest {
+struct SubmitRequest : vm::RunChoices {
   std::string tenant;
   std::string program;    // inline program text (QIR .ll or OpenQASM 2/3)
   std::string programRef; // content id returned by an earlier submit
   std::uint64_t shots = 100;
   std::optional<std::uint64_t> seed; // absent: drawn from the tenant stream
-  vm::Engine engine = vm::Engine::Vm;
-  vm::ExecMode execMode = vm::ExecMode::Auto;
-  bool fusion = true;
-  /// Dispatch loop for the VM engine ("switch"|"threaded"); absent in the
-  /// wire form means the server build's default.
-  vm::DispatchMode dispatch = vm::defaultDispatchMode();
-  /// Amplitude storage width; f32 halves the state's memory footprint and
-  /// traffic (see ShotOptions::precision for the admission rule).
-  sim::Precision precision = sim::Precision::F64;
-  bool forceF32 = false;
   std::int64_t priority = 0;
   /// Wall-clock budget in milliseconds, measured from admission — queue
   /// wait counts, so a job can expire while still pending. 0 = none.

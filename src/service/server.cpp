@@ -2,10 +2,7 @@
 
 #include "ir/context.hpp"
 #include "ir/module.hpp"
-#include "ir/parser.hpp"
-#include "qasm/parser.hpp"
-#include "qasm/qasm3.hpp"
-#include "qir/exporter.hpp"
+#include "qasm/load.hpp"
 #include "service/prometheus.hpp"
 #include "sim/statevector.hpp"
 #include "support/cancel.hpp"
@@ -151,16 +148,6 @@ std::string percentilesJson(const telemetry::LatencyHistogram& h) {
       << ",\"p95_ns\":" << h.quantileNs(0.95)
       << ",\"p99_ns\":" << h.quantileNs(0.99) << "}";
   return out.str();
-}
-
-bool looksLikeQasmText(std::string_view text) {
-  return text.find("OPENQASM") != std::string_view::npos;
-}
-
-bool isQasm3Text(std::string_view text) {
-  const auto pos = text.find("OPENQASM");
-  return pos != std::string_view::npos &&
-         text.substr(pos).rfind("OPENQASM 3", 0) == 0;
 }
 
 /// Write the whole buffer; MSG_NOSIGNAL so a vanished client costs an
@@ -727,14 +714,9 @@ void Server::executeJob(Job& job) {
   const telemetry::Snapshot before = telemetry::snapshot();
 
   vm::ShotOptions opts;
+  static_cast<vm::RunChoices&>(opts) = job.request;
   opts.shots = job.request.shots;
   opts.seed = job.seed;
-  opts.engine = job.request.engine;
-  opts.execMode = job.request.execMode;
-  opts.fusion = job.request.fusion;
-  opts.dispatch = job.request.dispatch;
-  opts.precision = job.request.precision;
-  opts.forceF32 = job.request.forceF32;
   opts.pool = &pool_;
   opts.cache = &cache_;
   opts.cancel = job.cancel.get(); // null when the job set no deadline/tag
@@ -906,19 +888,8 @@ Server::resolveProgram(const SubmitRequest& request) {
   auto entry = std::make_shared<ProgramEntry>();
   entry->id = id;
   entry->context = std::make_unique<ir::Context>();
-  const std::string& text = request.program;
-  if (looksLikeQasmText(text)) {
-    if (isQasm3Text(text)) {
-      entry->module = qasm::compileQasm3(*entry->context, text);
-    } else {
-      const circuit::Circuit c = qasm::parse(text);
-      qir::ExportOptions options;
-      options.addressing = qir::Addressing::Static;
-      entry->module = qir::exportCircuit(*entry->context, c, options);
-    }
-  } else {
-    entry->module = ir::parseModule(*entry->context, text);
-  }
+  entry->module = qasm::loadProgram(*entry->context, request.program, {},
+                                    qir::Addressing::Static);
   entry->qubits = estimatedQubits(*entry->module);
   g_programMisses.add();
 

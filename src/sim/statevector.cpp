@@ -300,22 +300,6 @@ void sweepChunkRange(std::complex<Real>* const amps,
 
 } // namespace
 
-const char* precisionName(Precision precision) noexcept {
-  return precision == Precision::F32 ? "f32" : "f64";
-}
-
-bool parsePrecision(std::string_view text, Precision& out) noexcept {
-  if (text == "f64") {
-    out = Precision::F64;
-    return true;
-  }
-  if (text == "f32") {
-    out = Precision::F32;
-    return true;
-  }
-  return false;
-}
-
 void noteF32Batch() noexcept { g_svF32Batches.add(); }
 
 StateVector::StateVector(unsigned numQubits, qirkit::ThreadPool* pool,

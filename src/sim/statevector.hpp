@@ -45,11 +45,6 @@ namespace qirkit::sim {
 /// accumulated in double regardless of the storage width.
 enum class Precision : std::uint8_t { F64, F32 };
 
-[[nodiscard]] const char* precisionName(Precision precision) noexcept;
-
-/// Parse "f64"/"f32" into \p out; returns false on any other spelling.
-[[nodiscard]] bool parsePrecision(std::string_view text, Precision& out) noexcept;
-
 /// Telemetry hook for the shot executor: count one f32 shot batch against
 /// sim.kernel.f32_batches.
 void noteF32Batch() noexcept;

@@ -18,20 +18,6 @@ void RequestTrace::addStage(std::string_view name, std::uint64_t startNs,
   stages_.push_back(std::move(stage));
 }
 
-RequestTrace::StageScope::StageScope(RequestTrace* trace, std::string_view name)
-    : trace_(trace) {
-  if (trace_ != nullptr) {
-    name_ = std::string(name);
-    startNs_ = nowNs();
-  }
-}
-
-RequestTrace::StageScope::~StageScope() {
-  if (trace_ != nullptr) {
-    trace_->addStage(name_, startNs_, nowNs() - startNs_, note_);
-  }
-}
-
 std::vector<RequestStage> RequestTrace::stages() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return stages_;

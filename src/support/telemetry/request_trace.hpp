@@ -48,23 +48,6 @@ public:
   void addStage(std::string_view name, std::uint64_t startNs,
                 std::uint64_t durNs, std::string_view note = {});
 
-  /// RAII stage scope: records [construction, destruction) under \p name.
-  class StageScope {
-  public:
-    StageScope(RequestTrace* trace, std::string_view name);
-    ~StageScope();
-    StageScope(const StageScope&) = delete;
-    StageScope& operator=(const StageScope&) = delete;
-    /// Attach/replace the stage's note before the scope closes.
-    void setNote(std::string note) { note_ = std::move(note); }
-
-  private:
-    RequestTrace* trace_;
-    std::string name_;
-    std::string note_;
-    std::uint64_t startNs_ = 0;
-  };
-
   [[nodiscard]] const std::string& tenant() const noexcept { return tenant_; }
   [[nodiscard]] const std::string& requestId() const noexcept { return requestId_; }
 

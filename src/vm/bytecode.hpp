@@ -102,10 +102,10 @@ inline constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::Ext) + 1;
 /// Which dispatch loop the VM runs a compiled module with. Switch is the
 /// portable reference loop (~40-case opcode switch); Threaded is the
 /// token-threaded computed-goto loop built under QIRKIT_THREADED_DISPATCH
-/// (GNU toolchains). The mode is a *compile* option — it participates in
-/// the compile-cache key, and the CLI's --dispatch=switch also pins the
-/// reference code shape (no superinstructions) — so a flipped flag can
-/// never reuse a stale compiled function.
+/// (GNU toolchains). The mode is a *compile* option and participates in
+/// the compile-cache key, so modules compiled for different loops never
+/// share an entry. The shot executor always compiles for
+/// defaultDispatchMode().
 enum class DispatchMode : std::uint8_t { Switch, Threaded };
 
 [[nodiscard]] const char* dispatchModeName(DispatchMode mode) noexcept;

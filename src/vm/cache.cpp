@@ -37,8 +37,8 @@ CompileCache::getOrCompile(const ir::Module& module, const CompileOptions& optio
     text += "\n; compile-option: fusion=off";
   }
   // Same for the dispatch mode and the superinstruction peephole: both
-  // change the module (recorded mode, code shape), so a flipped
-  // --dispatch can never reuse a stale compiled function.
+  // change the module (recorded mode, code shape), so compiles for
+  // different loops never share an entry.
   if (options.dispatch != defaultDispatchMode()) {
     text += std::string("\n; compile-option: dispatch=") +
             dispatchModeName(options.dispatch);

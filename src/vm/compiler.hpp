@@ -23,9 +23,12 @@ public:
       : TrapError(message, ErrorCode::CompileFail) {}
 };
 
-/// Compilation knobs. Defaults produce the fastest correct code; the
-/// flags exist as escape hatches (CLI --fusion=off, --dispatch=switch)
-/// and as the reference configuration for differential tests.
+/// Compilation knobs: the one place a caller picks a code shape. The shot
+/// executor always compiles fused code for defaultDispatchMode(), with
+/// superinstructions on the threaded loop; users cannot choose otherwise.
+/// The other shapes exist for the code-shape comparisons: the VM
+/// differential tests, BM_Dispatch, BM_FusionResim and the pipeline
+/// benchmark's replay.
 struct CompileOptions {
   /// Run the gate-fusion pass (fusion.hpp) after lowering.
   bool fuseGates = true;

@@ -12,26 +12,76 @@
 
 #include <mutex>
 #include <optional>
+#include <type_traits>
 
 namespace qirkit::vm {
 
 using interp::TrapError;
 
+namespace {
+
+// Spellings in enum order: index i names the enum value i.
+constexpr const char* kEngineNames[] = {"interp", "vm"};
+constexpr const char* kExecModeNames[] = {"auto", "resim", "sample"};
+constexpr const char* kPrecisionNames[] = {"f64", "f32"};
+constexpr const char* kFlagNames[] = {"false", "true"};
+
+template <auto Field>
+std::size_t getField(const RunChoices& choices) {
+  return static_cast<std::size_t>(choices.*Field);
+}
+
+template <auto Field>
+void setField(RunChoices& choices, std::size_t index) {
+  using Value = std::remove_reference_t<decltype(choices.*Field)>;
+  choices.*Field = static_cast<Value>(index);
+}
+
+constexpr RunOption kRunOptions[] = {
+    {"engine", "engine", kEngineNames, false,
+     "bytecode VM (default) or reference interpreter",
+     getField<&RunChoices::engine>, setField<&RunChoices::engine>},
+    {"exec-mode", "exec_mode", kExecModeNames, false,
+     "auto (default) samples when provably sound",
+     getField<&RunChoices::execMode>, setField<&RunChoices::execMode>},
+    {"precision", "precision", kPrecisionNames, false,
+     "f32 halves state memory (terminal programs)",
+     getField<&RunChoices::precision>, setField<&RunChoices::precision>},
+    {"force-f32", "force_f32", kFlagNames, true,
+     "allow f32 for feedback-dependent programs",
+     getField<&RunChoices::forceF32>, setField<&RunChoices::forceF32>},
+};
+
+} // namespace
+
 const char* engineName(Engine engine) noexcept {
-  return engine == Engine::Vm ? "vm" : "interp";
+  return kEngineNames[static_cast<std::size_t>(engine)];
 }
 
 const char* execModeName(ExecMode mode) noexcept {
-  switch (mode) {
-  case ExecMode::Auto:
-    return "auto";
-  case ExecMode::Resim:
-    return "resim";
-  case ExecMode::Sample:
-    return "sample";
-  }
-  return "auto";
+  return kExecModeNames[static_cast<std::size_t>(mode)];
 }
+
+bool RunOption::assign(RunChoices& choices, std::string_view spelling) const {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (spelling == values[i]) {
+      set(choices, i);
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string RunOption::allowed() const {
+  std::string out;
+  for (const char* value : values) {
+    out += out.empty() ? "" : "|";
+    out += value;
+  }
+  return out;
+}
+
+std::span<const RunOption> runOptions() noexcept { return kRunOptions; }
 
 std::uint64_t deriveRetrySeed(std::uint64_t baseSeed, std::uint64_t shot,
                               std::uint64_t attempt) noexcept {
@@ -377,10 +427,12 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
   if (engine == Engine::Vm) {
     const std::uint64_t compileT0 = rtrace != nullptr ? telemetry::nowNs() : 0;
     try {
+      // The one code shape users run: fused, for the build's default loop,
+      // with superinstructions when that loop is the threaded one.
       const CompileOptions compileOptions{
-          .fuseGates = opts.fusion,
-          .dispatch = opts.dispatch,
-          .superinstructions = opts.dispatch == DispatchMode::Threaded};
+          .fuseGates = true,
+          .dispatch = defaultDispatchMode(),
+          .superinstructions = defaultDispatchMode() == DispatchMode::Threaded};
       if (opts.useCompileCache) {
         CompileCache& cache =
             opts.cache != nullptr ? *opts.cache : CompileCache::global();

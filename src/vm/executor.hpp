@@ -32,7 +32,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qirkit::telemetry {
@@ -60,10 +62,54 @@ enum class ExecMode : std::uint8_t { Auto, Resim, Sample };
 
 [[nodiscard]] const char* execModeName(ExecMode mode) noexcept;
 
-struct ShotOptions {
+/// The per-run execution choices a user makes, carried by ShotOptions and
+/// the protocol's SubmitRequest and spelled only through runOptions().
+/// Fusion and the dispatch loop are not among them (see CompileOptions);
+/// Engine::Interp, the reference interpreter, is the escape hatch.
+struct RunChoices {
+  Engine engine = Engine::Vm;
+  /// Shot delivery strategy (see ExecMode). Any fault inside the sampling
+  /// path degrades to the per-shot resim machinery, mirroring the
+  /// VM->interpreter fallback discipline.
+  ExecMode execMode = ExecMode::Auto;
+  /// Amplitude storage width (sim/statevector.hpp). F32 halves memory
+  /// traffic for sampling workloads; the per-gate rounding error it
+  /// introduces accumulates with depth, so the executor rejects it for
+  /// feedback-dependent programs (shot analysis negative) unless forceF32
+  /// overrides — mid-circuit measurement probabilities would then steer
+  /// control flow off rounded amplitudes.
+  sim::Precision precision = sim::Precision::F64;
+  /// Allow F32 even when the terminal-measurement analysis cannot prove
+  /// the program feedback-free.
+  bool forceF32 = false;
+};
+
+/// One row of the run-option table. `values` lists the spellings in the
+/// order of the field's enum values, so a spelling's index is the value it
+/// selects. A flag spells false and true; it is a bare switch on the CLI
+/// and a JSON boolean on the wire.
+struct RunOption {
+  const char* cli;  ///< `--<cli>` on run and submit
+  const char* wire; ///< member name in a submit frame
+  std::span<const char* const> values;
+  bool flag = false;
+  const char* help = ""; ///< usage-text description
+  std::size_t (*get)(const RunChoices&) = nullptr;
+  void (*set)(RunChoices&, std::size_t) = nullptr;
+
+  /// Set the option from \p spelling; false when it is not one of values.
+  [[nodiscard]] bool assign(RunChoices& choices,
+                            std::string_view spelling) const;
+  /// The allowed spellings joined with '|', for usage and error text.
+  [[nodiscard]] std::string allowed() const;
+};
+
+/// The run-option table: engine, exec-mode, precision and force-f32.
+[[nodiscard]] std::span<const RunOption> runOptions() noexcept;
+
+struct ShotOptions : RunChoices {
   std::uint64_t shots = 100;
   std::uint64_t seed = 1;
-  Engine engine = Engine::Vm;
   /// Worker pool for chunked shots; nullptr runs sequentially. The pool
   /// may be shared with other concurrent batches (the service multiplexes
   /// every tenant's chunks onto one pool) — the executor waits through a
@@ -91,29 +137,6 @@ struct ShotOptions {
   /// interpreter. Disable to surface raw VM behaviour (differential
   /// tests do).
   bool interpFallback = true;
-  /// Shot delivery strategy (see ExecMode). Any fault inside the sampling
-  /// path degrades to the per-shot resim machinery, mirroring the
-  /// VM->interpreter fallback discipline.
-  ExecMode execMode = ExecMode::Auto;
-  /// VM engine only: run the compile-time gate-fusion pass (fusion.hpp).
-  /// The CLI's --fusion=off escape hatch and the reference leg of the
-  /// fused-vs-unfused differential tests set this to false.
-  bool fusion = true;
-  /// VM engine only: which dispatch loop to compile for (--dispatch).
-  /// Threaded also enables the superinstruction peephole; Switch pins the
-  /// reference code shape (plain opcode pairs, full per-step preamble) —
-  /// the leg the dispatch differential tests compare against.
-  DispatchMode dispatch = defaultDispatchMode();
-  /// Amplitude storage width (sim/statevector.hpp). F32 halves memory
-  /// traffic for sampling workloads; the per-gate rounding error it
-  /// introduces accumulates with depth, so the executor rejects it for
-  /// feedback-dependent programs (shot analysis negative) unless forceF32
-  /// overrides — mid-circuit measurement probabilities would then steer
-  /// control flow off rounded amplitudes.
-  sim::Precision precision = sim::Precision::F64;
-  /// Allow F32 even when the terminal-measurement analysis cannot prove
-  /// the program feedback-free (the CLI's --force-f32).
-  bool forceF32 = false;
   /// Cooperative cancellation/deadline token (nullptr: unbounded). Probed
   /// between shots, every kCancelStrideSteps VM/interpreter instructions,
   /// and at statevector sweep boundaries. Expiry stops the batch with

@@ -652,9 +652,8 @@ TEST(FusionDifferential, ResimHistogramsAreIdenticalPerSeed) {
     opts.execMode = vm::ExecMode::Resim;
     opts.useCompileCache = false;
     opts.interpFallback = false;
-    opts.fusion = true;
     const vm::ShotBatchResult fused = vm::runShots(*module, opts);
-    opts.fusion = false;
+    opts.engine = vm::Engine::Interp; // the reference engine never fuses
     const vm::ShotBatchResult unfused = vm::runShots(*module, opts);
     EXPECT_EQ(fused.histogram, unfused.histogram) << "seed " << seed;
     EXPECT_EQ(fused.failures.size(), 0U);
@@ -671,7 +670,7 @@ TEST(FusionDifferential, SamplingPathMatchesToo) {
   opts.useCompileCache = false;
   opts.interpFallback = false;
   const vm::ShotBatchResult fused = vm::runShots(*module, opts);
-  opts.fusion = false;
+  opts.engine = vm::Engine::Interp;
   const vm::ShotBatchResult unfused = vm::runShots(*module, opts);
   EXPECT_EQ(fused.histogram, unfused.histogram);
 }

@@ -1,5 +1,7 @@
 #include "circuit/executor.hpp"
 #include "circuit/generators.hpp"
+#include "ir/context.hpp"
+#include "qasm/load.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/printer.hpp"
 #include "support/source_location.hpp"
@@ -216,6 +218,35 @@ TEST_P(QasmRoundTrip, ParsePrintRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, QasmRoundTrip, ::testing::Range(0, 6));
+
+TEST(ProgramLoader, ClassifiesByHeaderAndExtension) {
+  EXPECT_EQ(classifySource("OPENQASM 2.0;\nqreg q[1];"), SourceFormat::Qasm2);
+  EXPECT_EQ(classifySource("// c\nOPENQASM 3;"), SourceFormat::Qasm3);
+  EXPECT_EQ(classifySource("OPENQASM 3.0;", "p.qasm"), SourceFormat::Qasm3);
+  EXPECT_EQ(classifySource("qreg q[1];", "p.qasm"), SourceFormat::Qasm2);
+  EXPECT_EQ(classifySource("qreg q[1];", "p.ll"), SourceFormat::Qir);
+}
+
+TEST(ProgramLoader, LoadsEveryFormatThroughItsFrontend) {
+  ir::Context ctx;
+  const auto qubits = [&](std::string_view text) {
+    return loadProgram(ctx, text, "", qir::Addressing::Static)
+        ->entryPoint()
+        ->getAttribute("required_num_qubits");
+  };
+  EXPECT_EQ(qubits(print(circuit::bellPair(true))), "2");
+  EXPECT_EQ(qubits("OPENQASM 3;\nqubit[3] q;\nbit[3] c;\nc[0] = measure q[0];"),
+            "3");
+  EXPECT_EQ(loadProgram(ctx, "define void @f() {\n  ret void\n}\n", "p.ll",
+                        qir::Addressing::Static)
+                ->name(),
+            "p.ll");
+  // A headerless .qasm file goes to the OpenQASM 2 frontend, which rejects
+  // it, rather than to the IR parser.
+  EXPECT_THROW((void)loadProgram(ctx, "qreg q[1];", "p.qasm",
+                                 qir::Addressing::Static),
+               ParseError);
+}
 
 TEST(QasmEndToEnd, ParsedBellMeasuresCorrelated) {
   const Circuit c = parse(print(circuit::bellPair(true)));

@@ -88,8 +88,8 @@ TEST(ServiceJsonTest, AsU64RejectsNonIntegers) {
 TEST(ServiceProtocolTest, ParsesFullSubmitRequest) {
   const Request req = parseRequest(
       R"({"type":"submit","tenant":"alice","program":"text","shots":64,)"
-      R"("seed":7,"engine":"interp","exec_mode":"resim","fusion":false,)"
-      R"("priority":-3})");
+      R"("seed":7,"engine":"interp","exec_mode":"resim","precision":"f32",)"
+      R"("force_f32":true,"priority":-3})");
   ASSERT_EQ(req.type, RequestType::Submit);
   EXPECT_EQ(req.submit.tenant, "alice");
   EXPECT_EQ(req.submit.program, "text");
@@ -98,7 +98,8 @@ TEST(ServiceProtocolTest, ParsesFullSubmitRequest) {
   EXPECT_EQ(*req.submit.seed, 7U);
   EXPECT_EQ(req.submit.engine, vm::Engine::Interp);
   EXPECT_EQ(req.submit.execMode, vm::ExecMode::Resim);
-  EXPECT_FALSE(req.submit.fusion);
+  EXPECT_EQ(req.submit.precision, sim::Precision::F32);
+  EXPECT_TRUE(req.submit.forceF32);
   EXPECT_EQ(req.submit.priority, -3);
 }
 
@@ -110,7 +111,8 @@ TEST(ServiceProtocolTest, SubmitRequestJsonRoundTrips) {
   original.seed = 123;
   original.engine = vm::Engine::Interp;
   original.execMode = vm::ExecMode::Sample;
-  original.fusion = false;
+  original.precision = sim::Precision::F32;
+  original.forceF32 = true;
   original.priority = 4;
   const Request parsed = parseRequest(submitRequestJson(original));
   EXPECT_EQ(parsed.submit.tenant, original.tenant);
@@ -119,7 +121,8 @@ TEST(ServiceProtocolTest, SubmitRequestJsonRoundTrips) {
   EXPECT_EQ(parsed.submit.seed, original.seed);
   EXPECT_EQ(parsed.submit.engine, original.engine);
   EXPECT_EQ(parsed.submit.execMode, original.execMode);
-  EXPECT_EQ(parsed.submit.fusion, original.fusion);
+  EXPECT_EQ(parsed.submit.precision, original.precision);
+  EXPECT_EQ(parsed.submit.forceF32, original.forceF32);
   EXPECT_EQ(parsed.submit.priority, original.priority);
 }
 
@@ -142,7 +145,7 @@ TEST(ServiceProtocolTest, RejectsStructurallyInvalidRequests) {
   expectUsage(
       R"({"type":"submit","tenant":"a","program":"x","engine":"gpu"})");
   expectUsage(
-      R"({"type":"submit","tenant":"a","program":"x","fusion":"yes"})");
+      R"({"type":"submit","tenant":"a","program":"x","force_f32":"yes"})");
   expectUsage(
       R"({"type":"submit","tenant":"a","program":"x","priority":1.5})");
   EXPECT_THROW((void)parseRequest("not json"), qirkit::Error);
@@ -1066,6 +1069,24 @@ TEST_F(ServeTest, TenantLabelCardinalityIsBoundedByEviction) {
             1U);
   // The live label set stays within the bound.
   EXPECT_LE(countOccurrences(text, "qirkit_serve_tenant_completed{"), 32U);
+}
+
+TEST_F(ServeTest, LegacyFusionAndDispatchFieldsAreIgnored) {
+  // A frame that still carries the retired fields runs like one without.
+  Client client(socketPath_);
+  const std::string current = submitLine("alice", 40, 9);
+  const std::string legacy = current.substr(0, current.size() - 1) +
+                             R"(,"fusion":false,"dispatch":"switch"})";
+  const json::Value a = json::parse(client.call(current));
+  const json::Value b = json::parse(client.call(legacy));
+  ASSERT_TRUE(a.find("ok")->boolean && b.find("ok")->boolean);
+  const json::Value* expected = a.find("histogram");
+  const json::Value* got = b.find("histogram");
+  ASSERT_EQ(expected->object.size(), got->object.size());
+  for (const auto& [bits, count] : expected->object) {
+    ASSERT_NE(got->find(bits), nullptr) << bits;
+    EXPECT_EQ(got->find(bits)->number, count.number) << bits;
+  }
 }
 
 TEST_F(ServeTest, BrokenProgramsReturnClassifiedErrors) {

@@ -637,7 +637,7 @@ exit:
 TEST(VmDispatchDifferential, FaultDrillsAgreeAcrossDispatchModes) {
   // With injection armed, Threaded modules take the switch loop (its
   // preamble carries the per-step probes), so a drill must fire on the
-  // same probe and classify the same way regardless of --dispatch.
+  // same probe and classify the same way regardless of the compiled loop.
   const std::string program = ProgramGenerator(9).generate();
   ir::Context ctx;
   const auto m = ir::parseModule(ctx, program);
@@ -668,38 +668,18 @@ TEST(VmDispatchDifferential, FaultDrillsAgreeAcrossDispatchModes) {
   EXPECT_EQ(probes[0], probes[1]);
 }
 
-TEST(VmDispatchDifferential, ExecutorHistogramsIdenticalAcrossDispatch) {
-  ir::Context ctx;
-  const auto m = qir::exportCircuit(ctx, circuit::ghz(4, true), {});
-  vm::ShotOptions options;
-  options.shots = 64;
-  options.seed = 33;
-  options.dispatch = vm::DispatchMode::Switch;
-  const vm::ShotBatchResult reference = vm::runShots(*m, options);
-  options.dispatch = vm::DispatchMode::Threaded;
-  const vm::ShotBatchResult threaded = vm::runShots(*m, options);
-  EXPECT_EQ(reference.histogram, threaded.histogram);
-  EXPECT_EQ(reference.lastShotEngineStats.instructionsExecuted,
-            threaded.lastShotEngineStats.instructionsExecuted);
-}
-
-TEST(VmDispatchDifferential, DeadlineYieldsPartialResultsOnBothModes) {
+TEST(VmShotExecutor, DeadlineYieldsPartialResults) {
   ir::Context ctx;
   const auto m = qir::exportCircuit(ctx, circuit::ghz(3, true), {});
-  for (const vm::DispatchMode mode :
-       {vm::DispatchMode::Switch, vm::DispatchMode::Threaded}) {
-    CancelToken token;
-    token.cancel(); // expired before the batch starts
-    vm::ShotOptions options;
-    options.shots = 50;
-    options.seed = 3;
-    options.dispatch = mode;
-    options.cancel = &token;
-    const vm::ShotBatchResult result = vm::runShots(*m, options);
-    EXPECT_TRUE(result.deadlineExceeded)
-        << "dispatch " << vm::dispatchModeName(mode);
-    EXPECT_LT(result.completedShots, 50U);
-  }
+  CancelToken token;
+  token.cancel(); // expired before the batch starts
+  vm::ShotOptions options;
+  options.shots = 50;
+  options.seed = 3;
+  options.cancel = &token;
+  const vm::ShotBatchResult result = vm::runShots(*m, options);
+  EXPECT_TRUE(result.deadlineExceeded);
+  EXPECT_LT(result.completedShots, 50U);
 }
 
 TEST(VmCompileCache, DispatchFlipNeverReusesAStaleModule) {

@@ -10,11 +10,8 @@
 ///                  [--reuse] [--defer-mz]
 ///                  [-o out.ll]                  full compile (§III.B b2 + §IV.A)
 ///   qirkit run <file.ll|file.qasm> [--shots N]
-///                  [--seed S] [--engine vm|interp]
-///                  [--jobs N]
-///                  [--exec-mode auto|resim|sample]
-///                  [--fusion on|off]
-///                  [--precision f64|f32] [--force-f32]
+///                  [--seed S] [--jobs N]
+///                  [execution options: vm::runOptions()]
 ///                  [--max-failed-shots N]
 ///                  [--retries N]
 ///                  [--no-fallback]              execute + runtime (§III.C);
@@ -53,9 +50,9 @@
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "qasm/load.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/printer.hpp"
-#include "qasm/qasm3.hpp"
 #include "qir/compile.hpp"
 #include "qir/exporter.hpp"
 #include "qir/importer.hpp"
@@ -151,23 +148,44 @@ struct Args {
   }
 };
 
-Args parseArgs(int argc, char** argv, int start,
-               const std::vector<std::string>& valueOptions) {
+/// The options one subcommand accepts besides the common --stats: options
+/// that take a value ("output" is also spelled -o) and bare flags. run and
+/// submit also accept every entry of the run-option table.
+struct Accepts {
+  std::vector<std::string> values;
+  std::vector<std::string> flags;
+  bool runOptions = false;
+};
+
+/// Parse \p command's arguments: exactly one positional plus the options
+/// it accepts. Anything else is a usage error, never silently ignored.
+Args parseArgs(int argc, char** argv, int start, const std::string& command,
+               Accepts accepts) {
+  if (accepts.runOptions) {
+    for (const vm::RunOption& option : vm::runOptions()) {
+      (option.flag ? accepts.flags : accepts.values).emplace_back(option.cli);
+    }
+  }
+  const auto listed = [](const std::vector<std::string>& names,
+                         const std::string& key) {
+    return std::find(names.begin(), names.end(), key) != names.end();
+  };
   Args args;
   for (int i = start; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      std::string key = arg.substr(2);
+    if (arg.rfind("--", 0) == 0 || arg == "-o") {
+      std::string key = arg == "-o" ? "output" : arg.substr(2);
       std::optional<std::string> inlineValue; // --key=value form
       if (const auto eq = key.find('='); eq != std::string::npos) {
         inlineValue = key.substr(eq + 1);
         key = key.substr(0, eq);
       }
-      const bool takesValue =
-          std::find(valueOptions.begin(), valueOptions.end(), key) !=
-          valueOptions.end();
+      const bool takesValue = listed(accepts.values, key);
       // --stats takes an *optional* format: bare --stats means text.
       const bool optionalValue = key == "stats";
+      if (!takesValue && !optionalValue && !listed(accepts.flags, key)) {
+        fail("'" + command + "' does not accept " + arg.substr(0, arg.find('=')));
+      }
       if (inlineValue) {
         if (!takesValue && !optionalValue) {
           fail("option --" + key + " does not take a value");
@@ -188,16 +206,29 @@ Args parseArgs(int argc, char** argv, int start,
       } else {
         args.flags[key] = true;
       }
-    } else if (arg == "-o") {
-      if (i + 1 >= argc) {
-        fail("-o expects a path");
-      }
-      args.options["output"] = argv[++i];
+    } else if (!args.positional.empty()) {
+      fail("unexpected argument '" + arg + "'");
     } else {
       args.positional.push_back(arg);
     }
   }
   return args;
+}
+
+/// Read the run-option table's flags into \p choices: the one parser
+/// behind both run and submit.
+void applyRunOptions(const Args& args, vm::RunChoices& choices) {
+  for (const vm::RunOption& option : vm::runOptions()) {
+    if (option.flag) {
+      if (args.flag(option.cli)) {
+        (void)option.assign(choices, "true");
+      }
+    } else if (const auto it = args.options.find(option.cli);
+               it != args.options.end() && !option.assign(choices, it->second)) {
+      fail(std::string("--") + option.cli + " expects " + option.allowed() +
+           ", got '" + it->second + "'");
+    }
+  }
 }
 
 circuit::Target parseTarget(const std::string& spec) {
@@ -227,31 +258,6 @@ circuit::Target parseTarget(const std::string& spec) {
     return circuit::Target::fullyConnected(n);
   }
   fail("unknown target kind '" + kind + "'");
-}
-
-bool looksLikeQasm(const std::string& path, const std::string& text) {
-  return path.ends_with(".qasm") || text.find("OPENQASM") != std::string::npos;
-}
-
-bool isQasm3(const std::string& text) {
-  const auto pos = text.find("OPENQASM");
-  return pos != std::string::npos && text.find("OPENQASM 3", pos) == pos;
-}
-
-/// Load a program from QIR (.ll), OpenQASM 2, or OpenQASM 3 into a module.
-std::unique_ptr<ir::Module> loadModule(ir::Context& ctx, const std::string& path,
-                                       qir::Addressing addressing) {
-  const std::string text = readFile(path);
-  if (looksLikeQasm(path, text)) {
-    if (isQasm3(text)) {
-      return qasm::compileQasm3(ctx, text);
-    }
-    const circuit::Circuit c = qasm::parse(text);
-    qir::ExportOptions options;
-    options.addressing = addressing;
-    return qir::exportCircuit(ctx, c, options);
-  }
-  return ir::parseModule(ctx, text, path);
 }
 
 int cmdParse(const Args& args) {
@@ -316,7 +322,9 @@ int cmdOpt(const Args& args) {
 
 int cmdCompile(const Args& args) {
   ir::Context ctx;
-  auto module = loadModule(ctx, args.positional[0], qir::Addressing::Dynamic);
+  const std::string& path = args.positional[0];
+  auto module = qasm::loadProgram(ctx, readFile(path), path,
+                                  qir::Addressing::Dynamic);
   qir::CompileOptions options;
   if (!args.option("target").empty()) {
     options.target = parseTarget(args.option("target"));
@@ -348,54 +356,17 @@ int cmdCompile(const Args& args) {
 
 int cmdRun(const Args& args) {
   ir::Context ctx;
-  const auto module = loadModule(ctx, args.positional[0], qir::Addressing::Static);
+  const std::string& path = args.positional[0];
+  const auto module =
+      qasm::loadProgram(ctx, readFile(path), path, qir::Addressing::Static);
   vm::ShotOptions options;
+  applyRunOptions(args, options);
   options.shots = parseUint(args.option("shots", "100"), "shots");
   options.seed = parseUint(args.option("seed", "1"), "seed");
   options.maxFailedShots =
       parseUint(args.option("max-failed-shots", "0"), "max-failed-shots");
   options.retries = parseUint(args.option("retries", "0"), "retries");
   options.interpFallback = !args.flag("no-fallback");
-  const std::string engine = args.option("engine", "vm");
-  if (engine == "vm") {
-    options.engine = vm::Engine::Vm;
-  } else if (engine == "interp") {
-    options.engine = vm::Engine::Interp;
-  } else {
-    fail("--engine must be vm or interp");
-  }
-  const std::string execMode = args.option("exec-mode", "auto");
-  if (execMode == "auto") {
-    options.execMode = vm::ExecMode::Auto;
-  } else if (execMode == "resim") {
-    options.execMode = vm::ExecMode::Resim;
-  } else if (execMode == "sample") {
-    options.execMode = vm::ExecMode::Sample;
-  } else {
-    fail("--exec-mode must be auto, resim, or sample");
-  }
-  const std::string fusion = args.option("fusion", "on");
-  if (fusion == "on") {
-    options.fusion = true;
-  } else if (fusion == "off") {
-    options.fusion = false;
-  } else {
-    fail("--fusion must be on or off");
-  }
-  const std::string dispatch =
-      args.option("dispatch", vm::dispatchModeName(options.dispatch));
-  if (dispatch == "switch") {
-    options.dispatch = vm::DispatchMode::Switch;
-  } else if (dispatch == "threaded") {
-    options.dispatch = vm::DispatchMode::Threaded;
-  } else {
-    fail("--dispatch must be switch or threaded");
-  }
-  if (!sim::parsePrecision(args.option("precision", "f64"),
-                           options.precision)) {
-    fail("--precision must be f64 or f32");
-  }
-  options.forceF32 = args.flag("force-f32");
   const auto jobs =
       static_cast<std::size_t>(parseUint(args.option("jobs", "1"), "jobs"));
   if (jobs > 1) {
@@ -478,14 +449,15 @@ int cmdTranslate(const Args& args) {
   if (to != "qir" && to != "qasm") {
     fail("--to must be qir or qasm");
   }
-  // Load into the circuit IR through whichever frontend matches.
+  // Load into the circuit IR: OpenQASM 2 parses straight to a circuit,
+  // QIR and OpenQASM 3 are imported from their module.
   circuit::Circuit c;
-  if (looksLikeQasm(inputPath, text) && !isQasm3(text)) {
+  if (qasm::classifySource(text, inputPath) == qasm::SourceFormat::Qasm2) {
     c = qasm::parse(text);
   } else {
     ir::Context ctx;
-    auto module = isQasm3(text) ? qasm::compileQasm3(ctx, text)
-                                : ir::parseModule(ctx, text);
+    auto module =
+        qasm::loadProgram(ctx, text, inputPath, qir::Addressing::Static);
     qir::transformDirect(*module);
     c = qir::importFromModule(*module);
   }
@@ -664,6 +636,15 @@ int reportServiceError(const json::Value& root) {
   return exitCodeFor(service::errorCodeFromName(codeName));
 }
 
+/// Print a service verb's raw response and map it onto the exit contract.
+int printResponse(const std::string& response) {
+  std::cout << response << "\n";
+  const json::Value root = json::parse(response);
+  const json::Value* ok = root.find("ok");
+  return ok != nullptr && ok->isBool() && ok->boolean ? 0
+                                                      : reportServiceError(root);
+}
+
 int cmdSubmit(const Args& args) {
   const std::string socket = args.option("socket");
   if (socket.empty()) {
@@ -682,14 +663,7 @@ int cmdSubmit(const Args& args) {
     if (cancel.requestId.empty()) {
       fail("submit cancel requires --request-id <id>");
     }
-    const std::string response =
-        client.call(service::cancelRequestJson(cancel));
-    std::cout << response << "\n";
-    const json::Value root = json::parse(response);
-    const json::Value* ok = root.find("ok");
-    return ok != nullptr && ok->isBool() && ok->boolean
-               ? 0
-               : reportServiceError(root);
+    return printResponse(client.call(service::cancelRequestJson(cancel)));
   }
   if (target == "metrics") {
     const std::string format = args.option("format", "json");
@@ -720,29 +694,17 @@ int cmdSubmit(const Args& args) {
     service::EventsRequest events;
     events.tenant = args.option("tenant"); // empty = every tenant
     events.limit = parseUint(args.option("limit", "0"), "limit");
-    const std::string response =
-        client.call(service::eventsRequestJson(events));
-    std::cout << response << "\n";
-    const json::Value root = json::parse(response);
-    const json::Value* ok = root.find("ok");
-    return ok != nullptr && ok->isBool() && ok->boolean
-               ? 0
-               : reportServiceError(root);
+    return printResponse(client.call(service::eventsRequestJson(events)));
   }
   if (target == "ping" || target == "shutdown") {
     const service::RequestType type = target == "ping"
                                           ? service::RequestType::Ping
                                           : service::RequestType::Shutdown;
-    const std::string response = client.call(service::simpleRequestJson(type));
-    std::cout << response << "\n";
-    const json::Value root = json::parse(response);
-    const json::Value* ok = root.find("ok");
-    return ok != nullptr && ok->isBool() && ok->boolean
-               ? 0
-               : reportServiceError(root);
+    return printResponse(client.call(service::simpleRequestJson(type)));
   }
 
   service::SubmitRequest request;
+  applyRunOptions(args, request);
   request.tenant = args.option("tenant", "cli");
   if (target.rfind('@', 0) == 0) {
     request.programRef = target.substr(1); // resubmit by content id
@@ -753,46 +715,6 @@ int cmdSubmit(const Args& args) {
   if (!args.option("seed").empty()) {
     request.seed = parseUint(args.option("seed"), "seed");
   }
-  const std::string engine = args.option("engine", "vm");
-  if (engine == "vm") {
-    request.engine = vm::Engine::Vm;
-  } else if (engine == "interp") {
-    request.engine = vm::Engine::Interp;
-  } else {
-    fail("--engine must be vm or interp");
-  }
-  const std::string execMode = args.option("exec-mode", "auto");
-  if (execMode == "auto") {
-    request.execMode = vm::ExecMode::Auto;
-  } else if (execMode == "resim") {
-    request.execMode = vm::ExecMode::Resim;
-  } else if (execMode == "sample") {
-    request.execMode = vm::ExecMode::Sample;
-  } else {
-    fail("--exec-mode must be auto, resim, or sample");
-  }
-  const std::string fusion = args.option("fusion", "on");
-  if (fusion == "on") {
-    request.fusion = true;
-  } else if (fusion == "off") {
-    request.fusion = false;
-  } else {
-    fail("--fusion must be on or off");
-  }
-  const std::string dispatch =
-      args.option("dispatch", vm::dispatchModeName(request.dispatch));
-  if (dispatch == "switch") {
-    request.dispatch = vm::DispatchMode::Switch;
-  } else if (dispatch == "threaded") {
-    request.dispatch = vm::DispatchMode::Threaded;
-  } else {
-    fail("--dispatch must be switch or threaded");
-  }
-  if (!sim::parsePrecision(args.option("precision", "f64"),
-                           request.precision)) {
-    fail("--precision must be f64 or f32");
-  }
-  request.forceF32 = args.flag("force-f32");
   if (!args.option("priority").empty()) {
     try {
       request.priority = std::stoll(args.option("priority"));
@@ -864,15 +786,12 @@ void usage() {
          "common options:\n"
          "  --stats[=text|json]   print telemetry (parse/pass/vm/cache/shot\n"
          "                        metrics) on stderr after the command\n"
-         "  -o <path>             write primary output to a file\n"
-         "run options: --shots N --seed S --engine vm|interp --jobs N\n"
-         "             --exec-mode auto|resim|sample --fusion on|off\n"
-         "             --dispatch switch|threaded (VM dispatch loop;\n"
-         "             default: the build's best available)\n"
-         "             --precision f64|f32 (f32: half the state memory;\n"
-         "             terminal-measurement programs only unless --force-f32)\n"
+         "  -o <path>             write primary output to a file (opt,\n"
+         "                        compile, translate)\n"
+         "run options: --shots N --seed S --jobs N\n"
          "             --retries N --max-failed-shots N --no-fallback\n"
          "             --timeout-ms N (partial histogram + error[deadline])\n"
+         "             and the execution options below\n"
          "compile options: --target line:N|ring:N|grid:RxC|full:N\n"
          "             --addressing static|dynamic --reuse --defer-mz\n"
          "serve: qirkit serve <socket> [--runners N] [--jobs N]\n"
@@ -886,15 +805,25 @@ void usage() {
          "submit: qirkit submit <file|@program-id|metrics|events|ping|"
          "shutdown|cancel>\n"
          "             --socket <path> [--tenant T] [--shots N] [--seed S]\n"
-         "             [--engine vm|interp] [--exec-mode M] [--fusion on|off]\n"
-         "             [--dispatch switch|threaded]\n"
-         "             [--precision f64|f32] [--force-f32]\n"
          "             [--priority P] [--deadline-ms N] [--request-id ID]\n"
          "             [--connect-retries N] [--json] [--verbose-timing]\n"
+         "             and the execution options below\n"
          "             metrics: [--format json|prometheus] (prometheus text\n"
          "             exposition on stdout); events: [--tenant T] [--limit N]\n"
          "             (flight-recorder replay of recent requests)\n"
-         "environment:\n"
+         "execution options (run and submit):\n";
+  for (const vm::RunOption& option : vm::runOptions()) {
+    std::string spelling = "  --";
+    spelling += option.cli;
+    if (!option.flag) {
+      spelling += ' ';
+      spelling += option.allowed();
+    }
+    spelling.resize(std::max<std::size_t>(spelling.size() + 1, 34), ' ');
+    std::cerr << spelling << option.help << "\n";
+  }
+  std::cerr
+      << "environment:\n"
          "  QIRKIT_TRACE=<file>       write Chrome trace-event JSON "
          "(Perfetto)\n"
          "  QIRKIT_FAULT_INJECT=...   arm the deterministic fault injector\n"
@@ -933,19 +862,46 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
+    struct Command {
+      const char* name;
+      int (*run)(const Args&);
+      Accepts accepts;
+    };
+    const Command commands[] = {
+        {"parse", cmdParse, {}},
+        {"validate", cmdValidate, {{"profile"}, {}}},
+        {"opt", cmdOpt, {{"output"}, {}}},
+        {"compile", cmdCompile,
+         {{"target", "addressing", "output"}, {"reuse", "defer-mz"}}},
+        {"run", cmdRun,
+         {{"shots", "seed", "jobs", "max-failed-shots", "retries",
+           "timeout-ms"},
+          {"no-fallback"},
+          true}},
+        {"translate", cmdTranslate, {{"to", "addressing", "output"}, {}}},
+        {"partition", cmdPartition, {}},
+        {"feasibility", cmdFeasibility, {{"budget", "model"}, {}}},
+        {"serve", cmdServe,
+         {{"runners", "jobs", "cache-capacity", "program-capacity",
+           "max-frame-bytes", "queue-capacity", "tenant-pending", "max-shots",
+           "rate-limit", "rate-burst", "memory-budget-mb", "watchdog-factor",
+           "flight-capacity", "slow-threshold-ms"},
+          {"no-telemetry"}}},
+        {"submit", cmdSubmit,
+         {{"socket", "connect-retries", "tenant", "request-id", "format",
+           "limit", "shots", "seed", "priority", "deadline-ms"},
+          {"json", "verbose-timing"},
+          true}},
+    };
     const std::string command = argv[1];
-    const Args args = parseArgs(
-        argc, argv, 2,
-        {"profile", "target", "addressing", "shots", "seed", "engine", "jobs",
-         "exec-mode", "fusion", "dispatch", "precision", "max-failed-shots",
-         "retries",
-         "to", "budget",
-         "model", "output", "socket", "tenant", "priority", "runners",
-         "cache-capacity", "program-capacity", "queue-capacity",
-         "tenant-pending", "max-shots", "max-frame-bytes", "timeout-ms",
-         "deadline-ms", "request-id", "connect-retries", "rate-limit",
-         "rate-burst", "memory-budget-mb", "watchdog-factor", "format",
-         "limit", "flight-capacity", "slow-threshold-ms"});
+    const auto* const it =
+        std::find_if(std::begin(commands), std::end(commands),
+                     [&](const Command& c) { return command == c.name; });
+    if (it == std::end(commands)) {
+      usage();
+      return 2;
+    }
+    const Args args = parseArgs(argc, argv, 2, command, it->accepts);
     if (args.positional.empty()) {
       usage();
       return 2;
@@ -958,21 +914,7 @@ int main(int argc, char** argv) {
       }
       qirkit::telemetry::setEnabled(true);
     }
-    int rc = -1;
-    if (command == "parse") rc = cmdParse(args);
-    else if (command == "validate") rc = cmdValidate(args);
-    else if (command == "opt") rc = cmdOpt(args);
-    else if (command == "compile") rc = cmdCompile(args);
-    else if (command == "run") rc = cmdRun(args);
-    else if (command == "translate") rc = cmdTranslate(args);
-    else if (command == "partition") rc = cmdPartition(args);
-    else if (command == "feasibility") rc = cmdFeasibility(args);
-    else if (command == "serve") rc = cmdServe(args);
-    else if (command == "submit") rc = cmdSubmit(args);
-    else {
-      usage();
-      return 2;
-    }
+    const int rc = it->run(args);
     if (statsRequested) {
       // stderr keeps stdout byte-identical with and without --stats.
       if (statsFormat == "json") {

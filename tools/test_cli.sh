@@ -66,25 +66,21 @@ grep -qE "^(00|11): " "$WORK/mode.resim" || fail "resim histogram"
 rc=0; "$QIRKIT" run "$WORK/bell.ll" --exec-mode turbo >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || fail "--exec-mode turbo must exit 2 (got $rc)"
 
-# gate fusion is transparent: fused (default) and unfused runs produce
-# identical histograms per seed, and bad values are usage errors
-"$QIRKIT" run "$WORK/bell.ll" --shots 30 --seed 5 --fusion off \
-  2>/dev/null >"$WORK/nofuse" || fail "--fusion off run"
-cmp -s "$WORK/mode.auto" "$WORK/nofuse" || fail "--fusion on/off disagree"
-rc=0; "$QIRKIT" run "$WORK/bell.ll" --fusion maybe >/dev/null 2>&1 || rc=$?
-[ "$rc" -eq 2 ] || fail "--fusion maybe must exit 2 (got $rc)"
-
-# the VM dispatch loop is transparent: both loops produce identical
-# histograms per seed (threaded falls back to switch on builds without
-# computed goto), and bad values are usage errors
-"$QIRKIT" run "$WORK/bell.ll" --shots 30 --seed 5 --dispatch switch \
-  2>/dev/null >"$WORK/disp.switch" || fail "--dispatch switch run"
-"$QIRKIT" run "$WORK/bell.ll" --shots 30 --seed 5 --dispatch threaded \
-  2>/dev/null >"$WORK/disp.threaded" || fail "--dispatch threaded run"
-cmp -s "$WORK/disp.switch" "$WORK/disp.threaded" || fail "dispatch loops disagree"
-cmp -s "$WORK/mode.auto" "$WORK/disp.switch" || fail "--dispatch changed results"
-rc=0; "$QIRKIT" run "$WORK/bell.ll" --dispatch jit >/dev/null 2>&1 || rc=$?
-[ "$rc" -eq 2 ] || fail "--dispatch jit must exit 2 (got $rc)"
+# unknown options (including the retired --fusion and --dispatch) are
+# usage errors on run and submit; submit rejects them before connecting
+for cmd in run "submit --socket $WORK/absent.sock"; do
+  for bad in "--shotz 5" "--fusion off" "--dispatch switch"; do
+    rc=0; "$QIRKIT" $cmd "$WORK/bell.ll" $bad >/dev/null 2>"$WORK/err" || rc=$?
+    [ "$rc" -eq 2 ] || fail "$cmd $bad must exit 2 (got $rc)"
+    grep -q "qirkit: error\[usage\]: .*${bad%% *}" "$WORK/err" \
+      || fail "$cmd $bad diagnostic"
+  done
+done
+# so are extra positionals and options another command owns
+rc=0; "$QIRKIT" run "$WORK/bell.ll" "$WORK/bell.ll" >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || fail "extra positional must exit 2 (got $rc)"
+rc=0; "$QIRKIT" compile "$WORK/bell.ll" --shots 4 >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || fail "compile --shots must exit 2 (got $rc)"
 
 # forcing sample on a feedback-dependent program is a usage error
 cat > "$WORK/feedback.ll" <<'EOF'
@@ -155,7 +151,7 @@ COUNT=$(grep -c "__quantum__qis__h__body(ptr" "$WORK/loop.opt.ll" || true)
 # the README documents must appear when qirkit is invoked without args.
 "$QIRKIT" 2>"$WORK/usage" || true
 for doc in --stats QIRKIT_TRACE QIRKIT_FAULT_INJECT --shots --engine \
-    --exec-mode --fusion --dispatch --precision --force-f32 --target; do
+    --exec-mode --precision --force-f32 --target; do
   grep -q -- "$doc" "$WORK/usage" || fail "usage text does not mention $doc"
 done
 
