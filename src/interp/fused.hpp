@@ -1,17 +1,18 @@
 /// \file fused.hpp
 /// The fused-gate extension of the execution ABI. The bytecode compiler's
 /// gate-fusion pass folds runs of adjacent `__quantum__qis__*` calls into
-/// FusedBlock descriptors; an engine dispatches a whole block through a
-/// FusedGateHost when the bound runtime provides one (the statevector
-/// runtime does), and otherwise replays the original per-gate calls
-/// through the ordinary extern bindings — so a runtime that has never
-/// heard of fusion (circuit recorder, stabilizer backend) still observes
-/// the exact source gate sequence.
+/// FusedBlock descriptors, grouped into runs of adjacent blocks; an engine
+/// dispatches a whole run through a FusedGateHost when the bound runtime
+/// provides one (the statevector runtime does), and otherwise replays the
+/// original per-gate calls through the ordinary extern bindings — so a
+/// runtime that has never heard of fusion (circuit recorder, stabilizer
+/// backend) still observes the exact source gate sequence.
 #pragma once
 
 #include "interp/abi.hpp"
 
 #include <complex>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -47,26 +48,28 @@ struct FusedBlock {
   static constexpr unsigned kMaxQubits = 6;
 };
 
+/// Upper bound on blocks per fused run: the fusion pass never groups more
+/// (vm/fusion.hpp), so a host may size per-run scratch space by it.
+inline constexpr std::size_t kMaxSweepBlocks = 16;
+
 /// Optional fast path a runtime can register via
-/// ExternalRegistry::bindFusedHost. applyFusedBlock must be observably
-/// equivalent to replaying block.replay through the runtime's own extern
+/// ExternalRegistry::bindFusedHost. An engine hands it each fused run —
+/// 1 to kMaxSweepBlocks consecutive blocks, applied in order — so a host
+/// backed by a dense state can apply a long run chunk-at-a-time
+/// (StateVector::applyFusedSweep). Must be observably equivalent to
+/// replaying each block's replay calls through the runtime's own extern
 /// handlers (same state evolution, same statistics attribution for
-/// block.sourceGates gates).
+/// block.sourceGates gates per block).
 class FusedGateHost {
 public:
   virtual ~FusedGateHost() = default;
-  virtual void applyFusedBlock(const FusedBlock& block) = 0;
+  virtual void applyFusedSweep(std::span<const FusedBlock> blocks) = 0;
 
-  /// Optional wider fast path: a run of consecutive fused blocks handed
-  /// down together, so a host backed by a dense state can apply the whole
-  /// run chunk-at-a-time (StateVector::applyFusedSweep) instead of one
-  /// full amplitude pass per block. Must be observably equivalent to
-  /// calling applyFusedBlock on each block in order — which is exactly
-  /// what the default does.
-  virtual void applyFusedSweep(std::span<const FusedBlock> blocks) {
-    for (const FusedBlock& block : blocks) {
-      applyFusedBlock(block);
-    }
+  /// One block is a run of length one. No engine calls this; it stays
+  /// virtual only because bench/pipeline/replay.cpp overrides it and that
+  /// file must keep compiling unchanged.
+  virtual void applyFusedBlock(const FusedBlock& block) {
+    applyFusedSweep({&block, 1});
   }
 };
 

@@ -113,54 +113,22 @@ unsigned QuantumRuntime::resolveStaticQubit(std::uint64_t address) {
   return it->second;
 }
 
-void QuantumRuntime::applyFusedBlock(const interp::FusedBlock& block) {
-  unsigned qubits[interp::FusedBlock::kMaxQubits] = {};
-  for (std::size_t i = 0; i < block.qubits.size(); ++i) {
-    qubits[i] = resolveStaticQubit(block.qubits[i]);
-  }
-  switch (block.kind) {
-  case interp::FusedBlock::Kind::Unitary1:
-    state_.apply1(sim::GateMatrix2{block.matrix[0], block.matrix[1],
-                                   block.matrix[2], block.matrix[3]},
-                  qubits[0]);
-    break;
-  case interp::FusedBlock::Kind::Unitary2: {
-    sim::GateMatrix4 gate;
-    for (int r = 0; r < 4; ++r) {
-      for (int c = 0; c < 4; ++c) {
-        gate.m[r][c] = block.matrix[static_cast<std::size_t>(r * 4 + c)];
-      }
-    }
-    state_.apply2(gate, qubits[0], qubits[1]);
-    break;
-  }
-  case interp::FusedBlock::Kind::Diagonal:
-    state_.applyDiagonal(
-        block.matrix,
-        std::span<const unsigned>(qubits, block.qubits.size()));
-    break;
-  }
-  // Stats stay per source gate, so fused and unfused runs report the same
-  // gatesApplied.
-  stats_.gatesApplied += block.sourceGates;
-}
-
 void QuantumRuntime::applyFusedSweep(std::span<const interp::FusedBlock> blocks) {
-  // Pre-sized so the diagQubits spans handed to the simulator stay valid
-  // for the whole sweep. Qubits resolve per block in run order: first-seen
-  // on-the-fly allocation then matches the per-block path exactly.
-  std::vector<std::array<unsigned, interp::FusedBlock::kMaxQubits>> qubitStore(
-      blocks.size());
-  std::vector<sim::SweepGate> gates;
-  gates.reserve(blocks.size());
+  if (blocks.size() > interp::kMaxSweepBlocks) {
+    // Longer than any run the fusion pass forms: the same sequential
+    // composition, in scratch-sized pieces.
+    applyFusedSweep(blocks.first(interp::kMaxSweepBlocks));
+    applyFusedSweep(blocks.subspan(interp::kMaxSweepBlocks));
+    return;
+  }
   std::uint64_t sourceGates = 0;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     const interp::FusedBlock& block = blocks[b];
-    std::array<unsigned, interp::FusedBlock::kMaxQubits>& qubits = qubitStore[b];
+    std::array<unsigned, interp::FusedBlock::kMaxQubits>& qubits = sweepQubits_[b];
     for (std::size_t i = 0; i < block.qubits.size(); ++i) {
       qubits[i] = resolveStaticQubit(block.qubits[i]);
     }
-    sim::SweepGate gate;
+    sim::SweepGate& gate = sweepGates_[b];
     switch (block.kind) {
     case interp::FusedBlock::Kind::Unitary1:
       gate.kind = sim::SweepGate::Kind::Unitary1;
@@ -185,10 +153,11 @@ void QuantumRuntime::applyFusedSweep(std::span<const interp::FusedBlock> blocks)
           std::span<const unsigned>(qubits.data(), block.qubits.size());
       break;
     }
-    gates.push_back(gate);
     sourceGates += block.sourceGates;
   }
-  state_.applyFusedSweep(gates);
+  state_.applyFusedSweep({sweepGates_.data(), blocks.size()});
+  // Stats stay per source gate, so fused and unfused runs report the same
+  // gatesApplied.
   stats_.gatesApplied += sourceGates;
 }
 

@@ -23,6 +23,7 @@
 #include "sim/statevector.hpp"
 #include "support/rng.hpp"
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -41,9 +42,9 @@ struct RuntimeStats {
 
 /// The simulator-backed runtime. Bind to an interpreter, run the entry
 /// point, then inspect the state / recorded output. Also implements the
-/// FusedGateHost fast path: the VM hands precomposed fused blocks (from
-/// the compile-time gate-fusion pass) straight to the statevector's
-/// apply1/apply2/applyDiagonal kernels.
+/// FusedGateHost fast path: the VM hands each run of precomposed fused
+/// blocks (from the compile-time gate-fusion pass) straight to the
+/// statevector's one fused kernel entry, StateVector::applyFusedSweep.
 class QuantumRuntime : public interp::FusedGateHost {
 public:
   /// Reserved address region for dynamic qubit handles.
@@ -68,16 +69,12 @@ public:
   /// the engine's fused-gate host, when the engine supports one).
   void bind(interp::ExternalRegistry& interp);
 
-  /// Apply one precomposed fused block to the statevector. Qubit entries
-  /// are static QIR addresses (the fusion pass only fuses those),
-  /// resolved with the same on-the-fly first-seen allocation as ordinary
-  /// gate calls.
-  void applyFusedBlock(const interp::FusedBlock& block) override;
-
-  /// Apply a run of consecutive fused blocks in one chunk-blocked pass
-  /// (StateVector::applyFusedSweep). Qubits are resolved per block in run
-  /// order, so on-the-fly allocation assigns the same simulator indices
-  /// the per-block path would.
+  /// Apply a run of consecutive fused blocks to the statevector
+  /// (StateVector::applyFusedSweep). Qubit entries are static QIR
+  /// addresses (the fusion pass only fuses those), resolved per block in
+  /// run order with the same on-the-fly first-seen allocation as ordinary
+  /// gate calls, so they get the simulator indices the unfused gate
+  /// sequence would.
   void applyFusedSweep(std::span<const interp::FusedBlock> blocks) override;
 
   void setMeasurementMode(MeasurementMode mode) noexcept { mode_ = mode; }
@@ -159,6 +156,13 @@ private:
   std::map<std::uint64_t, unsigned> resultQubit_;
   /// Defer mode: result_record_output calls as (label, result key).
   std::vector<std::pair<std::string, std::uint64_t>> deferredOutput_;
+  /// applyFusedSweep scratch, kept across calls so the per-shot path
+  /// neither allocates nor re-initializes it; sweepQubits_[b] backs
+  /// sweepGates_[b].diagQubits.
+  std::array<sim::SweepGate, interp::kMaxSweepBlocks> sweepGates_{};
+  std::array<std::array<unsigned, interp::FusedBlock::kMaxQubits>,
+             interp::kMaxSweepBlocks>
+      sweepQubits_{};
 };
 
 /// A runtime that *records* the instruction trace as a circuit instead of

@@ -16,8 +16,8 @@ namespace {
 telemetry::Counter g_svGates{"sim.statevector.gate_applications"};
 telemetry::Counter g_svMeasurements{"sim.statevector.measurements"};
 telemetry::MaxGauge g_svPeakBytes{"sim.statevector.peak_bytes"};
-/// Fused sweeps that actually took the multi-chunk blocked path (one pass
-/// over each cache-sized chunk for the whole gate run).
+/// Fused runs that took the chunk-major path (one pass over each
+/// cache-sized chunk for the whole gate run).
 telemetry::Counter g_svBlockedSweeps{"sim.kernel.blocked_sweeps"};
 /// Accumulated SIMD lane width of the vector-friendly kernel sweeps: one
 /// 256-bit vector holds 4 f64 or 8 f32 complex components, so each sweep
@@ -549,15 +549,6 @@ void StateVector::applySwap(unsigned a, unsigned b) {
 }
 
 void StateVector::applyFusedSweep(std::span<const SweepGate> gates) {
-  if (gates.empty()) {
-    return;
-  }
-  if (cancel_ != nullptr) {
-    cancel_->checkpoint("statevector sweep");
-  }
-  gateCount_ += gates.size();
-  g_svGates.add(gates.size());
-  noteKernelSweeps(precision_, gates.size());
   unsigned maxQ = 0;
   for (const SweepGate& g : gates) {
     switch (g.kind) {
@@ -574,22 +565,42 @@ void StateVector::applyFusedSweep(std::span<const SweepGate> gates) {
       break;
     }
   }
-  assert(maxQ < numQubits_);
+  assert(gates.empty() || maxQ < numQubits_);
   // Chunks must contain every touched qubit; a high-qubit gate widens the
-  // chunk (fewer, larger chunks — still correct, less cache benefit), and
-  // a register no wider than one chunk degenerates to per-gate passes.
+  // chunk (fewer, larger chunks — still correct, less cache benefit).
   const unsigned chunkBits =
       std::min(std::max(kSweepChunkBits, maxQ + 1), numQubits_);
   const std::uint64_t numChunks = dimension() >> chunkBits;
-  if (numChunks > 1) {
-    g_svBlockedSweeps.add();
+  if (gates.size() < 2 || numChunks <= 1) {
+    // One gate, or a run whose chunk spans the register: nothing to share
+    // between gates, so each takes its own full (pool-parallel) pass.
+    for (const SweepGate& g : gates) {
+      switch (g.kind) {
+      case SweepGate::Kind::Unitary1:
+        apply1(g.m2, g.q0);
+        break;
+      case SweepGate::Kind::Unitary2:
+        apply2(g.m4, g.q0, g.q1);
+        break;
+      case SweepGate::Kind::Diagonal:
+        applyDiagonal(g.diag, g.diagQubits);
+        break;
+      }
+    }
+    return;
   }
+  if (cancel_ != nullptr) {
+    cancel_->checkpoint("statevector sweep");
+  }
+  gateCount_ += gates.size();
+  g_svGates.add(gates.size());
+  noteKernelSweeps(precision_, gates.size());
+  g_svBlockedSweeps.add();
   const auto dispatch = [&](auto* const amps) {
     const auto body = [&](std::uint64_t beginChunk, std::uint64_t endChunk) {
       sweepChunkRange(amps, gates, chunkBits, beginChunk, endChunk);
     };
-    if (pool_ != nullptr && numChunks > 1 &&
-        dimension() >= (std::uint64_t{1} << 14)) {
+    if (pool_ != nullptr && dimension() >= (std::uint64_t{1} << 14)) {
       const qirkit::CancelToken* const cancel = cancel_;
       qirkit::parallelForChunked(
           *pool_, numChunks,

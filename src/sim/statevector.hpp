@@ -124,15 +124,18 @@ public:
   void applyCCX(unsigned control1, unsigned control2, unsigned target);
   void applySwap(unsigned a, unsigned b);
 
-  /// Apply a run of fused blocks in one pass per cache-sized chunk: when
-  /// every touched qubit lies below the chunk width, each gate's
-  /// amplitude pairs are chunk-local, so applying all gates (in order) to
-  /// chunk 0, then all to chunk 1, ... is exactly the sequential
-  /// composition — but each chunk is loaded from memory once for the
-  /// whole run instead of once per gate. Gates whose support exceeds the
-  /// default chunk width widen the chunk (correctness never depends on
-  /// the split); a run spanning the whole register degenerates to
-  /// per-gate passes.
+  /// Apply a run of fused blocks, in order — the one kernel entry of the
+  /// fused path, for runs of any length. A run of several gates walks the
+  /// state one cache-sized chunk at a time: when every touched qubit lies
+  /// below the chunk width, each gate's amplitude pairs are chunk-local,
+  /// so applying all gates (in order) to chunk 0, then all to chunk 1, ...
+  /// is exactly the sequential composition — but each chunk is loaded
+  /// from memory once for the whole run instead of once per gate. Gates
+  /// whose support exceeds the default chunk width widen the chunk
+  /// (correctness never depends on the split). A single gate, or a run
+  /// whose chunk spans the whole register, takes one apply1/apply2/
+  /// applyDiagonal pass per gate instead. Both ways give bit-identical
+  /// amplitudes.
   void applyFusedSweep(std::span<const SweepGate> gates);
 
   // -- measurement ---------------------------------------------------------

@@ -40,10 +40,7 @@ const char* opName(Op op) noexcept {
   case Op::Call: return "call";
   case Op::CallExtern: return "call.ext";
   case Op::Trap: return "trap";
-  case Op::Fused1: return "fused1";
-  case Op::Fused2: return "fused2";
-  case Op::FusedDiag: return "fused.diag";
-  case Op::FusedSweep: return "fused.sweep";
+  case Op::Fused: return "fused";
   case Op::CmpBr: return "cmp.br";
   case Op::BinStore: return "bin.store";
   case Op::LoadBin: return "load.bin";
@@ -103,20 +100,20 @@ std::string BytecodeModule::disassemble() const {
       if (in.op == Op::Call && in.b < functions.size()) {
         out << " ; @" << functions[in.b].name;
       }
-      if ((in.op == Op::Fused1 || in.op == Op::Fused2 ||
-           in.op == Op::FusedDiag) &&
-          in.a < fn.fusedBlocks.size()) {
-        const interp::FusedBlock& block = fn.fusedBlocks[in.a];
-        out << " ; " << block.sourceGates << " gates on";
-        for (const std::uint64_t q : block.qubits) {
-          out << " q" << q;
-        }
-      }
-      if (in.op == Op::FusedSweep && in.a < fn.fusedSweeps.size()) {
+      if (in.op == Op::Fused && in.a < fn.fusedSweeps.size()) {
         const FusedSweepRun& run = fn.fusedSweeps[in.a];
-        out << " ; " << run.blockCount << " blocks ["
-            << run.firstBlock << ".." << (run.firstBlock + run.blockCount - 1)
-            << "], " << run.totalGates << " gates";
+        // Indexed by FusedBlock::Kind.
+        static constexpr const char* kKindNames[] = {"u1", "u2", "diag"};
+        out << " ; " << run.blockCount << " blocks, " << run.totalGates
+            << " gates:";
+        for (std::uint32_t b = 0; b < run.blockCount; ++b) {
+          const interp::FusedBlock& block = fn.fusedBlocks[run.firstBlock + b];
+          out << ' ' << kKindNames[static_cast<int>(block.kind)] << '(';
+          for (std::size_t q = 0; q < block.qubits.size(); ++q) {
+            out << (q == 0 ? "q" : " q") << block.qubits[q];
+          }
+          out << ')';
+        }
       }
       if ((in.flags & kStep) != 0) {
         out << " [step]";

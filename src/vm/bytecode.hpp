@@ -62,18 +62,11 @@ enum class Op : std::uint8_t {
   Call,        // r[a] = functions[b](last c pushed args); a == kNoReg: void
   CallExtern,  // r[a] = externSlots[b](last c pushed args)
   Trap,        // throw TrapError("executed 'unreachable'")
-  // Fused quantum ops (gate-fusion pass, fusion.hpp): a = index into
-  // CompiledFunction::fusedBlocks, b = number of folded source gates.
-  // Each accounts for b source instructions (steps, stats, fault probes)
-  // so fused and unfused execution stay bit-compatible.
-  Fused1,      // apply fusedBlocks[a]: 2x2 unitary on one qubit
-  Fused2,      // apply fusedBlocks[a]: 4x4 unitary on a two-qubit window
-  FusedDiag,   // apply fusedBlocks[a]: diagonal phases on up to 6 qubits
-  // Sweep fusion (second fusion stage): a = index into
-  // CompiledFunction::fusedSweeps, b = total folded source gates. Stands
-  // in for fusedSweeps[a].blockCount consecutive Fused* instructions and
-  // accounts for every source gate of every member block.
-  FusedSweep,
+  // Fused quantum op (gate-fusion pass, fusion.hpp): apply the run
+  // fusedSweeps[a] of 1 to interp::kMaxSweepBlocks consecutive blocks.
+  // Accounts for every source gate of every block (steps, stats, fault
+  // probes), so fused and unfused execution stay bit-compatible.
+  Fused,
   // Superinstructions (fuseSuperinstructions, fusion.hpp): hot opcode
   // pairs mined after gate fusion + Nop compaction. Each occupies the
   // replaced pair's span — the head instruction plus Op::Ext extension
@@ -100,20 +93,19 @@ inline constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::Ext) + 1;
 [[nodiscard]] const char* opName(Op op) noexcept;
 
 /// Which dispatch loop the VM runs a compiled module with. Switch is the
-/// portable reference loop (~40-case opcode switch); Threaded is the
-/// token-threaded computed-goto loop built under QIRKIT_THREADED_DISPATCH
-/// (GNU toolchains). The mode is a *compile* option and participates in
-/// the compile-cache key, so modules compiled for different loops never
-/// share an entry. The shot executor always compiles for
+/// reference loop (one opcode switch per instruction, and the loop fault
+/// injection runs on); Threaded is the token-threaded computed-goto loop
+/// (GNU C++ extension). The mode is a *compile* option and participates
+/// in the compile-cache key, so modules compiled for different loops
+/// never share an entry. The shot executor always compiles for
 /// defaultDispatchMode().
 enum class DispatchMode : std::uint8_t { Switch, Threaded };
 
 [[nodiscard]] const char* dispatchModeName(DispatchMode mode) noexcept;
 
-/// True when this build carries the computed-goto loop
-/// (QIRKIT_THREADED_DISPATCH=ON and a GNU-compatible compiler). When
-/// false, Threaded-mode modules execute on the switch loop — the two are
-/// bit-compatible, so the fallback is silent.
+/// True when this build carries the computed-goto loop (a GNU-compatible
+/// compiler). When false, Threaded-mode modules execute on the switch
+/// loop — the two are bit-compatible, so the fallback is silent.
 [[nodiscard]] bool threadedDispatchAvailable() noexcept;
 
 /// The build's preferred dispatch mode: Threaded where available.
@@ -143,9 +135,9 @@ struct Inst {
   std::uint32_t d = 0;
 };
 
-/// One sweep planned by planFusedSweeps (fusion.hpp): a run of
-/// consecutive fused instructions whose blocks sit contiguously in
-/// CompiledFunction::fusedBlocks, collapsed into one Op::FusedSweep.
+/// The run one Op::Fused instruction applies: blockCount consecutive
+/// CompiledFunction::fusedBlocks entries starting at firstBlock, grouped
+/// by the fusion pass (fusion.hpp). A lone block is a run of length one.
 struct FusedSweepRun {
   std::uint32_t firstBlock = 0;
   std::uint32_t blockCount = 0;
@@ -171,15 +163,11 @@ struct CompiledFunction {
   std::vector<interp::RtValue> constants;
   std::vector<Inst> code;
   std::vector<SwitchTable> switchTables;
-  /// Precomposed gate runs referenced by Fused1/Fused2/FusedDiag. A fused
-  /// instruction replaces the first instruction of its source run; the
-  /// remainder become Nops, so every code offset (jump target) survives.
+  /// Precomposed gate runs, in code order. Each belongs to exactly one
+  /// fusedSweeps entry.
   std::vector<interp::FusedBlock> fusedBlocks;
-  /// Planned sweeps referenced by Op::FusedSweep: blockCount consecutive
-  /// fusedBlocks entries starting at firstBlock, applied in one
-  /// chunk-blocked pass by hosts that support it. totalGates is the sum
-  /// of the members' sourceGates — the step/stats credit the sweep
-  /// instruction accounts for.
+  /// One run per Op::Fused instruction, indexed by its `a` operand.
+  /// totalGates is the step/stats credit the instruction accounts for.
   std::vector<FusedSweepRun> fusedSweeps;
 };
 

@@ -548,10 +548,10 @@ std::shared_ptr<const BytecodeModule> compileModule(const ir::Module& module,
       g_fusionOps.add(stats.fusedOps);
       g_fusionBlocks.add(stats.blocks);
       g_fusionSweepsSaved.add(stats.sweepsSaved());
-      g_fusionSweepRuns.add(planFusedSweeps(fn));
-      // Both fusion stages pad replaced runs with Nops to keep offsets
-      // stable; compact them away so the padding never reaches the
-      // dispatch loop (it used to inflate vm.dispatch.data per shot).
+      g_fusionSweepRuns.add(stats.sweepRuns);
+      // Fusion pads replaced runs with Nops to keep offsets stable;
+      // compact them away so the padding never reaches the dispatch loop
+      // (it used to inflate vm.dispatch.data per shot).
       g_compileNopsRemoved.add(compactCode(fn));
     }
   }

@@ -11,6 +11,7 @@ namespace qirkit::vm {
 
 using interp::FusedBlock;
 using interp::FusedReplayCall;
+using interp::kMaxSweepBlocks;
 using interp::Memory;
 using interp::RtValue;
 
@@ -27,8 +28,9 @@ struct GateSpec {
   bool diagonal;      // diagonal in the computational basis
 };
 
-/// Every code offset control may enter at (branch/switch targets). Both
-/// fusion stages refuse to form a run a branch could enter mid-way.
+/// Every code offset control may enter at (branch/switch targets). Gate
+/// fusion and superinstruction mining refuse to form a run a branch could
+/// enter mid-way.
 std::vector<bool> computeJumpTargets(const CompiledFunction& fn) {
   std::vector<bool> jumpTarget(fn.code.size(), false);
   const auto mark = [&jumpTarget](std::uint32_t target) {
@@ -233,8 +235,8 @@ private:
     return j - i;
   }
 
-  /// Segment a maximal run of fusable units and replace each multi-gate
-  /// segment with one fused instruction.
+  /// Segment a maximal run of fusable units into fused blocks. Blocks
+  /// with no unfused unit between them share one Op::Fused run.
   void flush(std::vector<GateUnit>& run) {
     std::vector<std::uint64_t> support;
     std::size_t i = 0;
@@ -287,9 +289,11 @@ private:
         emitWindow(run, i, winLen);
         i += winLen;
       } else {
+        runOpen_ = false; // the unit stays an unfused call between runs
         ++i;
       }
     }
+    runOpen_ = false;
     run.clear();
   }
 
@@ -316,7 +320,7 @@ private:
         u = sim::matmul(matrix2For(run[j].spec->kind, run[j].param), u);
       }
       block.matrix = {u.m00, u.m01, u.m10, u.m11};
-      replace(run, i, len, Op::Fused1, std::move(block));
+      replace(run, i, len, std::move(block));
       return;
     }
     block.kind = FusedBlock::Kind::Unitary2;
@@ -344,7 +348,7 @@ private:
       u = sim::matmul(gm, u);
     }
     block.matrix.assign(&u.m[0][0], &u.m[0][0] + 16);
-    replace(run, i, len, Op::Fused2, std::move(block));
+    replace(run, i, len, std::move(block));
   }
 
   void emitDiagonal(const std::vector<GateUnit>& run, std::size_t i,
@@ -379,13 +383,15 @@ private:
         block.matrix[idx] *= ((idx >> b) & 1) != 0 ? m.m11 : m.m00;
       }
     }
-    replace(run, i, len, Op::FusedDiag, std::move(block));
+    replace(run, i, len, std::move(block));
   }
 
-  /// Overwrite the segment's instruction span: one fused instruction at
-  /// the start, Nops for the rest. Offsets are preserved, so no fixups.
+  /// Overwrite the segment's instruction span with Nops and append its
+  /// block to the open run. When no run is open, or the open one is full,
+  /// a new run's Op::Fused instruction takes the segment's first offset.
+  /// Offsets are preserved, so no fixups.
   void replace(const std::vector<GateUnit>& run, std::size_t i, std::size_t len,
-               Op op, FusedBlock block) {
+               FusedBlock block) {
     block.sourceGates = static_cast<std::uint32_t>(len);
     for (std::size_t j = i; j < i + len; ++j) {
       block.replay.push_back({run[j].slot, run[j].args});
@@ -395,10 +401,19 @@ private:
     for (std::uint32_t t = begin; t < end; ++t) {
       fn_.code[t] = Inst{};
     }
-    Inst& fused = fn_.code[begin];
-    fused.op = op;
-    fused.a = static_cast<std::uint32_t>(fn_.fusedBlocks.size());
-    fused.b = block.sourceGates;
+    if (!runOpen_ || fn_.fusedSweeps.back().blockCount == kMaxSweepBlocks) {
+      runOpen_ = true;
+      fn_.code[begin].op = Op::Fused;
+      fn_.code[begin].a = static_cast<std::uint32_t>(fn_.fusedSweeps.size());
+      fn_.fusedSweeps.push_back(
+          {.firstBlock = static_cast<std::uint32_t>(fn_.fusedBlocks.size())});
+    }
+    FusedSweepRun& sweep = fn_.fusedSweeps.back();
+    ++sweep.blockCount;
+    sweep.totalGates += block.sourceGates;
+    if (sweep.blockCount == 2) {
+      ++stats_.sweepRuns;
+    }
     fn_.fusedBlocks.push_back(std::move(block));
     stats_.fusedOps += len;
     ++stats_.blocks;
@@ -408,6 +423,7 @@ private:
   const std::vector<std::string>& externNames_;
   std::vector<bool> jumpTarget_;
   FusionStats stats_;
+  bool runOpen_ = false; // replace() may extend fn_.fusedSweeps.back()
 };
 
 } // namespace
@@ -415,69 +431,6 @@ private:
 FusionStats fuseGates(CompiledFunction& fn,
                       const std::vector<std::string>& externNames) {
   return Fuser(fn, externNames).run();
-}
-
-std::uint64_t planFusedSweeps(CompiledFunction& fn) {
-  const std::vector<bool> jumpTarget = computeJumpTargets(fn);
-  const auto isFused = [](Op op) noexcept {
-    return op == Op::Fused1 || op == Op::Fused2 || op == Op::FusedDiag;
-  };
-  std::uint64_t planned = 0;
-  const auto size = static_cast<std::uint32_t>(fn.code.size());
-  std::uint32_t pc = 0;
-  while (pc < size) {
-    if (!isFused(fn.code[pc].op)) {
-      ++pc;
-      continue;
-    }
-    // Collect the run: fused instructions separated only by Nops (the
-    // padding fuseGates left behind), stopping at any jump target past
-    // the first member — control entering there must not skip members
-    // the sweep has already subsumed — at a non-fused instruction, at a
-    // block that is not the previous member's successor in fusedBlocks,
-    // and at the per-sweep cap.
-    std::vector<std::uint32_t> members{pc};
-    std::uint32_t cursor = pc + 1;
-    while (cursor < size && members.size() < kMaxSweepBlocks) {
-      if (jumpTarget[cursor]) {
-        break;
-      }
-      if (fn.code[cursor].op == Op::Nop) {
-        ++cursor;
-        continue;
-      }
-      if (!isFused(fn.code[cursor].op) ||
-          fn.code[cursor].a != fn.code[members.back()].a + 1) {
-        break;
-      }
-      members.push_back(cursor);
-      ++cursor;
-    }
-    if (members.size() < 2) {
-      pc = cursor;
-      continue;
-    }
-    FusedSweepRun run;
-    run.firstBlock = fn.code[members.front()].a;
-    run.blockCount = static_cast<std::uint32_t>(members.size());
-    for (const std::uint32_t m : members) {
-      run.totalGates += fn.code[m].b;
-    }
-    // The sweep takes the first member's offset; the rest become Nops,
-    // so every jump target survives (none lands inside the run).
-    Inst& first = fn.code[members.front()];
-    first.op = Op::FusedSweep;
-    first.a = static_cast<std::uint32_t>(fn.fusedSweeps.size());
-    first.b = run.totalGates;
-    first.c = run.blockCount;
-    for (std::size_t m = 1; m < members.size(); ++m) {
-      fn.code[members[m]] = Inst{};
-    }
-    fn.fusedSweeps.push_back(run);
-    ++planned;
-    pc = cursor;
-  }
-  return planned;
 }
 
 std::uint64_t compactCode(CompiledFunction& fn) {

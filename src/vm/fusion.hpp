@@ -1,11 +1,13 @@
 /// \file fusion.hpp
 /// The gate-fusion pass: a compile-time peephole over linear bytecode that
 /// folds runs of adjacent, fully-constant `__quantum__qis__*` calls into
-/// single fused instructions (Op::Fused1/Fused2/FusedDiag) backed by
-/// precomposed matrices. Running at bytecode-compile time means the pass
+/// fused blocks backed by precomposed matrices, and groups adjacent blocks
+/// into runs of 1 to interp::kMaxSweepBlocks, each applied by one
+/// Op::Fused instruction. Running at bytecode-compile time means the pass
 /// lands in the LRU compile cache, so its cost amortizes across every
 /// shot of a batch while each shot pays one statevector sweep per fused
-/// block instead of one per gate.
+/// block instead of one per gate (or one chunk walk per run of several
+/// blocks on a multi-chunk state: StateVector::applyFusedSweep).
 ///
 /// Three fusion rules, applied greedily left to right:
 ///  1. chains of single-qubit gates on the same qubit -> one 2x2 matrix;
@@ -26,6 +28,10 @@
 ///    before it must have executed exactly; a fused instruction sits at
 ///    its run's first offset and the rest are Nops, hence a run that a
 ///    branch could enter mid-way is never formed.
+///
+/// A run of blocks is a sequence of consecutive blocks with no unfused
+/// gate between them, capped at interp::kMaxSweepBlocks; the barriers
+/// above end it too.
 #pragma once
 
 #include "vm/bytecode.hpp"
@@ -34,7 +40,8 @@ namespace qirkit::vm {
 
 struct FusionStats {
   std::uint64_t fusedOps = 0;    // source gate calls folded away
-  std::uint64_t blocks = 0;      // fused instructions emitted
+  std::uint64_t blocks = 0;      // fused blocks emitted
+  std::uint64_t sweepRuns = 0;   // Op::Fused runs of two or more blocks
   /// Amplitude-array sweeps removed per execution of the fused code
   /// (fusedOps - blocks): the quantity the pass exists to minimize.
   [[nodiscard]] std::uint64_t sweepsSaved() const noexcept {
@@ -42,33 +49,20 @@ struct FusionStats {
   }
 };
 
-/// Run the fusion peephole over \p fn (in place). \p externNames is the
-/// module's slot table (gate recognition is by extern name). Must run
-/// after jump fixups; preserves every instruction offset.
+/// Run the fusion peephole over \p fn (in place), filling fn.fusedBlocks
+/// and fn.fusedSweeps. \p externNames is the module's slot table (gate
+/// recognition is by extern name). Must run after jump fixups; preserves
+/// every instruction offset.
 FusionStats fuseGates(CompiledFunction& fn,
                       const std::vector<std::string>& externNames);
 
-/// Second fusion stage (sweep planning): collapse every run of >= 2
-/// consecutive fused instructions — separated only by Nops, with no jump
-/// target landing after the run's first offset — into one Op::FusedSweep
-/// whose member blocks sit contiguously in fn.fusedBlocks. At run time a
-/// sweep lets the statevector walk each cache-sized chunk once for the
-/// whole run (StateVector::applyFusedSweep) instead of once per block.
-/// Runs of more than kMaxSweepBlocks blocks split into several sweeps.
-/// Must run after fuseGates; preserves every instruction offset. Returns
-/// the number of sweeps planned.
-std::uint64_t planFusedSweeps(CompiledFunction& fn);
-
-/// Upper bound on blocks per planned sweep.
-inline constexpr std::size_t kMaxSweepBlocks = 16;
-
-/// Remove the Op::Nop padding the two fusion stages leave behind,
+/// Remove the Op::Nop padding the fusion pass leaves behind,
 /// remapping every jump target (Jmp/JmpIf fields and switch tables) onto
 /// the compacted offsets. Nops are pure lowering artifacts — they carry
 /// no kStep flag — but before this pass they still flowed through the
 /// dispatch loop on every execution, inflating the vm.dispatch.* per-
 /// opcode-class counters (and wasting a dispatch round apiece) on hot
-/// fused loops. No jump ever targets a Nop (both fusion stages refuse to
+/// fused loops. No jump ever targets a Nop (the fusion pass refuses to
 /// form a run past a jump target), so compaction preserves semantics and
 /// accounting exactly. Returns the number of instructions removed.
 std::uint64_t compactCode(CompiledFunction& fn);

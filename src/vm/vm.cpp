@@ -9,14 +9,11 @@
 #include <algorithm>
 #include <array>
 
-// The token-threaded loop needs GNU computed goto (&&label). Build it
-// only where the toolchain has the extension and the
-// QIRKIT_THREADED_DISPATCH CMake option (default ON) left it enabled.
-// Everything else — module encoding, semantics, telemetry — is identical
-// either way; without it, Threaded-mode modules silently run the switch
-// loop.
-#if defined(QIRKIT_THREADED_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
+// The token-threaded loop needs GNU computed goto (&&label), which every
+// compiler the project builds with (GCC, Clang) has. Everything else —
+// module encoding, semantics, telemetry — is identical either way;
+// without it, Threaded-mode modules silently run the switch loop.
+#if defined(__GNUC__) || defined(__clang__)
 #define QIRKIT_VM_THREADED 1
 #else
 #define QIRKIT_VM_THREADED 0
@@ -44,7 +41,7 @@ enum OpClass : std::uint8_t {
   kClassControlFlow,  // jumps, switch, ret, trap
   kClassCallInternal, // PushArg + Call
   kClassCallExternal, // CallExtern (runtime dispatch)
-  kClassFused,        // Fused1/Fused2/FusedDiag (gate-fusion pass)
+  kClassFused,        // fused blocks (gate-fusion pass), one per block
   kNumOpClasses,
 };
 
@@ -80,10 +77,7 @@ constexpr OpClass opClassOf(Op op) noexcept {
     return kClassCallInternal;
   case Op::CallExtern:
     return kClassCallExternal;
-  case Op::Fused1:
-  case Op::Fused2:
-  case Op::FusedDiag:
-  case Op::FusedSweep:
+  case Op::Fused:
     return kClassFused;
   default:
     return kClassData;
@@ -384,9 +378,8 @@ RtValue Vm::executeThreaded(const CompiledFunction& fn, std::size_t base,
       &&L_StoreInt, &&L_StoreDouble, &&L_StorePtr,   &&L_Jmp,
       &&L_JmpIf,    &&L_SwitchI,     &&L_Ret,        &&L_RetVoid,
       &&L_PushArg,  &&L_Call,        &&L_CallExtern, &&L_Trap,
-      &&L_Fused1,   &&L_Fused2,      &&L_FusedDiag,  &&L_FusedSweep,
-      &&L_CmpBr,    &&L_BinStore,    &&L_LoadBin,    &&L_PushCall,
-      &&L_Ext,
+      &&L_Fused,    &&L_CmpBr,       &&L_BinStore,   &&L_LoadBin,
+      &&L_PushCall, &&L_Ext,
   };
   static_assert(sizeof(kOpLabels) / sizeof(kOpLabels[0]) == kNumOps,
                 "label table must cover every opcode, in enum order");
@@ -394,7 +387,7 @@ RtValue Vm::executeThreaded(const CompiledFunction& fn, std::size_t base,
 // Threaded-loop handler glue: VM_NEXT is the fetch/preamble/dispatch
 // sequence itself (no outer loop), with the step fast path a single
 // credit decrement. VM_RESYNC zeroes the credit after handlers that
-// advance stepsTaken_ in bulk (fused blocks/sweeps, recursive calls) so
+// advance stepsTaken_ in bulk (fused runs, recursive calls) so
 // the stale bound is recomputed before the next fast step.
 #define VM_CASE(name) L_##name:
 // Counters are eager, so there is nothing to flush — the macro marks the
@@ -452,12 +445,12 @@ RtValue Vm::executeThreaded(const CompiledFunction& fn, std::size_t base,
 
 #endif // QIRKIT_VM_THREADED
 
-void Vm::execFusedBlock(const interp::FusedBlock& block, std::uint64_t gates,
-                        bool injectFaults) {
-  // One fused block stands in for `gates` source gate calls; account for
-  // all of them (steps, stats, fault probes) so fused runs are
-  // indistinguishable from unfused ones to every observer but the wall
-  // clock. Fused instructions carry no kStep flag.
+void Vm::execFusedBlock(const interp::FusedBlock& block, bool injectFaults) {
+  // One fused block stands in for block.sourceGates source gate calls;
+  // account for all of them (steps, stats, fault probes) so fused runs
+  // are indistinguishable from unfused ones to every observer but the
+  // wall clock. Fused instructions carry no kStep flag.
+  const std::uint64_t gates = block.sourceGates;
   if (stepsTaken_ + gates > stepLimit_) {
     // Partial credit exactly as if the gates ran one by one: the first
     // (stepLimit_ - stepsTaken_) complete, the next one trips the budget
@@ -479,7 +472,7 @@ void Vm::execFusedBlock(const interp::FusedBlock& block, std::uint64_t gates,
     }
   }
   if (fusedHost_ != nullptr) {
-    fusedHost_->applyFusedBlock(block);
+    fusedHost_->applyFusedSweep({&block, 1});
     return;
   }
   // No fused kernels on this host: replay the original calls so

@@ -76,10 +76,10 @@ public:
   void bindExternal(std::string name, ExternalHandler handler) override;
 
   /// Direct kernel path for fused instructions. When a host is bound,
-  /// Fused1/Fused2/FusedDiag hand it the precomposed block; when none is
-  /// (recording/Clifford runtimes, or no binding at all), the VM replays
-  /// the block's original extern calls one by one, so fusion is
-  /// observationally invisible to hosts without fused kernels.
+  /// Op::Fused hands it the run of precomposed blocks (applyFusedSweep);
+  /// when none is (recording/Clifford runtimes, or no binding at all), the
+  /// VM replays each block's original extern calls one by one, so fusion
+  /// is observationally invisible to hosts without fused kernels.
   void bindFusedHost(interp::FusedGateHost* host) override { fusedHost_ = host; }
 
 private:
@@ -109,10 +109,9 @@ private:
   std::uint64_t checkedStepProbe(const qirkit::CancelToken* cancel);
   /// Execute one fused block with full per-gate accounting (step budget
   /// with mid-block partial credit, stats, fault probes), dispatching to
-  /// the fused host or replaying the source calls. Shared by the Fused*
-  /// cases and the FusedSweep interruptible path.
-  void execFusedBlock(const interp::FusedBlock& block, std::uint64_t gates,
-                      bool injectFaults);
+  /// the fused host as a run of length one or replaying the source calls.
+  /// Op::Fused's interruptible path.
+  void execFusedBlock(const interp::FusedBlock& block, bool injectFaults);
   void materializeGlobals();
   void resolveExterns();
 

@@ -164,6 +164,16 @@ std::size_t countSubstr(const std::string& haystack, const std::string& needle) 
   return n;
 }
 
+/// Fused blocks of \p kind in the module's first function.
+std::size_t countBlocks(const vm::BytecodeModule& module,
+                        interp::FusedBlock::Kind kind) {
+  std::size_t n = 0;
+  for (const interp::FusedBlock& block : module.functions[0].fusedBlocks) {
+    n += block.kind == kind ? 1 : 0;
+  }
+  return n;
+}
+
 std::shared_ptr<const vm::BytecodeModule> compileText(const std::string& text,
                                                       bool fusion = true) {
   ir::Context ctx;
@@ -198,7 +208,7 @@ TEST(FusionPass, SingleQubitChainFusesToOneBlock) {
   call void @__quantum__qis__h__body(ptr null)
 )"));
   const std::string listing = compiled->disassemble();
-  EXPECT_EQ(countSubstr(listing, "fused1"), 1U) << listing;
+  EXPECT_EQ(countSubstr(listing, "fused"), 1U) << listing;
   EXPECT_EQ(countSubstr(listing, "call.ext"), 0U) << listing;
   ASSERT_EQ(compiled->functions.size(), 1U);
   ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
@@ -220,8 +230,9 @@ TEST(FusionPass, TwoQubitWindowFusesMixedGates) {
   call void @__quantum__qis__h__body(ptr inttoptr (i64 1 to ptr))
 )"));
   const std::string listing = compiled->disassemble();
-  EXPECT_EQ(countSubstr(listing, "fused2"), 1U) << listing;
+  EXPECT_EQ(countSubstr(listing, "fused"), 1U) << listing;
   EXPECT_EQ(countSubstr(listing, "call.ext"), 0U) << listing;
+  ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
   const interp::FusedBlock& block = compiled->functions[0].fusedBlocks[0];
   EXPECT_EQ(block.kind, interp::FusedBlock::Kind::Unitary2);
   EXPECT_EQ(block.qubits, (std::vector<std::uint64_t>{0, 1}));
@@ -239,8 +250,9 @@ TEST(FusionPass, DiagonalRunFusesAcrossManyQubits) {
   call void @__quantum__qis__rz__body(double 0.25, ptr null)
 )"));
   const std::string listing = compiled->disassemble();
-  EXPECT_EQ(countSubstr(listing, "fused.diag"), 1U) << listing;
+  EXPECT_EQ(countSubstr(listing, "fused"), 1U) << listing;
   EXPECT_EQ(countSubstr(listing, "call.ext"), 0U) << listing;
+  ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
   const interp::FusedBlock& block = compiled->functions[0].fusedBlocks[0];
   EXPECT_EQ(block.kind, interp::FusedBlock::Kind::Diagonal);
   EXPECT_EQ(block.sourceGates, 5U);
@@ -257,7 +269,9 @@ TEST(FusionPass, MeasurementIsABarrier) {
   call void @__quantum__qis__x__body(ptr null)
 )"));
   const std::string listing = compiled->disassemble();
-  EXPECT_EQ(countSubstr(listing, "fused1"), 2U) << listing;
+  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Unitary1), 2U);
+  // One run on each side of the measurement.
+  EXPECT_EQ(compiled->functions[0].fusedSweeps.size(), 2U) << listing;
   EXPECT_EQ(countSubstr(listing, "@__quantum__qis__mz__body"), 1U) << listing;
 }
 
@@ -269,8 +283,9 @@ TEST(FusionPass, ResetIsABarrier) {
   call void @__quantum__qis__h__body(ptr null)
   call void @__quantum__qis__x__body(ptr null)
 )"));
-  const std::string listing = compiled->disassemble();
-  EXPECT_EQ(countSubstr(listing, "fused1"), 2U) << listing;
+  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Unitary1), 2U);
+  EXPECT_EQ(compiled->functions[0].fusedSweeps.size(), 2U)
+      << compiled->disassemble();
 }
 
 TEST(FusionPass, WindowOverlapBreaksRuns) {
@@ -308,7 +323,9 @@ attributes #0 = { "entry_point" }
 )");
   const std::string listing = compiled->disassemble();
   // Only the X;Z pair inside %flip forms a run (single-qubit chain).
-  EXPECT_EQ(countSubstr(listing, "fused1"), 1U) << listing;
+  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Unitary1), 1U)
+      << listing;
+  ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
   const interp::FusedBlock& block = compiled->functions[0].fusedBlocks[0];
   EXPECT_EQ(block.sourceGates, 2U);
 }
@@ -330,9 +347,9 @@ TEST(FusionPass, GhzLadderFusesOnlyTheFrontWindow) {
   ir::Context ctx;
   const auto module = qir::exportCircuit(ctx, circuit::ghz(4, false), {});
   const auto compiled = vm::compileModule(*module);
-  const std::string listing = compiled->disassemble();
-  EXPECT_EQ(countSubstr(listing, "fused2"), 1U) << listing;
-  EXPECT_EQ(countSubstr(listing, "fused1"), 0U) << listing;
+  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Unitary2), 1U);
+  EXPECT_EQ(compiled->functions[0].fusedBlocks.size(), 1U)
+      << compiled->disassemble();
 }
 
 TEST(FusionPass, StatsCountFoldedGatesAndBlocks) {
@@ -354,12 +371,12 @@ TEST(FusionPass, StatsCountFoldedGatesAndBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep planning (second fusion stage): adjacent fused blocks collapse to
-// one Op::FusedSweep applied chunk-at-a-time.
+// Run grouping: adjacent fused blocks share one Op::Fused instruction,
+// which a host may apply chunk-at-a-time.
 // ---------------------------------------------------------------------------
 
 /// Diagonal run over q0..q2, then a single-qubit chain on q3: two fused
-/// blocks with only Nops between them — exactly one plannable sweep.
+/// blocks with no unfused gate between them — exactly one run.
 const char* const kSweepBody = R"(
   call void @__quantum__qis__z__body(ptr null)
   call void @__quantum__qis__s__body(ptr inttoptr (i64 1 to ptr))
@@ -372,10 +389,11 @@ const char* const kSweepBody = R"(
 TEST(SweepPlan, AdjacentFusedBlocksFormOneSweep) {
   const auto compiled = compileText(entryPoint(kSweepBody));
   const std::string listing = compiled->disassemble();
-  EXPECT_EQ(countSubstr(listing, "fused.sweep"), 1U) << listing;
-  // The member blocks' own instructions became Nops under the sweep.
-  EXPECT_EQ(countSubstr(listing, "fused.diag"), 0U) << listing;
-  EXPECT_EQ(countSubstr(listing, "fused1"), 0U) << listing;
+  // One fused line for the run, listing each block's kind and qubits.
+  EXPECT_EQ(countSubstr(listing, "fused"), 1U) << listing;
+  EXPECT_NE(listing.find("2 blocks, 6 gates: diag(q0 q1 q2) u1(q3)"),
+            std::string::npos)
+      << listing;
   ASSERT_EQ(compiled->functions[0].fusedSweeps.size(), 1U);
   const vm::FusedSweepRun& run = compiled->functions[0].fusedSweeps[0];
   EXPECT_EQ(run.firstBlock, 0U);
@@ -385,9 +403,9 @@ TEST(SweepPlan, AdjacentFusedBlocksFormOneSweep) {
 }
 
 TEST(SweepPlan, JumpTargetBetweenBlocksIsABarrier) {
-  // Control may enter %next directly, so the two runs must stay separate
-  // fused instructions — a sweep spanning the label would skip its second
-  // member on that entry path.
+  // Control may enter %next directly, so the two blocks must stay in
+  // separate runs — a run spanning the label would skip its second member
+  // on that entry path.
   const auto compiled = compileText(kGateDecls + R"(
 define void @main() #0 {
 entry:
@@ -403,10 +421,33 @@ next:
 }
 attributes #0 = { "entry_point" }
 )");
-  const std::string listing = compiled->disassemble();
-  EXPECT_EQ(countSubstr(listing, "fused.sweep"), 0U) << listing;
-  EXPECT_EQ(countSubstr(listing, "fused.diag"), 1U) << listing;
-  EXPECT_EQ(countSubstr(listing, "fused1"), 1U) << listing;
+  const std::vector<vm::FusedSweepRun>& runs = compiled->functions[0].fusedSweeps;
+  ASSERT_EQ(runs.size(), 2U) << compiled->disassemble();
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(runs[r].firstBlock, r);
+    EXPECT_EQ(runs[r].blockCount, 1U);
+    EXPECT_EQ(runs[r].totalGates, 3U);
+  }
+}
+
+TEST(SweepPlan, RunsSplitAtTheBlockCap) {
+  // 17 two-gate chains on q0..q16: 17 adjacent single-qubit blocks, one
+  // more than a run holds.
+  std::string body;
+  for (unsigned q = 0; q < 17; ++q) {
+    const std::string qubit =
+        "ptr inttoptr (i64 " + std::to_string(q) + " to ptr)";
+    body += "  call void @__quantum__qis__h__body(" + qubit + ")\n" +
+            "  call void @__quantum__qis__x__body(" + qubit + ")\n";
+  }
+  const auto compiled = compileText(entryPoint(body));
+  const vm::CompiledFunction& fn = compiled->functions[0];
+  ASSERT_EQ(fn.fusedBlocks.size(), 17U) << compiled->disassemble();
+  ASSERT_EQ(fn.fusedSweeps.size(), 2U);
+  EXPECT_EQ(fn.fusedSweeps[0].blockCount, interp::kMaxSweepBlocks);
+  EXPECT_EQ(fn.fusedSweeps[0].totalGates, 32U);
+  EXPECT_EQ(fn.fusedSweeps[1].firstBlock, 16U);
+  EXPECT_EQ(fn.fusedSweeps[1].blockCount, 1U);
 }
 
 // ---------------------------------------------------------------------------
@@ -579,8 +620,8 @@ TEST(SweepVm, StepLimitTrapsMidSweepWithIdenticalAccounting) {
 }
 
 TEST(SweepVm, RecordingRuntimeSeesEveryGateThroughASweep) {
-  // The recorder has no fused host, so the FusedSweep opcode must replay
-  // each member block's folded source gates in order.
+  // The recorder has no fused host, so Op::Fused must replay each member
+  // block's folded source gates in order.
   ir::Context ctx;
   const auto module = ir::parseModule(ctx, entryPoint(kSweepBody));
   vm::Vm machine(vm::compileModule(*module));
@@ -676,7 +717,7 @@ TEST(FusionDifferential, SamplingPathMatchesToo) {
 }
 
 // ---------------------------------------------------------------------------
-// Nop compaction: the padding the fusion stages leave behind must never
+// Nop compaction: the padding the fusion pass leaves behind must never
 // reach the dispatch loop (it used to inflate the vm.dispatch.* per-class
 // counters on every shot), and jump targets must survive the remapping.
 // ---------------------------------------------------------------------------
@@ -688,7 +729,6 @@ TEST(FusionCompaction, RemovesAllNopPaddingAndShrinksTheCode) {
   vm::CompiledFunction fn = reference->functions[0];
   const vm::FusionStats stats = vm::fuseGates(fn, reference->externNames);
   ASSERT_GT(stats.sweepsSaved(), 0U);
-  vm::planFusedSweeps(fn);
   std::size_t nops = 0;
   for (const vm::Inst& in : fn.code) {
     nops += in.op == vm::Op::Nop ? 1 : 0;

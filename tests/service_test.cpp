@@ -856,7 +856,8 @@ TEST_F(ServeTest, QueueTtlExpiresJobsAndReleasesTenantQuota) {
 
 TEST_F(ServeTest, MemoryAdmissionGuardRejectsOversizedPrograms) {
   restart([](ServerOptions& options) {
-    options.memoryBudgetBytes = 1U << 20U; // 1 MiB: a 16-qubit state, max
+    // 1 MiB: a 16-qubit f64 state, or a 17-qubit f32 state, at most.
+    options.memoryBudgetBytes = 1U << 20U;
   });
 
   // 17 qubits predict a 2 MiB statevector: rejected upfront, before any
@@ -874,6 +875,18 @@ TEST_F(ServeTest, MemoryAdmissionGuardRejectsOversizedPrograms) {
   EXPECT_NE(v.find("error")->find("message")->string.find("memory budget"),
             std::string::npos);
   EXPECT_EQ(v.find("retry_after_ms"), nullptr);
+
+  // The same program in f32 predicts exactly 1 MiB: admitted, and it runs
+  // all its shots.
+  req.precision = sim::Precision::F32;
+  const json::Value f32 = json::parse(client.call(submitRequestJson(req)));
+  ASSERT_TRUE(f32.find("ok")->boolean);
+  EXPECT_EQ(f32.find("shots")->asU64("shots"), 5U);
+  std::uint64_t f32Shots = 0;
+  for (const auto& [bits, count] : f32.find("histogram")->object) {
+    f32Shots += static_cast<std::uint64_t>(count.number);
+  }
+  EXPECT_EQ(f32Shots, 5U);
 
   // In-budget work is unaffected.
   const json::Value ok = json::parse(client.call(submitLine("alice", 10, 1)));

@@ -503,37 +503,27 @@ TEST(KernelDifferential, BlockedKernelsMatchNaiveReferenceF32) {
   runKernelDifferential(Precision::F32, 1e-5);
 }
 
-/// applyFusedSweep vs the same gates applied one full pass each — on a
-/// register wide enough (14 > kSweepChunkBits = 12) that the sweep path
-/// genuinely runs multi-chunk, including a high-qubit gate that forces
-/// chunk widening.
-void runSweepDifferential(Precision precision, double tol) {
-  SplitMix64 rng(4242);
-  const unsigned n = 14;
-  StateVector swept(n, nullptr, precision);
-  StateVector perGate(n, nullptr, precision);
-  for (unsigned q = 0; q < n; ++q) {
-    swept.apply1(gateH(), q);
-    perGate.apply1(gateH(), q);
-  }
-  // Storage that must outlive the applyFusedSweep call.
+/// A run of fused gates plus the phase tables and qubit lists its
+/// Diagonal members point into (the inner vectors' buffers, which stay put
+/// when the outer vectors grow).
+struct SweepRun {
+  std::vector<SweepGate> gates;
   std::vector<std::vector<Complex>> diagStore;
   std::vector<std::vector<unsigned>> diagQubitStore;
-  diagStore.reserve(8);
-  diagQubitStore.reserve(8);
-  std::vector<SweepGate> gates;
-  for (int i = 0; i < 8; ++i) {
+
+  /// Append a random gate of \p kind on qubits below \p n; a nonzero
+  /// \p fixedQubit pins a Unitary1's target instead.
+  void add(SweepGate::Kind kind, SplitMix64& rng, unsigned n,
+           unsigned fixedQubit = 0) {
     SweepGate gate;
-    switch (rng.below(3)) {
-    case 0: {
-      gate.kind = SweepGate::Kind::Unitary1;
-      // One gate on the top qubit forces chunkBits up to n (widening).
-      gate.q0 = i == 5 ? n - 1 : static_cast<unsigned>(rng.below(n));
+    gate.kind = kind;
+    switch (kind) {
+    case SweepGate::Kind::Unitary1:
+      gate.q0 =
+          fixedQubit != 0 ? fixedQubit : static_cast<unsigned>(rng.below(n));
       gate.m2 = randomUnitary2(rng);
       break;
-    }
-    case 1: {
-      gate.kind = SweepGate::Kind::Unitary2;
+    case SweepGate::Kind::Unitary2:
       gate.q0 = static_cast<unsigned>(rng.below(n));
       gate.q1 = static_cast<unsigned>(rng.below(n));
       if (gate.q1 == gate.q0) {
@@ -541,8 +531,7 @@ void runSweepDifferential(Precision precision, double tol) {
       }
       gate.m4 = randomUnitary4(rng);
       break;
-    }
-    default: {
+    case SweepGate::Kind::Diagonal: {
       const std::size_t k = 1 + rng.below(4);
       std::vector<unsigned> qubits;
       for (std::size_t j = 0; j < k; ++j) {
@@ -554,13 +543,25 @@ void runSweepDifferential(Precision precision, double tol) {
       }
       diagStore.push_back(randomPhases(rng, k));
       diagQubitStore.push_back(std::move(qubits));
-      gate.kind = SweepGate::Kind::Diagonal;
       gate.diag = diagStore.back();
       gate.diagQubits = diagQubitStore.back();
       break;
     }
     }
     gates.push_back(gate);
+  }
+};
+
+/// applyFusedSweep (optionally on a pool) vs the same gates applied one
+/// sequential full pass each: the amplitudes must be bit-identical.
+void expectSweepMatchesPerGatePasses(Precision precision, unsigned n,
+                                     ThreadPool* pool,
+                                     std::span<const SweepGate> gates) {
+  StateVector swept(n, pool, precision);
+  StateVector perGate(n, nullptr, precision);
+  for (unsigned q = 0; q < n; ++q) {
+    swept.apply1(gateH(), q);
+    perGate.apply1(gateH(), q);
   }
   swept.applyFusedSweep(gates);
   for (const SweepGate& gate : gates) {
@@ -577,19 +578,60 @@ void runSweepDifferential(Precision precision, double tol) {
     }
   }
   for (std::uint64_t i = 0; i < swept.dimension(); ++i) {
-    const Complex a = swept.amplitude(i);
-    const Complex b = perGate.amplitude(i);
-    ASSERT_NEAR(a.real(), b.real(), tol) << "amp=" << i;
-    ASSERT_NEAR(a.imag(), b.imag(), tol) << "amp=" << i;
+    ASSERT_EQ(swept.amplitude(i), perGate.amplitude(i))
+        << "amp=" << i << " n=" << n << " gates=" << gates.size();
+  }
+}
+
+void runSweepDifferential(Precision precision) {
+  // A random run on a 14-qubit register (one chunk is kSweepChunkBits =
+  // 12 qubits); gate 5, when it is a Unitary1, sits on the top qubit.
+  // This draw reaches qubit 13, so the run's chunk spans the register.
+  {
+    SplitMix64 rng(4242);
+    SweepRun run;
+    for (int i = 0; i < 8; ++i) {
+      run.add(static_cast<SweepGate::Kind>(rng.below(3)), rng, 14,
+              i == 5 ? 13 : 0);
+    }
+    expectSweepMatchesPerGatePasses(precision, 14, nullptr, run.gates);
+  }
+  // Every qubit below 12 on a 14-qubit register: four chunks, so the run
+  // takes the chunk-major path, sequentially and on a pool. Then each of
+  // its gates alone (the draw holds every kind): a run of length one.
+  {
+    SplitMix64 rng(1212);
+    SweepRun run;
+    for (int i = 0; i < 12; ++i) {
+      run.add(static_cast<SweepGate::Kind>(rng.below(3)), rng, 12);
+    }
+    expectSweepMatchesPerGatePasses(precision, 14, nullptr, run.gates);
+    ThreadPool pool(2);
+    expectSweepMatchesPerGatePasses(precision, 14, &pool, run.gates);
+    for (const SweepGate& gate : run.gates) {
+      expectSweepMatchesPerGatePasses(precision, 14, nullptr, {&gate, 1});
+    }
+  }
+  // A top-qubit member widens the run's chunk to the whole register, so
+  // the run takes per-gate passes — pool-parallel on 16 qubits.
+  {
+    SplitMix64 rng(777);
+    ThreadPool pool(2);
+    SweepRun run;
+    for (int i = 0; i < 12; ++i) {
+      run.add(static_cast<SweepGate::Kind>(rng.below(3)), rng, 16);
+    }
+    run.add(SweepGate::Kind::Unitary1, rng, 16, 15);
+    expectSweepMatchesPerGatePasses(precision, 16, &pool, run.gates);
   }
 }
 
 TEST(KernelDifferential, FusedSweepMatchesPerGatePassesF64) {
-  runSweepDifferential(Precision::F64, 1e-12);
+  runSweepDifferential(Precision::F64);
 }
 
 TEST(KernelDifferential, FusedSweepMatchesPerGatePassesF32) {
-  runSweepDifferential(Precision::F32, 1e-5);
+  runSweepDifferential(Precision::F32);
 }
 
 TEST(KernelDifferential, F32SamplingMatchesF64Distribution) {

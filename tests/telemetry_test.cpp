@@ -184,9 +184,10 @@ TEST_F(TelemetryTest, ShotHistogramAndFailureCounters) {
 
 TEST_F(TelemetryTest, KernelCountersSurfaceInStatsJson) {
   // The statevector's swept kernels feed sim.kernel.*: a multi-chunk
-  // fused sweep bumps blocked_sweeps (single-chunk states degenerate to
-  // per-gate passes and don't count), and an admitted f32 batch bumps
-  // f32_batches once. Both must come out of the --stats JSON report.
+  // fused run of several gates bumps blocked_sweeps (a single gate or a
+  // single-chunk run takes per-gate passes and doesn't count), and an
+  // admitted f32 batch bumps f32_batches once. Both must come out of the
+  // --stats JSON report.
   ir::Context ctx;
   const auto m = qir::exportCircuit(ctx, circuit::ghz(4, true), {});
   vm::ShotOptions opts;
@@ -196,13 +197,19 @@ TEST_F(TelemetryTest, KernelCountersSurfaceInStatsJson) {
   (void)vm::runShots(*m, opts);
 
   sim::StateVector sv(13); // one chunk is 2^12 amplitudes -> two chunks
-  sim::SweepGate gate;
-  gate.kind = sim::SweepGate::Kind::Unitary1;
-  gate.q0 = 0;
-  gate.m2 = sim::gateH();
-  sv.applyFusedSweep({&gate, 1});
+  sim::SweepGate gates[2];
+  for (unsigned q = 0; q < 2; ++q) {
+    gates[q].kind = sim::SweepGate::Kind::Unitary1;
+    gates[q].q0 = q;
+    gates[q].m2 = sim::gateH();
+  }
+  sv.applyFusedSweep(gates);
+  const std::uint64_t blocked =
+      telemetry::counterValue("sim.kernel.blocked_sweeps");
+  sv.applyFusedSweep({gates, 1}); // one gate: a per-gate pass
+  EXPECT_EQ(telemetry::counterValue("sim.kernel.blocked_sweeps"), blocked);
 
-  EXPECT_GT(telemetry::counterValue("sim.kernel.blocked_sweeps"), 0U);
+  EXPECT_GT(blocked, 0U);
   EXPECT_EQ(telemetry::counterValue("sim.kernel.f32_batches"), 1U);
   const std::string json = telemetry::statsJson("test");
   EXPECT_NE(json.find("\"blocked_sweeps\""), std::string::npos);

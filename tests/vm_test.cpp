@@ -474,9 +474,9 @@ TEST(VmBytecode, DisassemblyListsCompiledFunctions) {
 // Dispatch differential: the token-threaded loop with superinstructions
 // must be bit-compatible with the reference switch loop — same values,
 // same histograms, same step accounting, same traps, same fault-drill
-// and deadline behaviour. When the build lacks the threaded loop these
-// tests still pass (Threaded modules fall back to the switch loop), so
-// the QIRKIT_THREADED_DISPATCH=OFF CI leg runs the identical suite.
+// and deadline behaviour. The switch loop is compiled explicitly
+// (DispatchMode::Switch) in every build, so both loops are tested
+// wherever the suite runs.
 // ---------------------------------------------------------------------------
 
 /// The two engine configurations under comparison. Reference = switch
