@@ -5,13 +5,19 @@ Usage: validate_bench_json.py FILE [FILE...]
 
 Checks each artifact against the version-1 schema: required top-level
 fields, a non-empty benchmarks array, and sane per-benchmark numbers.
-Exits non-zero with a message on the first violation. Stdlib only, so it
-runs anywhere CI has a python3.
+The embedded "telemetry" report (QIRKIT_BENCH_TELEMETRY=1) carries its
+own, independently versioned --stats schema. Exits non-zero with a
+message on the first violation. Stdlib only, so it runs anywhere CI has
+a python3.
 """
 import json
 import sys
 
 SCHEMA_VERSION = 1
+
+# telemetry::kStatsSchemaVersion: the --stats document embedded as
+# "telemetry" (bench/bench_report.hpp versions the two separately).
+TELEMETRY_SCHEMA_VERSION = 2
 
 # Serve-mode benchmarks must report iteration-latency percentiles so the
 # artifact carries the tail, not just the mean.
@@ -96,8 +102,10 @@ def validate(path):
     if telemetry is not None:
         if not isinstance(telemetry, dict):
             fail(path, "telemetry must be an object when present")
-        if telemetry.get("schema_version") != SCHEMA_VERSION:
-            fail(path, "telemetry.schema_version mismatch")
+        if telemetry.get("schema_version") != TELEMETRY_SCHEMA_VERSION:
+            fail(path, f"telemetry.schema_version must be "
+                       f"{TELEMETRY_SCHEMA_VERSION}, "
+                       f"got {telemetry.get('schema_version')!r}")
 
     print(f"{path}: OK ({len(benchmarks)} benchmarks)")
 

@@ -4,7 +4,6 @@
 #include "support/source_location.hpp"
 #include "support/string_utils.hpp"
 #include "support/telemetry/telemetry.hpp"
-#include "support/telemetry/trace.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -1289,16 +1288,14 @@ private:
 
 namespace {
 // The "full IR parser" adoption route (paper §III.A, route a2).
-telemetry::Counter g_parseFullCalls{"parse.full.calls"};
-telemetry::Counter g_parseFullNs{"parse.full.ns"};
+telemetry::Stage g_parseFull{"parse.full"};
 telemetry::Counter g_parseFullLines{"parse.full.lines"};
 telemetry::Counter g_parseFullInstructions{"parse.full.instructions"};
 } // namespace
 
 std::unique_ptr<Module> parseModule(Context& context, std::string_view text,
                                     std::string moduleName) {
-  const telemetry::trace::Span span("parse.full");
-  const telemetry::ScopedTimer timer(g_parseFullNs, &g_parseFullCalls);
+  const telemetry::Span span(g_parseFull);
   Lexer lexer(text);
   Parser parser(context, lexer.lexAll(), std::move(moduleName));
   std::unique_ptr<Module> module = parser.run();

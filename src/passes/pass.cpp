@@ -2,58 +2,44 @@
 
 #include "ir/verifier.hpp"
 #include "support/telemetry/telemetry.hpp"
-#include "support/telemetry/trace.hpp"
-
-#include <sstream>
 
 namespace qirkit::passes {
 
 void PassManager::add(std::unique_ptr<FunctionPass> pass) {
-  stats_.push_back({std::string(pass->name()), 0, 0, {}});
   entries_.push_back({std::move(pass), nullptr});
 }
 
 void PassManager::add(std::unique_ptr<ModulePass> pass) {
-  stats_.push_back({std::string(pass->name()), 0, 0, {}});
   entries_.push_back({nullptr, std::move(pass)});
 }
 
 bool PassManager::run(ir::Module& module) {
-  // IR sizing (an O(module) walk) happens only with telemetry armed; the
-  // disabled path keeps the historical cost.
+  // IR sizing (an O(module) walk) happens only with telemetry armed.
   const bool telemetryOn = telemetry::enabled();
   bool changed = false;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    Entry& entry = entries_[i];
-    PassStatistics& stat = stats_[i];
-    const telemetry::trace::Span span(stat.name);
+  for (const Entry& entry : entries_) {
+    // No stage histogram: the passes record below keeps the statistics.
+    telemetry::Stage stage(entry.modulePass != nullptr
+                               ? entry.modulePass->name()
+                               : entry.functionPass->name(),
+                           telemetry::Unregistered{});
     const std::uint64_t irBefore = telemetryOn ? module.instructionCount() : 0;
-    const auto start = std::chrono::steady_clock::now();
+    telemetry::Span span(stage);
     bool passChanged = false;
     if (entry.modulePass != nullptr) {
       passChanged = entry.modulePass->run(module);
-      ++stat.invocations;
     } else {
       for (const auto& fn : module.functions()) {
         if (!fn->isDeclaration()) {
           passChanged |= entry.functionPass->run(*fn);
-          ++stat.invocations;
         }
       }
     }
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    stat.elapsed += elapsed;
-    if (passChanged) {
-      ++stat.changes;
-    }
+    const std::uint64_t ns = span.end();
     changed |= passChanged;
     if (telemetryOn) {
-      telemetry::recordPassRun(
-          stat.name,
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                  .count()),
-          passChanged, irBefore, module.instructionCount());
+      telemetry::recordPassRun(stage.name(), ns, passChanged, irBefore,
+                               module.instructionCount());
     }
     if (verifyEach_) {
       ir::verifyModuleOrThrow(module);
@@ -69,17 +55,6 @@ std::size_t PassManager::runToFixpoint(ir::Module& module, std::size_t maxIterat
     }
   }
   return maxIterations;
-}
-
-std::string PassManager::statisticsReport() const {
-  std::ostringstream out;
-  for (const PassStatistics& stat : stats_) {
-    out << stat.name << ": " << stat.invocations << " invocations, " << stat.changes
-        << " changing sweeps, "
-        << std::chrono::duration_cast<std::chrono::microseconds>(stat.elapsed).count()
-        << " us\n";
-  }
-  return out.str();
 }
 
 void addStandardPipeline(PassManager& pm) {

@@ -1,13 +1,13 @@
 /// \file pass.hpp
 /// The pass framework: FunctionPass / ModulePass interfaces and a
-/// PassManager that runs a pipeline and records per-pass statistics.
+/// PassManager that runs a pipeline, timing each pass with a telemetry
+/// Span that feeds the `passes` record of the stats report.
 /// This is the machinery the paper's §III.B calls "the core motivation of
 /// an IR in a compiler": transformations compose over a shared AST.
 #pragma once
 
 #include "ir/module.hpp"
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -32,14 +32,6 @@ public:
   virtual bool run(ir::Module& module) = 0;
 };
 
-/// Wall-clock and change statistics for one pipeline entry.
-struct PassStatistics {
-  std::string name;
-  std::size_t invocations = 0;
-  std::size_t changes = 0;
-  std::chrono::nanoseconds elapsed{0};
-};
-
 /// Runs a sequence of passes over a module. Function passes are applied to
 /// every function definition. `runToFixpoint` repeats the whole pipeline
 /// until no pass reports a change (bounded by maxIterations).
@@ -58,19 +50,12 @@ public:
   /// If set, verify the module after every pass and throw on breakage.
   void setVerifyEach(bool verify) noexcept { verifyEach_ = verify; }
 
-  [[nodiscard]] const std::vector<PassStatistics>& statistics() const noexcept {
-    return stats_;
-  }
-  /// Human-readable statistics table.
-  [[nodiscard]] std::string statisticsReport() const;
-
 private:
   struct Entry {
     std::unique_ptr<FunctionPass> functionPass;
     std::unique_ptr<ModulePass> modulePass;
   };
   std::vector<Entry> entries_;
-  std::vector<PassStatistics> stats_;
   bool verifyEach_ = false;
 };
 

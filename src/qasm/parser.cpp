@@ -2,6 +2,7 @@
 
 #include "support/source_location.hpp"
 #include "support/string_utils.hpp"
+#include "support/telemetry/telemetry.hpp"
 
 #include <cctype>
 #include <cmath>
@@ -825,9 +826,12 @@ private:
   std::map<std::string, GateDef> gateDefs_;
 };
 
+telemetry::Stage g_parseQasm2{"parse.qasm2"};
+
 } // namespace
 
 circuit::Circuit parse(std::string_view source) {
+  const telemetry::Span span(g_parseQasm2);
   Lexer lexer(source);
   Parser parser(lexer.lexAll());
   return parser.run();

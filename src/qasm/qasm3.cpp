@@ -5,6 +5,7 @@
 #include "qir/names.hpp"
 #include "support/source_location.hpp"
 #include "support/string_utils.hpp"
+#include "support/telemetry/telemetry.hpp"
 
 #include <cctype>
 #include <map>
@@ -740,9 +741,12 @@ private:
   std::uint32_t numBits_ = 0;
 };
 
+telemetry::Stage g_parseQasm3{"parse.qasm3"};
+
 } // namespace
 
 std::unique_ptr<Module> compileQasm3(Context& context, std::string_view source) {
+  const telemetry::Span span(g_parseQasm3);
   Lexer lexer(source);
   Compiler compiler(context, lexer.lexAll());
   return compiler.run();

@@ -2,12 +2,17 @@
 
 #include "circuit/optimizer.hpp"
 #include "qir/importer.hpp"
-#include "support/telemetry/trace.hpp"
+#include "support/telemetry/telemetry.hpp"
 
 namespace qirkit::qir {
 
+namespace {
+telemetry::Stage g_optPipeline{"opt.pipeline"};
+telemetry::Stage g_compileToTarget{"compile.to_target"};
+} // namespace
+
 std::size_t transformDirect(ir::Module& module, std::size_t maxUnrollTripCount) {
-  const telemetry::trace::Span span("opt.pipeline");
+  const telemetry::Span span(g_optPipeline);
   passes::PassManager pm;
   passes::addFullPipeline(pm, maxUnrollTripCount);
   return pm.runToFixpoint(module);
@@ -15,7 +20,7 @@ std::size_t transformDirect(ir::Module& module, std::size_t maxUnrollTripCount) 
 
 CompileResult compileToTarget(ir::Context& context, ir::Module& module,
                               const CompileOptions& options) {
-  const telemetry::trace::Span span("compile.to_target");
+  const telemetry::Span span(g_compileToTarget);
   CompileResult result;
   if (options.runClassicalPipeline) {
     result.passSweeps = transformDirect(module, options.maxUnrollTripCount);

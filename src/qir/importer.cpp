@@ -4,7 +4,6 @@
 #include "support/source_location.hpp"
 #include "support/string_utils.hpp"
 #include "support/telemetry/telemetry.hpp"
-#include "support/telemetry/trace.hpp"
 
 #include <algorithm>
 #include <map>
@@ -751,15 +750,15 @@ private:
 
 namespace {
 // The "custom parser" adoption route (paper §III.A, route a1 / Ex. 3).
-telemetry::Counter g_parseCustomCalls{"parse.custom.calls"};
-telemetry::Counter g_parseCustomNs{"parse.custom.ns"};
+telemetry::Stage g_parseCustom{"parse.custom"};
 telemetry::Counter g_parseCustomLines{"parse.custom.lines"};
 telemetry::Counter g_parseCustomGates{"parse.custom.gates"};
+// Circuit import from a parsed module.
+telemetry::Stage g_import{"qir.import"};
 } // namespace
 
 Circuit importBaseProfileText(std::string_view qirText) {
-  const telemetry::trace::Span span("parse.custom");
-  const telemetry::ScopedTimer timer(g_parseCustomNs, &g_parseCustomCalls);
+  const telemetry::Span span(g_parseCustom);
   Circuit c = PatternParser(qirText).run();
   if (telemetry::enabled()) {
     g_parseCustomLines.addUnchecked(static_cast<std::uint64_t>(
@@ -770,7 +769,7 @@ Circuit importBaseProfileText(std::string_view qirText) {
 }
 
 Circuit importFromModule(const ir::Module& module) {
-  const telemetry::trace::Span span("qir.import");
+  const telemetry::Span span(g_import);
   return ModuleImporter(module).run();
 }
 

@@ -8,7 +8,6 @@
 #include "support/cancel.hpp"
 #include "support/telemetry/request_trace.hpp"
 #include "support/telemetry/telemetry.hpp"
-#include "support/telemetry/trace.hpp"
 #include "vm/executor.hpp"
 
 #include <poll.h>
@@ -79,6 +78,11 @@ telemetry::LabeledHistogram g_tenantQueueWait{
 telemetry::LabeledHistogram g_tenantExec{
     "serve.tenant.exec_ns", telemetry::LabeledHistogram::kDefaultMaxLabels,
     "tenant"};
+
+// A request's stages before the executor's (compile, analyze, execute).
+telemetry::Stage g_admissionStage{"admission"};
+telemetry::Stage g_queueStage{"queue"};
+telemetry::Stage g_watchdogStage{"serve.watchdog.flag"};
 
 /// Frame-reject bookkeeping that must work with telemetry disabled: the
 /// metrics endpoint reports these unconditionally.
@@ -457,7 +461,7 @@ std::string Server::handleSubmit(const SubmitRequest& request) {
   // "stages" array and the flight recorder.
   auto trace = std::make_shared<telemetry::RequestTrace>(request.tenant,
                                                          request.requestId);
-  const std::uint64_t admissionT0 = telemetry::nowNs();
+  telemetry::Span admission(g_admissionStage, trace.get());
   std::shared_ptr<ProgramEntry> program = resolveProgram(request);
 
   auto active = std::make_shared<ActiveJob>();
@@ -493,17 +497,14 @@ std::string Server::handleSubmit(const SubmitRequest& request) {
   job.deliver = [delivered](std::string response) {
     delivered->set_value(std::move(response));
   };
-  bool admissionRecorded = false;
   try {
     // Register before the push: the runner may pop (and finish) the job
     // before push even returns, and the cancel verb / watchdog must be
     // able to see it for that whole window.
     registerActive(active);
-    // Stage recorded before the push so a fast runner's "queue" stage
+    // Stage ended before the push so a fast runner's "queue" stage
     // always lands after it; the push itself is a couple of map updates.
-    trace->addStage("admission", admissionT0,
-                    telemetry::nowNs() - admissionT0);
-    admissionRecorded = true;
+    admission.end();
     try {
       queue_.push(std::move(job)); // throws AdmissionError on quota violations
     } catch (...) {
@@ -511,10 +512,10 @@ std::string Server::handleSubmit(const SubmitRequest& request) {
       throw;
     }
   } catch (const AdmissionError& e) {
-    if (!admissionRecorded) {
-      trace->addStage("admission", admissionT0,
-                      telemetry::nowNs() - admissionT0, "rejected");
-    }
+    // Only a registration (memory) rejection ends admission here; a
+    // queue rejection comes after the stage has ended.
+    admission.setNote("rejected");
+    admission.end();
     g_tenantRejected.add(request.tenant);
     g_rejectByCause.add(e.cause().empty() ? "other" : e.cause());
     FlightRecord rec;
@@ -522,13 +523,12 @@ std::string Server::handleSubmit(const SubmitRequest& request) {
     rec.requestId = request.requestId;
     rec.programId = program->id;
     rec.shots = request.shots;
-    rec.totalNs = telemetry::nowNs() - admissionT0;
+    rec.totalNs = telemetry::nowNs() - admission.startNs();
     rec.outcome = "rejected";
     rec.errorCode = errorCodeName(e.code());
     rec.cause = e.cause();
     rec.stagesJson = trace->stagesJson();
     flight_.record(std::move(rec));
-    trace->emitChromeSpans();
     // Overload rejections carry the machine-readable retry hint; 0 means
     // the limit is static and a retry can never succeed, so no hint.
     return errorResponseJson(e.code(), e.message(),
@@ -607,9 +607,8 @@ void Server::runnerLoop() {
       g_jobsExpiredExact.fetch_add(1, std::memory_order_relaxed);
       g_tenantExpired.add(job->request.tenant);
       const std::uint64_t waitNs = telemetry::nowNs() - job->enqueuedNs;
-      if (job->trace != nullptr) {
-        job->trace->addStage("queue", job->enqueuedNs, waitNs, "ttl-expired");
-      }
+      telemetry::recordStage(g_queueStage, job->enqueuedNs, waitNs,
+                             job->trace.get(), "ttl-expired");
       const auto active = std::static_pointer_cast<ActiveJob>(job->active);
       const bool watchdogHit =
           active != nullptr &&
@@ -620,16 +619,11 @@ void Server::runnerLoop() {
               ? "job cancelled while pending"
               : "deadline of " + std::to_string(job->request.deadlineMs) +
                     "ms expired while the job was queued";
-      std::string extras = "\"completed_shots\":0,\"unstarted_shots\":" +
-                           std::to_string(job->request.shots);
-      if (job->trace != nullptr) {
-        extras += ",\"stages\":" + job->trace->stagesJson();
-      }
-      recordFlight(*job, waitNs, 0, "error", errorCodeName(ErrorCode::Deadline),
-                   watchdogHit ? "watchdog"
-                   : cancelled ? "cancel"
-                               : "queue-ttl");
-      job->deliver(errorResponseJson(ErrorCode::Deadline, why, extras));
+      failJob(*job, ErrorCode::Deadline, why,
+              "\"completed_shots\":0,\"unstarted_shots\":" +
+                  std::to_string(job->request.shots),
+              waitNs, 0,
+              watchdogHit ? "watchdog" : cancelled ? "cancel" : "queue-ttl");
     } else if (draining) {
       // Graceful drain: already-running jobs flush, still-queued jobs get
       // an explicit cancelled disposition instead of executing into
@@ -643,19 +637,13 @@ void Server::runnerLoop() {
                    static_cast<unsigned long long>(job->id),
                    job->request.tenant.c_str());
       const std::uint64_t waitNs = telemetry::nowNs() - job->enqueuedNs;
-      if (job->trace != nullptr) {
-        job->trace->addStage("queue", job->enqueuedNs, waitNs, "drain");
-      }
-      std::string extras = "\"completed_shots\":0,\"unstarted_shots\":" +
-                           std::to_string(job->request.shots);
-      if (job->trace != nullptr) {
-        extras += ",\"stages\":" + job->trace->stagesJson();
-      }
-      recordFlight(*job, waitNs, 0, "error", errorCodeName(ErrorCode::Deadline),
-                   "drain");
-      job->deliver(errorResponseJson(
-          ErrorCode::Deadline,
-          "service is draining; job cancelled before execution", extras));
+      telemetry::recordStage(g_queueStage, job->enqueuedNs, waitNs,
+                             job->trace.get(), "drain");
+      failJob(*job, ErrorCode::Deadline,
+              "service is draining; job cancelled before execution",
+              "\"completed_shots\":0,\"unstarted_shots\":" +
+                  std::to_string(job->request.shots),
+              waitNs, 0, "drain");
     } else {
       executeJob(*job);
     }
@@ -688,7 +676,7 @@ void Server::watchdogLoop() {
       active->cancel->cancel();
       g_watchdogFlagged.add();
       g_watchdogFlaggedExact.fetch_add(1, std::memory_order_relaxed);
-      const telemetry::trace::Span span("serve.watchdog.flag");
+      const telemetry::Span span(g_watchdogStage);
       std::fprintf(stderr,
                    "qirkit serve: watchdog: job (tenant '%s'%s%s%s) exceeded "
                    "%ux its %llums deadline; forcing cancellation\n",
@@ -708,9 +696,7 @@ void Server::executeJob(Job& job) {
   telemetry::RequestTrace* const trace = job.trace.get();
   const std::uint64_t startNs = telemetry::nowNs();
   const std::uint64_t queueWaitNs = startNs - job.enqueuedNs;
-  if (trace != nullptr) {
-    trace->addStage("queue", job.enqueuedNs, queueWaitNs);
-  }
+  telemetry::recordStage(g_queueStage, job.enqueuedNs, queueWaitNs, trace);
   const telemetry::Snapshot before = telemetry::snapshot();
 
   vm::ShotOptions opts;
@@ -720,7 +706,7 @@ void Server::executeJob(Job& job) {
   opts.pool = &pool_;
   opts.cache = &cache_;
   opts.cancel = job.cancel.get(); // null when the job set no deadline/tag
-  opts.requestTrace = trace;      // compile/analyze/execute stage marks
+  opts.requestTrace = trace;      // the compile/analyze/execute stages
 
   // Cause attribution for deadline outcomes: the watchdog flag beats the
   // cancel flag (the watchdog cancels through the same token).
@@ -751,14 +737,9 @@ void Server::executeJob(Job& job) {
                              ? "\"completed_shots\":0,\"unstarted_shots\":" +
                                    std::to_string(job.request.shots)
                              : std::string();
-    if (trace != nullptr) {
-      extras += extras.empty() ? "\"stages\":" : ",\"stages\":";
-      extras += trace->stagesJson();
-    }
-    recordFlight(job, queueWaitNs, telemetry::nowNs() - startNs, "error",
-                 errorCodeName(failure.code),
-                 failure.code == ErrorCode::Deadline ? deadlineCause() : "");
-    job.deliver(errorResponseJson(failure.code, failure.message, extras));
+    failJob(job, failure.code, failure.message, std::move(extras), queueWaitNs,
+            telemetry::nowNs() - startNs,
+            failure.code == ErrorCode::Deadline ? deadlineCause() : "");
     return;
   }
   if (response.batch.deadlineExceeded) {
@@ -777,13 +758,8 @@ void Server::executeJob(Job& job) {
                   "ms exceeded after " +
                   std::to_string(response.batch.completedShots) + " of " +
                   std::to_string(job.request.shots) + " shots";
-    std::string extras = deadlineExtrasJson(response.batch);
-    if (trace != nullptr) {
-      extras += ",\"stages\":" + trace->stagesJson();
-    }
-    recordFlight(job, queueWaitNs, telemetry::nowNs() - startNs, "error",
-                 errorCodeName(ErrorCode::Deadline), deadlineCause());
-    job.deliver(errorResponseJson(ErrorCode::Deadline, why, extras));
+    failJob(job, ErrorCode::Deadline, why, deadlineExtrasJson(response.batch),
+            queueWaitNs, telemetry::nowNs() - startNs, deadlineCause());
     return;
   }
   const std::uint64_t endNs = telemetry::nowNs();
@@ -808,13 +784,26 @@ void Server::executeJob(Job& job) {
   if (trace != nullptr) {
     response.stagesJson = trace->stagesJson();
   }
-  recordFlight(job, queueWaitNs, execNs, "ok", "", "");
+  recordFlight(job, queueWaitNs, execNs, "ok", "", "", response.stagesJson);
   job.deliver(submitResponseJson(response));
+}
+
+void Server::failJob(const Job& job, ErrorCode code, const std::string& message,
+                     std::string extras, std::uint64_t queueWaitNs,
+                     std::uint64_t execNs, std::string cause) {
+  std::string stages = job.trace != nullptr ? job.trace->stagesJson() : "";
+  if (!stages.empty()) {
+    extras += (extras.empty() ? "\"stages\":" : ",\"stages\":") + stages;
+  }
+  recordFlight(job, queueWaitNs, execNs, "error", errorCodeName(code),
+               std::move(cause), std::move(stages));
+  job.deliver(errorResponseJson(code, message, extras));
 }
 
 void Server::recordFlight(const Job& job, std::uint64_t queueWaitNs,
                           std::uint64_t execNs, const char* outcome,
-                          const char* errorCode, std::string cause) {
+                          const char* errorCode, std::string cause,
+                          std::string stagesJson) {
   FlightRecord rec;
   rec.jobId = job.id;
   rec.tenant = job.request.tenant;
@@ -827,13 +816,8 @@ void Server::recordFlight(const Job& job, std::uint64_t queueWaitNs,
   rec.outcome = outcome;
   rec.errorCode = errorCode;
   rec.cause = std::move(cause);
-  if (job.trace != nullptr) {
-    rec.stagesJson = job.trace->stagesJson();
-  }
+  rec.stagesJson = std::move(stagesJson);
   flight_.record(std::move(rec));
-  if (job.trace != nullptr) {
-    job.trace->emitChromeSpans(); // one relaxed load when tracing is off
-  }
 }
 
 std::string Server::handleEvents(const EventsRequest& request) {

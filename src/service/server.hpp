@@ -169,11 +169,17 @@ private:
   /// escaped into the JSON response's "body" field.
   std::string prometheusMetricsJson();
   void executeJob(Job& job);
-  /// Archive one finished (or rejected/expired) job into the flight
-  /// recorder and flush its request trace to the Chrome-trace stream.
+  /// Archive one finished (or expired) job into the flight recorder with
+  /// \p stagesJson, the job's stage list as rendered for its response.
   void recordFlight(const Job& job, std::uint64_t queueWaitNs,
                     std::uint64_t execNs, const char* outcome,
-                    const char* errorCode, std::string cause);
+                    const char* errorCode, std::string cause,
+                    std::string stagesJson);
+  /// Archive \p job as failed, then deliver its error response: \p extras
+  /// plus the job's stage list, rendered once for both.
+  void failJob(const Job& job, ErrorCode code, const std::string& message,
+               std::string extras, std::uint64_t queueWaitNs,
+               std::uint64_t execNs, std::string cause);
   /// Memory-admission guard + registration; throws AdmissionError when
   /// the predicted footprint does not fit the budget.
   void registerActive(const std::shared_ptr<ActiveJob>& active);

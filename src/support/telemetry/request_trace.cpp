@@ -1,7 +1,6 @@
 #include "support/telemetry/request_trace.hpp"
 
 #include "support/telemetry/telemetry.hpp"
-#include "support/telemetry/trace.hpp"
 
 #include <sstream>
 
@@ -49,24 +48,6 @@ std::string RequestTrace::stagesJson() const {
   }
   out << "]";
   return out.str();
-}
-
-void RequestTrace::emitChromeSpans() const {
-  if (!trace::enabled()) {
-    return; // the per-request probe cost while tracing is disarmed
-  }
-  std::vector<RequestStage> copy = stages();
-  std::ostringstream args;
-  args << "{\"request_id\":\"" << jsonEscape(requestId_) << "\",\"tenant\":\""
-       << jsonEscape(tenant_) << "\"}";
-  const std::string argsJson = args.str();
-  for (const RequestStage& stage : copy) {
-    std::string name = "request." + stage.name;
-    if (!stage.note.empty()) {
-      name += ":" + stage.note;
-    }
-    trace::emitSpan(name, stage.startNs, stage.durNs, argsJson);
-  }
 }
 
 } // namespace qirkit::telemetry

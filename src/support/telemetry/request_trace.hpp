@@ -4,17 +4,15 @@
 /// originating tenant and request id. One RequestTrace accompanies a
 /// service job from admission to response delivery, threaded through
 /// ShotOptions alongside the CancelToken, so the per-stage breakdown —
-/// admission → queue wait → compile (hit/miss/coalesced) → execute —
-/// can be returned in the response, archived in the flight recorder,
-/// and emitted as request_id-tagged Chrome-trace spans.
+/// admission → queue wait → compile (hit/miss/coalesced) → analyze →
+/// execute — can be returned in the response and archived in the flight
+/// recorder.
 ///
-/// Cost discipline (DESIGN 7f): stages are recorded unconditionally at
-/// request cadence — a handful of clock reads and one short mutex
-/// section per request, invisible next to socket I/O. The per-shot hot
-/// path never touches a RequestTrace; executor stage marks fire only on
-/// the batch-calling thread, and only when a trace was attached
-/// (nullptr check otherwise). The one-relaxed-load-when-disabled
-/// invariant continues to apply to every per-shot probe.
+/// It is the third sink of telemetry::Span (telemetry.hpp), and records
+/// unconditionally: the response returns the stages even under
+/// `serve --no-telemetry`. The cost is a clock pair and one short mutex
+/// section per stage, at request cadence; the per-shot path never sees a
+/// RequestTrace.
 #pragma once
 
 #include <cstdint>
@@ -58,11 +56,6 @@ public:
   /// "note" member on stages that have one. start_ns is relative to the
   /// first recorded stage, so the array is stable across daemon uptime.
   [[nodiscard]] std::string stagesJson() const;
-
-  /// Emit one Chrome-trace span per stage, tagged with
-  /// {"request_id":...,"tenant":...} args (plus the note when present).
-  /// No-op (one relaxed load) while tracing is disarmed.
-  void emitChromeSpans() const;
 
 private:
   std::string tenant_;

@@ -1,6 +1,9 @@
 #include "support/telemetry/telemetry.hpp"
 
+#include "support/telemetry/request_trace.hpp"
+
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -10,9 +13,17 @@ namespace qirkit::telemetry {
 
 namespace detail {
 
-std::atomic<bool>& enabledFlag() noexcept {
-  static std::atomic<bool> flag{false};
-  return flag;
+std::atomic<unsigned>& armedSinks() noexcept {
+  static std::atomic<unsigned> sinks{0};
+  return sinks;
+}
+
+void armSink(unsigned sink, bool on) noexcept {
+  if (on) {
+    armedSinks().fetch_or(sink, std::memory_order_relaxed);
+  } else {
+    armedSinks().fetch_and(~sink, std::memory_order_relaxed);
+  }
 }
 
 } // namespace detail
@@ -32,6 +43,7 @@ struct Registry {
   std::vector<LatencyHistogram*> histograms;
   std::vector<LabeledCounter*> labeledCounters;
   std::vector<LabeledHistogram*> labeledHistograms;
+  std::vector<LatencyHistogram*> stages; // Stage::histogram(), by stage name
 
   std::mutex passMutex;
   std::vector<PassRecord> passes; // first-run order, merged by name
@@ -62,6 +74,41 @@ LatencyHistogram::LatencyHistogram(const char* name) : name_(name) {
   Registry& r = Registry::instance();
   const std::lock_guard<std::mutex> lock(r.mutex);
   r.histograms.push_back(this);
+}
+
+Stage::Stage(const char* name) : name_(name) {
+  histogram_.emplace(name, Unregistered{});
+  Registry& r = Registry::instance();
+  const std::lock_guard<std::mutex> lock(r.mutex);
+  r.stages.push_back(&*histogram_);
+}
+
+void recordStage(Stage& stage, std::uint64_t startNs,
+                 std::uint64_t durNs, RequestTrace* trace,
+                 std::string_view note) {
+  const unsigned sinks = detail::armedSinks().load(std::memory_order_relaxed);
+  if ((sinks & detail::kStatsSink) != 0 && stage.histogram() != nullptr) {
+    stage.histogram()->recordUnchecked(durNs);
+  }
+  if ((sinks & detail::kChromeSink) != 0) {
+    // Event args: the note and the request's identity, each when present.
+    std::string args;
+    if (!note.empty()) {
+      args += ",\"note\":\"" + jsonEscape(note) + "\"";
+    }
+    if (trace != nullptr) {
+      args += ",\"request_id\":\"" + jsonEscape(trace->requestId()) +
+              "\",\"tenant\":\"" + jsonEscape(trace->tenant()) + "\"";
+    }
+    if (!args.empty()) {
+      args.front() = '{';
+      args += '}';
+    }
+    detail::appendChromeEvent(stage.name(), startNs, durNs, std::move(args));
+  }
+  if (trace != nullptr) {
+    trace->addStage(stage.name(), startNs, durNs, note);
+  }
 }
 
 LabeledCounter::LabeledCounter(const char* name, std::size_t maxLabels,
@@ -208,11 +255,16 @@ std::uint64_t LatencyHistogram::quantileNs(double p) const noexcept {
   if (total == 0) {
     return 0;
   }
-  const auto rank = static_cast<std::uint64_t>(p * static_cast<double>(total));
+  // Nearest rank: the ceil(p*n)-th smallest sample, 1-based. The epsilon
+  // keeps a product that lands a hair above an integer (0.07 * 100 is
+  // 7.000000000000001) from moving up one rank.
+  const double exact = std::min(p, 1.0) * static_cast<double>(total);
+  const std::uint64_t rank =
+      exact <= 1.0 ? 1 : static_cast<std::uint64_t>(std::ceil(exact - 1e-9));
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen > rank || seen == total) {
+    if (seen >= rank) {
       // Upper bucket bound, clamped to the exact observed max.
       const std::uint64_t bound = std::uint64_t{1} << std::min<std::size_t>(i + 1, 63);
       return std::min(bound, max());
@@ -232,7 +284,7 @@ void LatencyHistogram::reset() noexcept {
 }
 
 void setEnabled(bool on) noexcept {
-  detail::enabledFlag().store(on, std::memory_order_relaxed);
+  detail::armSink(detail::kStatsSink, on);
 }
 
 void resetAll() {
@@ -252,6 +304,9 @@ void resetAll() {
       c->reset();
     }
     for (LabeledHistogram* h : r.labeledHistograms) {
+      h->reset();
+    }
+    for (LatencyHistogram* h : r.stages) {
       h->reset();
     }
   }
@@ -328,9 +383,11 @@ Snapshot snapshot() {
   for (const MaxGauge* g : r.gauges) {
     snap.scalars.push_back({g->name(), g->value(), /*monotonic=*/false});
   }
-  snap.histograms.reserve(r.histograms.size());
-  for (const LatencyHistogram* h : r.histograms) {
-    snap.histograms.push_back({h->name(), h->count(), h->sum()});
+  // Flat names: stage histograms sit beside the others without clashing.
+  for (const auto* list : {&r.histograms, &r.stages}) {
+    for (const LatencyHistogram* h : *list) {
+      snap.histograms.push_back({h->name(), h->count(), h->sum()});
+    }
   }
   return snap;
 }
@@ -415,9 +472,11 @@ std::uint64_t counterValue(std::string_view name) noexcept {
 const LatencyHistogram* findHistogram(std::string_view name) noexcept {
   Registry& r = Registry::instance();
   const std::lock_guard<std::mutex> lock(r.mutex);
-  for (const LatencyHistogram* h : r.histograms) {
-    if (name == h->name()) {
-      return h;
+  for (const auto* list : {&r.histograms, &r.stages}) {
+    for (const LatencyHistogram* h : *list) {
+      if (name == h->name()) {
+        return h;
+      }
     }
   }
   return nullptr;
@@ -426,7 +485,10 @@ const LatencyHistogram* findHistogram(std::string_view name) noexcept {
 std::vector<const LatencyHistogram*> allHistograms() {
   Registry& r = Registry::instance();
   const std::lock_guard<std::mutex> lock(r.mutex);
-  return {r.histograms.begin(), r.histograms.end()};
+  std::vector<const LatencyHistogram*> all(r.histograms.begin(),
+                                           r.histograms.end());
+  all.insert(all.end(), r.stages.begin(), r.stages.end());
+  return all;
 }
 
 std::vector<const LabeledCounter*> allLabeledCounters() {
@@ -581,6 +643,22 @@ std::string passesJson() {
   return out.str();
 }
 
+/// The stage histograms that recorded anything, name-sorted. The caller
+/// holds the registry mutex.
+std::vector<const LatencyHistogram*> stagesRun(const Registry& r) {
+  std::vector<const LatencyHistogram*> ran;
+  for (const LatencyHistogram* h : r.stages) {
+    if (h->count() != 0) {
+      ran.push_back(h);
+    }
+  }
+  std::sort(ran.begin(), ran.end(),
+            [](const LatencyHistogram* a, const LatencyHistogram* b) {
+              return std::string_view(a->name()) < std::string_view(b->name());
+            });
+  return ran;
+}
+
 std::string shotFailuresJson() {
   std::ostringstream out;
   out << "{";
@@ -622,6 +700,14 @@ std::string statsJson(std::string_view command) {
     for (const LabeledHistogram* h : r.labeledHistograms) {
       insert(root, h->name(), labeledHistogramJson(*h));
     }
+    // One leaf, so dotted stage names ("parse.full") are never split by
+    // the metric-name nesting.
+    std::string stages;
+    for (const LatencyHistogram* h : stagesRun(r)) {
+      stages += (stages.empty() ? "{\"" : ",\"") + jsonEscape(h->name()) +
+                "\":" + histogramJson(*h);
+    }
+    insert(root, "stages", stages.empty() ? "{}" : stages + "}");
   }
   insert(root, "passes", passesJson());
   insert(root, "shots.failure_counts", shotFailuresJson());
@@ -662,11 +748,18 @@ std::string statsText() {
   }
   {
     const std::lock_guard<std::mutex> lock(r.mutex);
+    const auto histogramLine = [&](std::string_view name,
+                                   const LatencyHistogram& h) {
+      out << name << ": count=" << h.count() << " sum=" << h.sum()
+          << "ns min=" << h.min() << "ns p50~" << h.quantileNs(0.5)
+          << "ns p95~" << h.quantileNs(0.95) << "ns p99~" << h.quantileNs(0.99)
+          << "ns max=" << h.max() << "ns\n";
+    };
     for (const LatencyHistogram* h : r.histograms) {
-      out << h->name() << ": count=" << h->count() << " sum=" << h->sum()
-          << "ns min=" << h->min() << "ns p50~" << h->quantileNs(0.5)
-          << "ns p95~" << h->quantileNs(0.95) << "ns p99~" << h->quantileNs(0.99)
-          << "ns max=" << h->max() << "ns\n";
+      histogramLine(h->name(), *h);
+    }
+    for (const LatencyHistogram* h : stagesRun(r)) {
+      histogramLine("stages." + std::string(h->name()), *h);
     }
     for (const LabeledCounter* c : r.labeledCounters) {
       for (const auto& [label, value] : c->values()) {

@@ -1,17 +1,21 @@
 /// \file telemetry.hpp
 /// Process-wide observability registry: counters, max-gauges, and
 /// latency histograms, named with dotted paths ("vm.cache.hits") that
-/// become the nesting of the machine-readable `--stats` report.
+/// become the nesting of the machine-readable `--stats` report; and the
+/// one timing facility, `Span`, which times a `Stage` of a run into
+/// three sinks: the stage's histogram, the Chrome trace (`trace::`) and
+/// an attached request trace (request_trace.hpp).
 ///
 /// Probe-cost discipline (shared with support/faultinject.hpp): every
-/// probe is gated on a single process-wide flag read with one relaxed
-/// atomic load. Disabled telemetry therefore costs one predictable
-/// branch per probe — no clock reads, no atomics RMW, no locks — so the
-/// instrumentation can live permanently in hot paths (VM dispatch, gate
-/// kernels, per-shot bookkeeping). Hot loops additionally cache the flag
-/// per call frame, exactly as the VM caches the fault-injection flag.
+/// probe is gated on one process-wide armed-sinks word read with one
+/// relaxed atomic load. Disabled telemetry therefore costs one
+/// predictable branch per probe — no clock reads, no atomics RMW, no
+/// locks — so the instrumentation can live permanently in hot paths (VM
+/// dispatch, gate kernels, per-shot bookkeeping). Hot loops additionally
+/// cache the word per call frame, as the VM caches the fault-injection
+/// flag.
 ///
-/// Metrics register themselves with the registry at static
+/// Metrics and stages register themselves with the registry at static
 /// initialization; the registry renders them either as a human-readable
 /// table (`statsText`) or as versioned JSON (`statsJson`,
 /// kStatsSchemaVersion) for the CLI's `--stats[=text|json]` flag and the
@@ -28,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -36,21 +41,58 @@
 namespace qirkit::telemetry {
 
 /// Version of the JSON document emitted by statsJson / the bench
-/// artifacts ("schema_version" field). Bump on breaking shape changes.
-inline constexpr int kStatsSchemaVersion = 1;
+/// artifacts' "telemetry" member ("schema_version" field). Bump on
+/// breaking shape changes (2: the "stages" section).
+inline constexpr int kStatsSchemaVersion = 2;
+
+class RequestTrace;
 
 namespace detail {
-/// The process-wide enabled flag every probe gates on.
-[[nodiscard]] std::atomic<bool>& enabledFlag() noexcept;
+inline constexpr unsigned kStatsSink = 1U;  ///< metrics, stage histograms
+inline constexpr unsigned kChromeSink = 2U; ///< the Chrome trace buffer
+
+/// The process-wide armed-sinks word every probe and Span gates on.
+[[nodiscard]] std::atomic<unsigned>& armedSinks() noexcept;
+void armSink(unsigned sink, bool on) noexcept;
+/// Buffer one Chrome event; \p argsJson is a JSON object, or empty.
+void appendChromeEvent(std::string_view name, std::uint64_t startNs,
+                       std::uint64_t durNs, std::string argsJson);
 } // namespace detail
 
 /// One relaxed atomic load: the per-probe cost when telemetry is off.
 [[nodiscard]] inline bool enabled() noexcept {
-  return detail::enabledFlag().load(std::memory_order_relaxed);
+  return (detail::armedSinks().load(std::memory_order_relaxed) &
+          detail::kStatsSink) != 0;
 }
 
-/// Arm / disarm every probe in the process.
+/// Arm / disarm the stats sink: every metric probe and stage histogram.
 void setEnabled(bool on) noexcept;
+
+/// The Chrome trace sink: Spans that end while it is armed are buffered
+/// (bounded; drops are counted) as complete ("X") Chrome trace events,
+/// loadable in Perfetto or chrome://tracing, and written by flush().
+namespace trace {
+
+[[nodiscard]] inline bool enabled() noexcept {
+  return (telemetry::detail::armedSinks().load(std::memory_order_relaxed) &
+          telemetry::detail::kChromeSink) != 0;
+}
+
+/// Arm tracing; events will be written to \p path by flush().
+void begin(std::string path);
+
+/// Arm from QIRKIT_TRACE when set. Returns true when tracing was armed.
+bool initFromEnv();
+
+/// Write the buffered events as Chrome trace JSON and disarm. Safe to
+/// call when tracing was never armed (no-op). Returns false when the
+/// output file cannot be written. Call it once at process/tool exit.
+bool flush();
+
+/// Number of events dropped because the in-memory buffer was full.
+[[nodiscard]] std::uint64_t droppedEvents() noexcept;
+
+} // namespace trace
 
 /// Zero every registered metric and the dynamic per-pass records.
 void resetAll();
@@ -264,28 +306,78 @@ private:
   std::atomic<std::uint64_t> evictions_{0};
 };
 
-/// RAII wall-clock probe: adds the elapsed nanoseconds to \p nsCounter
-/// (and bumps \p callsCounter) on destruction. Inert — no clock read —
-/// while telemetry is disabled.
-class ScopedTimer {
+/// A named stage of a run: a frontend parse, a pass, bytecode
+/// compilation, a serve request's queue wait.
+class Stage {
 public:
-  explicit ScopedTimer(Counter& nsCounter, Counter* callsCounter = nullptr) noexcept
-      : ns_(nsCounter), calls_(callsCounter), start_(enabled() ? nowNs() : 0) {}
-  ~ScopedTimer() {
-    if (start_ != 0) {
-      ns_.addUnchecked(nowNs() - start_);
-      if (calls_ != nullptr) {
-        calls_->addUnchecked(1);
-      }
-    }
+  /// A stage with a latency histogram in the "stages" section of the
+  /// stats report, and under the stage's name in snapshots and the
+  /// Prometheus text. Static storage duration, like every metric.
+  explicit Stage(const char* name);
+  /// A stage without a histogram, for an owner that keeps the statistics
+  /// itself (the pass manager's passes record). \p name must outlive it.
+  Stage(std::string_view name, Unregistered) noexcept : name_(name) {}
+
+  [[nodiscard]] std::string_view name() const noexcept { return name_; }
+  /// The stage's histogram; nullptr for an unregistered stage.
+  [[nodiscard]] LatencyHistogram* histogram() noexcept {
+    return histogram_.has_value() ? &*histogram_ : nullptr;
   }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
 
 private:
-  Counter& ns_;
-  Counter* calls_;
-  std::uint64_t start_;
+  std::string_view name_;
+  std::optional<LatencyHistogram> histogram_;
+};
+
+/// Record one finished interval of \p stage into every armed sink (the
+/// stage histogram; a Chrome event with \p note and the request's id and
+/// tenant as args) and, unconditionally, into \p trace when attached.
+/// The end of every Span; called directly for an interval measured
+/// elsewhere, such as a queued job's wait, which crosses threads.
+void recordStage(Stage& stage, std::uint64_t startNs,
+                 std::uint64_t durNs, RequestTrace* trace = nullptr,
+                 std::string_view note = {});
+
+/// RAII timer of one pass through a stage, recorded by recordStage when
+/// it ends (end() or destruction). With no sink armed and no request
+/// trace it is inert: one relaxed load and a null test, no clock read.
+/// \p note must outlive the span; notes are string literals ("miss").
+class Span {
+public:
+  explicit Span(Stage& stage, RequestTrace* trace = nullptr,
+                std::string_view note = {}) noexcept
+      : stage_(trace != nullptr ||
+                       detail::armedSinks().load(std::memory_order_relaxed) != 0
+                   ? &stage
+                   : nullptr),
+        trace_(trace), note_(note), startNs_(stage_ != nullptr ? nowNs() : 0) {}
+  ~Span() { end(); }
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+  /// Replace the note, e.g. with a verdict known only at the end.
+  void setNote(std::string_view note) noexcept { note_ = note; }
+
+  /// End the span now and record it; later calls, and the destructor, do
+  /// nothing. Returns the measured nanoseconds, 0 for an inert span.
+  std::uint64_t end() noexcept {
+    if (stage_ == nullptr) {
+      return 0;
+    }
+    const std::uint64_t durNs = nowNs() - startNs_;
+    recordStage(*stage_, startNs_, durNs, trace_, note_);
+    stage_ = nullptr;
+    return durNs;
+  }
+
+  /// Clock reading at construction; 0 for an inert span.
+  [[nodiscard]] std::uint64_t startNs() const noexcept { return startNs_; }
+
+private:
+  Stage* stage_; ///< nullptr once ended, or when inert
+  RequestTrace* trace_;
+  std::string_view note_;
+  std::uint64_t startNs_;
 };
 
 // -- dynamic records ----------------------------------------------------------
@@ -355,7 +447,7 @@ struct Snapshot {
 /// Value of a registered counter/gauge by dotted name; 0 when the metric
 /// has not been registered (nothing linked in / nothing ran).
 [[nodiscard]] std::uint64_t counterValue(std::string_view name) noexcept;
-/// Registered histogram by name; nullptr when absent.
+/// Registered (or stage) histogram by name; nullptr when absent.
 [[nodiscard]] const LatencyHistogram* findHistogram(std::string_view name) noexcept;
 
 /// Every registered metric of the given kind, in registration order.
@@ -368,8 +460,10 @@ struct Snapshot {
 
 /// The versioned machine-readable report (see README "Observability" for
 /// the schema): dotted metric names become nested objects, plus the
-/// "passes" array and the "shots.failure_counts" object. \p command
-/// labels the producing subcommand ("run", "bench:execute", ...).
+/// "passes" array, the "shots.failure_counts" object and the "stages"
+/// object, which maps each registered stage that ran to its latency
+/// histogram. \p command labels the producing subcommand ("run",
+/// "bench:execute", ...).
 [[nodiscard]] std::string statsJson(std::string_view command);
 
 /// Human-readable rendering of the same data.

@@ -1,5 +1,3 @@
-#include "support/telemetry/trace.hpp"
-
 #include "support/telemetry/telemetry.hpp"
 
 #include <cstdlib>
@@ -7,16 +5,7 @@
 #include <mutex>
 #include <vector>
 
-namespace qirkit::telemetry::trace {
-
-namespace detail {
-
-std::atomic<bool>& enabledFlag() noexcept {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
-} // namespace detail
+namespace qirkit::telemetry {
 
 namespace {
 
@@ -54,40 +43,12 @@ std::uint32_t thisThreadId() noexcept {
 
 } // namespace
 
-namespace detail {
-
-void endSpan(std::string&& name, std::uint64_t startNs) noexcept {
-  // Sample the clock before taking the lock so contention does not
-  // inflate the span.
-  const std::uint64_t endNs = nowNs();
+void detail::appendChromeEvent(std::string_view name, std::uint64_t startNs,
+                               std::uint64_t durNs, std::string argsJson) {
   TraceState& s = TraceState::instance();
   const std::lock_guard<std::mutex> lock(s.mutex);
-  if (!enabled()) {
-    return; // flushed between construction and destruction
-  }
-  if (s.events.size() >= TraceState::kMaxEvents) {
-    s.dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Event ev;
-  ev.name = std::move(name);
-  ev.startNs = startNs;
-  ev.durNs = endNs >= startNs ? endNs - startNs : 0;
-  ev.tid = thisThreadId();
-  s.events.push_back(std::move(ev));
-}
-
-} // namespace detail
-
-void emitSpan(std::string_view name, std::uint64_t startNs, std::uint64_t durNs,
-              std::string_view argsJson) {
-  if (!enabled()) {
-    return;
-  }
-  TraceState& s = TraceState::instance();
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  if (!enabled()) {
-    return; // flushed between the probe and the lock
+  if (!trace::enabled()) {
+    return; // flushed between the span's end and the lock
   }
   if (s.events.size() >= TraceState::kMaxEvents) {
     s.dropped.fetch_add(1, std::memory_order_relaxed);
@@ -95,17 +56,14 @@ void emitSpan(std::string_view name, std::uint64_t startNs, std::uint64_t durNs,
   }
   Event ev;
   ev.name = std::string(name);
-  ev.argsJson = std::string(argsJson);
+  ev.argsJson = std::move(argsJson);
   ev.startNs = startNs;
   ev.durNs = durNs;
   ev.tid = thisThreadId();
   s.events.push_back(std::move(ev));
 }
 
-std::uint64_t Span::nowNsOrZero() noexcept {
-  const std::uint64_t ns = nowNs();
-  return ns == 0 ? 1 : ns;
-}
+namespace trace {
 
 void begin(std::string path) {
   TraceState& s = TraceState::instance();
@@ -114,7 +72,7 @@ void begin(std::string path) {
   s.anchorNs = nowNs();
   s.events.clear();
   s.dropped.store(0, std::memory_order_relaxed);
-  detail::enabledFlag().store(true, std::memory_order_relaxed);
+  detail::armSink(detail::kChromeSink, true);
 }
 
 bool initFromEnv() {
@@ -132,7 +90,7 @@ bool flush() {
   if (!enabled()) {
     return true;
   }
-  detail::enabledFlag().store(false, std::memory_order_relaxed);
+  detail::armSink(detail::kChromeSink, false);
   std::ofstream out(s.path, std::ios::binary);
   if (!out) {
     return false;
@@ -166,4 +124,5 @@ std::uint64_t droppedEvents() noexcept {
   return TraceState::instance().dropped.load(std::memory_order_relaxed);
 }
 
-} // namespace qirkit::telemetry::trace
+} // namespace trace
+} // namespace qirkit::telemetry

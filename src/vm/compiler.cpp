@@ -6,7 +6,6 @@
 #include "ir/printer.hpp"
 #include "support/faultinject.hpp"
 #include "support/telemetry/telemetry.hpp"
-#include "support/telemetry/trace.hpp"
 
 #include <limits>
 #include <string_view>
@@ -495,8 +494,9 @@ private:
 } // namespace
 
 namespace {
-telemetry::Counter g_compileCalls{"vm.compile.calls"};
-telemetry::Counter g_compileNs{"vm.compile.ns"};
+telemetry::Stage g_compile{"vm.compile"};
+telemetry::Stage g_fuse{"compile.fuse"};
+telemetry::Stage g_superinstr{"compile.superinstr"};
 telemetry::Counter g_fusionOps{"sim.fusion.ops_fused"};
 telemetry::Counter g_fusionBlocks{"sim.fusion.blocks"};
 telemetry::Counter g_fusionSweepsSaved{"sim.fusion.sweeps_saved"};
@@ -508,8 +508,7 @@ telemetry::Counter g_compileSuperinstr{"vm.compile.superinstr"};
 std::shared_ptr<const BytecodeModule> compileModule(const ir::Module& module,
                                                     const CompileOptions& options) {
   fault::probe(fault::Site::BytecodeCompile);
-  const telemetry::trace::Span span("vm.compile");
-  const telemetry::ScopedTimer timer(g_compileNs, &g_compileCalls);
+  const telemetry::Span span(g_compile);
   auto out = std::make_shared<BytecodeModule>();
 
   std::map<const Function*, std::uint32_t> functionIndex;
@@ -542,7 +541,7 @@ std::shared_ptr<const BytecodeModule> compileModule(const ir::Module& module,
     out->entryIndex = static_cast<int>(functionIndex.at(entry));
   }
   if (options.fuseGates) {
-    const telemetry::trace::Span fuseSpan("compile.fuse");
+    const telemetry::Span fuseSpan(g_fuse);
     for (CompiledFunction& fn : out->functions) {
       const FusionStats stats = fuseGates(fn, out->externNames);
       g_fusionOps.add(stats.fusedOps);
@@ -556,7 +555,7 @@ std::shared_ptr<const BytecodeModule> compileModule(const ir::Module& module,
     }
   }
   if (options.superinstructions) {
-    const telemetry::trace::Span superSpan("compile.superinstr");
+    const telemetry::Span superSpan(g_superinstr);
     for (CompiledFunction& fn : out->functions) {
       g_compileSuperinstr.add(fuseSuperinstructions(fn).total());
     }

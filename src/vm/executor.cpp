@@ -3,9 +3,7 @@
 #include "interp/interpreter.hpp"
 #include "support/cancel.hpp"
 #include "support/rng.hpp"
-#include "support/telemetry/request_trace.hpp"
 #include "support/telemetry/telemetry.hpp"
-#include "support/telemetry/trace.hpp"
 #include "vm/cache.hpp"
 #include "vm/compiler.hpp"
 #include "vm/shot_analysis.hpp"
@@ -106,6 +104,12 @@ telemetry::Counter g_analysisFeedback{"shots.analysis.feedback_dependent"};
 telemetry::Counter g_deadlineBatches{"shots.deadline_batches"};
 telemetry::Counter g_shotsUnstarted{"shots.unstarted"};
 telemetry::LatencyHistogram g_shotLatency{"shots.latency_ns"};
+// The batch's stages, also a serve request's: the names and notes are
+// the response's "stages" contract.
+telemetry::Stage g_compileStage{"compile"};
+telemetry::Stage g_analyzeStage{"analyze"};
+telemetry::Stage g_executeStage{"execute"};
+telemetry::Stage g_chunkStage{"execute.chunk"};
 
 /// Per-chunk accumulator, merged into the batch under a mutex (or moved
 /// directly in the sequential path).
@@ -314,7 +318,6 @@ void runSampledBatch(const ir::Module& module,
                      const std::shared_ptr<const BytecodeModule>& compiled,
                      Engine engine, const ShotOptions& opts,
                      ShotBatchResult& result) {
-  const telemetry::trace::Span span("execute.sample");
   runtime::QuantumRuntime rt(opts.seed, opts.pool, opts.precision);
   rt.setMeasurementMode(runtime::QuantumRuntime::MeasurementMode::Defer);
   rt.setCancelToken(opts.cancel);
@@ -371,21 +374,9 @@ void mergeChunk(ChunkResult&& chunk, ShotBatchResult& result) {
 } // namespace
 
 ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
-  const telemetry::trace::Span span("execute.batch");
   g_shotsBatches.add();
   ShotBatchResult result;
   Engine engine = opts.engine;
-
-  // Request-scoped stage marks: batch-level only, on this thread only —
-  // the per-shot loop never sees the trace. Cost when absent: one
-  // pointer check per stage.
-  telemetry::RequestTrace* const rtrace = opts.requestTrace;
-  const auto markStage = [&](const char* stage, std::uint64_t t0,
-                             std::string_view note = {}) {
-    if (rtrace != nullptr) {
-      rtrace->addStage(stage, t0, telemetry::nowNs() - t0, note);
-    }
-  };
 
   // A token that expired before the batch even started (e.g. a job that
   // sat out its deadline in a queue): report everything as unstarted
@@ -396,9 +387,8 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
     result.unstartedShots = opts.shots;
     g_deadlineBatches.add();
     g_shotsUnstarted.add(opts.shots);
-    if (rtrace != nullptr) {
-      rtrace->addStage("execute", telemetry::nowNs(), 0, "expired");
-    }
+    telemetry::recordStage(g_executeStage, telemetry::nowNs(), 0,
+                           opts.requestTrace, "expired");
     return result;
   }
 
@@ -425,7 +415,7 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
 
   std::shared_ptr<const BytecodeModule> compiled;
   if (engine == Engine::Vm) {
-    const std::uint64_t compileT0 = rtrace != nullptr ? telemetry::nowNs() : 0;
+    telemetry::Span span(g_compileStage, opts.requestTrace);
     try {
       // The one code shape users run: fused, for the build's default loop,
       // with superinstructions when that loop is the threaded one.
@@ -445,14 +435,13 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
         result.cacheHits =
             (after.hits + after.coalesced) - (before.hits + before.coalesced);
         result.cacheMisses = after.misses - before.misses;
-        markStage("compile", compileT0,
-                  result.cacheMisses > 0             ? "miss"
-                  : after.coalesced > before.coalesced ? "coalesced"
-                                                       : "hit");
+        span.setNote(result.cacheMisses > 0               ? "miss"
+                     : after.coalesced > before.coalesced ? "coalesced"
+                                                          : "hit");
       } else {
         compiled = compileModule(module, compileOptions);
         result.cacheMisses = 1;
-        markStage("compile", compileT0, "miss");
+        span.setNote("miss");
       }
     } catch (const std::exception& e) {
       const ClassifiedError failure = classifyException(e);
@@ -466,7 +455,7 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
       result.degradeReason = std::string("bytecode compilation failed (") +
                              errorCodeName(failure.code) +
                              "): " + failure.message;
-      markStage("compile", compileT0, "degraded");
+      span.setNote("degraded");
     }
   }
   result.engineUsed = engine;
@@ -501,14 +490,12 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
   // the sampling path degrades to the per-shot machinery below.
   if (opts.execMode != ExecMode::Resim) {
     ShotAnalysis analysis;
-    const std::uint64_t analyzeT0 = rtrace != nullptr ? telemetry::nowNs() : 0;
     {
-      const telemetry::trace::Span analysisSpan("execute.analyze");
+      telemetry::Span span(g_analyzeStage, opts.requestTrace);
       analysis = analyzeShotProfile(module);
+      span.setNote(analysis.profile == ShotProfile::Terminal ? "terminal"
+                                                             : "feedback");
     }
-    markStage("analyze", analyzeT0,
-              analysis.profile == ShotProfile::Terminal ? "terminal"
-                                                        : "feedback");
     (analysis.profile == ShotProfile::Terminal ? g_analysisTerminal
                                                : g_analysisFeedback)
         .add();
@@ -521,12 +508,13 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
                                 analysis.reason);
       }
     } else if (opts.shots > 0) {
-      const std::uint64_t sampleT0 = rtrace != nullptr ? telemetry::nowNs() : 0;
+      // Ends before the resim stage below when the sampling path falls
+      // back to it.
+      telemetry::Span span(g_executeStage, opts.requestTrace, "sample");
       try {
         runSampledBatch(module, compiled, engine, opts, result);
         g_sampleBatches.add();
         g_shotsSampled.add(result.completedShots);
-        markStage("execute", sampleT0, "sample");
         return finish();
       } catch (const std::exception& e) {
         const ClassifiedError failure = classifyException(e);
@@ -541,11 +529,11 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
           result.sampled = false;
           result.deadlineExceeded = true;
           result.unstartedShots = opts.shots;
-          markStage("execute", sampleT0, "sample-deadline");
+          span.setNote("sample-deadline");
           return finish();
         }
         g_sampleFallbacks.add();
-        markStage("execute", sampleT0, "sample-fallback");
+        span.setNote("sample-fallback");
         result.sampleFallback = true;
         result.sampleFallbackReason =
             std::string(errorCodeName(failure.code)) + ": " + failure.message;
@@ -560,17 +548,16 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
 
   const auto runChunk = [&](std::uint64_t begin, std::uint64_t end,
                             ChunkResult& out) {
-    const telemetry::trace::Span chunkSpan("execute.chunk");
+    const telemetry::Span span(g_chunkStage);
     ChunkRunner runner(module, compiled, engine, opts);
     runner.run(begin, end, out);
   };
 
-  const std::uint64_t resimT0 = rtrace != nullptr ? telemetry::nowNs() : 0;
+  const telemetry::Span resim(g_executeStage, opts.requestTrace, "resim");
   if (opts.pool == nullptr || opts.pool->size() <= 1 || opts.shots <= 1) {
     ChunkResult chunk;
     runChunk(0, opts.shots, chunk);
     mergeChunk(std::move(chunk), result);
-    markStage("execute", resimT0, "resim");
     return finish();
   }
 
@@ -609,7 +596,6 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
     });
   }
   group.wait();
-  markStage("execute", resimT0, "resim");
   if (infrastructureError.has_value()) {
     throw TrapError(infrastructureError->message, infrastructureError->code,
                     infrastructureError->transient);

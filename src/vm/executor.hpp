@@ -145,12 +145,11 @@ struct ShotOptions : RunChoices {
   /// it does not throw, and an aborted in-flight shot is counted as
   /// unstarted, never as failed. The token must outlive the call.
   const qirkit::CancelToken* cancel = nullptr;
-  /// Request-scoped trace context (nullptr: none). When set, the batch
-  /// records coarse per-stage wall times (compile with cache
-  /// hit/miss/coalesced, analysis, sample vs resim execution) on the
-  /// calling thread only — never inside the per-shot loop. Cost when
-  /// null is one pointer check per stage. The trace must outlive the
-  /// call.
+  /// Request-scoped trace context (nullptr: none). The batch's stage
+  /// Spans (compile with cache hit/miss/coalesced, analyze, sample vs
+  /// resim execute) record into it as well as into the armed telemetry
+  /// sinks, on the calling thread only — never inside the per-shot loop.
+  /// The trace must outlive the call.
   telemetry::RequestTrace* requestTrace = nullptr;
 };
 

@@ -6,8 +6,11 @@
 #include "passes/pass.hpp"
 
 #include "support/source_location.hpp"
+#include "support/telemetry/telemetry.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 namespace qirkit::passes {
 namespace {
@@ -459,9 +462,16 @@ define i64 @f() {
 )");
   PassManager pm;
   addStandardPipeline(pm);
+  telemetry::setEnabled(true);
+  telemetry::resetAll();
   pm.run(*m);
-  EXPECT_FALSE(pm.statistics().empty());
-  EXPECT_NE(pm.statisticsReport().find("constant-fold"), std::string::npos);
+  const std::vector<telemetry::PassRecord> records = telemetry::passRecords();
+  telemetry::resetAll();
+  telemetry::setEnabled(false);
+  EXPECT_FALSE(records.empty());
+  EXPECT_TRUE(std::any_of(records.begin(), records.end(), [](const auto& r) {
+    return r.name == "constant-fold" && r.invocations == 1;
+  }));
 }
 
 } // namespace

@@ -984,6 +984,17 @@ TEST_F(ServeTest, MetricsDocumentCarriesLatencyPercentiles) {
   ASSERT_NE(flight, nullptr);
   EXPECT_EQ(flight->find("capacity")->asU64("capacity"), 256U);
   EXPECT_GE(flight->find("recorded")->asU64("recorded"), 1U);
+
+  // The telemetry snapshot carries each stage histogram under the
+  // stage's name, bytecode compilation included.
+  const json::Value* telemetry = metrics.find("telemetry");
+  ASSERT_NE(telemetry, nullptr);
+  for (const char* name : {"admission.count", "queue.count", "compile.count",
+                           "execute.count", "vm.compile.count",
+                           "vm.compile.sum_ns"}) {
+    ASSERT_NE(telemetry->find(name), nullptr) << name;
+    EXPECT_GE(telemetry->find(name)->asU64(name), 1U) << name;
+  }
 }
 
 TEST_F(ServeTest, DeadlineCutRequestIsDiagnosableFromTheFlightRecorder) {
@@ -1059,9 +1070,12 @@ TEST_F(ServeTest, PrometheusExpositionExposesPerTenantSeries) {
   EXPECT_NE(
       text.find("qirkit_serve_tenant_exec_ns_count{tenant=\"prom-tenant\"} "),
       std::string::npos);
-  // Unlabeled histograms render too, with the +Inf closing bucket.
+  // Unlabeled histograms render too, with the +Inf closing bucket, and
+  // so do the stage histograms.
   EXPECT_NE(text.find("qirkit_serve_job_latency_ns_bucket{le=\"+Inf\"} "),
             std::string::npos);
+  EXPECT_NE(text.find("# TYPE qirkit_vm_compile histogram"), std::string::npos);
+  EXPECT_NE(text.find("\nqirkit_execute_count "), std::string::npos);
 }
 
 TEST_F(ServeTest, TenantLabelCardinalityIsBoundedByEviction) {

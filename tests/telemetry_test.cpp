@@ -2,7 +2,8 @@
 /// and change no program output), counter/gauge/histogram semantics, the
 /// compile-cache counters agreeing with CompileCache's own observable
 /// Stats across repeated runShots batches, pass records, the versioned
-/// --stats JSON report, and the Chrome trace-event writer.
+/// --stats JSON report, and Spans feeding their three sinks: stage
+/// histograms, the Chrome trace-event writer and request traces.
 #include "circuit/generators.hpp"
 #include "ir/parser.hpp"
 #include "passes/pass.hpp"
@@ -10,9 +11,9 @@
 #include "qir/exporter.hpp"
 #include "sim/statevector.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "support/telemetry/request_trace.hpp"
 #include "support/telemetry/telemetry.hpp"
-#include "support/telemetry/trace.hpp"
 #include "vm/cache.hpp"
 #include "vm/executor.hpp"
 
@@ -27,6 +28,37 @@
 
 namespace qirkit {
 namespace {
+
+/// The "count" of \p stage in a statsJson report's stages section; 0 when
+/// the stage is absent (it did not run).
+std::uint64_t stageCount(const std::string& json, const std::string& stage) {
+  const std::size_t section = json.find("\"stages\":{");
+  if (section == std::string::npos) {
+    return 0;
+  }
+  const std::string key = "\"" + stage + "\":{\"count\":";
+  const std::size_t at = json.find(key, section);
+  return at == std::string::npos ? 0 : std::stoull(json.substr(at + key.size()));
+}
+
+/// Contents of a file; empty when it cannot be read.
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Number of Chrome events named \p name in a trace file's contents.
+std::size_t chromeEvents(const std::string& content, const std::string& name) {
+  const std::string key = "{\"name\":\"" + name + "\"";
+  std::size_t n = 0;
+  for (std::size_t at = content.find(key); at != std::string::npos;
+       at = content.find(key, at + key.size())) {
+    ++n;
+  }
+  return n;
+}
 
 /// Every test runs with a clean, enabled registry and a clean global
 /// compile cache, and leaves telemetry disabled (the process default).
@@ -51,13 +83,18 @@ TEST_F(TelemetryTest, DisabledProbesRecordNothing) {
   static telemetry::Counter counter{"test.disabled.counter"};
   static telemetry::MaxGauge gauge{"test.disabled.gauge"};
   static telemetry::LatencyHistogram hist{"test.disabled.hist"};
+  static telemetry::Stage stage{"test.disabled.stage"};
   counter.add(7);
   gauge.updateMax(42);
   hist.record(1000);
-  { telemetry::ScopedTimer t(counter); }
+  {
+    telemetry::Span span(stage);
+    EXPECT_EQ(span.startNs(), 0U); // inert: no clock read
+  }
   EXPECT_EQ(counter.value(), 0U);
   EXPECT_EQ(gauge.value(), 0U);
   EXPECT_EQ(hist.count(), 0U);
+  EXPECT_EQ(stage.histogram()->count(), 0U);
 }
 
 TEST_F(TelemetryTest, CounterGaugeHistogramSemantics) {
@@ -112,8 +149,11 @@ TEST_F(TelemetryTest, CacheCountersMatchObservableCacheStats) {
   EXPECT_EQ(telemetry::counterValue("vm.cache.misses"), 1U);
   EXPECT_EQ(telemetry::counterValue("vm.cache.hits"), 1U);
   EXPECT_EQ(telemetry::counterValue("vm.cache.evictions"), 0U);
-  // Compilation happened exactly once across both batches.
-  EXPECT_EQ(telemetry::counterValue("vm.compile.calls"), 1U);
+  // Compilation happened exactly once across both batches; the
+  // executor's compile stage ran for each.
+  const std::string json = telemetry::statsJson("test");
+  EXPECT_EQ(stageCount(json, "vm.compile"), 1U);
+  EXPECT_EQ(stageCount(json, "compile"), 2U);
 }
 
 TEST_F(TelemetryTest, EvictionCountersMatchAtCapacityOne) {
@@ -251,7 +291,7 @@ TEST_F(TelemetryTest, StatsJsonIsVersionedAndNested) {
   (void)vm::runShots(*m, opts);
 
   const std::string json = telemetry::statsJson("test");
-  EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
   EXPECT_NE(json.find("\"tool\":\"qirkit\""), std::string::npos);
   EXPECT_NE(json.find("\"command\":\"test\""), std::string::npos);
   // Dotted names render as nesting: vm.cache.misses -> "vm":{"cache":{...}}.
@@ -260,10 +300,17 @@ TEST_F(TelemetryTest, StatsJsonIsVersionedAndNested) {
   EXPECT_NE(json.find("\"latency_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"passes\":["), std::string::npos);
   EXPECT_EQ(json.find('\n'), std::string::npos); // single line for tail -1
+  // The batch's stages, keyed by their full (dotted) names.
+  for (const char* stage : {"compile", "vm.compile", "analyze", "execute"}) {
+    EXPECT_EQ(stageCount(json, stage), 1U) << stage;
+  }
+  EXPECT_NE(json.find("\"vm.compile\":{\"count\":1,\"sum_ns\":"),
+            std::string::npos);
 
   const std::string text = telemetry::statsText();
   EXPECT_NE(text.find("qirkit telemetry"), std::string::npos);
   EXPECT_NE(text.find("vm.cache.misses"), std::string::npos);
+  EXPECT_NE(text.find("stages.compile: count=1 "), std::string::npos);
 }
 
 TEST_F(TelemetryTest, QuantileEdgeCases) {
@@ -294,6 +341,25 @@ TEST_F(TelemetryTest, QuantileEdgeCases) {
                    << std::min<std::size_t>(telemetry::LatencyHistogram::kBuckets,
                                             63));
   EXPECT_EQ(top.count(), 2U);
+
+  // Nearest rank ceil(p*n): with one outlier in 100 samples, p99 is the
+  // 99th sample (the bulk's bucket bound), not the outlier.
+  telemetry::LatencyHistogram tail("test.quantile.tail",
+                                   telemetry::Unregistered{});
+  for (int i = 0; i < 99; ++i) {
+    tail.recordUnchecked(10);
+  }
+  tail.recordUnchecked(1'000'000);
+  EXPECT_EQ(tail.quantileNs(0.99), 16U); // upper bound of bucket [8, 16)
+  EXPECT_EQ(tail.quantileNs(1.0), 1'000'000U);
+
+  // Two samples: the median is the smaller one's bucket, not the larger.
+  telemetry::LatencyHistogram pair("test.quantile.pair",
+                                   telemetry::Unregistered{});
+  pair.recordUnchecked(10);
+  pair.recordUnchecked(1'000'000);
+  EXPECT_EQ(pair.quantileNs(0.5), 16U);
+  EXPECT_EQ(pair.quantileNs(0.99), 1'000'000U);
 }
 
 TEST_F(TelemetryTest, StatsJsonCarriesP95) {
@@ -384,35 +450,53 @@ TEST_F(TelemetryTest, RequestTraceRecordsStagesRelativeToOrigin) {
 }
 
 TEST_F(TelemetryTest, RequestTraceEmitsTaggedChromeSpans) {
+  static telemetry::Stage queue{"test.request.queue"};
+  static telemetry::Stage execute{"test.request.execute"};
   const std::string path = ::testing::TempDir() + "/qirkit_reqtrace_test.json";
   std::remove(path.c_str());
   telemetry::trace::begin(path);
   telemetry::RequestTrace trace("acme", "req-9");
-  trace.addStage("queue", 1000, 200);
-  trace.addStage("execute", 2000, 700, "resim");
-  trace.emitChromeSpans();
+  // An interval measured elsewhere, then a Span: both end in all three
+  // sinks.
+  telemetry::recordStage(queue, 1000, 200, &trace);
+  { const telemetry::Span span(execute, &trace, "resim"); }
   ASSERT_TRUE(telemetry::trace::flush());
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string content = buf.str();
-  // Spans are named request.<stage>[:note] and tagged with args carrying
-  // the request id and tenant.
-  EXPECT_NE(content.find("\"request.queue\""), std::string::npos);
-  EXPECT_NE(content.find("\"request.execute:resim\""), std::string::npos);
-  EXPECT_NE(content.find("\"request_id\":\"req-9\""), std::string::npos);
-  EXPECT_NE(content.find("\"tenant\":\"acme\""), std::string::npos);
+  const std::string content = readFile(path);
+  // One event per stage, named after the stage and tagged with args
+  // carrying the note, the request id and the tenant.
+  EXPECT_EQ(chromeEvents(content, "test.request.queue"), 1U);
+  EXPECT_EQ(chromeEvents(content, "test.request.execute"), 1U);
+  EXPECT_NE(content.find("\"args\":{\"note\":\"resim\",\"request_id\":"
+                         "\"req-9\",\"tenant\":\"acme\"}"),
+            std::string::npos);
+  EXPECT_NE(content.find("\"args\":{\"request_id\":\"req-9\",\"tenant\":"
+                         "\"acme\"}"),
+            std::string::npos);
+  const std::vector<telemetry::RequestStage> stages = trace.stages();
+  ASSERT_EQ(stages.size(), 2U);
+  EXPECT_EQ(stages[0].name, "test.request.queue");
+  EXPECT_EQ(stages[0].durNs, 200U);
+  EXPECT_EQ(stages[1].note, "resim");
+  EXPECT_EQ(queue.histogram()->count(), 1U);
+  EXPECT_EQ(execute.histogram()->count(), 1U);
   std::remove(path.c_str());
 }
 
 TEST_F(TelemetryTest, DisabledRequestTraceSpansStoreNothing) {
+  // Nothing armed: the stage histogram and the Chrome buffer stay empty,
+  // while the attached request trace records unconditionally (a serve
+  // response returns its stages even under --no-telemetry).
+  static telemetry::Stage stage{"test.request.disarmed"};
+  telemetry::setEnabled(false);
   ASSERT_FALSE(telemetry::trace::enabled());
   telemetry::RequestTrace trace("t", "r");
-  trace.addStage("queue", 1, 2);
-  trace.emitChromeSpans(); // one relaxed load, no buffering
+  { const telemetry::Span span(stage, &trace, "hit"); }
+  telemetry::recordStage(stage, 1, 2, &trace);
+  EXPECT_EQ(stage.histogram()->count(), 0U);
   EXPECT_EQ(telemetry::trace::droppedEvents(), 0U);
+  ASSERT_EQ(trace.stages().size(), 2U);
+  EXPECT_EQ(trace.stages()[0].note, "hit");
 }
 
 TEST_F(TelemetryTest, JsonEscape) {
@@ -424,20 +508,20 @@ TEST_F(TelemetryTest, JsonEscape) {
 TEST_F(TelemetryTest, TraceWriterEmitsChromeEvents) {
   const std::string path = ::testing::TempDir() + "/qirkit_trace_test.json";
   std::remove(path.c_str());
+  static telemetry::Stage outerStage{"outer.region"};
   telemetry::trace::begin(path);
   ASSERT_TRUE(telemetry::trace::enabled());
   {
-    telemetry::trace::Span outer("outer.region");
-    telemetry::trace::Span inner("inner.region");
+    const telemetry::Span outer(outerStage);
+    // An unregistered stage (a pass's) still reaches the Chrome trace.
+    telemetry::Stage innerStage("inner.region", telemetry::Unregistered{});
+    const telemetry::Span inner(innerStage);
   }
   ASSERT_TRUE(telemetry::trace::flush());
   EXPECT_FALSE(telemetry::trace::enabled());
+  EXPECT_TRUE(telemetry::enabled()); // one word, two independent sinks
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string content = buf.str();
+  const std::string content = readFile(path);
   EXPECT_NE(content.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(content.find("\"outer.region\""), std::string::npos);
   EXPECT_NE(content.find("\"inner.region\""), std::string::npos);
@@ -445,10 +529,94 @@ TEST_F(TelemetryTest, TraceWriterEmitsChromeEvents) {
   std::remove(path.c_str());
 }
 
+TEST_F(TelemetryTest, ChromeSinkAloneRecordsNoStatistics) {
+  // QIRKIT_TRACE without --stats: Spans, pass runs included, reach the
+  // Chrome trace while stage histograms and the passes record stay empty.
+  static telemetry::Stage stage{"test.chrome.only"};
+  const std::string path = ::testing::TempDir() + "/qirkit_chrome_only.json";
+  std::remove(path.c_str());
+  telemetry::setEnabled(false);
+  telemetry::trace::begin(path);
+  ASSERT_FALSE(telemetry::enabled());
+  {
+    const telemetry::Span span(stage, nullptr, "alone");
+    EXPECT_NE(span.startNs(), 0U);
+  }
+  ir::Context ctx;
+  auto module = ir::parseModule(ctx, R"(
+define i64 @main() #0 {
+entry:
+  %a = add i64 2, 3
+  ret i64 %a
+}
+attributes #0 = { "entry_point" }
+)");
+  qir::transformDirect(*module);
+  ASSERT_TRUE(telemetry::trace::flush());
+
+  const std::string content = readFile(path);
+  EXPECT_EQ(chromeEvents(content, "test.chrome.only"), 1U);
+  EXPECT_NE(content.find("\"args\":{\"note\":\"alone\"}"), std::string::npos);
+  EXPECT_EQ(chromeEvents(content, "opt.pipeline"), 1U);
+  EXPECT_GE(chromeEvents(content, "sccp"), 1U);
+  EXPECT_EQ(stage.histogram()->count(), 0U);
+  EXPECT_EQ(telemetry::findHistogram("opt.pipeline")->count(), 0U);
+  EXPECT_TRUE(telemetry::passRecords().empty());
+  std::remove(path.c_str());
+}
+
 TEST_F(TelemetryTest, DisabledTraceSpansStoreNothing) {
+  static telemetry::Stage stage{"never.recorded"};
+  telemetry::setEnabled(false);
   ASSERT_FALSE(telemetry::trace::enabled());
-  { telemetry::trace::Span span("never.recorded"); }
+  {
+    telemetry::Span span(stage);
+    EXPECT_EQ(span.end(), 0U);
+  }
   EXPECT_EQ(telemetry::trace::droppedEvents(), 0U);
+  EXPECT_EQ(stage.histogram()->count(), 0U);
+}
+
+TEST_F(TelemetryTest, PooledResimBatchFeedsEachStageOnceToEverySink) {
+  // A feedback program on a 2-worker pool with every sink armed: the
+  // stages Spans write from the calling thread (compile, analyze,
+  // execute) and from pool threads (execute.chunk) at once.
+  const std::string path = ::testing::TempDir() + "/qirkit_batch_trace.json";
+  std::remove(path.c_str());
+  telemetry::trace::begin(path);
+  ir::Context ctx;
+  const auto m =
+      qir::exportCircuit(ctx, circuit::repetitionCodeCycle(0.3, 1), {});
+  ThreadPool pool(2);
+  telemetry::RequestTrace trace("acme", "req-pool");
+  vm::ShotOptions opts;
+  opts.shots = 64;
+  opts.pool = &pool;
+  opts.requestTrace = &trace;
+  const vm::ShotBatchResult result = vm::runShots(*m, opts);
+  ASSERT_TRUE(telemetry::trace::flush());
+  EXPECT_FALSE(result.sampled);
+  EXPECT_EQ(result.completedShots, 64U);
+
+  const std::vector<telemetry::RequestStage> stages = trace.stages();
+  ASSERT_EQ(stages.size(), 3U);
+  EXPECT_EQ(stages[0].name, "compile");
+  EXPECT_EQ(stages[0].note, "miss");
+  EXPECT_EQ(stages[1].name, "analyze");
+  EXPECT_EQ(stages[1].note, "feedback");
+  EXPECT_EQ(stages[2].name, "execute");
+  EXPECT_EQ(stages[2].note, "resim");
+
+  const std::string content = readFile(path);
+  for (const char* stage : {"compile", "analyze", "execute"}) {
+    EXPECT_EQ(chromeEvents(content, stage), 1U) << stage;
+  }
+  EXPECT_EQ(chromeEvents(content, "execute.chunk"), 2U);
+  EXPECT_NE(content.find("\"request_id\":\"req-pool\""), std::string::npos);
+  const std::string json = telemetry::statsJson("test");
+  EXPECT_EQ(stageCount(json, "execute"), 1U);
+  EXPECT_EQ(stageCount(json, "execute.chunk"), 2U);
+  std::remove(path.c_str());
 }
 
 TEST_F(TelemetryTest, ResetAllZeroesEverything) {
@@ -466,24 +634,39 @@ TEST_F(TelemetryTest, SnapshotCapturesRegisteredProbes) {
   static telemetry::Counter counter{"test.snap.counter"};
   static telemetry::MaxGauge gauge{"test.snap.gauge"};
   static telemetry::LatencyHistogram hist{"test.snap.hist"};
+  static telemetry::Stage stage{"test.snap.stage"};
   counter.add(7);
   gauge.updateMax(41);
   hist.record(1000);
   hist.record(500);
+  telemetry::recordStage(stage, 10, 700);
 
   const telemetry::Snapshot snap = telemetry::snapshot();
   EXPECT_EQ(snap.value("test.snap.counter"), 7U);
   EXPECT_EQ(snap.value("test.snap.gauge"), 41U);
   EXPECT_EQ(snap.value("test.never.registered"), 0U);
   bool foundHist = false;
+  bool foundStage = false;
   for (const telemetry::Snapshot::Hist& h : snap.histograms) {
     if (h.name == "test.snap.hist") {
       foundHist = true;
       EXPECT_EQ(h.count, 2U);
       EXPECT_EQ(h.sumNs, 1500U);
     }
+    if (h.name == "test.snap.stage") { // a stage histogram, by stage name
+      foundStage = true;
+      EXPECT_EQ(h.count, 1U);
+      EXPECT_EQ(h.sumNs, 700U);
+    }
   }
   EXPECT_TRUE(foundHist);
+  EXPECT_TRUE(foundStage);
+  EXPECT_NE(telemetry::snapshotJson(snap).find("\"test.snap.stage.sum_ns\":700"),
+            std::string::npos);
+  EXPECT_EQ(telemetry::findHistogram("test.snap.stage"), stage.histogram());
+  const std::vector<const telemetry::LatencyHistogram*> all =
+      telemetry::allHistograms();
+  EXPECT_NE(std::find(all.begin(), all.end(), stage.histogram()), all.end());
 }
 
 TEST_F(TelemetryTest, DiffIsolatesOneRequestsActivity) {

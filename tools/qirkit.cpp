@@ -67,7 +67,6 @@
 #include "support/faultinject.hpp"
 #include "support/parallel.hpp"
 #include "support/telemetry/telemetry.hpp"
-#include "support/telemetry/trace.hpp"
 #include "vm/executor.hpp"
 
 #include <algorithm>

@@ -163,28 +163,43 @@ for opt in shots jobs retries max-failed-shots; do
 done
 
 # --stats json: stdout stays byte-identical, stderr's last line is the
-# versioned JSON report with the documented sections
-"$QIRKIT" run "$WORK/bell.ll" --shots 40 --seed 3 >"$WORK/out.plain" 2>/dev/null \
-  || fail "run without stats"
-"$QIRKIT" run "$WORK/bell.ll" --shots 40 --seed 3 --stats json \
-  >"$WORK/out.stats" 2>"$WORK/stats.err" || fail "run with stats"
-cmp -s "$WORK/out.plain" "$WORK/out.stats" || fail "--stats changed stdout"
-tail -n 1 "$WORK/stats.err" > "$WORK/stats.json"
-for section in schema_version \"parse\" \"passes\" \"vm\" \"cache\" \"shots\" latency_ns; do
-  grep -q "$section" "$WORK/stats.json" || fail "stats json missing $section"
+# versioned JSON report with the documented sections, and its stages
+# section times each route's frontend, compile, analyze and execute. The
+# same run under QIRKIT_TRACE writes one Chrome event name per stage
+# name (no passes run on these routes, so there are no pass events), and
+# so does QIRKIT_TRACE alone, the tracing default: Chrome armed, stats off.
+for route in bell.ll:parse.full bell.qasm:parse.qasm2 rus.qasm3:parse.qasm3; do
+  src="${route%%:*}"
+  "$QIRKIT" run "$WORK/$src" --shots 40 --seed 3 >"$WORK/out.plain" \
+    2>/dev/null || fail "run $src without stats"
+  QIRKIT_TRACE="$WORK/trace.json" "$QIRKIT" run "$WORK/$src" --shots 40 \
+    --seed 3 --stats json >"$WORK/out.stats" 2>"$WORK/stats.err" \
+    || fail "run $src with stats and QIRKIT_TRACE"
+  QIRKIT_TRACE="$WORK/trace-only.json" "$QIRKIT" run "$WORK/$src" --shots 40 \
+    --seed 3 >"$WORK/out.traced" 2>/dev/null || fail "run $src with QIRKIT_TRACE"
+  cmp -s "$WORK/out.plain" "$WORK/out.stats" && cmp -s "$WORK/out.plain" \
+    "$WORK/out.traced" || fail "--stats or QIRKIT_TRACE changed $src stdout"
+  tail -n 1 "$WORK/stats.err" > "$WORK/stats.json"
+  python3 - "$WORK/stats.json" "$WORK/trace.json" "${route##*:}" \
+    "$WORK/trace-only.json" <<'PYEOF' || fail "stats json or traces of $src"
+import json, sys
+stats = json.load(open(sys.argv[1]))
+assert stats["schema_version"] == 2, stats["schema_version"]
+stats["parse"], stats["passes"], stats["vm"]["cache"], stats["shots"]["latency_ns"]
+stages = stats["stages"]
+for name in (sys.argv[3], "compile", "analyze", "execute"):
+    timed = stages.get(name, {})
+    assert timed.get("count", 0) > 0 and timed.get("sum_ns", 0) > 0, name
+for trace in (sys.argv[2], sys.argv[4]):
+    events = {e["name"] for e in json.load(open(trace))["traceEvents"]}
+    assert events == set(stages), (trace, sorted(events), sorted(stages))
+PYEOF
 done
 "$QIRKIT" run "$WORK/bell.ll" --shots 5 --stats >/dev/null 2>"$WORK/stats.txt" \
   || fail "run with text stats"
 grep -q "qirkit telemetry" "$WORK/stats.txt" || fail "text stats header"
 rc=0; "$QIRKIT" run "$WORK/bell.ll" --stats=bogus >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || fail "--stats=bogus must exit 2 (got $rc)"
-
-# QIRKIT_TRACE writes Chrome trace-event JSON
-rc=0; QIRKIT_TRACE="$WORK/trace.json" "$QIRKIT" run "$WORK/bell.ll" --shots 5 \
-  >/dev/null 2>&1 || rc=$?
-[ "$rc" -eq 0 ] || fail "run with QIRKIT_TRACE (got $rc)"
-grep -q "traceEvents" "$WORK/trace.json" || fail "trace file missing traceEvents"
-grep -q "execute.batch" "$WORK/trace.json" || fail "trace file missing spans"
 
 # error paths honor the exit-code contract (0 ok, 1 diagnostics, 2 usage,
 # 3 internal) and report `error[<code>]` on stderr; test_exit_codes.sh
