@@ -215,6 +215,61 @@ BENCHMARK(BM_Kernel)
     ->ArgsProduct({{16, 20, 24, 28}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
+/// Each kernel with its lowest qubit at 0, 1, 2 or 8 on 20 qubits: the
+/// 8-index tile paths (lowest qubit below 3) against the run loops the
+/// higher qubits take. Args are (kernel, lowest qubit q):
+///   0: apply2, a dense 4x4 on (q, 12);
+///   1: applyControlled1, X with control q and target 12;
+///   2: applyDiagonal, a phase table over (q, 12, 14, 16);
+///   3: apply1, a 2x2 on q (no tile path; the reference a 4x4 is
+///      weighed against).
+void BM_KernelByLowestQubit(benchmark::State& state) {
+  const auto kernel = static_cast<int>(state.range(0));
+  const auto q = static_cast<unsigned>(state.range(1));
+  constexpr unsigned n = 20;
+  sim::StateVector sv(n);
+  for (unsigned k = 0; k < n; ++k) {
+    sv.apply1(sim::gateH(), k);
+  }
+  const sim::GateMatrix2 chain = sim::matmul(
+      sim::gateRZ(0.3), sim::matmul(sim::gateRX(0.7), sim::gateRZ(0.1)));
+  const sim::GateMatrix4 window = sim::matmul(
+      sim::controlled4(sim::gateRZ(0.4), 0, 1),
+      sim::matmul(sim::embed2(chain, 1), sim::embed2(chain, 0)));
+  std::vector<sim::Complex> diag(1U << 4);
+  for (std::size_t i = 0; i < diag.size(); ++i) {
+    diag[i] = std::polar(1.0, 0.1 + 0.3 * static_cast<double>(i));
+  }
+  const unsigned dq[] = {q, 12, 14, 16};
+  for (auto _ : state) {
+    switch (kernel) {
+    case 0:
+      sv.apply2(window, q, 12);
+      break;
+    case 1:
+      sv.applyControlled1(sim::gateX(), q, 12);
+      break;
+    case 2:
+      sv.applyDiagonal(diag, dq);
+      break;
+    default:
+      sv.apply1(chain, q);
+      break;
+    }
+    benchmark::DoNotOptimize(sv.amplitude(0));
+  }
+  static const char* const kKernelNames[] = {"apply2", "controlled1", "diagonal",
+                                             "apply1"};
+  state.SetLabel(kKernelNames[kernel]);
+  state.counters["qubits"] = n;
+  state.counters["lowest_qubit"] = q;
+  state.counters["amps_per_sec"] = benchmark::Counter(
+      static_cast<double>(sv.dimension()), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_KernelByLowestQubit)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2, 8}})
+    ->Unit(benchmark::kMillisecond);
+
 /// applyFusedSweep (one chunk walk for the whole run) vs the same blocks
 /// applied as separate full-state passes. Mode 0 = per-gate passes,
 /// mode 1 = sweep; the gap is pure memory traffic saved.

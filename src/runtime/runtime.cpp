@@ -114,32 +114,40 @@ unsigned QuantumRuntime::resolveStaticQubit(std::uint64_t address) {
 }
 
 void QuantumRuntime::applyFusedSweep(std::span<const interp::FusedBlock> blocks) {
-  if (blocks.size() > interp::kMaxSweepBlocks) {
-    // Longer than any run the fusion pass forms: the same sequential
-    // composition, in scratch-sized pieces.
-    applyFusedSweep(blocks.first(interp::kMaxSweepBlocks));
-    applyFusedSweep(blocks.subspan(interp::kMaxSweepBlocks));
-    return;
-  }
-  std::uint64_t sourceGates = 0;
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const interp::FusedBlock& block = blocks[b];
-    std::array<unsigned, interp::FusedBlock::kMaxQubits>& qubits = sweepQubits_[b];
+  // Blocks queue up to kMaxSweepBlocks at a time for one kernel sweep. The
+  // register grows only once the blocks queued ahead of a new qubit have
+  // run on the narrower state, and qubits are resolved in the source's
+  // first-use order (newQubits), whatever the block order.
+  std::size_t queued = 0;
+  const auto flush = [&] {
+    state_.applyFusedSweep({sweepGates_.data(), queued});
+    queued = 0;
+  };
+  for (const interp::FusedBlock& block : blocks) {
+    for (const std::uint64_t address : block.newQubits) {
+      if (queued != 0 && !qubitByHandle_.contains(address)) {
+        flush();
+      }
+      resolveStaticQubit(address);
+    }
+    if (queued == interp::kMaxSweepBlocks) {
+      flush();
+    }
+    std::array<unsigned, interp::FusedBlock::kMaxQubits>& qubits = sweepQubits_[queued];
     for (std::size_t i = 0; i < block.qubits.size(); ++i) {
       qubits[i] = resolveStaticQubit(block.qubits[i]);
     }
-    sim::SweepGate& gate = sweepGates_[b];
+    sim::SweepGate& gate = sweepGates_[queued];
+    gate.q0 = qubits[0];
+    gate.q1 = qubits[1];
     switch (block.kind) {
     case interp::FusedBlock::Kind::Unitary1:
       gate.kind = sim::SweepGate::Kind::Unitary1;
-      gate.q0 = qubits[0];
       gate.m2 = sim::GateMatrix2{block.matrix[0], block.matrix[1],
                                  block.matrix[2], block.matrix[3]};
       break;
     case interp::FusedBlock::Kind::Unitary2:
       gate.kind = sim::SweepGate::Kind::Unitary2;
-      gate.q0 = qubits[0];
-      gate.q1 = qubits[1];
       for (int r = 0; r < 4; ++r) {
         for (int c = 0; c < 4; ++c) {
           gate.m4.m[r][c] = block.matrix[static_cast<std::size_t>(r * 4 + c)];
@@ -152,13 +160,23 @@ void QuantumRuntime::applyFusedSweep(std::span<const interp::FusedBlock> blocks)
       gate.diagQubits =
           std::span<const unsigned>(qubits.data(), block.qubits.size());
       break;
+    case interp::FusedBlock::Kind::Controlled:
+      gate.kind = sim::SweepGate::Kind::Controlled;
+      gate.m2 = sim::GateMatrix2{block.matrix[0], block.matrix[1],
+                                 block.matrix[2], block.matrix[3]};
+      break;
+    case interp::FusedBlock::Kind::Swap:
+      gate.kind = sim::SweepGate::Kind::Swap;
+      break;
     }
-    sourceGates += block.sourceGates;
+    ++queued;
+    // Stats stay per source gate, so fused and unfused runs report the
+    // same gatesApplied.
+    stats_.gatesApplied += block.sourceGates;
   }
-  state_.applyFusedSweep({sweepGates_.data(), blocks.size()});
-  // Stats stay per source gate, so fused and unfused runs report the same
-  // gatesApplied.
-  stats_.gatesApplied += sourceGates;
+  if (queued != 0) {
+    flush();
+  }
 }
 
 bool QuantumRuntime::resultValue(std::uint64_t key) const {

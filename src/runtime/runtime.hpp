@@ -42,7 +42,7 @@ struct RuntimeStats {
 
 /// The simulator-backed runtime. Bind to an interpreter, run the entry
 /// point, then inspect the state / recorded output. Also implements the
-/// FusedGateHost fast path: the VM hands each run of precomposed fused
+/// FusedGateHost fast path: the VM hands each region of precomposed fused
 /// blocks (from the compile-time gate-fusion pass) straight to the
 /// statevector's one fused kernel entry, StateVector::applyFusedSweep.
 class QuantumRuntime : public interp::FusedGateHost {
@@ -69,12 +69,14 @@ public:
   /// the engine's fused-gate host, when the engine supports one).
   void bind(interp::ExternalRegistry& interp);
 
-  /// Apply a run of consecutive fused blocks to the statevector
-  /// (StateVector::applyFusedSweep). Qubit entries are static QIR
-  /// addresses (the fusion pass only fuses those), resolved per block in
-  /// run order with the same on-the-fly first-seen allocation as ordinary
+  /// Apply the blocks of one fused region to the statevector
+  /// (StateVector::applyFusedSweep, up to interp::kMaxSweepBlocks blocks
+  /// per sweep). Qubit entries are static QIR addresses (the fusion pass
+  /// only fuses those). Each block's newQubits are resolved, in order,
+  /// before it, with the same on-the-fly first-seen allocation as ordinary
   /// gate calls, so they get the simulator indices the unfused gate
-  /// sequence would.
+  /// sequence would; a qubit that grows the register is allocated only
+  /// after the blocks queued ahead of it have run.
   void applyFusedSweep(std::span<const interp::FusedBlock> blocks) override;
 
   void setMeasurementMode(MeasurementMode mode) noexcept { mode_ = mode; }

@@ -110,6 +110,70 @@ void apply1Range(std::complex<Real>* const amps, const GateMatrix2& gate,
   }
 }
 
+// -- tiles for a lowest qubit below kTileBits -------------------------------
+//
+// A lowest target bit of 0, 1 or 2 cuts the runs to 1, 2 or 4 amplitudes,
+// so the run bookkeeping (index insertion, pointer setup, a loop of
+// unknown length) costs more than the arithmetic. These kernels then take
+// whole tiles of kTile consecutive compressed indices instead: a tile's
+// runs sit at fixed offsets from one base, have a compile-time length, and
+// fill whole cache lines. Each amplitude goes through the same run body
+// either way, so in f64 both give identical amplitudes.
+
+constexpr unsigned kTileBits = 3;
+constexpr std::uint64_t kTile = std::uint64_t{1} << kTileBits;
+
+/// True when [begin, end) is whole tiles and the lowest qubit \p lo is
+/// below kTileBits, i.e. when the tile paths apply.
+inline bool tiled(unsigned lo, std::uint64_t begin, std::uint64_t end) noexcept {
+  return lo < kTileBits && ((begin | end) & (kTile - 1)) == 0;
+}
+
+/// forEachRun for a lowest qubit Lo below kTileBits: the run length 2^Lo
+/// is a compile-time constant and the index insertion happens once per
+/// tile of kTile compressed indices, not once per run.
+template <unsigned Lo, typename Run>
+inline void forEachTileRun(unsigned hi, std::uint64_t begin, std::uint64_t end,
+                           Run&& run) {
+  constexpr std::uint64_t kRun = std::uint64_t{1} << Lo;
+  constexpr std::uint64_t kRuns = kTile / kRun;
+  std::uint64_t off[kRuns];
+  for (std::uint64_t r = 0; r < kRuns; ++r) {
+    off[r] = insertZeroBit(insertZeroBit(r * kRun, Lo), hi);
+  }
+  for (std::uint64_t i = begin; i < end; i += kTile) {
+    const std::uint64_t base = insertZeroBit(insertZeroBit(i, Lo), hi);
+    for (std::uint64_t r = 0; r < kRuns; ++r) {
+      run(base + off[r], kRun);
+    }
+  }
+}
+
+/// Calls run(offset, length) for every run of consecutive compressed
+/// indices in [begin, end) whose groups are adjacent amplitudes: offset is
+/// the run's first amplitude index with zero bits inserted at \p lo and
+/// \p hi > lo. A lowest qubit below \p tileBelow (at most kTileBits)
+/// goes through forEachTileRun.
+template <typename Run>
+inline void forEachRun(unsigned lo, unsigned hi, std::uint64_t begin,
+                       std::uint64_t end, Run&& run, unsigned tileBelow = kTileBits) {
+  if (lo < tileBelow && tiled(lo, begin, end)) {
+    switch (lo) {
+    case 0: forEachTileRun<0>(hi, begin, end, run); return;
+    case 1: forEachTileRun<1>(hi, begin, end, run); return;
+    default: forEachTileRun<2>(hi, begin, end, run); return;
+    }
+  }
+  const std::uint64_t blo = std::uint64_t{1} << lo;
+  std::uint64_t i = begin;
+  while (i < end) {
+    const std::uint64_t off = i & (blo - 1);
+    const std::uint64_t len = std::min(end - i, blo - off);
+    run(insertZeroBit(insertZeroBit(i, lo), hi), len);
+    i += len;
+  }
+}
+
 template <typename Real>
 void apply2Range(std::complex<Real>* const amps, const GateMatrix4& gate,
                  unsigned q0, unsigned q1, std::uint64_t begin,
@@ -125,12 +189,7 @@ void apply2Range(std::complex<Real>* const amps, const GateMatrix4& gate,
   const std::uint64_t b1 = std::uint64_t{1} << q1;
   const unsigned lo = q0 < q1 ? q0 : q1;
   const unsigned hi = q0 < q1 ? q1 : q0;
-  const std::uint64_t blo = std::uint64_t{1} << lo;
-  std::uint64_t i = begin;
-  while (i < end) {
-    const std::uint64_t off = i & (blo - 1);
-    const std::uint64_t run = std::min(end - i, blo - off);
-    const std::uint64_t i00 = insertZeroBit(insertZeroBit(i, lo), hi);
+  forEachRun(lo, hi, begin, end, [&](std::uint64_t i00, std::uint64_t run) {
     C* const p00 = amps + i00;
     C* const p01 = amps + (i00 | b0);
     C* const p10 = amps + (i00 | b1);
@@ -149,8 +208,7 @@ void apply2Range(std::complex<Real>* const amps, const GateMatrix4& gate,
       p11[k] = cmul(m[3][0], a00) + cmul(m[3][1], a01) + cmul(m[3][2], a10) +
                cmul(m[3][3], a11);
     }
-    i += run;
-  }
+  });
 }
 
 template <typename Real>
@@ -165,14 +223,10 @@ void applyControlled1Range(std::complex<Real>* const amps,
   const std::uint64_t tbit = std::uint64_t{1} << target;
   const unsigned lo = control < target ? control : target;
   const unsigned hi = control < target ? target : control;
-  const std::uint64_t blo = std::uint64_t{1} << lo;
-  std::uint64_t i = begin;
-  while (i < end) {
-    const std::uint64_t off = i & (blo - 1);
-    const std::uint64_t run = std::min(end - i, blo - off);
-    const std::uint64_t i0 =
-        insertZeroBit(insertZeroBit(i, lo), hi) | cbit;
-    C* const p0 = amps + i0;
+  // Half the amplitudes stay put, so the 4-amplitude runs of a lowest
+  // qubit 2 already stream well; tiles measured slower there.
+  forEachRun(lo, hi, begin, end, [&](std::uint64_t i00, std::uint64_t run) {
+    C* const p0 = amps + (i00 | cbit);
     C* const p1 = p0 + tbit;
     for (std::uint64_t k = 0; k < run; ++k) {
       const C a0 = p0[k];
@@ -180,8 +234,7 @@ void applyControlled1Range(std::complex<Real>* const amps,
       p0[k] = cmul(m00, a0) + cmul(m01, a1);
       p1[k] = cmul(m10, a0) + cmul(m11, a1);
     }
-    i += run;
-  }
+  }, 2);
 }
 
 template <typename Real>
@@ -244,6 +297,46 @@ void applyDiagonalRange(std::complex<Real>* const amps,
   for (std::size_t j = 1; j < numBits; ++j) {
     qmin = std::min(qmin, shifts[j]);
   }
+  if (tiled(qmin, begin, end)) {
+    // Table bits below kTileBits vary within every tile, always in the
+    // same pattern; the others are constant over aligned runs of
+    // 2^hmin amplitudes, hmin the lowest table qubit at or above
+    // kTileBits. Per run: one tile of phases, then a stream of tiles.
+    std::size_t lowIdx[kTile] = {};
+    unsigned hmin = 63;
+    for (std::size_t j = 0; j < numBits; ++j) {
+      if (shifts[j] < kTileBits) {
+        for (std::uint64_t k = 0; k < kTile; ++k) {
+          lowIdx[k] |= ((k >> shifts[j]) & 1) << j;
+        }
+      } else {
+        hmin = std::min(hmin, shifts[j]);
+      }
+    }
+    const std::uint64_t runLen = std::uint64_t{1} << hmin;
+    std::uint64_t i = begin;
+    while (i < end) {
+      const std::uint64_t run = std::min(end - i, runLen - (i & (runLen - 1)));
+      std::size_t highIdx = 0;
+      for (std::size_t j = 0; j < numBits; ++j) {
+        if (shifts[j] >= kTileBits) {
+          highIdx |= ((i >> shifts[j]) & 1) << j;
+        }
+      }
+      C phase[kTile];
+      for (std::uint64_t k = 0; k < kTile; ++k) {
+        phase[k] = toC<Real>(table[highIdx | lowIdx[k]]);
+      }
+      C* const p = amps + i;
+      for (std::uint64_t t = 0; t < run; t += kTile) {
+        for (std::uint64_t k = 0; k < kTile; ++k) {
+          p[t + k] = cmul(p[t + k], phase[k]);
+        }
+      }
+      i += run;
+    }
+    return;
+  }
   const std::uint64_t runLen = std::uint64_t{1} << qmin;
   std::uint64_t i = begin;
   while (i < end) {
@@ -291,6 +384,17 @@ void sweepChunkRange(std::complex<Real>* const amps,
         }
         applyDiagonalRange(amps, g.diag.data(), shifts, g.diagQubits.size(),
                            c * full, (c + 1) * full);
+        break;
+      }
+      case SweepGate::Kind::Controlled: {
+        const std::uint64_t quarter = std::uint64_t{1} << (chunkBits - 2);
+        applyControlled1Range(amps, g.m2, g.q0, g.q1, c * quarter,
+                              (c + 1) * quarter);
+        break;
+      }
+      case SweepGate::Kind::Swap: {
+        const std::uint64_t quarter = std::uint64_t{1} << (chunkBits - 2);
+        applySwapRange(amps, g.q0, g.q1, c * quarter, (c + 1) * quarter);
         break;
       }
       }
@@ -556,6 +660,8 @@ void StateVector::applyFusedSweep(std::span<const SweepGate> gates) {
       maxQ = std::max(maxQ, g.q0);
       break;
     case SweepGate::Kind::Unitary2:
+    case SweepGate::Kind::Controlled:
+    case SweepGate::Kind::Swap:
       maxQ = std::max(maxQ, std::max(g.q0, g.q1));
       break;
     case SweepGate::Kind::Diagonal:
@@ -584,6 +690,12 @@ void StateVector::applyFusedSweep(std::span<const SweepGate> gates) {
         break;
       case SweepGate::Kind::Diagonal:
         applyDiagonal(g.diag, g.diagQubits);
+        break;
+      case SweepGate::Kind::Controlled:
+        applyControlled1(g.m2, g.q0, g.q1);
+        break;
+      case SweepGate::Kind::Swap:
+        applySwap(g.q0, g.q1);
         break;
       }
     }

@@ -14,8 +14,10 @@
 /// Kernel layout (DESIGN 7g): every gate kernel decomposes its pair-index
 /// range into contiguous runs bounded by the lowest target-bit boundary,
 /// so the inner loops stream over adjacent amplitudes (vectorizable, one
-/// cache-line fetch per four f64 amplitudes) instead of striding. Runs of
-/// fused blocks can additionally be applied chunk-at-a-time via
+/// cache-line fetch per four f64 amplitudes) instead of striding. When the
+/// lowest target qubit is 0, 1 or 2, apply2, applyControlled1 and
+/// applyDiagonal take whole 8-index tiles instead of those short runs.
+/// Runs of fused blocks can additionally be applied chunk-at-a-time via
 /// applyFusedSweep, which walks each cache-sized chunk once for the whole
 /// run instead of once per block.
 #pragma once
@@ -53,12 +55,17 @@ void noteF32Batch() noexcept;
 /// already resolved to simulator indices. Matrices and phase tables stay
 /// in double precision; kernels convert once per chunk. The diag/
 /// diagQubits spans must outlive the applyFusedSweep call.
+///  * Unitary1: m2 on q0 (apply1).
+///  * Unitary2: m4 on (q0, q1) (apply2).
+///  * Diagonal: diag over diagQubits (applyDiagonal).
+///  * Controlled: m2 on q1 where q0 is set (applyControlled1).
+///  * Swap: q0 and q1 (applySwap).
 struct SweepGate {
-  enum class Kind : std::uint8_t { Unitary1, Unitary2, Diagonal };
+  enum class Kind : std::uint8_t { Unitary1, Unitary2, Diagonal, Controlled, Swap };
 
   Kind kind = Kind::Unitary1;
   unsigned q0 = 0;
-  unsigned q1 = 0; // Unitary2 only
+  unsigned q1 = 0; // Unitary2, Controlled, Swap
   GateMatrix2 m2{};
   GateMatrix4 m4{};
   std::span<const Complex> diag{};
@@ -133,9 +140,8 @@ public:
   /// from memory once for the whole run instead of once per gate. Gates
   /// whose support exceeds the default chunk width widen the chunk
   /// (correctness never depends on the split). A single gate, or a run
-  /// whose chunk spans the whole register, takes one apply1/apply2/
-  /// applyDiagonal pass per gate instead. Both ways give bit-identical
-  /// amplitudes.
+  /// whose chunk spans the whole register, takes one kernel pass per gate
+  /// instead. Both ways give bit-identical amplitudes.
   void applyFusedSweep(std::span<const SweepGate> gates);
 
   // -- measurement ---------------------------------------------------------

@@ -103,7 +103,8 @@ std::string BytecodeModule::disassemble() const {
       if (in.op == Op::Fused && in.a < fn.fusedSweeps.size()) {
         const FusedSweepRun& run = fn.fusedSweeps[in.a];
         // Indexed by FusedBlock::Kind.
-        static constexpr const char* kKindNames[] = {"u1", "u2", "diag"};
+        static constexpr const char* kKindNames[] = {"u1", "u2", "diag", "ctl",
+                                                     "swap"};
         out << " ; " << run.blockCount << " blocks, " << run.totalGates
             << " gates:";
         for (std::uint32_t b = 0; b < run.blockCount; ++b) {

@@ -62,13 +62,14 @@ enum class Op : std::uint8_t {
   Call,        // r[a] = functions[b](last c pushed args); a == kNoReg: void
   CallExtern,  // r[a] = externSlots[b](last c pushed args)
   Trap,        // throw TrapError("executed 'unreachable'")
-  // Fused quantum op (gate-fusion pass, fusion.hpp): apply the run
-  // fusedSweeps[a] of 1 to interp::kMaxSweepBlocks consecutive blocks.
-  // Accounts for every source gate of every block (steps, stats, fault
-  // probes), so fused and unfused execution stay bit-compatible.
+  // Fused region head (gate-fusion pass, fusion.hpp): with a fused host
+  // bound, no fault injection armed and step budget for the whole region,
+  // apply the blocks of fusedSweeps[a], account for every source gate
+  // (steps, stats) and jump to b, just past the region; otherwise fall
+  // through into the region's original calls.
   Fused,
   // Superinstructions (fuseSuperinstructions, fusion.hpp): hot opcode
-  // pairs mined after gate fusion + Nop compaction. Each occupies the
+  // pairs mined after gate fusion. Each occupies the
   // replaced pair's span — the head instruction plus Op::Ext extension
   // slots that carry the second sub-op's operands and flags and are
   // consumed as immediates, never dispatched. Each sub-op keeps its own
@@ -135,9 +136,9 @@ struct Inst {
   std::uint32_t d = 0;
 };
 
-/// The run one Op::Fused instruction applies: blockCount consecutive
-/// CompiledFunction::fusedBlocks entries starting at firstBlock, grouped
-/// by the fusion pass (fusion.hpp). A lone block is a run of length one.
+/// The region one Op::Fused head applies: blockCount consecutive
+/// CompiledFunction::fusedBlocks entries starting at firstBlock, built by
+/// the fusion pass (fusion.hpp) from totalGates source gate calls.
 struct FusedSweepRun {
   std::uint32_t firstBlock = 0;
   std::uint32_t blockCount = 0;
@@ -163,11 +164,11 @@ struct CompiledFunction {
   std::vector<interp::RtValue> constants;
   std::vector<Inst> code;
   std::vector<SwitchTable> switchTables;
-  /// Precomposed gate runs, in code order. Each belongs to exactly one
-  /// fusedSweeps entry.
+  /// Precomposed gate blocks, region by region. Each belongs to exactly
+  /// one fusedSweeps entry.
   std::vector<interp::FusedBlock> fusedBlocks;
-  /// One run per Op::Fused instruction, indexed by its `a` operand.
-  /// totalGates is the step/stats credit the instruction accounts for.
+  /// One region per Op::Fused head, indexed by its `a` operand.
+  /// totalGates is the step/stats credit the fast path accounts for.
   std::vector<FusedSweepRun> fusedSweeps;
 };
 

@@ -500,8 +500,14 @@ telemetry::Stage g_superinstr{"compile.superinstr"};
 telemetry::Counter g_fusionOps{"sim.fusion.ops_fused"};
 telemetry::Counter g_fusionBlocks{"sim.fusion.blocks"};
 telemetry::Counter g_fusionSweepsSaved{"sim.fusion.sweeps_saved"};
-telemetry::Counter g_fusionSweepRuns{"sim.fusion.sweep_runs"};
-telemetry::Counter g_compileNopsRemoved{"vm.compile.nops_removed"};
+telemetry::Counter g_fusionRegions{"sim.fusion.regions"};
+/// Gate calls left plain, indexed by UnfusedReason.
+telemetry::Counter g_fusionUnfused[kNumUnfusedReasons] = {
+    telemetry::Counter{"sim.fusion.unfused.unknown_gate"},
+    telemetry::Counter{"sim.fusion.unfused.non_constant"},
+    telemetry::Counter{"sim.fusion.unfused.dynamic_qubit"},
+    telemetry::Counter{"sim.fusion.unfused.lone"},
+};
 telemetry::Counter g_compileSuperinstr{"vm.compile.superinstr"};
 } // namespace
 
@@ -547,11 +553,10 @@ std::shared_ptr<const BytecodeModule> compileModule(const ir::Module& module,
       g_fusionOps.add(stats.fusedOps);
       g_fusionBlocks.add(stats.blocks);
       g_fusionSweepsSaved.add(stats.sweepsSaved());
-      g_fusionSweepRuns.add(stats.sweepRuns);
-      // Fusion pads replaced runs with Nops to keep offsets stable;
-      // compact them away so the padding never reaches the dispatch loop
-      // (it used to inflate vm.dispatch.data per shot).
-      g_compileNopsRemoved.add(compactCode(fn));
+      g_fusionRegions.add(stats.regions);
+      for (std::size_t r = 0; r < kNumUnfusedReasons; ++r) {
+        g_fusionUnfused[r].add(stats.unfused[r]);
+      }
     }
   }
   if (options.superinstructions) {

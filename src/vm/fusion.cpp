@@ -4,14 +4,13 @@
 #include "sim/gates.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <map>
+#include <span>
 #include <string_view>
 
 namespace qirkit::vm {
 
 using interp::FusedBlock;
-using interp::FusedReplayCall;
-using interp::kMaxSweepBlocks;
 using interp::Memory;
 using interp::RtValue;
 
@@ -25,12 +24,11 @@ struct GateSpec {
   GateKind kind;
   unsigned numParams; // leading double arguments (rotation angles)
   unsigned numQubits; // trailing qubit arguments
-  bool diagonal;      // diagonal in the computational basis
 };
 
-/// Every code offset control may enter at (branch/switch targets). Gate
-/// fusion and superinstruction mining refuse to form a run a branch could
-/// enter mid-way.
+/// Every code offset control may enter at (branch/switch targets and the
+/// offsets Op::Fused heads skip to). Gate fusion and superinstruction
+/// mining refuse to form a run a branch could enter mid-way.
 std::vector<bool> computeJumpTargets(const CompiledFunction& fn) {
   std::vector<bool> jumpTarget(fn.code.size(), false);
   const auto mark = [&jumpTarget](std::uint32_t target) {
@@ -47,6 +45,9 @@ std::vector<bool> computeJumpTargets(const CompiledFunction& fn) {
       mark(in.b);
       mark(in.c);
       break;
+    case Op::Fused:
+      mark(in.b);
+      break;
     default:
       break;
     }
@@ -62,20 +63,20 @@ std::vector<bool> computeJumpTargets(const CompiledFunction& fn) {
 
 const GateSpec* classify(std::string_view name) noexcept {
   static const std::pair<std::string_view, GateSpec> kTable[] = {
-      {qir::kQisH, {GateKind::H, 0, 1, false}},
-      {qir::kQisX, {GateKind::X, 0, 1, false}},
-      {qir::kQisY, {GateKind::Y, 0, 1, false}},
-      {qir::kQisZ, {GateKind::Z, 0, 1, true}},
-      {qir::kQisS, {GateKind::S, 0, 1, true}},
-      {qir::kQisSAdj, {GateKind::Sdg, 0, 1, true}},
-      {qir::kQisT, {GateKind::T, 0, 1, true}},
-      {qir::kQisTAdj, {GateKind::Tdg, 0, 1, true}},
-      {qir::kQisRX, {GateKind::RX, 1, 1, false}},
-      {qir::kQisRY, {GateKind::RY, 1, 1, false}},
-      {qir::kQisRZ, {GateKind::RZ, 1, 1, true}},
-      {qir::kQisCNOT, {GateKind::Cnot, 0, 2, false}},
-      {qir::kQisCZ, {GateKind::Cz, 0, 2, true}},
-      {qir::kQisSwap, {GateKind::Swap, 0, 2, false}},
+      {qir::kQisH, {GateKind::H, 0, 1}},
+      {qir::kQisX, {GateKind::X, 0, 1}},
+      {qir::kQisY, {GateKind::Y, 0, 1}},
+      {qir::kQisZ, {GateKind::Z, 0, 1}},
+      {qir::kQisS, {GateKind::S, 0, 1}},
+      {qir::kQisSAdj, {GateKind::Sdg, 0, 1}},
+      {qir::kQisT, {GateKind::T, 0, 1}},
+      {qir::kQisTAdj, {GateKind::Tdg, 0, 1}},
+      {qir::kQisRX, {GateKind::RX, 1, 1}},
+      {qir::kQisRY, {GateKind::RY, 1, 1}},
+      {qir::kQisRZ, {GateKind::RZ, 1, 1}},
+      {qir::kQisCNOT, {GateKind::Cnot, 0, 2}},
+      {qir::kQisCZ, {GateKind::Cz, 0, 2}},
+      {qir::kQisSwap, {GateKind::Swap, 0, 2}},
   };
   for (const auto& [gateName, spec] : kTable) {
     if (gateName == name) {
@@ -104,15 +105,24 @@ sim::GateMatrix2 matrix2For(GateKind kind, double param) noexcept {
 }
 
 /// One decoded fusable gate call: its instruction span [begin, end)
-/// (PushArgs + CallExtern), classified spec, constant operands.
+/// (PushArgs + CallExtern), classified spec and constant operands.
 struct GateUnit {
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
-  std::uint32_t slot = 0;
   const GateSpec* spec = nullptr;
   double param = 0;
   std::uint64_t qubits[2] = {0, 0};
-  std::vector<RtValue> args;
+};
+
+/// What decodeUnit found at an offset.
+enum class Decoded : std::uint8_t { NotAGate, Fusable, Unfused };
+
+/// A block under construction: its gates (indices into the region, in
+/// source order) and its one or two qubits.
+struct Draft {
+  std::vector<std::uint32_t> gates;
+  std::vector<std::uint64_t> qubits;
+  bool alive = true;
 };
 
 class Fuser {
@@ -122,31 +132,45 @@ public:
 
   FusionStats run() {
     jumpTarget_ = computeJumpTargets(fn_);
-    std::vector<GateUnit> runUnits;
+    std::vector<GateUnit> region;
     std::uint32_t pc = 0;
     const auto size = static_cast<std::uint32_t>(fn_.code.size());
     while (pc < size) {
-      // Control may enter at a jump target, so a run never spans one; a
-      // target at a unit's first instruction starts a fresh run instead.
+      // Control may enter at a jump target, so a region never spans one;
+      // a target at a unit's first instruction starts a fresh region.
       if (jumpTarget_[pc]) {
-        flush(runUnits);
+        flush(region);
       }
       GateUnit unit;
-      if (decodeUnit(pc, unit)) {
-        runUnits.push_back(std::move(unit));
-        pc = runUnits.back().end;
+      UnfusedReason reason = UnfusedReason::UnknownGate;
+      switch (decodeUnit(pc, unit, reason)) {
+      case Decoded::Fusable:
+        region.push_back(unit);
+        pc = unit.end;
         continue;
+      case Decoded::Unfused:
+        ++stats_.unfused[static_cast<std::size_t>(reason)];
+        flush(region);
+        pc = unit.end;
+        continue;
+      case Decoded::NotAGate:
+        break;
       }
-      flush(runUnits);
+      flush(region);
       ++pc;
     }
-    flush(runUnits);
+    flush(region);
+    insertHeads();
+    // Compiled modules live in the compile cache: hold no growth slack.
+    fn_.fusedBlocks.shrink_to_fit();
     return stats_;
   }
 
 private:
-  /// Decode the PushArg* + CallExtern cluster at \p pc as a fusable gate.
-  bool decodeUnit(std::uint32_t pc, GateUnit& unit) const {
+  /// Decode the PushArg* + CallExtern cluster at \p pc. A fusable gate
+  /// fills \p unit; a gate call the pass cannot fuse sets \p reason and
+  /// unit.end. Anything else is NotAGate.
+  Decoded decodeUnit(std::uint32_t pc, GateUnit& unit, UnfusedReason& reason) const {
     const auto size = static_cast<std::uint32_t>(fn_.code.size());
     std::uint32_t cursor = pc;
     while (cursor < size && fn_.code[cursor].op == Op::PushArg) {
@@ -154,181 +178,232 @@ private:
     }
     const std::uint32_t numArgs = cursor - pc;
     if (numArgs == 0 || cursor >= size) {
-      return false;
+      return Decoded::NotAGate;
     }
     const Inst& call = fn_.code[cursor];
-    if (call.op != Op::CallExtern || call.a != kNoReg || call.c != numArgs) {
-      return false;
-    }
-    const GateSpec* spec = classify(externNames_[call.b]);
-    if (spec == nullptr || numArgs != spec->numParams + spec->numQubits) {
-      return false;
+    if (call.op != Op::CallExtern || call.c != numArgs) {
+      return Decoded::NotAGate;
     }
     // A branch into the middle of the cluster would skip part of it.
     for (std::uint32_t t = pc + 1; t <= cursor; ++t) {
       if (jumpTarget_[t]) {
-        return false;
+        return Decoded::NotAGate;
       }
     }
-    // Every operand must be a compile-time constant: angles so the matrix
-    // can be composed, qubits so the support (and the runtime's first-use
-    // allocation order) is known. Arguments occupy [0, numArgs) and the
-    // constant pool [numArgs, numArgs + #constants) of the frame.
-    const std::uint32_t constBase = fn_.numArgs;
-    const auto constEnd =
-        static_cast<std::uint32_t>(constBase + fn_.constants.size());
-    unit.args.reserve(numArgs);
-    for (std::uint32_t i = 0; i < numArgs; ++i) {
-      const std::uint32_t reg = fn_.code[pc + i].a;
-      if (reg < constBase || reg >= constEnd) {
-        return false;
-      }
-      unit.args.push_back(fn_.constants[reg - constBase]);
-    }
-    for (unsigned i = 0; i < spec->numParams; ++i) {
-      if (unit.args[i].kind != RtValue::Kind::Double) {
-        return false;
-      }
-    }
-    for (unsigned i = 0; i < spec->numQubits; ++i) {
-      const RtValue& q = unit.args[spec->numParams + i];
-      // Only static QIR addresses: below the memory arena, so they can
-      // never alias an array element or a dynamic handle.
-      if (q.kind != RtValue::Kind::Ptr || q.p >= Memory::kBase) {
-        return false;
-      }
-      unit.qubits[i] = q.p;
-    }
-    if (spec->numQubits == 2 && unit.qubits[0] == unit.qubits[1]) {
-      return false; // degenerate two-qubit gate; keep runtime semantics
+    const std::string_view name = externNames_[call.b];
+    if (!qir::isQisFunction(name) || name == qir::kQisMz ||
+        name == qir::kQisReset || name == qir::kQisReadResult) {
+      return Decoded::NotAGate;
     }
     unit.begin = pc;
     unit.end = cursor + 1;
-    unit.slot = call.b;
+    const GateSpec* spec = classify(name);
+    if (spec == nullptr || call.a != kNoReg ||
+        numArgs != spec->numParams + spec->numQubits) {
+      reason = UnfusedReason::UnknownGate;
+      return Decoded::Unfused;
+    }
+    // Every operand must be a compile-time constant: qubits so the support
+    // (and the runtime's first-use allocation order) is known, angles so
+    // the matrix can be composed. Arguments occupy [0, numArgs) and the
+    // constant pool [numArgs, numArgs + #constants) of the frame.
+    const auto constant = [&](std::uint32_t i) -> const RtValue* {
+      const std::uint32_t reg = fn_.code[pc + i].a;
+      const std::uint32_t constBase = fn_.numArgs;
+      if (reg < constBase || reg - constBase >= fn_.constants.size()) {
+        return nullptr;
+      }
+      return &fn_.constants[reg - constBase];
+    };
+    for (unsigned i = 0; i < spec->numQubits; ++i) {
+      const RtValue* q = constant(spec->numParams + i);
+      // Only static QIR addresses: below the memory arena, so they can
+      // never alias an array element or a dynamic handle.
+      if (q == nullptr || q->kind != RtValue::Kind::Ptr || q->p >= Memory::kBase) {
+        reason = UnfusedReason::DynamicQubit;
+        return Decoded::Unfused;
+      }
+      unit.qubits[i] = q->p;
+    }
+    for (unsigned i = 0; i < spec->numParams; ++i) {
+      const RtValue* angle = constant(i);
+      if (angle == nullptr || angle->kind != RtValue::Kind::Double) {
+        reason = UnfusedReason::NonConstant;
+        return Decoded::Unfused;
+      }
+      unit.param = angle->d;
+    }
+    if (spec->numQubits == 2 && unit.qubits[0] == unit.qubits[1]) {
+      reason = UnfusedReason::UnknownGate; // degenerate: keep runtime semantics
+      return Decoded::Unfused;
+    }
     unit.spec = spec;
-    unit.param = spec->numParams > 0 ? unit.args[0].d : 0.0;
-    return true;
+    return Decoded::Fusable;
   }
 
-  /// Qubit addresses of run[i..end) in first-occurrence order, stopping
-  /// once more than \p cap distinct qubits would be needed. Returns the
-  /// number of units that fit.
-  static std::size_t collectSupport(const std::vector<GateUnit>& run,
-                                    std::size_t i, std::size_t cap,
-                                    std::vector<std::uint64_t>& support) {
-    support.clear();
-    std::size_t j = i;
-    for (; j < run.size(); ++j) {
-      std::vector<std::uint64_t> added;
-      for (unsigned k = 0; k < run[j].spec->numQubits; ++k) {
-        const std::uint64_t q = run[j].qubits[k];
-        if (std::find(support.begin(), support.end(), q) == support.end() &&
-            std::find(added.begin(), added.end(), q) == added.end()) {
-          added.push_back(q);
-        }
-      }
-      if (support.size() + added.size() > cap) {
-        break;
-      }
-      support.insert(support.end(), added.begin(), added.end());
+  /// Group one straight-line region of fusable gates into blocks along
+  /// qubit dataflow (the frontier rule, fusion.hpp).
+  void flush(std::vector<GateUnit>& region) {
+    if (region.empty()) {
+      return;
     }
-    return j - i;
-  }
-
-  /// Segment a maximal run of fusable units into fused blocks. Blocks
-  /// with no unfused unit between them share one Op::Fused run.
-  void flush(std::vector<GateUnit>& run) {
-    std::vector<std::uint64_t> support;
-    std::size_t i = 0;
-    while (i < run.size()) {
-      // Rule 3: maximal run of diagonal gates (any support up to the
-      // diagonal-table cap) — one multiply per amplitude.
-      std::size_t diagLen = 0;
-      {
-        std::size_t j = i;
-        while (j < run.size() && run[j].spec->diagonal) {
-          ++j;
+    rankOf_.clear();
+    for (const GateUnit& g : region) {
+      for (unsigned k = 0; k < g.spec->numQubits; ++k) {
+        rankOf_.try_emplace(g.qubits[k], static_cast<std::uint32_t>(rankOf_.size()));
+      }
+    }
+    std::vector<Draft> drafts;
+    std::map<std::uint64_t, std::uint32_t> latest; // qubit -> draft
+    for (std::uint32_t i = 0; i < region.size(); ++i) {
+      const GateUnit& g = region[i];
+      const auto latestOf = [&](std::uint64_t q) -> Draft* {
+        const auto it = latest.find(q);
+        return it == latest.end() ? nullptr : &drafts[it->second];
+      };
+      Draft* const da = latestOf(g.qubits[0]);
+      if (g.spec->numQubits == 1) {
+        if (da != nullptr) {
+          da->gates.push_back(i);
+        } else {
+          latest[g.qubits[0]] = static_cast<std::uint32_t>(drafts.size());
+          drafts.push_back({.gates = {i}, .qubits = {g.qubits[0]}});
         }
-        std::vector<GateUnit> slice(run.begin() + static_cast<std::ptrdiff_t>(i),
-                                    run.begin() + static_cast<std::ptrdiff_t>(j));
-        diagLen = collectSupport(slice, 0, FusedBlock::kMaxQubits, support);
-      }
-      // Rules 1+2: maximal prefix whose supports fit a two-qubit window.
-      const std::size_t winLen = collectSupport(run, i, 2, support);
-      if (diagLen >= 2 && diagLen >= winLen) {
-        emitDiagonal(run, i, diagLen);
-        i += diagLen;
         continue;
       }
-      // Cost model: a 4x4 sweep costs roughly three 2x2 sweeps, so a
-      // window is only worth paying for when it folds a genuine
-      // two-qubit gate. A window of single-qubit gates on two qubits is
-      // cheaper as per-qubit chains — emit the leading same-qubit chain
-      // (rule 1) and reconsider the rest of the run next iteration.
-      bool hasTwoQubitGate = false;
-      for (std::size_t j = i; j < i + winLen; ++j) {
-        hasTwoQubitGate = hasTwoQubitGate || run[j].spec->numQubits == 2;
-      }
-      if (winLen >= 2 && hasTwoQubitGate) {
-        emitWindow(run, i, winLen);
-        i += winLen;
+      Draft* const db = latestOf(g.qubits[1]);
+      if (da != nullptr && da == db) {
+        da->gates.push_back(i);
         continue;
       }
-      std::size_t chainLen = 1;
-      while (i + chainLen < run.size() &&
-             run[i + chainLen].spec->numQubits == 1 &&
-             run[i + chainLen].qubits[0] == run[i].qubits[0]) {
-        ++chainLen;
+      // A new block on both qubits, absorbing either qubit's latest block
+      // while that is a one-qubit block: nothing after it touches its
+      // qubit, so it may move down to here.
+      Draft merged;
+      merged.qubits = {g.qubits[0], g.qubits[1]};
+      for (Draft* d : {da, db}) {
+        if (d != nullptr && d->qubits.size() == 1) {
+          merged.gates.insert(merged.gates.end(), d->gates.begin(), d->gates.end());
+          d->alive = false;
+        }
       }
-      if (run[i].spec->numQubits == 1 && chainLen >= 2) {
-        emitWindow(run, i, chainLen); // support is one qubit: rule 1
-        i += chainLen;
-      } else if (winLen >= 4) {
-        // Alternating single-qubit gates on two qubits: one 4x4 sweep
-        // still beats four or more 2x2 sweeps.
-        emitWindow(run, i, winLen);
-        i += winLen;
-      } else {
-        runOpen_ = false; // the unit stays an unfused call between runs
+      std::sort(merged.gates.begin(), merged.gates.end());
+      merged.gates.push_back(i);
+      latest[g.qubits[0]] = latest[g.qubits[1]] = static_cast<std::uint32_t>(drafts.size());
+      drafts.push_back(std::move(merged));
+    }
+    std::vector<FusedBlock> composed;
+    std::vector<std::vector<std::complex<double>>> diagonals; // empty: dense
+    for (Draft& d : drafts) {
+      if (d.alive) {
+        std::sort(d.qubits.begin(), d.qubits.end(),
+                  [&](std::uint64_t a, std::uint64_t b) { return rankOf_[a] < rankOf_[b]; });
+        composed.push_back(compose(region, d));
+        diagonals.push_back(diagonalOf(composed.back()));
+      }
+    }
+    std::vector<FusedBlock> blocks;
+    for (std::size_t i = 0; i < composed.size();) {
+      if (diagonals[i].empty()) {
+        blocks.push_back(std::move(composed[i]));
         ++i;
+        continue;
+      }
+      // Adjacent diagonal blocks commute with each other: one table.
+      std::vector<std::uint64_t> support = composed[i].qubits;
+      std::size_t j = i + 1;
+      for (; j < composed.size() && !diagonals[j].empty(); ++j) {
+        std::vector<std::uint64_t> widened = support;
+        for (const std::uint64_t q : composed[j].qubits) {
+          if (std::find(widened.begin(), widened.end(), q) == widened.end()) {
+            widened.push_back(q);
+          }
+        }
+        if (widened.size() > FusedBlock::kMaxQubits) {
+          break;
+        }
+        support = std::move(widened);
+      }
+      if (j == i + 1 && composed[i].sourceGates == 1) {
+        blocks.push_back(std::move(composed[i])); // a lone gate keeps its kernel
+      } else {
+        blocks.push_back(phaseTable({composed.data() + i, j - i},
+                                    {diagonals.data() + i, j - i}, std::move(support)));
+      }
+      i = j;
+    }
+    if (blocks.size() == region.size()) {
+      // Fusion saves no kernel pass: the region stays plain calls.
+      stats_.unfused[static_cast<std::size_t>(UnfusedReason::Lone)] += region.size();
+      region.clear();
+      return;
+    }
+    // newQubits: the region's qubits in source first-use order, each
+    // listed at the first block that needs it or a later-used one.
+    std::vector<std::uint64_t> firstUse(rankOf_.size());
+    for (const auto& [q, rank] : rankOf_) {
+      firstUse[rank] = q;
+    }
+    std::uint32_t listed = 0;
+    for (FusedBlock& block : blocks) {
+      std::uint32_t last = 0;
+      for (const std::uint64_t q : block.qubits) {
+        last = std::max(last, rankOf_[q] + 1);
+      }
+      for (; listed < last; ++listed) {
+        block.newQubits.push_back(firstUse[listed]);
       }
     }
-    runOpen_ = false;
-    run.clear();
+    regions_.push_back({region.front().begin, region.back().end,
+                        static_cast<std::uint32_t>(fn_.fusedSweeps.size())});
+    fn_.fusedSweeps.push_back({.firstBlock = static_cast<std::uint32_t>(fn_.fusedBlocks.size()),
+                               .blockCount = static_cast<std::uint32_t>(blocks.size()),
+                               .totalGates = static_cast<std::uint32_t>(region.size())});
+    stats_.fusedOps += region.size();
+    stats_.blocks += blocks.size();
+    ++stats_.regions;
+    for (FusedBlock& block : blocks) {
+      fn_.fusedBlocks.push_back(std::move(block));
+    }
+    region.clear();
   }
 
-  void emitWindow(const std::vector<GateUnit>& run, std::size_t i,
-                  std::size_t len) {
-    // Support of exactly the emitted span (flush may hand us a chain
-    // that is shorter than the maximal two-qubit window starting here).
-    std::vector<std::uint64_t> support;
-    for (std::size_t j = i; j < i + len; ++j) {
-      for (unsigned k = 0; k < run[j].spec->numQubits; ++k) {
-        const std::uint64_t q = run[j].qubits[k];
-        if (std::find(support.begin(), support.end(), q) == support.end()) {
-          support.push_back(q);
-        }
-      }
-    }
+  /// The block of one draft: its own gate's kernel for a single gate,
+  /// else the composed 2x2 or 4x4 over its qubits (in first-use order).
+  static FusedBlock compose(const std::vector<GateUnit>& region, const Draft& d) {
     FusedBlock block;
-    block.qubits = support;
-    if (support.size() == 1) {
-      // Rule 1: a single-qubit chain folds to one 2x2 matrix.
+    block.qubits = d.qubits;
+    block.sourceGates = static_cast<std::uint32_t>(d.gates.size());
+    const GateUnit& first = region[d.gates[0]];
+    if (d.gates.size() == 1 && first.spec->numQubits == 2) {
+      // Controlled gates keep control/target order; the window order is
+      // irrelevant to them.
+      block.qubits = {first.qubits[0], first.qubits[1]};
+      if (first.spec->kind == GateKind::Swap) {
+        block.kind = FusedBlock::Kind::Swap;
+        return block;
+      }
+      block.kind = FusedBlock::Kind::Controlled;
+      const sim::GateMatrix2 t =
+          first.spec->kind == GateKind::Cnot ? sim::gateX() : sim::gateZ();
+      block.matrix = {t.m00, t.m01, t.m10, t.m11};
+      return block;
+    }
+    if (d.qubits.size() == 1) {
       block.kind = FusedBlock::Kind::Unitary1;
       sim::GateMatrix2 u{1, 0, 0, 1};
-      for (std::size_t j = i; j < i + len; ++j) {
-        u = sim::matmul(matrix2For(run[j].spec->kind, run[j].param), u);
+      for (const std::uint32_t i : d.gates) {
+        u = sim::matmul(matrix2For(region[i].spec->kind, region[i].param), u);
       }
       block.matrix = {u.m00, u.m01, u.m10, u.m11};
-      replace(run, i, len, std::move(block));
-      return;
+      return block;
     }
     block.kind = FusedBlock::Kind::Unitary2;
     sim::GateMatrix4 u = sim::identity4();
-    for (std::size_t j = i; j < i + len; ++j) {
-      const GateUnit& g = run[j];
+    for (const std::uint32_t i : d.gates) {
+      const GateUnit& g = region[i];
       const auto slotOf = [&](unsigned k) -> unsigned {
-        return g.qubits[k] == support[0] ? 0U : 1U;
+        return g.qubits[k] == d.qubits[0] ? 0U : 1U;
       };
       sim::GateMatrix4 gm;
       switch (g.spec->kind) {
@@ -348,82 +423,130 @@ private:
       u = sim::matmul(gm, u);
     }
     block.matrix.assign(&u.m[0][0], &u.m[0][0] + 16);
-    replace(run, i, len, std::move(block));
+    return block;
   }
 
-  void emitDiagonal(const std::vector<GateUnit>& run, std::size_t i,
-                    std::size_t len) {
-    std::vector<std::uint64_t> support;
-    std::vector<GateUnit> slice(run.begin() + static_cast<std::ptrdiff_t>(i),
-                                run.begin() + static_cast<std::ptrdiff_t>(i + len));
-    collectSupport(slice, 0, FusedBlock::kMaxQubits, support);
-    FusedBlock block;
-    block.kind = FusedBlock::Kind::Diagonal;
-    block.qubits = support;
-    const auto slotOf = [&](std::uint64_t q) -> std::size_t {
-      return static_cast<std::size_t>(
-          std::find(support.begin(), support.end(), q) - support.begin());
-    };
-    block.matrix.assign(std::size_t{1} << support.size(), 1.0);
-    for (std::size_t j = i; j < i + len; ++j) {
-      const GateUnit& g = run[j];
-      if (g.spec->kind == GateKind::Cz) {
-        const std::size_t b0 = slotOf(g.qubits[0]);
-        const std::size_t b1 = slotOf(g.qubits[1]);
-        for (std::size_t idx = 0; idx < block.matrix.size(); ++idx) {
-          if (((idx >> b0) & 1) != 0 && ((idx >> b1) & 1) != 0) {
-            block.matrix[idx] = -block.matrix[idx];
-          }
+  /// The diagonal of \p block over its qubits, or empty when an
+  /// off-diagonal entry is not exactly zero.
+  static std::vector<std::complex<double>> diagonalOf(const FusedBlock& block) {
+    std::size_t dim = 0;
+    switch (block.kind) {
+    case FusedBlock::Kind::Unitary1:
+      dim = 2;
+      break;
+    case FusedBlock::Kind::Unitary2:
+      dim = 4;
+      break;
+    case FusedBlock::Kind::Controlled:
+      if (block.matrix[1] != 0.0 || block.matrix[2] != 0.0) {
+        return {};
+      }
+      // Local index bit 0 is the control, bit 1 the target.
+      return {1.0, block.matrix[0], 1.0, block.matrix[3]};
+    default:
+      return {};
+    }
+    std::vector<std::complex<double>> diag(dim);
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        if (r != c && block.matrix[r * dim + c] != 0.0) {
+          return {};
         }
-        continue;
       }
-      const sim::GateMatrix2 m = matrix2For(g.spec->kind, g.param);
-      const std::size_t b = slotOf(g.qubits[0]);
-      for (std::size_t idx = 0; idx < block.matrix.size(); ++idx) {
-        block.matrix[idx] *= ((idx >> b) & 1) != 0 ? m.m11 : m.m00;
-      }
+      diag[r] = block.matrix[r * dim + r];
     }
-    replace(run, i, len, std::move(block));
+    return diag;
   }
 
-  /// Overwrite the segment's instruction span with Nops and append its
-  /// block to the open run. When no run is open, or the open one is full,
-  /// a new run's Op::Fused instruction takes the segment's first offset.
-  /// Offsets are preserved, so no fixups.
-  void replace(const std::vector<GateUnit>& run, std::size_t i, std::size_t len,
-               FusedBlock block) {
-    block.sourceGates = static_cast<std::uint32_t>(len);
-    for (std::size_t j = i; j < i + len; ++j) {
-      block.replay.push_back({run[j].slot, run[j].args});
+  /// One Diagonal block over \p support for a group of diagonal blocks
+  /// and their diagonals.
+  FusedBlock phaseTable(std::span<const FusedBlock> group,
+                        std::span<const std::vector<std::complex<double>>> diagonals,
+                        std::vector<std::uint64_t> support) const {
+    std::sort(support.begin(), support.end(),
+              [&](std::uint64_t a, std::uint64_t b) { return rankOf_.at(a) < rankOf_.at(b); });
+    FusedBlock table;
+    table.kind = FusedBlock::Kind::Diagonal;
+    table.matrix.assign(std::size_t{1} << support.size(), 1.0);
+    for (std::size_t m = 0; m < group.size(); ++m) {
+      const FusedBlock& member = group[m];
+      const std::vector<std::complex<double>>& diag = diagonals[m];
+      std::size_t bits[2] = {0, 0};
+      for (std::size_t k = 0; k < member.qubits.size(); ++k) {
+        bits[k] = static_cast<std::size_t>(
+            std::find(support.begin(), support.end(), member.qubits[k]) - support.begin());
+      }
+      for (std::size_t idx = 0; idx < table.matrix.size(); ++idx) {
+        std::size_t local = 0;
+        for (std::size_t k = 0; k < member.qubits.size(); ++k) {
+          local |= ((idx >> bits[k]) & 1U) << k;
+        }
+        table.matrix[idx] *= diag[local];
+      }
+      table.sourceGates += member.sourceGates;
     }
-    const std::uint32_t begin = run[i].begin;
-    const std::uint32_t end = run[i + len - 1].end;
-    for (std::uint32_t t = begin; t < end; ++t) {
-      fn_.code[t] = Inst{};
-    }
-    if (!runOpen_ || fn_.fusedSweeps.back().blockCount == kMaxSweepBlocks) {
-      runOpen_ = true;
-      fn_.code[begin].op = Op::Fused;
-      fn_.code[begin].a = static_cast<std::uint32_t>(fn_.fusedSweeps.size());
-      fn_.fusedSweeps.push_back(
-          {.firstBlock = static_cast<std::uint32_t>(fn_.fusedBlocks.size())});
-    }
-    FusedSweepRun& sweep = fn_.fusedSweeps.back();
-    ++sweep.blockCount;
-    sweep.totalGates += block.sourceGates;
-    if (sweep.blockCount == 2) {
-      ++stats_.sweepRuns;
-    }
-    fn_.fusedBlocks.push_back(std::move(block));
-    stats_.fusedOps += len;
-    ++stats_.blocks;
+    table.qubits = std::move(support);
+    return table;
   }
+
+  /// Rebuild the code with one Op::Fused head in front of every fused
+  /// region, remapping every jump target. A jump to a region's first
+  /// instruction lands on its head.
+  void insertHeads() {
+    if (regions_.empty()) {
+      return;
+    }
+    const auto size = static_cast<std::uint32_t>(fn_.code.size());
+    std::vector<std::uint32_t> newOffset(size + 1);
+    std::size_t r = 0;
+    for (std::uint32_t i = 0; i <= size; ++i) {
+      newOffset[i] = i + static_cast<std::uint32_t>(r);
+      if (r < regions_.size() && regions_[r].begin == i) {
+        ++r;
+      }
+    }
+    std::vector<Inst> code;
+    code.reserve(size + regions_.size());
+    r = 0;
+    for (std::uint32_t i = 0; i < size; ++i) {
+      if (r < regions_.size() && regions_[r].begin == i) {
+        Inst head{};
+        head.op = Op::Fused;
+        head.a = regions_[r].sweep;
+        head.b = newOffset[regions_[r].end];
+        code.push_back(head);
+        ++r;
+      }
+      Inst in = fn_.code[i];
+      if (in.op == Op::Jmp) {
+        in.a = newOffset[in.a];
+      } else if (in.op == Op::JmpIf) {
+        in.b = newOffset[in.b];
+        in.c = newOffset[in.c];
+      }
+      code.push_back(in);
+    }
+    for (SwitchTable& table : fn_.switchTables) {
+      table.defaultTarget = newOffset[table.defaultTarget];
+      for (auto& [value, target] : table.cases) {
+        target = newOffset[target];
+      }
+    }
+    fn_.code = std::move(code);
+  }
+
+  struct Region {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    std::uint32_t sweep = 0;
+  };
 
   CompiledFunction& fn_;
   const std::vector<std::string>& externNames_;
   std::vector<bool> jumpTarget_;
+  std::map<std::uint64_t, std::uint32_t> rankOf_; // qubit -> first-use rank
+  std::vector<Region> regions_;
   FusionStats stats_;
-  bool runOpen_ = false; // replace() may extend fn_.fusedSweeps.back()
 };
 
 } // namespace
@@ -431,49 +554,6 @@ private:
 FusionStats fuseGates(CompiledFunction& fn,
                       const std::vector<std::string>& externNames) {
   return Fuser(fn, externNames).run();
-}
-
-std::uint64_t compactCode(CompiledFunction& fn) {
-  const auto size = static_cast<std::uint32_t>(fn.code.size());
-  // newOffset[i] = offset of instruction i after compaction. A Nop maps
-  // to the next kept instruction, which is what a jump to it means.
-  std::vector<std::uint32_t> newOffset(size, 0);
-  std::uint32_t kept = 0;
-  for (std::uint32_t i = 0; i < size; ++i) {
-    newOffset[i] = kept;
-    if (fn.code[i].op != Op::Nop) {
-      ++kept;
-    }
-  }
-  if (kept == size) {
-    return 0;
-  }
-  const auto remap = [&newOffset, size, kept](std::uint32_t target) {
-    return target < size ? newOffset[target] : kept;
-  };
-  std::vector<Inst> compacted;
-  compacted.reserve(kept);
-  for (std::uint32_t i = 0; i < size; ++i) {
-    Inst in = fn.code[i];
-    if (in.op == Op::Nop) {
-      continue;
-    }
-    if (in.op == Op::Jmp) {
-      in.a = remap(in.a);
-    } else if (in.op == Op::JmpIf) {
-      in.b = remap(in.b);
-      in.c = remap(in.c);
-    }
-    compacted.push_back(in);
-  }
-  for (SwitchTable& table : fn.switchTables) {
-    table.defaultTarget = remap(table.defaultTarget);
-    for (auto& [value, target] : table.cases) {
-      target = remap(target);
-    }
-  }
-  fn.code = std::move(compacted);
-  return size - kept;
 }
 
 SuperinstrStats fuseSuperinstructions(CompiledFunction& fn) {

@@ -1,22 +1,28 @@
 /// \file fusion.hpp
-/// The gate-fusion pass: a compile-time peephole over linear bytecode that
-/// folds runs of adjacent, fully-constant `__quantum__qis__*` calls into
-/// fused blocks backed by precomposed matrices, and groups adjacent blocks
-/// into runs of 1 to interp::kMaxSweepBlocks, each applied by one
-/// Op::Fused instruction. Running at bytecode-compile time means the pass
-/// lands in the LRU compile cache, so its cost amortizes across every
-/// shot of a batch while each shot pays one statevector sweep per fused
-/// block instead of one per gate (or one chunk walk per run of several
-/// blocks on a multi-chunk state: StateVector::applyFusedSweep).
+/// The gate-fusion pass: a compile-time rewrite over linear bytecode that
+/// groups the fully-constant `__quantum__qis__*` calls of each
+/// straight-line region into fused blocks backed by precomposed matrices,
+/// and heads the region with one Op::Fused instruction. Running at
+/// bytecode-compile time means the pass lands in the LRU compile cache, so
+/// its cost amortizes across every shot of a batch while each shot pays
+/// one statevector sweep per fused block instead of one per gate.
 ///
-/// Three fusion rules, applied greedily left to right:
-///  1. chains of single-qubit gates on the same qubit -> one 2x2 matrix;
-///  2. adjacent one-/two-qubit gates whose supports fit in a shared
-///     two-qubit window -> one 4x4 matrix (StateVector::apply2);
-///  3. runs of diagonal gates (Z/S/Sdg/T/Tdg/RZ/CZ) -> one diagonal-phase
-///     table over up to FusedBlock::kMaxQubits qubits.
+/// Blocks form along qubit dataflow, not source adjacency (the frontier
+/// rule): gates on disjoint qubits commute, so a gate may move back to the
+/// latest block on its qubits as long as no later block touches them.
+///  * A one-qubit gate joins the latest block on its qubit.
+///  * A two-qubit gate joins the latest block on both its qubits when that
+///    is one block; otherwise it opens a block on its two qubits that
+///    absorbs the latest block of either qubit when that block is still a
+///    one-qubit block.
+///  * A block whose composed matrix has exactly-zero off-diagonal entries
+///    is a diagonal; adjacent diagonal blocks merge into one phase table
+///    over up to interp::FusedBlock::kMaxQubits qubits.
+///  * A block holding a single source gate keeps that gate's own kernel.
+/// A region whose blocks are as many as its gates saves no kernel pass and
+/// stays plain calls.
 ///
-/// Soundness barriers — a run never extends across:
+/// Region barriers — a region never extends across:
 ///  * any non-gate instruction (mz, reset, read_result, rt calls,
 ///    branches, classical ops): measurement and control flow observe the
 ///    state, so gate order around them is preserved;
@@ -24,24 +30,37 @@
 ///    qubit): its value is only known per shot;
 ///  * a gate whose qubit operand is not a static QIR address: dynamic
 ///    handles and arena pointers resolve through runtime state;
-///  * any jump target: control may enter there, so the instructions
-///    before it must have executed exactly; a fused instruction sits at
-///    its run's first offset and the rest are Nops, hence a run that a
-///    branch could enter mid-way is never formed.
+///  * any jump target: control may enter there, and entering a region
+///    anywhere but at its head would skip the head.
 ///
-/// A run of blocks is a sequence of consecutive blocks with no unfused
-/// gate between them, capped at interp::kMaxSweepBlocks; the barriers
-/// above end it too.
+/// The region's original calls stay in the code behind its Op::Fused
+/// head, which carries the offset just past the region: the fast path
+/// hands the blocks to the bound FusedGateHost and jumps there, and every
+/// other case falls through into the calls (vm_ops.inc).
 #pragma once
 
 #include "vm/bytecode.hpp"
 
+#include <array>
+
 namespace qirkit::vm {
 
+/// Why a gate call stayed a plain call (the sim.fusion.unfused.*
+/// counters, in this order).
+enum class UnfusedReason : std::uint8_t {
+  UnknownGate,  // no fused kernel for the callee (or degenerate operands)
+  NonConstant,  // an angle operand is computed at run time
+  DynamicQubit, // a qubit operand is not a constant static address
+  Lone,         // its region saves no kernel pass by fusing
+};
+inline constexpr std::size_t kNumUnfusedReasons = 4;
+
 struct FusionStats {
-  std::uint64_t fusedOps = 0;    // source gate calls folded away
-  std::uint64_t blocks = 0;      // fused blocks emitted
-  std::uint64_t sweepRuns = 0;   // Op::Fused runs of two or more blocks
+  std::uint64_t fusedOps = 0; // source gate calls inside fused regions
+  std::uint64_t blocks = 0;   // fused blocks emitted
+  std::uint64_t regions = 0;  // fused regions (one Op::Fused each)
+  /// Gate calls left unfused, indexed by UnfusedReason.
+  std::array<std::uint64_t, kNumUnfusedReasons> unfused{};
   /// Amplitude-array sweeps removed per execution of the fused code
   /// (fusedOps - blocks): the quantity the pass exists to minimize.
   [[nodiscard]] std::uint64_t sweepsSaved() const noexcept {
@@ -49,23 +68,13 @@ struct FusionStats {
   }
 };
 
-/// Run the fusion peephole over \p fn (in place), filling fn.fusedBlocks
-/// and fn.fusedSweeps. \p externNames is the module's slot table (gate
-/// recognition is by extern name). Must run after jump fixups; preserves
-/// every instruction offset.
+/// Run the fusion pass over \p fn (in place), filling fn.fusedBlocks and
+/// fn.fusedSweeps and inserting one Op::Fused head per fused region.
+/// \p externNames is the module's slot table (gate recognition is by
+/// extern name). Must run after jump fixups; remaps every jump target
+/// (Jmp/JmpIf fields and switch tables) across the inserted heads.
 FusionStats fuseGates(CompiledFunction& fn,
                       const std::vector<std::string>& externNames);
-
-/// Remove the Op::Nop padding the fusion pass leaves behind,
-/// remapping every jump target (Jmp/JmpIf fields and switch tables) onto
-/// the compacted offsets. Nops are pure lowering artifacts — they carry
-/// no kStep flag — but before this pass they still flowed through the
-/// dispatch loop on every execution, inflating the vm.dispatch.* per-
-/// opcode-class counters (and wasting a dispatch round apiece) on hot
-/// fused loops. No jump ever targets a Nop (the fusion pass refuses to
-/// form a run past a jump target), so compaction preserves semantics and
-/// accounting exactly. Returns the number of instructions removed.
-std::uint64_t compactCode(CompiledFunction& fn);
 
 struct SuperinstrStats {
   std::uint64_t cmpBr = 0;     // ICmp+JmpIf pairs fused
@@ -82,10 +91,10 @@ struct SuperinstrStats {
 /// span keeps its length — the head instruction is followed by Op::Ext
 /// slots carrying the second sub-op's operands and flags — so every
 /// code offset survives and no fixups are needed. A pair is only formed
-/// when no jump targets its interior, and each sub-op's step/stat/fault
-/// accounting is replayed exactly by the fused handler, so fused and
-/// unfused execution are bit-compatible. Must run after compactCode
-/// (the patterns are adjacency-based; Nop padding would hide them).
+/// when no jump (including an Op::Fused head's skip) targets its
+/// interior, and each sub-op's step/stat/fault accounting is replayed
+/// exactly by the fused handler, so fused and unfused execution are
+/// bit-compatible. Must run after fuseGates.
 SuperinstrStats fuseSuperinstructions(CompiledFunction& fn);
 
 } // namespace qirkit::vm

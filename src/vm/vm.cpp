@@ -42,6 +42,7 @@ enum OpClass : std::uint8_t {
   kClassCallInternal, // PushArg + Call
   kClassCallExternal, // CallExtern (runtime dispatch)
   kClassFused,        // fused blocks (gate-fusion pass), one per block
+                      // applied; a head that falls through counts once
   kNumOpClasses,
 };
 
@@ -387,7 +388,7 @@ RtValue Vm::executeThreaded(const CompiledFunction& fn, std::size_t base,
 // Threaded-loop handler glue: VM_NEXT is the fetch/preamble/dispatch
 // sequence itself (no outer loop), with the step fast path a single
 // credit decrement. VM_RESYNC zeroes the credit after handlers that
-// advance stepsTaken_ in bulk (fused runs, recursive calls) so
+// advance stepsTaken_ in bulk (fused regions, recursive calls) so
 // the stale bound is recomputed before the next fast step.
 #define VM_CASE(name) L_##name:
 // Counters are eager, so there is nothing to flush — the macro marks the
@@ -444,51 +445,5 @@ RtValue Vm::executeThreaded(const CompiledFunction& fn, std::size_t base,
 }
 
 #endif // QIRKIT_VM_THREADED
-
-void Vm::execFusedBlock(const interp::FusedBlock& block, bool injectFaults) {
-  // One fused block stands in for block.sourceGates source gate calls;
-  // account for all of them (steps, stats, fault probes) so fused runs
-  // are indistinguishable from unfused ones to every observer but the
-  // wall clock. Fused instructions carry no kStep flag.
-  const std::uint64_t gates = block.sourceGates;
-  if (stepsTaken_ + gates > stepLimit_) {
-    // Partial credit exactly as if the gates ran one by one: the first
-    // (stepLimit_ - stepsTaken_) complete, the next one trips the budget
-    // before counting as executed.
-    const std::uint64_t executed = stepLimit_ - stepsTaken_;
-    stepsTaken_ = stepLimit_ + 1;
-    stats_.instructionsExecuted += executed;
-    stats_.externalCalls += executed;
-    throw TrapError("step limit exceeded (" + std::to_string(stepLimit_) + ")",
-                    ErrorCode::StepBudgetExceeded);
-  }
-  stepsTaken_ += gates;
-  stats_.instructionsExecuted += gates;
-  stats_.externalCalls += gates;
-  if (injectFaults) {
-    for (std::uint64_t g = 0; g < gates; ++g) {
-      fault::probe(fault::Site::VmDispatch);
-      fault::probe(fault::Site::RuntimeCall);
-    }
-  }
-  if (fusedHost_ != nullptr) {
-    fusedHost_->applyFusedSweep({&block, 1});
-    return;
-  }
-  // No fused kernels on this host: replay the original calls so
-  // recording/Clifford runtimes (and unbound slots' diagnostics)
-  // behave identically to unfused execution.
-  ExternContext context{memory_};
-  for (const interp::FusedReplayCall& call : block.replay) {
-    const ExternalHandler* handler = externSlots_[call.slot];
-    if (handler == nullptr) {
-      throw TrapError("call to undefined external @" +
-                          module_->externNames[call.slot] +
-                          " (no runtime binding registered)",
-                      ErrorCode::TrapUnboundExternal);
-    }
-    (*handler)({call.args.data(), call.args.size()}, context);
-  }
-}
 
 } // namespace qirkit::vm

@@ -75,11 +75,12 @@ public:
 
   void bindExternal(std::string name, ExternalHandler handler) override;
 
-  /// Direct kernel path for fused instructions. When a host is bound,
-  /// Op::Fused hands it the run of precomposed blocks (applyFusedSweep);
-  /// when none is (recording/Clifford runtimes, or no binding at all), the
-  /// VM replays each block's original extern calls one by one, so fusion
-  /// is observationally invisible to hosts without fused kernels.
+  /// Direct kernel path for fused regions. When a host is bound, an
+  /// Op::Fused head hands it the region's precomposed blocks
+  /// (applyFusedSweep) and skips the region; when none is
+  /// (recording/Clifford runtimes, or no binding at all), the head falls
+  /// through into the region's original extern calls, so fusion is
+  /// observationally invisible to hosts without fused kernels.
   void bindFusedHost(interp::FusedGateHost* host) override { fusedHost_ = host; }
 
 private:
@@ -107,11 +108,6 @@ private:
   /// decrement — bounded by both the remaining budget and the distance
   /// to the next cancellation stride boundary.
   std::uint64_t checkedStepProbe(const qirkit::CancelToken* cancel);
-  /// Execute one fused block with full per-gate accounting (step budget
-  /// with mid-block partial credit, stats, fault probes), dispatching to
-  /// the fused host as a run of length one or replaying the source calls.
-  /// Op::Fused's interruptible path.
-  void execFusedBlock(const interp::FusedBlock& block, bool injectFaults);
   void materializeGlobals();
   void resolveExterns();
 

@@ -1,7 +1,9 @@
 /// Tests for the gate-fusion engine: GateMatrix4 composition helpers and
 /// the fused statevector kernels (apply2 / applyDiagonal / the subspace
-/// applySwap), the compile-time fusion pass (rules, barriers, window
-/// limits), VM dispatch parity (stats, step budget, recording replay),
+/// applySwap), the compile-time fusion pass (the frontier rule, exact
+/// diagonals, barriers, why a gate stayed a plain call), VM dispatch
+/// parity (stats, step budget, fault drills, the fall-through into the
+/// original calls), the reordering contracts (first-use qubit order),
 /// cache keying by compile options, and the fused-vs-unfused differential
 /// on random circuits (identical histograms, fidelity >= 1 - 1e-10).
 #include "circuit/generators.hpp"
@@ -9,6 +11,7 @@
 #include "ir/parser.hpp"
 #include "qir/exporter.hpp"
 #include "runtime/runtime.hpp"
+#include "support/faultinject.hpp"
 #include "support/rng.hpp"
 #include "vm/cache.hpp"
 #include "vm/compiler.hpp"
@@ -209,18 +212,33 @@ TEST(FusionPass, SingleQubitChainFusesToOneBlock) {
 )"));
   const std::string listing = compiled->disassemble();
   EXPECT_EQ(countSubstr(listing, "fused"), 1U) << listing;
-  EXPECT_EQ(countSubstr(listing, "call.ext"), 0U) << listing;
+  // The source calls stay behind the fused head for the slow path.
+  EXPECT_EQ(countSubstr(listing, "call.ext"), 3U) << listing;
   ASSERT_EQ(compiled->functions.size(), 1U);
   ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
   const interp::FusedBlock& block = compiled->functions[0].fusedBlocks[0];
-  EXPECT_EQ(block.kind, interp::FusedBlock::Kind::Unitary1);
   EXPECT_EQ(block.sourceGates, 3U);
-  EXPECT_EQ(block.replay.size(), 3U);
-  // H RX(0.5) H == RZ(0.5) up to global phase.
+  // H RX(0.5) H == RZ(0.5) up to global phase, and the composed 2x2's
+  // off-diagonal entries cancel exactly: a one-qubit phase table.
+  EXPECT_EQ(block.kind, interp::FusedBlock::Kind::Diagonal);
+  ASSERT_EQ(block.matrix.size(), 2U);
+  const GateMatrix2 got{block.matrix[0], 0.0, 0.0, block.matrix[1]};
+  EXPECT_LT(sim::distanceUpToPhase(got, sim::gateRZ(0.5)), 1e-12);
+}
+
+TEST(FusionPass, NonDiagonalChainStaysAUnitary) {
+  const auto compiled = compileText(entryPoint(R"(
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__rx__body(double 0.5, ptr null)
+)"));
+  ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
+  const interp::FusedBlock& block = compiled->functions[0].fusedBlocks[0];
+  EXPECT_EQ(block.kind, interp::FusedBlock::Kind::Unitary1);
   ASSERT_EQ(block.matrix.size(), 4U);
   const GateMatrix2 got{block.matrix[0], block.matrix[1], block.matrix[2],
                         block.matrix[3]};
-  EXPECT_LT(sim::distanceUpToPhase(got, sim::gateRZ(0.5)), 1e-12);
+  EXPECT_LT(sim::distanceUpToPhase(got, sim::matmul(sim::gateRX(0.5), sim::gateH())),
+            1e-12);
 }
 
 TEST(FusionPass, TwoQubitWindowFusesMixedGates) {
@@ -231,7 +249,7 @@ TEST(FusionPass, TwoQubitWindowFusesMixedGates) {
 )"));
   const std::string listing = compiled->disassemble();
   EXPECT_EQ(countSubstr(listing, "fused"), 1U) << listing;
-  EXPECT_EQ(countSubstr(listing, "call.ext"), 0U) << listing;
+  EXPECT_EQ(countSubstr(listing, "call.ext"), 3U) << listing;
   ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
   const interp::FusedBlock& block = compiled->functions[0].fusedBlocks[0];
   EXPECT_EQ(block.kind, interp::FusedBlock::Kind::Unitary2);
@@ -251,7 +269,7 @@ TEST(FusionPass, DiagonalRunFusesAcrossManyQubits) {
 )"));
   const std::string listing = compiled->disassemble();
   EXPECT_EQ(countSubstr(listing, "fused"), 1U) << listing;
-  EXPECT_EQ(countSubstr(listing, "call.ext"), 0U) << listing;
+  EXPECT_EQ(countSubstr(listing, "call.ext"), 5U) << listing;
   ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
   const interp::FusedBlock& block = compiled->functions[0].fusedBlocks[0];
   EXPECT_EQ(block.kind, interp::FusedBlock::Kind::Diagonal);
@@ -289,9 +307,9 @@ TEST(FusionPass, ResetIsABarrier) {
 }
 
 TEST(FusionPass, WindowOverlapBreaksRuns) {
-  // CX ladder: (0,1), (1,2), (2,3). No two adjacent gates share a
-  // two-qubit window with the next, and nothing is diagonal, so nothing
-  // fuses.
+  // CX ladder: (0,1), (1,2), (2,3). Each CX is the only gate its block
+  // can take and nothing is diagonal: fusing would save no kernel pass,
+  // so the region keeps its plain calls, with no fused head.
   const auto compiled = compileText(entryPoint(R"(
   call void @__quantum__qis__cnot__body(ptr null, ptr inttoptr (i64 1 to ptr))
   call void @__quantum__qis__cnot__body(ptr inttoptr (i64 1 to ptr), ptr inttoptr (i64 2 to ptr))
@@ -300,6 +318,7 @@ TEST(FusionPass, WindowOverlapBreaksRuns) {
   const std::string listing = compiled->disassemble();
   EXPECT_EQ(countSubstr(listing, "fused"), 0U) << listing;
   EXPECT_EQ(countSubstr(listing, "call.ext"), 3U) << listing;
+  EXPECT_TRUE(compiled->functions[0].fusedBlocks.empty());
 }
 
 TEST(FusionPass, ClassicallyControlledGatesStaySeparate) {
@@ -343,13 +362,15 @@ TEST(FusionPass, DynamicQubitHandlesPreventFusion) {
 
 TEST(FusionPass, GhzLadderFusesOnlyTheFrontWindow) {
   // ghz(4): H q0; CX(0,1); CX(1,2); CX(2,3) — the H+first CX share a
-  // window, the ladder tail does not.
+  // window, the ladder tail does not: each of its CXs is a block of one
+  // gate that keeps the controlled kernel.
   ir::Context ctx;
   const auto module = qir::exportCircuit(ctx, circuit::ghz(4, false), {});
   const auto compiled = vm::compileModule(*module);
   EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Unitary2), 1U);
-  EXPECT_EQ(compiled->functions[0].fusedBlocks.size(), 1U)
+  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Controlled), 2U)
       << compiled->disassemble();
+  EXPECT_EQ(compiled->functions[0].fusedSweeps.size(), 1U);
 }
 
 TEST(FusionPass, StatsCountFoldedGatesAndBlocks) {
@@ -366,8 +387,9 @@ TEST(FusionPass, StatsCountFoldedGatesAndBlocks) {
     folded += block.sourceGates;
   }
   EXPECT_EQ(folded, stats.fusedOps);
-  // Offset preservation: replacement never changes the code size.
-  EXPECT_EQ(fn.code.size(), reference->functions[0].code.size());
+  // The calls stay; each region only gains its Op::Fused head.
+  EXPECT_EQ(fn.code.size(), reference->functions[0].code.size() + stats.regions);
+  EXPECT_EQ(fn.fusedSweeps.size(), stats.regions);
 }
 
 // ---------------------------------------------------------------------------
@@ -375,15 +397,15 @@ TEST(FusionPass, StatsCountFoldedGatesAndBlocks) {
 // which a host may apply chunk-at-a-time.
 // ---------------------------------------------------------------------------
 
-/// Diagonal run over q0..q2, then a single-qubit chain on q3: two fused
-/// blocks with no unfused gate between them — exactly one run.
+/// Diagonal run over q0..q2, then a non-diagonal single-qubit chain on
+/// q3: two fused blocks in one region — exactly one run.
 const char* const kSweepBody = R"(
   call void @__quantum__qis__z__body(ptr null)
   call void @__quantum__qis__s__body(ptr inttoptr (i64 1 to ptr))
   call void @__quantum__qis__cz__body(ptr null, ptr inttoptr (i64 2 to ptr))
   call void @__quantum__qis__h__body(ptr inttoptr (i64 3 to ptr))
   call void @__quantum__qis__rx__body(double 0.5, ptr inttoptr (i64 3 to ptr))
-  call void @__quantum__qis__h__body(ptr inttoptr (i64 3 to ptr))
+  call void @__quantum__qis__x__body(ptr inttoptr (i64 3 to ptr))
 )";
 
 TEST(SweepPlan, AdjacentFusedBlocksFormOneSweep) {
@@ -430,9 +452,10 @@ attributes #0 = { "entry_point" }
   }
 }
 
-TEST(SweepPlan, RunsSplitAtTheBlockCap) {
-  // 17 two-gate chains on q0..q16: 17 adjacent single-qubit blocks, one
-  // more than a run holds.
+TEST(SweepPlan, OneRegionIsOneRunPastTheSweepCap) {
+  // 17 two-gate chains on q0..q16: 17 single-qubit blocks, one more than
+  // a host applies per kernel sweep. The region is still one run; the
+  // runtime hands the kernels 16 blocks and then 1.
   std::string body;
   for (unsigned q = 0; q < 17; ++q) {
     const std::string qubit =
@@ -440,14 +463,26 @@ TEST(SweepPlan, RunsSplitAtTheBlockCap) {
     body += "  call void @__quantum__qis__h__body(" + qubit + ")\n" +
             "  call void @__quantum__qis__x__body(" + qubit + ")\n";
   }
-  const auto compiled = compileText(entryPoint(body));
+  ir::Context ctx;
+  const auto module = ir::parseModule(ctx, entryPoint(body));
+  const auto compiled = vm::compileModule(*module);
   const vm::CompiledFunction& fn = compiled->functions[0];
   ASSERT_EQ(fn.fusedBlocks.size(), 17U) << compiled->disassemble();
-  ASSERT_EQ(fn.fusedSweeps.size(), 2U);
-  EXPECT_EQ(fn.fusedSweeps[0].blockCount, interp::kMaxSweepBlocks);
-  EXPECT_EQ(fn.fusedSweeps[0].totalGates, 32U);
-  EXPECT_EQ(fn.fusedSweeps[1].firstBlock, 16U);
-  EXPECT_EQ(fn.fusedSweeps[1].blockCount, 1U);
+  ASSERT_EQ(fn.fusedSweeps.size(), 1U);
+  EXPECT_EQ(fn.fusedSweeps[0].blockCount, 17U);
+  EXPECT_EQ(fn.fusedSweeps[0].totalGates, 34U);
+  EXPECT_GT(fn.fusedSweeps[0].blockCount, interp::kMaxSweepBlocks);
+
+  vm::Vm fusedVm(compiled);
+  runtime::QuantumRuntime fusedRt(1);
+  fusedRt.bind(fusedVm);
+  fusedVm.runEntryPoint();
+  vm::Vm plainVm(vm::compileModule(*module, {.fuseGates = false}));
+  runtime::QuantumRuntime plainRt(1);
+  plainRt.bind(plainVm);
+  plainVm.runEntryPoint();
+  expectSameState(fusedRt.state(), plainRt.state(), 1e-12);
+  EXPECT_EQ(fusedRt.stats().gatesApplied, 34U);
 }
 
 // ---------------------------------------------------------------------------
@@ -638,6 +673,207 @@ TEST(SweepVm, RecordingRuntimeSeesEveryGateThroughASweep) {
 }
 
 // ---------------------------------------------------------------------------
+// Reordering contracts: blocks follow qubit dataflow, not source order, yet
+// every observer sees what the unfused program does.
+// ---------------------------------------------------------------------------
+
+/// H on q0, RX on q1, then CZ(q0, q2): the CZ block absorbs q0's block and
+/// so lands after q1's, while the source first uses q0, q1, q2 in that
+/// order. A host that numbered qubits in block order would give q1 index
+/// 0 and q0 index 1, and the sampled outcomes 01 and 10 (q2 stays 0)
+/// would swap places in the sampling CDF.
+const char* const kReorderBody = R"(
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__rx__body(double 1.1, ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__qis__cz__body(ptr null, ptr inttoptr (i64 2 to ptr))
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__qis__mz__body(ptr inttoptr (i64 1 to ptr), ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__qis__mz__body(ptr inttoptr (i64 2 to ptr), ptr inttoptr (i64 2 to ptr))
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr inttoptr (i64 1 to ptr), ptr null)
+  call void @__quantum__rt__result_record_output(ptr inttoptr (i64 2 to ptr), ptr null)
+)";
+
+std::string reorderProgram() {
+  return "declare void @__quantum__rt__result_record_output(ptr, ptr)\n" +
+         entryPoint(kReorderBody);
+}
+
+TEST(FusionReorder, BlockOrderDiffersFromFirstUseOrder) {
+  ir::Context ctx;
+  const auto module = ir::parseModule(ctx, reorderProgram());
+  const auto compiled = vm::compileModule(*module);
+  const vm::CompiledFunction& fn = compiled->functions[0];
+  ASSERT_EQ(fn.fusedBlocks.size(), 2U) << compiled->disassemble();
+  // q1's lone RX first, then the CZ block that absorbed q0's H.
+  EXPECT_EQ(fn.fusedBlocks[0].qubits, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(fn.fusedBlocks[1].qubits, (std::vector<std::uint64_t>{0, 2}));
+  // newQubits restores the source's first-use order.
+  EXPECT_EQ(fn.fusedBlocks[0].newQubits, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(fn.fusedBlocks[1].newQubits, (std::vector<std::uint64_t>{2}));
+}
+
+TEST(FusionReorder, HistogramsMatchTheInterpreterPerSeed) {
+  ir::Context ctx;
+  const auto module = ir::parseModule(ctx, reorderProgram());
+  for (const vm::ExecMode mode : {vm::ExecMode::Sample, vm::ExecMode::Resim}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      vm::ShotOptions opts;
+      opts.shots = 64;
+      opts.seed = seed;
+      opts.execMode = mode;
+      opts.useCompileCache = false;
+      opts.interpFallback = false;
+      const vm::ShotBatchResult fused = vm::runShots(*module, opts);
+      opts.engine = vm::Engine::Interp;
+      const vm::ShotBatchResult reference = vm::runShots(*module, opts);
+      EXPECT_EQ(fused.histogram, reference.histogram)
+          << "seed " << seed << " resim " << (mode == vm::ExecMode::Resim);
+      EXPECT_EQ(fused.failures.size(), 0U);
+    }
+  }
+}
+
+TEST(FusionReorder, RecordingRuntimeSeesTheInterpretersGateSequence) {
+  // No fused host: every Op::Fused head falls through into the original
+  // calls, so a random circuit's many reordered blocks change nothing.
+  ir::Context ctx;
+  const auto module =
+      qir::exportCircuit(ctx, circuit::randomCircuit(6, 8, 11, false), {});
+  vm::Vm machine(vm::compileModule(*module));
+  ASSERT_FALSE(machine.module().functions[0].fusedBlocks.empty());
+  runtime::RecordingRuntime recorder;
+  recorder.bind(machine);
+  machine.runEntryPoint();
+
+  interp::Interpreter interp(*module);
+  runtime::RecordingRuntime reference;
+  reference.bind(interp);
+  interp.runEntryPoint();
+  EXPECT_EQ(recorder.recorded(), reference.recorded());
+}
+
+TEST(FusionReorder, EveryStepLimitAcrossTheRegionMatchesUnfused) {
+  const std::string program = reorderProgram();
+  for (std::uint64_t limit = 1; limit <= 10; ++limit) {
+    auto runWith = [&](bool fusion) {
+      ir::Context ctx;
+      vm::Vm machine(vm::compileModule(*ir::parseModule(ctx, program),
+                                       vm::CompileOptions{.fuseGates = fusion}));
+      runtime::QuantumRuntime rt(1);
+      rt.bind(machine);
+      machine.setStepLimit(limit);
+      std::string message;
+      try {
+        machine.runEntryPoint();
+      } catch (const interp::TrapError& e) {
+        message = e.what();
+      }
+      return std::make_tuple(message, machine.stats().instructionsExecuted,
+                             machine.stats().externalCalls, rt.recordedOutput(),
+                             rt.stats().gatesApplied);
+    };
+    EXPECT_EQ(runWith(true), runWith(false)) << "limit " << limit;
+  }
+}
+
+TEST(FusionReorder, FaultDrillFailsTheSameShotAsUnfused) {
+  // Injection arms the slow path: the region's own calls run, probe and
+  // fail exactly as unfused code does.
+  ir::Context ctx;
+  const auto module = ir::parseModule(ctx, reorderProgram());
+  fault::Plan plan;
+  plan.site = fault::Site::RuntimeCall;
+  plan.at = 3 * 9 + 2; // nine runtime calls per shot: shot 3, second call
+  const auto runWith = [&](bool fusion) {
+    const fault::ScopedPlan scoped(plan);
+    vm::ShotOptions opts;
+    opts.shots = 8;
+    opts.seed = 5;
+    opts.execMode = vm::ExecMode::Resim;
+    opts.useCompileCache = false;
+    opts.interpFallback = false;
+    opts.maxFailedShots = 8;
+    if (!fusion) {
+      opts.engine = vm::Engine::Interp;
+    }
+    return vm::runShots(*module, opts);
+  };
+  const vm::ShotBatchResult fused = runWith(true);
+  const vm::ShotBatchResult reference = runWith(false);
+  ASSERT_EQ(fused.failures.size(), 1U);
+  ASSERT_EQ(reference.failures.size(), 1U);
+  EXPECT_EQ(fused.failures[0].shot, reference.failures[0].shot);
+  EXPECT_EQ(fused.failures[0].code, reference.failures[0].code);
+  EXPECT_EQ(fused.failures[0].message, reference.failures[0].message);
+  EXPECT_EQ(fused.failedShots, reference.failedShots);
+  EXPECT_EQ(fused.histogram, reference.histogram);
+}
+
+TEST(FusionPass, QftControlledPhasesBecomePhaseTables) {
+  // qft(8): every CP window but the one that also takes the next H is
+  // exactly diagonal, and adjacent ones merge into tables of up to
+  // kMaxQubits qubits.
+  ir::Context ctx;
+  const auto module = qir::exportCircuit(ctx, circuit::qft(8, false), {});
+  const auto compiled = vm::compileModule(*module);
+  const vm::CompiledFunction& fn = compiled->functions[0];
+  std::size_t tables = 0;
+  std::uint32_t tableGates = 0;
+  for (const interp::FusedBlock& block : fn.fusedBlocks) {
+    if (block.kind == interp::FusedBlock::Kind::Diagonal) {
+      ++tables;
+      tableGates += block.sourceGates;
+      EXPECT_LE(block.qubits.size(), interp::FusedBlock::kMaxQubits);
+      EXPECT_EQ(block.matrix.size(), std::size_t{1} << block.qubits.size());
+    }
+  }
+  // 8 targets: the 6+5+...+1 = 21 CP windows that skip the next H, five
+  // source gates each, in 6+5+4+3+2+1 groups, the first of two tables.
+  EXPECT_EQ(tableGates, 21U * 5U) << compiled->disassemble();
+  EXPECT_EQ(tables, 7U) << compiled->disassemble();
+  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Unitary2), 7U);
+  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Swap), 4U);
+}
+
+TEST(FusionPass, CountsWhyEachGateStayedAPlainCall) {
+  ir::Context ctx;
+  const auto module = ir::parseModule(ctx, R"(
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__rz__body(double, ptr)
+declare void @__quantum__qis__ccx__body(ptr, ptr, ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare ptr @__quantum__rt__qubit_allocate()
+define void @main(double %theta) #0 {
+entry:
+  %q = call ptr @__quantum__rt__qubit_allocate()
+  call void @__quantum__qis__h__body(ptr %q)
+  call void @__quantum__qis__rz__body(double %theta, ptr null)
+  call void @__quantum__qis__ccx__body(ptr null, ptr inttoptr (i64 1 to ptr), ptr inttoptr (i64 2 to ptr))
+  call void @__quantum__qis__x__body(ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__x__body(ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" }
+)");
+  const auto reference = vm::compileModule(*module, {.fuseGates = false});
+  vm::CompiledFunction fn = reference->functions[0];
+  const vm::FusionStats stats = vm::fuseGates(fn, reference->externNames);
+  const auto unfused = [&](vm::UnfusedReason reason) {
+    return stats.unfused[static_cast<std::size_t>(reason)];
+  };
+  EXPECT_EQ(unfused(vm::UnfusedReason::DynamicQubit), 1U); // h %q
+  EXPECT_EQ(unfused(vm::UnfusedReason::NonConstant), 1U);  // rz %theta
+  EXPECT_EQ(unfused(vm::UnfusedReason::UnknownGate), 1U);  // ccx
+  EXPECT_EQ(unfused(vm::UnfusedReason::Lone), 1U);         // x before mz
+  EXPECT_EQ(stats.fusedOps, 2U);                           // h; x after mz
+  EXPECT_EQ(stats.blocks, 1U);
+}
+
+// ---------------------------------------------------------------------------
 // Compile cache keying
 // ---------------------------------------------------------------------------
 
@@ -721,28 +957,6 @@ TEST(FusionDifferential, SamplingPathMatchesToo) {
 // reach the dispatch loop (it used to inflate the vm.dispatch.* per-class
 // counters on every shot), and jump targets must survive the remapping.
 // ---------------------------------------------------------------------------
-
-TEST(FusionCompaction, RemovesAllNopPaddingAndShrinksTheCode) {
-  ir::Context ctx;
-  const auto module = qir::exportCircuit(ctx, circuit::qft(5, true), {});
-  const auto reference = vm::compileModule(*module, {.fuseGates = false});
-  vm::CompiledFunction fn = reference->functions[0];
-  const vm::FusionStats stats = vm::fuseGates(fn, reference->externNames);
-  ASSERT_GT(stats.sweepsSaved(), 0U);
-  std::size_t nops = 0;
-  for (const vm::Inst& in : fn.code) {
-    nops += in.op == vm::Op::Nop ? 1 : 0;
-  }
-  ASSERT_GT(nops, 0U);
-  const std::size_t before = fn.code.size();
-  EXPECT_EQ(vm::compactCode(fn), nops);
-  EXPECT_EQ(fn.code.size(), before - nops);
-  for (const vm::Inst& in : fn.code) {
-    EXPECT_NE(in.op, vm::Op::Nop);
-  }
-  // Idempotent on clean code.
-  EXPECT_EQ(vm::compactCode(fn), 0U);
-}
 
 TEST(FusionCompaction, CompiledModulesCarryNoNopsAndBranchesStillWork) {
   // Branch-heavy feedback program with a fusible chain inside one arm:

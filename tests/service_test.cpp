@@ -631,11 +631,18 @@ TEST_F(ServeTest, KernelTelemetrySurfacesInMetricsAndPrometheus) {
   req.precision = sim::Precision::F32;
   const json::Value result = json::parse(client.call(submitRequestJson(req)));
   ASSERT_TRUE(result.find("ok")->boolean);
+  // A lone H ahead of the measurements: fusing it would save no kernel
+  // pass, so it stays a plain call and the pass says why.
+  req.program = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ncreg c[1];\n"
+                "h q[0];\nmeasure q -> c;\n";
+  req.precision = sim::Precision::F64;
+  ASSERT_TRUE(json::parse(client.call(submitRequestJson(req))).find("ok")->boolean);
 
   // The metrics verb's telemetry section omits zero probes, so presence
   // of f32_batches proves the f32 submit above actually moved it.
   const std::string metrics = client.call(R"({"type":"metrics"})");
   EXPECT_NE(metrics.find("sim.kernel.f32_batches"), std::string::npos);
+  EXPECT_NE(metrics.find("sim.fusion.unfused.lone"), std::string::npos);
 
   // The Prometheus exposition renders every registered scalar under the
   // sanitized qirkit_ prefix — including the SIMD lane count, which stays
@@ -645,6 +652,7 @@ TEST_F(ServeTest, KernelTelemetrySurfacesInMetricsAndPrometheus) {
   EXPECT_NE(prom.find("qirkit_sim_kernel_blocked_sweeps"), std::string::npos);
   EXPECT_NE(prom.find("qirkit_sim_kernel_simd_lanes"), std::string::npos);
   EXPECT_NE(prom.find("qirkit_sim_kernel_f32_batches"), std::string::npos);
+  EXPECT_NE(prom.find("qirkit_sim_fusion_unfused_dynamic_qubit"), std::string::npos);
 }
 
 TEST_F(ServeTest, QuotaViolationsMapToResourceLimit) {

@@ -495,6 +495,118 @@ void runKernelDifferential(Precision precision, double tol) {
   }
 }
 
+/// Deterministic coverage of the 8-index tile paths, which the random
+/// draws above do not guarantee: every kernel with its lowest qubit at 0,
+/// 1, 2 and at a high qubit, each qubit pair in both orders, then phase
+/// tables of 1 to 6 qubits that include qubit 0. On 14 qubits sequentially;
+/// on a pool, 16 qubits, so that every kernel's range (2^14 groups for
+/// the two-qubit kernels) is split across the workers, in whole tiles.
+void runTileKernels(Precision precision, double tol, ThreadPool* pool) {
+  const unsigned n = pool == nullptr ? 14 : 16;
+  StateVector sv(n, pool, precision);
+  NaiveState ref(n);
+  SplitMix64 rng(31);
+  for (unsigned q = 0; q < n; ++q) {
+    const GateMatrix2 g = randomUnitary2(rng);
+    sv.apply1(g, q);
+    ref.apply1(g, q);
+  }
+  int step = 0;
+  for (const unsigned lo : {0U, 1U, 2U, 9U}) {
+    for (const unsigned hi : {lo + 1, lo + 3, n - 1}) {
+      for (const auto& [a, b] : {std::pair{lo, hi}, std::pair{hi, lo}}) {
+        const GateMatrix4 u4 = randomUnitary4(rng);
+        sv.apply2(u4, a, b);
+        ref.apply2(u4, a, b);
+        expectAmplitudesNear(sv, ref, tol, n, step++);
+        const GateMatrix2 u2 = randomUnitary2(rng);
+        sv.applyControlled1(u2, a, b);
+        ref.applyControlled1(u2, a, b);
+        expectAmplitudesNear(sv, ref, tol, n, step++);
+        const std::vector<Complex> diag = randomPhases(rng, 2);
+        const unsigned qubits[] = {a, b};
+        sv.applyDiagonal(diag, qubits);
+        ref.applyDiagonal(diag, qubits);
+        expectAmplitudesNear(sv, ref, tol, n, step++);
+      }
+      // Mix qubit lo again, then restart the reference from the kernel's
+      // state so that f32 rounding does not accumulate across groups.
+      sv.apply1(randomUnitary2(rng), lo);
+      for (std::uint64_t i = 0; i < sv.dimension(); ++i) {
+        ref.amps[i] = sv.amplitude(i);
+      }
+    }
+  }
+  for (std::size_t k = 1; k <= 6; ++k) {
+    std::vector<unsigned> qubits = {0};
+    while (qubits.size() < k) {
+      const auto q = static_cast<unsigned>(rng.below(n));
+      if (std::find(qubits.begin(), qubits.end(), q) == qubits.end()) {
+        qubits.push_back(q);
+      }
+    }
+    std::swap(qubits[0], qubits[k - 1]); // qubit 0 need not be bit 0
+    const std::vector<Complex> diag = randomPhases(rng, k);
+    sv.applyDiagonal(diag, qubits);
+    ref.applyDiagonal(diag, qubits);
+    expectAmplitudesNear(sv, ref, tol, n, step++);
+  }
+}
+
+TEST(KernelDifferential, TileKernelsMatchNaiveReferenceF64) {
+  runTileKernels(Precision::F64, 1e-12, nullptr);
+  ThreadPool pool(2);
+  runTileKernels(Precision::F64, 1e-12, &pool);
+}
+
+TEST(KernelDifferential, TileKernelsMatchNaiveReferenceF32) {
+  runTileKernels(Precision::F32, 1e-5, nullptr);
+  ThreadPool pool(2);
+  runTileKernels(Precision::F32, 1e-5, &pool);
+}
+
+/// In f64 the tile paths return the amplitudes the run loops do, bit for
+/// bit: each kernel on (lo, hi) with lo below 3 against the same kernel on
+/// (9, hi) — run loops — of a copy whose qubits lo and 9 are exchanged.
+/// (f32 is left out: there the compiler rounds the vectorized run loops
+/// and the scalar short runs differently, tiles or not.)
+TEST(KernelDifferential, TileKernelsMatchRunLoopsBitwiseF64) {
+  constexpr unsigned n = 14;
+  SplitMix64 rng(77);
+  for (const unsigned lo : {0U, 1U, 2U}) {
+    for (const unsigned hi : {5U, 13U}) {
+      StateVector tiles(n);
+      StateVector runs(n);
+      for (unsigned q = 0; q < n; ++q) {
+        const GateMatrix2 g = randomUnitary2(rng);
+        tiles.apply1(g, q);
+        runs.apply1(g, q);
+      }
+      runs.applySwap(lo, 9);
+      const GateMatrix4 u4 = randomUnitary4(rng);
+      const GateMatrix2 u2 = randomUnitary2(rng);
+      const std::vector<Complex> diag = randomPhases(rng, 2);
+      tiles.apply2(u4, lo, hi);
+      runs.apply2(u4, 9, hi);
+      tiles.apply2(u4, hi, lo);
+      runs.apply2(u4, hi, 9);
+      tiles.applyControlled1(u2, lo, hi);
+      runs.applyControlled1(u2, 9, hi);
+      tiles.applyControlled1(u2, hi, lo);
+      runs.applyControlled1(u2, hi, 9);
+      const unsigned tileQubits[] = {lo, hi};
+      const unsigned runQubits[] = {9, hi};
+      tiles.applyDiagonal(diag, tileQubits);
+      runs.applyDiagonal(diag, runQubits);
+      runs.applySwap(lo, 9);
+      for (std::uint64_t i = 0; i < tiles.dimension(); ++i) {
+        ASSERT_EQ(tiles.amplitude(i), runs.amplitude(i))
+            << "lo=" << lo << " hi=" << hi << " amp=" << i;
+      }
+    }
+  }
+}
+
 TEST(KernelDifferential, BlockedKernelsMatchNaiveReferenceF64) {
   runKernelDifferential(Precision::F64, 1e-12);
 }
@@ -547,6 +659,12 @@ struct SweepRun {
       gate.diagQubits = diagQubitStore.back();
       break;
     }
+    case SweepGate::Kind::Controlled:
+    case SweepGate::Kind::Swap:
+      gate.q0 = static_cast<unsigned>(rng.below(n));
+      gate.q1 = (gate.q0 + 1 + static_cast<unsigned>(rng.below(n - 1))) % n;
+      gate.m2 = randomUnitary2(rng);
+      break;
     }
     gates.push_back(gate);
   }
@@ -574,6 +692,12 @@ void expectSweepMatchesPerGatePasses(Precision precision, unsigned n,
       break;
     case SweepGate::Kind::Diagonal:
       perGate.applyDiagonal(gate.diag, gate.diagQubits);
+      break;
+    case SweepGate::Kind::Controlled:
+      perGate.applyControlled1(gate.m2, gate.q0, gate.q1);
+      break;
+    case SweepGate::Kind::Swap:
+      perGate.applySwap(gate.q0, gate.q1);
       break;
     }
   }

@@ -253,6 +253,8 @@ TEST_F(TelemetryTest, KernelCountersSurfaceInStatsJson) {
   EXPECT_EQ(telemetry::counterValue("sim.kernel.f32_batches"), 1U);
   const std::string json = telemetry::statsJson("test");
   EXPECT_NE(json.find("\"blocked_sweeps\""), std::string::npos);
+  // Why gates stayed plain calls, one counter per reason.
+  EXPECT_NE(json.find("\"unfused\":{\"dynamic_qubit\":"), std::string::npos);
   EXPECT_NE(json.find("\"f32_batches\":1"), std::string::npos);
 }
 
