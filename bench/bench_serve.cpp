@@ -5,8 +5,8 @@
 /// exactly the workflow `serve` exists to amortize; a second in-process
 /// reference isolates just the parse+compile cost with no process spawn.
 /// The served path pays the socket round-trip and the admission queue but
-/// reuses the shared parsed-program registry and compile cache, which is
-/// where the (expected >= 5x) win comes from on a cached workload.
+/// reuses the program store's loaded, compiled and analysed program, which
+/// is where the (expected >= 5x) win comes from on a cached workload.
 #include "ir/context.hpp"
 #include "ir/parser.hpp"
 #include "qasm/parser.hpp"
@@ -47,8 +47,8 @@ using namespace qirkit;
 
 /// A deep-but-narrow workload (4 qubits, 300 gates): the per-request cost
 /// a cold process pays is dominated by spawn + parse + export + bytecode
-/// compilation, which is exactly what the daemon's program registry and
-/// compile cache amortize. Simulation itself is cheap (16 amplitudes) and
+/// compilation, which is exactly what the daemon's program store
+/// amortizes. Simulation itself is cheap (16 amplitudes) and
 /// paid by both sides, so the ratio isolates the caching win.
 std::string workloadText() {
   std::string s = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
@@ -213,7 +213,7 @@ bool runCliOnce(const std::string& bin) {
 }
 
 /// The served hot path: persistent connection, program resubmitted by
-/// content id, every request a compile-cache + program-registry hit.
+/// content id, every request a program-store hit.
 void BM_ServeSubmitCached(benchmark::State& state) {
   service::Client client(daemon().options().socketPath);
   const std::string ref = registerProgram(client);
@@ -284,10 +284,10 @@ BENCHMARK(BM_ServePerProcessBaseline)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-/// In-process reference: the same cold parse + uncached compile + execute
-/// a fresh CLI process performs, minus the spawn. Isolates how much of the
-/// per-process cost is compilation (amortized by the daemon's caches)
-/// versus process startup.
+/// In-process reference: the same cold parse + compile + execute a fresh
+/// CLI process performs, minus the spawn. Isolates how much of the
+/// per-process cost is compilation (amortized by the daemon's program
+/// store) versus process startup.
 void BM_ServeColdCompileInProcess(benchmark::State& state) {
   LatencyTally tally;
   for (auto _ : state) {
@@ -300,7 +300,6 @@ void BM_ServeColdCompileInProcess(benchmark::State& state) {
       vm::ShotOptions options;
       options.shots = kShots;
       options.seed = 7;
-      options.useCompileCache = false; // a fresh process has an empty cache
       benchmark::DoNotOptimize(vm::runShots(*module, options));
     });
   }

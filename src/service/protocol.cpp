@@ -274,8 +274,8 @@ std::string submitResponseJson(const SubmitResponse& response) {
     first = false;
     out << "\"" << errorCodeName(code) << "\":" << count;
   }
-  out << "},\"cache\":{\"hits\":" << batch.cacheHits
-      << ",\"misses\":" << batch.cacheMisses << "}"
+  out << "},\"cache\":{\"hits\":" << (response.cacheHit ? 1 : 0)
+      << ",\"misses\":" << (response.cacheHit ? 0 : 1) << "}"
       << ",\"queue_wait_ns\":" << response.queueWaitNs
       << ",\"exec_ns\":" << response.execNs << ",\"metrics\":"
       << (response.metricsDeltaJson.empty() ? "{}" : response.metricsDeltaJson);

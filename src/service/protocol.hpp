@@ -8,7 +8,7 @@
 ///
 /// Requests ("type" selects the verb):
 ///   {"type":"submit","tenant":T,"program":TEXT,...}   run a shot batch
-///   {"type":"submit","tenant":T,"program_ref":ID,...} rerun a registered
+///   {"type":"submit","tenant":T,"program_ref":ID,...} rerun a stored
 ///                                                     program by content id
 ///   {"type":"metrics"}                                service gauges + cache
 ///                                                     + telemetry snapshot
@@ -154,10 +154,12 @@ struct Request {
 [[nodiscard]] std::string pingResponseJson();
 
 /// The submit response: histogram plus the per-shot stats `qirkit run`
-/// prints, the program's content id, cache attribution, queue/exec
-/// timings, and the per-request telemetry delta (a snapshotJson object).
+/// prints, the program's content id, whether the program store already
+/// held it, queue/exec timings, and the per-request telemetry delta (a
+/// snapshotJson object).
 struct SubmitResponse {
   std::string programId;
+  bool cacheHit = false; // "cache":{"hits":1,"misses":0}, else the reverse
   std::uint64_t jobId = 0;
   std::uint64_t shots = 0;
   std::uint64_t seed = 0;

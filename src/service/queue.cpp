@@ -2,6 +2,7 @@
 
 #include "support/cancel.hpp"
 #include "support/rng.hpp"
+#include "support/string_utils.hpp"
 #include "support/telemetry/telemetry.hpp"
 
 #include <algorithm>
@@ -15,15 +16,6 @@ telemetry::Counter g_admitted{"serve.queue.admitted"};
 telemetry::Counter g_rejected{"serve.queue.rejected"};
 telemetry::Counter g_rateLimited{"serve.queue.rate_limited"};
 telemetry::MaxGauge g_peakDepth{"serve.queue.peak_depth"};
-
-std::uint64_t fnv1a(std::string_view text) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 } // namespace
 

@@ -30,6 +30,10 @@ namespace qirkit {
 class CancelToken;
 } // namespace qirkit
 
+namespace qirkit::vm {
+struct Program;
+} // namespace qirkit::vm
+
 namespace qirkit::telemetry {
 class RequestTrace;
 } // namespace qirkit::telemetry
@@ -68,10 +72,11 @@ struct Job {
   std::uint64_t id = 0;
   SubmitRequest request;
   std::uint64_t seed = 0;       // resolved at admission
-  std::string programId;        // content id of the resolved program
-  /// The resolved program registry entry, held alive for the job's whole
-  /// lifetime (opaque here: the registry type lives in server.hpp).
-  std::shared_ptr<void> program;
+  /// The program-store entry, held alive for the job's whole lifetime (an
+  /// eviction only drops the store's reference).
+  std::shared_ptr<const vm::Program> program;
+  /// The store lookup found the program resident or joined its load.
+  bool cacheHit = false;
   std::uint64_t enqueuedNs = 0; // for queue-wait attribution
   /// Absolute steady-clock deadline (CancelToken::nowNs units; 0 = none).
   /// Armed at admission, so queue wait counts against the budget and a
@@ -83,7 +88,6 @@ struct Job {
   std::shared_ptr<qirkit::CancelToken> cancel;
   /// The request-scoped trace context (request_trace.hpp), created at
   /// admission and carried to the executing batch via ShotOptions.
-  /// Opaque here for the same layering reason as `program`.
   std::shared_ptr<telemetry::RequestTrace> trace;
   /// The server's ActiveJob record for this job (opaque: the type lives
   /// in server.hpp), so the runner can attribute a cancellation to the

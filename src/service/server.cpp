@@ -32,9 +32,6 @@ telemetry::Counter g_requests{"serve.requests"};
 telemetry::Counter g_rejectedFrames{"serve.protocol.rejected_frames"};
 telemetry::Counter g_jobsCompleted{"serve.jobs.completed"};
 telemetry::Counter g_jobsFailed{"serve.jobs.failed"};
-telemetry::Counter g_programHits{"serve.programs.hits"};
-telemetry::Counter g_programMisses{"serve.programs.misses"};
-telemetry::Counter g_programEvictions{"serve.programs.evictions"};
 telemetry::Counter g_jobsExpired{"serve.jobs.expired"};
 telemetry::Counter g_drainCancelled{"serve.drain.cancelled"};
 telemetry::Counter g_cancelRequests{"serve.cancel.requests"};
@@ -79,7 +76,8 @@ telemetry::LabeledHistogram g_tenantExec{
     "serve.tenant.exec_ns", telemetry::LabeledHistogram::kDefaultMaxLabels,
     "tenant"};
 
-// A request's stages before the executor's (compile, analyze, execute).
+// A request's stages after its store lookup (vm::g_compileStage) and
+// around the executor's execute.
 telemetry::Stage g_admissionStage{"admission"};
 telemetry::Stage g_queueStage{"queue"};
 telemetry::Stage g_watchdogStage{"serve.watchdog.flag"};
@@ -93,22 +91,6 @@ std::atomic<std::uint64_t> g_jobsExpiredExact{0};
 std::atomic<std::uint64_t> g_drainCancelledExact{0};
 std::atomic<std::uint64_t> g_memoryRejectedExact{0};
 std::atomic<std::uint64_t> g_watchdogFlaggedExact{0};
-
-std::uint64_t fnv1a(std::string_view text) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 /// Predicted register width of a parsed program: the entry point's
 /// required_num_qubits attribute (stamped by both QASM frontends and QIR
@@ -174,11 +156,15 @@ bool writeAll(int fd, std::string_view data) {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)), queue_(options_.queue),
+      cache_(
+          [](ir::Context& context, std::string_view text) {
+            return qasm::loadProgram(context, text, {},
+                                     qir::Addressing::Static);
+          },
+          options_.programCapacity),
       pool_(options_.poolThreads),
       flight_(options_.flightCapacity,
-              options_.slowThresholdMs * 1'000'000ULL) {
-  cache_.setCapacity(options_.cacheCapacity);
-}
+              options_.slowThresholdMs * 1'000'000ULL) {}
 
 Server::~Server() {
   stop();
@@ -461,19 +447,35 @@ std::string Server::handleSubmit(const SubmitRequest& request) {
   // "stages" array and the flight recorder.
   auto trace = std::make_shared<telemetry::RequestTrace>(request.tenant,
                                                          request.requestId);
+  // The store lookup is the request's compile stage: a miss loads,
+  // compiles and analyses the program; a hit reuses all three.
+  telemetry::Span compile(vm::g_compileStage, trace.get());
+  vm::CompileCache::Lookup lookup;
+  if (request.programRef.empty()) {
+    lookup = cache_.getOrLoad(request.program);
+  } else {
+    lookup.program = cache_.find(request.programRef);
+    if (lookup.program == nullptr) {
+      throw qirkit::Error(ErrorCode::Usage,
+                          "unknown program_ref '" + request.programRef +
+                              "' (evicted or never submitted); resubmit the "
+                              "program text");
+    }
+  }
+  compile.setNote(lookup.outcome);
+  compile.end();
+  const std::shared_ptr<const vm::Program>& program = lookup.program;
   telemetry::Span admission(g_admissionStage, trace.get());
-  std::shared_ptr<ProgramEntry> program = resolveProgram(request);
 
   auto active = std::make_shared<ActiveJob>();
   active->tenant = request.tenant;
   active->requestId = request.requestId;
   active->shots = request.shots;
   active->deadlineMs = request.deadlineMs;
+  const unsigned qubits = estimatedQubits(*program->module);
   active->stateBytes =
-      program->qubits == 0
-          ? 0
-          : sim::StateVector::predictedBytes(program->qubits,
-                                             request.precision);
+      qubits == 0 ? 0
+                  : sim::StateVector::predictedBytes(qubits, request.precision);
   active->admittedNs = qirkit::CancelToken::nowNs();
   active->cancel = std::make_shared<qirkit::CancelToken>();
   if (request.deadlineMs != 0) {
@@ -488,8 +490,8 @@ std::string Server::handleSubmit(const SubmitRequest& request) {
 
   Job job;
   job.request = request;
-  job.programId = program->id;
   job.program = program;
+  job.cacheHit = std::string_view(lookup.outcome) != "miss";
   job.deadlineNs = active->deadlineNs;
   job.cancel = active->cancel;
   job.trace = trace;
@@ -691,7 +693,6 @@ void Server::watchdogLoop() {
 }
 
 void Server::executeJob(Job& job) {
-  const auto& program = *std::static_pointer_cast<ProgramEntry>(job.program);
   const auto active = std::static_pointer_cast<ActiveJob>(job.active);
   telemetry::RequestTrace* const trace = job.trace.get();
   const std::uint64_t startNs = telemetry::nowNs();
@@ -704,9 +705,8 @@ void Server::executeJob(Job& job) {
   opts.shots = job.request.shots;
   opts.seed = job.seed;
   opts.pool = &pool_;
-  opts.cache = &cache_;
   opts.cancel = job.cancel.get(); // null when the job set no deadline/tag
-  opts.requestTrace = trace;      // the compile/analyze/execute stages
+  opts.requestTrace = trace;      // the execute stage
 
   // Cause attribution for deadline outcomes: the watchdog flag beats the
   // cancel flag (the watchdog cancels through the same token).
@@ -722,12 +722,13 @@ void Server::executeJob(Job& job) {
   };
 
   SubmitResponse response;
-  response.programId = job.programId;
+  response.programId = job.program->id;
+  response.cacheHit = job.cacheHit;
   response.jobId = job.id;
   response.shots = job.request.shots;
   response.seed = job.seed;
   try {
-    response.batch = vm::runShots(*program.module, opts);
+    response.batch = vm::runShots(*job.program, opts);
   } catch (const std::exception& e) {
     const ClassifiedError failure = classifyException(e);
     g_jobsFailed.add();
@@ -808,7 +809,7 @@ void Server::recordFlight(const Job& job, std::uint64_t queueWaitNs,
   rec.jobId = job.id;
   rec.tenant = job.request.tenant;
   rec.requestId = job.request.requestId;
-  rec.programId = job.programId;
+  rec.programId = job.program->id;
   rec.shots = job.request.shots;
   rec.queueWaitNs = queueWaitNs;
   rec.execNs = execNs;
@@ -839,71 +840,6 @@ std::string Server::prometheusMetricsJson() {
          "\"body\":\"" + telemetry::jsonEscape(prometheusText()) + "\"}";
 }
 
-std::shared_ptr<Server::ProgramEntry>
-Server::resolveProgram(const SubmitRequest& request) {
-  if (!request.programRef.empty()) {
-    const std::lock_guard lock(programsMutex_);
-    const auto it = programs_.find(request.programRef);
-    if (it == programs_.end()) {
-      throw qirkit::Error(ErrorCode::Usage,
-                          "unknown program_ref '" + request.programRef +
-                              "' (evicted or never submitted); resubmit the "
-                              "program text");
-    }
-    it->second->lastUse = ++programTick_;
-    g_programHits.add();
-    return it->second;
-  }
-
-  const std::string id = hex16(fnv1a(request.program));
-  {
-    const std::lock_guard lock(programsMutex_);
-    const auto it = programs_.find(id);
-    if (it != programs_.end()) {
-      it->second->lastUse = ++programTick_;
-      g_programHits.add();
-      return it->second;
-    }
-  }
-
-  // Parse outside the lock: a slow parse must not stall other tenants'
-  // lookups. A racing duplicate parse of the same text is harmless — the
-  // loser's entry simply wins the second insert below.
-  auto entry = std::make_shared<ProgramEntry>();
-  entry->id = id;
-  entry->context = std::make_unique<ir::Context>();
-  entry->module = qasm::loadProgram(*entry->context, request.program, {},
-                                    qir::Addressing::Static);
-  entry->qubits = estimatedQubits(*entry->module);
-  g_programMisses.add();
-
-  const std::lock_guard lock(programsMutex_);
-  entry->lastUse = ++programTick_;
-  auto [it, inserted] = programs_.emplace(id, entry);
-  if (!inserted) {
-    it->second->lastUse = programTick_;
-    return it->second;
-  }
-  while (programs_.size() > options_.programCapacity) {
-    auto victim = programs_.end();
-    for (auto pit = programs_.begin(); pit != programs_.end(); ++pit) {
-      if (pit == it) {
-        continue; // never evict what we just inserted
-      }
-      if (victim == programs_.end() ||
-          pit->second->lastUse < victim->second->lastUse) {
-        victim = pit;
-      }
-    }
-    if (victim == programs_.end()) {
-      break;
-    }
-    programs_.erase(victim);
-    g_programEvictions.add();
-  }
-  return entry;
-}
-
 std::string Server::metricsJson() {
   const QueueStats queue = queue_.stats();
   const vm::CompileCache::Stats cache = cache_.stats();
@@ -915,11 +851,6 @@ std::string Server::metricsJson() {
   char hitRateBuf[32];
   std::snprintf(hitRateBuf, sizeof(hitRateBuf), "%.4f", hitRate);
 
-  std::size_t programCount = 0;
-  {
-    const std::lock_guard lock(programsMutex_);
-    programCount = programs_.size();
-  }
   std::uint64_t inFlightBytes = 0;
   std::size_t activeJobs = 0;
   {
@@ -952,8 +883,6 @@ std::string Server::metricsJson() {
       << ",\"misses\":" << cache.misses
       << ",\"evictions\":" << cache.evictions << ",\"size\":" << cache_.size()
       << ",\"capacity\":" << cache_.capacity() << ",\"hit_rate\":" << hitRateBuf
-      << "},\"programs\":{\"size\":" << programCount
-      << ",\"capacity\":" << options_.programCapacity
       << "},\"pool\":{\"workers\":" << pool_.size()
       << "},\"runners\":" << runnerThreads_.size()
       << ",\"jobs\":{\"completed\":"

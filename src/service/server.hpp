@@ -1,23 +1,22 @@
 /// \file server.hpp
 /// The `qirkit serve` daemon: a Unix-domain stream socket speaking the
 /// line-delimited JSON protocol (protocol.hpp), an admission queue
-/// (queue.hpp), a bounded registry of parsed programs (content-addressed,
-/// so tenants can resubmit by id and pay parsing once), one shared
-/// CompileCache, and one shared ThreadPool that every job's shot chunks
+/// (queue.hpp), one program store (vm::CompileCache: content-addressed,
+/// so tenants can resubmit by id and pay loading, compiling and analysis
+/// once), and one shared ThreadPool that every job's shot chunks
 /// multiplex onto.
 ///
 /// Threading model: one accept thread, one thread per live connection
-/// (reads frames, admits jobs, blocks on the job's completion), and
-/// `runners` job-runner threads popping the queue and calling the existing
-/// shot executor with the injected pool + cache. Runner threads are the
-/// only place programs execute, so `runners` bounds concurrent batches
-/// while the pool bounds total shot-kernel parallelism — nothing
+/// (reads frames, resolves the program, admits jobs, blocks on the job's
+/// completion), and `runners` job-runner threads popping the queue and
+/// running each job's store Program on the injected pool. Runner threads
+/// are the only place programs execute, so `runners` bounds concurrent
+/// batches while the pool bounds total shot-kernel parallelism — nothing
 /// oversubscribes.
 ///
 /// Everything the per-process CLI treats as a singleton is a member here:
-/// the cache, the pool, and the program registry live and die with the
-/// Server, which is why a test (or bench) can run several servers in one
-/// process.
+/// the store and the pool live and die with the Server, which is why a
+/// test (or bench) can run several servers in one process.
 #pragma once
 
 #include "service/flight_recorder.hpp"
@@ -34,13 +33,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
-
-namespace qirkit::ir {
-class Context;
-class Module;
-} // namespace qirkit::ir
 
 namespace qirkit::service {
 
@@ -52,10 +45,8 @@ struct ServerOptions {
   std::size_t runners = 2;
   /// Shot worker pool shared by every batch; 0 sizes to the hardware.
   std::size_t poolThreads = 0;
-  /// Resident bound of the shared compile cache.
-  std::size_t cacheCapacity = vm::CompileCache::kDefaultCapacity;
-  /// Resident bound of the parsed-program registry.
-  std::size_t programCapacity = 64;
+  /// Resident bound of the program store.
+  std::size_t programCapacity = vm::CompileCache::kDefaultCapacity;
   /// Longest accepted request frame in bytes.
   std::size_t maxFrameBytes = kDefaultMaxFrameBytes;
   /// Upfront memory-admission budget: the predicted statevector
@@ -114,25 +105,11 @@ public:
   [[nodiscard]] vm::CompileCache& cache() noexcept { return cache_; }
 
   /// The metrics document served for {"type":"metrics"}: queue depth and
-  /// quotas, per-tenant gauges, cache hit rate, program-registry size,
-  /// protocol rejects, and the full telemetry snapshot.
+  /// quotas, per-tenant gauges, program-store size and hit rate, protocol
+  /// rejects, and the full telemetry snapshot.
   [[nodiscard]] std::string metricsJson();
 
 private:
-  /// One parsed program, shared by every job that references it. The
-  /// Context owns the IR; jobs only read the module, which is safe
-  /// concurrently.
-  struct ProgramEntry {
-    std::string id; // 16-hex FNV-1a of the program text
-    std::unique_ptr<ir::Context> context;
-    std::unique_ptr<ir::Module> module;
-    /// Declared register width (entry point's required_num_qubits
-    /// attribute; 0 = unknown) — the input of the admission guard's
-    /// footprint prediction.
-    unsigned qubits = 0;
-    std::uint64_t lastUse = 0;
-  };
-
   /// One admitted-but-unfinished job, as the overload machinery sees it:
   /// the cancel verb resolves (tenant, request_id) to the token, the
   /// watchdog scans deadlines, and the memory guard accounts stateBytes.
@@ -159,8 +136,8 @@ private:
   void watchdogLoop();
   /// Dispatch one well-formed frame; returns the response line.
   std::string handleRequest(const Request& request);
-  /// Admission path of a submit: resolve the program, enqueue, and wait
-  /// for the runner's response.
+  /// Admission path of a submit: look the program up in the store,
+  /// enqueue, and wait for the runner's response.
   std::string handleSubmit(const SubmitRequest& request);
   std::string handleCancel(const CancelRequest& request);
   /// Replay the flight recorder for {"type":"events"}.
@@ -184,8 +161,6 @@ private:
   /// the predicted footprint does not fit the budget.
   void registerActive(const std::shared_ptr<ActiveJob>& active);
   void unregisterActive(const std::shared_ptr<ActiveJob>& active);
-  /// Parse-or-lookup in the program registry (single-flight per id).
-  std::shared_ptr<ProgramEntry> resolveProgram(const SubmitRequest& request);
 
   ServerOptions options_;
   AdmissionQueue queue_;
@@ -209,10 +184,6 @@ private:
   /// for this to reach zero before shutting the sockets down, so drained
   /// jobs deliver their final responses instead of torn connections.
   std::atomic<std::size_t> busyRequests_{0};
-
-  std::mutex programsMutex_;
-  std::unordered_map<std::string, std::shared_ptr<ProgramEntry>> programs_;
-  std::uint64_t programTick_ = 0;
 
   std::mutex shutdownMutex_;
   std::condition_variable shutdownCv_;

@@ -3,7 +3,7 @@
 /// path in the execution stack without needing a genuinely broken program.
 ///
 /// The stack is instrumented with named probe *sites* (VM dispatch steps,
-/// external runtime calls, compile-cache lookups, bytecode compiles). A
+/// external runtime calls, program-store lookups, bytecode compiles). A
 /// configured plan decides — purely from the per-site probe count and the
 /// plan's seed, never from wall-clock or address randomness — whether a
 /// given probe fires; a firing probe throws Error(ErrorCode::InjectedFault)
@@ -34,7 +34,7 @@ namespace qirkit::fault {
 enum class Site : std::uint8_t {
   VmDispatch,      ///< per step-counted instruction in the VM's dispatch loop
   RuntimeCall,     ///< per external (__quantum__*) dispatch, either engine
-  CompileCache,    ///< per CompileCache::getOrCompile lookup
+  CompileCache,    ///< per program-store lookup (getOrLoad, find)
   BytecodeCompile, ///< per IR -> bytecode compilation
 };
 inline constexpr std::size_t kNumSites = 4;

@@ -131,4 +131,13 @@ std::string quoteString(std::string_view s) {
   return out;
 }
 
+std::uint64_t fnv1a(std::string_view s) noexcept {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 } // namespace qirkit

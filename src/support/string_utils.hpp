@@ -40,4 +40,8 @@ namespace qirkit {
 /// non-printable bytes, '"' and '\\').
 [[nodiscard]] std::string quoteString(std::string_view s);
 
+/// 64-bit FNV-1a of \p s. Program ids (the serve protocol's program_id)
+/// and tenant seed streams are built on it, so its values never change.
+[[nodiscard]] std::uint64_t fnv1a(std::string_view s) noexcept;
+
 } // namespace qirkit

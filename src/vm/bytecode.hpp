@@ -96,10 +96,9 @@ inline constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::Ext) + 1;
 /// Which dispatch loop the VM runs a compiled module with. Switch is the
 /// reference loop (one opcode switch per instruction, and the loop fault
 /// injection runs on); Threaded is the token-threaded computed-goto loop
-/// (GNU C++ extension). The mode is a *compile* option and participates
-/// in the compile-cache key, so modules compiled for different loops
-/// never share an entry. The shot executor always compiles for
-/// defaultDispatchMode().
+/// (GNU C++ extension). The mode is a *compile* option and part of the
+/// program-store key, so modules compiled for different loops never share
+/// an entry. The shot executor always compiles for defaultDispatchMode().
 enum class DispatchMode : std::uint8_t { Switch, Threaded };
 
 [[nodiscard]] const char* dispatchModeName(DispatchMode mode) noexcept;
@@ -176,15 +175,14 @@ struct CompiledFunction {
 /// (pre-resolved `__quantum__*`/host callees, dispatched by index at run
 /// time), and the global-variable images replayed into fresh execution
 /// memory per shot. Immutable after compilation — safe to share across
-/// shots, threads, and CLI invocations within a process (the compile
-/// cache hands out shared_ptrs to it).
+/// shots, threads and serve requests (the program store hands out
+/// shared_ptrs to it).
 struct BytecodeModule {
   std::vector<CompiledFunction> functions;
   std::map<std::string, std::uint32_t> functionIndexByName;
   std::vector<std::string> externNames;  // slot -> declared callee name
   std::vector<std::string> globalInits;  // initializer bytes, in module order
   int entryIndex = -1;                   // "entry_point" attr, else @main
-  std::uint64_t sourceHash = 0;          // FNV-1a of the printed module
   /// The dispatch loop this module was compiled for (CompileOptions).
   DispatchMode dispatch = DispatchMode::Switch;
 

@@ -1,11 +1,14 @@
 #include "vm/cache.hpp"
 
+#include "ir/parser.hpp"
 #include "ir/printer.hpp"
+#include "support/error.hpp"
 #include "support/faultinject.hpp"
+#include "support/string_utils.hpp"
 #include "support/telemetry/telemetry.hpp"
-#include "vm/compiler.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 namespace qirkit::vm {
 
@@ -16,59 +19,43 @@ telemetry::Counter g_cacheMisses{"vm.cache.misses"};
 telemetry::Counter g_cacheEvictions{"vm.cache.evictions"};
 telemetry::Counter g_cacheCoalesced{"vm.cache.coalesced"};
 
-std::uint64_t fnv1a(std::string_view text) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 } // namespace
 
-std::shared_ptr<const BytecodeModule>
-CompileCache::getOrCompile(const ir::Module& module, const CompileOptions& options) {
-  fault::probe(fault::Site::CompileCache);
-  std::string text = ir::printModule(module);
-  if (!options.fuseGates) {
-    // Fold the option into the content key so fused and unfused compiles
-    // of the same program never alias.
-    text += "\n; compile-option: fusion=off";
+CompileCache::CompileCache(Loader loader, std::size_t capacity)
+    : loader_(std::move(loader)), capacity_(std::max<std::size_t>(capacity, 1)) {
+  if (!loader_) {
+    loader_ = [](ir::Context& context, std::string_view text) {
+      return ir::parseModule(context, text);
+    };
   }
-  // Same for the dispatch mode and the superinstruction peephole: both
-  // change the module (recorded mode, code shape), so compiles for
-  // different loops never share an entry.
-  if (options.dispatch != defaultDispatchMode()) {
-    text += std::string("\n; compile-option: dispatch=") +
-            dispatchModeName(options.dispatch);
-  }
-  if (options.superinstructions) {
-    text += "\n; compile-option: superinstr=on";
-  }
-  const std::uint64_t hash = fnv1a(text);
+}
 
-  std::promise<std::shared_ptr<const BytecodeModule>> promise;
-  CompiledFuture joined;
+CompileCache::Lookup CompileCache::getOrLoad(std::string_view source,
+                                             const CompileOptions& options) {
+  fault::probe(fault::Site::CompileCache);
+  const std::uint64_t hash = fnv1a(source);
+
+  std::promise<std::shared_ptr<const Program>> promise;
+  std::shared_future<std::shared_ptr<const Program>> joined;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(hash);
     if (it != entries_.end()) {
       for (Entry& entry : it->second) {
-        if (entry.text == text) {
+        if (entry.options == options && entry.program->source == source) {
           ++stats_.hits;
           g_cacheHits.add();
           entry.lastUse = ++tick_;
-          return entry.compiled;
+          return {entry.program, "hit"};
         }
       }
     }
-    // Single-flight: join a compile already in progress for this key
-    // rather than duplicating it.
-    const auto inflightIt = inflight_.find(hash);
-    if (inflightIt != inflight_.end()) {
-      for (const InFlight& flight : inflightIt->second) {
-        if (flight.text == text) {
+    // Single-flight: join a load already in progress for this key rather
+    // than duplicating it.
+    const auto flights = inflight_.find(hash);
+    if (flights != inflight_.end()) {
+      for (const InFlight& flight : flights->second) {
+        if (flight.options == options && flight.source == source) {
           ++stats_.coalesced;
           g_cacheCoalesced.add();
           joined = flight.future;
@@ -77,51 +64,105 @@ CompileCache::getOrCompile(const ir::Module& module, const CompileOptions& optio
       }
     }
     if (!joined.valid()) {
-      inflight_[hash].push_back(InFlight{text, promise.get_future().share()});
+      inflight_[hash].push_back(
+          InFlight{source, options, promise.get_future().share()});
     }
   }
   if (joined.valid()) {
-    // Blocks until the owning thread finishes; rethrows its compile error,
-    // mirroring what compiling ourselves would have raised.
-    return joined.get();
+    // Blocks until the owning thread finishes; rethrows its load error,
+    // mirroring what loading ourselves would have raised.
+    return {joined.get(), "coalesced"};
   }
 
-  // Compile outside the lock — compilation is pure and may be slow; the
+  // Load, compile and analyse outside the lock — this may be slow; the
   // in-flight registration above keeps it from ever running twice.
-  std::shared_ptr<const BytecodeModule> compiled;
+  auto program = std::make_shared<Program>();
   try {
-    compiled = compileModule(module, options);
+    char id[17];
+    std::snprintf(id, sizeof(id), "%016llx",
+                  static_cast<unsigned long long>(hash));
+    program->id = id;
+    program->source = source;
+    program->context = std::make_unique<ir::Context>();
+    program->module = loader_(*program->context, program->source);
+    try {
+      program->bytecode = compileModule(*program->module, options);
+    } catch (...) {
+      program->compileError = std::current_exception();
+    }
+    program->analysis = analyzeShotProfile(*program->module);
   } catch (...) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      auto& flights = inflight_[hash];
-      std::erase_if(flights, [&](const InFlight& f) { return f.text == text; });
-      if (flights.empty()) {
-        inflight_.erase(hash);
-      }
+      endFlightLocked(hash, source, options);
     }
-    // Wake the joiners with the same failure; nothing is cached, so the
-    // next request retries the compile.
+    // Wake the joiners with the same failure; nothing is stored, so the
+    // next request loads again.
     promise.set_exception(std::current_exception());
     throw;
   }
 
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto& flights = inflight_[hash];
-    std::erase_if(flights, [&](const InFlight& f) { return f.text == text; });
-    if (flights.empty()) {
-      inflight_.erase(hash);
-    }
+    endFlightLocked(hash, source, options);
     ++stats_.misses;
     g_cacheMisses.add();
     while (sizeLocked() >= capacity_) {
       evictLRULocked();
     }
-    entries_[hash].push_back(Entry{text, compiled, ++tick_});
+    entries_[hash].push_back(Entry{program, options, ++tick_});
   }
-  promise.set_value(compiled);
-  return compiled;
+  promise.set_value(program);
+  return {program, "miss"};
+}
+
+std::shared_ptr<const Program> CompileCache::find(std::string_view id,
+                                                  const CompileOptions& options) {
+  fault::probe(fault::Site::CompileCache);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  Entry* found = nullptr;
+  for (auto& [hash, chain] : entries_) {
+    for (Entry& entry : chain) {
+      if (entry.options != options || entry.program->id != id) {
+        continue;
+      }
+      if (found != nullptr) {
+        throw qirkit::Error(ErrorCode::Usage,
+                            "program_ref '" + std::string(id) +
+                                "' is ambiguous: several resident programs "
+                                "share it; resubmit the program text");
+      }
+      found = &entry;
+    }
+  }
+  if (found == nullptr) {
+    return nullptr;
+  }
+  ++stats_.hits;
+  g_cacheHits.add();
+  found->lastUse = ++tick_;
+  return found->program;
+}
+
+std::shared_ptr<const BytecodeModule>
+CompileCache::getOrCompile(const ir::Module& module, const CompileOptions& options) {
+  const std::shared_ptr<const Program> program =
+      getOrLoad(ir::printModule(module), options).program;
+  if (program->compileError) {
+    std::rethrow_exception(program->compileError);
+  }
+  return program->bytecode;
+}
+
+void CompileCache::endFlightLocked(std::uint64_t hash, std::string_view source,
+                                   const CompileOptions& options) {
+  auto& flights = inflight_[hash];
+  std::erase_if(flights, [&](const InFlight& f) {
+    return f.options == options && f.source == source;
+  });
+  if (flights.empty()) {
+    inflight_.erase(hash);
+  }
 }
 
 void CompileCache::evictLRULocked() {
@@ -170,21 +211,6 @@ std::size_t CompileCache::size() const {
 std::size_t CompileCache::capacity() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return capacity_;
-}
-
-void CompileCache::setCapacity(std::size_t capacity) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  while (sizeLocked() > capacity_) {
-    evictLRULocked();
-  }
-}
-
-void CompileCache::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  stats_ = {};
-  tick_ = 0;
 }
 
 CompileCache& CompileCache::global() {

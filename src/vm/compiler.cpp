@@ -3,12 +3,10 @@
 #include "vm/fusion.hpp"
 
 #include "ir/constant.hpp"
-#include "ir/printer.hpp"
 #include "support/faultinject.hpp"
 #include "support/telemetry/telemetry.hpp"
 
 #include <limits>
-#include <string_view>
 
 namespace qirkit::vm {
 
@@ -17,15 +15,6 @@ using interp::Memory;
 using interp::RtValue;
 
 namespace {
-
-std::uint64_t fnv1a(std::string_view text) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 /// Predicted runtime addresses of the module's globals. Must mirror the
 /// engines' materialization order and Memory::allocate's deterministic
@@ -566,7 +555,6 @@ std::shared_ptr<const BytecodeModule> compileModule(const ir::Module& module,
     }
   }
   out->dispatch = options.dispatch;
-  out->sourceHash = fnv1a(ir::printModule(module));
   return out;
 }
 

@@ -23,17 +23,16 @@ public:
       : TrapError(message, ErrorCode::CompileFail) {}
 };
 
-/// Compilation knobs: the one place a caller picks a code shape. The shot
-/// executor always compiles fused code for defaultDispatchMode(), with
-/// superinstructions on the threaded loop; users cannot choose otherwise.
-/// The other shapes exist for the code-shape comparisons: the VM
-/// differential tests, BM_Dispatch, BM_FusionResim and the pipeline
+/// Compilation knobs: the one place a caller picks a code shape. `run` and
+/// `serve` always execute shotCompileOptions(); users cannot choose
+/// otherwise. The other shapes exist for the code-shape comparisons: the
+/// VM differential tests, BM_Dispatch, BM_FusionResim and the pipeline
 /// benchmark's replay.
 struct CompileOptions {
   /// Run the gate-fusion pass (fusion.hpp) after lowering.
   bool fuseGates = true;
   /// Which dispatch loop the module is compiled for. Recorded on the
-  /// module and folded into the compile-cache key; the VM falls back to
+  /// module and part of the program-store key; the VM falls back to
   /// the switch loop (bit-compatibly) when the build lacks the threaded
   /// one or fault injection is armed.
   DispatchMode dispatch = defaultDispatchMode();
@@ -44,10 +43,20 @@ struct CompileOptions {
   /// callers (tests, tools) see the reference code shape; the shot
   /// executor enables it whenever it compiles for Threaded dispatch.
   bool superinstructions = false;
+
+  bool operator==(const CompileOptions&) const = default;
 };
 
+/// The one code shape users run: fused, for the build's default loop,
+/// with superinstructions when that loop is the threaded one.
+[[nodiscard]] inline CompileOptions shotCompileOptions() noexcept {
+  return {.fuseGates = true,
+          .dispatch = defaultDispatchMode(),
+          .superinstructions = defaultDispatchMode() == DispatchMode::Threaded};
+}
+
 /// Compile every defined function of \p module. The result is immutable
-/// and shareable; prefer CompileCache::getOrCompile for repeated use.
+/// and shareable; a program run many times belongs in a CompileCache.
 [[nodiscard]] std::shared_ptr<const BytecodeModule>
 compileModule(const ir::Module& module, const CompileOptions& options = {});
 

@@ -5,8 +5,6 @@
 #include "support/rng.hpp"
 #include "support/telemetry/telemetry.hpp"
 #include "vm/cache.hpp"
-#include "vm/compiler.hpp"
-#include "vm/shot_analysis.hpp"
 
 #include <mutex>
 #include <optional>
@@ -81,6 +79,8 @@ std::string RunOption::allowed() const {
 
 std::span<const RunOption> runOptions() noexcept { return kRunOptions; }
 
+telemetry::Stage g_compileStage{"compile"};
+
 std::uint64_t deriveRetrySeed(std::uint64_t baseSeed, std::uint64_t shot,
                               std::uint64_t attempt) noexcept {
   SplitMix64 mix(baseSeed ^ (shot * 0x9e3779b97f4a7c15ULL) ^
@@ -105,8 +105,7 @@ telemetry::Counter g_deadlineBatches{"shots.deadline_batches"};
 telemetry::Counter g_shotsUnstarted{"shots.unstarted"};
 telemetry::LatencyHistogram g_shotLatency{"shots.latency_ns"};
 // The batch's stages, also a serve request's: the names and notes are
-// the response's "stages" contract.
-telemetry::Stage g_compileStage{"compile"};
+// the response's "stages" contract (g_compileStage is shared with serve).
 telemetry::Stage g_analyzeStage{"analyze"};
 telemetry::Stage g_executeStage{"execute"};
 telemetry::Stage g_chunkStage{"execute.chunk"};
@@ -371,9 +370,12 @@ void mergeChunk(ChunkResult&& chunk, ShotBatchResult& result) {
   }
 }
 
-} // namespace
-
-ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
+/// One batch over \p module. A store \p program brings its bytecode (or
+/// compile failure) and shot analysis; without one (`run`), the batch
+/// compiles and analyses the module itself, in its compile and analyze
+/// stages.
+ShotBatchResult runBatch(const ir::Module& module, const Program* program,
+                         const ShotOptions& opts) {
   g_shotsBatches.add();
   ShotBatchResult result;
   Engine engine = opts.engine;
@@ -392,22 +394,33 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
     return result;
   }
 
+  ShotAnalysis computed;
+  const ShotAnalysis* analysis = program != nullptr ? &program->analysis : nullptr;
+  const auto analyze = [&]() -> const ShotAnalysis& {
+    if (analysis == nullptr) {
+      telemetry::Span span(g_analyzeStage, opts.requestTrace);
+      computed = analyzeShotProfile(module);
+      analysis = &computed;
+      span.setNote(computed.profile == ShotProfile::Terminal ? "terminal"
+                                                             : "feedback");
+    }
+    return *analysis;
+  };
+
   // F32 admission: the reduced width is only safe when measurement
   // outcomes cannot steer control flow off rounded amplitudes, i.e. when
   // the terminal-measurement analysis holds. Checked up front (even under
   // --exec-mode=resim, which skips the analysis otherwise) so the refusal
   // costs no compile. --force-f32 overrides for users who accept the
   // accumulated per-gate rounding error.
-  if (opts.precision == sim::Precision::F32 && !opts.forceF32) {
-    const ShotAnalysis analysis = analyzeShotProfile(module);
-    if (analysis.profile != ShotProfile::Terminal) {
-      throw qirkit::Error(ErrorCode::Usage,
-                          "--precision=f32 requires a measurement-terminal "
-                          "program (rounding error would steer feedback), "
-                          "but the shot analysis found: " +
-                              analysis.reason +
-                              "; pass --force-f32 to override");
-    }
+  if (opts.precision == sim::Precision::F32 && !opts.forceF32 &&
+      analyze().profile != ShotProfile::Terminal) {
+    throw qirkit::Error(ErrorCode::Usage,
+                        "--precision=f32 requires a measurement-terminal "
+                        "program (rounding error would steer feedback), "
+                        "but the shot analysis found: " +
+                            analysis->reason +
+                            "; pass --force-f32 to override");
   }
   if (opts.precision == sim::Precision::F32) {
     sim::noteF32Batch();
@@ -415,33 +428,16 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
 
   std::shared_ptr<const BytecodeModule> compiled;
   if (engine == Engine::Vm) {
-    telemetry::Span span(g_compileStage, opts.requestTrace);
     try {
-      // The one code shape users run: fused, for the build's default loop,
-      // with superinstructions when that loop is the threaded one.
-      const CompileOptions compileOptions{
-          .fuseGates = true,
-          .dispatch = defaultDispatchMode(),
-          .superinstructions = defaultDispatchMode() == DispatchMode::Threaded};
-      if (opts.useCompileCache) {
-        CompileCache& cache =
-            opts.cache != nullptr ? *opts.cache : CompileCache::global();
-        const CompileCache::Stats before = cache.stats();
-        compiled = cache.getOrCompile(module, compileOptions);
-        const CompileCache::Stats after = cache.stats();
-        // Under a shared cache these are process-wide deltas and may
-        // include concurrent batches' activity; a coalesced join counts
-        // as the hit it effectively is.
-        result.cacheHits =
-            (after.hits + after.coalesced) - (before.hits + before.coalesced);
-        result.cacheMisses = after.misses - before.misses;
-        span.setNote(result.cacheMisses > 0               ? "miss"
-                     : after.coalesced > before.coalesced ? "coalesced"
-                                                          : "hit");
+      if (program == nullptr) {
+        // Noted "degraded" unless the compile returns.
+        telemetry::Span span(g_compileStage, opts.requestTrace, "degraded");
+        compiled = compileModule(module, shotCompileOptions());
+        span.setNote({});
+      } else if (program->compileError) {
+        std::rethrow_exception(program->compileError);
       } else {
-        compiled = compileModule(module, compileOptions);
-        result.cacheMisses = 1;
-        span.setNote("miss");
+        compiled = program->bytecode;
       }
     } catch (const std::exception& e) {
       const ClassifiedError failure = classifyException(e);
@@ -455,7 +451,6 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
       result.degradeReason = std::string("bytecode compilation failed (") +
                              errorCodeName(failure.code) +
                              "): " + failure.message;
-      span.setNote("degraded");
     }
   }
   result.engineUsed = engine;
@@ -489,23 +484,15 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
   // program and serve terminal batches from one simulation. Any fault on
   // the sampling path degrades to the per-shot machinery below.
   if (opts.execMode != ExecMode::Resim) {
-    ShotAnalysis analysis;
-    {
-      telemetry::Span span(g_analyzeStage, opts.requestTrace);
-      analysis = analyzeShotProfile(module);
-      span.setNote(analysis.profile == ShotProfile::Terminal ? "terminal"
-                                                             : "feedback");
-    }
-    (analysis.profile == ShotProfile::Terminal ? g_analysisTerminal
-                                               : g_analysisFeedback)
-        .add();
-    if (analysis.profile != ShotProfile::Terminal) {
+    const bool terminal = analyze().profile == ShotProfile::Terminal;
+    (terminal ? g_analysisTerminal : g_analysisFeedback).add();
+    if (!terminal) {
       if (opts.execMode == ExecMode::Sample) {
         throw qirkit::Error(ErrorCode::Usage,
                             "--exec-mode=sample requires a "
                             "measurement-terminal program, but the shot "
                             "analysis found: " +
-                                analysis.reason);
+                                analysis->reason);
       }
     } else if (opts.shots > 0) {
       // Ends before the resim stage below when the sampling path falls
@@ -601,6 +588,16 @@ ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
                     infrastructureError->transient);
   }
   return finish();
+}
+
+} // namespace
+
+ShotBatchResult runShots(const ir::Module& module, const ShotOptions& opts) {
+  return runBatch(module, nullptr, opts);
+}
+
+ShotBatchResult runShots(const Program& program, const ShotOptions& opts) {
+  return runBatch(*program.module, &program, opts);
 }
 
 } // namespace qirkit::vm

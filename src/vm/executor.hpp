@@ -3,13 +3,12 @@
 /// aggregate the recorded outputs into a histogram — the workload shape
 /// the paper's execution route serves (one program, many sampled shots).
 ///
-/// Two engines sit behind one interface: the bytecode VM (compile once
-/// via the content-addressed cache, execute many; one Vm + one
-/// QuantumRuntime per worker, reset between shots) and the tree-walking
-/// interpreter (a fresh Interpreter + runtime per shot — the reference
-/// semantics). Shot s always runs with seed `seed + s`, independent of
-/// engine, thread count, and chunking, so histograms are reproducible
-/// and engine-comparable bit for bit.
+/// Two engines sit behind one interface: the bytecode VM (compile once,
+/// execute many; one Vm + one QuantumRuntime per worker, reset between
+/// shots) and the tree-walking interpreter (a fresh Interpreter + runtime
+/// per shot — the reference semantics). Shot s always runs with seed
+/// `seed + s`, independent of engine, thread count, and chunking, so
+/// histograms are reproducible and engine-comparable bit for bit.
 ///
 /// Fault tolerance: a trapping shot no longer takes the batch down with
 /// it. Each failure is classified through the structured error taxonomy
@@ -39,11 +38,16 @@
 
 namespace qirkit::telemetry {
 class RequestTrace;
+class Stage;
 } // namespace qirkit::telemetry
 
 namespace qirkit::vm {
 
-class CompileCache;
+struct Program;
+
+/// The "compile" stage: `run` compiles its module in it, and `serve` times
+/// its program-store lookup in it, so both report one stage name.
+extern telemetry::Stage g_compileStage;
 
 enum class Engine { Interp, Vm };
 
@@ -116,12 +120,6 @@ struct ShotOptions : RunChoices {
   /// TaskGroup, never ThreadPool::wait(). Per-shot simulators never nest
   /// parallelism (their pool is always null).
   qirkit::ThreadPool* pool = nullptr;
-  /// Route compilation through the compile cache (VM engine only).
-  bool useCompileCache = true;
-  /// The cache to route it through; nullptr means CompileCache::global().
-  /// The service injects its own instance here so tenants share one
-  /// cross-request cache that lives and dies with the daemon.
-  CompileCache* cache = nullptr;
   /// Failure-rate threshold: the batch tolerates up to this many
   /// permanently failed shots (recorded, not thrown). One more and
   /// runShots throws the first recorded failure. 0 preserves the
@@ -146,8 +144,8 @@ struct ShotOptions : RunChoices {
   /// unstarted, never as failed. The token must outlive the call.
   const qirkit::CancelToken* cancel = nullptr;
   /// Request-scoped trace context (nullptr: none). The batch's stage
-  /// Spans (compile with cache hit/miss/coalesced, analyze, sample vs
-  /// resim execute) record into it as well as into the armed telemetry
+  /// Spans (compile and analyze on a bare module, sample vs resim
+  /// execute) record into it as well as into the armed telemetry
   /// sinks, on the calling thread only — never inside the per-shot loop.
   /// The trace must outlive the call.
   telemetry::RequestTrace* requestTrace = nullptr;
@@ -169,9 +167,6 @@ struct ShotBatchResult {
   /// representative. Left default when the final shot failed.
   runtime::RuntimeStats lastShotStats;
   interp::InterpStats lastShotEngineStats;
-  /// Compile-cache activity attributable to this batch.
-  std::uint64_t cacheHits = 0;
-  std::uint64_t cacheMisses = 0;
 
   /// Shots that contributed an outcome to the histogram.
   std::uint64_t completedShots = 0;
@@ -217,11 +212,18 @@ struct ShotBatchResult {
                                             std::uint64_t shot,
                                             std::uint64_t attempt) noexcept;
 
-/// Run \p opts.shots shots of \p module's entry point. Throws TrapError
-/// (carrying the first failing shot's classified diagnostic) only when
-/// more than \p opts.maxFailedShots shots fail permanently; tolerated
-/// failures are reported in the result instead.
+/// Run \p opts.shots shots of \p module's entry point, compiling and
+/// analysing it first. Throws TrapError (carrying the first failing
+/// shot's classified diagnostic) only when more than \p
+/// opts.maxFailedShots shots fail permanently; tolerated failures are
+/// reported in the result instead.
 [[nodiscard]] ShotBatchResult runShots(const ir::Module& module,
+                                       const ShotOptions& opts = {});
+
+/// The same batch over a store Program (cache.hpp), which neither
+/// compiles nor analyses: its bytecode, or its compile failure, and its
+/// shot analysis are reused.
+[[nodiscard]] ShotBatchResult runShots(const Program& program,
                                        const ShotOptions& opts = {});
 
 } // namespace qirkit::vm

@@ -161,7 +161,7 @@ public:
     }
     flush(region);
     insertHeads();
-    // Compiled modules live in the compile cache: hold no growth slack.
+    // Compiled modules live in the program store: hold no growth slack.
     fn_.fusedBlocks.shrink_to_fit();
     return stats_;
   }

@@ -3,7 +3,7 @@
 /// groups the fully-constant `__quantum__qis__*` calls of each
 /// straight-line region into fused blocks backed by precomposed matrices,
 /// and heads the region with one Op::Fused instruction. Running at
-/// bytecode-compile time means the pass lands in the LRU compile cache, so
+/// bytecode-compile time means the pass lands in the program store, so
 /// its cost amortizes across every shot of a batch while each shot pays
 /// one statevector sweep per fused block instead of one per gate.
 ///

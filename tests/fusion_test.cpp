@@ -722,7 +722,6 @@ TEST(FusionReorder, HistogramsMatchTheInterpreterPerSeed) {
       opts.shots = 64;
       opts.seed = seed;
       opts.execMode = mode;
-      opts.useCompileCache = false;
       opts.interpFallback = false;
       const vm::ShotBatchResult fused = vm::runShots(*module, opts);
       opts.engine = vm::Engine::Interp;
@@ -791,7 +790,6 @@ TEST(FusionReorder, FaultDrillFailsTheSameShotAsUnfused) {
     opts.shots = 8;
     opts.seed = 5;
     opts.execMode = vm::ExecMode::Resim;
-    opts.useCompileCache = false;
     opts.interpFallback = false;
     opts.maxFailedShots = 8;
     if (!fusion) {
@@ -927,7 +925,6 @@ TEST(FusionDifferential, ResimHistogramsAreIdenticalPerSeed) {
     opts.shots = 50;
     opts.seed = seed * 977;
     opts.execMode = vm::ExecMode::Resim;
-    opts.useCompileCache = false;
     opts.interpFallback = false;
     const vm::ShotBatchResult fused = vm::runShots(*module, opts);
     opts.engine = vm::Engine::Interp; // the reference engine never fuses
@@ -944,7 +941,6 @@ TEST(FusionDifferential, SamplingPathMatchesToo) {
   opts.shots = 200;
   opts.seed = 13;
   opts.execMode = vm::ExecMode::Sample;
-  opts.useCompileCache = false;
   opts.interpFallback = false;
   const vm::ShotBatchResult fused = vm::runShots(*module, opts);
   opts.engine = vm::Engine::Interp;

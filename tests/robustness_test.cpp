@@ -419,7 +419,6 @@ TEST(Degradation, CompileFailureDegradesBatchToInterpreterIdentically) {
   vm::ShotOptions opts;
   opts.shots = 64;
   opts.seed = 9;
-  opts.useCompileCache = false; // force a real compile so the probe fires
 
   opts.engine = vm::Engine::Interp;
   const vm::ShotBatchResult reference = vm::runShots(*m, opts);
@@ -453,7 +452,6 @@ TEST(Degradation, CompileFailureWithFallbackDisabledPropagates) {
   vm::ShotOptions opts;
   opts.shots = 4;
   opts.engine = vm::Engine::Vm;
-  opts.useCompileCache = false;
   opts.interpFallback = false;
   try {
     (void)vm::runShots(*m, opts);
@@ -470,7 +468,6 @@ TEST(Degradation, VmDispatchFaultIsRescuedPerShotByTheInterpreter) {
   vm::ShotOptions opts;
   opts.shots = 32;
   opts.seed = 13;
-  opts.useCompileCache = false;
   opts.execMode = vm::ExecMode::Resim;
 
   opts.engine = vm::Engine::Interp;
@@ -653,7 +650,6 @@ TEST(TrapParity, EnginesFailTheSameShotUnderRuntimeCallInjection) {
     opts.seed = 3;
     opts.engine = engine;
     opts.execMode = vm::ExecMode::Resim;
-    opts.useCompileCache = false;
     opts.interpFallback = false; // surface the raw VM fault
     opts.maxFailedShots = 12;
     return vm::runShots(*m, opts);

@@ -2,9 +2,11 @@
 /// wire-protocol request validation, the admission queue's quotas /
 /// fairness / deterministic per-tenant seed streams, and a live in-process
 /// server exercised over a real Unix-domain socket — concurrent tenants,
-/// cross-request compile-cache hits in the metrics document, structured
+/// cross-request program-store hits in the metrics document, structured
 /// error responses for malformed and oversized frames that leave the
 /// connection usable, and the resource-limit taxonomy for quota rejects.
+#include "ir/context.hpp"
+#include "qasm/load.hpp"
 #include "service/client.hpp"
 #include "service/flight_recorder.hpp"
 #include "service/json.hpp"
@@ -1122,6 +1124,119 @@ TEST_F(ServeTest, LegacyFusionAndDispatchFieldsAreIgnored) {
     ASSERT_NE(got->find(bits), nullptr) << bits;
     EXPECT_EQ(got->find(bits)->number, count.number) << bits;
   }
+}
+
+/// A histogram member rendered as "bits=count;" pairs, for comparisons.
+std::string histogramOf(const json::Value& response) {
+  std::string out;
+  for (const auto& [bits, count] : response.find("histogram")->object) {
+    out += bits + "=" +
+           std::to_string(static_cast<std::uint64_t>(count.number)) + ";";
+  }
+  return out;
+}
+
+TEST_F(ServeTest, HashCollidingTextsNeverShareAProgram) {
+  // Both texts hash to c81323aaee974fec under FNV-1a; B flips the qubit.
+  const std::string a =
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ncreg c[1];\n"
+      "measure q[0] -> c[0];\n// p26Wv60iu1E\n";
+  const std::string b =
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ncreg c[1];\n"
+      "x q[0];\nmeasure q[0] -> c[0];\n// U7wF7e4RvMI\n";
+  Client client(socketPath_);
+  SubmitRequest req;
+  req.tenant = "alice";
+  req.program = a;
+  req.seed = 4;
+  const json::Value first = json::parse(client.call(submitRequestJson(req)));
+  ASSERT_TRUE(first.find("ok")->boolean);
+  req.tenant = "mallory";
+  req.program = b;
+  const json::Value second = json::parse(client.call(submitRequestJson(req)));
+  ASSERT_TRUE(second.find("ok")->boolean);
+  EXPECT_EQ(first.find("program_id")->string, "c81323aaee974fec");
+  EXPECT_EQ(second.find("program_id")->string, "c81323aaee974fec");
+
+  // Mallory's answer is B's, exactly as a batch over B computes it.
+  ir::Context ctx;
+  vm::ShotOptions opts;
+  opts.shots = req.shots;
+  opts.seed = 4;
+  const vm::ShotBatchResult expected = vm::runShots(
+      *qasm::loadProgram(ctx, b, {}, qir::Addressing::Static), opts);
+  std::string bits;
+  for (const auto& [outcome, count] : expected.histogram) {
+    bits += outcome + "=" + std::to_string(count) + ";";
+  }
+  EXPECT_EQ(histogramOf(second), bits);
+  EXPECT_EQ(second.find("gates_per_shot")->asU64("gates_per_shot"),
+            expected.lastShotStats.gatesApplied);
+
+  // With both resident, the id alone cannot pick one.
+  SubmitRequest byRef;
+  byRef.tenant = "mallory";
+  byRef.programRef = "c81323aaee974fec";
+  const json::Value error = json::parse(client.call(submitRequestJson(byRef)));
+  ASSERT_FALSE(error.find("ok")->boolean);
+  EXPECT_EQ(error.find("error")->find("code")->string, "usage");
+  EXPECT_NE(error.find("error")->find("message")->string.find("ambiguous"),
+            std::string::npos);
+}
+
+TEST_F(ServeTest, ResubmissionNeitherCompilesNorAnalyses) {
+  Client client(socketPath_);
+  const json::Value first = json::parse(client.call(submitLine("alice", 30, 5)));
+  ASSERT_TRUE(first.find("ok")->boolean);
+  EXPECT_EQ(first.find("cache")->find("misses")->asU64("misses"), 1U);
+
+  SubmitRequest byRef;
+  byRef.tenant = "bob";
+  byRef.programRef = first.find("program_id")->string;
+  byRef.shots = 30;
+  byRef.seed = 5;
+  for (const std::string& line :
+       {submitRequestJson(byRef), submitLine("bob", 30, 5)}) {
+    const json::Value v = json::parse(client.call(line));
+    ASSERT_TRUE(v.find("ok")->boolean) << line;
+    EXPECT_EQ(histogramOf(v), histogramOf(first));
+    EXPECT_EQ(v.find("cache")->find("hits")->asU64("hits"), 1U);
+    const json::Value* metrics = v.find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    EXPECT_EQ(metrics->find("analyze.count"), nullptr) << line;
+    EXPECT_EQ(metrics->find("vm.compile.count"), nullptr) << line;
+    for (const json::Value& stage : v.find("stages")->array) {
+      EXPECT_NE(stage.find("stage")->string, "analyze");
+      if (stage.find("stage")->string == "compile") {
+        EXPECT_EQ(stage.find("note")->string, "hit");
+      }
+    }
+  }
+}
+
+TEST_F(ServeTest, ProgramCapacityOneEvictsTheOlderProgram) {
+  restart([](ServerOptions& options) { options.programCapacity = 1; });
+  Client client(socketPath_);
+  const json::Value bell = json::parse(client.call(submitLine("alice", 10, 1)));
+  ASSERT_TRUE(bell.find("ok")->boolean);
+  SubmitRequest ghz;
+  ghz.tenant = "alice";
+  ghz.program =
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\n"
+      "h q[0];\ncx q[0], q[1];\ncx q[1], q[2];\nmeasure q -> c;\n";
+  ghz.shots = 10;
+  ASSERT_TRUE(json::parse(client.call(submitRequestJson(ghz))).find("ok")->boolean);
+
+  SubmitRequest byRef;
+  byRef.tenant = "alice";
+  byRef.programRef = bell.find("program_id")->string;
+  const json::Value error = json::parse(client.call(submitRequestJson(byRef)));
+  ASSERT_FALSE(error.find("ok")->boolean);
+  EXPECT_EQ(error.find("error")->find("code")->string, "usage");
+  const json::Value metrics = json::parse(client.call(R"({"type":"metrics"})"));
+  EXPECT_EQ(metrics.find("cache")->find("size")->asU64("size"), 1U);
+  EXPECT_EQ(metrics.find("cache")->find("capacity")->asU64("capacity"), 1U);
+  EXPECT_EQ(metrics.find("cache")->find("evictions")->asU64("evictions"), 1U);
 }
 
 TEST_F(ServeTest, BrokenProgramsReturnClassifiedErrors) {

@@ -6,6 +6,7 @@
 /// histograms, the Chrome trace-event writer and request traces.
 #include "circuit/generators.hpp"
 #include "ir/parser.hpp"
+#include "ir/printer.hpp"
 #include "passes/pass.hpp"
 #include "qir/compile.hpp"
 #include "qir/exporter.hpp"
@@ -60,21 +61,17 @@ std::size_t chromeEvents(const std::string& content, const std::string& name) {
   return n;
 }
 
-/// Every test runs with a clean, enabled registry and a clean global
-/// compile cache, and leaves telemetry disabled (the process default).
+/// Every test runs with a clean, enabled registry and leaves telemetry
+/// disabled (the process default).
 class TelemetryTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    vm::CompileCache::global().clear();
-    vm::CompileCache::global().setCapacity(vm::CompileCache::kDefaultCapacity);
     telemetry::setEnabled(true);
     telemetry::resetAll();
   }
   void TearDown() override {
     telemetry::resetAll();
     telemetry::setEnabled(false);
-    vm::CompileCache::global().clear();
-    vm::CompileCache::global().setCapacity(vm::CompileCache::kDefaultCapacity);
   }
 };
 
@@ -130,47 +127,51 @@ TEST_F(TelemetryTest, CounterGaugeHistogramSemantics) {
 
 TEST_F(TelemetryTest, CacheCountersMatchObservableCacheStats) {
   ir::Context ctx;
-  const auto m = qir::exportCircuit(ctx, circuit::bellPair(true), {});
+  const std::string text =
+      ir::printModule(*qir::exportCircuit(ctx, circuit::bellPair(true), {}));
+  vm::CompileCache store;
   vm::ShotOptions opts;
   opts.shots = 5;
   opts.engine = vm::Engine::Vm;
 
-  const auto before = vm::CompileCache::global().stats();
-  const auto first = vm::runShots(*m, opts);
-  const auto second = vm::runShots(*m, opts);
-  const auto after = vm::CompileCache::global().stats();
+  const auto first = store.getOrLoad(text);
+  const auto second = store.getOrLoad(text);
+  (void)vm::runShots(*first.program, opts);
+  (void)vm::runShots(*second.program, opts);
+  const auto stats = store.stats();
 
-  // The batches themselves observed one miss then one hit.
-  EXPECT_EQ(first.cacheMisses, 1U);
-  EXPECT_EQ(second.cacheHits, 1U);
-  // Telemetry counters agree with the cache's own Stats delta.
-  EXPECT_EQ(telemetry::counterValue("vm.cache.misses"), after.misses - before.misses);
-  EXPECT_EQ(telemetry::counterValue("vm.cache.hits"), after.hits - before.hits);
+  // The lookups observed one miss then one hit.
+  EXPECT_STREQ(first.outcome, "miss");
+  EXPECT_STREQ(second.outcome, "hit");
+  // Telemetry counters agree with the store's own Stats.
+  EXPECT_EQ(telemetry::counterValue("vm.cache.misses"), stats.misses);
+  EXPECT_EQ(telemetry::counterValue("vm.cache.hits"), stats.hits);
   EXPECT_EQ(telemetry::counterValue("vm.cache.misses"), 1U);
   EXPECT_EQ(telemetry::counterValue("vm.cache.hits"), 1U);
   EXPECT_EQ(telemetry::counterValue("vm.cache.evictions"), 0U);
-  // Compilation happened exactly once across both batches; the
-  // executor's compile stage ran for each.
+  // Compilation happened exactly once, in the load; neither batch
+  // compiled or analysed again.
   const std::string json = telemetry::statsJson("test");
   EXPECT_EQ(stageCount(json, "vm.compile"), 1U);
-  EXPECT_EQ(stageCount(json, "compile"), 2U);
+  EXPECT_EQ(stageCount(json, "compile"), 0U);
+  EXPECT_EQ(stageCount(json, "analyze"), 0U);
 }
 
 TEST_F(TelemetryTest, EvictionCountersMatchAtCapacityOne) {
-  vm::CompileCache::global().setCapacity(1);
+  vm::CompileCache store({}, 1);
   ir::Context ctx;
-  const auto bell = qir::exportCircuit(ctx, circuit::bellPair(true), {});
-  const auto ghz = qir::exportCircuit(ctx, circuit::ghz(3, true), {});
-  vm::ShotOptions opts;
-  opts.shots = 2;
-  opts.engine = vm::Engine::Vm;
+  const std::string bell =
+      ir::printModule(*qir::exportCircuit(ctx, circuit::bellPair(true), {}));
+  const std::string ghz =
+      ir::printModule(*qir::exportCircuit(ctx, circuit::ghz(3, true), {}));
 
-  (void)vm::runShots(*bell, opts); // miss, insert
-  (void)vm::runShots(*ghz, opts);  // miss, evicts bell
-  (void)vm::runShots(*bell, opts); // miss again (was evicted), evicts ghz
+  (void)store.getOrLoad(bell); // miss, insert
+  (void)store.getOrLoad(ghz);  // miss, evicts bell
+  (void)store.getOrLoad(bell); // miss again (was evicted), evicts ghz
 
-  const auto stats = vm::CompileCache::global().stats();
-  EXPECT_EQ(vm::CompileCache::global().size(), 1U);
+  const auto stats = store.stats();
+  EXPECT_EQ(store.size(), 1U);
+  EXPECT_EQ(stats.misses, 3U);
   EXPECT_EQ(stats.evictions, 2U);
   EXPECT_EQ(telemetry::counterValue("vm.cache.evictions"), stats.evictions);
   EXPECT_EQ(telemetry::counterValue("vm.cache.misses"), stats.misses);
@@ -189,7 +190,6 @@ TEST_F(TelemetryTest, DisabledTelemetryChangesNoProgramOutput) {
 
   const auto withTelemetry = vm::runShots(*m, opts);
   telemetry::setEnabled(false);
-  vm::CompileCache::global().clear();
   const auto without = vm::runShots(*m, opts);
 
   EXPECT_EQ(withTelemetry.histogram, without.histogram);
@@ -297,8 +297,9 @@ TEST_F(TelemetryTest, StatsJsonIsVersionedAndNested) {
   EXPECT_NE(json.find("\"tool\":\"qirkit\""), std::string::npos);
   EXPECT_NE(json.find("\"command\":\"test\""), std::string::npos);
   // Dotted names render as nesting: vm.cache.misses -> "vm":{"cache":{...}}.
+  // A batch over a bare module compiles it and never touches a store.
   EXPECT_NE(json.find("\"cache\""), std::string::npos);
-  EXPECT_NE(json.find("\"misses\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"misses\":0"), std::string::npos);
   EXPECT_NE(json.find("\"latency_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"passes\":["), std::string::npos);
   EXPECT_EQ(json.find('\n'), std::string::npos); // single line for tail -1
@@ -603,7 +604,7 @@ TEST_F(TelemetryTest, PooledResimBatchFeedsEachStageOnceToEverySink) {
   const std::vector<telemetry::RequestStage> stages = trace.stages();
   ASSERT_EQ(stages.size(), 3U);
   EXPECT_EQ(stages[0].name, "compile");
-  EXPECT_EQ(stages[0].note, "miss");
+  EXPECT_EQ(stages[0].note, "");
   EXPECT_EQ(stages[1].name, "analyze");
   EXPECT_EQ(stages[1].note, "feedback");
   EXPECT_EQ(stages[2].name, "execute");

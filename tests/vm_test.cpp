@@ -440,18 +440,26 @@ TEST(VmShotExecutor, ParallelAndSequentialHistogramsAreIdentical) {
 
 TEST(VmShotExecutor, CacheEliminatesRecompilationAcrossBatches) {
   ir::Context ctx;
-  const auto m = qir::exportCircuit(ctx, circuit::bellPair(true), {});
+  const std::string text =
+      ir::printModule(*qir::exportCircuit(ctx, circuit::bellPair(true), {}));
+  vm::CompileCache store;
+  const vm::CompileCache::Lookup first = store.getOrLoad(text);
+  const vm::CompileCache::Lookup second = store.getOrLoad(text);
+  // The second lookup reuses the first's program, bytecode included.
+  EXPECT_STREQ(first.outcome, "miss");
+  EXPECT_STREQ(second.outcome, "hit");
+  ASSERT_EQ(first.program, second.program);
+  ASSERT_NE(first.program->bytecode, nullptr);
+
   vm::ShotOptions options;
   options.shots = 4;
   options.seed = 77;
-  const vm::ShotBatchResult first = vm::runShots(*m, options);
-  const vm::ShotBatchResult second = vm::runShots(*m, options);
-  // First batch may hit if an earlier test compiled the same program;
-  // the second batch must hit.
-  EXPECT_EQ(first.cacheHits + first.cacheMisses, 1U);
-  EXPECT_EQ(second.cacheHits, 1U);
-  EXPECT_EQ(second.cacheMisses, 0U);
-  EXPECT_EQ(first.histogram, second.histogram);
+  const vm::ShotBatchResult a = vm::runShots(*first.program, options);
+  const vm::ShotBatchResult b = vm::runShots(*second.program, options);
+  EXPECT_EQ(a.engineUsed, vm::Engine::Vm);
+  EXPECT_EQ(a.histogram, b.histogram);
+  // A store batch answers what a batch over the bare module answers.
+  EXPECT_EQ(a.histogram, vm::runShots(*first.program->module, options).histogram);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@
 ///                  [--max-failed-shots N]
 ///                  [--retries N]
 ///                  [--no-fallback]              execute + runtime (§III.C);
-///                                               vm = bytecode engine with
-///                                               compile cache, interp =
-///                                               reference tree-walker;
+///                                               vm = bytecode engine,
+///                                               interp = reference
+///                                               tree-walker;
 ///                                               failed shots are classified
 ///                                               and isolated (tolerating up
 ///                                               to --max-failed-shots, with
@@ -383,12 +383,7 @@ int cmdRun(const Args& args) {
     options.cancel = &cancel;
   }
   const vm::ShotBatchResult result = vm::runShots(*module, options);
-  std::cerr << "engine: " << vm::engineName(result.engineUsed);
-  if (result.engineUsed == vm::Engine::Vm) {
-    std::cerr << " (compile cache "
-              << (result.cacheHits != 0 ? "hit" : "miss") << ")";
-  }
-  std::cerr << "\n";
+  std::cerr << "engine: " << vm::engineName(result.engineUsed) << "\n";
   if (result.sampled) {
     std::cerr << "exec mode: sample (simulated once, sampled "
               << result.completedShots << " shots)\n";
@@ -530,10 +525,6 @@ int cmdServe(const Args& args) {
       1, parseUint(args.option("runners", "2"), "runners"));
   options.poolThreads =
       static_cast<std::size_t>(parseUint(args.option("jobs", "0"), "jobs"));
-  if (!args.option("cache-capacity").empty()) {
-    options.cacheCapacity = std::max<std::size_t>(
-        1, parseUint(args.option("cache-capacity"), "cache-capacity"));
-  }
   if (!args.option("program-capacity").empty()) {
     options.programCapacity = std::max<std::size_t>(
         1, parseUint(args.option("program-capacity"), "program-capacity"));
@@ -794,8 +785,8 @@ void usage() {
          "compile options: --target line:N|ring:N|grid:RxC|full:N\n"
          "             --addressing static|dynamic --reuse --defer-mz\n"
          "serve: qirkit serve <socket> [--runners N] [--jobs N]\n"
-         "             [--cache-capacity N] [--program-capacity N]\n"
-         "             [--queue-capacity N] [--tenant-pending N]\n"
+         "             [--program-capacity N] [--queue-capacity N]\n"
+         "             [--tenant-pending N]\n"
          "             [--max-shots N] [--max-frame-bytes N]\n"
          "             [--rate-limit R/s] [--rate-burst B]\n"
          "             [--memory-budget-mb N] [--watchdog-factor N]\n"
@@ -881,7 +872,7 @@ int main(int argc, char** argv) {
         {"partition", cmdPartition, {}},
         {"feasibility", cmdFeasibility, {{"budget", "model"}, {}}},
         {"serve", cmdServe,
-         {{"runners", "jobs", "cache-capacity", "program-capacity",
+         {{"runners", "jobs", "program-capacity",
            "max-frame-bytes", "queue-capacity", "tenant-pending", "max-shots",
            "rate-limit", "rate-burst", "memory-budget-mb", "watchdog-factor",
            "flight-capacity", "slow-threshold-ms"},

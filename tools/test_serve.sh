@@ -2,7 +2,7 @@
 # End-to-end test of `qirkit serve` / `qirkit submit`. Run by ctest with
 # the build dir as $1. Exercises: daemon startup, two tenants submitting
 # concurrently, histograms byte-identical to single-process `qirkit run`,
-# a cross-request compile-cache hit visible in the metrics document,
+# a cross-request program-store hit visible in the metrics document,
 # program_ref resubmission, the exit-code contract for structured errors,
 # and a clean drain-and-exit shutdown.
 set -e
@@ -155,6 +155,13 @@ grep -q "error\[parse\]" "$WORK/err1" || fail "parse error format"
 
 "$QIRKIT" submit "@nosuchprogram" --socket "$SOCK" 2> "$WORK/err2"
 [ $? -eq 2 ] || fail "unknown ref should exit 2 (usage)"
+
+# --program-capacity is the one store bound; the retired compile-cache
+# bound is refused before a daemon starts.
+timeout 10 "$QIRKIT" serve "$WORK/retired.sock" --cache-capacity 4 \
+  2> "$WORK/err7"
+[ $? -eq 2 ] || fail "retired capacity option should exit 2 (usage)"
+grep -q "error\[usage\]" "$WORK/err7" || fail "retired option error format"
 
 "$QIRKIT" submit "$WORK/bell.qasm" --socket "$SOCK" --shots 99999999 \
   2> "$WORK/err3"
