@@ -173,7 +173,14 @@ bool DomTree::dominatesUse(const Instruction* def, const Instruction* user) cons
   const BasicBlock* defBlock = def->parent();
   const BasicBlock* useBlock = user->parent();
   if (defBlock == useBlock) {
-    return defBlock->indexOf(def) < useBlock->indexOf(user);
+    if (positions_.empty()) {
+      for (const auto& block : fn_.blocks()) {
+        for (std::size_t i = 0; i < block->size(); ++i) {
+          positions_.emplace(block->instructions()[i].get(), i);
+        }
+      }
+    }
+    return positions_.at(def) < positions_.at(user);
   }
   return dominates(defBlock, useBlock);
 }

@@ -6,6 +6,7 @@
 #include "ir/module.hpp"
 
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace qirkit::ir {
@@ -27,7 +28,8 @@ public:
   /// True if instruction \p def dominates the use of it at \p user. Handles
   /// same-block ordering; for phi users, the use must dominate the end of
   /// the corresponding incoming block, which callers check separately via
-  /// dominatesEdge().
+  /// dominatesEdge(). The first call records every instruction's position
+  /// in its block, so the function must not change between calls.
   [[nodiscard]] bool dominatesUse(const Instruction* def, const Instruction* user) const;
 
   [[nodiscard]] bool isReachable(const BasicBlock* block) const;
@@ -53,6 +55,10 @@ private:
   std::map<const BasicBlock*, const BasicBlock*> idom_;
   mutable bool frontiersComputed_ = false;
   mutable std::map<const BasicBlock*, std::vector<const BasicBlock*>> frontiers_;
+  // Position of each instruction in its block, filled by the first
+  // dominatesUse() (BasicBlock::indexOf scans the block, which made
+  // verifying a long block quadratic).
+  mutable std::unordered_map<const Instruction*, std::size_t> positions_;
   // Dominator-tree DFS intervals: a dominates b iff in[a] <= in[b] and
   // out[b] <= out[a]. Makes dominates() O(log n) instead of an idom-chain
   // walk (which is O(depth) — quadratic on the long chains unrolling

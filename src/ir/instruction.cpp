@@ -159,6 +159,59 @@ bool Instruction::hasSideEffects() const noexcept {
   }
 }
 
+bool Instruction::mayTrap() const noexcept {
+  const auto constantOperand = [this](unsigned i) -> const ConstantInt* {
+    const Value* v = operand(i);
+    return v->kind() == Kind::ConstantInt ? static_cast<const ConstantInt*>(v)
+                                          : nullptr;
+  };
+  switch (op_) {
+  case Opcode::SDiv:
+  case Opcode::SRem: {
+    const ConstantInt* divisor = constantOperand(1);
+    if (divisor == nullptr || divisor->isZero()) {
+      return true;
+    }
+    if (divisor->value() != -1) {
+      return false;
+    }
+    const ConstantInt* dividend = constantOperand(0);
+    return dividend == nullptr ||
+           dividend->zextValue() == std::uint64_t{1} << (type()->bits() - 1);
+  }
+  case Opcode::UDiv:
+  case Opcode::URem: {
+    const ConstantInt* divisor = constantOperand(1);
+    return divisor == nullptr || divisor->isZero();
+  }
+  case Opcode::Shl:
+  case Opcode::LShr:
+  case Opcode::AShr: {
+    const ConstantInt* amount = constantOperand(1);
+    return amount == nullptr || amount->zextValue() >= type()->bits();
+  }
+  case Opcode::Load: {
+    // The engines give an alloca its type's store size and a global its
+    // initializer (at least one byte); a load from the start of either
+    // that fits stays in bounds. Every other address may be out of range.
+    const Value* address = operand(0);
+    if (address->kind() == Kind::Instruction &&
+        static_cast<const Instruction*>(address)->op() == Opcode::Alloca) {
+      return type()->storeSize() >
+             static_cast<const Instruction*>(address)->allocatedType()->storeSize();
+    }
+    if (address->kind() == Kind::GlobalVariable) {
+      return type()->storeSize() >
+             std::max<std::uint64_t>(
+                 1, static_cast<const GlobalVariable*>(address)->initializer().size());
+    }
+    return true;
+  }
+  default:
+    return false;
+  }
+}
+
 ConstantInt* Instruction::switchCaseValue(unsigned i) const {
   assert(op_ == Opcode::Switch);
   auto* c = dynamic_cast<ConstantInt*>(operand(2 + 2 * i));
@@ -301,6 +354,16 @@ std::unique_ptr<Instruction> BasicBlock::detach(Instruction* inst) {
   instructions_.erase(instructions_.begin() + static_cast<std::ptrdiff_t>(index));
   owned->parent_ = nullptr;
   return owned;
+}
+
+void BasicBlock::moveTailTo(std::size_t index, BasicBlock& to) {
+  assert(index <= instructions_.size() && &to != this);
+  for (auto it = instructions_.begin() + static_cast<std::ptrdiff_t>(index);
+       it != instructions_.end(); ++it) {
+    (*it)->parent_ = &to;
+    to.instructions_.push_back(std::move(*it));
+  }
+  instructions_.resize(index);
 }
 
 std::vector<BasicBlock*> BasicBlock::successors() const {

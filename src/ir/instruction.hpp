@@ -117,6 +117,21 @@ public:
   /// allocas do not.
   [[nodiscard]] bool hasSideEffects() const noexcept;
 
+  /// True if executing this instruction may raise a run-time trap: a
+  /// division or remainder whose divisor is not a known non-zero constant
+  /// (signed ones also unless INT_MIN / -1 is ruled out), a shift whose
+  /// amount is not a constant below the width, or a load that is not
+  /// known to stay inside an alloca or global. Passes must not delete such
+  /// an instruction even when its result is unused.
+  [[nodiscard]] bool mayTrap() const noexcept;
+
+  /// True if deleting this instruction cannot change what the program
+  /// does: it produces a value nobody uses, has no side effects and
+  /// cannot trap. The one deletion rule of DCE, SCCP and constant folding.
+  [[nodiscard]] bool isTriviallyDead() const noexcept {
+    return !type()->isVoid() && !hasUses() && !hasSideEffects() && !mayTrap();
+  }
+
   // -- ICmp / FCmp -----------------------------------------------------------
   [[nodiscard]] ICmpPred icmpPred() const noexcept { return icmpPred_; }
   [[nodiscard]] FCmpPred fcmpPred() const noexcept { return fcmpPred_; }
@@ -205,27 +220,40 @@ public:
   [[nodiscard]] std::size_t indexOf(const Instruction* inst) const;
   /// Detach \p inst without destroying it.
   std::unique_ptr<Instruction> detach(Instruction* inst);
+  /// Move the instructions from position \p index on, in order, to the
+  /// end of \p to (one pass; detaching them one by one is quadratic).
+  void moveTailTo(std::size_t index, BasicBlock& to);
   /// Destroy every instruction for which \p pred returns true. Instructions
-  /// are dropped in reverse order after their operands are released, so
-  /// mutually-referencing dead instructions are handled.
+  /// are removed after their operands are released, so mutually-referencing
+  /// dead instructions are handled.
   template <typename Pred> std::size_t eraseIf(Pred pred) {
     std::size_t erased = 0;
     // First drop operands of all doomed instructions so use counts between
-    // them reach zero, then remove.
-    for (auto& inst : instructions_) {
-      if (pred(inst.get())) {
-        inst->dropAllOperands();
+    // them reach zero, then remove. The removal pass asks \p pred again only
+    // about survivors (the drops may have left them unused), so it never
+    // sees an instruction whose operands are gone.
+    std::vector<bool> doomed(instructions_.size());
+    for (std::size_t i = 0; i < instructions_.size(); ++i) {
+      doomed[i] = pred(instructions_[i].get());
+      if (doomed[i]) {
+        instructions_[i]->dropAllOperands();
       }
     }
-    auto it = instructions_.begin();
-    while (it != instructions_.end()) {
-      if (pred(it->get())) {
-        it = instructions_.erase(it);
+    // One compaction pass: erasing one at a time is quadratic in the block
+    // length, which dominated mem2reg on large straight-line modules.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < instructions_.size(); ++i) {
+      if (doomed[i] || pred(instructions_[i].get())) {
+        instructions_[i].reset();
         ++erased;
       } else {
-        ++it;
+        if (kept != i) {
+          instructions_[kept] = std::move(instructions_[i]);
+        }
+        ++kept;
       }
     }
+    instructions_.resize(kept);
     return erased;
   }
 

@@ -52,9 +52,13 @@ public:
         return;
       }
       std::string name = v->name();
-      unsigned suffix = 0;
-      while (!taken_.insert(name).second) {
-        name = v->name() + "." + std::to_string(++suffix);
+      if (!taken_.insert(name).second) {
+        // Suffixes up to the last one this name took are all taken, so the
+        // search resumes there: n clones of one name cost O(n), not O(n^2).
+        unsigned& suffix = lastSuffix_[v->name()];
+        do {
+          name = v->name() + "." + std::to_string(++suffix);
+        } while (!taken_.insert(name).second);
       }
       names_[v] = std::move(name);
     };
@@ -87,6 +91,7 @@ public:
 private:
   std::map<const Value*, std::string> names_;
   std::set<std::string> taken_;
+  std::map<std::string, unsigned> lastSuffix_;
 };
 
 class FunctionPrinter {

@@ -30,10 +30,7 @@ public:
             changedAny = true;
           }
         }
-        block->eraseIf([](ir::Instruction* inst) {
-          return !inst->hasSideEffects() && !inst->hasUses() &&
-                 !inst->type()->isVoid();
-        });
+        block->eraseIf([](ir::Instruction* inst) { return inst->isTriviallyDead(); });
       }
     }
     return changedAny;

@@ -92,38 +92,62 @@ public:
       return false;
     }
     const DomTree dom(fn);
-    // Scoped hash table via dominator-tree DFS: available expressions are
-    // those defined in dominating blocks (or earlier in the same block).
     std::map<const BasicBlock*, std::vector<const BasicBlock*>> children;
     for (const BasicBlock* block : dom.reversePostOrder()) {
       if (const BasicBlock* parent = dom.idom(block)) {
         children[parent].push_back(block);
       }
     }
-    bool changed = false;
+    // Scoped hash table over a dominator-tree DFS: available expressions
+    // are those defined in dominating blocks (or earlier in the same
+    // block). The walk keeps an explicit stack, because a recursive one
+    // overflows on deep dominator chains (long runs of if-diamonds). The
+    // entries a block adds go on an undo log and are erased when the walk
+    // leaves its subtree, instead of copying the map per child, which is
+    // quadratic on deep chains.
+    struct Frame {
+      const BasicBlock* block;
+      bool leaving;      // the subtree is done: roll the log back
+      std::size_t mark;  // undo-log size when the block was entered
+    };
     std::map<ExprKey, Instruction*> available;
-    changed |= walk(fn.entry(), children, available);
+    std::vector<std::map<ExprKey, Instruction*>::iterator> added;
+    std::vector<Frame> stack{{fn.entry(), false, 0}};
+    bool changed = false;
+    while (!stack.empty()) {
+      const Frame frame = stack.back();
+      stack.pop_back();
+      if (frame.leaving) {
+        for (; added.size() > frame.mark; added.pop_back()) {
+          available.erase(added.back());
+        }
+        continue;
+      }
+      stack.push_back({frame.block, true, added.size()});
+      changed |= visit(*const_cast<BasicBlock*>(frame.block), available, added);
+      const auto kids = children.find(frame.block);
+      if (kids != children.end()) {
+        // Pushed in reverse, so children are visited in order.
+        for (auto it = kids->second.rbegin(); it != kids->second.rend(); ++it) {
+          stack.push_back({*it, false, 0});
+        }
+      }
+    }
     return changed;
   }
 
 private:
-  /// Scoped-hash-table walk. `available` is shared across the recursion;
-  /// entries added in this subtree are undone on exit (an undo log instead
-  /// of copying the map per child, which is quadratic on deep dominator
-  /// chains).
-  bool walk(const BasicBlock* block,
-            const std::map<const BasicBlock*, std::vector<const BasicBlock*>>& children,
-            std::map<ExprKey, Instruction*>& available) {
+  /// Replace each instruction of \p block that repeats an available
+  /// expression; log the expressions the block makes available.
+  static bool visit(BasicBlock& block, std::map<ExprKey, Instruction*>& available,
+                    std::vector<std::map<ExprKey, Instruction*>::iterator>& added) {
     bool changed = false;
-    auto* mutableBlock = const_cast<BasicBlock*>(block);
     std::vector<Instruction*> dead;
-    std::vector<std::map<ExprKey, Instruction*>::iterator> added;
-    for (const auto& inst : mutableBlock->instructions()) {
+    for (const auto& inst : block.instructions()) {
       if (!isCSECandidate(*inst)) {
         continue;
       }
-      const ExprKey key = keyFor(*inst);
-      const auto [it, inserted] = available.emplace(key, inst.get());
+      const auto [it, inserted] = available.emplace(keyFor(*inst), inst.get());
       if (inserted) {
         added.push_back(it);
       } else {
@@ -134,15 +158,6 @@ private:
     }
     for (Instruction* inst : dead) {
       inst->eraseFromParent();
-    }
-    const auto kids = children.find(block);
-    if (kids != children.end()) {
-      for (const BasicBlock* child : kids->second) {
-        changed |= walk(child, children, available);
-      }
-    }
-    for (const auto& it : added) {
-      available.erase(it);
     }
     return changed;
   }

@@ -1,5 +1,7 @@
 /// Dead code elimination: removes side-effect-free instructions with no
-/// uses, iterating until stable (removal can make operands dead).
+/// uses, iterating until stable (removal can make operands dead). An
+/// instruction that may trap stays: deleting it would turn a run-time
+/// trap into a normal shot.
 #include "passes/pass.hpp"
 
 namespace qirkit::passes {
@@ -15,10 +17,8 @@ public:
     while (changed) {
       changed = false;
       for (const auto& block : fn.blocks()) {
-        const std::size_t erased = block->eraseIf([](ir::Instruction* inst) {
-          return !inst->hasSideEffects() && !inst->hasUses() &&
-                 !inst->type()->isVoid();
-        });
+        const std::size_t erased = block->eraseIf(
+            [](ir::Instruction* inst) { return inst->isTriviallyDead(); });
         if (erased > 0) {
           changed = true;
           changedAny = true;

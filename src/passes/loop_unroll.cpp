@@ -14,6 +14,13 @@
 /// The trip count is obtained by simulating the induction with the same
 /// iN arithmetic the folder uses, so the cloned comparisons are guaranteed
 /// to fold to the simulated direction afterwards.
+///
+/// One nesting level per invocation: a loop that contained another loop
+/// when the pass started waits for the next sweep of the pipeline, so
+/// SCCP, CSE and SimplifyCFG shrink the unrolled inner copies before the
+/// outer body is cloned. An unroll that would grow the module past
+/// kMaxExpandedModuleSize instructions is refused; that loop stays a
+/// loop.
 #include "passes/folding.hpp"
 #include "passes/loop_info.hpp"
 #include "passes/pass.hpp"
@@ -22,6 +29,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <vector>
 
 namespace qirkit::passes {
@@ -37,7 +45,10 @@ struct InductionInfo {
   std::uint64_t tripCount = 0;      // number of body executions
 };
 
-class LoopUnrollPass final : public FunctionPass {
+/// A module pass, because its budget counts the module: it sizes the
+/// module once per invocation and tracks each unroll's growth, instead of
+/// walking the module for every candidate loop in every function.
+class LoopUnrollPass final : public ModulePass {
 public:
   explicit LoopUnrollPass(std::size_t maxTripCount) : maxTripCount_(maxTripCount) {}
 
@@ -45,32 +56,67 @@ public:
     return "loop-unroll";
   }
 
-  bool run(Function& fn) override {
+  bool run(Module& module) override {
+    moduleSize_ = module.instructionCount();
     bool changed = false;
-    // Unrolling invalidates the loop forest; recompute after each success.
-    for (int guard = 0; guard < 64; ++guard) {
-      if (!unrollOne(fn)) {
-        break;
+    for (const auto& fn : module.functions()) {
+      if (!fn->isDeclaration()) {
+        changed |= unrollIn(*fn);
       }
-      changed = true;
     }
     return changed;
   }
 
 private:
   std::size_t maxTripCount_;
+  std::size_t moduleSize_ = 0;
 
-  bool unrollOne(Function& fn) {
-    const std::vector<Loop> loops = findNaturalLoops(fn);
+  bool unrollIn(Function& fn) {
+    std::vector<Loop> loops = findNaturalLoops(fn);
+    // Loops that contain a loop now are left for the next sweep, even once
+    // their inner loops are gone. Unrolling creates no loops, so these
+    // headers stay valid blocks for the whole invocation.
+    std::set<const BasicBlock*> outer;
     for (const Loop& loop : loops) {
       if (loop.containsLoop(loops)) {
-        continue; // unroll innermost first; outer handled next sweep
+        outer.insert(loop.header);
       }
-      if (tryUnroll(fn, loop)) {
+    }
+    bool changed = false;
+    for (int guard = 0; guard < 64 && !loops.empty(); ++guard) {
+      const std::size_t before = fn.instructionCount();
+      if (!unrollOne(fn, loops, outer)) {
+        break;
+      }
+      changed = true;
+      moduleSize_ = moduleSize_ - before + fn.instructionCount();
+      loops = findNaturalLoops(fn); // unrolling invalidates the loop forest
+    }
+    return changed;
+  }
+
+  bool unrollOne(Function& fn, const std::vector<Loop>& loops,
+                 const std::set<const BasicBlock*>& outer) {
+    for (const Loop& loop : loops) {
+      if (outer.count(loop.header) == 0 && tryUnroll(fn, loop)) {
         return true;
       }
     }
     return false;
+  }
+
+  /// Estimate the module after unrolling \p loop as the rest of the
+  /// module plus \p tripCount copies of the loop's non-phi instructions.
+  [[nodiscard]] bool fitsBudget(const Loop& loop, std::uint64_t tripCount) const {
+    std::uint64_t rest = moduleSize_;
+    std::uint64_t body = 0;
+    for (const BasicBlock* block : loop.blocks) {
+      rest -= block->size();
+      for (const auto& inst : block->instructions()) {
+        body += inst->op() == Opcode::Phi ? 0 : 1;
+      }
+    }
+    return rest + tripCount * body <= kMaxExpandedModuleSize;
   }
 
   static const ConstantInt* asConstInt(const Value* v) {
@@ -115,7 +161,7 @@ private:
 
     const auto induction = analyzeInduction(loop, header, latch, preheader,
                                             headerTerm, exitIs0);
-    if (!induction) {
+    if (!induction || !fitsBudget(loop, induction->tripCount)) {
       return false;
     }
 
@@ -406,7 +452,7 @@ private:
 
 } // namespace
 
-std::unique_ptr<FunctionPass> createLoopUnrollPass(std::size_t maxTripCount) {
+std::unique_ptr<ModulePass> createLoopUnrollPass(std::size_t maxTripCount) {
   return std::make_unique<LoopUnrollPass>(maxTripCount);
 }
 

@@ -67,6 +67,15 @@ void addStandardPipeline(PassManager& pm);
 /// Standard pipeline plus full loop unrolling (Ex. 4) and inlining.
 void addFullPipeline(PassManager& pm, std::size_t maxUnrollTripCount = 1 << 16);
 
+/// The loop unroller and the inliner refuse a step that would take the
+/// module past this many instructions: an unroll estimated as the rest of
+/// the module plus the trip count times the loop's non-phi instructions,
+/// an inline as the module plus the callee. Such a loop stays a loop and
+/// such a call a call, and both run as written, so neither a long loop nor
+/// a call tree, in one function or spread over many, can blow up memory
+/// or pipeline time at load.
+inline constexpr std::size_t kMaxExpandedModuleSize = std::size_t{1} << 15;
+
 // -- pass factories -----------------------------------------------------------
 std::unique_ptr<FunctionPass> createMem2RegPass();
 std::unique_ptr<FunctionPass> createConstantFoldPass();
@@ -74,7 +83,7 @@ std::unique_ptr<FunctionPass> createSCCPPass();
 std::unique_ptr<FunctionPass> createDCEPass();
 std::unique_ptr<FunctionPass> createSimplifyCFGPass();
 std::unique_ptr<FunctionPass> createCSEPass();
-std::unique_ptr<FunctionPass> createLoopUnrollPass(std::size_t maxTripCount = 1 << 16);
+std::unique_ptr<ModulePass> createLoopUnrollPass(std::size_t maxTripCount = 1 << 16);
 std::unique_ptr<ModulePass> createInlinerPass(std::size_t sizeThreshold = 64);
 std::unique_ptr<ModulePass> createStripDeadFunctionsPass();
 

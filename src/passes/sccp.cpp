@@ -77,9 +77,7 @@ public:
           changed = true; // SimplifyCFG will rewrite; nothing to do here
         }
       }
-      block->eraseIf([](Instruction* i) {
-        return !i->hasSideEffects() && !i->hasUses() && !i->type()->isVoid();
-      });
+      block->eraseIf([](Instruction* i) { return i->isTriviallyDead(); });
     }
     return changed;
   }

@@ -212,9 +212,7 @@ private:
         }
         // Splice succ's instructions into block.
         term->eraseFromParent();
-        while (!succ->empty()) {
-          block->append(succ->detach(succ->front()));
-        }
+        succ->moveTailTo(0, *block);
         succ->replaceAllUsesWith(block); // phis in succ's successors
         fn.eraseBlock(succ);
         merged = true;

@@ -1,8 +1,10 @@
 #include "qasm/load.hpp"
 
 #include "ir/parser.hpp"
+#include "ir/verifier.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/qasm3.hpp"
+#include "qir/compile.hpp"
 
 #include <string>
 
@@ -22,16 +24,26 @@ std::unique_ptr<ir::Module> loadProgram(ir::Context& context,
                                         std::string_view text,
                                         std::string_view path,
                                         qir::Addressing addressing) {
+  std::unique_ptr<ir::Module> module;
   switch (classifySource(text, path)) {
   case SourceFormat::Qasm3:
-    return compileQasm3(context, text);
+    module = compileQasm3(context, text);
+    break;
   case SourceFormat::Qasm2:
-    return qir::exportCircuit(context, parse(text), {.addressing = addressing});
+    module = qir::exportCircuit(context, parse(text), {.addressing = addressing});
+    break;
   case SourceFormat::Qir:
+    module = ir::parseModule(context, text,
+                             path.empty() ? "module" : std::string(path));
+    if (!ir::verifyModule(*module).empty()) {
+      // The passes assume well-formed IR. A module the verifier rejects
+      // runs as written, and the engines classify what they cannot run.
+      return module;
+    }
     break;
   }
-  return ir::parseModule(context, text,
-                         path.empty() ? "module" : std::string(path));
+  qir::transformDirect(*module);
+  return module;
 }
 
 } // namespace qirkit::qasm

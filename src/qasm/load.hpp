@@ -1,6 +1,6 @@
 /// \file load.hpp
 /// The one program loader of the CLI and the serve daemon: QIR text,
-/// OpenQASM 2 or OpenQASM 3 in, a QIR module out.
+/// OpenQASM 2 or OpenQASM 3 in, an optimized QIR module out.
 #pragma once
 
 #include "ir/module.hpp"
@@ -23,7 +23,10 @@ enum class SourceFormat : std::uint8_t { Qir, Qasm2, Qasm3 };
 /// Load \p text into a module owned by \p context. OpenQASM 2 goes through
 /// the circuit IR and is exported with \p addressing; OpenQASM 3 lowers
 /// straight to QIR; QIR text is parsed under the module name \p path
-/// ("module" when empty). Frontend errors propagate as qirkit::Error.
+/// ("module" when empty). The module is then run through the classical
+/// pipeline (qir::transformDirect), so every consumer executes, analyses
+/// and compiles the optimized program. Frontend errors propagate as
+/// qirkit::Error.
 [[nodiscard]] std::unique_ptr<ir::Module>
 loadProgram(ir::Context& context, std::string_view text, std::string_view path,
             qir::Addressing addressing);

@@ -31,6 +31,7 @@ std::size_t transformDirect(ir::Module& module,
 struct CompileOptions {
   /// Run transformDirect before transpiling (needed when the input has
   /// loops or classical computation around the quantum instructions).
+  /// A module from qasm::loadProgram has been through it already.
   bool runClassicalPipeline = true;
   std::size_t maxUnrollTripCount = 1 << 16;
   /// Circuit-level optimization (cancellation, rotation merging).

@@ -156,6 +156,11 @@ private:
   }
 
   void emitBlock(const BasicBlock& block) {
+    if (block.terminator() == nullptr) {
+      // Execution would run on into the next block's code; the
+      // interpreter traps at the end of the block instead.
+      throw CompileError("block without a terminator");
+    }
     blockStart_[&block] = static_cast<std::uint32_t>(compiled_.code.size());
     for (const auto& inst : block.instructions()) {
       if (inst->op() != Opcode::Phi) {

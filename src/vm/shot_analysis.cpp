@@ -218,7 +218,7 @@ private:
   /// result. Sources are read_result / result_equal calls; taint flows
   /// through every value-producing instruction (phi fixpoint included) and
   /// must not reach a branch or switch condition, a store, a call
-  /// argument, or the return value.
+  /// argument, the return value, or an instruction that may trap.
   bool checkTaint() {
     std::set<const Value*> tainted;
     for (const auto& block : entry_->blocks()) {
@@ -293,6 +293,17 @@ private:
           }
           break;
         default:
+          // Whether such an instruction traps differs from shot to shot,
+          // and a trap fails the shot, which sampling cannot reproduce.
+          if (inst->mayTrap()) {
+            for (unsigned i = 0; i < inst->numOperands(); ++i) {
+              if (isTainted(inst->operand(i))) {
+                fail(std::string("a measurement result feeds a possibly-trapping ") +
+                     opcodeName(inst->op()));
+                return false;
+              }
+            }
+          }
           break;
         }
       }

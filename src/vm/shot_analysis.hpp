@@ -4,9 +4,11 @@
 /// per shot is provably equivalent to simulating it once and sampling all
 /// shots from the final state:
 ///
-///  * no branch/switch condition, call argument, store, or return value
-///    transitively depends on a measurement result (read_result /
-///    result_equal) — classical control flow never observes an outcome;
+///  * no branch/switch condition, call argument, store, return value or
+///    possibly-trapping instruction (ir::Instruction::mayTrap) transitively
+///    depends on a measurement result (read_result / result_equal) —
+///    classical control flow never observes an outcome, and whether a
+///    shot traps never depends on one;
 ///  * no qubit is operated on (gate or reset) after it has been measured
 ///    on any CFG path — the deferred joint Z-measurement then commutes
 ///    with everything that follows it;

@@ -1,9 +1,12 @@
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
 #include "passes/pass.hpp"
+#include "qir/compile.hpp"
 #include "support/source_location.hpp"
 
 #include <gtest/gtest.h>
+
+#include <pthread.h>
 
 namespace qirkit::passes {
 namespace {
@@ -158,6 +161,66 @@ define void @f(ptr %base) {
 }
 )");
   EXPECT_EQ(run(*m), 6U); // 3 duplicate computations removed
+}
+
+/// \p n chained if-diamonds on measured bits, which no pass can fold: the
+/// dominator tree is \p n levels deep.
+std::string diamondChain(unsigned n) {
+  std::string s = R"(
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare i1 @__quantum__qis__read_result__body(ptr)
+define void @main() #0 {
+)";
+  for (unsigned i = 0; i < n; ++i) {
+    const std::string k = std::to_string(i);
+    const std::string next = std::to_string(i + 1);
+    s += "d" + k + ":\n  call void @__quantum__qis__mz__body(ptr null, ptr null)\n" +
+         "  %c" + k + " = call i1 @__quantum__qis__read_result__body(ptr null)\n" +
+         "  br i1 %c" + k + ", label %t" + k + ", label %d" + next + "\n" + "t" + k +
+         ":\n  call void @__quantum__qis__x__body(ptr null)\n  br label %d" + next +
+         "\n";
+  }
+  s += "d" + std::to_string(n) + ":\n  ret void\n}\nattributes #0 = { \"entry_point\" }\n";
+  return s;
+}
+
+/// CSE walks the dominator tree with an explicit stack. Its recursive walk
+/// took one frame per tree level, so a long chain of diamonds overflowed
+/// the stack. On a thread with a 256 KiB stack, 3000 diamonds are enough
+/// to show that, which keeps the test fast.
+TEST(CSE, DeepDominatorTreeRunsOnASmallStack) {
+  Context ctx;
+  auto m = parse(ctx, diamondChain(3000));
+  const std::size_t before = m->instructionCount();
+  struct Job {
+    Module* module;
+    std::size_t sweeps = 0;
+    std::string error;
+  } job{m.get(), 0, {}};
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  auto* j = static_cast<Job*>(arg);
+                  try {
+                    j->sweeps = qir::transformDirect(*j->module);
+                  } catch (const std::exception& e) {
+                    j->error = e.what();
+                  }
+                  return nullptr;
+                },
+                &job),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+  EXPECT_EQ(job.error, "");
+  EXPECT_GE(job.sweeps, 1U);
+  EXPECT_EQ(m->instructionCount(), before);
+  verifyModuleOrThrow(*m);
 }
 
 } // namespace

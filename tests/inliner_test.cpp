@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace qirkit::passes {
 namespace {
 
@@ -157,6 +159,67 @@ rec:
   runInliner(*m);
   verifyModuleOrThrow(*m);
   EXPECT_EQ(countCalls(*m->getFunction("fact"), "fact"), 1U);
+}
+
+/// A callee on a call-graph cycle, directly or mutually recursive, is
+/// never inlined: each copy would bring the call back. A function that
+/// only calls into a cycle still inlines.
+TEST(Inliner, NeverInlinesACalleeThatCanReachItself) {
+  Context ctx;
+  auto m = parse(ctx, R"(
+declare void @__quantum__qis__h__body(ptr)
+define void @f() {
+  call void @__quantum__qis__h__body(ptr null)
+  call void @f()
+  ret void
+}
+define void @g() {
+  call void @h()
+  ret void
+}
+define void @h() {
+  call void @__quantum__qis__h__body(ptr null)
+  call void @g()
+  ret void
+}
+define void @wrap() {
+  call void @f()
+  ret void
+}
+define void @main() {
+  call void @wrap()
+  call void @g()
+  ret void
+}
+)");
+  runInliner(*m);
+  const Function* main = m->getFunction("main");
+  EXPECT_EQ(countCalls(*main, "wrap"), 0U);
+  EXPECT_EQ(countCalls(*main, "f"), 1U);
+  EXPECT_EQ(countCalls(*main, "g"), 1U);
+  EXPECT_EQ(countCalls(*m->getFunction("f"), "f"), 1U);
+  EXPECT_EQ(countCalls(*m->getFunction("g"), "h"), 1U);
+  EXPECT_EQ(countCalls(*m->getFunction("h"), "g"), 1U);
+}
+
+/// Always-inline functions that each call the next twice would flatten to
+/// 2^17 gates; the inliner stops at kMaxExpandedModuleSize instructions.
+TEST(Inliner, StopsAtTheModuleSizeBudget) {
+  std::string text = "declare void @__quantum__qis__h__body(ptr)\n"
+                     "define void @t17() alwaysinline {\n"
+                     "  call void @__quantum__qis__h__body(ptr null)\n"
+                     "  ret void\n}\n";
+  for (int k = 16; k >= 0; --k) {
+    const std::string next = "@t" + std::to_string(k + 1) + "()\n";
+    text += "define void @t" + std::to_string(k) + "() alwaysinline {\n  call void " +
+            next + "  call void " + next + "  ret void\n}\n";
+  }
+  text += "define void @main() {\n  call void @t0()\n  ret void\n}\n";
+  Context ctx;
+  auto m = parse(ctx, text);
+  runInliner(*m);
+  EXPECT_LE(m->instructionCount(), kMaxExpandedModuleSize);
+  EXPECT_GT(m->instructionCount(), kMaxExpandedModuleSize / 2);
 }
 
 TEST(Inliner, TransitiveInliningFlattensCallChains) {

@@ -2,6 +2,7 @@
 #include "ir/constant.hpp"
 #include "ir/context.hpp"
 #include "ir/module.hpp"
+#include "ir/parser.hpp"
 #include "support/source_location.hpp"
 
 #include <gtest/gtest.h>
@@ -194,6 +195,33 @@ TEST_F(IRCoreTest, GlobalStrings) {
   EXPECT_TRUE(g->valueType()->isArray());
   EXPECT_EQ(g->valueType()->arrayCount(), 3U);
   EXPECT_TRUE(g->type()->isPointer());
+}
+
+TEST_F(IRCoreTest, MayTrapOnlyWhenTheDivisorOrShiftIsNotKnownSafe) {
+  const auto m = parseModule(ctx, R"(
+define void @f(i8 %x, i8 %y) {
+  %a = sdiv i8 %x, %y
+  %b = sdiv i8 %x, 0
+  %c = sdiv i8 %x, -1
+  %d = sdiv i8 -128, -1
+  %e = srem i8 5, -1
+  %f = udiv i8 %x, -1
+  %g = urem i8 %x, 3
+  %h = shl i8 %x, 7
+  %i = shl i8 %x, 8
+  %j = ashr i8 %x, %y
+  %k = add i8 %x, %y
+  %l = sdiv i8 %x, 2
+  ret void
+}
+)");
+  std::string trapping;
+  for (const auto& inst : m->getFunction("f")->entry()->instructions()) {
+    if (inst->mayTrap()) {
+      trapping += inst->name();
+    }
+  }
+  EXPECT_EQ(trapping, "abcdij");
 }
 
 TEST_F(IRCoreTest, InstructionCloneSharesOperands) {

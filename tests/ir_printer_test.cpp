@@ -38,12 +38,17 @@ TEST(Printer, DuplicateNamesFromCloningAreUniquified) {
   BasicBlock* bb = f->createBlock("entry");
   IRBuilder b(bb);
   Instruction* first = b.createAdd(ctx.getI64(1), ctx.getI64(2), "x");
+  b.createAdd(ctx.getI64(3), ctx.getI64(4), "x.2");
   bb->append(first->clone()); // clone keeps the name "x"
+  bb->append(first->clone());
   b.setInsertPoint(bb);
   b.createRetVoid();
   const std::string printed = printModule(m);
-  EXPECT_NE(printed.find("%x ="), std::string::npos);
-  EXPECT_NE(printed.find("%x.1 ="), std::string::npos);
+  EXPECT_NE(printed.find("%x = add i64 1, 2"), std::string::npos);
+  EXPECT_NE(printed.find("%x.2 = add i64 3, 4"), std::string::npos);
+  // Clones take the next free suffixes, skipping the explicit "x.2".
+  EXPECT_NE(printed.find("%x.1 = add i64 1, 2"), std::string::npos);
+  EXPECT_NE(printed.find("%x.3 = add i64 1, 2"), std::string::npos);
   expectRoundTrip(m);
 }
 

@@ -368,5 +368,112 @@ exit:
   EXPECT_EQ(countCalls(*f, "odd"), 3U);
 }
 
+/// Two nested counted loops; the inner body calls @work(i, j).
+constexpr const char* kNestedLoops = R"(
+declare void @work(i64, i64)
+define void @f() {
+entry:
+  br label %outer
+outer:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %outer.latch ]
+  %ci = icmp slt i64 %i, 4
+  br i1 %ci, label %inner, label %exit
+inner:
+  %j = phi i64 [ 0, %outer ], [ %j.next, %inner.body ]
+  %cj = icmp slt i64 %j, 3
+  br i1 %cj, label %inner.body, label %outer.latch
+inner.body:
+  call void @work(i64 %i, i64 %j)
+  %j.next = add i64 %j, 1
+  br label %inner
+outer.latch:
+  %i.next = add i64 %i, 1
+  br label %outer
+exit:
+  ret void
+}
+)";
+
+/// One invocation unrolls one nesting level: the outer loop, which held a
+/// loop when the pass started, stays rolled until the next sweep, so the
+/// pipeline cleans the inner copies before the outer body is cloned.
+TEST(LoopUnroll, OneRunUnrollsOneNestingLevel) {
+  Context ctx;
+  auto m = parse(ctx, kNestedLoops);
+  PassManager pm;
+  pm.add(createLoopUnrollPass());
+  pm.setVerifyEach(true);
+  EXPECT_TRUE(pm.run(*m));
+  Function* f = m->getFunction("f");
+  const std::vector<Loop> loops = findNaturalLoops(*f);
+  ASSERT_EQ(loops.size(), 1U);
+  EXPECT_EQ(loops[0].header->name(), "outer");
+  EXPECT_EQ(countCalls(*f, "work"), 3U);
+
+  runFullPipeline(*m);
+  EXPECT_TRUE(findNaturalLoops(*f).empty());
+  EXPECT_EQ(countCalls(*f, "work"), 12U);
+  EXPECT_EQ(f->blocks().size(), 1U);
+}
+
+/// A counted loop of \p trips iterations whose body calls @work.
+std::string countedLoop(unsigned trips) {
+  return R"(
+declare void @work(i64)
+define void @f() {
+entry:
+  br label %header
+header:
+  %i = phi i64 [ 0, %entry ], [ %next, %body ]
+  %c = icmp slt i64 %i, )" +
+         std::to_string(trips) + R"(
+  br i1 %c, label %body, label %exit
+body:
+  call void @work(i64 %i)
+  %next = add i64 %i, 1
+  br label %header
+exit:
+  ret void
+}
+)";
+}
+
+/// The unroller bounds the size of its result, not only the trip count:
+/// 5 non-phi instructions per iteration fit kMaxExpandedModuleSize at
+/// 4096 trips and do not at 8192, where the loop stays a loop.
+TEST(LoopUnroll, RefusesAnUnrollPastTheSizeBudget) {
+  static_assert(kMaxExpandedModuleSize == 1 << 15);
+  Context ctx;
+  auto fits = parse(ctx, countedLoop(4096));
+  runFullPipeline(*fits);
+  EXPECT_EQ(countCalls(*fits->getFunction("f"), "work"), 4096U);
+  EXPECT_LE(fits->instructionCount(), kMaxExpandedModuleSize);
+
+  auto tooLarge = parse(ctx, countedLoop(8192));
+  PassManager pm;
+  pm.add(createLoopUnrollPass());
+  EXPECT_FALSE(pm.run(*tooLarge));
+  runFullPipeline(*tooLarge);
+  EXPECT_EQ(findNaturalLoops(*tooLarge->getFunction("f")).size(), 1U);
+  EXPECT_EQ(countCalls(*tooLarge->getFunction("f"), "work"), 1U);
+}
+
+/// The budget holds for the module, not per function: of two functions
+/// whose loops fit one at a time (6000 x 5 instructions), only one
+/// unrolls, so repeating a loop in many functions cannot multiply the
+/// expansion.
+TEST(LoopUnroll, TheSizeBudgetSpansTheModule) {
+  std::string second = countedLoop(6000);
+  second.erase(0, second.find("define")); // @work is declared once
+  second.replace(second.find("@f"), 2, "@g");
+  Context ctx;
+  auto m = parse(ctx, countedLoop(6000) + second);
+  runFullPipeline(*m);
+  EXPECT_EQ(countCalls(*m->getFunction("f"), "work") +
+                countCalls(*m->getFunction("g"), "work"),
+            6000U + 1U);
+  EXPECT_LE(m->instructionCount(), kMaxExpandedModuleSize);
+}
+
 } // namespace
 } // namespace qirkit::passes

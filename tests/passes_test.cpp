@@ -163,6 +163,59 @@ define i64 @f() {
   EXPECT_EQ(m->getFunction("f")->instructionCount(), 5U);
 }
 
+TEST(DCEPass, KeepsInstructionsThatMayTrap) {
+  Context ctx;
+  auto m = parse(ctx, R"(
+define void @f(i64 %z, i64 %s) {
+  %div = sdiv i64 1, %z
+  %rem = urem i64 1, 0
+  %shl = shl i64 1, %s
+  %wide = lshr i64 1, 64
+  %safeDiv = sdiv i64 %z, 7
+  %safeShift = ashr i64 %z, 63
+  ret void
+}
+)");
+  runPass(createDCEPass(), *m);
+  std::vector<Opcode> kept;
+  for (const auto& inst : m->getFunction("f")->entry()->instructions()) {
+    kept.push_back(inst->op());
+  }
+  EXPECT_EQ(kept, (std::vector<Opcode>{Opcode::SDiv, Opcode::URem, Opcode::Shl,
+                                       Opcode::LShr, Opcode::Ret}));
+}
+
+/// Optimizing must not turn a trap into a normal run: every pass that
+/// deletes unused instructions keeps the ones that may trap.
+TEST(Pipeline, FullPipelineKeepsRunTimeTraps) {
+  Context ctx;
+  auto m = parse(ctx, R"(
+declare void @sink(i64)
+define void @main(i64 %z) {
+entry:
+  %zero = sub i64 %z, %z
+  %dead = sdiv i64 1, %zero
+  %unused = udiv i64 %z, %z
+  %shift = add i64 %z, 64
+  %wide = shl i64 1, %shift
+  %fine = sdiv i64 %z, 4
+  call void @sink(i64 %z)
+  ret void
+}
+)");
+  PassManager pm;
+  addFullPipeline(pm);
+  pm.setVerifyEach(true);
+  pm.runToFixpoint(*m);
+  std::vector<Opcode> kept;
+  for (const auto& inst : m->getFunction("main")->entry()->instructions()) {
+    kept.push_back(inst->op());
+  }
+  // %zero folds to 0, so `sdiv 1, 0` is a trap every run; it stays.
+  EXPECT_EQ(kept, (std::vector<Opcode>{Opcode::SDiv, Opcode::UDiv, Opcode::Add,
+                                       Opcode::Shl, Opcode::Call, Opcode::Ret}));
+}
+
 // --- SimplifyCFG ----------------------------------------------------------
 
 TEST(SimplifyCFG, FoldsConstantBranchAndRemovesDeadBlock) {

@@ -1239,6 +1239,85 @@ TEST_F(ServeTest, ProgramCapacityOneEvictsTheOlderProgram) {
   EXPECT_EQ(metrics.find("cache")->find("evictions")->asU64("evictions"), 1U);
 }
 
+/// The program store loads through the classical pipeline, whose unroll
+/// budget leaves a 65 536-iteration loop a loop: the daemon answers it
+/// (from the VM, as written) instead of stalling on an 800 000-instruction
+/// unroll.
+TEST_F(ServeTest, AnswersALoopPastTheUnrollBudget) {
+  std::string program = "OPENQASM 3;\nqubit[8] q;\nbit[8] c;\nfor int i in [0:65535] {\n";
+  for (unsigned k = 0; k < 8; ++k) {
+    program += "  rz(0.001) q[" + std::to_string(k) + "];\n";
+  }
+  program += "}\nfor int i in [0:7] {\n  c[i] = measure q[i];\n}\n";
+  Client client(socketPath_);
+  SubmitRequest req;
+  req.tenant = "alice";
+  req.program = program;
+  req.shots = 2;
+  req.seed = 3;
+  const json::Value response = json::parse(client.call(submitRequestJson(req)));
+  ASSERT_TRUE(response.find("ok")->boolean);
+  EXPECT_EQ(histogramOf(response), "00000000=2;");
+  EXPECT_EQ(response.find("gates_per_shot")->asU64("gates_per_shot"), 8U * 65536U);
+}
+
+/// A self-recursive function: the inliner never inlines it, so the store
+/// loads it at once, and the daemon answers with the call-stack trap of
+/// the program as written.
+TEST_F(ServeTest, AnswersARecursiveProgram) {
+  Client client(socketPath_);
+  SubmitRequest req;
+  req.tenant = "alice";
+  req.program = R"(
+declare void @__quantum__qis__h__body(ptr)
+define void @f() {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @f()
+  ret void
+}
+define void @main() #0 {
+entry:
+  call void @f()
+  ret void
+}
+attributes #0 = { "entry_point" }
+)";
+  req.shots = 2;
+  req.seed = 3;
+  const json::Value error = json::parse(client.call(submitRequestJson(req)));
+  EXPECT_FALSE(error.find("ok")->boolean);
+  EXPECT_EQ(error.find("error")->find("code")->string, "resource-limit");
+
+  const json::Value good = json::parse(client.call(submitLine("alice", 10, 1)));
+  EXPECT_TRUE(good.find("ok")->boolean);
+}
+
+/// A module the verifier rejects (a block without a terminator) skips the
+/// pipeline and runs as written: the VM refuses it, the interpreter traps
+/// at the end of the block, and the daemon answers with that trap.
+TEST_F(ServeTest, AnswersAModuleTheVerifierRejects) {
+  Client client(socketPath_);
+  SubmitRequest req;
+  req.tenant = "alice";
+  req.program = R"(
+declare void @__quantum__qis__h__body(ptr)
+define void @main() #0 {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+}
+attributes #0 = { "entry_point" }
+)";
+  req.shots = 2;
+  req.seed = 3;
+  const json::Value error = json::parse(client.call(submitRequestJson(req)));
+  EXPECT_FALSE(error.find("ok")->boolean);
+  EXPECT_EQ(error.find("error")->find("code")->string, "trap");
+
+  const json::Value good = json::parse(client.call(submitLine("alice", 10, 1)));
+  EXPECT_TRUE(good.find("ok")->boolean);
+}
+
 TEST_F(ServeTest, BrokenProgramsReturnClassifiedErrors) {
   Client client(socketPath_);
   SubmitRequest req;

@@ -307,6 +307,7 @@ int cmdValidate(const Args& args) {
 int cmdOpt(const Args& args) {
   ir::Context ctx;
   auto module = ir::parseModule(ctx, readFile(args.positional[0]));
+  ir::verifyModuleOrThrow(*module); // the passes assume well-formed IR
   const std::size_t before = module->instructionCount();
   const std::size_t sweeps = qir::transformDirect(*module);
   ir::verifyModuleOrThrow(*module);
@@ -325,6 +326,7 @@ int cmdCompile(const Args& args) {
   auto module = qasm::loadProgram(ctx, readFile(path), path,
                                   qir::Addressing::Dynamic);
   qir::CompileOptions options;
+  options.runClassicalPipeline = false; // the loader already ran it
   if (!args.option("target").empty()) {
     options.target = parseTarget(args.option("target"));
   }
@@ -450,10 +452,8 @@ int cmdTranslate(const Args& args) {
     c = qasm::parse(text);
   } else {
     ir::Context ctx;
-    auto module =
-        qasm::loadProgram(ctx, text, inputPath, qir::Addressing::Static);
-    qir::transformDirect(*module);
-    c = qir::importFromModule(*module);
+    c = qir::importFromModule(
+        *qasm::loadProgram(ctx, text, inputPath, qir::Addressing::Static));
   }
   std::string out;
   if (to == "qasm") {

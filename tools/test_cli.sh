@@ -113,6 +113,20 @@ grep -q "exec mode: sample" "$WORK/err" && fail "auto sampled a feedback program
 # run an OpenQASM 3 program directly
 "$QIRKIT" run "$WORK/rus.qasm3" --shots 20 | grep -qE "^(000|111): " || fail "qasm3 run"
 
+# A loop past the unroll budget stays a loop: run executes it as written,
+# and compile, which needs straight-line code, rejects it with a
+# classified error instead of unrolling 800 000 instructions.
+{
+  printf 'OPENQASM 3;\nqubit[8] q;\nbit[8] c;\nfor int i in [0:65535] {\n'
+  for k in 0 1 2 3 4 5 6 7; do printf '  rz(0.001) q[%s];\n' "$k"; done
+  printf '}\nfor int i in [0:7] {\n  c[i] = measure q[i];\n}\n'
+} > "$WORK/longloop.qasm"
+"$QIRKIT" run "$WORK/longloop.qasm" --shots 1 | grep -q "^00000000: 1$" \
+  || fail "run a loop past the unroll budget"
+rc=0; "$QIRKIT" compile "$WORK/longloop.qasm" >/dev/null 2>"$WORK/err" || rc=$?
+[ "$rc" -eq 1 ] || fail "compile of a loop past the unroll budget must exit 1 (got $rc)"
+grep -q "qirkit: error\[parse\]: " "$WORK/err" || fail "long loop compile diagnostic"
+
 # compile with mapping + reuse + deferral
 "$QIRKIT" compile "$WORK/bell.ll" --target line:4 --defer-mz -o "$WORK/compiled.ll" \
   || fail "compile"
@@ -164,10 +178,11 @@ done
 
 # --stats json: stdout stays byte-identical, stderr's last line is the
 # versioned JSON report with the documented sections, and its stages
-# section times each route's frontend, compile, analyze and execute. The
-# same run under QIRKIT_TRACE writes one Chrome event name per stage
-# name (no passes run on these routes, so there are no pass events), and
-# so does QIRKIT_TRACE alone, the tracing default: Chrome armed, stats off.
+# section times each route's frontend, the classical pipeline, compile,
+# analyze and execute. The same run under QIRKIT_TRACE writes one Chrome
+# event name per stage name and per pass the loader ran (the passes
+# section lists them), and so does QIRKIT_TRACE alone, the tracing
+# default: Chrome armed, stats off.
 for route in bell.ll:parse.full bell.qasm:parse.qasm2 rus.qasm3:parse.qasm3; do
   src="${route%%:*}"
   "$QIRKIT" run "$WORK/$src" --shots 40 --seed 3 >"$WORK/out.plain" \
@@ -187,12 +202,14 @@ stats = json.load(open(sys.argv[1]))
 assert stats["schema_version"] == 2, stats["schema_version"]
 stats["parse"], stats["passes"], stats["vm"]["cache"], stats["shots"]["latency_ns"]
 stages = stats["stages"]
-for name in (sys.argv[3], "compile", "analyze", "execute"):
+for name in (sys.argv[3], "opt.pipeline", "compile", "analyze", "execute"):
     timed = stages.get(name, {})
     assert timed.get("count", 0) > 0 and timed.get("sum_ns", 0) > 0, name
+passes = {p["name"] for p in stats["passes"]}
+assert "loop-unroll" in passes, sorted(passes)
 for trace in (sys.argv[2], sys.argv[4]):
     events = {e["name"] for e in json.load(open(trace))["traceEvents"]}
-    assert events == set(stages), (trace, sorted(events), sorted(stages))
+    assert events == set(stages) | passes, (trace, sorted(events), sorted(stages))
 PYEOF
 done
 "$QIRKIT" run "$WORK/bell.ll" --shots 5 --stats >/dev/null 2>"$WORK/stats.txt" \
