@@ -3,65 +3,57 @@
 #include "support/source_location.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 namespace qirkit::circuit {
 
-const char* opKindName(OpKind kind) noexcept {
-  switch (kind) {
-  case OpKind::H: return "h";
-  case OpKind::X: return "x";
-  case OpKind::Y: return "y";
-  case OpKind::Z: return "z";
-  case OpKind::S: return "s";
-  case OpKind::Sdg: return "sdg";
-  case OpKind::T: return "t";
-  case OpKind::Tdg: return "tdg";
-  case OpKind::RX: return "rx";
-  case OpKind::RY: return "ry";
-  case OpKind::RZ: return "rz";
-  case OpKind::U3: return "u3";
-  case OpKind::CX: return "cx";
-  case OpKind::CZ: return "cz";
-  case OpKind::Swap: return "swap";
-  case OpKind::CCX: return "ccx";
-  case OpKind::Measure: return "measure";
-  case OpKind::Reset: return "reset";
-  case OpKind::Barrier: return "barrier";
-  }
-  return "<bad op>";
+namespace {
+
+struct OpKindInfo {
+  const char* spelling;
+  unsigned qubits;
+  unsigned angles;
+  bool clifford;
+};
+
+constexpr OpKindInfo kOpKindInfo[] = {
+#define QIRKIT_OP_INFO(name, spelling, qubits, angles, clifford) \
+  {spelling, qubits, angles, clifford},
+    QIRKIT_OP_KINDS(QIRKIT_OP_INFO)
+#undef QIRKIT_OP_INFO
+};
+
+static_assert(std::all_of(std::begin(kOpKindInfo), std::end(kOpKindInfo),
+                          [](const OpKindInfo& row) {
+                            return row.qubits <= kMaxOpQubits && row.angles <= kMaxOpAngles;
+                          }));
+
+const OpKindInfo& info(OpKind kind) noexcept {
+  return kOpKindInfo[static_cast<std::size_t>(kind)];
 }
 
-unsigned opKindArity(OpKind kind) noexcept {
-  switch (kind) {
-  case OpKind::CX:
-  case OpKind::CZ:
-  case OpKind::Swap:
-    return 2;
-  case OpKind::CCX:
-    return 3;
-  case OpKind::Barrier:
-    return 0;
-  default:
-    return 1;
-  }
-}
+} // namespace
 
-unsigned opKindParams(OpKind kind) noexcept {
-  switch (kind) {
-  case OpKind::RX:
-  case OpKind::RY:
-  case OpKind::RZ:
-    return 1;
-  case OpKind::U3:
-    return 3;
-  default:
-    return 0;
-  }
-}
+const char* opKindName(OpKind kind) noexcept { return info(kind).spelling; }
+
+unsigned opKindArity(OpKind kind) noexcept { return info(kind).qubits; }
+
+unsigned opKindParams(OpKind kind) noexcept { return info(kind).angles; }
+
+bool isClifford(OpKind kind) noexcept { return info(kind).clifford; }
 
 bool isUnitary(OpKind kind) noexcept {
   return kind != OpKind::Measure && kind != OpKind::Reset && kind != OpKind::Barrier;
+}
+
+std::optional<OpKind> opKindNamed(std::string_view name) noexcept {
+  for (const OpKind kind : kAllOpKinds) {
+    if (name == info(kind).spelling) {
+      return kind;
+    }
+  }
+  return std::nullopt;
 }
 
 bool Operation::touches(std::uint32_t qubit) const noexcept {

@@ -10,37 +10,66 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qirkit::circuit {
 
+/// The operation set, spelled once: one row per kind, as
+///   OP(enumerator, OpenQASM spelling, qubits, angles, clifford)
+/// from which OpKind and its name, arity, angle count and Clifford flag
+/// follow. Operand conventions: CX's qubits[0] is the control, CCX's
+/// qubits[0..1] are the controls, U3 takes (theta, phi, lambda), Measure
+/// writes qubits[0] to its bit, and Barrier (0 qubits: variadic, empty =
+/// all) is an optimization fence. "Clifford" means the stabilizer
+/// simulator runs it. A new gate is one row here plus, if QIR has it, one
+/// QIS name in qir/names.cpp.
+#define QIRKIT_OP_KINDS(OP)           \
+  OP(H, "h", 1, 0, true)              \
+  OP(X, "x", 1, 0, true)              \
+  OP(Y, "y", 1, 0, true)              \
+  OP(Z, "z", 1, 0, true)              \
+  OP(S, "s", 1, 0, true)              \
+  OP(Sdg, "sdg", 1, 0, true)          \
+  OP(T, "t", 1, 0, false)             \
+  OP(Tdg, "tdg", 1, 0, false)         \
+  OP(RX, "rx", 1, 1, false)           \
+  OP(RY, "ry", 1, 1, false)           \
+  OP(RZ, "rz", 1, 1, false)           \
+  OP(U3, "u3", 1, 3, false)           \
+  OP(CX, "cx", 2, 0, true)            \
+  OP(CZ, "cz", 2, 0, true)            \
+  OP(Swap, "swap", 2, 0, true)        \
+  OP(CCX, "ccx", 3, 0, false)         \
+  OP(Measure, "measure", 1, 0, true)  \
+  OP(Reset, "reset", 1, 0, true)      \
+  OP(Barrier, "barrier", 0, 0, true)
+
 /// Gate / operation kinds.
 enum class OpKind : std::uint8_t {
-  H,
-  X,
-  Y,
-  Z,
-  S,
-  Sdg,
-  T,
-  Tdg,
-  RX,
-  RY,
-  RZ,
-  U3,      // general single-qubit rotation (theta, phi, lambda)
-  CX,      // controlled-X; qubits[0] = control
-  CZ,
-  Swap,
-  CCX,     // qubits[0..1] = controls
-  Measure, // qubits[0] -> bit
-  Reset,
-  Barrier, // optimization fence over its qubits (empty = all)
+#define QIRKIT_OP_ENUMERATOR(name, spelling, qubits, angles, clifford) name,
+  QIRKIT_OP_KINDS(QIRKIT_OP_ENUMERATOR)
+#undef QIRKIT_OP_ENUMERATOR
 };
 
-[[nodiscard]] const char* opKindName(OpKind kind) noexcept;
+/// Upper bounds on opKindArity and opKindParams over the list.
+inline constexpr unsigned kMaxOpQubits = 3;
+inline constexpr unsigned kMaxOpAngles = 3;
+
+/// Every OpKind, in declaration order.
+inline constexpr OpKind kAllOpKinds[] = {
+#define QIRKIT_OP_ENUMERATOR(name, spelling, qubits, angles, clifford) OpKind::name,
+    QIRKIT_OP_KINDS(QIRKIT_OP_ENUMERATOR)
+#undef QIRKIT_OP_ENUMERATOR
+};
+
+[[nodiscard]] const char* opKindName(OpKind kind) noexcept; // OpenQASM spelling
 [[nodiscard]] unsigned opKindArity(OpKind kind) noexcept;  // qubit count (Barrier: 0 = variadic)
 [[nodiscard]] unsigned opKindParams(OpKind kind) noexcept; // angle count
+[[nodiscard]] bool isClifford(OpKind kind) noexcept;
 [[nodiscard]] bool isUnitary(OpKind kind) noexcept;
+/// The kind spelled \p name (opKindName's inverse), if any.
+[[nodiscard]] std::optional<OpKind> opKindNamed(std::string_view name) noexcept;
 
 /// Classical condition: execute the operation iff the bit register slice
 /// [firstBit, firstBit+numBits) equals \p value (OpenQASM 2 `if (c == v)`).

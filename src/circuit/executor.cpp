@@ -3,6 +3,8 @@
 #include "sim/stabilizer.hpp"
 #include "support/source_location.hpp"
 
+#include <algorithm>
+
 namespace qirkit::circuit {
 
 namespace {
@@ -19,6 +21,51 @@ bool conditionHolds(const Condition& cond, const std::vector<bool>& bits) {
 
 } // namespace
 
+sim::GateMatrix2 gateMatrix(OpKind kind, std::span<const double> angles) noexcept {
+  switch (kind) {
+  case OpKind::H: return sim::gateH();
+  case OpKind::X: return sim::gateX();
+  case OpKind::Y: return sim::gateY();
+  case OpKind::Z: return sim::gateZ();
+  case OpKind::S: return sim::gateS();
+  case OpKind::Sdg: return sim::gateSdg();
+  case OpKind::T: return sim::gateT();
+  case OpKind::Tdg: return sim::gateTdg();
+  case OpKind::RX: return sim::gateRX(angles[0]);
+  case OpKind::RY: return sim::gateRY(angles[0]);
+  case OpKind::RZ: return sim::gateRZ(angles[0]);
+  case OpKind::U3: return sim::gateU3(angles[0], angles[1], angles[2]);
+  default: return sim::GateMatrix2{1, 0, 0, 1};
+  }
+}
+
+void applyGate(sim::StateVector& state, OpKind kind, std::span<const std::uint32_t> qubits,
+               std::span<const double> angles) {
+  switch (kind) {
+  case OpKind::CX: state.applyControlled1(sim::gateX(), qubits[0], qubits[1]); break;
+  case OpKind::CZ: state.applyControlled1(sim::gateZ(), qubits[0], qubits[1]); break;
+  case OpKind::Swap: state.applySwap(qubits[0], qubits[1]); break;
+  case OpKind::CCX: state.applyCCX(qubits[0], qubits[1], qubits[2]); break;
+  default: state.apply1(gateMatrix(kind, angles), qubits[0]); break;
+  }
+}
+
+void applyGate(sim::StabilizerSimulator& state, OpKind kind,
+               std::span<const std::uint32_t> qubits) {
+  switch (kind) {
+  case OpKind::H: state.h(qubits[0]); break;
+  case OpKind::X: state.x(qubits[0]); break;
+  case OpKind::Y: state.y(qubits[0]); break;
+  case OpKind::Z: state.z(qubits[0]); break;
+  case OpKind::S: state.s(qubits[0]); break;
+  case OpKind::Sdg: state.sdg(qubits[0]); break;
+  case OpKind::CX: state.cx(qubits[0], qubits[1]); break;
+  case OpKind::CZ: state.cz(qubits[0], qubits[1]); break;
+  case OpKind::Swap: state.swap(qubits[0], qubits[1]); break;
+  default: break;
+  }
+}
+
 ExecutionResult execute(const Circuit& circuit, std::uint64_t seed,
                         qirkit::ThreadPool* pool) {
   SplitMix64 rng(seed);
@@ -30,36 +77,12 @@ ExecutionResult execute(const Circuit& circuit, std::uint64_t seed,
       continue;
     }
     switch (op.kind) {
-    case OpKind::H: state.apply1(sim::gateH(), op.qubits[0]); break;
-    case OpKind::X: state.apply1(sim::gateX(), op.qubits[0]); break;
-    case OpKind::Y: state.apply1(sim::gateY(), op.qubits[0]); break;
-    case OpKind::Z: state.apply1(sim::gateZ(), op.qubits[0]); break;
-    case OpKind::S: state.apply1(sim::gateS(), op.qubits[0]); break;
-    case OpKind::Sdg: state.apply1(sim::gateSdg(), op.qubits[0]); break;
-    case OpKind::T: state.apply1(sim::gateT(), op.qubits[0]); break;
-    case OpKind::Tdg: state.apply1(sim::gateTdg(), op.qubits[0]); break;
-    case OpKind::RX: state.apply1(sim::gateRX(op.params[0]), op.qubits[0]); break;
-    case OpKind::RY: state.apply1(sim::gateRY(op.params[0]), op.qubits[0]); break;
-    case OpKind::RZ: state.apply1(sim::gateRZ(op.params[0]), op.qubits[0]); break;
-    case OpKind::U3:
-      state.apply1(sim::gateU3(op.params[0], op.params[1], op.params[2]),
-                   op.qubits[0]);
-      break;
-    case OpKind::CX:
-      state.applyControlled1(sim::gateX(), op.qubits[0], op.qubits[1]);
-      break;
-    case OpKind::CZ:
-      state.applyControlled1(sim::gateZ(), op.qubits[0], op.qubits[1]);
-      break;
-    case OpKind::Swap: state.applySwap(op.qubits[0], op.qubits[1]); break;
-    case OpKind::CCX:
-      state.applyCCX(op.qubits[0], op.qubits[1], op.qubits[2]);
-      break;
     case OpKind::Measure:
       result.bits[op.bit] = state.measure(op.qubits[0], rng);
       break;
     case OpKind::Reset: state.resetQubit(op.qubits[0], rng); break;
     case OpKind::Barrier: break;
+    default: applyGate(state, op.kind, op.qubits, op.params); break;
     }
   }
   return result;
@@ -77,26 +100,8 @@ std::map<std::string, std::uint64_t> sampleCounts(const Circuit& circuit,
 }
 
 bool isCliffordCircuit(const Circuit& circuit) {
-  for (const Operation& op : circuit.ops()) {
-    switch (op.kind) {
-    case OpKind::H:
-    case OpKind::S:
-    case OpKind::Sdg:
-    case OpKind::X:
-    case OpKind::Y:
-    case OpKind::Z:
-    case OpKind::CX:
-    case OpKind::CZ:
-    case OpKind::Swap:
-    case OpKind::Measure:
-    case OpKind::Reset:
-    case OpKind::Barrier:
-      continue;
-    default:
-      return false;
-    }
-  }
-  return true;
+  return std::all_of(circuit.ops().begin(), circuit.ops().end(),
+                     [](const Operation& op) { return isClifford(op.kind); });
 }
 
 std::vector<bool> executeClifford(const Circuit& circuit, std::uint64_t seed) {
@@ -107,23 +112,16 @@ std::vector<bool> executeClifford(const Circuit& circuit, std::uint64_t seed) {
     if (op.condition && !conditionHolds(*op.condition, bits)) {
       continue;
     }
-    switch (op.kind) {
-    case OpKind::H: state.h(op.qubits[0]); break;
-    case OpKind::S: state.s(op.qubits[0]); break;
-    case OpKind::Sdg: state.sdg(op.qubits[0]); break;
-    case OpKind::X: state.x(op.qubits[0]); break;
-    case OpKind::Y: state.y(op.qubits[0]); break;
-    case OpKind::Z: state.z(op.qubits[0]); break;
-    case OpKind::CX: state.cx(op.qubits[0], op.qubits[1]); break;
-    case OpKind::CZ: state.cz(op.qubits[0], op.qubits[1]); break;
-    case OpKind::Swap: state.swap(op.qubits[0], op.qubits[1]); break;
-    case OpKind::Measure: bits[op.bit] = state.measure(op.qubits[0], rng); break;
-    case OpKind::Reset: state.reset(op.qubits[0], rng); break;
-    case OpKind::Barrier: break;
-    default:
+    if (!isClifford(op.kind)) {
       throw SemanticError(std::string("non-Clifford operation '") +
                           opKindName(op.kind) +
                           "' cannot run on the stabilizer simulator");
+    }
+    switch (op.kind) {
+    case OpKind::Measure: bits[op.bit] = state.measure(op.qubits[0], rng); break;
+    case OpKind::Reset: state.reset(op.qubits[0], rng); break;
+    case OpKind::Barrier: break;
+    default: applyGate(state, op.kind, op.qubits); break;
     }
   }
   return bits;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_map>
+#include <utility>
 
 namespace qirkit::ir {
 
@@ -54,12 +56,23 @@ void Function::eraseBlock(BasicBlock* block) {
   blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(index));
 }
 
-void Function::moveBlockAfter(BasicBlock* block, BasicBlock* after) {
-  const std::size_t from = blockIndexOf(block);
-  std::unique_ptr<BasicBlock> owned = std::move(blocks_[from]);
-  blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(from));
-  const std::size_t to = blockIndexOf(after);
-  blocks_.insert(blocks_.begin() + static_cast<std::ptrdiff_t>(to) + 1, std::move(owned));
+void Function::reorderBlocks(std::span<BasicBlock* const> order) {
+  std::unordered_map<const BasicBlock*, std::size_t> rank;
+  rank.reserve(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    rank.emplace(order[i], i);
+  }
+  std::vector<std::pair<std::size_t, std::unique_ptr<BasicBlock>>> ranked;
+  ranked.reserve(blocks_.size());
+  for (std::unique_ptr<BasicBlock>& block : blocks_) {
+    const auto it = rank.find(block.get());
+    ranked.emplace_back(it == rank.end() ? order.size() : it->second, std::move(block));
+  }
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    blocks_[i] = std::move(ranked[i].second);
+  }
 }
 
 std::size_t Function::blockIndexOf(const BasicBlock* block) const {

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,8 +95,9 @@ public:
   BasicBlock* createBlockAfter(BasicBlock* after, std::string name = {});
   /// Destroy \p block; it must have no uses and hold no used instructions.
   void eraseBlock(BasicBlock* block);
-  /// Move \p block to just after \p after in the layout order.
-  void moveBlockAfter(BasicBlock* block, BasicBlock* after);
+  /// Lay the blocks out in \p order; blocks it does not list follow, in
+  /// their current order.
+  void reorderBlocks(std::span<BasicBlock* const> order);
   [[nodiscard]] std::size_t blockIndexOf(const BasicBlock* block) const;
 
   // -- Attributes --------------------------------------------------------

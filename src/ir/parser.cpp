@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 namespace qirkit::ir {
@@ -733,6 +734,7 @@ private:
     valueRefLocs_.clear();
     blockRefLocs_.clear();
     definedBlocks_.clear();
+    definedSet_.clear();
     fn_ = fn;
     for (unsigned i = 0; i < fn->numArgs(); ++i) {
       if (i < paramNames.size() && !paramNames[i].empty()) {
@@ -757,6 +759,7 @@ private:
       if (current == nullptr) {
         // Implicit entry block without a label.
         current = fn->createBlock();
+        definedSet_.insert(current);
         definedBlocks_.push_back(current);
       }
       parseInstruction(current);
@@ -778,52 +781,23 @@ private:
 
   BasicBlock* defineBlock(const std::string& name) {
     BasicBlock* block = getOrCreateBlock(name);
-    for (BasicBlock* defined : definedBlocks_) {
-      if (defined == block) {
-        fail("redefinition of label '" + name + "'");
-      }
+    if (!definedSet_.insert(block).second) {
+      fail("redefinition of label '" + name + "'");
     }
     definedBlocks_.push_back(block);
     return block;
   }
 
   void finalizeBlocks() {
-    // Every referenced block must have been defined; reorder the function's
-    // blocks into source order.
+    // Every referenced block must have been defined; lay the function's
+    // blocks out in source order.
     for (const auto& [name, block] : blocksByName_) {
-      bool defined = false;
-      for (const BasicBlock* d : definedBlocks_) {
-        if (d == block) {
-          defined = true;
-          break;
-        }
-      }
-      if (!defined) {
+      if (!definedSet_.contains(block)) {
         throw qirkit::ParseError(blockRefLocs_[name],
                                  "use of undefined label '%" + name + "'");
       }
     }
-    // Reorder: walk definedBlocks_ and bubble each into place.
-    BasicBlock* previous = nullptr;
-    for (BasicBlock* block : definedBlocks_) {
-      if (previous != nullptr) {
-        fn_->moveBlockAfter(block, previous);
-      } else if (fn_->entry() != block) {
-        // Move to front: move everything else after it.
-        std::vector<BasicBlock*> rest;
-        for (const auto& b : fn_->blocks()) {
-          if (b.get() != block) {
-            rest.push_back(b.get());
-          }
-        }
-        BasicBlock* anchor = block;
-        for (BasicBlock* b : rest) {
-          fn_->moveBlockAfter(b, anchor);
-          anchor = b;
-        }
-      }
-      previous = block;
-    }
+    fn_->reorderBlocks(definedBlocks_);
   }
 
   void resolveForwardRefs() {
@@ -1281,7 +1255,8 @@ private:
   /// undefined-reference errors point at the use site.
   std::map<std::string, SourceLoc> valueRefLocs_;
   std::map<std::string, SourceLoc> blockRefLocs_;
-  std::vector<BasicBlock*> definedBlocks_;
+  std::vector<BasicBlock*> definedBlocks_; // in source order
+  std::unordered_set<const BasicBlock*> definedSet_;
 };
 
 } // namespace

@@ -751,16 +751,12 @@ private:
     if (depth > 64) {
       throw SemanticError("gate expansion too deep (recursive gate?)");
     }
-    static const std::map<std::string_view, OpKind> simple = {
-        {"h", OpKind::H},     {"x", OpKind::X},       {"y", OpKind::Y},
-        {"z", OpKind::Z},     {"s", OpKind::S},       {"sdg", OpKind::Sdg},
-        {"t", OpKind::T},     {"tdg", OpKind::Tdg},   {"rx", OpKind::RX},
-        {"ry", OpKind::RY},   {"rz", OpKind::RZ},     {"cx", OpKind::CX},
-        {"CX", OpKind::CX},   {"cz", OpKind::CZ},     {"swap", OpKind::Swap},
-        {"ccx", OpKind::CCX}, {"u3", OpKind::U3},     {"U", OpKind::U3}};
-    const auto it = simple.find(name);
-    if (it != simple.end()) {
-      circuit_.add({it->second, qubits, params, 0, cond});
+    // The gate table's spellings, plus OpenQASM 2's two built-ins.
+    const std::optional<OpKind> kind = name == "CX"  ? OpKind::CX
+                                       : name == "U" ? OpKind::U3
+                                                     : circuit::opKindNamed(name);
+    if (kind && circuit::isUnitary(*kind)) {
+      circuit_.add({*kind, qubits, params, 0, cond});
       return;
     }
     if (name == "id") {

@@ -519,13 +519,6 @@ private:
       fail("expected statement");
     }
     const std::string name = take().text;
-    static const std::map<std::string_view, std::string_view> gates = {
-        {"h", qir::kQisH},     {"x", qir::kQisX},       {"y", qir::kQisY},
-        {"z", qir::kQisZ},     {"s", qir::kQisS},       {"sdg", qir::kQisSAdj},
-        {"t", qir::kQisT},     {"tdg", qir::kQisTAdj},  {"rx", qir::kQisRX},
-        {"ry", qir::kQisRY},   {"rz", qir::kQisRZ},     {"cx", qir::kQisCNOT},
-        {"CX", qir::kQisCNOT}, {"cz", qir::kQisCZ},     {"swap", qir::kQisSwap},
-        {"ccx", qir::kQisCCX}};
     std::vector<Value*> args;
     if (name == "U") {
       // U(theta, phi, lambda) q  ->  rz(lambda); ry(theta); rz(phi)
@@ -545,8 +538,11 @@ private:
       builder_.createCall(rz, {phi, q});
       return;
     }
-    const auto gate = gates.find(name);
-    if (gate == gates.end()) {
+    // The gate table's spellings that the QIS has, plus the built-in CX.
+    const auto kind = name == "CX" ? circuit::OpKind::CX : circuit::opKindNamed(name);
+    const auto qisName =
+        kind && circuit::isUnitary(*kind) ? qir::qisNameFor(*kind) : std::nullopt;
+    if (!qisName) {
       fail("unknown gate '" + name + "'");
     }
     if (at(Tok::LParen)) {
@@ -560,7 +556,7 @@ private:
       args.push_back(qubitAddress());
     } while (at(Tok::Comma) && (++pos_, true));
     expect(Tok::Semi, "';'");
-    Function* callee = qir::declareQIRFunction(*module_, gate->second);
+    Function* callee = qir::declareQIRFunction(*module_, *qisName);
     if (args.size() != callee->functionType()->paramTypes().size()) {
       fail("wrong arity for gate '" + name + "'");
     }

@@ -2,7 +2,8 @@
 
 #include "support/source_location.hpp"
 
-#include <map>
+#include <utility>
+#include <vector>
 
 namespace qirkit::qir {
 
@@ -22,28 +23,36 @@ bool isQuantumFunction(std::string_view name) noexcept {
   return name.starts_with("__quantum__");
 }
 
+namespace {
+
+/// Each gate with its QIS function: the one pairing qisNameFor,
+/// opKindForQis and the gate signatures of qirFunctionType read. mz is
+/// not listed: its (qubit, result) signature is not a gate's.
+constexpr std::pair<OpKind, std::string_view> kQisGates[] = {
+    {OpKind::H, kQisH},       {OpKind::X, kQisX},       {OpKind::Y, kQisY},
+    {OpKind::Z, kQisZ},       {OpKind::S, kQisS},       {OpKind::Sdg, kQisSAdj},
+    {OpKind::T, kQisT},       {OpKind::Tdg, kQisTAdj},  {OpKind::RX, kQisRX},
+    {OpKind::RY, kQisRY},     {OpKind::RZ, kQisRZ},     {OpKind::CX, kQisCNOT},
+    {OpKind::CZ, kQisCZ},     {OpKind::Swap, kQisSwap}, {OpKind::CCX, kQisCCX},
+    {OpKind::Reset, kQisReset}};
+
+} // namespace
+
 const Type* qirFunctionType(Context& ctx, std::string_view name) {
   const Type* voidTy = ctx.voidTy();
   const Type* ptr = ctx.ptrTy();
   const Type* i64 = ctx.i64();
   const Type* i32 = ctx.i32();
   const Type* i1 = ctx.i1();
-  const Type* dbl = ctx.doubleTy();
 
-  // 1-qubit gates.
-  if (name == kQisH || name == kQisX || name == kQisY || name == kQisZ ||
-      name == kQisS || name == kQisSAdj || name == kQisT || name == kQisTAdj ||
-      name == kQisReset) {
-    return ctx.functionTy(voidTy, {ptr});
+  // Gates: their angles, then their qubits.
+  if (const auto kind = opKindForQis(name); kind && *kind != OpKind::Measure) {
+    std::vector<const Type*> params(circuit::opKindParams(*kind), ctx.doubleTy());
+    params.insert(params.end(), circuit::opKindArity(*kind), ptr);
+    return ctx.functionTy(voidTy, std::move(params));
   }
-  if (name == kQisRX || name == kQisRY || name == kQisRZ) {
-    return ctx.functionTy(voidTy, {dbl, ptr});
-  }
-  if (name == kQisCNOT || name == kQisCZ || name == kQisSwap || name == kQisMz) {
+  if (name == kQisMz) {
     return ctx.functionTy(voidTy, {ptr, ptr});
-  }
-  if (name == kQisCCX) {
-    return ctx.functionTy(voidTy, {ptr, ptr, ptr});
   }
   if (name == kQisReadResult) {
     return ctx.functionTy(i1, {ptr});
@@ -93,40 +102,24 @@ ir::Function* declareQIRFunction(ir::Module& module, std::string_view name) {
 }
 
 std::optional<std::string_view> qisNameFor(OpKind kind) noexcept {
-  switch (kind) {
-  case OpKind::H: return kQisH;
-  case OpKind::X: return kQisX;
-  case OpKind::Y: return kQisY;
-  case OpKind::Z: return kQisZ;
-  case OpKind::S: return kQisS;
-  case OpKind::Sdg: return kQisSAdj;
-  case OpKind::T: return kQisT;
-  case OpKind::Tdg: return kQisTAdj;
-  case OpKind::RX: return kQisRX;
-  case OpKind::RY: return kQisRY;
-  case OpKind::RZ: return kQisRZ;
-  case OpKind::CX: return kQisCNOT;
-  case OpKind::CZ: return kQisCZ;
-  case OpKind::Swap: return kQisSwap;
-  case OpKind::CCX: return kQisCCX;
-  case OpKind::Reset: return kQisReset;
-  default: return std::nullopt;
+  for (const auto& [gate, name] : kQisGates) {
+    if (gate == kind) {
+      return name;
+    }
   }
+  return std::nullopt;
 }
 
 std::optional<OpKind> opKindForQis(std::string_view name) noexcept {
-  static const std::map<std::string_view, OpKind> table = {
-      {kQisH, OpKind::H},       {kQisX, OpKind::X},
-      {kQisY, OpKind::Y},       {kQisZ, OpKind::Z},
-      {kQisS, OpKind::S},       {kQisSAdj, OpKind::Sdg},
-      {kQisT, OpKind::T},       {kQisTAdj, OpKind::Tdg},
-      {kQisRX, OpKind::RX},     {kQisRY, OpKind::RY},
-      {kQisRZ, OpKind::RZ},     {kQisCNOT, OpKind::CX},
-      {kQisCZ, OpKind::CZ},     {kQisSwap, OpKind::Swap},
-      {kQisCCX, OpKind::CCX},   {kQisMz, OpKind::Measure},
-      {kQisReset, OpKind::Reset}};
-  const auto it = table.find(name);
-  return it == table.end() ? std::nullopt : std::optional<OpKind>(it->second);
+  if (name == kQisMz) {
+    return OpKind::Measure;
+  }
+  for (const auto& [gate, qisName] : kQisGates) {
+    if (qisName == name) {
+      return gate;
+    }
+  }
+  return std::nullopt;
 }
 
 } // namespace qirkit::qir

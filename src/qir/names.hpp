@@ -71,11 +71,13 @@ inline constexpr std::string_view kRtResultEqual = "__quantum__rt__result_equal"
 /// Get-or-declare a known QIR function in \p module.
 ir::Function* declareQIRFunction(ir::Module& module, std::string_view name);
 
-/// The qis function implementing a circuit gate kind, if it is a plain
-/// (non-measurement) gate.
+/// The qis function implementing a circuit operation kind: each gate the
+/// QIS has, and reset. Measure maps to nothing here (mz takes a result
+/// operand, so it is not a gate of opKindParams angles and opKindArity
+/// qubits), as do U3 and Barrier.
 [[nodiscard]] std::optional<std::string_view> qisNameFor(circuit::OpKind kind) noexcept;
 
-/// Inverse of qisNameFor plus measurement/reset: circuit OpKind for a qis
+/// Inverse of qisNameFor, plus mz -> Measure: circuit OpKind for a qis
 /// function name.
 [[nodiscard]] std::optional<circuit::OpKind> opKindForQis(std::string_view name) noexcept;
 

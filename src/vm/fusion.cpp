@@ -1,30 +1,24 @@
 #include "vm/fusion.hpp"
 
+#include "circuit/executor.hpp"
 #include "qir/names.hpp"
 #include "sim/gates.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <optional>
 #include <span>
 #include <string_view>
 
 namespace qirkit::vm {
 
+using circuit::OpKind;
 using interp::FusedBlock;
 using interp::Memory;
 using interp::RtValue;
 
 namespace {
-
-enum class GateKind : std::uint8_t {
-  H, X, Y, Z, S, Sdg, T, Tdg, RX, RY, RZ, Cnot, Cz, Swap,
-};
-
-struct GateSpec {
-  GateKind kind;
-  unsigned numParams; // leading double arguments (rotation angles)
-  unsigned numQubits; // trailing qubit arguments
-};
 
 /// Every code offset control may enter at (branch/switch targets and the
 /// offsets Op::Fused heads skip to). Gate fusion and superinstruction
@@ -61,57 +55,19 @@ std::vector<bool> computeJumpTargets(const CompiledFunction& fn) {
   return jumpTarget;
 }
 
-const GateSpec* classify(std::string_view name) noexcept {
-  static const std::pair<std::string_view, GateSpec> kTable[] = {
-      {qir::kQisH, {GateKind::H, 0, 1}},
-      {qir::kQisX, {GateKind::X, 0, 1}},
-      {qir::kQisY, {GateKind::Y, 0, 1}},
-      {qir::kQisZ, {GateKind::Z, 0, 1}},
-      {qir::kQisS, {GateKind::S, 0, 1}},
-      {qir::kQisSAdj, {GateKind::Sdg, 0, 1}},
-      {qir::kQisT, {GateKind::T, 0, 1}},
-      {qir::kQisTAdj, {GateKind::Tdg, 0, 1}},
-      {qir::kQisRX, {GateKind::RX, 1, 1}},
-      {qir::kQisRY, {GateKind::RY, 1, 1}},
-      {qir::kQisRZ, {GateKind::RZ, 1, 1}},
-      {qir::kQisCNOT, {GateKind::Cnot, 0, 2}},
-      {qir::kQisCZ, {GateKind::Cz, 0, 2}},
-      {qir::kQisSwap, {GateKind::Swap, 0, 2}},
-  };
-  for (const auto& [gateName, spec] : kTable) {
-    if (gateName == name) {
-      return &spec;
-    }
-  }
-  return nullptr;
-}
-
-sim::GateMatrix2 matrix2For(GateKind kind, double param) noexcept {
-  switch (kind) {
-  case GateKind::H: return sim::gateH();
-  case GateKind::X: return sim::gateX();
-  case GateKind::Y: return sim::gateY();
-  case GateKind::Z: return sim::gateZ();
-  case GateKind::S: return sim::gateS();
-  case GateKind::Sdg: return sim::gateSdg();
-  case GateKind::T: return sim::gateT();
-  case GateKind::Tdg: return sim::gateTdg();
-  case GateKind::RX: return sim::gateRX(param);
-  case GateKind::RY: return sim::gateRY(param);
-  case GateKind::RZ: return sim::gateRZ(param);
-  default: break;
-  }
-  return sim::GateMatrix2{1, 0, 0, 1};
-}
-
 /// One decoded fusable gate call: its instruction span [begin, end)
-/// (PushArgs + CallExtern), classified spec and constant operands.
+/// (PushArgs + CallExtern), its kind and constant operands.
 struct GateUnit {
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
-  const GateSpec* spec = nullptr;
-  double param = 0;
+  OpKind kind = OpKind::H;
+  unsigned numQubits = 0;
+  std::array<double, circuit::kMaxOpAngles> angles{};
   std::uint64_t qubits[2] = {0, 0};
+
+  [[nodiscard]] sim::GateMatrix2 matrix() const noexcept {
+    return circuit::gateMatrix(kind, angles);
+  }
 };
 
 /// What decodeUnit found at an offset.
@@ -191,18 +147,22 @@ private:
       }
     }
     const std::string_view name = externNames_[call.b];
-    if (!qir::isQisFunction(name) || name == qir::kQisMz ||
-        name == qir::kQisReset || name == qir::kQisReadResult) {
+    const std::optional<OpKind> kind = qir::opKindForQis(name);
+    if (!qir::isQisFunction(name) || name == qir::kQisReadResult ||
+        (kind && !circuit::isUnitary(*kind))) {
       return Decoded::NotAGate;
     }
     unit.begin = pc;
     unit.end = cursor + 1;
-    const GateSpec* spec = classify(name);
-    if (spec == nullptr || call.a != kNoReg ||
-        numArgs != spec->numParams + spec->numQubits) {
+    // Only one- and two-qubit gates compose into a 2x2 or 4x4.
+    if (!kind || circuit::opKindArity(*kind) > 2 || call.a != kNoReg ||
+        numArgs != circuit::opKindParams(*kind) + circuit::opKindArity(*kind)) {
       reason = UnfusedReason::UnknownGate;
       return Decoded::Unfused;
     }
+    const unsigned numParams = circuit::opKindParams(*kind);
+    unit.kind = *kind;
+    unit.numQubits = circuit::opKindArity(*kind);
     // Every operand must be a compile-time constant: qubits so the support
     // (and the runtime's first-use allocation order) is known, angles so
     // the matrix can be composed. Arguments occupy [0, numArgs) and the
@@ -215,8 +175,8 @@ private:
       }
       return &fn_.constants[reg - constBase];
     };
-    for (unsigned i = 0; i < spec->numQubits; ++i) {
-      const RtValue* q = constant(spec->numParams + i);
+    for (unsigned i = 0; i < unit.numQubits; ++i) {
+      const RtValue* q = constant(numParams + i);
       // Only static QIR addresses: below the memory arena, so they can
       // never alias an array element or a dynamic handle.
       if (q == nullptr || q->kind != RtValue::Kind::Ptr || q->p >= Memory::kBase) {
@@ -225,19 +185,18 @@ private:
       }
       unit.qubits[i] = q->p;
     }
-    for (unsigned i = 0; i < spec->numParams; ++i) {
+    for (unsigned i = 0; i < numParams; ++i) {
       const RtValue* angle = constant(i);
       if (angle == nullptr || angle->kind != RtValue::Kind::Double) {
         reason = UnfusedReason::NonConstant;
         return Decoded::Unfused;
       }
-      unit.param = angle->d;
+      unit.angles[i] = angle->d;
     }
-    if (spec->numQubits == 2 && unit.qubits[0] == unit.qubits[1]) {
+    if (unit.numQubits == 2 && unit.qubits[0] == unit.qubits[1]) {
       reason = UnfusedReason::UnknownGate; // degenerate: keep runtime semantics
       return Decoded::Unfused;
     }
-    unit.spec = spec;
     return Decoded::Fusable;
   }
 
@@ -249,7 +208,7 @@ private:
     }
     rankOf_.clear();
     for (const GateUnit& g : region) {
-      for (unsigned k = 0; k < g.spec->numQubits; ++k) {
+      for (unsigned k = 0; k < g.numQubits; ++k) {
         rankOf_.try_emplace(g.qubits[k], static_cast<std::uint32_t>(rankOf_.size()));
       }
     }
@@ -262,7 +221,7 @@ private:
         return it == latest.end() ? nullptr : &drafts[it->second];
       };
       Draft* const da = latestOf(g.qubits[0]);
-      if (g.spec->numQubits == 1) {
+      if (g.numQubits == 1) {
         if (da != nullptr) {
           da->gates.push_back(i);
         } else {
@@ -375,17 +334,17 @@ private:
     block.qubits = d.qubits;
     block.sourceGates = static_cast<std::uint32_t>(d.gates.size());
     const GateUnit& first = region[d.gates[0]];
-    if (d.gates.size() == 1 && first.spec->numQubits == 2) {
+    if (d.gates.size() == 1 && first.numQubits == 2) {
       // Controlled gates keep control/target order; the window order is
       // irrelevant to them.
       block.qubits = {first.qubits[0], first.qubits[1]};
-      if (first.spec->kind == GateKind::Swap) {
+      if (first.kind == OpKind::Swap) {
         block.kind = FusedBlock::Kind::Swap;
         return block;
       }
       block.kind = FusedBlock::Kind::Controlled;
       const sim::GateMatrix2 t =
-          first.spec->kind == GateKind::Cnot ? sim::gateX() : sim::gateZ();
+          first.kind == OpKind::CX ? sim::gateX() : sim::gateZ();
       block.matrix = {t.m00, t.m01, t.m10, t.m11};
       return block;
     }
@@ -393,7 +352,7 @@ private:
       block.kind = FusedBlock::Kind::Unitary1;
       sim::GateMatrix2 u{1, 0, 0, 1};
       for (const std::uint32_t i : d.gates) {
-        u = sim::matmul(matrix2For(region[i].spec->kind, region[i].param), u);
+        u = sim::matmul(region[i].matrix(), u);
       }
       block.matrix = {u.m00, u.m01, u.m10, u.m11};
       return block;
@@ -406,18 +365,18 @@ private:
         return g.qubits[k] == d.qubits[0] ? 0U : 1U;
       };
       sim::GateMatrix4 gm;
-      switch (g.spec->kind) {
-      case GateKind::Cnot:
+      switch (g.kind) {
+      case OpKind::CX:
         gm = sim::controlled4(sim::gateX(), slotOf(0), slotOf(1));
         break;
-      case GateKind::Cz:
+      case OpKind::CZ:
         gm = sim::controlled4(sim::gateZ(), slotOf(0), slotOf(1));
         break;
-      case GateKind::Swap:
+      case OpKind::Swap:
         gm = sim::swap4();
         break;
       default:
-        gm = sim::embed2(matrix2For(g.spec->kind, g.param), slotOf(0));
+        gm = sim::embed2(g.matrix(), slotOf(0));
         break;
       }
       u = sim::matmul(gm, u);

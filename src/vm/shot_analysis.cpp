@@ -80,26 +80,6 @@ bool calleeNamed(const Instruction* call, std::string_view name) {
   return call->callee() != nullptr && call->callee()->name() == name;
 }
 
-/// Positions of the Qubit* operands of a qis gate call, or nullopt for
-/// non-gate qis functions (mz/reset/read_result handled separately).
-std::optional<std::vector<unsigned>> gateQubitOperands(std::string_view name) {
-  using namespace qir;
-  if (name == kQisH || name == kQisX || name == kQisY || name == kQisZ ||
-      name == kQisS || name == kQisSAdj || name == kQisT || name == kQisTAdj) {
-    return std::vector<unsigned>{0};
-  }
-  if (name == kQisRX || name == kQisRY || name == kQisRZ) {
-    return std::vector<unsigned>{1}; // (angle, qubit)
-  }
-  if (name == kQisCNOT || name == kQisCZ || name == kQisSwap) {
-    return std::vector<unsigned>{0, 1};
-  }
-  if (name == kQisCCX) {
-    return std::vector<unsigned>{0, 1, 2};
-  }
-  return std::nullopt;
-}
-
 /// True if \p fn (a defined function) contains any __quantum__* call.
 bool containsQuantumCall(const Function& fn) {
   for (const auto& block : fn.blocks()) {
@@ -399,8 +379,11 @@ private:
         continue;
       }
       const std::string& name = inst->callee()->name();
-      if (const auto qubits = gateQubitOperands(name)) {
-        for (const unsigned pos : *qubits) {
+      const std::optional<circuit::OpKind> kind = qir::opKindForQis(name);
+      if (kind && circuit::isUnitary(*kind)) {
+        // Gate operands: the angles, then the qubits.
+        const unsigned first = circuit::opKindParams(*kind);
+        for (unsigned pos = first; pos < first + circuit::opKindArity(*kind); ++pos) {
           const Token t = qubitTokenFor(inst->operand(pos));
           if (facts.measuredUnknown || (t.isUnknown() && !facts.measured.empty()) ||
               (!t.isUnknown() && facts.measured.count(t) != 0)) {
@@ -409,7 +392,7 @@ private:
           }
           touch(facts, t);
         }
-      } else if (name == qir::kQisMz) {
+      } else if (kind == circuit::OpKind::Measure) {
         const Token t = qubitTokenFor(inst->operand(0));
         touch(facts, t);
         if (t.isUnknown()) {
@@ -417,7 +400,7 @@ private:
         } else {
           facts.measured.insert(t);
         }
-      } else if (name == qir::kQisReset) {
+      } else if (kind == circuit::OpKind::Reset) {
         const Token t = qubitTokenFor(inst->operand(0));
         // A reset of a fresh qubit is a no-op; anything else turns the
         // pure state into a mixture that a single simulation cannot hold.

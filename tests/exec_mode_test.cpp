@@ -322,24 +322,46 @@ TEST(Precision, ForceF32AdmitsFeedbackPrograms) {
 
 TEST(ExecMode, SampledHistogramIsDeterministicAcrossEnginesAndPools) {
   ir::Context ctx;
-  const auto m = qir::exportCircuit(ctx, circuit::ghz(4, true), {});
-  const auto runWith = [&](vm::Engine engine, ThreadPool* pool) {
-    vm::ShotOptions opts;
-    opts.shots = 1000;
-    opts.seed = 21;
-    opts.engine = engine;
-    opts.pool = pool;
-    const vm::ShotBatchResult result = vm::runShots(*m, opts);
-    EXPECT_TRUE(result.sampled);
-    return result.histogram;
-  };
-  const auto reference = runWith(vm::Engine::Vm, nullptr);
-  EXPECT_EQ(histogramTotal(reference), 1000U);
-  EXPECT_EQ(reference, runWith(vm::Engine::Vm, nullptr)); // repeatable
-  EXPECT_EQ(reference, runWith(vm::Engine::Interp, nullptr));
-  ThreadPool pool(4);
-  EXPECT_EQ(reference, runWith(vm::Engine::Vm, &pool));
-  EXPECT_EQ(reference, runWith(vm::Engine::Interp, &pool));
+  // The second program's first gate uses two fresh static qubits: the
+  // VM's fused block and the interpreter's call must number them alike.
+  const std::unique_ptr<ir::Module> modules[] = {
+      qir::exportCircuit(ctx, circuit::ghz(4, true), {}), parse(ctx, R"(
+declare void @__quantum__qis__ry__body(double, ptr)
+declare void @__quantum__qis__cnot__body(ptr, ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @main() #0 {
+entry:
+  call void @__quantum__qis__cnot__body(ptr inttoptr (i64 5 to ptr), ptr inttoptr (i64 7 to ptr))
+  call void @__quantum__qis__ry__body(double 0.7, ptr inttoptr (i64 5 to ptr))
+  call void @__quantum__qis__ry__body(double 1.9, ptr inttoptr (i64 7 to ptr))
+  call void @__quantum__qis__mz__body(ptr inttoptr (i64 5 to ptr), ptr null)
+  call void @__quantum__qis__mz__body(ptr inttoptr (i64 7 to ptr), ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr inttoptr (i64 1 to ptr), ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" }
+)")};
+  for (const auto& m : modules) {
+    const auto runWith = [&](vm::Engine engine, ThreadPool* pool) {
+      vm::ShotOptions opts;
+      opts.shots = 1000;
+      opts.seed = 21;
+      opts.engine = engine;
+      opts.pool = pool;
+      const vm::ShotBatchResult result = vm::runShots(*m, opts);
+      EXPECT_TRUE(result.sampled);
+      return result.histogram;
+    };
+    const auto reference = runWith(vm::Engine::Vm, nullptr);
+    EXPECT_EQ(histogramTotal(reference), 1000U);
+    EXPECT_EQ(reference, runWith(vm::Engine::Vm, nullptr)); // repeatable
+    EXPECT_EQ(reference, runWith(vm::Engine::Interp, nullptr));
+    ThreadPool pool(4);
+    EXPECT_EQ(reference, runWith(vm::Engine::Vm, &pool));
+    EXPECT_EQ(reference, runWith(vm::Engine::Interp, &pool));
+  }
 }
 
 TEST(ExecMode, SampleAgreesWithResimStatistically) {

@@ -115,6 +115,54 @@ define void @f() {
                qirkit::ParseError);
 }
 
+/// A chain of \p n if-diamonds whose branches name the join block before
+/// the then block, so blocks are referenced in a different order than
+/// they are defined. \p tail ends the function.
+std::string diamondChain(unsigned n, const std::string& tail = "  ret void\n") {
+  std::string s = "declare i1 @c()\ndefine void @main() {\n";
+  for (unsigned i = 0; i < n; ++i) {
+    const std::string k = std::to_string(i);
+    const std::string next = std::to_string(i + 1);
+    s += "d" + k + ":\n  %c" + k + " = call i1 @c()\n  br i1 %c" + k + ", label %d" + next +
+         ", label %t" + k + "\nt" + k + ":\n  br label %d" + next + "\n";
+  }
+  return s + "d" + std::to_string(n) + ":\n" + tail + "}\n";
+}
+
+std::string parseErrorOf(const std::string& text) {
+  Context ctx;
+  try {
+    (void)parseModule(ctx, text);
+  } catch (const qirkit::ParseError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(IRParser, LongDiamondChainKeepsSourceOrderAndLabelErrors) {
+  constexpr unsigned kDiamonds = 5000;
+  Context ctx;
+  const auto m = parseOk(ctx, diamondChain(kDiamonds));
+  const auto& blocks = m->getFunction("main")->blocks();
+  ASSERT_EQ(blocks.size(), 2 * kDiamonds + 1);
+  for (unsigned i = 0; i < kDiamonds; ++i) {
+    const std::string k = std::to_string(i);
+    ASSERT_EQ(blocks[2 * i]->name(), "d" + k);
+    ASSERT_EQ(blocks[2 * i + 1]->name(), "t" + k);
+  }
+  EXPECT_EQ(blocks.back()->name(), "d5000");
+  const std::string printed = printModule(*m);
+  EXPECT_LT(printed.find("\nd4999:"), printed.find("\nt4999:"));
+  EXPECT_LT(printed.find("\nt4999:"), printed.find("\nd5000:"));
+
+  EXPECT_NE(parseErrorOf(diamondChain(kDiamonds, "  br label %d7\nd7:\n  ret void\n"))
+                .find("redefinition of label 'd7'"),
+            std::string::npos);
+  EXPECT_NE(parseErrorOf(diamondChain(kDiamonds, "  br label %missing\n"))
+                .find("use of undefined label '%missing'"),
+            std::string::npos);
+}
+
 TEST(IRParser, CallToUndeclaredFunctionIsAnError) {
   Context ctx;
   EXPECT_THROW((void)parseModule(ctx, R"(

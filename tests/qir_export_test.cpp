@@ -2,6 +2,8 @@
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "qasm/parser.hpp"
+#include "qasm/qasm3.hpp"
 #include "qir/exporter.hpp"
 #include "qir/names.hpp"
 #include "support/source_location.hpp"
@@ -55,6 +57,52 @@ TEST(QirNames, OpKindMappingRoundTrips) {
   }
   EXPECT_FALSE(qisNameFor(circuit::OpKind::Measure).has_value());
   EXPECT_EQ(opKindForQis(kQisMz), circuit::OpKind::Measure);
+}
+
+TEST(QirNames, GateTableDrivesNamesSignaturesAndFrontends) {
+  using circuit::OpKind;
+  Context ctx;
+  std::size_t gates = 0;
+  for (const OpKind kind : circuit::kAllOpKinds) {
+    EXPECT_EQ(circuit::opKindNamed(circuit::opKindName(kind)), kind);
+    const auto name = qisNameFor(kind);
+    if (!name) {
+      continue;
+    }
+    EXPECT_EQ(opKindForQis(*name), kind) << *name;
+    // Signature: the angles, then the qubits.
+    const Type* type = qirFunctionType(ctx, *name);
+    ASSERT_NE(type, nullptr) << *name;
+    const unsigned angles = circuit::opKindParams(kind);
+    const unsigned qubits = circuit::opKindArity(kind);
+    ASSERT_EQ(type->paramTypes().size(), angles + qubits) << *name;
+    for (unsigned i = 0; i < angles + qubits; ++i) {
+      EXPECT_EQ(type->paramTypes()[i]->isDouble(), i < angles) << *name;
+      EXPECT_EQ(type->paramTypes()[i]->isPointer(), i >= angles) << *name;
+    }
+    if (!circuit::isUnitary(kind)) {
+      continue;
+    }
+    // Both frontends accept the table's spelling at that arity.
+    std::string application = circuit::opKindName(kind);
+    for (unsigned i = 0; i < angles; ++i) {
+      application += (i == 0 ? "(" : ", ") + std::string("0.25");
+    }
+    application += angles != 0 ? ")" : "";
+    for (unsigned i = 0; i < qubits; ++i) {
+      application += (i == 0 ? " q[" : ", q[") + std::to_string(i) + "]";
+    }
+    application += ";\n";
+    const Circuit parsed = qasm::parse("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\n" +
+                                       application);
+    ASSERT_EQ(parsed.size(), 1U) << application;
+    EXPECT_EQ(parsed.op(0).kind, kind) << application;
+    const auto lowered = qasm::compileQasm3(
+        ctx, "OPENQASM 3;\ninclude \"stdgates.inc\";\nqubit[3] q;\n" + application);
+    EXPECT_EQ(countCalls(*lowered->entryPoint(), *name), 1U) << application;
+    ++gates;
+  }
+  EXPECT_EQ(gates, 15U);
 }
 
 TEST(Exporter, StaticAddressingMatchesEx6Shape) {

@@ -145,10 +145,40 @@ define void @main() #0 {
 }
 attributes #0 = { "entry_point" }
 )");
+  // Every backend shares the ABI's release, the recorder included.
+  const auto traps = [&](auto& rt) {
+    interp::Interpreter interp(*m);
+    rt.bind(interp);
+    EXPECT_THROW(interp.runEntryPoint(), interp::TrapError);
+  };
+  QuantumRuntime dense(1);
+  traps(dense);
+  CliffordRuntime clifford(2);
+  traps(clifford);
+  RecordingRuntime recorder;
+  traps(recorder);
+}
+
+TEST(Runtime, TwoQubitGateAllocatesStaticOperandsLeftToRight) {
+  // First use is source order: the control, 5, is seen before the
+  // target, 7, so it gets simulator qubit 0 — as on the fused path.
+  ir::Context ctx;
+  const auto m = parseQIR(ctx, R"(
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__cnot__body(ptr, ptr)
+define void @main() #0 {
+  call void @__quantum__qis__cnot__body(ptr inttoptr (i64 5 to ptr), ptr inttoptr (i64 7 to ptr))
+  call void @__quantum__qis__x__body(ptr inttoptr (i64 5 to ptr))
+  ret void
+}
+attributes #0 = { "entry_point" }
+)");
   interp::Interpreter interp(*m);
   QuantumRuntime rt(1);
   rt.bind(interp);
-  EXPECT_THROW(interp.runEntryPoint(), interp::TrapError);
+  interp.runEntryPoint();
+  EXPECT_NEAR(rt.state().probabilityOfOne(0), 1.0, 1e-12);
+  EXPECT_NEAR(rt.state().probabilityOfOne(1), 0.0, 1e-12);
 }
 
 TEST(Runtime, ResultConstantsAndEquality) {
@@ -323,6 +353,121 @@ TEST(CliffordRuntimeTest, MatchesStatevectorRuntimeOnCliffordPrograms) {
       EXPECT_EQ(clifford.resultValue(bit), clifFirst);
     }
   }
+}
+
+/// A Clifford program that calls every rt function a backend used to
+/// miss: result_get_one/zero, result_equal, array_get_size_1d, qubit and
+/// array allocate/release, array_get_element_ptr_1d and
+/// result_record_output. Deterministic: it records 1, 1, 0.
+constexpr const char* kRtSurfaceProgram = R"(
+declare ptr @__quantum__rt__qubit_allocate()
+declare void @__quantum__rt__qubit_release(ptr)
+declare ptr @__quantum__rt__qubit_allocate_array(i64)
+declare void @__quantum__rt__qubit_release_array(ptr)
+declare ptr @__quantum__rt__array_get_element_ptr_1d(ptr, i64)
+declare i64 @__quantum__rt__array_get_size_1d(ptr)
+declare ptr @__quantum__rt__result_get_one()
+declare ptr @__quantum__rt__result_get_zero()
+declare i1 @__quantum__rt__result_equal(ptr, ptr)
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__cnot__body(ptr, ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @main() #0 {
+entry:
+  %a = call ptr @__quantum__rt__qubit_allocate_array(i64 2)
+  %n = call i64 @__quantum__rt__array_get_size_1d(ptr %a)
+  %last = sub i64 %n, 1
+  %e0 = call ptr @__quantum__rt__array_get_element_ptr_1d(ptr %a, i64 0)
+  %e1 = call ptr @__quantum__rt__array_get_element_ptr_1d(ptr %a, i64 %last)
+  %q = call ptr @__quantum__rt__qubit_allocate()
+  call void @__quantum__qis__x__body(ptr %e0)
+  call void @__quantum__qis__cnot__body(ptr %e0, ptr %e1)
+  call void @__quantum__qis__mz__body(ptr %e0, ptr null)
+  call void @__quantum__qis__mz__body(ptr %e1, ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__qis__mz__body(ptr %q, ptr inttoptr (i64 2 to ptr))
+  call void @__quantum__rt__qubit_release(ptr %q)
+  call void @__quantum__rt__qubit_release_array(ptr %a)
+  %one = call ptr @__quantum__rt__result_get_one()
+  %zero = call ptr @__quantum__rt__result_get_zero()
+  %isOne = call i1 @__quantum__rt__result_equal(ptr null, ptr %one)
+  %isZero = call i1 @__quantum__rt__result_equal(ptr inttoptr (i64 2 to ptr), ptr %zero)
+  %both = and i1 %isOne, %isZero
+  br i1 %both, label %record, label %done
+record:
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr inttoptr (i64 1 to ptr), ptr null)
+  call void @__quantum__rt__result_record_output(ptr inttoptr (i64 2 to ptr), ptr null)
+  br label %done
+done:
+  ret void
+}
+attributes #0 = { "entry_point" }
+)";
+
+TEST(CliffordRuntimeTest, EveryRuntimeAnswersTheWholeRtSurface) {
+  ir::Context ctx;
+  const auto m = parseQIR(ctx, kRtSurfaceProgram);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    interp::Interpreter denseInterp(*m);
+    QuantumRuntime dense(seed);
+    dense.bind(denseInterp);
+    denseInterp.runEntryPoint();
+    interp::Interpreter cliffordInterp(*m);
+    CliffordRuntime clifford(3, seed);
+    clifford.bind(cliffordInterp);
+    cliffordInterp.runEntryPoint();
+    EXPECT_EQ(dense.outputBitString(), "110");
+    EXPECT_EQ(clifford.recordedOutput(), dense.recordedOutput());
+  }
+  // The recorder writes no outcomes, so result_equal(r0, one) is false
+  // and nothing is recorded — but every call has a binding.
+  interp::Interpreter recorderInterp(*m);
+  RecordingRuntime recorder;
+  recorder.bind(recorderInterp);
+  recorderInterp.runEntryPoint();
+  EXPECT_EQ(recorder.recorded().countKind(circuit::OpKind::Measure), 3U);
+  EXPECT_EQ(recorder.recorded().numQubits(), 3U);
+  EXPECT_TRUE(recorder.recordedOutput().empty());
+}
+
+TEST(CliffordRuntimeTest, StaticAndDynamicQubitsNeverShareATableauQubit) {
+  // Static ids take tableau qubits at first use, like every other
+  // runtime, so a later qubit_allocate gets a fresh one in |0>.
+  ir::Context ctx;
+  const auto m = parseQIR(ctx, R"(
+declare ptr @__quantum__rt__qubit_allocate()
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+define void @main() #0 {
+  call void @__quantum__qis__x__body(ptr null)
+  %q = call ptr @__quantum__rt__qubit_allocate()
+  call void @__quantum__qis__mz__body(ptr %q, ptr inttoptr (i64 5 to ptr))
+  ret void
+}
+attributes #0 = { "entry_point" }
+)");
+  interp::Interpreter denseInterp(*m);
+  QuantumRuntime dense(1);
+  dense.bind(denseInterp);
+  denseInterp.runEntryPoint();
+  EXPECT_FALSE(dense.resultValue(5));
+
+  interp::Interpreter cliffordInterp(*m);
+  CliffordRuntime clifford(2, 1);
+  clifford.bind(cliffordInterp);
+  cliffordInterp.runEntryPoint();
+  EXPECT_FALSE(clifford.resultValue(5));
+
+  interp::Interpreter recorderInterp(*m);
+  RecordingRuntime recorder;
+  recorder.bind(recorderInterp);
+  recorderInterp.runEntryPoint();
+  EXPECT_FALSE(recorder.resultValue(5));
+  circuit::Circuit expected(2, 1);
+  expected.x(0);
+  expected.measure(1, 0);
+  EXPECT_EQ(recorder.recorded(), expected);
 }
 
 TEST(CliffordRuntimeTest, RejectsNonCliffordInstructions) {
