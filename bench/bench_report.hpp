@@ -1,7 +1,9 @@
 // Shared bench harness: runs Google Benchmark with the normal console
 // output and additionally writes a machine-readable BENCH_<name>.json
-// artifact next to the binary (or into $QIRKIT_BENCH_DIR when set), so CI
-// can collect and diff benchmark results across runs.
+// artifact into the working directory (or into $QIRKIT_BENCH_DIR when
+// set), so CI can collect and diff benchmark results across runs. A run
+// that ran no benchmark (--benchmark_list_tests, a filter matching
+// nothing) writes no artifact, so it never truncates a committed one.
 //
 // The artifact schema is versioned independently of the --stats schema:
 //   { "schema_version": 1, "tool": "qirkit-bench", "bench": "<name>",
@@ -107,7 +109,7 @@ inline std::string recordsJson(const char* benchName,
 } // namespace detail
 
 /// Drop-in replacement for the Initialize/RunSpecifiedBenchmarks tail of a
-/// bench main(): runs the registered benchmarks and writes
+/// bench main(): runs the registered benchmarks and, when any ran, writes
 /// BENCH_<benchName>.json. Returns the process exit code.
 inline int runAndReport(int* argc, char** argv, const char* benchName) {
   const char* telemetryEnv = std::getenv("QIRKIT_BENCH_TELEMETRY");
@@ -124,6 +126,9 @@ inline int runAndReport(int* argc, char** argv, const char* benchName) {
   }
   detail::CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
+  if (reporter.records.empty()) {
+    return 0;
+  }
 
   std::string dir = ".";
   if (const char* env = std::getenv("QIRKIT_BENCH_DIR");

@@ -9,6 +9,7 @@
 #include "ir/printer.hpp"
 #include "qir/exporter.hpp"
 
+#include <sstream>
 #include <string>
 
 namespace qirkit::bench {
@@ -242,6 +243,21 @@ continue:
 attributes #0 = { "entry_point" }
 )";
   return s;
+}
+
+/// The bench_pipeline feedback_shots OpenQASM 3 shape: nested loops whose
+/// variable drives the qubit index and the angle, then a measurement with a
+/// classically conditioned X.
+inline std::string layeredQasm3(unsigned layers, unsigned phase) {
+  std::ostringstream s;
+  s << "OPENQASM 3;\ninclude \"stdgates.inc\";\nqubit[6] q;\nbit[6] c;\n"
+    << "for int layer in [0:" << layers - 1 << "] {\n"
+    << "  for int i in [0:5] {\n    ry(pi * (layer + " << phase
+    << ") / 16) q[i];\n  }\n"
+    << "  for int i in [0:4] {\n    cx q[i], q[i+1];\n  }\n}\n"
+    << "c[0] = measure q[0];\nif (c[0] == 1) {\n  x q[0];\n}\n"
+    << "for int i in [0:5] {\n  c[i] = measure q[i];\n}\n";
+  return s.str();
 }
 
 /// A VQE-style hybrid program: a classical parameter loop around a small

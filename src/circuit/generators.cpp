@@ -2,6 +2,7 @@
 
 #include "support/rng.hpp"
 
+#include <algorithm>
 #include <numbers>
 
 namespace qirkit::circuit {
@@ -89,6 +90,58 @@ Circuit hardwareEfficientAnsatz(unsigned n, unsigned layers, std::uint64_t seed)
     for (unsigned q = 0; q + 1 < n; ++q) {
       c.cx(q, q + 1);
     }
+  }
+  return c;
+}
+
+Circuit randomAdaptiveCircuit(std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  const auto n = static_cast<unsigned>(3 + rng.below(4));
+  const auto midCircuit = static_cast<unsigned>(1 + rng.below(4));
+  Circuit c(n, midCircuit + n);
+  const auto qubit = [&] { return static_cast<std::uint32_t>(rng.below(n)); };
+  const auto angle = [&] { return rng.uniform() * 2 * std::numbers::pi; };
+  constexpr OpKind kRotations[] = {OpKind::RX, OpKind::RY, OpKind::RZ};
+  std::uint32_t measured = 0;
+  const auto randomOp = [&] {
+    switch (rng.below(measured == 0 ? 2 : 4)) {
+    case 0: c.add({kRotations[rng.below(3)], {qubit()}, {angle()}, 0, {}}); break;
+    case 1: {
+      const std::uint32_t a = qubit();
+      std::uint32_t b = qubit();
+      if (a == b) {
+        b = (b + 1) % n;
+      }
+      c.cx(a, b);
+      break;
+    }
+    case 2: {
+      // X or a rotation, applied when one or two measured bits match.
+      const auto first = static_cast<std::uint32_t>(rng.below(measured));
+      const auto numBits =
+          static_cast<std::uint32_t>(1 + rng.below(std::min(2U, measured - first)));
+      const Condition condition{first, numBits, rng.below(std::uint64_t{1} << numBits)};
+      if (rng.below(2) == 0) {
+        c.add({OpKind::X, {qubit()}, {}, 0, condition});
+      } else {
+        c.add({OpKind::RY, {qubit()}, {angle()}, 0, condition});
+      }
+      break;
+    }
+    default: c.reset(qubit()); break;
+    }
+  };
+  for (; measured < midCircuit; ++measured) {
+    for (auto ops = 2 + rng.below(4); ops != 0; --ops) {
+      randomOp();
+    }
+    c.measure(qubit(), measured);
+  }
+  for (auto ops = 1 + rng.below(4); ops != 0; --ops) {
+    randomOp();
+  }
+  for (std::uint32_t q = 0; q < n; ++q) {
+    c.measure(q, midCircuit + q);
   }
   return c;
 }

@@ -30,6 +30,13 @@ namespace qirkit::circuit {
 [[nodiscard]] Circuit hardwareEfficientAnsatz(unsigned n, unsigned layers,
                                               std::uint64_t seed);
 
+/// Random adaptive circuit, the differential tests' feedback workload: 3-6
+/// qubits of random rotations and CX around 1-4 mid-circuit measurements,
+/// with gates conditioned on the bits measured so far (Condition) and
+/// resets between them, then a measurement of every qubit. Bits
+/// 0..k-1 hold the k mid-circuit outcomes, the rest the final readout.
+[[nodiscard]] Circuit randomAdaptiveCircuit(std::uint64_t seed);
+
 /// 3-qubit bit-flip repetition code: encode |psi> (prepared by RY(theta)
 /// on qubit 0), inject an X error on \p errorQubit (or none if >= 3),
 /// extract the syndrome into two ancillas, and apply classically

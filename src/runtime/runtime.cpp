@@ -107,6 +107,9 @@ unsigned RuntimeAbi::resolveStaticQubit(std::uint64_t address) {
 }
 
 bool RuntimeAbi::resultValue(std::uint64_t key) const {
+  if (key == kResultOne || key == kResultZero) {
+    return key == kResultOne;
+  }
   const auto it = results_.find(key);
   return it != results_.end() && it->second;
 }
@@ -214,11 +217,8 @@ void RuntimeAbi::bindRuntimeFunctions(interp::ExternalRegistry& registry) {
                         });
   registry.bindExternal(std::string(qir::kRtResultEqual),
                         [this](std::span<const RtValue> args, ExternContext&) {
-                          const auto valueOf = [&](std::uint64_t r) {
-                            return r == kResultOne || (r != kResultZero && resultValue(r));
-                          };
                           return RtValue::makeInt(
-                              valueOf(args[0].p) == valueOf(args[1].p) ? 1 : 0);
+                              resultValue(args[0].p) == resultValue(args[1].p) ? 1 : 0);
                         });
 }
 
@@ -230,8 +230,24 @@ void QuantumRuntime::reset(std::uint64_t seed) {
   state_ = sim::StateVector(0, pool_, precision_);
   state_.setCancelToken(cancel_); // token installation survives reset
   rng_ = SplitMix64(seed);
+  source_ = nullptr;
   clearAbi();
   resultQubit_.clear();
+}
+
+void QuantumRuntime::reset(OutcomeSource& source) {
+  reset(0);
+  source_ = &source;
+}
+
+bool QuantumRuntime::collapse(unsigned q) {
+  if (source_ == nullptr) {
+    return state_.measure(q, rng_);
+  }
+  const double p1 = state_.probabilityOfOne(q);
+  const bool outcome = source_->next(p1);
+  state_.collapse(q, outcome, p1);
+  return outcome;
 }
 
 void QuantumRuntime::applyFusedSweep(std::span<const interp::FusedBlock> blocks) {
@@ -310,8 +326,8 @@ std::map<std::string, std::uint64_t> QuantumRuntime::sampleRecordedHistogram(
     bits.reserve(recordedKeys().size());
     for (const std::uint64_t key : recordedKeys()) {
       const auto it = resultQubit_.find(key);
-      const bool value =
-          it != resultQubit_.end() && ((basis >> it->second) & 1) != 0;
+      const bool value = it != resultQubit_.end() ? ((basis >> it->second) & 1) != 0
+                                                  : resultValue(key);
       bits.push_back(value ? '1' : '0');
     }
     histogram[bits] += count;
@@ -335,7 +351,7 @@ void QuantumRuntime::bind(interp::ExternalRegistry& interp) {
           // jointly at sampling time.
           resultQubit_[result] = q;
         } else {
-          setResult(result, state_.measure(q, rng_));
+          setResult(result, collapse(q));
         }
       },
       [this](unsigned q) {
@@ -347,8 +363,8 @@ void QuantumRuntime::bind(interp::ExternalRegistry& interp) {
             throw TrapError("reset of a non-|0> qubit in deferred-measurement mode",
                             ErrorCode::Semantic);
           }
-        } else {
-          state_.resetQubit(q, rng_);
+        } else if (collapse(q)) {
+          state_.apply1(sim::gateX(), q); // StateVector::resetQubit's correction
         }
       });
 }

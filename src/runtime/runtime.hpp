@@ -62,8 +62,9 @@ public:
 
   [[nodiscard]] const RuntimeStats& stats() const noexcept { return stats_; }
 
-  /// Result values by key (runtime-internal addressing). A result no mz
-  /// has written reads false.
+  /// Result values by key (runtime-internal addressing). The results
+  /// result_get_one and result_get_zero hand out read true and false, and
+  /// a result no mz has written reads false.
   [[nodiscard]] bool resultValue(std::uint64_t key) const;
 
   /// Output recorded via __quantum__rt__result_record_output, in call
@@ -198,6 +199,19 @@ public:
   /// empty result table, so recordedOutput() values read false).
   enum class MeasurementMode : std::uint8_t { Collapse, Defer };
 
+  /// Chooses the outcomes of collapsing measurements in place of the
+  /// runtime's seeded stream: the shot executor's branching route, which
+  /// runs a group of shots per execution (see reset(OutcomeSource&)).
+  class OutcomeSource {
+  public:
+    /// The outcome of the next collapsing mz or reset, whose qubit reads 1
+    /// with probability \p p1.
+    virtual bool next(double p1) = 0;
+
+  protected:
+    ~OutcomeSource() = default;
+  };
+
   explicit QuantumRuntime(std::uint64_t seed = 1, qirkit::ThreadPool* pool = nullptr,
                           sim::Precision precision = sim::Precision::F64)
       : state_(0, pool, precision), pool_(pool), precision_(precision),
@@ -225,6 +239,11 @@ public:
   /// shot executor uses this to run N shots without re-binding the 30+
   /// handlers per shot.
   void reset(std::uint64_t seed);
+  /// The same fresh state, but each collapsing measurement takes its
+  /// outcome from \p source (which must outlive the execution) instead of
+  /// a draw: the probability and the collapse are the ones a seeded run
+  /// computes (StateVector::collapse).
+  void reset(OutcomeSource& source);
 
   [[nodiscard]] sim::StateVector& state() noexcept { return state_; }
 
@@ -246,12 +265,15 @@ public:
 
 private:
   unsigned newQubit() override { return state_.addQubit(); }
+  /// Measure \p q with the outcome from source_, else from rng_.
+  bool collapse(unsigned q);
 
   sim::StateVector state_;
   qirkit::ThreadPool* pool_;
   sim::Precision precision_ = sim::Precision::F64;
   const qirkit::CancelToken* cancel_ = nullptr;
   SplitMix64 rng_;
+  OutcomeSource* source_ = nullptr;
   MeasurementMode mode_ = MeasurementMode::Collapse;
   /// Defer mode: result key -> simulator qubit index backing it.
   std::map<std::uint64_t, unsigned> resultQubit_;

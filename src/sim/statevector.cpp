@@ -783,13 +783,18 @@ double StateVector::probabilityOfOne(unsigned q) const {
 }
 
 bool StateVector::measure(unsigned q, SplitMix64& rng) {
-  g_svMeasurements.add();
   const double p1 = probabilityOfOne(q);
-  const bool outcome = rng.uniform() < p1;
+  const bool outcome = drawOutcome(p1, rng);
+  collapse(q, outcome, p1);
+  return outcome;
+}
+
+void StateVector::collapse(unsigned q, bool outcome, double p1) {
+  g_svMeasurements.add();
   const double keep = outcome ? p1 : 1.0 - p1;
   const double scale = keep > 0 ? 1.0 / std::sqrt(keep) : 0.0;
   const std::uint64_t bit = std::uint64_t{1} << q;
-  const auto collapse = [&](auto* const amps) {
+  const auto project = [&](auto* const amps) {
     using C = std::decay_t<decltype(*amps)>;
     const auto s = static_cast<typename C::value_type>(scale);
     forRange(dimension(), [&](std::uint64_t begin, std::uint64_t end) {
@@ -804,11 +809,10 @@ bool StateVector::measure(unsigned q, SplitMix64& rng) {
     });
   };
   if (precision_ == Precision::F32) {
-    collapse(amplitudesF_.data());
+    project(amplitudesF_.data());
   } else {
-    collapse(amplitudes_.data());
+    project(amplitudes_.data());
   }
-  return outcome;
 }
 
 void StateVector::resetQubit(unsigned q, SplitMix64& rng) {

@@ -51,6 +51,13 @@ enum class Precision : std::uint8_t { F64, F32 };
 /// sim.kernel.f32_batches.
 void noteF32Batch() noexcept;
 
+/// The outcome one uniform draw from \p rng selects for a qubit that reads
+/// 1 with probability \p p1: StateVector::measure's draw, and the one each
+/// shot makes on the shot executor's branching route.
+[[nodiscard]] inline bool drawOutcome(double p1, SplitMix64& rng) noexcept {
+  return rng.uniform() < p1;
+}
+
 /// One gate of a fused sweep (applyFusedSweep), with qubit operands
 /// already resolved to simulator indices. Matrices and phase tables stay
 /// in double precision; kernels convert once per chunk. The diag/
@@ -147,8 +154,13 @@ public:
   // -- measurement ---------------------------------------------------------
   /// Probability that measuring \p q yields 1.
   [[nodiscard]] double probabilityOfOne(unsigned q) const;
-  /// Projective measurement of \p q; collapses and renormalizes.
+  /// Projective measurement of \p q: probabilityOfOne, one drawOutcome
+  /// from \p rng, then collapse.
   bool measure(unsigned q, SplitMix64& rng);
+  /// Project \p q onto \p outcome and renormalize, given \p p1 =
+  /// probabilityOfOne(q). measure's second half: a caller that chose the
+  /// outcome itself gets the amplitudes measure would leave.
+  void collapse(unsigned q, bool outcome, double p1);
   /// Measure-and-correct to |0>.
   void resetQubit(unsigned q, SplitMix64& rng);
   /// Sample a full basis state without collapsing (for repeated shots).

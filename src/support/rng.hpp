@@ -23,12 +23,16 @@ public:
   }
 
   constexpr result_type operator()() noexcept {
-    state_ += 0x9e3779b97f4a7c15ULL;
+    state_ += kGamma;
     std::uint64_t z = state_;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
   }
+
+  /// Jump ahead \p n draws in O(1): the state is a counter stepped by a
+  /// fixed increment, so this equals calling operator() n times.
+  constexpr void discard(std::uint64_t n) noexcept { state_ += n * kGamma; }
 
   /// Uniform double in [0, 1).
   constexpr double uniform() noexcept {
@@ -45,6 +49,8 @@ public:
   }
 
 private:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
   std::uint64_t state_;
 };
 

@@ -2,11 +2,14 @@
 
 #include "interp/interpreter.hpp"
 #include "support/cancel.hpp"
+#include "support/faultinject.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry/telemetry.hpp"
 #include "vm/cache.hpp"
 
+#include <algorithm>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <type_traits>
 
@@ -38,7 +41,7 @@ constexpr RunOption kRunOptions[] = {
      "bytecode VM (default) or reference interpreter",
      getField<&RunChoices::engine>, setField<&RunChoices::engine>},
     {"exec-mode", "exec_mode", kExecModeNames, false,
-     "auto (default) samples when provably sound",
+     "auto (default) samples when provably sound, else branches",
      getField<&RunChoices::execMode>, setField<&RunChoices::execMode>},
     {"precision", "precision", kPrecisionNames, false,
      "f32 halves state memory (terminal programs)",
@@ -103,6 +106,8 @@ telemetry::Counter g_analysisTerminal{"shots.analysis.terminal"};
 telemetry::Counter g_analysisFeedback{"shots.analysis.feedback_dependent"};
 telemetry::Counter g_deadlineBatches{"shots.deadline_batches"};
 telemetry::Counter g_shotsUnstarted{"shots.unstarted"};
+telemetry::Counter g_branchBatches{"shots.branch_batches"};
+telemetry::Counter g_branchPaths{"shots.branch_paths"};
 telemetry::LatencyHistogram g_shotLatency{"shots.latency_ns"};
 // The batch's stages, also a serve request's: the names and notes are
 // the response's "stages" contract (g_compileStage is shared with serve).
@@ -124,6 +129,8 @@ struct ChunkResult {
   /// it never ran (including one abandoned mid-flight) are in unstarted.
   bool deadlineHit = false;
   std::uint64_t unstarted = 0;
+  /// Executions of the branching route (OutcomePaths), trapped ones included.
+  std::uint64_t branchPaths = 0;
   /// Stats of the batch's final shot, when this chunk ran it successfully.
   /// Merged into the batch under the merge lock — workers never write the
   /// shared result directly.
@@ -154,16 +161,139 @@ ShotOutcome runInterpShot(const ir::Module& module, std::uint64_t seed,
   return {rt.outputBitString(), rt.stats(), interp.stats()};
 }
 
+/// Shots per branching window: OutcomePaths holds 4 bytes per shot of a
+/// window, so its memory stays bounded whatever the batch size.
+constexpr std::uint64_t kBranchWindow = std::uint64_t{1} << 16;
+
+/// The shot-branching route's bookkeeping over one window of shots.
+/// Each execution of the program carries a group of shots that agree on
+/// every outcome so far. At each collapsing mz or reset past the group's
+/// forced prefix, every shot s of the group draws against the one P(1)
+/// from its own stream, SplitMix64(seed + s) advanced by the number of
+/// outcomes the shot has drawn: the draw per-shot resim makes. The group
+/// continues with the larger outcome's shots, and the others wait on a
+/// stack with their outcome prefix, to rerun the program from the start
+/// with that prefix forced. Groups are ranges of one array of window
+/// offsets, and the stack never holds more entries than the current path
+/// has outcomes.
+class OutcomePaths final : public runtime::QuantumRuntime::OutcomeSource {
+public:
+  /// One group of the shots [first, first + count), nothing forced.
+  void start(std::uint64_t seed, std::uint64_t first, std::uint32_t count) {
+    streamBase_ = seed + first;
+    shots_.resize(count);
+    std::iota(shots_.begin(), shots_.end(), 0U);
+    waiting_.clear();
+    path_.clear();
+    lo_ = 0;
+    hi_ = count;
+    depth_ = 0;
+  }
+
+  /// Make the most recently deferred group current; false when none waits.
+  bool nextGroup() {
+    if (waiting_.empty()) {
+      return false;
+    }
+    const Waiting group = waiting_.back();
+    waiting_.pop_back();
+    // Groups deferred after this one had longer prefixes and are done, so
+    // path_ still starts with this group's prefix.
+    path_.resize(group.depth);
+    path_.push_back(group.outcome);
+    lo_ = group.lo;
+    hi_ = group.hi;
+    depth_ = 0;
+    return true;
+  }
+
+  /// The current group's shots, as offsets into the window.
+  [[nodiscard]] std::span<const std::uint32_t> group() const {
+    return {shots_.data() + lo_, hi_ - lo_};
+  }
+
+  /// Set the current group's shots aside: their path trapped.
+  void markTrapped() {
+    for (std::uint32_t i = lo_; i < hi_; ++i) {
+      shots_[i] |= kTrapped;
+    }
+  }
+
+  /// The shots set aside by markTrapped, ascending. Call once every group
+  /// is done.
+  [[nodiscard]] std::span<const std::uint32_t> trapped() {
+    auto end = shots_.begin();
+    for (const std::uint32_t shot : shots_) {
+      if ((shot & kTrapped) != 0) {
+        *end++ = shot & ~kTrapped;
+      }
+    }
+    std::sort(shots_.begin(), end);
+    return {shots_.data(), static_cast<std::size_t>(end - shots_.begin())};
+  }
+
+  bool next(double p1) override {
+    if (depth_ < path_.size()) {
+      return path_[depth_++];
+    }
+    const auto first = shots_.begin() + lo_;
+    const auto mid = std::partition(first, shots_.begin() + hi_, [&](std::uint32_t shot) {
+      SplitMix64 stream(streamBase_ + shot);
+      stream.discard(depth_);
+      return sim::drawOutcome(p1, stream);
+    });
+    const auto ones = static_cast<std::uint32_t>(mid - first);
+    const std::uint32_t zeros = hi_ - lo_ - ones;
+    const bool outcome = ones >= zeros;
+    if (ones != 0 && zeros != 0) {
+      const std::uint32_t split = lo_ + ones;
+      if (outcome) {
+        waiting_.push_back({split, hi_, depth_, false});
+        hi_ = split;
+      } else {
+        waiting_.push_back({lo_, split, depth_, true});
+        lo_ = split;
+      }
+    }
+    path_.push_back(outcome);
+    ++depth_;
+    return outcome;
+  }
+
+private:
+  /// Window offsets stay below kBranchWindow, so the top bit is free.
+  static constexpr std::uint32_t kTrapped = std::uint32_t{1} << 31;
+
+  /// A deferred group: shots_[lo, hi), which take \p outcome after the
+  /// current path's first \p depth outcomes.
+  struct Waiting {
+    std::uint32_t lo;
+    std::uint32_t hi;
+    std::size_t depth;
+    bool outcome;
+  };
+
+  std::uint64_t streamBase_ = 0;
+  std::vector<std::uint32_t> shots_;
+  std::vector<Waiting> waiting_;
+  std::vector<bool> path_; ///< the current group's outcomes so far
+  std::uint32_t lo_ = 0;
+  std::uint32_t hi_ = 0;
+  std::size_t depth_ = 0; ///< outcomes taken by the current execution
+};
+
 /// Executes the shots of one chunk with per-shot fault isolation: a
 /// trapping shot is classified, optionally rescued on the reference
 /// interpreter (VM engine only), retried when transient, and finally
 /// recorded as a failure — never allowed to abort the surrounding shots.
+/// With \p branch (VM engine only), the chunk runs outcome paths instead
+/// (OutcomePaths), and reruns the shots of a trapping path one by one.
 class ChunkRunner {
 public:
   ChunkRunner(const ir::Module& module,
               const std::shared_ptr<const BytecodeModule>& compiled,
-              Engine engine, const ShotOptions& opts)
-      : module_(module), opts_(opts), engine_(engine) {
+              Engine engine, const ShotOptions& opts, bool branch)
+      : module_(module), opts_(opts), engine_(engine), branch_(branch) {
     // Both engines are constructed once per chunk and reset per shot; the
     // deterministic bump allocator makes a reset Interpreter
     // indistinguishable from a fresh one (identical arena addresses).
@@ -182,6 +312,17 @@ public:
   }
 
   void run(std::uint64_t begin, std::uint64_t end, ChunkResult& out) {
+    if (branch_) {
+      for (std::uint64_t first = begin; first < end; first += kBranchWindow) {
+        const std::uint64_t settled = runWindow(
+            first, static_cast<std::uint32_t>(std::min(end - first, kBranchWindow)), out);
+        if (out.deadlineHit) {
+          out.unstarted += end - first - settled;
+          return;
+        }
+      }
+      return;
+    }
     const qirkit::CancelToken* const cancel = opts_.cancel;
     for (std::uint64_t shot = begin; shot < end; ++shot) {
       // Shot-boundary probe: never start a shot whose token has expired.
@@ -201,12 +342,62 @@ public:
   }
 
 private:
-  ShotOutcome runVmShot(std::uint64_t seed) {
-    rt_->reset(seed);
+  /// The branching route over the \p count shots from \p first: every
+  /// outcome path, then the shots of trapped paths one by one in ascending
+  /// order, as per-shot resim runs them. Returns the number of shots
+  /// settled (completed or failed) before a deadline cut.
+  std::uint64_t runWindow(std::uint64_t first, std::uint32_t count, ChunkResult& out) {
+    const qirkit::CancelToken* const cancel = opts_.cancel;
+    const std::uint64_t lastShot = opts_.shots - 1 - first; // as a window offset
+    std::uint64_t settled = 0;
+    paths_.start(opts_.seed, first, count);
+    do {
+      if (cancel != nullptr && cancel->expired()) {
+        out.deadlineHit = true;
+        return settled;
+      }
+      ++out.branchPaths;
+      ShotOutcome outcome;
+      try {
+        rt_->reset(paths_);
+        outcome = runVm();
+      } catch (const std::exception& e) {
+        if (classifyException(e).code == ErrorCode::Deadline) {
+          out.deadlineHit = true;
+          return settled;
+        }
+        paths_.markTrapped();
+        continue;
+      }
+      const std::span<const std::uint32_t> group = paths_.group();
+      record(outcome, group.size(),
+             lastShot < count && std::ranges::find(group, lastShot) != group.end(), out);
+      settled += group.size();
+    } while (paths_.nextGroup());
+    for (const std::uint32_t offset : paths_.trapped()) {
+      if (cancel != nullptr && cancel->expired()) {
+        out.deadlineHit = true;
+        return settled;
+      }
+      runIsolated(first + offset, out);
+      if (out.deadlineHit) {
+        return settled;
+      }
+      ++settled;
+    }
+    return settled;
+  }
+
+  ShotOutcome runVm() {
     vm_->reset();
     vm_->resetStats();
     vm_->runEntryPoint();
     return {rt_->outputBitString(), rt_->stats(), vm_->stats()};
+  }
+
+  ShotOutcome runVmShot(std::uint64_t seed) {
+    rt_->reset(seed);
+    return runVm();
   }
 
   ShotOutcome runHostedInterpShot(std::uint64_t seed) {
@@ -237,9 +428,10 @@ private:
       const std::uint64_t seed = attempt == 0
                                      ? opts_.seed + shot
                                      : deriveRetrySeed(opts_.seed, shot, attempt);
+      const bool last = shot + 1 == opts_.shots;
       ClassifiedError failure;
       try {
-        record(shot, runAttempt(seed), out);
+        record(runAttempt(seed), 1, last, out);
         return;
       } catch (const std::exception& e) {
         failure = classifyException(e);
@@ -255,9 +447,8 @@ private:
         // completes the shot the VM trapped on, the reference answer
         // stands and the trap is the VM's problem, not the program's.
         try {
-          record(shot,
-                 runInterpShot(module_, seed, opts_.cancel, opts_.precision),
-                 out);
+          record(runInterpShot(module_, seed, opts_.cancel, opts_.precision), 1,
+                 last, out);
           ++out.interpFallbackShots;
           return;
         } catch (const std::exception& e) {
@@ -288,10 +479,13 @@ private:
     }
   }
 
-  void record(std::uint64_t shot, ShotOutcome outcome, ChunkResult& out) {
-    ++out.completed;
-    ++out.histogram[outcome.bits];
-    if (shot + 1 == opts_.shots) {
+  /// Count \p shots completed shots that produced \p outcome; \p last: the
+  /// batch's final shot is among them.
+  static void record(const ShotOutcome& outcome, std::uint64_t shots, bool last,
+                     ChunkResult& out) {
+    out.completed += shots;
+    out.histogram[outcome.bits] += shots;
+    if (last) {
       out.hasLastShot = true;
       out.lastShotStats = outcome.stats;
       out.lastShotEngineStats = outcome.engineStats;
@@ -301,6 +495,8 @@ private:
   const ir::Module& module_;
   const ShotOptions& opts_;
   Engine engine_;
+  bool branch_;
+  OutcomePaths paths_;
   std::optional<Vm> vm_;
   std::optional<interp::Interpreter> interp_;
   std::optional<runtime::QuantumRuntime> rt_;
@@ -357,6 +553,7 @@ void mergeChunk(ChunkResult&& chunk, ShotBatchResult& result) {
   result.failedShots += chunk.failed;
   result.deadlineExceeded |= chunk.deadlineHit;
   result.unstartedShots += chunk.unstarted;
+  result.branchPaths += chunk.branchPaths;
   result.retryAttempts += chunk.retryAttempts;
   result.interpFallbackShots += chunk.interpFallbackShots;
   for (const auto& [code, count] : chunk.failureCounts) {
@@ -464,6 +661,7 @@ ShotBatchResult runBatch(const ir::Module& module, const Program* program,
     g_shotsFailed.add(result.failedShots);
     g_shotsRetries.add(result.retryAttempts);
     g_shotsInterpFallbacks.add(result.interpFallbackShots);
+    g_branchPaths.add(result.branchPaths);
     if (result.deadlineExceeded) {
       g_deadlineBatches.add();
       g_shotsUnstarted.add(result.unstartedShots);
@@ -483,6 +681,7 @@ ShotBatchResult runBatch(const ir::Module& module, const Program* program,
   // Execution-mode selection: unless resim was requested, classify the
   // program and serve terminal batches from one simulation. Any fault on
   // the sampling path degrades to the per-shot machinery below.
+  bool branch = false;
   if (opts.execMode != ExecMode::Resim) {
     const bool terminal = analyze().profile == ShotProfile::Terminal;
     (terminal ? g_analysisTerminal : g_analysisFeedback).add();
@@ -494,6 +693,10 @@ ShotBatchResult runBatch(const ir::Module& module, const Program* program,
                             "analysis found: " +
                                 analysis->reason);
       }
+      // Per-shot resim's answer from one execution per outcome path. The
+      // reference interpreter keeps the per-shot loop, and so does an
+      // armed fault injector, whose probe counts are per execution.
+      branch = engine == Engine::Vm && !fault::FaultInjector::instance().enabled();
     } else if (opts.shots > 0) {
       // Ends before the resim stage below when the sampling path falls
       // back to it.
@@ -536,11 +739,16 @@ ShotBatchResult runBatch(const ir::Module& module, const Program* program,
   const auto runChunk = [&](std::uint64_t begin, std::uint64_t end,
                             ChunkResult& out) {
     const telemetry::Span span(g_chunkStage);
-    ChunkRunner runner(module, compiled, engine, opts);
+    ChunkRunner runner(module, compiled, engine, opts, branch);
     runner.run(begin, end, out);
   };
 
-  const telemetry::Span resim(g_executeStage, opts.requestTrace, "resim");
+  result.branched = branch;
+  if (branch) {
+    g_branchBatches.add();
+  }
+  const telemetry::Span execute(g_executeStage, opts.requestTrace,
+                                branch ? "branch" : "resim");
   if (opts.pool == nullptr || opts.pool->size() <= 1 || opts.shots <= 1) {
     ChunkResult chunk;
     runChunk(0, opts.shots, chunk);

@@ -55,13 +55,16 @@ enum class Engine { Interp, Vm };
 
 /// How the batch turns one program into N shot outcomes.
 ///  * Resim — re-simulate the full program once per shot (the historical
-///    behaviour, and the only sound strategy for feedback-dependent
-///    programs).
+///    behaviour, and the reference for feedback-dependent programs).
 ///  * Sample — simulate once with deferred measurements and draw all N
 ///    shots from the final state. Requires the terminal-measurement
 ///    analysis (shot_analysis.hpp) to hold; forcing it on an
 ///    analysis-negative program is a usage error.
-///  * Auto — Sample when the analysis proves it sound, Resim otherwise.
+///  * Auto — Sample when the analysis proves it sound. Otherwise, on the
+///    VM engine, branch: run the program once per measurement-outcome
+///    path, each carrying the shots whose own draws take it, for Resim's
+///    answer bit for bit (DESIGN §7b). The interpreter engine and an armed
+///    fault injector keep Resim.
 enum class ExecMode : std::uint8_t { Auto, Resim, Sample };
 
 [[nodiscard]] const char* execModeName(ExecMode mode) noexcept;
@@ -182,14 +185,21 @@ struct ShotBatchResult {
   bool degradedToInterp = false;
   std::string degradeReason;
   /// True when the batch was served by the terminal-measurement sampling
-  /// path (one simulation, N sampled shots). False means per-shot resim —
-  /// either by choice, because the analysis said feedback-dependent, or
-  /// because the sampling path faulted (see sampleFallback).
+  /// path (one simulation, N sampled shots). False means branching (see
+  /// branched) or per-shot resim — either by choice, or because the
+  /// sampling path faulted (see sampleFallback).
   bool sampled = false;
   /// The sampling path was attempted but faulted, and the batch degraded
   /// to per-shot resim.
   bool sampleFallback = false;
   std::string sampleFallbackReason;
+  /// True when the batch ran on the branching route (ExecMode::Auto on a
+  /// feedback-dependent program): one execution per measurement-outcome
+  /// path instead of one per shot. branchPaths counts those executions
+  /// over every chunk, paths that trapped included (their shots rerun one
+  /// by one through the per-shot isolation).
+  bool branched = false;
+  std::uint64_t branchPaths = 0;
   /// The batch's cancellation token expired (deadline passed or cancel()
   /// called) before every shot ran. Partial-results contract: histogram
   /// and counters cover exactly the shots that completed before the cut.

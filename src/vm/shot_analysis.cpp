@@ -380,6 +380,16 @@ private:
       }
       const std::string& name = inst->callee()->name();
       const std::optional<circuit::OpKind> kind = qir::opKindForQis(name);
+      if (kind) {
+        // The operand reads below follow the QIR signature.
+        const std::size_t expected =
+            qir::qirFunctionType(module_.context(), name)->paramTypes().size();
+        if (inst->numOperands() != expected) {
+          fail("@" + name + " is called with " + std::to_string(inst->numOperands()) +
+               " arguments, but its QIR signature takes " + std::to_string(expected));
+          return false;
+        }
+      }
       if (kind && circuit::isUnitary(*kind)) {
         // Gate operands: the angles, then the qubits.
         const unsigned first = circuit::opKindParams(*kind);

@@ -1,25 +1,36 @@
 /// Execution-mode test suite: the terminal-measurement shot analysis
-/// (vm/shot_analysis.hpp) and the sampling fast path it gates in the
-/// batched executor. Covers the classification verdicts, determinism of
-/// each mode per (mode, seed) across engines and thread pools,
-/// statistical sample-vs-resim agreement, the auto-mode routing
-/// decision, the usage error for forcing sample on a feedback program,
-/// and graceful degradation to per-shot resim when sampling faults.
+/// (vm/shot_analysis.hpp) and the two routes it gates in the batched
+/// executor. Covers the classification verdicts, determinism of each mode
+/// per (mode, seed) across engines and thread pools, statistical
+/// sample-vs-resim agreement, the auto-mode routing decision, the usage
+/// error for forcing sample on a feedback program, graceful degradation
+/// to per-shot resim when sampling faults, and shot branching: auto on a
+/// feedback program answers exactly as per-shot resim and the reference
+/// interpreter on generated and corpus programs, traps, an armed fault
+/// injector and a deadline included.
 #include "circuit/generators.hpp"
 #include "ir/parser.hpp"
+#include "qasm/load.hpp"
+#include "qasm/qasm3.hpp"
 #include "qir/exporter.hpp"
+#include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
 #include "support/parallel.hpp"
 #include "vm/executor.hpp"
 #include "vm/shot_analysis.hpp"
 
+#include "workloads.hpp"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
 namespace qirkit {
 namespace {
@@ -152,6 +163,28 @@ attributes #0 = { "entry_point" }
   EXPECT_NE(a.reason.find("reset"), std::string::npos) << a.reason;
 }
 
+TEST(ShotAnalysis, CallShorterThanItsQirSignatureIsFeedbackDependent) {
+  // The loader rejects such a declaration; a module built without it
+  // still gets a verdict instead of a read past the call's operands.
+  ir::Context ctx;
+  const auto m = parse(ctx, R"(
+declare void @__quantum__qis__h__body()
+declare void @__quantum__qis__mz__body(ptr)
+define void @main() #0 {
+entry:
+  call void @__quantum__qis__h__body()
+  call void @__quantum__qis__mz__body(ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" }
+)");
+  const vm::ShotAnalysis a = vm::analyzeShotProfile(*m);
+  EXPECT_EQ(a.profile, vm::ShotProfile::FeedbackDependent);
+  EXPECT_NE(a.reason.find("@__quantum__qis__h__body is called with 0 arguments"),
+            std::string::npos)
+      << a.reason;
+}
+
 TEST(ShotAnalysis, UnknownExternalIsFeedbackDependent) {
   // An opaque external could observe or perturb anything; stay safe.
   ir::Context ctx;
@@ -194,7 +227,8 @@ TEST(ExecMode, AutoSamplesTerminalPrograms) {
   EXPECT_EQ(result.lastShotStats.measurements, 2U);
 }
 
-TEST(ExecMode, AutoKeepsFeedbackProgramsOnResim) {
+TEST(ExecMode, AutoBranchesFeedbackPrograms) {
+  // One h + mz: every shot takes one of two outcome paths.
   ir::Context ctx;
   const auto m = parse(ctx, kFeedbackProgram);
   vm::ShotOptions opts;
@@ -203,6 +237,8 @@ TEST(ExecMode, AutoKeepsFeedbackProgramsOnResim) {
   const vm::ShotBatchResult result = vm::runShots(*m, opts);
   EXPECT_FALSE(result.sampled);
   EXPECT_FALSE(result.sampleFallback);
+  EXPECT_TRUE(result.branched);
+  EXPECT_EQ(result.branchPaths, 2U);
   EXPECT_EQ(result.completedShots, 100U);
   EXPECT_EQ(histogramTotal(result.histogram), 100U);
 }
@@ -433,6 +469,331 @@ TEST(ExecMode, ResimIsDeterministicPerSeed) {
   // A different seed legitimately reshuffles outcomes (not asserted
   // unequal — Bell has only two outcomes — but the run must succeed).
   EXPECT_EQ(histogramTotal(vm::runShots(*m, opts).histogram), 200U);
+}
+
+TEST(ExecMode, ConstantResultsRecordTheSameWhenSampled) {
+  // result_get_one() recorded next to a measured result: the sampled
+  // histogram reads it as 1, as the per-shot result table does.
+  ir::Context ctx;
+  const auto m = parse(ctx, R"(
+declare ptr @__quantum__rt__result_get_one()
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @main() #0 {
+entry:
+  %one = call ptr @__quantum__rt__result_get_one()
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr %one, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" }
+)");
+  vm::ShotOptions opts;
+  opts.shots = 400;
+  opts.seed = 3;
+  const vm::ShotBatchResult sampled = vm::runShots(*m, opts);
+  opts.execMode = vm::ExecMode::Resim;
+  const vm::ShotBatchResult resim = vm::runShots(*m, opts);
+  ASSERT_TRUE(sampled.sampled);
+  for (const auto* result : {&sampled, &resim}) {
+    EXPECT_EQ(histogramTotal(result->histogram), 400U);
+    for (const auto& [bits, count] : result->histogram) {
+      EXPECT_TRUE(bits == "10" || bits == "11") << bits;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Shot branching: auto on the VM runs a feedback program once per
+// measurement-outcome path, and must answer exactly as per-shot resim.
+// ---------------------------------------------------------------------------
+
+/// Everything a batch reports that the execution route must not change.
+/// Failure records sort by shot: chunks of a pool merge in any order.
+std::string batchReport(const vm::ShotBatchResult& r) {
+  std::ostringstream out;
+  out << "completed " << r.completedShots << ", failed " << r.failedShots
+      << ", unstarted " << r.unstartedShots << ", retries " << r.retryAttempts
+      << ", rescued " << r.interpFallbackShots << "\nlast shot: gates "
+      << r.lastShotStats.gatesApplied << ", measurements "
+      << r.lastShotStats.measurements << ", dynamic qubits "
+      << r.lastShotStats.dynamicQubitsAllocated << ", static qubits "
+      << r.lastShotStats.staticQubitsAllocated << ", arrays "
+      << r.lastShotStats.arraysCreated << "\n";
+  for (const auto& [bits, count] : r.histogram) {
+    out << bits << ": " << count << "\n";
+  }
+  for (const auto& [code, count] : r.failureCounts) {
+    out << errorCodeName(code) << " x" << count << "\n";
+  }
+  std::vector<vm::ShotFailure> failures = r.failures;
+  std::ranges::sort(failures, {}, &vm::ShotFailure::shot);
+  for (const vm::ShotFailure& f : failures) {
+    out << "shot " << f.shot << " " << errorCodeName(f.code)
+        << (f.transient ? " transient: " : ": ") << f.message << "\n";
+  }
+  return out.str();
+}
+
+std::string engineReport(const interp::InterpStats& s) {
+  std::ostringstream out;
+  out << "instructions " << s.instructionsExecuted << ", internal calls "
+      << s.internalCalls << ", external calls " << s.externalCalls << ", blocks "
+      << s.blocksEntered;
+  return out.str();
+}
+
+vm::ShotBatchResult runRoute(const ir::Module& m, vm::Engine engine, vm::ExecMode mode,
+                             ThreadPool* pool, std::uint64_t seed, std::uint64_t shots,
+                             std::uint64_t maxFailedShots = 0) {
+  vm::ShotOptions opts;
+  opts.engine = engine;
+  opts.execMode = mode;
+  opts.pool = pool;
+  opts.seed = seed;
+  opts.shots = shots;
+  opts.maxFailedShots = maxFailedShots;
+  return vm::runShots(m, opts);
+}
+
+/// \p n qubits, each put in superposition, measured and flipped back on a
+/// 1, then a final measurement: up to 2^n paths, so with 2^n shots or
+/// fewer most shots take their own.
+circuit::Circuit everyShotItsOwnPath(unsigned n) {
+  circuit::Circuit c(n, 2 * n);
+  for (std::uint32_t q = 0; q < n; ++q) {
+    c.h(q);
+    c.measure(q, q);
+    c.add({circuit::OpKind::X, {q}, {}, 0, circuit::Condition{q, 1, 1}});
+  }
+  for (std::uint32_t q = 0; q < n; ++q) {
+    c.measure(q, n + q);
+  }
+  return c;
+}
+
+/// tools/test_cli.sh's rus.qasm3, a loop of terminal measurements.
+constexpr const char* kCliQasm3 = R"(OPENQASM 3;
+qubit[3] q;
+bit[3] c;
+h q[0];
+for int i in [0:1] {
+  cx q[i], q[i+1];
+}
+for int i in [0:2] {
+  c[i] = measure q[i];
+}
+)";
+
+struct NamedModule {
+  std::string name;
+  std::unique_ptr<ir::Module> module;
+};
+
+/// The generated programs of seeds 1-10 in both addressing modes, and the
+/// feedback_shots corpus shapes: repcode, feedback64 and layered6 as
+/// `run` loads them, and the as-written CLI OpenQASM 3 program.
+std::vector<NamedModule> branchingPrograms(ir::Context& ctx) {
+  std::vector<NamedModule> all;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const circuit::Circuit c = circuit::randomAdaptiveCircuit(seed);
+    for (const qir::Addressing addressing :
+         {qir::Addressing::Static, qir::Addressing::Dynamic}) {
+      all.push_back({"adaptive/" + std::to_string(seed) +
+                         (addressing == qir::Addressing::Static ? "/static" : "/dynamic"),
+                     qir::exportCircuit(ctx, c, {.addressing = addressing})});
+    }
+  }
+  const auto load = [&](const std::string& text) {
+    return qasm::loadProgram(ctx, text, {}, qir::Addressing::Static);
+  };
+  all.push_back({"repcode", load(bench::qirTextFor(circuit::repetitionCodeCycle(1.1, 2),
+                                                   qir::Addressing::Static, true))});
+  all.push_back({"feedback64", load(bench::feedbackProgram(64))});
+  all.push_back({"layered6", load(bench::layeredQasm3(16, 3))});
+  all.push_back({"rus.qasm3", qasm::compileQasm3(ctx, kCliQasm3)});
+  return all;
+}
+
+TEST(ShotBranching, AnswersAsPerShotResimAndTheInterpreter) {
+  ir::Context ctx;
+  ThreadPool pool(2);
+  std::size_t terminal = 0;
+  for (const NamedModule& program : branchingPrograms(ctx)) {
+    SCOPED_TRACE(program.name);
+    const ir::Module& m = *program.module;
+    if (vm::analyzeShotProfile(m).profile == vm::ShotProfile::Terminal) {
+      // Auto samples it; the per-shot routes still agree bit for bit.
+      ++terminal;
+      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        EXPECT_TRUE(runRoute(m, vm::Engine::Vm, vm::ExecMode::Auto, nullptr, seed, 150).sampled);
+        EXPECT_EQ(batchReport(runRoute(m, vm::Engine::Vm, vm::ExecMode::Resim, &pool, seed, 150)),
+                  batchReport(runRoute(m, vm::Engine::Interp, vm::ExecMode::Resim, nullptr,
+                                       seed, 150)));
+      }
+      continue;
+    }
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + (p != nullptr ? " pool" : ""));
+        constexpr std::uint64_t kShots = 150;
+        const vm::ShotBatchResult branch =
+            runRoute(m, vm::Engine::Vm, vm::ExecMode::Auto, p, seed, kShots);
+        const vm::ShotBatchResult resim =
+            runRoute(m, vm::Engine::Vm, vm::ExecMode::Resim, p, seed, kShots);
+        const vm::ShotBatchResult interp =
+            runRoute(m, vm::Engine::Interp, vm::ExecMode::Auto, p, seed, kShots);
+        ASSERT_TRUE(branch.branched);
+        EXPECT_FALSE(resim.branched);
+        EXPECT_FALSE(interp.branched);
+        EXPECT_GE(branch.branchPaths, 1U);
+        EXPECT_LE(branch.branchPaths, kShots);
+        EXPECT_EQ(batchReport(branch), batchReport(resim));
+        EXPECT_EQ(batchReport(branch), batchReport(interp));
+        EXPECT_EQ(engineReport(branch.lastShotEngineStats),
+                  engineReport(resim.lastShotEngineStats));
+        EXPECT_EQ(engineReport(branch.lastShotEngineStats),
+                  engineReport(interp.lastShotEngineStats));
+      }
+    }
+  }
+  EXPECT_EQ(terminal, 1U); // rus.qasm3 measures only at the end
+}
+
+TEST(ShotBranching, RunsOncePerPathAcrossWindows) {
+  // feedbackProgram's one h + mz takes two paths per window of 65 536
+  // shots; a batch one window and a bit long runs four, and the last
+  // shot's stats come from the second window.
+  ir::Context ctx;
+  const auto m = ir::parseModule(ctx, bench::feedbackProgram(8));
+  constexpr std::uint64_t kShots = (std::uint64_t{1} << 16) + 1000;
+  const vm::ShotBatchResult branch =
+      runRoute(*m, vm::Engine::Vm, vm::ExecMode::Auto, nullptr, 5, kShots);
+  const vm::ShotBatchResult resim =
+      runRoute(*m, vm::Engine::Vm, vm::ExecMode::Resim, nullptr, 5, kShots);
+  ASSERT_TRUE(branch.branched);
+  EXPECT_EQ(branch.branchPaths, 4U);
+  EXPECT_EQ(batchReport(branch), batchReport(resim));
+  EXPECT_EQ(engineReport(branch.lastShotEngineStats),
+            engineReport(resim.lastShotEngineStats));
+}
+
+TEST(ShotBranching, DistinctPathsStayWithinOneExecutionPerShot) {
+  ir::Context ctx;
+  const auto m = qir::exportCircuit(ctx, everyShotItsOwnPath(12), {});
+  constexpr std::uint64_t kShots = 1024;
+  const vm::ShotBatchResult branch =
+      runRoute(*m, vm::Engine::Vm, vm::ExecMode::Auto, nullptr, 9, kShots);
+  const vm::ShotBatchResult resim =
+      runRoute(*m, vm::Engine::Vm, vm::ExecMode::Resim, nullptr, 9, kShots);
+  ASSERT_TRUE(branch.branched);
+  EXPECT_EQ(branch.branchPaths, branch.histogram.size()); // one path per outcome
+  EXPECT_LT(branch.branchPaths, kShots);
+  EXPECT_EQ(batchReport(branch), batchReport(resim));
+}
+
+/// `sdiv 1, %z` on a measured bit: the shots that measured 0 trap.
+constexpr const char* kSDivTrap = R"(
+@lbl = internal constant [2 x i8] c"r\00"
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare i1 @__quantum__qis__read_result__body(ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @main() #0 {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  %r = call i1 @__quantum__qis__read_result__body(ptr null)
+  %z = zext i1 %r to i64
+  %d = sdiv i64 1, %z
+  call void @__quantum__rt__result_record_output(ptr null, ptr @lbl)
+  ret void
+}
+attributes #0 = { "entry_point" }
+)";
+
+TEST(ShotBranching, TrappingPathRerunsItsShotsOneByOne) {
+  ir::Context ctx;
+  const auto m = parse(ctx, kSDivTrap);
+  ThreadPool pool(2);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    // Sequentially the batch keeps the first 32 failure records in shot
+    // order. A pool merges chunks in any order, so there the batch stays
+    // under that cap.
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::uint64_t shots = p == nullptr ? 80 : 40;
+      const vm::ShotBatchResult branch =
+          runRoute(*m, vm::Engine::Vm, vm::ExecMode::Auto, p, seed, shots, shots);
+      const vm::ShotBatchResult resim =
+          runRoute(*m, vm::Engine::Vm, vm::ExecMode::Resim, p, seed, shots, shots);
+      ASSERT_TRUE(branch.branched);
+      EXPECT_GT(branch.failedShots, 0U);
+      EXPECT_EQ(batchReport(branch), batchReport(resim));
+    }
+    // Not tolerated: both routes throw the first failing shot's message.
+    std::string messages[2];
+    for (const vm::ExecMode mode : {vm::ExecMode::Auto, vm::ExecMode::Resim}) {
+      try {
+        (void)runRoute(*m, vm::Engine::Vm, mode, nullptr, seed, 80);
+        ADD_FAILURE() << "expected the batch to throw";
+      } catch (const Error& e) {
+        messages[mode == vm::ExecMode::Auto ? 0 : 1] = e.what();
+      }
+    }
+    EXPECT_EQ(messages[0], messages[1]);
+    EXPECT_NE(messages[0].find("shot "), std::string::npos) << messages[0];
+  }
+}
+
+TEST(ShotBranching, ArmedFaultInjectorKeepsThePerShotLoop) {
+  // Probe counts are per execution, so only the per-shot loop reproduces
+  // which shot an armed plan hits.
+  ir::Context ctx;
+  const auto m = qir::exportCircuit(ctx, circuit::repetitionCodeCycle(0.7, 1), {});
+  fault::Plan plan;
+  plan.site = fault::Site::RuntimeCall;
+  plan.every = 9;
+  plan.seed = 4;
+  vm::ShotOptions opts;
+  opts.shots = 120;
+  opts.seed = 2;
+  opts.retries = 2;
+  opts.maxFailedShots = 120;
+  const auto run = [&](vm::ExecMode mode) {
+    const fault::ScopedPlan scoped(plan);
+    opts.execMode = mode;
+    return vm::runShots(*m, opts);
+  };
+  const vm::ShotBatchResult autoMode = run(vm::ExecMode::Auto);
+  const vm::ShotBatchResult resim = run(vm::ExecMode::Resim);
+  EXPECT_FALSE(autoMode.branched);
+  EXPECT_GT(autoMode.retryAttempts, 0U);
+  EXPECT_EQ(batchReport(autoMode), batchReport(resim));
+}
+
+TEST(ShotBranching, DeadlineCountsEveryShotOnce) {
+  ir::Context ctx;
+  const auto m = qir::exportCircuit(ctx, everyShotItsOwnPath(10), {});
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    CancelToken token;
+    token.setTimeoutNs(50'000'000); // a fraction of the batch
+    vm::ShotOptions opts;
+    opts.shots = 2'000'000;
+    opts.pool = p;
+    opts.cancel = &token;
+    const vm::ShotBatchResult batch = vm::runShots(*m, opts);
+    EXPECT_TRUE(batch.branched);
+    EXPECT_TRUE(batch.deadlineExceeded);
+    EXPECT_GT(batch.completedShots, 0U);
+    EXPECT_GT(batch.unstartedShots, 0U);
+    EXPECT_EQ(batch.completedShots + batch.failedShots + batch.unstartedShots, opts.shots);
+    EXPECT_EQ(histogramTotal(batch.histogram), batch.completedShots);
+  }
 }
 
 } // namespace

@@ -95,21 +95,6 @@ vm::ShotBatchResult runMode(const ir::Module& module, Mode mode, std::uint64_t s
   return vm::runShots(module, options);
 }
 
-/// The bench_pipeline feedback_shots shape: nested OpenQASM 3 loops whose
-/// variable drives the qubit index and the angle, then a measurement with a
-/// classically conditioned X.
-std::string layeredQasm3(unsigned layers, unsigned phase) {
-  std::ostringstream s;
-  s << "OPENQASM 3;\ninclude \"stdgates.inc\";\nqubit[6] q;\nbit[6] c;\n"
-    << "for int layer in [0:" << layers - 1 << "] {\n"
-    << "  for int i in [0:5] {\n    ry(pi * (layer + " << phase
-    << ") / 16) q[i];\n  }\n"
-    << "  for int i in [0:4] {\n    cx q[i], q[i+1];\n  }\n}\n"
-    << "c[0] = measure q[0];\nif (c[0] == 1) {\n  x q[0];\n}\n"
-    << "for int i in [0:5] {\n  c[i] = measure q[i];\n}\n";
-  return s.str();
-}
-
 /// examples/openqasm3_frontend.cpp.
 constexpr const char* kOpenQasm3Example = R"(OPENQASM 3;
 include "stdgates.inc";
@@ -208,7 +193,7 @@ std::vector<Program> programs() {
       {"repcode", bench::qirTextFor(circuit::repetitionCodeCycle(1.1, 2),
                                     qir::Addressing::Static, true)},
       {"feedback64", bench::feedbackProgram(64)},
-      {"layered6", layeredQasm3(16, 3)},
+      {"layered6", bench::layeredQasm3(16, 3)},
       // The corpus compiles ex4LoopProgram(64), which addresses 64 qubits;
       // running it needs a simulable size.
       {"ex4loop8", bench::ex4LoopProgram(8)},

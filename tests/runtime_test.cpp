@@ -431,6 +431,67 @@ TEST(CliffordRuntimeTest, EveryRuntimeAnswersTheWholeRtSurface) {
   EXPECT_TRUE(recorder.recordedOutput().empty());
 }
 
+TEST(CliffordRuntimeTest, EveryRuntimeReadsResultGetOneAsOneAndGetZeroAsZero) {
+  // x runs when read_result(result_get_one()) is true and would run again
+  // if read_result(result_get_zero()) were; then q0 is measured and the
+  // constants are recorded around the measured result.
+  ir::Context ctx;
+  const auto m = parseQIR(ctx, R"(
+declare ptr @__quantum__rt__result_get_one()
+declare ptr @__quantum__rt__result_get_zero()
+declare i1 @__quantum__qis__read_result__body(ptr)
+declare i1 @__quantum__rt__result_equal(ptr, ptr)
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @main() #0 {
+entry:
+  %one = call ptr @__quantum__rt__result_get_one()
+  %zero = call ptr @__quantum__rt__result_get_zero()
+  %isOne = call i1 @__quantum__qis__read_result__body(ptr %one)
+  br i1 %isOne, label %flip, label %check
+flip:
+  call void @__quantum__qis__x__body(ptr null)
+  br label %check
+check:
+  %isZero = call i1 @__quantum__qis__read_result__body(ptr %zero)
+  %same = call i1 @__quantum__rt__result_equal(ptr %one, ptr %zero)
+  %wrong = or i1 %isZero, %same
+  br i1 %wrong, label %flipBack, label %done
+flipBack:
+  call void @__quantum__qis__x__body(ptr null)
+  br label %done
+done:
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr %one, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr %zero, ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" }
+)");
+  interp::Interpreter denseInterp(*m);
+  QuantumRuntime dense(1);
+  dense.bind(denseInterp);
+  denseInterp.runEntryPoint();
+  EXPECT_EQ(dense.outputBitString(), "110");
+
+  interp::Interpreter cliffordInterp(*m);
+  CliffordRuntime clifford(1, 1);
+  clifford.bind(cliffordInterp);
+  cliffordInterp.runEntryPoint();
+  EXPECT_EQ(clifford.outputBitString(), "110");
+
+  // The recorder writes no outcomes, so its measured result reads 0; the
+  // constants still read 1 and 0, and the one x is recorded.
+  interp::Interpreter recorderInterp(*m);
+  RecordingRuntime recorder;
+  recorder.bind(recorderInterp);
+  recorderInterp.runEntryPoint();
+  EXPECT_EQ(recorder.outputBitString(), "100");
+  EXPECT_EQ(recorder.recorded().countKind(circuit::OpKind::X), 1U);
+}
+
 TEST(CliffordRuntimeTest, StaticAndDynamicQubitsNeverShareATableauQubit) {
   // Static ids take tableau qubits at first use, like every other
   // runtime, so a later qubit_allocate gets a fresh one in |0>.

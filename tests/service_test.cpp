@@ -1318,6 +1318,33 @@ attributes #0 = { "entry_point" }
   EXPECT_TRUE(good.find("ok")->boolean);
 }
 
+TEST_F(ServeTest, RejectsADeclarationThatDisagreesWithItsQirSignature) {
+  // h declared and called without its qubit: every engine would read an
+  // argument past the call's end. The loader answers error[verify], and
+  // the daemon keeps answering.
+  Client client(socketPath_);
+  SubmitRequest req;
+  req.tenant = "alice";
+  req.program = R"(
+declare void @__quantum__qis__h__body()
+define void @main() #0 {
+entry:
+  call void @__quantum__qis__h__body()
+  ret void
+}
+attributes #0 = { "entry_point" }
+)";
+  req.shots = 2;
+  const json::Value error = json::parse(client.call(submitRequestJson(req)));
+  EXPECT_FALSE(error.find("ok")->boolean);
+  EXPECT_EQ(error.find("error")->find("code")->string, "verify");
+  EXPECT_NE(error.find("error")->find("message")->string.find("__quantum__qis__h__body"),
+            std::string::npos);
+
+  const json::Value pong = json::parse(client.call(R"({"type":"ping"})"));
+  EXPECT_TRUE(pong.find("ok")->boolean);
+}
+
 TEST_F(ServeTest, BrokenProgramsReturnClassifiedErrors) {
   Client client(socketPath_);
   SubmitRequest req;

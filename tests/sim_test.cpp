@@ -141,6 +141,27 @@ TEST(StateVectorTest, MeasurementCollapsesAndRenormalizes) {
   EXPECT_NEAR(sv.probabilityOfOne(1), outcome ? 1.0 : 0.0, kEps);
 }
 
+TEST(StateVectorTest, MeasureIsDrawThenCollapse) {
+  // Shot branching chooses outcomes itself and collapses with the same
+  // arithmetic: both ways must leave bit-identical amplitudes.
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL}) {
+    StateVector measured(3);
+    measured.apply1(gateRY(1.1), 0);
+    measured.applyControlled1(gateX(), 0, 1);
+    measured.apply1(gateRX(0.4), 2);
+    StateVector collapsed = measured;
+    SplitMix64 rng(seed);
+    SplitMix64 same(seed);
+    const bool outcome = measured.measure(1, rng);
+    const double p1 = collapsed.probabilityOfOne(1);
+    ASSERT_EQ(drawOutcome(p1, same), outcome);
+    collapsed.collapse(1, outcome, p1);
+    for (std::uint64_t i = 0; i < measured.dimension(); ++i) {
+      EXPECT_EQ(measured.amplitude(i), collapsed.amplitude(i)) << i;
+    }
+  }
+}
+
 TEST(StateVectorTest, ResetForcesGround) {
   StateVector sv(1);
   sv.apply1(gateH(), 0);

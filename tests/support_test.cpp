@@ -91,6 +91,23 @@ TEST(SplitMix64Test, UniformIsInUnitInterval) {
   EXPECT_NEAR(sum / 10000, 0.5, 0.02);
 }
 
+TEST(SplitMix64Test, DiscardEqualsThatManyDraws) {
+  // Shot branching reads shot s's j-th draw as SplitMix64(seed + s)
+  // advanced j steps, so the jump must land where j calls would.
+  for (const std::uint64_t seed : {0ULL, 7ULL, ~0ULL - 3}) {
+    for (const std::uint64_t n : {0ULL, 1ULL, 2ULL, 13ULL, 1000ULL}) {
+      SplitMix64 stepped(seed);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        (void)stepped();
+      }
+      SplitMix64 jumped(seed);
+      jumped.discard(n);
+      EXPECT_EQ(jumped(), stepped()) << "seed " << seed << " n " << n;
+      EXPECT_EQ(jumped.uniform(), stepped.uniform());
+    }
+  }
+}
+
 TEST(SplitMix64Test, BelowStaysBelowBound) {
   SplitMix64 rng(9);
   for (int i = 0; i < 1000; ++i) {

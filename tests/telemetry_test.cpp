@@ -583,7 +583,9 @@ TEST_F(TelemetryTest, DisabledTraceSpansStoreNothing) {
 TEST_F(TelemetryTest, PooledResimBatchFeedsEachStageOnceToEverySink) {
   // A feedback program on a 2-worker pool with every sink armed: the
   // stages Spans write from the calling thread (compile, analyze,
-  // execute) and from pool threads (execute.chunk) at once.
+  // execute) and from pool threads (execute.chunk) at once. Pinned to
+  // per-shot resim, the pooled per-shot batch (auto would branch; see
+  // PooledBranchBatchNotesItsRouteAndCountsPaths).
   const std::string path = ::testing::TempDir() + "/qirkit_batch_trace.json";
   std::remove(path.c_str());
   telemetry::trace::begin(path);
@@ -596,22 +598,22 @@ TEST_F(TelemetryTest, PooledResimBatchFeedsEachStageOnceToEverySink) {
   opts.shots = 64;
   opts.pool = &pool;
   opts.requestTrace = &trace;
+  opts.execMode = vm::ExecMode::Resim;
   const vm::ShotBatchResult result = vm::runShots(*m, opts);
   ASSERT_TRUE(telemetry::trace::flush());
   EXPECT_FALSE(result.sampled);
   EXPECT_EQ(result.completedShots, 64U);
 
+  // Resim skips the shot analysis: compile, then execute.
   const std::vector<telemetry::RequestStage> stages = trace.stages();
-  ASSERT_EQ(stages.size(), 3U);
+  ASSERT_EQ(stages.size(), 2U);
   EXPECT_EQ(stages[0].name, "compile");
   EXPECT_EQ(stages[0].note, "");
-  EXPECT_EQ(stages[1].name, "analyze");
-  EXPECT_EQ(stages[1].note, "feedback");
-  EXPECT_EQ(stages[2].name, "execute");
-  EXPECT_EQ(stages[2].note, "resim");
+  EXPECT_EQ(stages[1].name, "execute");
+  EXPECT_EQ(stages[1].note, "resim");
 
   const std::string content = readFile(path);
-  for (const char* stage : {"compile", "analyze", "execute"}) {
+  for (const char* stage : {"compile", "execute"}) {
     EXPECT_EQ(chromeEvents(content, stage), 1U) << stage;
   }
   EXPECT_EQ(chromeEvents(content, "execute.chunk"), 2U);
@@ -619,6 +621,47 @@ TEST_F(TelemetryTest, PooledResimBatchFeedsEachStageOnceToEverySink) {
   const std::string json = telemetry::statsJson("test");
   EXPECT_EQ(stageCount(json, "execute"), 1U);
   EXPECT_EQ(stageCount(json, "execute.chunk"), 2U);
+  EXPECT_EQ(telemetry::counterValue("shots.branch_batches"), 0U);
+  std::remove(path.c_str());
+}
+
+TEST_F(TelemetryTest, PooledBranchBatchNotesItsRouteAndCountsPaths) {
+  // The same pooled feedback batch under auto runs outcome paths: its
+  // execute stage is noted "branch" in the request trace and the Chrome
+  // trace, and the branch counters reach --stats.
+  const std::string path = ::testing::TempDir() + "/qirkit_branch_trace.json";
+  std::remove(path.c_str());
+  telemetry::trace::begin(path);
+  ir::Context ctx;
+  const auto m =
+      qir::exportCircuit(ctx, circuit::repetitionCodeCycle(0.3, 1), {});
+  ThreadPool pool(2);
+  telemetry::RequestTrace trace("acme", "req-branch");
+  vm::ShotOptions opts;
+  opts.shots = 64;
+  opts.pool = &pool;
+  opts.requestTrace = &trace;
+  const vm::ShotBatchResult result = vm::runShots(*m, opts);
+  ASSERT_TRUE(telemetry::trace::flush());
+  EXPECT_TRUE(result.branched);
+  EXPECT_EQ(result.completedShots, 64U);
+
+  const std::vector<telemetry::RequestStage> stages = trace.stages();
+  ASSERT_EQ(stages.size(), 3U);
+  EXPECT_EQ(stages[0].name, "compile");
+  EXPECT_EQ(stages[1].name, "analyze");
+  EXPECT_EQ(stages[1].note, "feedback");
+  EXPECT_EQ(stages[2].name, "execute");
+  EXPECT_EQ(stages[2].note, "branch");
+
+  const std::string content = readFile(path);
+  EXPECT_NE(content.find("\"note\":\"branch\""), std::string::npos);
+  EXPECT_EQ(chromeEvents(content, "execute.chunk"), 2U);
+  EXPECT_EQ(telemetry::counterValue("shots.branch_batches"), 1U);
+  EXPECT_EQ(telemetry::counterValue("shots.branch_paths"), result.branchPaths);
+  const std::string json = telemetry::statsJson("test");
+  EXPECT_NE(json.find("\"branch_paths\":" + std::to_string(result.branchPaths)),
+            std::string::npos);
   std::remove(path.c_str());
 }
 

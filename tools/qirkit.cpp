@@ -390,6 +390,10 @@ int cmdRun(const Args& args) {
     std::cerr << "exec mode: sample (simulated once, sampled "
               << result.completedShots << " shots)\n";
   }
+  if (result.branched) {
+    std::cerr << "exec mode: branch (" << result.branchPaths
+              << " outcome paths for " << options.shots << " shots)\n";
+  }
   if (result.sampleFallback) {
     std::cerr << "warning: sampling path degraded to per-shot resimulation: "
               << result.sampleFallbackReason << "\n";

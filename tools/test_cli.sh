@@ -106,9 +106,35 @@ rc=0; "$QIRKIT" run "$WORK/feedback.ll" --exec-mode sample \
   >/dev/null 2>"$WORK/err" || rc=$?
 [ "$rc" -eq 2 ] || fail "sample on feedback program must exit 2 (got $rc)"
 grep -q "error\[usage\]" "$WORK/err" || fail "feedback sample usage diagnostic"
-"$QIRKIT" run "$WORK/feedback.ll" --shots 10 >/dev/null 2>"$WORK/err" \
+"$QIRKIT" run "$WORK/feedback.ll" --shots 10 >"$WORK/branch.out" 2>"$WORK/err" \
   || fail "feedback program under auto"
 grep -q "exec mode: sample" "$WORK/err" && fail "auto sampled a feedback program"
+# auto runs it once per measurement-outcome path (its one h + mz: two),
+# and prints what per-shot resimulation prints
+grep -q "^exec mode: branch (2 outcome paths for 10 shots)$" "$WORK/err" \
+  || fail "auto did not branch the feedback program"
+"$QIRKIT" run "$WORK/feedback.ll" --shots 10 --exec-mode resim \
+  >"$WORK/resim.out" 2>"$WORK/err" || fail "feedback program under resim"
+grep -q "exec mode: branch" "$WORK/err" && fail "resim must not branch"
+cmp -s "$WORK/branch.out" "$WORK/resim.out" || fail "branch and resim disagree"
+
+# a declaration that disagrees with its QIR signature is rejected before
+# anything runs it, on every engine
+cat > "$WORK/arity.ll" <<'EOF'
+declare void @__quantum__qis__h__body()
+define void @main() #0 {
+entry:
+  call void @__quantum__qis__h__body()
+  ret void
+}
+attributes #0 = { "entry_point" }
+EOF
+for engine in vm interp; do
+  rc=0; "$QIRKIT" run "$WORK/arity.ll" --engine "$engine" >/dev/null 2>"$WORK/err" || rc=$?
+  [ "$rc" -eq 1 ] || fail "signature mismatch on $engine must exit 1 (got $rc)"
+  grep -q "qirkit: error\[verify\]: @__quantum__qis__h__body is declared void (), but its QIR signature is void (ptr)" \
+    "$WORK/err" || fail "signature mismatch diagnostic"
+done
 
 # run an OpenQASM 3 program directly
 "$QIRKIT" run "$WORK/rus.qasm3" --shots 20 | grep -qE "^(000|111): " || fail "qasm3 run"
