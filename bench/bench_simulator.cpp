@@ -309,14 +309,17 @@ BENCHMARK(BM_KernelSweep)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SampleShots(benchmark::State& state) {
+  // The terminal-measurement sampler `run` uses: 4096 shots per call, the
+  // bench/pipeline terminal_wide batch.
   const auto n = static_cast<unsigned>(state.range(0));
   sim::StateVector sv(n);
   applyLayer(sv);
   SplitMix64 rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sv.sample(rng));
+    benchmark::DoNotOptimize(sv.sampleShots(4096, rng));
   }
   state.counters["qubits"] = n;
+  state.counters["shots"] = 4096;
 }
 BENCHMARK(BM_SampleShots)->Arg(10)->Arg(16)->Arg(20)->Unit(benchmark::kMicrosecond);
 

@@ -2,6 +2,9 @@
 
 #include "support/source_location.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -91,6 +94,17 @@ const Type* qirFunctionType(Context& ctx, std::string_view name) {
     return ctx.functionTy(i1, {ptr, ptr});
   }
   return nullptr;
+}
+
+unsigned requiredNumQubits(const ir::Module& module) {
+  const ir::Function* entry = module.entryPoint();
+  if (entry == nullptr) {
+    return 0;
+  }
+  const std::string attr = entry->getAttribute("required_num_qubits");
+  return static_cast<unsigned>(
+      std::min<unsigned long>(std::strtoul(attr.c_str(), nullptr, 10),
+                              std::numeric_limits<unsigned>::max()));
 }
 
 ir::Function* declareQIRFunction(ir::Module& module, std::string_view name) {

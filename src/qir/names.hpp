@@ -71,6 +71,15 @@ inline constexpr std::string_view kRtResultEqual = "__quantum__rt__result_equal"
 /// Get-or-declare a known QIR function in \p module.
 ir::Function* declareQIRFunction(ir::Module& module, std::string_view name);
 
+/// The entry point's declared register width, its `required_num_qubits`
+/// attribute (§IV.A: "infer the number of qubits required for the
+/// simulation from the QIR program, such as via an attribute in the QIR
+/// file"); 0 when there is no entry point or no such attribute. The
+/// service's memory guard charges a request for this width, and the shot
+/// executor reserves the statevector for it, so the reservation never
+/// exceeds the charge.
+[[nodiscard]] unsigned requiredNumQubits(const ir::Module& module);
+
 /// The qis function implementing a circuit operation kind: each gate the
 /// QIS has, and reset. Measure maps to nothing here (mz takes a result
 /// operand, so it is not a gate of opKindParams angles and opKindArity

@@ -49,17 +49,9 @@ void RuntimeAbi::reserveStaticQubits(unsigned n) {
 }
 
 unsigned RuntimeAbi::preallocateFromAttributes(const ir::Module& module) {
-  const ir::Function* entry = module.entryPoint();
-  if (entry == nullptr) {
-    return 0;
-  }
-  const std::string attr = entry->getAttribute("required_num_qubits");
-  if (attr.empty()) {
-    return 0;
-  }
-  const auto n = std::strtoul(attr.c_str(), nullptr, 10);
-  reserveStaticQubits(static_cast<unsigned>(n));
-  return static_cast<unsigned>(n);
+  const unsigned n = qir::requiredNumQubits(module);
+  reserveStaticQubits(n);
+  return n;
 }
 
 std::uint64_t RuntimeAbi::allocateQubitHandle() {
@@ -227,8 +219,7 @@ void RuntimeAbi::bindRuntimeFunctions(interp::ExternalRegistry& registry) {
 // ---------------------------------------------------------------------------
 
 void QuantumRuntime::reset(std::uint64_t seed) {
-  state_ = sim::StateVector(0, pool_, precision_);
-  state_.setCancelToken(cancel_); // token installation survives reset
+  state_.clear(); // keeps the buffer and the cancellation token
   rng_ = SplitMix64(seed);
   source_ = nullptr;
   clearAbi();

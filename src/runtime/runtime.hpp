@@ -214,8 +214,7 @@ public:
 
   explicit QuantumRuntime(std::uint64_t seed = 1, qirkit::ThreadPool* pool = nullptr,
                           sim::Precision precision = sim::Precision::F64)
-      : state_(0, pool, precision), pool_(pool), precision_(precision),
-        rng_(seed) {}
+      : state_(0, pool, precision), rng_(seed) {}
 
   /// Register every qis/rt handler with \p interp (and this runtime as
   /// the engine's fused-gate host, when the engine supports one).
@@ -235,9 +234,9 @@ public:
   [[nodiscard]] MeasurementMode measurementMode() const noexcept { return mode_; }
 
   /// Return to the freshly-constructed state with a new RNG seed, keeping
-  /// every registered binding valid (handlers capture `this`). The batched
-  /// shot executor uses this to run N shots without re-binding the 30+
-  /// handlers per shot.
+  /// every registered binding valid (handlers capture `this`) and the
+  /// statevector's buffer (StateVector::clear), so a run's next execution
+  /// neither re-binds the 30+ handlers nor faults its amplitudes in again.
   void reset(std::uint64_t seed);
   /// The same fresh state, but each collapsing measurement takes its
   /// outcome from \p source (which must outlive the execution) instead of
@@ -251,7 +250,6 @@ public:
   /// (nullptr clears it). Survives reset(): the executor installs it once
   /// per batch, not once per shot.
   void setCancelToken(const qirkit::CancelToken* token) noexcept {
-    cancel_ = token;
     state_.setCancelToken(token);
   }
 
@@ -269,9 +267,6 @@ private:
   bool collapse(unsigned q);
 
   sim::StateVector state_;
-  qirkit::ThreadPool* pool_;
-  sim::Precision precision_ = sim::Precision::F64;
-  const qirkit::CancelToken* cancel_ = nullptr;
   SplitMix64 rng_;
   OutcomeSource* source_ = nullptr;
   MeasurementMode mode_ = MeasurementMode::Collapse;

@@ -3,6 +3,7 @@
 #include "ir/context.hpp"
 #include "ir/module.hpp"
 #include "qasm/load.hpp"
+#include "qir/names.hpp"
 #include "service/prometheus.hpp"
 #include "sim/statevector.hpp"
 #include "support/cancel.hpp"
@@ -91,22 +92,6 @@ std::atomic<std::uint64_t> g_jobsExpiredExact{0};
 std::atomic<std::uint64_t> g_drainCancelledExact{0};
 std::atomic<std::uint64_t> g_memoryRejectedExact{0};
 std::atomic<std::uint64_t> g_watchdogFlaggedExact{0};
-
-/// Predicted register width of a parsed program: the entry point's
-/// required_num_qubits attribute (stamped by both QASM frontends and QIR
-/// exports). 0 = unknown — such programs bypass the memory guard and rely
-/// on the StateVector allocation guard instead.
-unsigned estimatedQubits(const ir::Module& module) {
-  const ir::Function* entry = module.entryPoint();
-  if (entry == nullptr) {
-    return 0;
-  }
-  const std::string attr = entry->getAttribute("required_num_qubits");
-  if (attr.empty()) {
-    return 0;
-  }
-  return static_cast<unsigned>(std::strtoul(attr.c_str(), nullptr, 10));
-}
 
 /// Deadline responses carry the partial results: how far the batch got and
 /// the histogram over the completed shots.
@@ -472,7 +457,9 @@ std::string Server::handleSubmit(const SubmitRequest& request) {
   active->requestId = request.requestId;
   active->shots = request.shots;
   active->deadlineMs = request.deadlineMs;
-  const unsigned qubits = estimatedQubits(*program->module);
+  // The width the executor reserves; 0 (no required_num_qubits attribute)
+  // bypasses the guard and relies on the StateVector allocation guard.
+  const unsigned qubits = qir::requiredNumQubits(*program->module);
   active->stateBytes =
       qubits == 0 ? 0
                   : sim::StateVector::predictedBytes(qubits, request.precision);

@@ -7,8 +7,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <new>
 #include <stdexcept>
 #include <type_traits>
+
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
 
 namespace qirkit::sim {
 
@@ -25,6 +30,9 @@ telemetry::Counter g_svBlockedSweeps{"sim.kernel.blocked_sweeps"};
 telemetry::Counter g_svSimdLanes{"sim.kernel.simd_lanes"};
 /// Shot batches executed against an f32 state (counted by the executor).
 telemetry::Counter g_svF32Batches{"sim.kernel.f32_batches"};
+/// Register growths past the buffer's capacity, which moved every
+/// amplitude into a new buffer (growth within a reservation moves none).
+telemetry::Counter g_svBufferMoves{"sim.statevector.buffer_moves"};
 
 constexpr unsigned kMaxQubits = StateVector::kMaxQubits;
 
@@ -41,6 +49,26 @@ inline void noteKernelSweeps(Precision precision, std::uint64_t sweeps) noexcept
 #else
 inline void noteKernelSweeps(Precision, std::uint64_t) noexcept {}
 #endif
+
+/// Amplitudes per block of the sampler's running sums: pass 1 keeps the
+/// sum at every block end, and pass 2 rescans only the blocks holding a
+/// draw.
+constexpr std::uint64_t kSampleBlock = std::uint64_t{1} << 12;
+
+/// |a|^2 in double, the sampler's one term for both passes and both
+/// precisions. On FMA targets it is spelled as the fused multiply-add the
+/// compiler forms for `re * re + im * im`, so every pass rounds each term
+/// the same way, whatever the surrounding loop lets the compiler contract.
+template <typename Real>
+inline double probability(const std::complex<Real>& a) noexcept {
+  const double re = a.real();
+  const double im = a.imag();
+#if defined(__FMA__)
+  return std::fma(re, re, im * im);
+#else
+  return re * re + im * im;
+#endif
+}
 
 /// Insert a 0 bit at position \p pos of \p i (spreading higher bits up).
 inline std::uint64_t insertZeroBit(std::uint64_t i, unsigned pos) noexcept {
@@ -406,6 +434,34 @@ void sweepChunkRange(std::complex<Real>* const amps,
 
 void noteF32Batch() noexcept { g_svF32Batches.add(); }
 
+namespace {
+constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+std::size_t hugePageRounded(std::size_t bytes) noexcept {
+  return (bytes + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+}
+} // namespace
+
+void* allocateAmplitudes(std::size_t bytes) {
+  if (bytes < kHugePageBytes) {
+    return ::operator new(bytes);
+  }
+  const std::size_t rounded = hugePageRounded(bytes);
+  void* const buffer = ::operator new(rounded, std::align_val_t{kHugePageBytes});
+#if defined(MADV_HUGEPAGE)
+  (void)::madvise(buffer, rounded, MADV_HUGEPAGE); // advice only
+#endif
+  return buffer;
+}
+
+void deallocateAmplitudes(void* buffer, std::size_t bytes) noexcept {
+  if (bytes < kHugePageBytes) {
+    ::operator delete(buffer, bytes);
+    return;
+  }
+  ::operator delete(buffer, hugePageRounded(bytes), std::align_val_t{kHugePageBytes});
+}
+
 StateVector::StateVector(unsigned numQubits, qirkit::ThreadPool* pool,
                          Precision precision)
     : numQubits_(numQubits), precision_(precision), pool_(pool) {
@@ -431,14 +487,21 @@ StateVector::StateVector(unsigned numQubits, qirkit::ThreadPool* pool,
   g_svPeakBytes.updateMax(predictedBytes(numQubits_, precision_));
 }
 
-void StateVector::resetAll() {
-  if (precision_ == Precision::F32) {
-    std::fill(amplitudesF_.begin(), amplitudesF_.end(), std::complex<float>{});
-    amplitudesF_[0] = 1.0F;
-  } else {
-    std::fill(amplitudes_.begin(), amplitudes_.end(), Complex{});
-    amplitudes_[0] = 1.0;
+bool StateVector::reserveQubits(unsigned numQubits) noexcept {
+  if (numQubits > kMaxQubits) {
+    return false;
   }
+  const std::uint64_t dim = std::uint64_t{1} << numQubits;
+  try {
+    if (precision_ == Precision::F32) {
+      amplitudesF_.reserve(dim);
+    } else {
+      amplitudes_.reserve(dim);
+    }
+  } catch (const std::exception&) { // bad_alloc, or length_error past max_size
+    return false;
+  }
+  return true;
 }
 
 unsigned StateVector::addQubit() {
@@ -446,46 +509,40 @@ unsigned StateVector::addQubit() {
     throw qirkit::SemanticError("statevector limited to " +
                                 std::to_string(kMaxQubits) + " qubits");
   }
-  ++numQubits_;
+  const std::uint64_t dim = dimension() << 1;
+  const auto grow = [&](auto& amps) {
+    const bool moves = amps.capacity() < dim;
+    amps.resize(dim); // the appended qubit is |0>: the upper half is zero
+    if (moves) {
+      g_svBufferMoves.add();
+    }
+  };
   try {
     if (precision_ == Precision::F32) {
-      amplitudesF_.resize(dimension(), std::complex<float>{});
+      grow(amplitudesF_);
     } else {
-      amplitudes_.resize(dimension(), Complex{}); // appended qubit is |0>
+      grow(amplitudes_);
     }
   } catch (const std::bad_alloc&) {
-    --numQubits_;
     throw qirkit::Error(qirkit::ErrorCode::ResourceLimit,
                         "cannot allocate " +
                             std::to_string(predictedBytes(numQubits_ + 1, precision_)) +
                             " bytes growing the statevector to " +
                             std::to_string(numQubits_ + 1) + " qubits");
   }
+  ++numQubits_;
   g_svPeakBytes.updateMax(predictedBytes(numQubits_, precision_));
   return numQubits_ - 1;
 }
 
-void StateVector::removeQubit(unsigned q, SplitMix64& rng) {
-  assert(q < numQubits_);
-  if (measure(q, rng)) {
-    apply1(gateX(), q); // force |0>
-  }
-  // Compact out bit q (all amplitudes with the bit set are now zero).
-  const std::uint64_t half = dimension() >> 1;
-  const auto compact = [&](auto& storage) {
-    using C = typename std::decay_t<decltype(storage)>::value_type;
-    std::vector<C> next(half);
-    for (std::uint64_t i = 0; i < half; ++i) {
-      next[i] = storage[insertZeroBit(i, q)];
-    }
-    storage = std::move(next);
-  };
+void StateVector::clear() {
+  numQubits_ = 0;
+  gateCount_ = 0;
   if (precision_ == Precision::F32) {
-    compact(amplitudesF_);
+    amplitudesF_.assign(1, 1.0F);
   } else {
-    compact(amplitudes_);
+    amplitudes_.assign(1, 1.0);
   }
-  --numQubits_;
 }
 
 void StateVector::forRange(
@@ -821,70 +878,116 @@ void StateVector::resetQubit(unsigned q, SplitMix64& rng) {
   }
 }
 
-std::uint64_t StateVector::sample(SplitMix64& rng) const {
-  const auto draw = [&](const auto* const amps) {
-    double r = rng.uniform();
-    for (std::uint64_t i = 0; i < dimension(); ++i) {
-      const double re = amps[i].real();
-      const double im = amps[i].imag();
-      r -= re * re + im * im;
-      if (r <= 0) {
-        return i;
+std::vector<double> StateVector::blockEndSums() const {
+  const std::uint64_t block = std::min(dimension(), kSampleBlock);
+  std::vector<double> ends(dimension() / block);
+  const auto sum = [&](const auto* const amps) {
+    // One running sum in index order: the cumulative distribution's
+    // entries, of which only every block's last is kept.
+    double running = 0;
+    for (std::uint64_t b = 0; b < ends.size(); ++b) {
+      for (std::uint64_t i = b * block; i < (b + 1) * block; ++i) {
+        running += probability(amps[i]);
       }
+      ends[b] = running;
     }
-    return dimension() - 1;
   };
-  return precision_ == Precision::F32 ? draw(amplitudesF_.data())
-                                      : draw(amplitudes_.data());
+  if (precision_ == Precision::F32) {
+    sum(amplitudesF_.data());
+  } else {
+    sum(amplitudes_.data());
+  }
+  return ends;
 }
 
-std::map<std::uint64_t, std::uint64_t> StateVector::sampleCounts(std::uint64_t shots,
-                                                                 SplitMix64& rng) const {
-  return sampleShots(shots, rng);
+std::map<std::uint64_t, std::uint64_t>
+StateVector::countSortedDraws(std::span<const double> sortedDraws,
+                              std::span<const double> blockEnds) const {
+  if (cancel_ != nullptr) {
+    cancel_->checkpoint("statevector sampler");
+  }
+  const std::uint64_t block = dimension() / blockEnds.size();
+  // A draw's basis state lies in the first block whose end sum exceeds it.
+  // Group the draws by that block; the ones past the total take the last
+  // basis state.
+  struct Segment {
+    std::uint64_t block;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<Segment> segments;
+  std::vector<std::uint64_t> basis(sortedDraws.size(), dimension() - 1);
+  std::uint64_t b = 0;
+  for (std::size_t d = 0; d < sortedDraws.size(); ++d) {
+    while (b < blockEnds.size() && !(sortedDraws[d] < blockEnds[b])) {
+      ++b;
+    }
+    if (b == blockEnds.size()) {
+      break;
+    }
+    if (segments.empty() || segments.back().block != b) {
+      segments.push_back({b, d, d});
+    }
+    segments.back().end = d + 1;
+  }
+  // Rescan each block from the previous block's end sum: the additions of
+  // pass 1 in the same order, so the running sums are pass 1's bit for bit.
+  const auto walk = [&](const auto* const amps, std::size_t first, std::size_t last) {
+    for (std::size_t k = first; k < last; ++k) {
+      const Segment& seg = segments[k];
+      double running = seg.block == 0 ? 0.0 : blockEnds[seg.block - 1];
+      std::size_t d = seg.begin;
+      const std::uint64_t end = (seg.block + 1) * block;
+      for (std::uint64_t i = seg.block * block; i < end && d < seg.end; ++i) {
+        running += probability(amps[i]);
+        while (d < seg.end && sortedDraws[d] < running) {
+          basis[d++] = i;
+        }
+      }
+    }
+  };
+  const auto dispatch = [&](std::size_t first, std::size_t last) {
+    if (precision_ == Precision::F32) {
+      walk(amplitudesF_.data(), first, last);
+    } else {
+      walk(amplitudes_.data(), first, last);
+    }
+  };
+  if (pool_ != nullptr && segments.size() > 1 &&
+      segments.size() * block >= (std::uint64_t{1} << 14)) {
+    qirkit::parallelForChunked(*pool_, segments.size(), dispatch, 1);
+  } else {
+    dispatch(0, segments.size());
+  }
+  // Ascending draws land on ascending basis states, so each count goes
+  // at the end of the map.
+  std::map<std::uint64_t, std::uint64_t> counts;
+  for (const std::uint64_t i : basis) {
+    ++counts.emplace_hint(counts.end(), i, 0)->second;
+  }
+  return counts;
+}
+
+std::map<std::uint64_t, std::uint64_t>
+StateVector::countSortedDraws(std::span<const double> sortedDraws) const {
+  return countSortedDraws(sortedDraws, blockEndSums());
 }
 
 std::map<std::uint64_t, std::uint64_t> StateVector::sampleShots(
     std::uint64_t shots, SplitMix64& rng) const {
-  std::map<std::uint64_t, std::uint64_t> counts;
   if (shots == 0) {
-    return counts;
+    return {};
   }
-  // Cumulative probabilities, accumulated in double for both precisions.
-  // The sum is sequential so the distribution is bit-identical regardless
-  // of pool size; the per-shot searches below are the parallel part.
-  std::vector<double> cdf(dimension());
-  double total = 0;
-  const auto buildCdf = [&](const auto* const amps) {
-    for (std::uint64_t i = 0; i < dimension(); ++i) {
-      const double re = amps[i].real();
-      const double im = amps[i].imag();
-      total += re * re + im * im;
-      cdf[i] = total;
-    }
-  };
-  if (precision_ == Precision::F32) {
-    buildCdf(amplitudesF_.data());
-  } else {
-    buildCdf(amplitudes_.data());
-  }
-  // Pre-draw every uniform from the caller's stream (scaled by the actual
-  // total to absorb rounding), then binary-search each shot independently.
+  const std::vector<double> blockEnds = blockEndSums();
+  // Every uniform comes from the caller's stream in shot order, scaled by
+  // the actual total to absorb rounding; the counts do not depend on which
+  // shot drew which value, so the draws are sorted for one forward walk.
   std::vector<double> draws(shots);
-  for (std::uint64_t s = 0; s < shots; ++s) {
-    draws[s] = rng.uniform() * total;
+  for (double& draw : draws) {
+    draw = rng.uniform() * blockEnds.back();
   }
-  std::vector<std::uint64_t> basis(shots);
-  forRange(shots, [&](std::uint64_t begin, std::uint64_t end) {
-    for (std::uint64_t s = begin; s < end; ++s) {
-      const auto it = std::upper_bound(cdf.begin(), cdf.end(), draws[s]);
-      basis[s] = it == cdf.end() ? dimension() - 1
-                                 : static_cast<std::uint64_t>(it - cdf.begin());
-    }
-  });
-  for (std::uint64_t s = 0; s < shots; ++s) {
-    ++counts[basis[s]];
-  }
-  return counts;
+  std::sort(draws.begin(), draws.end());
+  return countSortedDraws(draws, blockEnds);
 }
 
 double StateVector::normSquared() const {

@@ -11,6 +11,13 @@
 /// encounters a new qubit address that is not yet part of the simulated
 /// quantum state").
 ///
+/// Storage (DESIGN 7g): each state keeps its amplitudes in one buffer whose
+/// capacity only grows. A caller that knows the width (the executor reads
+/// §IV.A's required_num_qubits attribute) reserves it up front, so growth
+/// zeroes the new upper half in place instead of moving the amplitudes,
+/// and clear() returns to zero qubits without giving the buffer back.
+/// Buffers of 2 MiB or more are advised for transparent huge pages.
+///
 /// Kernel layout (DESIGN 7g): every gate kernel decomposes its pair-index
 /// range into contiguous runs bounded by the lowest target-bit boundary,
 /// so the inner loops stream over adjacent amplitudes (vectorizable, one
@@ -27,6 +34,7 @@
 #include "support/rng.hpp"
 
 #include <complex>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -43,8 +51,8 @@ namespace qirkit::sim {
 /// F32 halves memory traffic for throughput-bound sampling workloads at
 /// ~1e-7 relative error per gate (accumulating with circuit depth — the
 /// executor therefore rejects it for feedback-dependent programs unless
-/// forced). Measurement probabilities, norms, and sampling CDFs are always
-/// accumulated in double regardless of the storage width.
+/// forced). Measurement probabilities, norms, and the sampler's running sums
+/// are always accumulated in double regardless of the storage width.
 enum class Precision : std::uint8_t { F64, F32 };
 
 /// Telemetry hook for the shot executor: count one f32 shot batch against
@@ -79,6 +87,35 @@ struct SweepGate {
   std::span<const unsigned> diagQubits{};
 };
 
+/// Allocation of amplitude buffers: a buffer of 2 MiB or more is aligned
+/// to 2 MiB and advised MADV_HUGEPAGE where the platform has it (failure
+/// is ignored), so transparent huge pages can fault a state in 2 MiB
+/// pieces rather than 4 KiB ones. Smaller buffers come from plain
+/// operator new.
+[[nodiscard]] void* allocateAmplitudes(std::size_t bytes);
+void deallocateAmplitudes(void* buffer, std::size_t bytes) noexcept;
+
+/// The std::vector allocator of StateVector's amplitudes.
+template <typename T>
+struct AmplitudeAllocator {
+  using value_type = T;
+
+  AmplitudeAllocator() = default;
+  template <typename U>
+  AmplitudeAllocator(const AmplitudeAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(allocateAmplitudes(n * sizeof(T)));
+  }
+  void deallocate(T* buffer, std::size_t n) noexcept {
+    deallocateAmplitudes(buffer, n * sizeof(T));
+  }
+  template <typename U>
+  bool operator==(const AmplitudeAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
 class StateVector {
 public:
   /// Hard width cap: 2^30 amplitudes (16 GiB) is the largest state a
@@ -111,15 +148,21 @@ public:
   }
   [[nodiscard]] Precision precision() const noexcept { return precision_; }
 
-  /// Reset to |0...0> keeping the current width.
-  void resetAll();
+  /// Set the capacity to a \p numQubits-qubit state, so growing to that
+  /// width moves no amplitude. Returns false, reserving nothing, when the
+  /// width is above kMaxQubits or the buffer cannot be allocated.
+  bool reserveQubits(unsigned numQubits) noexcept;
 
-  /// Append a fresh qubit in |0>; returns its index.
+  /// Append a fresh qubit in |0>; returns its index. Within the capacity
+  /// the register grows in place, zeroing only the new upper half; past it
+  /// the buffer doubles and the amplitudes move (counted as
+  /// sim.statevector.buffer_moves).
   unsigned addQubit();
 
-  /// Collapse qubit \p q (measuring it), force it to |0>, and remove it
-  /// from the register. Indices above \p q shift down by one.
-  void removeQubit(unsigned q, SplitMix64& rng);
+  /// Return to what a freshly constructed zero-qubit simulator holds (one
+  /// amplitude of 1, a zero gate count), keeping the buffer's capacity,
+  /// the pool and the cancellation token.
+  void clear();
 
   // -- gates -------------------------------------------------------------
   void apply1(const GateMatrix2& gate, unsigned target);
@@ -163,23 +206,25 @@ public:
   void collapse(unsigned q, bool outcome, double p1);
   /// Measure-and-correct to |0>.
   void resetQubit(unsigned q, SplitMix64& rng);
-  /// Sample a full basis state without collapsing (for repeated shots).
-  [[nodiscard]] std::uint64_t sample(SplitMix64& rng) const;
-  /// Counts of \p shots independent samples, keyed by basis state. Routed
-  /// through the sampleShots CDF path: one O(2^n) prefix sum for the whole
-  /// batch instead of an O(2^n) linear scan per shot, and the two samplers
-  /// cannot diverge (identical draws from \p rng, identical search).
-  [[nodiscard]] std::map<std::uint64_t, std::uint64_t> sampleCounts(std::uint64_t shots,
-                                                                    SplitMix64& rng) const;
-  /// Batched sampling kernel for the shot executor's terminal-measurement
-  /// fast path: builds the cumulative probability distribution once
-  /// (O(2^n)), then draws \p shots basis states by binary search
-  /// (O(shots log 2^n) = O(shots · n)), parallelized over the thread pool
-  /// when the batch is large. All uniforms are pre-drawn sequentially from
-  /// \p rng, so the result is independent of pool size and identical to a
-  /// sequential run. The CDF is accumulated in double for both precisions.
+  /// Counts of \p shots basis states drawn without collapsing, keyed by
+  /// basis state: the shot executor's terminal-measurement sampler, in two
+  /// streaming passes and O(2^n + shots log shots) time with no 2^n array
+  /// (DESIGN 7b). Pass 1 sums |a_i|^2 in index order, in double for both
+  /// precisions. Each shot's uniform from \p rng is scaled by that total,
+  /// in shot order; the draws are then sorted and handed to
+  /// countSortedDraws' walk. Each draw lands on the basis state a binary
+  /// search of the cumulative distribution would pick, whatever the pool.
   [[nodiscard]] std::map<std::uint64_t, std::uint64_t> sampleShots(std::uint64_t shots,
                                                                    SplitMix64& rng) const;
+  /// sampleShots' second pass on chosen draws: for each of the ascending
+  /// \p sortedDraws, count the first basis state whose running sum of
+  /// |a_i|^2 (in index order) exceeds it, where upper_bound on the
+  /// cumulative distribution lands; a draw at or past the total counts the
+  /// last basis state. The running sums are recomputed, never stored:
+  /// pass 1 keeps only the sum at every block end, and the walk rescans
+  /// the blocks that hold a draw, on the pool when there are several.
+  [[nodiscard]] std::map<std::uint64_t, std::uint64_t>
+  countSortedDraws(std::span<const double> sortedDraws) const;
 
   // -- inspection --------------------------------------------------------
   /// Amplitude of \p basis, widened to double for f32 states.
@@ -227,12 +272,18 @@ private:
   /// is bit-identical across pool sizes and sequential runs.
   double blockSum(std::uint64_t n,
                   const std::function<double(std::uint64_t, std::uint64_t)>& partial) const;
-  void allocate(std::uint64_t dim);
+  /// Pass 1 of the sampler: the running sum of |a_i|^2 at every block end.
+  [[nodiscard]] std::vector<double> blockEndSums() const;
+  /// Pass 2 of the sampler over pass 1's \p blockEnds.
+  [[nodiscard]] std::map<std::uint64_t, std::uint64_t>
+  countSortedDraws(std::span<const double> sortedDraws,
+                   std::span<const double> blockEnds) const;
 
   unsigned numQubits_;
   Precision precision_;
-  std::vector<Complex> amplitudes_;               // F64 storage
-  std::vector<std::complex<float>> amplitudesF_;  // F32 storage
+  std::vector<Complex, AmplitudeAllocator<Complex>> amplitudes_; // F64 storage
+  std::vector<std::complex<float>, AmplitudeAllocator<std::complex<float>>>
+      amplitudesF_; // F32 storage
   qirkit::ThreadPool* pool_;
   const qirkit::CancelToken* cancel_ = nullptr;
   std::uint64_t gateCount_ = 0;

@@ -1,6 +1,7 @@
 #include "vm/executor.hpp"
 
 #include "interp/interpreter.hpp"
+#include "qir/names.hpp"
 #include "support/cancel.hpp"
 #include "support/faultinject.hpp"
 #include "support/rng.hpp"
@@ -8,6 +9,7 @@
 #include "vm/cache.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -84,6 +86,15 @@ std::span<const RunOption> runOptions() noexcept { return kRunOptions; }
 
 telemetry::Stage g_compileStage{"compile"};
 
+void ShotBatchResult::keepFailures(std::vector<ShotFailure>&& more) {
+  failures.insert(failures.end(), std::make_move_iterator(more.begin()),
+                  std::make_move_iterator(more.end()));
+  std::ranges::sort(failures, {}, &ShotFailure::shot);
+  if (failures.size() > kMaxFailureRecords) {
+    failures.erase(failures.begin() + kMaxFailureRecords, failures.end());
+  }
+}
+
 std::uint64_t deriveRetrySeed(std::uint64_t baseSeed, std::uint64_t shot,
                               std::uint64_t attempt) noexcept {
   SplitMix64 mix(baseSeed ^ (shot * 0x9e3779b97f4a7c15ULL) ^
@@ -146,6 +157,15 @@ struct ShotOutcome {
   interp::InterpStats engineStats;
 };
 
+/// §IV.A's attribute inference, used for capacity only: reserve the
+/// statevector for \p module's declared width, so growing to it moves no
+/// amplitude. Simulator indices are still assigned at first use. A width
+/// that is absent, above StateVector::kMaxQubits or unallocatable
+/// reserves nothing.
+void reserveDeclaredWidth(runtime::QuantumRuntime& rt, const ir::Module& module) {
+  (void)rt.state().reserveQubits(qir::requiredNumQubits(module));
+}
+
 /// One shot on the reference engine: fresh Interpreter + runtime, as the
 /// historical interp chunk ran them. Shared by the interp engine path and
 /// the VM engine's per-shot fallback. Throws on trap.
@@ -154,6 +174,7 @@ ShotOutcome runInterpShot(const ir::Module& module, std::uint64_t seed,
                           sim::Precision precision = sim::Precision::F64) {
   interp::Interpreter interp(module);
   runtime::QuantumRuntime rt(seed, nullptr, precision);
+  reserveDeclaredWidth(rt, module);
   interp.setCancelToken(cancel);
   rt.setCancelToken(cancel);
   rt.bind(interp);
@@ -309,6 +330,7 @@ public:
       rt_->bind(*interp_);
     }
     rt_->setCancelToken(opts.cancel);
+    reserveDeclaredWidth(*rt_, module_);
   }
 
   void run(std::uint64_t begin, std::uint64_t end, ChunkResult& out) {
@@ -516,6 +538,7 @@ void runSampledBatch(const ir::Module& module,
   runtime::QuantumRuntime rt(opts.seed, opts.pool, opts.precision);
   rt.setMeasurementMode(runtime::QuantumRuntime::MeasurementMode::Defer);
   rt.setCancelToken(opts.cancel);
+  reserveDeclaredWidth(rt, module);
   interp::InterpStats engineStats;
   if (engine == Engine::Vm) {
     Vm machine(compiled);
@@ -559,12 +582,7 @@ void mergeChunk(ChunkResult&& chunk, ShotBatchResult& result) {
   for (const auto& [code, count] : chunk.failureCounts) {
     result.failureCounts[code] += count;
   }
-  for (ShotFailure& failure : chunk.failures) {
-    if (result.failures.size() >= ShotBatchResult::kMaxFailureRecords) {
-      break;
-    }
-    result.failures.push_back(std::move(failure));
-  }
+  result.keepFailures(std::move(chunk.failures));
 }
 
 /// One batch over \p module. A store \p program brings its bytecode (or

@@ -209,10 +209,15 @@ struct ShotBatchResult {
   std::uint64_t unstartedShots = 0;
   /// Failure histogram: classified error code -> failed-shot count.
   std::map<ErrorCode, std::uint64_t> failureCounts;
-  /// Detail records for the first kMaxFailureRecords failures (merge
-  /// order across worker chunks is unspecified under a thread pool).
+  /// Detail records of the kMaxFailureRecords lowest-numbered failed
+  /// shots, ascending by shot, whatever order a pool's chunks merge in;
+  /// a thrown "shot N failed" names the first of them.
   std::vector<ShotFailure> failures;
   static constexpr std::size_t kMaxFailureRecords = 32;
+
+  /// Add one chunk's failure records, keeping the kMaxFailureRecords
+  /// lowest-numbered shots of all of them, ascending.
+  void keepFailures(std::vector<ShotFailure>&& more);
 };
 
 /// The seed for retry attempt \p attempt (>= 1) of \p shot: drawn from a

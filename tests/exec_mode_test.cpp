@@ -512,7 +512,8 @@ attributes #0 = { "entry_point" }
 // ---------------------------------------------------------------------------
 
 /// Everything a batch reports that the execution route must not change.
-/// Failure records sort by shot: chunks of a pool merge in any order.
+/// Failure records come in shot order whatever order a pool's chunks
+/// merge in, so they are compared as kept.
 std::string batchReport(const vm::ShotBatchResult& r) {
   std::ostringstream out;
   out << "completed " << r.completedShots << ", failed " << r.failedShots
@@ -529,9 +530,7 @@ std::string batchReport(const vm::ShotBatchResult& r) {
   for (const auto& [code, count] : r.failureCounts) {
     out << errorCodeName(code) << " x" << count << "\n";
   }
-  std::vector<vm::ShotFailure> failures = r.failures;
-  std::ranges::sort(failures, {}, &vm::ShotFailure::shot);
-  for (const vm::ShotFailure& f : failures) {
+  for (const vm::ShotFailure& f : r.failures) {
     out << "shot " << f.shot << " " << errorCodeName(f.code)
         << (f.transient ? " transient: " : ": ") << f.message << "\n";
   }
@@ -721,11 +720,10 @@ TEST(ShotBranching, TrappingPathRerunsItsShotsOneByOne) {
   ThreadPool pool(2);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SCOPED_TRACE(seed);
-    // Sequentially the batch keeps the first 32 failure records in shot
-    // order. A pool merges chunks in any order, so there the batch stays
-    // under that cap.
+    // About 40 of 80 shots fail, past the 32 records a batch keeps: the
+    // lowest-numbered ones, sequential or pooled.
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const std::uint64_t shots = p == nullptr ? 80 : 40;
+      constexpr std::uint64_t shots = 80;
       const vm::ShotBatchResult branch =
           runRoute(*m, vm::Engine::Vm, vm::ExecMode::Auto, p, seed, shots, shots);
       const vm::ShotBatchResult resim =
@@ -746,6 +744,59 @@ TEST(ShotBranching, TrappingPathRerunsItsShotsOneByOne) {
     }
     EXPECT_EQ(messages[0], messages[1]);
     EXPECT_NE(messages[0].find("shot "), std::string::npos) << messages[0];
+  }
+}
+
+TEST(ShotBranching, FailureRecordsKeepTheLowestShotsWhateverTheMergeOrder) {
+  // Two chunks' records merged in either order keep the 32 lowest shots,
+  // ascending.
+  const auto chunk = [](std::uint64_t first) {
+    std::vector<vm::ShotFailure> records;
+    for (std::uint64_t shot = first; shot < first + 40; shot += 2) {
+      records.push_back({shot, ErrorCode::Trap, false, "trap " + std::to_string(shot)});
+    }
+    return records;
+  };
+  vm::ShotBatchResult inOrder;
+  inOrder.keepFailures(chunk(0));
+  inOrder.keepFailures(chunk(40));
+  vm::ShotBatchResult reversed;
+  reversed.keepFailures(chunk(40));
+  reversed.keepFailures(chunk(0));
+  ASSERT_EQ(inOrder.failures.size(), vm::ShotBatchResult::kMaxFailureRecords);
+  for (std::size_t i = 0; i < inOrder.failures.size(); ++i) {
+    EXPECT_EQ(inOrder.failures[i].shot, 2 * i);
+    EXPECT_EQ(reversed.failures[i].shot, 2 * i);
+    EXPECT_EQ(reversed.failures[i].message, inOrder.failures[i].message);
+  }
+
+  // Through the executor: the same records, and the same thrown shot, on
+  // one thread and on pools of two and four.
+  ir::Context ctx;
+  const auto m = parse(ctx, kSDivTrap);
+  ThreadPool two(2);
+  ThreadPool four(4);
+  for (const vm::ExecMode mode : {vm::ExecMode::Auto, vm::ExecMode::Resim}) {
+    std::string reports[3];
+    std::string messages[3];
+    ThreadPool* const pools[] = {nullptr, &two, &four};
+    for (std::size_t k = 0; k < 3; ++k) {
+      ThreadPool* const p = pools[k];
+      const vm::ShotBatchResult batch = runRoute(*m, vm::Engine::Vm, mode, p, 3, 80, 80);
+      ASSERT_GT(batch.failedShots, vm::ShotBatchResult::kMaxFailureRecords);
+      reports[k] = batchReport(batch);
+      try {
+        (void)runRoute(*m, vm::Engine::Vm, mode, p, 3, 80);
+        ADD_FAILURE() << "expected the batch to throw";
+      } catch (const Error& e) {
+        messages[k] = e.what();
+      }
+    }
+    EXPECT_EQ(reports[1], reports[0]);
+    EXPECT_EQ(reports[2], reports[0]);
+    EXPECT_EQ(messages[1], messages[0]);
+    EXPECT_EQ(messages[2], messages[0]);
+    EXPECT_NE(messages[0].find("shot 3 failed"), std::string::npos) << messages[0];
   }
 }
 

@@ -147,13 +147,6 @@ TEST(FusionKernel, ApplyDiagonalMatchesGateSequence) {
   expectSameState(direct, fused, 1e-12);
 }
 
-TEST(FusionKernel, SampleCountsMatchesSampleShots) {
-  const StateVector sv = scrambledState();
-  SplitMix64 rngA(42);
-  SplitMix64 rngB(42);
-  EXPECT_EQ(sv.sampleCounts(500, rngA), sv.sampleShots(500, rngB));
-}
-
 // ---------------------------------------------------------------------------
 // The fusion pass: rules and barriers, observed through the disassembly
 // ---------------------------------------------------------------------------

@@ -1,10 +1,20 @@
 #include "sim/statevector.hpp"
+
+#include "circuit/generators.hpp"
+#include "interp/interpreter.hpp"
+#include "qir/exporter.hpp"
+#include "runtime/runtime.hpp"
 #include "support/source_location.hpp"
+#include "vm/compiler.hpp"
+#include "vm/vm.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
 #include <numbers>
 
 namespace qirkit::sim {
@@ -180,21 +190,12 @@ TEST(StateVectorTest, AddQubitGrowsRegisterInGroundState) {
   EXPECT_NEAR(sv.probabilityOfOne(1), 0.0, kEps);
 }
 
-TEST(StateVectorTest, RemoveQubitCompactsState) {
-  StateVector sv(3);
-  sv.apply1(gateX(), 2); // |100>
-  SplitMix64 rng(5);
-  sv.removeQubit(1, rng); // remove middle (|0>) qubit
-  EXPECT_EQ(sv.numQubits(), 2U);
-  EXPECT_NEAR(std::norm(sv.amplitude(0b10)), 1.0, kEps);
-}
-
 TEST(StateVectorTest, SampleMatchesAmplitudes) {
   StateVector sv(2);
   sv.apply1(gateH(), 0);
   sv.applyControlled1(gateX(), 0, 1);
   SplitMix64 rng(123);
-  const auto counts = sv.sampleCounts(10000, rng);
+  const auto counts = sv.sampleShots(10000, rng);
   EXPECT_EQ(counts.count(0b01), 0U);
   EXPECT_EQ(counts.count(0b10), 0U);
   EXPECT_NEAR(static_cast<double>(counts.at(0b00)) / 10000, 0.5, 0.03);
@@ -231,7 +232,7 @@ TEST(StateVectorTest, SampleShotsIsDeterministicAndPoolIndependent) {
   const auto a = seq.sampleShots(5000, rngA);
   const auto b = par.sampleShots(5000, rngB);
   // Same seed => identical histogram, regardless of the worker pool: the
-  // uniform draws are pre-drawn sequentially and the binary searches are
+  // uniform draws are pre-drawn sequentially and each block's rescan is
   // pure. This is what keeps batched sampling engine- and jobs-stable.
   EXPECT_EQ(a, b);
 }
@@ -817,6 +818,268 @@ TEST(KernelDifferential, F32SamplingMatchesF64Distribution) {
     }
   }
   EXPECT_LT(static_cast<double>(diff) / (2.0 * kShots), 0.01);
+}
+
+// ---------------------------------------------------------------------------
+// The streaming sampler against the sampler it replaced: a cumulative
+// distribution of 2^n doubles and one upper_bound per draw. The reference
+// sums re*re + im*im in index order, as sampleShots' first pass does. This
+// file is compiled without FMA, so on a complex f64 state its sums may
+// differ from the sampler's in the last bit; random draws never land in
+// that gap, and draws placed exactly on a running sum use f32 or real
+// states, whose terms round the same with or without FMA.
+// ---------------------------------------------------------------------------
+
+std::vector<double> referenceCdf(const StateVector& sv) {
+  std::vector<double> cdf(sv.dimension());
+  double total = 0;
+  for (std::uint64_t i = 0; i < sv.dimension(); ++i) {
+    const Complex a = sv.amplitude(i);
+    total += a.real() * a.real() + a.imag() * a.imag();
+    cdf[i] = total;
+  }
+  return cdf;
+}
+
+std::map<std::uint64_t, std::uint64_t> referenceCounts(const std::vector<double>& cdf,
+                                                       std::span<const double> draws) {
+  std::map<std::uint64_t, std::uint64_t> counts;
+  for (const double draw : draws) {
+    const auto it = std::upper_bound(cdf.begin(), cdf.end(), draw);
+    ++counts[it == cdf.end() ? cdf.size() - 1
+                             : static_cast<std::uint64_t>(it - cdf.begin())];
+  }
+  return counts;
+}
+
+/// What the replaced sampleShots drew: uniforms in shot order, scaled by
+/// the CDF's last entry.
+std::map<std::uint64_t, std::uint64_t> referenceSample(const StateVector& sv,
+                                                       std::uint64_t shots,
+                                                       std::uint64_t seed) {
+  const std::vector<double> cdf = referenceCdf(sv);
+  SplitMix64 rng(seed);
+  std::vector<double> draws(shots);
+  for (double& draw : draws) {
+    draw = rng.uniform() * cdf.back();
+  }
+  return referenceCounts(cdf, draws);
+}
+
+enum class Shape { Random, Ghz, Real };
+
+/// Random: complex amplitudes everywhere. Ghz: two nonzero amplitudes, so
+/// almost every running sum repeats its predecessor. Real: RY and CX only.
+StateVector sampledState(Shape shape, unsigned n, Precision precision,
+                         ThreadPool* pool = nullptr) {
+  StateVector sv(n, pool, precision);
+  SplitMix64 rng(31);
+  switch (shape) {
+  case Shape::Random:
+    for (int step = 0; step < 40; ++step) {
+      const auto q = static_cast<unsigned>(rng.below(n));
+      sv.apply1(randomUnitary2(rng), q);
+      sv.applyControlled1(gateX(), q, (q + 1) % n);
+    }
+    break;
+  case Shape::Ghz:
+    sv.apply1(gateH(), 0);
+    for (unsigned q = 1; q < n; ++q) {
+      sv.applyControlled1(gateX(), q - 1, q);
+    }
+    break;
+  case Shape::Real:
+    for (unsigned q = 0; q < n; ++q) {
+      sv.apply1(gateRY(0.3 + 0.2 * q), q);
+      sv.applyControlled1(gateX(), q, (q + 3) % n);
+    }
+    break;
+  }
+  return sv;
+}
+
+TEST(StreamingSampler, MatchesTheCdfReference) {
+  ThreadPool pool(4);
+  for (const Precision precision : {Precision::F64, Precision::F32}) {
+    for (const Shape shape : {Shape::Random, Shape::Ghz, Shape::Real}) {
+      // 2^15 amplitudes are 8 blocks of running sums, so the pooled walk
+      // splits its blocks over the workers.
+      const StateVector seq = sampledState(shape, 15, precision);
+      const StateVector par = sampledState(shape, 15, precision, &pool);
+      for (const std::uint64_t shots : {std::uint64_t{1}, std::uint64_t{4096}}) {
+        SCOPED_TRACE(testing::Message()
+                     << (precision == Precision::F32 ? "f32" : "f64") << " shape "
+                     << static_cast<int>(shape) << " shots " << shots);
+        const auto reference = referenceSample(seq, shots, 17);
+        SplitMix64 rngSeq(17);
+        SplitMix64 rngPar(17);
+        EXPECT_EQ(seq.sampleShots(shots, rngSeq), reference);
+        EXPECT_EQ(par.sampleShots(shots, rngPar), reference);
+      }
+    }
+  }
+}
+
+TEST(StreamingSampler, DrawOnARunningSumTakesTheNextState) {
+  // upper_bound picks the first entry strictly above the draw: a draw
+  // equal to a running sum belongs to the next state with any probability,
+  // past GHZ's runs of zeros and across block ends (2^12 amplitudes).
+  ThreadPool pool(2);
+  const std::pair<Shape, Precision> cases[] = {{Shape::Random, Precision::F32},
+                                               {Shape::Ghz, Precision::F64},
+                                               {Shape::Ghz, Precision::F32},
+                                               {Shape::Real, Precision::F64}};
+  for (const auto& [shape, precision] : cases) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(testing::Message() << "shape " << static_cast<int>(shape)
+                                      << (precision == Precision::F32 ? " f32" : " f64")
+                                      << (p != nullptr ? " pool" : ""));
+      const StateVector sv = sampledState(shape, 14, precision, p);
+      const std::vector<double> cdf = referenceCdf(sv);
+      std::vector<double> draws = {0.0, cdf.back(),
+                                   std::nextafter(cdf.back(), 2.0), 2.0};
+      for (const std::uint64_t i : {0UL, 1UL, 2UL, 4094UL, 4095UL, 4096UL, 8191UL,
+                                    8192UL, 12000UL, 16382UL}) {
+        draws.push_back(cdf[i]);
+        draws.push_back(std::nextafter(cdf[i], -1.0));
+        draws.push_back(std::nextafter(cdf[i], 2.0));
+      }
+      std::ranges::sort(draws);
+      EXPECT_EQ(sv.countSortedDraws(draws), referenceCounts(cdf, draws));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Storage: one buffer per state. A reservation moves no amplitude, clear()
+// keeps the buffer, and neither changes a single amplitude or draw.
+// ---------------------------------------------------------------------------
+
+TEST(StateVectorStorage, ReservedGrowthStaysInOneBuffer) {
+  for (const Precision precision : {Precision::F64, Precision::F32}) {
+    StateVector sv(0, nullptr, precision);
+    ASSERT_TRUE(sv.reserveQubits(17)); // 2 MiB of f64: the huge-page path
+    const Complex* const buffer = sv.amplitudes().data(); // null for f32
+    for (unsigned q = 0; q < 17; ++q) {
+      sv.addQubit();
+      sv.apply1(gateH(), q);
+    }
+    EXPECT_EQ(sv.amplitudes().data(), buffer);
+    EXPECT_NEAR(sv.normSquared(), 1.0, 1e-6);
+    sv.clear();
+    EXPECT_EQ(sv.amplitudes().data(), buffer);
+    EXPECT_EQ(sv.numQubits(), 0U);
+    EXPECT_EQ(sv.gateCount(), 0U);
+    EXPECT_EQ(sv.amplitude(0), Complex{1.0});
+    for (unsigned q = 0; q < 5; ++q) {
+      sv.addQubit();
+    }
+    // The upper halves were zeroed as the register grew back in place.
+    for (std::uint64_t i = 1; i < sv.dimension(); ++i) {
+      EXPECT_EQ(sv.amplitude(i), Complex{}) << i;
+    }
+  }
+  StateVector sv;
+  EXPECT_FALSE(sv.reserveQubits(StateVector::kMaxQubits + 1));
+  EXPECT_TRUE(sv.reserveQubits(0));
+}
+
+/// One run of a circuit on a deferred-measurement runtime, as the
+/// executor's sampling path runs it.
+struct RuntimeRun {
+  std::vector<Complex> amplitudes;
+  std::map<std::string, std::uint64_t> histogram;
+  std::uint64_t gates = 0;
+};
+
+RuntimeRun runDeferred(const ir::Module& module, unsigned reserve, Precision precision) {
+  runtime::QuantumRuntime rt(1, nullptr, precision);
+  rt.setMeasurementMode(runtime::QuantumRuntime::MeasurementMode::Defer);
+  if (reserve != 0) {
+    EXPECT_TRUE(rt.state().reserveQubits(reserve));
+  }
+  vm::Vm machine(vm::compileModule(module, vm::shotCompileOptions()));
+  rt.bind(machine);
+  machine.runEntryPoint();
+  RuntimeRun run;
+  for (std::uint64_t i = 0; i < rt.state().dimension(); ++i) {
+    run.amplitudes.push_back(rt.state().amplitude(i));
+  }
+  SplitMix64 rng(5);
+  run.histogram = rt.sampleRecordedHistogram(4096, rng);
+  run.gates = rt.state().gateCount();
+  return run;
+}
+
+bool sameBits(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+TEST(StateVectorStorage, ReservedAndUnreservedRuntimesAgreeBitForBit) {
+  ir::Context ctx;
+  const std::pair<circuit::Circuit, Precision> programs[] = {
+      {circuit::qft(17, /*measured=*/true), Precision::F64},
+      {circuit::qft(12, /*measured=*/true), Precision::F32},
+      {circuit::randomCircuit(14, 20, 3), Precision::F64},
+      {circuit::randomCircuit(13, 20, 4), Precision::F32}};
+  for (const auto& [c, precision] : programs) {
+    SCOPED_TRACE(c.summary());
+    const auto m = qir::exportCircuit(ctx, c, {});
+    const RuntimeRun grown = runDeferred(*m, 0, precision);
+    const RuntimeRun reserved = runDeferred(*m, c.numQubits(), precision);
+    // A reservation wider than the program changes nothing either.
+    const RuntimeRun wider = runDeferred(*m, c.numQubits() + 2, precision);
+    for (const RuntimeRun* run : {&reserved, &wider}) {
+      EXPECT_TRUE(sameBits(grown.amplitudes, run->amplitudes));
+      EXPECT_EQ(grown.histogram, run->histogram);
+      EXPECT_EQ(grown.gates, run->gates);
+    }
+  }
+}
+
+TEST(StateVectorStorage, ResetRuntimeMatchesAFreshOne) {
+  // Twelve qubits leave nonzero amplitudes all over the kept buffer; the
+  // three-qubit program after reset must still start from |000> and
+  // count only its own gates.
+  ir::Context ctx;
+  circuit::Circuit wide(12, 0);
+  for (std::uint32_t q = 0; q < 12; ++q) {
+    wide.h(q);
+    wide.ry(0.1 * (q + 1), q);
+  }
+  circuit::Circuit narrow(3, 0);
+  narrow.ry(0.7, 0);
+  narrow.cx(0, 1);
+  narrow.rx(0.4, 2);
+  const auto wideModule = qir::exportCircuit(ctx, wide, {});
+  const auto narrowModule = qir::exportCircuit(ctx, narrow, {});
+  for (const Precision precision : {Precision::F64, Precision::F32}) {
+    runtime::QuantumRuntime reused(3, nullptr, precision);
+    interp::Interpreter wideRun(*wideModule);
+    reused.bind(wideRun);
+    wideRun.runEntryPoint();
+    ASSERT_EQ(reused.state().numQubits(), 12U);
+    reused.reset(3);
+    interp::Interpreter narrowRun(*narrowModule);
+    reused.bind(narrowRun);
+    narrowRun.runEntryPoint();
+
+    runtime::QuantumRuntime fresh(3, nullptr, precision);
+    interp::Interpreter freshRun(*narrowModule);
+    fresh.bind(freshRun);
+    freshRun.runEntryPoint();
+
+    ASSERT_EQ(reused.state().numQubits(), 3U);
+    EXPECT_EQ(reused.state().gateCount(), fresh.state().gateCount());
+    std::vector<Complex> a;
+    std::vector<Complex> b;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      a.push_back(reused.state().amplitude(i));
+      b.push_back(fresh.state().amplitude(i));
+    }
+    EXPECT_TRUE(sameBits(a, b));
+  }
 }
 
 } // namespace

@@ -258,6 +258,47 @@ TEST_F(TelemetryTest, KernelCountersSurfaceInStatsJson) {
   EXPECT_NE(json.find("\"f32_batches\":1"), std::string::npos);
 }
 
+TEST_F(TelemetryTest, BufferMovesCountOnlyGrowthPastTheCapacity) {
+  // Growing an unreserved state moves its amplitudes at every qubit; a
+  // reservation keeps growth in place, and clear() keeps the buffer.
+  sim::StateVector grown;
+  for (unsigned q = 0; q < 10; ++q) {
+    grown.addQubit();
+  }
+  EXPECT_EQ(telemetry::counterValue("sim.statevector.buffer_moves"), 10U);
+  sim::StateVector reserved;
+  ASSERT_TRUE(reserved.reserveQubits(10));
+  for (int run = 0; run < 2; ++run) {
+    for (unsigned q = 0; q < 10; ++q) {
+      reserved.addQubit();
+    }
+    reserved.clear();
+  }
+  EXPECT_EQ(telemetry::counterValue("sim.statevector.buffer_moves"), 10U);
+
+  // The executor reserves the entry point's required_num_qubits for every
+  // runtime it sets up: sampled, branched and per-shot batches move nothing.
+  ir::Context ctx;
+  const auto terminal = qir::exportCircuit(ctx, circuit::ghz(12, true), {});
+  const auto feedback = qir::exportCircuit(ctx, circuit::repetitionCodeCycle(0.7, 1), {});
+  ThreadPool pool(2);
+  vm::ShotOptions opts;
+  opts.shots = 64;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    opts.pool = p;
+    for (const vm::Engine engine : {vm::Engine::Vm, vm::Engine::Interp}) {
+      opts.engine = engine;
+      for (const vm::ExecMode mode : {vm::ExecMode::Auto, vm::ExecMode::Resim}) {
+        opts.execMode = mode;
+        (void)vm::runShots(*terminal, opts);
+        (void)vm::runShots(*feedback, opts);
+      }
+    }
+  }
+  EXPECT_EQ(telemetry::counterValue("sim.statevector.buffer_moves"), 10U);
+  EXPECT_NE(telemetry::statsJson("test").find("\"buffer_moves\":10"), std::string::npos);
+}
+
 TEST_F(TelemetryTest, PassRecordsAccumulateAcrossSweeps) {
   ir::Context ctx;
   auto module = ir::parseModule(ctx, R"(

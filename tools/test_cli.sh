@@ -66,6 +66,26 @@ grep -qE "^(00|11): " "$WORK/mode.resim" || fail "resim histogram"
 rc=0; "$QIRKIT" run "$WORK/bell.ll" --exec-mode turbo >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || fail "--exec-mode turbo must exit 2 (got $rc)"
 
+# a 17-qubit GHZ (a 2 MiB state): the executor reserves the declared
+# width, so the register grows in one buffer (no buffer moves), and the
+# pooled run samples the same histogram
+{
+  printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[17];\ncreg c[17];\nh q[0];\n'
+  i=1
+  while [ "$i" -lt 17 ]; do printf 'cx q[%d], q[%d];\n' $((i - 1)) "$i"; i=$((i + 1)); done
+  printf 'measure q -> c;\n'
+} > "$WORK/ghz17.qasm"
+"$QIRKIT" run "$WORK/ghz17.qasm" --shots 300 --seed 4 --stats=json \
+  >"$WORK/ghz17.out" 2>"$WORK/ghz17.err" || fail "ghz17 run"
+tail -n 1 "$WORK/ghz17.err" | python3 -c '
+import json, sys
+moves = json.load(sys.stdin)["sim"]["statevector"]["buffer_moves"]
+assert moves == 0, moves' || fail "ghz17 moved its statevector buffer"
+"$QIRKIT" run "$WORK/ghz17.qasm" --shots 300 --seed 4 --jobs 2 \
+  >"$WORK/ghz17.jobs2" 2>/dev/null || fail "ghz17 run --jobs 2"
+cmp -s "$WORK/ghz17.out" "$WORK/ghz17.jobs2" || fail "ghz17 --jobs 2 changed the histogram"
+grep -qE "^0{17}: " "$WORK/ghz17.out" || fail "ghz17 histogram"
+
 # unknown options (including the retired --fusion and --dispatch) are
 # usage errors on run and submit; submit rejects them before connecting
 for cmd in run "submit --socket $WORK/absent.sock"; do
