@@ -244,25 +244,16 @@ BENCHMARK(BM_FusionResim)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-/// The dispatch-loop acceptance workload: instruction throughput of the
-/// bytecode VM under the three dispatch configurations — the baseline
-/// switch loop, the token-threaded (computed-goto) loop, and the threaded
-/// loop with the superinstruction peephole on. Four programs: a
-/// pure-classical spin loop (dispatch-dominated, but a short repeating
-/// opcode cycle today's indirect-branch predictors memorize), a
-/// dispatch-stress loop whose LCG-driven branching makes the opcode
-/// stream unpredictable (the headline row: the instr_per_sec ratio
-/// threaded+super vs switch is the acceptance number), the paper's
-/// Ex. 4 FOR loop (classical loop skeleton around 1-arg gate calls),
-/// and the §IV.B feedback program (straight-line classical chain).
-/// Superinstructions keep exact step
-/// accounting, so instructionsExecuted is identical across configs and
-/// instr_per_sec differences are pure dispatch-overhead differences.
-/// On toolchains without computed goto the threaded rows fall back to the
-/// switch loop and the three rows converge.
+/// Instruction throughput of the bytecode VM's dispatch loop on four
+/// programs: a pure-classical spin loop (dispatch-dominated, but a short
+/// repeating opcode cycle today's indirect-branch predictors memorize), a
+/// dispatch-stress loop whose LCG-driven branching makes the opcode stream
+/// unpredictable, the paper's Ex. 4 FOR loop (classical loop skeleton
+/// around 1-arg gate calls), and the §IV.B feedback program (straight-line
+/// classical chain). One row per program; instr_per_sec counts the
+/// step-counted instructions that retired.
 void BM_Dispatch(benchmark::State& state) {
   const int kind = static_cast<int>(state.range(0));
-  const int config = static_cast<int>(state.range(1));
   static std::map<int, std::string> texts;
   auto& text = texts[kind];
   if (text.empty()) {
@@ -273,11 +264,7 @@ void BM_Dispatch(benchmark::State& state) {
   }
   ir::Context ctx;
   const auto module = ir::parseModule(ctx, text);
-  vm::CompileOptions options;
-  options.dispatch =
-      config == 0 ? vm::DispatchMode::Switch : vm::DispatchMode::Threaded;
-  options.superinstructions = config == 2;
-  vm::Vm machine(vm::compileModule(*module, options));
+  vm::Vm machine(vm::compileModule(*module));
   runtime::QuantumRuntime rt(0, nullptr);
   rt.bind(machine);
   std::uint64_t seed = 1;
@@ -286,22 +273,16 @@ void BM_Dispatch(benchmark::State& state) {
     machine.reset();
     benchmark::DoNotOptimize(machine.runEntryPoint());
   }
-  const char* workload = kind == 0   ? "spin"
-                         : kind == 1 ? "stress"
-                         : kind == 2 ? "ex4loop"
-                                     : "feedback";
-  const char* loop = config == 0   ? "switch"
-                     : config == 1 ? "threaded"
-                                   : "threaded+super";
-  state.SetLabel(std::string(workload) + "/" + loop);
+  state.SetLabel(kind == 0   ? "spin"
+                 : kind == 1 ? "stress"
+                 : kind == 2 ? "ex4loop"
+                             : "feedback");
   // Vm stats accumulate across runs: this is the batch total.
   state.counters["instr_per_sec"] = benchmark::Counter(
       static_cast<double>(machine.stats().instructionsExecuted),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Dispatch)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Dispatch)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

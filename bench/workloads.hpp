@@ -61,10 +61,9 @@ attributes #0 = { "entry_point" }
 
 /// A pure-classical spin loop (no quantum calls): alloca/load/store form
 /// with a compare-and-branch head and a multiply-store body, so every
-/// iteration is dense in the opcode pairs the superinstruction peephole
-/// mines (icmp+br, load+add, mul/add+store). This is the
-/// dispatch-dominated workload for BM_Dispatch: wall time is almost
-/// entirely the VM's fetch/decode/dispatch overhead.
+/// iteration is a short cycle of memory, arithmetic and branch opcodes.
+/// This is the dispatch-dominated workload for BM_Dispatch: wall time is
+/// almost entirely the VM's fetch/decode/dispatch overhead.
 inline std::string classicalSpinProgram(unsigned iterations) {
   return R"(
 define void @main() #0 {

@@ -29,8 +29,8 @@ PERCENTILE_KEYS = ("p50_ns", "p95_ns", "p99_ns")
 KERNEL_KEYS = ("qubits", "amps_per_sec")
 
 # Dispatch benchmarks must report bytecode instructions retired per
-# second, so CI diffs carry the dispatch-throughput figure the threaded
-# loop and superinstructions exist to raise.
+# second, so CI diffs carry the dispatch loop's throughput on each of
+# BM_Dispatch's programs.
 DISPATCH_KEYS = ("instr_per_sec",)
 
 

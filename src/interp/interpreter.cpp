@@ -73,7 +73,19 @@ RtValue Interpreter::evalConstant(const Value* v) const {
   }
 }
 
+void checkArgumentCount(const std::string& function, std::size_t params,
+                        std::size_t given) {
+  if (params != given) {
+    throw TrapError("@" + function + " takes " + std::to_string(params) +
+                        " parameter(s) but was called with " +
+                        std::to_string(given) +
+                        " argument(s) (QIR entry points take none)",
+                    ErrorCode::Semantic);
+  }
+}
+
 RtValue Interpreter::run(const ir::Function& fn, std::span<const RtValue> args) {
+  checkArgumentCount(fn.name(), fn.numArgs(), args.size());
   stepsTaken_ = 0;
   return execute(fn, args, 0);
 }

@@ -36,16 +36,24 @@ struct InterpStats {
   std::uint64_t blocksEntered = 0;
 };
 
+/// The check both engines make before running a function: throws
+/// TrapError(ErrorCode::Semantic) unless \p given arguments match the
+/// \p params parameters of @\p function. An entry point runs with none.
+void checkArgumentCount(const std::string& function, std::size_t params,
+                        std::size_t given);
+
 /// The interpreter. Bind externals, then run a function.
 class Interpreter : public ExternalRegistry {
 public:
   explicit Interpreter(const ir::Module& module);
 
-  /// Execute \p fn with \p args. Throws TrapError on dynamic violations.
+  /// Execute \p fn with \p args. Throws TrapError on dynamic violations,
+  /// and before executing anything when \p args does not have one value
+  /// per parameter (checkArgumentCount).
   RtValue run(const ir::Function& fn, std::span<const RtValue> args = {});
 
   /// Execute the module's entry point (the "entry_point"-attributed
-  /// function, else @main).
+  /// function, else @main) with no arguments.
   RtValue runEntryPoint();
 
   [[nodiscard]] Memory& memory() noexcept { return memory_; }

@@ -6,57 +6,40 @@
 
 namespace qirkit::vm {
 
-const char* opName(Op op) noexcept {
-  switch (op) {
-  case Op::Nop: return "nop";
-  case Op::Mov: return "mov";
-  case Op::IntBin: return "ibin";
-  case Op::FloatBin: return "fbin";
-  case Op::ICmp: return "icmp";
-  case Op::ICmpPtr: return "icmp.ptr";
-  case Op::FCmp: return "fcmp";
-  case Op::ZExt: return "zext";
-  case Op::Trunc: return "trunc";
-  case Op::PtrToInt: return "ptrtoint";
-  case Op::IntToPtr: return "inttoptr";
-  case Op::SiToF: return "sitofp";
-  case Op::UiToF: return "uitofp";
-  case Op::FToSi: return "fptosi";
-  case Op::FToUi: return "fptoui";
-  case Op::Select: return "select";
-  case Op::Alloca: return "alloca";
-  case Op::LoadInt: return "load.i";
-  case Op::LoadDouble: return "load.d";
-  case Op::LoadPtr: return "load.p";
-  case Op::StoreInt: return "store.i";
-  case Op::StoreDouble: return "store.d";
-  case Op::StorePtr: return "store.p";
-  case Op::Jmp: return "jmp";
-  case Op::JmpIf: return "jmp.if";
-  case Op::SwitchI: return "switch";
-  case Op::Ret: return "ret";
-  case Op::RetVoid: return "ret.void";
-  case Op::PushArg: return "push.arg";
-  case Op::Call: return "call";
-  case Op::CallExtern: return "call.ext";
-  case Op::Trap: return "trap";
-  case Op::Fused: return "fused";
-  case Op::CmpBr: return "cmp.br";
-  case Op::BinStore: return "bin.store";
-  case Op::LoadBin: return "load.bin";
-  case Op::PushCall: return "push.call";
-  case Op::Ext: return "ext";
+namespace {
+
+/// How an opcode's `sub` field is spelled (QIRKIT_VM_OPS's last column).
+enum class SubSpelling : std::uint8_t { None, Opcode, ICmpPred, FCmpPred };
+
+/// How the disassembler spells \p in's `sub`, or nullptr when it has none.
+const char* subName(const Inst& in) noexcept {
+  static constexpr SubSpelling kSpelling[] = {
+#define QIRKIT_VM_SUB(name, mnemonic, cls, sub) SubSpelling::sub,
+      QIRKIT_VM_OPS(QIRKIT_VM_SUB)
+#undef QIRKIT_VM_SUB
+  };
+  switch (kSpelling[static_cast<std::size_t>(in.op)]) {
+  case SubSpelling::None:
+    return nullptr;
+  case SubSpelling::Opcode:
+    return ir::opcodeName(static_cast<ir::Opcode>(in.sub));
+  case SubSpelling::ICmpPred:
+    return ir::icmpPredName(static_cast<ir::ICmpPred>(in.sub));
+  case SubSpelling::FCmpPred:
+    return ir::fcmpPredName(static_cast<ir::FCmpPred>(in.sub));
   }
-  return "?";
+  return nullptr;
 }
 
-const char* dispatchModeName(DispatchMode mode) noexcept {
-  return mode == DispatchMode::Threaded ? "threaded" : "switch";
-}
+} // namespace
 
-DispatchMode defaultDispatchMode() noexcept {
-  return threadedDispatchAvailable() ? DispatchMode::Threaded
-                                     : DispatchMode::Switch;
+const char* opName(Op op) noexcept {
+  static constexpr const char* kNames[] = {
+#define QIRKIT_VM_MNEMONIC(name, mnemonic, cls, sub) mnemonic,
+      QIRKIT_VM_OPS(QIRKIT_VM_MNEMONIC)
+#undef QIRKIT_VM_MNEMONIC
+  };
+  return kNames[static_cast<std::size_t>(op)];
 }
 
 std::size_t BytecodeModule::instructionCount() const noexcept {
@@ -76,22 +59,8 @@ std::string BytecodeModule::disassemble() const {
     for (std::size_t i = 0; i < fn.code.size(); ++i) {
       const Inst& in = fn.code[i];
       out << "  " << i << ": " << opName(in.op);
-      switch (in.op) {
-      case Op::IntBin:
-      case Op::FloatBin:
-      case Op::BinStore:
-        out << '.' << ir::opcodeName(static_cast<ir::Opcode>(in.sub));
-        break;
-      case Op::ICmp:
-      case Op::ICmpPtr:
-      case Op::CmpBr:
-        out << '.' << ir::icmpPredName(static_cast<ir::ICmpPred>(in.sub));
-        break;
-      case Op::FCmp:
-        out << '.' << ir::fcmpPredName(static_cast<ir::FCmpPred>(in.sub));
-        break;
-      default:
-        break;
+      if (const char* sub = subName(in)) {
+        out << '.' << sub;
       }
       out << " a=" << in.a << " b=" << in.b << " c=" << in.c << " d=" << in.d;
       if (in.op == Op::CallExtern && in.b < externNames.size()) {

@@ -25,91 +25,107 @@
 
 namespace qirkit::vm {
 
-/// Dense VM opcodes. Operand meanings are documented per opcode; `r[x]`
-/// is frame register x, `sub` carries a source opcode / predicate, and
-/// `d` carries an immediate (bit width, byte count, size, or a fourth
-/// register for Select).
+/// The vm.dispatch.* counter an opcode is tallied under, one per executed
+/// instruction (the --stats report's dispatch section).
+enum class OpClass : std::uint8_t {
+  Data,         // moves, selects, casts, Nop
+  Arithmetic,   // int/float binops and comparisons
+  Memory,       // alloca, loads, stores
+  ControlFlow,  // jumps, switch, ret, trap
+  CallInternal, // PushArg + Call
+  CallExternal, // CallExtern (runtime dispatch)
+  Fused,        // fused blocks (gate-fusion pass), one per block applied;
+                // a head that falls through counts once
+};
+inline constexpr std::size_t kNumOpClasses =
+    static_cast<std::size_t>(OpClass::Fused) + 1;
+
+/// Every VM opcode, spelled once: OP(enumerator, mnemonic, OpClass, sub),
+/// where `sub` says how the disassembler spells the instruction's `sub`
+/// field — None, Opcode (an ir::Opcode), ICmpPred or FCmpPred. Operand
+/// meanings follow each entry: `r[x]` is frame register x, and `d` carries
+/// an immediate (bit width, byte count, size, or a fourth register for
+/// Select). The list generates Op, kNumOps, opName, opClassOf and the
+/// disassembler's suffix.
+#define QIRKIT_VM_OPS(OP)                                                      \
+  OP(Nop, "nop", Data, None)                                                   \
+  OP(Mov, "mov", Data, None) /* r[a] = r[b] */                                 \
+  /* r[a].i = evalIntBinOp(sub, bits=d, r[b].i, r[c].i); traps on div-by-0 */  \
+  OP(IntBin, "ibin", Arithmetic, Opcode)                                       \
+  /* r[a].d = evalFloatBinOp(sub, r[b].d, r[c].d) */                           \
+  OP(FloatBin, "fbin", Arithmetic, Opcode)                                     \
+  /* r[a].i = evalICmp(sub, bits=d, r[b].i, r[c].i) */                         \
+  OP(ICmp, "icmp", Arithmetic, ICmpPred)                                       \
+  /* r[a].i = evalICmp(sub, 64, (i64)r[b].p, (i64)r[c].p) */                   \
+  OP(ICmpPtr, "icmp.ptr", Arithmetic, ICmpPred)                                \
+  /* r[a].i = evalFCmp(sub, r[b].d, r[c].d) */                                 \
+  OP(FCmp, "fcmp", Arithmetic, FCmpPred)                                       \
+  /* r[a].i = r[b].i zero-extended from d source bits */                       \
+  OP(ZExt, "zext", Data, None)                                                 \
+  /* r[a].i = r[b].i truncated to d bits, then sign-extended */                \
+  OP(Trunc, "trunc", Data, None)                                               \
+  OP(PtrToInt, "ptrtoint", Data, None) /* r[a].i = (i64)r[b].p */              \
+  OP(IntToPtr, "inttoptr", Data, None) /* r[a].p = (u64)r[b].i */              \
+  OP(SiToF, "sitofp", Data, None)      /* r[a].d = (double)r[b].i */           \
+  OP(UiToF, "uitofp", Data, None)      /* r[a].d = (double)(u64)r[b].i */      \
+  OP(FToSi, "fptosi", Data, None)      /* r[a].i = (i64)r[b].d */              \
+  OP(FToUi, "fptoui", Data, None)      /* r[a].i = (i64)(u64)r[b].d */         \
+  /* r[a] = r[b].i != 0 ? r[c] : r[d] */                                       \
+  OP(Select, "select", Data, None)                                             \
+  OP(Alloca, "alloca", Memory, None) /* r[a].p = memory.allocate(d) */         \
+  /* r[a].i = memory.loadInt(r[b].p, d bytes, sign-extended) */                \
+  OP(LoadInt, "load.i", Memory, None)                                          \
+  OP(LoadDouble, "load.d", Memory, None) /* r[a].d = memory[r[b].p] */         \
+  OP(LoadPtr, "load.p", Memory, None)    /* r[a].p = memory[r[b].p] */         \
+  /* memory.storeInt(r[c].p, r[b].i, d bytes) */                               \
+  OP(StoreInt, "store.i", Memory, None)                                        \
+  OP(StoreDouble, "store.d", Memory, None) /* memory[r[c].p] = r[b].d */       \
+  OP(StorePtr, "store.p", Memory, None)    /* memory[r[c].p] = r[b].p */       \
+  OP(Jmp, "jmp", ControlFlow, None)        /* pc = a */                        \
+  OP(JmpIf, "jmp.if", ControlFlow, None)   /* pc = r[a].i != 0 ? b : c */      \
+  /* pc = switchTables[b] dispatched on r[a].i */                              \
+  OP(SwitchI, "switch", ControlFlow, None)                                     \
+  OP(Ret, "ret", ControlFlow, None)          /* return r[a] */                 \
+  OP(RetVoid, "ret.void", ControlFlow, None) /* return void */                 \
+  OP(PushArg, "push.arg", CallInternal, None) /* argument stack += r[a] */     \
+  /* r[a] = functions[b](last c pushed args); a == kNoReg: void */             \
+  OP(Call, "call", CallInternal, None)                                         \
+  /* r[a] = externSlots[b](last c pushed args) */                              \
+  OP(CallExtern, "call.ext", CallExternal, None)                               \
+  /* throw TrapError("executed 'unreachable'") */                              \
+  OP(Trap, "trap", ControlFlow, None)                                          \
+  /* Fused region head (gate-fusion pass, fusion.hpp): with a fused host    */ \
+  /* bound, no fault injection armed and step budget for the whole region,  */ \
+  /* apply the blocks of fusedSweeps[a], account for every source gate      */ \
+  /* (steps, stats) and jump to b, just past the region; otherwise fall     */ \
+  /* through into the region's original calls.                              */ \
+  OP(Fused, "fused", Fused, None)
+
+/// Dense VM opcodes, in QIRKIT_VM_OPS order.
 enum class Op : std::uint8_t {
-  Nop,
-  Mov,         // r[a] = r[b]
-  IntBin,      // r[a].i = evalIntBinOp(sub, bits=d, r[b].i, r[c].i); traps on div-by-0
-  FloatBin,    // r[a].d = evalFloatBinOp(sub, r[b].d, r[c].d)
-  ICmp,        // r[a].i = evalICmp(sub, bits=d, r[b].i, r[c].i)
-  ICmpPtr,     // r[a].i = evalICmp(sub, 64, (i64)r[b].p, (i64)r[c].p)
-  FCmp,        // r[a].i = evalFCmp(sub, r[b].d, r[c].d)
-  ZExt,        // r[a].i = r[b].i zero-extended from d source bits
-  Trunc,       // r[a].i = r[b].i truncated to d bits, then sign-extended
-  PtrToInt,    // r[a].i = (i64)r[b].p
-  IntToPtr,    // r[a].p = (u64)r[b].i
-  SiToF,       // r[a].d = (double)r[b].i
-  UiToF,       // r[a].d = (double)(u64)r[b].i
-  FToSi,       // r[a].i = (i64)r[b].d
-  FToUi,       // r[a].i = (i64)(u64)r[b].d
-  Select,      // r[a] = r[b].i != 0 ? r[c] : r[d]
-  Alloca,      // r[a].p = memory.allocate(d)
-  LoadInt,     // r[a].i = memory.loadInt(r[b].p, d bytes, sign-extended)
-  LoadDouble,  // r[a].d = memory[r[b].p]
-  LoadPtr,     // r[a].p = memory[r[b].p]
-  StoreInt,    // memory.storeInt(r[c].p, r[b].i, d bytes)
-  StoreDouble, // memory[r[c].p] = r[b].d
-  StorePtr,    // memory[r[c].p] = r[b].p
-  Jmp,         // pc = a
-  JmpIf,       // pc = r[a].i != 0 ? b : c
-  SwitchI,     // pc = switchTables[b] dispatched on r[a].i
-  Ret,         // return r[a]
-  RetVoid,     // return void
-  PushArg,     // argument stack += r[a]
-  Call,        // r[a] = functions[b](last c pushed args); a == kNoReg: void
-  CallExtern,  // r[a] = externSlots[b](last c pushed args)
-  Trap,        // throw TrapError("executed 'unreachable'")
-  // Fused region head (gate-fusion pass, fusion.hpp): with a fused host
-  // bound, no fault injection armed and step budget for the whole region,
-  // apply the blocks of fusedSweeps[a], account for every source gate
-  // (steps, stats) and jump to b, just past the region; otherwise fall
-  // through into the region's original calls.
-  Fused,
-  // Superinstructions (fuseSuperinstructions, fusion.hpp): hot opcode
-  // pairs mined after gate fusion. Each occupies the
-  // replaced pair's span — the head instruction plus Op::Ext extension
-  // slots that carry the second sub-op's operands and flags and are
-  // consumed as immediates, never dispatched. Each sub-op keeps its own
-  // step/stat/tally accounting, so superinstruction execution is
-  // bit-compatible with the unfused pair.
-  CmpBr,    // ICmp + JmpIf: r[a] = icmp(sub, bits=d, r[b], r[c]);
-            // ext = {a=trueTarget, b=falseTarget, flags=JmpIf flags}
-  BinStore, // IntBin + StoreInt: r[a] = ibin(sub, bits=d, r[b], r[c]);
-            // memory.storeInt(r[ext.c], r[a], ext.d bytes)
-  LoadBin,  // LoadInt + IntBin: r[a] = load(r[b], d bytes);
-            // r[ext.a] = ibin(ext.sub, bits=ext.d, r[a], r[ext.c])
-  PushCall, // PushArg x c: pushes r[a], then r[slot.a] of the c-1
-            // following Ext slots; falls through to the untouched
-            // Call/CallExtern that consumes them
-  Ext,      // extension slot of a superinstruction; dispatching it is a
-            // compiler bug and traps
+#define QIRKIT_VM_ENUMERATOR(name, mnemonic, cls, sub) name,
+  QIRKIT_VM_OPS(QIRKIT_VM_ENUMERATOR)
+#undef QIRKIT_VM_ENUMERATOR
 };
 
-/// Number of opcodes (the dispatch tables' extent).
-inline constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::Ext) + 1;
+/// Number of opcodes.
+inline constexpr std::size_t kNumOps = 0
+#define QIRKIT_VM_COUNT(name, mnemonic, cls, sub) +1
+    QIRKIT_VM_OPS(QIRKIT_VM_COUNT)
+#undef QIRKIT_VM_COUNT
+    ;
 
 [[nodiscard]] const char* opName(Op op) noexcept;
 
-/// Which dispatch loop the VM runs a compiled module with. Switch is the
-/// reference loop (one opcode switch per instruction, and the loop fault
-/// injection runs on); Threaded is the token-threaded computed-goto loop
-/// (GNU C++ extension). The mode is a *compile* option and part of the
-/// program-store key, so modules compiled for different loops never share
-/// an entry. The shot executor always compiles for defaultDispatchMode().
-enum class DispatchMode : std::uint8_t { Switch, Threaded };
-
-[[nodiscard]] const char* dispatchModeName(DispatchMode mode) noexcept;
-
-/// True when this build carries the computed-goto loop (a GNU-compatible
-/// compiler). When false, Threaded-mode modules execute on the switch
-/// loop — the two are bit-compatible, so the fallback is silent.
-[[nodiscard]] bool threadedDispatchAvailable() noexcept;
-
-/// The build's preferred dispatch mode: Threaded where available.
-[[nodiscard]] DispatchMode defaultDispatchMode() noexcept;
+/// The dispatch class \p op is tallied under.
+[[nodiscard]] constexpr OpClass opClassOf(Op op) noexcept {
+  constexpr OpClass kClasses[] = {
+#define QIRKIT_VM_CLASS(name, mnemonic, cls, sub) OpClass::cls,
+      QIRKIT_VM_OPS(QIRKIT_VM_CLASS)
+#undef QIRKIT_VM_CLASS
+  };
+  return kClasses[static_cast<std::size_t>(op)];
+}
 
 /// Register index meaning "no destination" (void calls).
 inline constexpr std::uint32_t kNoReg = 0xFFFFFFFFU;
@@ -183,8 +199,6 @@ struct BytecodeModule {
   std::vector<std::string> externNames;  // slot -> declared callee name
   std::vector<std::string> globalInits;  // initializer bytes, in module order
   int entryIndex = -1;                   // "entry_point" attr, else @main
-  /// The dispatch loop this module was compiled for (CompileOptions).
-  DispatchMode dispatch = DispatchMode::Switch;
 
   [[nodiscard]] std::size_t instructionCount() const noexcept;
 

@@ -92,14 +92,12 @@ public:
   /// Look \p source up by content; load, compile and analyse it on a miss.
   /// \p options defaults to the code shape runShots executes.
   [[nodiscard]] Lookup
-  getOrLoad(std::string_view source,
-            const CompileOptions& options = shotCompileOptions());
+  getOrLoad(std::string_view source, const CompileOptions& options = {});
 
   /// The resident program whose id is \p id, or nullptr. Throws
   /// Error(Usage) when several resident texts share the id.
   [[nodiscard]] std::shared_ptr<const Program>
-  find(std::string_view id,
-       const CompileOptions& options = shotCompileOptions());
+  find(std::string_view id, const CompileOptions& options = {});
 
   /// The entry point for a caller that holds a bare module: looks up the
   /// module's printed text like any other source and returns its bytecode,

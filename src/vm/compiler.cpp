@@ -490,7 +490,6 @@ private:
 namespace {
 telemetry::Stage g_compile{"vm.compile"};
 telemetry::Stage g_fuse{"compile.fuse"};
-telemetry::Stage g_superinstr{"compile.superinstr"};
 telemetry::Counter g_fusionOps{"sim.fusion.ops_fused"};
 telemetry::Counter g_fusionBlocks{"sim.fusion.blocks"};
 telemetry::Counter g_fusionSweepsSaved{"sim.fusion.sweeps_saved"};
@@ -502,7 +501,6 @@ telemetry::Counter g_fusionUnfused[kNumUnfusedReasons] = {
     telemetry::Counter{"sim.fusion.unfused.dynamic_qubit"},
     telemetry::Counter{"sim.fusion.unfused.lone"},
 };
-telemetry::Counter g_compileSuperinstr{"vm.compile.superinstr"};
 } // namespace
 
 std::shared_ptr<const BytecodeModule> compileModule(const ir::Module& module,
@@ -553,13 +551,6 @@ std::shared_ptr<const BytecodeModule> compileModule(const ir::Module& module,
       }
     }
   }
-  if (options.superinstructions) {
-    const telemetry::Span superSpan(g_superinstr);
-    for (CompiledFunction& fn : out->functions) {
-      g_compileSuperinstr.add(fuseSuperinstructions(fn).total());
-    }
-  }
-  out->dispatch = options.dispatch;
   return out;
 }
 

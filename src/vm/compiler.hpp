@@ -23,37 +23,33 @@ public:
       : TrapError(message, ErrorCode::CompileFail) {}
 };
 
+/// The VM has one dispatch loop. DispatchMode, defaultDispatchMode() and
+/// CompileOptions' `dispatch` and `superinstructions` fields have no
+/// effect; they stay only because bench/pipeline/replay.cpp names them and
+/// that file must keep compiling unchanged.
+enum class DispatchMode : std::uint8_t { Switch, Threaded };
+
+[[nodiscard]] constexpr DispatchMode defaultDispatchMode() noexcept {
+  return DispatchMode::Switch;
+}
+
 /// Compilation knobs: the one place a caller picks a code shape. `run` and
-/// `serve` always execute shotCompileOptions(); users cannot choose
-/// otherwise. The other shapes exist for the code-shape comparisons: the
-/// VM differential tests, BM_Dispatch, BM_FusionResim and the pipeline
-/// benchmark's replay.
+/// `serve` execute the default; the unfused shape exists for the fusion
+/// comparisons (fusion_test, BM_FusionResim).
 struct CompileOptions {
   /// Run the gate-fusion pass (fusion.hpp) after lowering.
   bool fuseGates = true;
-  /// Which dispatch loop the module is compiled for. Recorded on the
-  /// module and part of the program-store key; the VM falls back to
-  /// the switch loop (bit-compatibly) when the build lacks the threaded
-  /// one or fault injection is armed.
-  DispatchMode dispatch = defaultDispatchMode();
-  /// Run the superinstruction peephole (fusion.hpp) after gate fusion:
-  /// mines hot opcode pairs (ICmp+JmpIf, IntBin+StoreInt, LoadInt+IntBin,
-  /// PushArg*+Call/CallExtern) into single fused opcodes with exact
-  /// step/fault/stat accounting. Default off so direct compileModule
-  /// callers (tests, tools) see the reference code shape; the shot
-  /// executor enables it whenever it compiles for Threaded dispatch.
+  /// Unused (see DispatchMode).
+  DispatchMode dispatch = DispatchMode::Switch;
+  /// Unused (see DispatchMode).
   bool superinstructions = false;
 
-  bool operator==(const CompileOptions&) const = default;
+  /// Options that select the same code shape compare equal: the program
+  /// store keys on this, so only fuseGates separates entries.
+  bool operator==(const CompileOptions& other) const noexcept {
+    return fuseGates == other.fuseGates;
+  }
 };
-
-/// The one code shape users run: fused, for the build's default loop,
-/// with superinstructions when that loop is the threaded one.
-[[nodiscard]] inline CompileOptions shotCompileOptions() noexcept {
-  return {.fuseGates = true,
-          .dispatch = defaultDispatchMode(),
-          .superinstructions = defaultDispatchMode() == DispatchMode::Threaded};
-}
 
 /// Compile every defined function of \p module. The result is immutable
 /// and shareable; a program run many times belongs in a CompileCache.

@@ -647,7 +647,7 @@ ShotBatchResult runBatch(const ir::Module& module, const Program* program,
       if (program == nullptr) {
         // Noted "degraded" unless the compile returns.
         telemetry::Span span(g_compileStage, opts.requestTrace, "degraded");
-        compiled = compileModule(module, shotCompileOptions());
+        compiled = compileModule(module);
         span.setNote({});
       } else if (program->compileError) {
         std::rethrow_exception(program->compileError);

@@ -71,8 +71,9 @@ enum class ExecMode : std::uint8_t { Auto, Resim, Sample };
 
 /// The per-run execution choices a user makes, carried by ShotOptions and
 /// the protocol's SubmitRequest and spelled only through runOptions().
-/// Fusion and the dispatch loop are not among them (see CompileOptions);
-/// Engine::Interp, the reference interpreter, is the escape hatch.
+/// Fusion is not among them (see CompileOptions), and the VM has one
+/// dispatch loop; Engine::Interp, the reference interpreter, is the
+/// escape hatch.
 struct RunChoices {
   Engine engine = Engine::Vm;
   /// Shot delivery strategy (see ExecMode). Any fault inside the sampling

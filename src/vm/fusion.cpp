@@ -20,9 +20,8 @@ using interp::RtValue;
 
 namespace {
 
-/// Every code offset control may enter at (branch/switch targets and the
-/// offsets Op::Fused heads skip to). Gate fusion and superinstruction
-/// mining refuse to form a run a branch could enter mid-way.
+/// Every code offset control may enter at (branch and switch targets).
+/// Gate fusion refuses to form a run a branch could enter mid-way.
 std::vector<bool> computeJumpTargets(const CompiledFunction& fn) {
   std::vector<bool> jumpTarget(fn.code.size(), false);
   const auto mark = [&jumpTarget](std::uint32_t target) {
@@ -38,9 +37,6 @@ std::vector<bool> computeJumpTargets(const CompiledFunction& fn) {
     case Op::JmpIf:
       mark(in.b);
       mark(in.c);
-      break;
-    case Op::Fused:
-      mark(in.b);
       break;
     default:
       break;
@@ -513,102 +509,6 @@ private:
 FusionStats fuseGates(CompiledFunction& fn,
                       const std::vector<std::string>& externNames) {
   return Fuser(fn, externNames).run();
-}
-
-SuperinstrStats fuseSuperinstructions(CompiledFunction& fn) {
-  SuperinstrStats stats;
-  const std::vector<bool> jumpTarget = computeJumpTargets(fn);
-  std::vector<Inst>& code = fn.code;
-  const auto size = static_cast<std::uint32_t>(code.size());
-  std::uint32_t pc = 0;
-  while (pc < size) {
-    const Inst cur = code[pc];
-    // PushArg* + Call/CallExtern: collapse a run of >= 2 pushes into one
-    // PushCall that falls through to the untouched call instruction (so
-    // the call keeps its own preamble accounting and fault probes). The
-    // run's interior must not be a jump target — control entering there
-    // would land on an Ext slot.
-    if (cur.op == Op::PushArg) {
-      std::uint32_t n = 1;
-      // The PushCall handler replays subsumed pushes without a preamble,
-      // so they must be flag-free (PushArg always is — lowering artifact
-      // — but a cheap guard beats a silent accounting hole). The head's
-      // flags stay on the head and go through the preamble as before.
-      while (pc + n < size && code[pc + n].op == Op::PushArg &&
-             code[pc + n].flags == 0 && !jumpTarget[pc + n]) {
-        ++n;
-      }
-      const bool callFollows =
-          pc + n < size &&
-          (code[pc + n].op == Op::Call || code[pc + n].op == Op::CallExtern) &&
-          code[pc + n].c == n;
-      if (n >= 2 && callFollows) {
-        for (std::uint32_t i = 1; i < n; ++i) {
-          Inst ext{};
-          ext.op = Op::Ext;
-          ext.a = code[pc + i].a;
-          ext.flags = code[pc + i].flags;
-          code[pc + i] = ext;
-        }
-        code[pc].op = Op::PushCall;
-        code[pc].c = n;
-        ++stats.pushCall;
-        pc += n; // resume at the (unmodified) call
-        continue;
-      }
-      ++pc;
-      continue;
-    }
-    if (pc + 1 >= size || jumpTarget[pc + 1]) {
-      ++pc;
-      continue;
-    }
-    const Inst next = code[pc + 1];
-    // ICmp + JmpIf on the freshly computed condition. The fused handler
-    // still writes the condition register (a later use may read it).
-    if (cur.op == Op::ICmp && next.op == Op::JmpIf && next.a == cur.a) {
-      code[pc].op = Op::CmpBr;
-      Inst ext{};
-      ext.op = Op::Ext;
-      ext.a = next.b;
-      ext.b = next.c;
-      ext.flags = next.flags;
-      code[pc + 1] = ext;
-      ++stats.cmpBr;
-      pc += 2;
-      continue;
-    }
-    // IntBin + StoreInt of the result just computed.
-    if (cur.op == Op::IntBin && next.op == Op::StoreInt && next.b == cur.a) {
-      code[pc].op = Op::BinStore;
-      Inst ext{};
-      ext.op = Op::Ext;
-      ext.c = next.c;
-      ext.d = next.d;
-      ext.flags = next.flags;
-      code[pc + 1] = ext;
-      ++stats.binStore;
-      pc += 2;
-      continue;
-    }
-    // LoadInt + IntBin whose left operand is the freshly loaded value.
-    if (cur.op == Op::LoadInt && next.op == Op::IntBin && next.b == cur.a) {
-      code[pc].op = Op::LoadBin;
-      Inst ext{};
-      ext.op = Op::Ext;
-      ext.sub = next.sub;
-      ext.a = next.a;
-      ext.c = next.c;
-      ext.d = next.d;
-      ext.flags = next.flags;
-      code[pc + 1] = ext;
-      ++stats.loadBin;
-      pc += 2;
-      continue;
-    }
-    ++pc;
-  }
-  return stats;
 }
 
 } // namespace qirkit::vm

@@ -36,7 +36,7 @@
 /// The region's original calls stay in the code behind its Op::Fused
 /// head, which carries the offset just past the region: the fast path
 /// hands the blocks to the bound FusedGateHost and jumps there, and every
-/// other case falls through into the calls (vm_ops.inc).
+/// other case falls through into the calls (Vm::execute).
 #pragma once
 
 #include "vm/bytecode.hpp"
@@ -75,26 +75,5 @@ struct FusionStats {
 /// (Jmp/JmpIf fields and switch tables) across the inserted heads.
 FusionStats fuseGates(CompiledFunction& fn,
                       const std::vector<std::string>& externNames);
-
-struct SuperinstrStats {
-  std::uint64_t cmpBr = 0;     // ICmp+JmpIf pairs fused
-  std::uint64_t binStore = 0;  // IntBin+StoreInt pairs fused
-  std::uint64_t loadBin = 0;   // LoadInt+IntBin pairs fused
-  std::uint64_t pushCall = 0;  // PushArg* runs collapsed ahead of a call
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    return cmpBr + binStore + loadBin + pushCall;
-  }
-};
-
-/// The superinstruction peephole: rewrite hot opcode pairs into single
-/// fused opcodes (Op::CmpBr/BinStore/LoadBin/PushCall). The replaced
-/// span keeps its length — the head instruction is followed by Op::Ext
-/// slots carrying the second sub-op's operands and flags — so every
-/// code offset survives and no fixups are needed. A pair is only formed
-/// when no jump (including an Op::Fused head's skip) targets its
-/// interior, and each sub-op's step/stat/fault accounting is replayed
-/// exactly by the fused handler, so fused and unfused execution are
-/// bit-compatible. Must run after fuseGates.
-SuperinstrStats fuseSuperinstructions(CompiledFunction& fn);
 
 } // namespace qirkit::vm

@@ -9,122 +9,43 @@
 #include <algorithm>
 #include <array>
 
-// The token-threaded loop needs GNU computed goto (&&label), which every
-// compiler the project builds with (GCC, Clang) has. Everything else —
-// module encoding, semantics, telemetry — is identical either way;
-// without it, Threaded-mode modules silently run the switch loop.
-#if defined(__GNUC__) || defined(__clang__)
-#define QIRKIT_VM_THREADED 1
-#else
-#define QIRKIT_VM_THREADED 0
-#endif
-
 namespace qirkit::vm {
 
 using interp::ExternContext;
 using interp::RtValue;
 using interp::TrapError;
 
-bool threadedDispatchAvailable() noexcept { return QIRKIT_VM_THREADED != 0; }
-
 namespace {
 
-/// Dispatch accounting groups every opcode into one of six classes; the
-/// counters surface as vm.dispatch.* in the --stats report. A
-/// superinstruction's head sub-op is classed here (the loop preamble
-/// counts it); its handler adds the second sub-op's class explicitly, so
-/// per-class counts match unfused execution exactly.
-enum OpClass : std::uint8_t {
-  kClassData,         // moves, selects, casts, Nop
-  kClassArithmetic,   // int/float binops and comparisons
-  kClassMemory,       // alloca, loads, stores
-  kClassControlFlow,  // jumps, switch, ret, trap
-  kClassCallInternal, // PushArg + Call
-  kClassCallExternal, // CallExtern (runtime dispatch)
-  kClassFused,        // fused blocks (gate-fusion pass), one per block
-                      // applied; a head that falls through counts once
-  kNumOpClasses,
+/// The vm.dispatch.* counters, indexed by OpClass.
+telemetry::Counter g_dispatch[kNumOpClasses] = {
+    telemetry::Counter{"vm.dispatch.data"},
+    telemetry::Counter{"vm.dispatch.arithmetic"},
+    telemetry::Counter{"vm.dispatch.memory"},
+    telemetry::Counter{"vm.dispatch.control_flow"},
+    telemetry::Counter{"vm.dispatch.call_internal"},
+    telemetry::Counter{"vm.dispatch.call_external"},
+    telemetry::Counter{"vm.dispatch.fused"},
 };
-
-constexpr OpClass opClassOf(Op op) noexcept {
-  switch (op) {
-  case Op::IntBin:
-  case Op::FloatBin:
-  case Op::ICmp:
-  case Op::ICmpPtr:
-  case Op::FCmp:
-  case Op::CmpBr:    // head = ICmp
-  case Op::BinStore: // head = IntBin
-    return kClassArithmetic;
-  case Op::Alloca:
-  case Op::LoadInt:
-  case Op::LoadDouble:
-  case Op::LoadPtr:
-  case Op::StoreInt:
-  case Op::StoreDouble:
-  case Op::StorePtr:
-  case Op::LoadBin: // head = LoadInt
-    return kClassMemory;
-  case Op::Jmp:
-  case Op::JmpIf:
-  case Op::SwitchI:
-  case Op::Ret:
-  case Op::RetVoid:
-  case Op::Trap:
-    return kClassControlFlow;
-  case Op::PushArg:
-  case Op::Call:
-  case Op::PushCall: // head = PushArg
-    return kClassCallInternal;
-  case Op::CallExtern:
-    return kClassCallExternal;
-  case Op::Fused:
-    return kClassFused;
-  default:
-    return kClassData;
-  }
-}
-
-telemetry::Counter g_dispatchData{"vm.dispatch.data"};
-telemetry::Counter g_dispatchArithmetic{"vm.dispatch.arithmetic"};
-telemetry::Counter g_dispatchMemory{"vm.dispatch.memory"};
-telemetry::Counter g_dispatchControlFlow{"vm.dispatch.control_flow"};
-telemetry::Counter g_dispatchCallInternal{"vm.dispatch.call_internal"};
-telemetry::Counter g_dispatchCallExternal{"vm.dispatch.call_external"};
-telemetry::Counter g_dispatchFused{"vm.dispatch.fused"};
-/// Superinstructions executed (each stands in for one fused opcode pair
-/// or PushArg run — one dispatch saved apiece, more for long runs).
-telemetry::Counter g_dispatchSuper{"vm.dispatch.superinstr"};
-/// Block entries taken by the threaded loop while step-probe credit was
-/// outstanding, i.e. without bouncing through the step-limit/cancel
-/// checks: the basic-block-chaining win, observable as a counter.
-telemetry::Counter g_dispatchChained{"vm.dispatch.chained_blocks"};
-/// High-watermark of the dispatch loop actually entered at frame depth 0:
-/// 1 = portable switch loop, 2 = token-threaded loop.
-telemetry::MaxGauge g_dispatchMode{"vm.dispatch.mode"};
 
 /// Per-frame dispatch tally: plain local increments in the hot loop,
 /// flushed to the process-wide counters once per frame (also on unwind).
 /// Inactive frames (telemetry disabled) cost nothing here.
 struct DispatchTally {
   std::array<std::uint64_t, kNumOpClasses> counts{};
-  std::uint64_t superinstr = 0;
-  std::uint64_t chainedBlocks = 0;
   bool active = false;
+
+  void add(OpClass cls, std::uint64_t n = 1) noexcept {
+    counts[static_cast<std::size_t>(cls)] += n;
+  }
 
   ~DispatchTally() {
     if (!active) {
       return;
     }
-    g_dispatchData.addUnchecked(counts[kClassData]);
-    g_dispatchArithmetic.addUnchecked(counts[kClassArithmetic]);
-    g_dispatchMemory.addUnchecked(counts[kClassMemory]);
-    g_dispatchControlFlow.addUnchecked(counts[kClassControlFlow]);
-    g_dispatchCallInternal.addUnchecked(counts[kClassCallInternal]);
-    g_dispatchCallExternal.addUnchecked(counts[kClassCallExternal]);
-    g_dispatchFused.addUnchecked(counts[kClassFused]);
-    g_dispatchSuper.addUnchecked(superinstr);
-    g_dispatchChained.addUnchecked(chainedBlocks);
+    for (std::size_t cls = 0; cls < kNumOpClasses; ++cls) {
+      g_dispatch[cls].addUnchecked(counts[cls]);
+    }
   }
 };
 
@@ -179,26 +100,26 @@ RtValue Vm::run(std::string_view name, std::span<const RtValue> args) {
   if (it == module_->functionIndexByName.end()) {
     throw TrapError("no compiled function @" + std::string(name));
   }
-  stepsTaken_ = 0;
-  stack_.clear();
-  argStack_.clear();
-  if (externsDirty_) {
-    resolveExterns();
-  }
-  return execute(it->second, args, 0);
+  return runFunction(it->second, args);
 }
 
 RtValue Vm::runEntryPoint() {
   if (module_->entryIndex < 0) {
     throw TrapError("module has no executable entry point");
   }
+  return runFunction(static_cast<std::uint32_t>(module_->entryIndex), {});
+}
+
+RtValue Vm::runFunction(std::uint32_t funcIndex, std::span<const RtValue> args) {
+  const CompiledFunction& fn = module_->functions[funcIndex];
+  interp::checkArgumentCount(fn.name, fn.numArgs, args.size());
   stepsTaken_ = 0;
   stack_.clear();
   argStack_.clear();
   if (externsDirty_) {
     resolveExterns();
   }
-  return execute(static_cast<std::uint32_t>(module_->entryIndex), {}, 0);
+  return execute(funcIndex, args, 0);
 }
 
 RtValue Vm::execute(std::uint32_t funcIndex, std::span<const RtValue> args,
@@ -218,66 +139,19 @@ RtValue Vm::execute(std::uint32_t funcIndex, std::span<const RtValue> args,
 
   const std::size_t base = stack_.size();
   stack_.resize(base + fn.numRegs);
-  RtValue* const regs = stack_.data() + base;
+  RtValue* regs = stack_.data() + base;
   std::copy(args.begin(), args.end(), regs);
   std::copy(fn.constants.begin(), fn.constants.end(), regs + fn.numArgs);
   ++stats_.blocksEntered;
 
-#if QIRKIT_VM_THREADED
-  // Threaded-mode modules take the computed-goto loop — except under
-  // fault injection, whose per-step probes belong to the switch loop's
-  // full preamble. The fallback is bit-compatible, so drills observe
-  // identical behaviour.
-  if (module_->dispatch == DispatchMode::Threaded && !injectFaults) {
-    if (depth == 0) {
-      g_dispatchMode.updateMax(2);
-    }
-    return executeThreaded(fn, base, depth, cancel);
-  }
-#endif
-  if (depth == 0) {
-    g_dispatchMode.updateMax(1);
-  }
-  return executeSwitch(fn, base, depth, injectFaults, cancel);
-}
-
-std::uint64_t Vm::checkedStepProbe(const qirkit::CancelToken* cancel) {
-  // Bit-for-bit the switch loop's per-step preamble (no fault probe: the
-  // threaded loop never runs with injection armed)...
-  if (++stepsTaken_ > stepLimit_) {
-    throw TrapError("step limit exceeded (" + std::to_string(stepLimit_) + ")",
-                    ErrorCode::StepBudgetExceeded);
-  }
-  ++stats_.instructionsExecuted;
-  if (cancel != nullptr && (stepsTaken_ & (kCancelStrideSteps - 1)) == 0) {
-    cancel->checkpoint("vm dispatch");
-  }
-  // ...then how many further steps provably need none of it: bounded by
-  // the remaining budget (credit 0 at the limit makes the *next* step
-  // re-enter this probe and trap on the correct instruction) and, with a
-  // token armed, by the distance to the next kCancelStrideSteps boundary
-  // (the step landing on it must come back here to checkpoint).
-  std::uint64_t credit = stepLimit_ - stepsTaken_;
-  if (cancel != nullptr) {
-    const std::uint64_t untilBoundary =
-        kCancelStrideSteps - (stepsTaken_ & (kCancelStrideSteps - 1));
-    credit = std::min(credit, untilBoundary - 1);
-  }
-  return credit;
-}
-
-RtValue Vm::executeSwitch(const CompiledFunction& fn, std::size_t base,
-                          unsigned depth, bool injectFaults,
-                          const qirkit::CancelToken* cancel) {
   DispatchTally tally;
   tally.active = telemetry::enabled();
-  RtValue* regs = stack_.data() + base;
-  const Inst* code = fn.code.data();
+  const Inst* const code = fn.code.data();
   std::uint32_t pc = 0;
   for (;;) {
     const Inst in = code[pc++];
     if (tally.active) {
-      ++tally.counts[opClassOf(in.op)];
+      tally.add(opClassOf(in.op));
     }
     if ((in.flags & kStep) != 0) {
       if (++stepsTaken_ > stepLimit_) {
@@ -294,156 +168,253 @@ RtValue Vm::executeSwitch(const CompiledFunction& fn, std::size_t base,
       }
     }
     switch (in.op) {
-// Switch-loop handler glue: break back to the fetch at the loop head;
-// every step re-runs the full preamble, so there is no credit to resync
-// and no chaining to count. VM_SECOND_STEP replays that preamble —
-// including the fault probe, since fault drills run on this loop — for
-// the second sub-op of a superinstruction pair.
-#define VM_CASE(name) case Op::name:
-#define VM_NEXT() break
-// The switch loop counts every step in the preamble; its member
-// counters are always current, so there is never anything to flush.
-#define VM_FLUSH_STEPS()                                                       \
-  do {                                                                         \
-  } while (0)
-#define VM_SECOND_STEP(flagsExpr)                                              \
-  do {                                                                         \
-    if (((flagsExpr)&kStep) != 0) {                                            \
-      if (++stepsTaken_ > stepLimit_) {                                        \
-        throw TrapError("step limit exceeded (" +                              \
-                            std::to_string(stepLimit_) + ")",                  \
-                        ErrorCode::StepBudgetExceeded);                        \
-      }                                                                        \
-      ++stats_.instructionsExecuted;                                           \
-      if (injectFaults) {                                                      \
-        fault::probe(fault::Site::VmDispatch);                                 \
-      }                                                                        \
-      if (cancel != nullptr &&                                                 \
-          (stepsTaken_ & (kCancelStrideSteps - 1)) == 0) {                     \
-        cancel->checkpoint("vm dispatch");                                     \
-      }                                                                        \
-    }                                                                          \
-  } while (0)
-#define VM_RESYNC()                                                            \
-  do {                                                                         \
-  } while (0)
-#define VM_CHAIN_TALLY()                                                       \
-  do {                                                                         \
-  } while (0)
-#include "vm/vm_ops.inc"
-#undef VM_CASE
-#undef VM_NEXT
-#undef VM_FLUSH_STEPS
-#undef VM_SECOND_STEP
-#undef VM_RESYNC
-#undef VM_CHAIN_TALLY
+    case Op::Nop:
+      break;
+
+    case Op::Mov:
+      regs[in.a] = regs[in.b];
+      break;
+
+    case Op::IntBin: {
+      std::int64_t result = 0;
+      if (!passes::evalIntBinOp(static_cast<ir::Opcode>(in.sub), in.d,
+                                regs[in.b].i, regs[in.c].i, result)) {
+        throw TrapError(std::string("arithmetic trap in ") +
+                            ir::opcodeName(static_cast<ir::Opcode>(in.sub)) +
+                            " (division by zero or oversized shift)",
+                        ErrorCode::TrapArithmetic);
+      }
+      regs[in.a] = RtValue::makeInt(result);
+      break;
+    }
+
+    case Op::FloatBin:
+      regs[in.a] = RtValue::makeDouble(passes::evalFloatBinOp(
+          static_cast<ir::Opcode>(in.sub), regs[in.b].d, regs[in.c].d));
+      break;
+
+    case Op::ICmp:
+      regs[in.a] = RtValue::makeInt(
+          passes::evalICmp(static_cast<ir::ICmpPred>(in.sub), in.d,
+                           regs[in.b].i, regs[in.c].i)
+              ? 1
+              : 0);
+      break;
+
+    case Op::ICmpPtr:
+      regs[in.a] = RtValue::makeInt(
+          passes::evalICmp(static_cast<ir::ICmpPred>(in.sub), 64,
+                           static_cast<std::int64_t>(regs[in.b].p),
+                           static_cast<std::int64_t>(regs[in.c].p))
+              ? 1
+              : 0);
+      break;
+
+    case Op::FCmp:
+      regs[in.a] = RtValue::makeInt(
+          passes::evalFCmp(static_cast<ir::FCmpPred>(in.sub), regs[in.b].d,
+                           regs[in.c].d)
+              ? 1
+              : 0);
+      break;
+
+    case Op::ZExt: {
+      const std::uint64_t raw = static_cast<std::uint64_t>(regs[in.b].i);
+      const std::uint64_t mask =
+          in.d >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << in.d) - 1;
+      regs[in.a] = RtValue::makeInt(static_cast<std::int64_t>(raw & mask));
+      break;
+    }
+
+    case Op::Trunc: {
+      std::int64_t v = regs[in.b].i;
+      if (in.d < 64) {
+        const std::uint64_t mask = (std::uint64_t{1} << in.d) - 1;
+        std::uint64_t raw = static_cast<std::uint64_t>(v) & mask;
+        if (((raw >> (in.d - 1)) & 1) != 0) {
+          raw |= ~mask;
+        }
+        v = static_cast<std::int64_t>(raw);
+      }
+      regs[in.a] = RtValue::makeInt(v);
+      break;
+    }
+
+    case Op::PtrToInt:
+      regs[in.a] = RtValue::makeInt(static_cast<std::int64_t>(regs[in.b].p));
+      break;
+
+    case Op::IntToPtr:
+      regs[in.a] = RtValue::makePtr(static_cast<std::uint64_t>(regs[in.b].i));
+      break;
+
+    case Op::SiToF:
+      regs[in.a] = RtValue::makeDouble(static_cast<double>(regs[in.b].i));
+      break;
+
+    case Op::UiToF:
+      regs[in.a] = RtValue::makeDouble(
+          static_cast<double>(static_cast<std::uint64_t>(regs[in.b].i)));
+      break;
+
+    case Op::FToSi:
+      regs[in.a] = RtValue::makeInt(static_cast<std::int64_t>(regs[in.b].d));
+      break;
+
+    case Op::FToUi:
+      regs[in.a] = RtValue::makeInt(
+          static_cast<std::int64_t>(static_cast<std::uint64_t>(regs[in.b].d)));
+      break;
+
+    case Op::Select:
+      regs[in.a] = regs[in.b].i != 0 ? regs[in.c] : regs[in.d];
+      break;
+
+    case Op::Alloca:
+      regs[in.a] = RtValue::makePtr(memory_.allocate(in.d));
+      break;
+
+    case Op::LoadInt:
+      regs[in.a] = RtValue::makeInt(memory_.loadInt(regs[in.b].p, in.d, true));
+      break;
+
+    case Op::LoadDouble: {
+      double value = 0.0;
+      memory_.load(regs[in.b].p, &value, sizeof value);
+      regs[in.a] = RtValue::makeDouble(value);
+      break;
+    }
+
+    case Op::LoadPtr: {
+      std::uint64_t value = 0;
+      memory_.load(regs[in.b].p, &value, sizeof value);
+      regs[in.a] = RtValue::makePtr(value);
+      break;
+    }
+
+    case Op::StoreInt:
+      memory_.storeInt(regs[in.c].p, regs[in.b].i, in.d);
+      break;
+
+    case Op::StoreDouble:
+      memory_.store(regs[in.c].p, &regs[in.b].d, sizeof(double));
+      break;
+
+    case Op::StorePtr:
+      memory_.store(regs[in.c].p, &regs[in.b].p, sizeof(std::uint64_t));
+      break;
+
+    case Op::Jmp:
+      // Flagged jumps realize a source `br`; stub jumps (phi edges) do not
+      // re-enter the block for accounting purposes.
+      if ((in.flags & kStep) != 0) {
+        ++stats_.blocksEntered;
+      }
+      pc = in.a;
+      break;
+
+    case Op::JmpIf:
+      ++stats_.blocksEntered;
+      pc = regs[in.a].i != 0 ? in.b : in.c;
+      break;
+
+    case Op::SwitchI: {
+      ++stats_.blocksEntered;
+      const SwitchTable& table = fn.switchTables[in.b];
+      const std::int64_t cond = regs[in.a].i;
+      std::uint32_t target = table.defaultTarget;
+      for (const auto& [value, caseTarget] : table.cases) {
+        if (value == cond) {
+          target = caseTarget;
+          break;
+        }
+      }
+      pc = target;
+      break;
+    }
+
+    case Op::Ret: {
+      const RtValue result = regs[in.a];
+      stack_.resize(base);
+      return result;
+    }
+
+    case Op::RetVoid:
+      stack_.resize(base);
+      return RtValue::makeVoid();
+
+    case Op::PushArg:
+      argStack_.push_back(regs[in.a]);
+      break;
+
+    case Op::Call: {
+      const std::size_t argBase = argStack_.size() - in.c;
+      // The callee copies its arguments into its frame on entry, before
+      // any nested PushArg can reallocate argStack_, so the span is safe.
+      const RtValue result =
+          execute(in.b, {argStack_.data() + argBase, in.c}, depth + 1);
+      argStack_.resize(argBase);
+      regs = stack_.data() + base; // recursion may have reallocated
+      if (in.a != kNoReg) {
+        regs[in.a] = result;
+      }
+      break;
+    }
+
+    case Op::CallExtern: {
+      const ExternalHandler* handler = externSlots_[in.b];
+      if (handler == nullptr) {
+        // Same diagnostic as the interpreter (the paper's lli failure
+        // mode when no runtime supplies the quantum instructions).
+        throw TrapError("call to undefined external @" +
+                            module_->externNames[in.b] +
+                            " (no runtime binding registered)",
+                        ErrorCode::TrapUnboundExternal);
+      }
+      ++stats_.externalCalls;
+      if (injectFaults) {
+        fault::probe(fault::Site::RuntimeCall);
+      }
+      const std::size_t argBase = argStack_.size() - in.c;
+      ExternContext context{memory_};
+      const RtValue result =
+          (*handler)({argStack_.data() + argBase, in.c}, context);
+      argStack_.resize(argBase);
+      if (in.a != kNoReg) {
+        regs[in.a] = result;
+      }
+      break;
+    }
+
+    case Op::Trap:
+      throw TrapError("executed 'unreachable'", ErrorCode::TrapUnreachable);
+
+    case Op::Fused: {
+      // The head of a fused region. The fast path hands all of the
+      // region's blocks to the host in one call and skips the region's
+      // calls — sound only when nothing can interrupt the region, i.e.
+      // the step budget covers every gate and no fault probes fire. Every
+      // other case falls through into the calls themselves, which
+      // account, probe and trap exactly as unfused code does.
+      const FusedSweepRun& run = fn.fusedSweeps[in.a];
+      if (fusedHost_ != nullptr && !injectFaults &&
+          stepsTaken_ + run.totalGates <= stepLimit_) {
+        if (tally.active) {
+          // vm.dispatch.fused counts blocks (the loop head counted this
+          // instruction once already).
+          tally.add(OpClass::Fused, run.blockCount - 1);
+        }
+        stepsTaken_ += run.totalGates;
+        stats_.instructionsExecuted += run.totalGates;
+        stats_.externalCalls += run.totalGates;
+        fusedHost_->applyFusedSweep(
+            {fn.fusedBlocks.data() + run.firstBlock, run.blockCount});
+        pc = in.b;
+      }
+      break;
+    }
     }
   }
 }
-
-#if QIRKIT_VM_THREADED
-
-RtValue Vm::executeThreaded(const CompiledFunction& fn, std::size_t base,
-                            unsigned depth,
-                            const qirkit::CancelToken* cancel) {
-  DispatchTally tally;
-  tally.active = telemetry::enabled();
-  RtValue* regs = stack_.data() + base;
-  const Inst* code = fn.code.data();
-  std::uint32_t pc = 0;
-  // Step-probe credit: how many step-counted instructions may retire
-  // with a bare decrement before the next checkedStepProbe. Starting at
-  // 0 forces a probe on the frame's first step, which establishes the
-  // real bound; thereafter probes land only at step-limit exhaustion and
-  // kCancelStrideSteps boundaries — i.e. straight-line block runs chain
-  // without touching the budget or the token.
-  //
-  // The counters themselves stay eager (one increment each per step):
-  // a register-batched variant with flush-on-observation was measured
-  // slower here — the exception edges it needs (every handler can trap)
-  // cost more in lost register allocation than the increments do.
-  std::uint64_t probeCredit = 0;
-  // This loop is never entered with injection armed (execute() routes
-  // those frames to the switch loop, which carries the per-step probes);
-  // the shared handlers see a constant the compiler folds away.
-  constexpr bool injectFaults = false;
-  // Token-threaded dispatch: one indirect jump per instruction, indexed
-  // by opcode, in Op declaration order. GNU &&label addresses are valid
-  // static initializers, so the table is built once.
-  static const void* const kOpLabels[] = {
-      &&L_Nop,      &&L_Mov,         &&L_IntBin,     &&L_FloatBin,
-      &&L_ICmp,     &&L_ICmpPtr,     &&L_FCmp,       &&L_ZExt,
-      &&L_Trunc,    &&L_PtrToInt,    &&L_IntToPtr,   &&L_SiToF,
-      &&L_UiToF,    &&L_FToSi,       &&L_FToUi,      &&L_Select,
-      &&L_Alloca,   &&L_LoadInt,     &&L_LoadDouble, &&L_LoadPtr,
-      &&L_StoreInt, &&L_StoreDouble, &&L_StorePtr,   &&L_Jmp,
-      &&L_JmpIf,    &&L_SwitchI,     &&L_Ret,        &&L_RetVoid,
-      &&L_PushArg,  &&L_Call,        &&L_CallExtern, &&L_Trap,
-      &&L_Fused,    &&L_CmpBr,       &&L_BinStore,   &&L_LoadBin,
-      &&L_PushCall, &&L_Ext,
-  };
-  static_assert(sizeof(kOpLabels) / sizeof(kOpLabels[0]) == kNumOps,
-                "label table must cover every opcode, in enum order");
-  Inst in{};
-// Threaded-loop handler glue: VM_NEXT is the fetch/preamble/dispatch
-// sequence itself (no outer loop), with the step fast path a single
-// credit decrement. VM_RESYNC zeroes the credit after handlers that
-// advance stepsTaken_ in bulk (fused regions, recursive calls) so
-// the stale bound is recomputed before the next fast step.
-#define VM_CASE(name) L_##name:
-// Counters are eager, so there is nothing to flush — the macro marks the
-// places where the member counters become observable (frame exits,
-// recursion, fused bulk accounting), which any batched-counting scheme
-// would have to honour.
-#define VM_FLUSH_STEPS()                                                       \
-  do {                                                                         \
-  } while (0)
-#define VM_NEXT()                                                              \
-  do {                                                                         \
-    in = code[pc++];                                                           \
-    if (tally.active) {                                                        \
-      ++tally.counts[opClassOf(in.op)];                                        \
-    }                                                                          \
-    if ((in.flags & kStep) != 0) {                                             \
-      if (probeCredit != 0) {                                                  \
-        --probeCredit;                                                         \
-        ++stepsTaken_;                                                         \
-        ++stats_.instructionsExecuted;                                         \
-      } else {                                                                 \
-        probeCredit = checkedStepProbe(cancel);                                \
-      }                                                                        \
-    }                                                                          \
-    goto* kOpLabels[static_cast<std::size_t>(in.op)];                          \
-  } while (0)
-#define VM_SECOND_STEP(flagsExpr)                                              \
-  do {                                                                         \
-    if (((flagsExpr)&kStep) != 0) {                                            \
-      if (probeCredit != 0) {                                                  \
-        --probeCredit;                                                         \
-        ++stepsTaken_;                                                         \
-        ++stats_.instructionsExecuted;                                         \
-      } else {                                                                 \
-        probeCredit = checkedStepProbe(cancel);                                \
-      }                                                                        \
-    }                                                                          \
-  } while (0)
-#define VM_RESYNC() probeCredit = 0
-#define VM_CHAIN_TALLY()                                                       \
-  do {                                                                         \
-    if (tally.active && probeCredit != 0) {                                    \
-      ++tally.chainedBlocks;                                                   \
-    }                                                                          \
-  } while (0)
-  VM_NEXT();
-#include "vm/vm_ops.inc"
-#undef VM_CASE
-#undef VM_FLUSH_STEPS
-#undef VM_NEXT
-#undef VM_SECOND_STEP
-#undef VM_RESYNC
-#undef VM_CHAIN_TALLY
-}
-
-#endif // QIRKIT_VM_THREADED
 
 } // namespace qirkit::vm

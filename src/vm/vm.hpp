@@ -25,7 +25,7 @@ class CancelToken;
 namespace qirkit::vm {
 
 /// How many step-counted instructions may retire between cancellation
-/// probes in the dispatch loops. Even an *armed* token is only consulted
+/// probes in the dispatch loop. Even an *armed* token is only consulted
 /// (one relaxed load + sometimes a clock read) once per stride, keeping
 /// the hot path's cost independent of whether a deadline is set.
 inline constexpr std::uint64_t kCancelStrideSteps = 1024;
@@ -39,11 +39,14 @@ public:
   explicit Vm(std::shared_ptr<const BytecodeModule> module);
 
   /// Run function \p name with \p args; returns its value (Void kind for
-  /// void functions). Resets the step counter, not memory.
+  /// void functions). Resets the step counter, not memory. Throws
+  /// TrapError(ErrorCode::Semantic), before executing anything, unless
+  /// \p args has one value per parameter (interp::checkArgumentCount).
   interp::RtValue run(std::string_view name, std::span<const interp::RtValue> args = {});
 
   /// Run the module's entry point (the "entry_point"-attributed function,
-  /// else @main). Traps if the module has neither.
+  /// else @main) with no arguments. Traps if the module has neither, or
+  /// if the entry point takes parameters.
   interp::RtValue runEntryPoint();
 
   /// Fresh execution memory with globals re-materialized; statistics and
@@ -84,30 +87,15 @@ public:
   void bindFusedHost(interp::FusedGateHost* host) override { fusedHost_ = host; }
 
 private:
+  /// The top-level call behind run and runEntryPoint: checks the argument
+  /// count, resets the step counter and the stacks, then executes.
+  interp::RtValue runFunction(std::uint32_t funcIndex,
+                              std::span<const interp::RtValue> args);
+  /// The dispatch loop: fetch, the per-step preamble (step budget, fault
+  /// probe, strided cancellation checkpoint) on every kStep instruction,
+  /// and one opcode switch.
   interp::RtValue execute(std::uint32_t funcIndex,
                           std::span<const interp::RtValue> args, unsigned depth);
-  /// The portable dispatch loop: one switch per instruction, full
-  /// step/fault/cancel preamble on every kStep instruction. Always
-  /// compiled; the reference semantics and the only loop that runs under
-  /// fault injection (it carries the per-step probes).
-  interp::RtValue executeSwitch(const CompiledFunction& fn, std::size_t base,
-                                unsigned depth, bool injectFaults,
-                                const qirkit::CancelToken* cancel);
-  /// The token-threaded loop: computed-goto dispatch with the step-limit
-  /// and cancellation probes hoisted to block boundaries via a credit
-  /// scheme (checkedStepProbe). Only defined on builds where
-  /// threadedDispatchAvailable(); bit-compatible with executeSwitch by
-  /// construction (both loops include vm_ops.inc).
-  interp::RtValue executeThreaded(const CompiledFunction& fn, std::size_t base,
-                                  unsigned depth,
-                                  const qirkit::CancelToken* cancel);
-  /// Slow path of the threaded loop's step accounting: replays the
-  /// switch loop's per-step sequence exactly (budget check with the same
-  /// trap, stats bump, strided cancel checkpoint), then returns how many
-  /// further step-counted instructions may retire with nothing but a
-  /// decrement — bounded by both the remaining budget and the distance
-  /// to the next cancellation stride boundary.
-  std::uint64_t checkedStepProbe(const qirkit::CancelToken* cancel);
   void materializeGlobals();
   void resolveExterns();
 

@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -30,7 +29,6 @@
 namespace qirkit {
 namespace {
 
-using interp::RtValue;
 using sim::Complex;
 using sim::GateMatrix2;
 using sim::GateMatrix4;
@@ -991,123 +989,6 @@ attributes #0 = { "entry_point" }
     EXPECT_EQ(fusedVm.stats().instructionsExecuted,
               plainVm.stats().instructionsExecuted);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Superinstruction mining (fuseSuperinstructions): hot pairs collapse,
-// interiors that are jump targets are refused, semantics are preserved.
-// ---------------------------------------------------------------------------
-
-const char* const kSumLoop = R"(
-define i64 @f(i64 %n) {
-entry:
-  %acc = alloca i64, align 8
-  %tmp = alloca i64, align 8
-  store i64 0, ptr %acc, align 8
-  br label %head
-head:
-  %i = phi i64 [ 0, %entry ], [ %next, %body ]
-  %c = icmp slt i64 %i, %n
-  br i1 %c, label %body, label %exit
-body:
-  %cur = load i64, ptr %acc, align 8
-  %sum = add i64 %cur, %i
-  store i64 %sum, ptr %acc, align 8
-  %tw = mul i64 %i, 3
-  store i64 %tw, ptr %tmp, align 8
-  %next = add i64 %i, 1
-  br label %head
-exit:
-  %r = load i64, ptr %acc, align 8
-  ret i64 %r
-}
-)";
-
-TEST(FusionSuperinstr, MinesHotPairsIntoFusedOpcodes) {
-  ir::Context ctx;
-  const auto m = ir::parseModule(ctx, kSumLoop);
-  const auto mined = vm::compileModule(
-      *m, {.dispatch = vm::DispatchMode::Threaded, .superinstructions = true});
-  const std::string listing = mined->disassemble();
-  EXPECT_GE(countSubstr(listing, "cmp.br"), 1U) << listing;
-  EXPECT_GE(countSubstr(listing, "load.bin"), 1U) << listing;
-  EXPECT_GE(countSubstr(listing, "bin.store"), 1U) << listing;
-  const auto plain = vm::compileModule(*m, {.superinstructions = false});
-  // Same span length: superinstructions keep their pair's footprint (head
-  // + ext slots), so offsets need no fixups.
-  EXPECT_EQ(mined->instructionCount(), plain->instructionCount());
-}
-
-TEST(FusionSuperinstr, PairsPreserveValuesAndStepAccounting) {
-  ir::Context ctx;
-  const auto m = ir::parseModule(ctx, kSumLoop);
-  const auto mined = vm::compileModule(
-      *m, {.dispatch = vm::DispatchMode::Threaded, .superinstructions = true});
-  const auto plain = vm::compileModule(*m, {.superinstructions = false});
-  for (const std::int64_t n : {0, 1, 7, 100}) {
-    vm::Vm fast(mined);
-    vm::Vm reference(plain);
-    const std::array<RtValue, 1> arg{RtValue::makeInt(n)};
-    EXPECT_EQ(fast.run("f", {arg}).i, reference.run("f", {arg}).i) << n;
-    EXPECT_EQ(fast.stats().instructionsExecuted,
-              reference.stats().instructionsExecuted)
-        << n;
-    EXPECT_EQ(fast.stats().blocksEntered, reference.stats().blocksEntered) << n;
-  }
-}
-
-TEST(FusionSuperinstr, MinesMultiArgExternCallsIntoPushCall) {
-  // mz takes two arguments: its PushArg pair collapses into one PushCall
-  // that falls through to the untouched call.ext.
-  ir::Context ctx;
-  const auto m = ir::parseModule(ctx, R"(
-declare void @__quantum__qis__mz__body(ptr, ptr)
-define void @main() #0 {
-entry:
-  call void @__quantum__qis__mz__body(ptr null, ptr null)
-  ret void
-}
-attributes #0 = { "entry_point" }
-)");
-  const auto mined = vm::compileModule(
-      *m, {.dispatch = vm::DispatchMode::Threaded, .superinstructions = true});
-  const std::string listing = mined->disassemble();
-  EXPECT_GE(countSubstr(listing, "push.call"), 1U) << listing;
-  EXPECT_GE(countSubstr(listing, "call.ext"), 1U) << listing;
-}
-
-TEST(FusionSuperinstr, RefusesPairsWhoseInteriorIsAJumpTarget) {
-  // Hand-built bytecode: a jump lands exactly on the JmpIf, so fusing
-  // ICmp+JmpIf would make control enter an Ext slot. The miner must
-  // leave the pair alone.
-  vm::CompiledFunction fn;
-  fn.numRegs = 3;
-  vm::Inst icmp;
-  icmp.op = vm::Op::ICmp;
-  icmp.a = 0;
-  icmp.b = 1;
-  icmp.c = 2;
-  icmp.d = 64;
-  vm::Inst jmpif;
-  jmpif.op = vm::Op::JmpIf;
-  jmpif.a = 0;
-  jmpif.b = 3;
-  jmpif.c = 3;
-  vm::Inst jmp;
-  jmp.op = vm::Op::Jmp;
-  jmp.a = 1; // targets the JmpIf: pair interior
-  vm::Inst ret;
-  ret.op = vm::Op::RetVoid;
-  fn.code = {icmp, jmpif, jmp, ret};
-  EXPECT_EQ(vm::fuseSuperinstructions(fn).total(), 0U);
-  EXPECT_EQ(fn.code[0].op, vm::Op::ICmp);
-  EXPECT_EQ(fn.code[1].op, vm::Op::JmpIf);
-
-  // Positive control: without the interior jump the pair fuses.
-  fn.code = {icmp, jmpif, ret, ret};
-  EXPECT_EQ(vm::fuseSuperinstructions(fn).total(), 1U);
-  EXPECT_EQ(fn.code[0].op, vm::Op::CmpBr);
-  EXPECT_EQ(fn.code[1].op, vm::Op::Ext);
 }
 
 } // namespace

@@ -1359,5 +1359,50 @@ TEST_F(ServeTest, BrokenProgramsReturnClassifiedErrors) {
   EXPECT_TRUE(good.find("ok")->boolean);
 }
 
+TEST_F(ServeTest, EntryPointWithParametersIsAClassifiedErrorOnBothEngines) {
+  // The interpreter used to read the missing argument out of an empty
+  // span, and the fault took the daemon down for every tenant.
+  Client client(socketPath_);
+  SubmitRequest req;
+  req.tenant = "alice";
+  req.program = R"(
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @main(i64 %n) #0 {
+entry:
+  %c = icmp eq i64 %n, 0
+  br i1 %c, label %measure, label %flip
+flip:
+  call void @__quantum__qis__x__body(ptr null)
+  br label %measure
+measure:
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"="1" }
+)";
+  req.shots = 4;
+  req.seed = 1;
+  std::string messages[2];
+  for (const vm::Engine engine : {vm::Engine::Interp, vm::Engine::Vm}) {
+    req.engine = engine;
+    const json::Value error = json::parse(client.call(submitRequestJson(req)));
+    EXPECT_FALSE(error.find("ok")->boolean) << vm::engineName(engine);
+    EXPECT_EQ(error.find("error")->find("code")->string, "semantic")
+        << vm::engineName(engine);
+    messages[engine == vm::Engine::Vm ? 1 : 0] =
+        error.find("error")->find("message")->string;
+  }
+  EXPECT_EQ(messages[0], messages[1]);
+  EXPECT_NE(messages[0].find("@main takes 1 parameter(s)"), std::string::npos)
+      << messages[0];
+
+  // The daemon keeps serving.
+  const json::Value good = json::parse(client.call(submitLine("alice", 10, 1)));
+  EXPECT_TRUE(good.find("ok")->boolean);
+}
+
 } // namespace
 } // namespace qirkit::service

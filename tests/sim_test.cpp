@@ -998,7 +998,7 @@ RuntimeRun runDeferred(const ir::Module& module, unsigned reserve, Precision pre
   if (reserve != 0) {
     EXPECT_TRUE(rt.state().reserveQubits(reserve));
   }
-  vm::Vm machine(vm::compileModule(module, vm::shotCompileOptions()));
+  vm::Vm machine(vm::compileModule(module));
   rt.bind(machine);
   machine.runEntryPoint();
   RuntimeRun run;

@@ -4,8 +4,9 @@
 /// identical values; quantum programs must produce identical recorded
 /// output, runtime statistics, and engine statistics; the instruction
 /// budget must reject a runaway program at the identical step with the
-/// identical diagnostic. Plus compile-cache and batched-executor
-/// behaviour.
+/// identical diagnostic, and a mismatched argument count with the same
+/// classified error. Plus compile-cache and batched-executor behaviour,
+/// cancellation, and the dispatch loop's vm.dispatch.* counts.
 #include "circuit/generators.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/parser.hpp"
@@ -16,9 +17,9 @@
 #include "runtime/runtime.hpp"
 #include "support/cancel.hpp"
 #include "support/error.hpp"
-#include "support/faultinject.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry/telemetry.hpp"
 #include "vm/cache.hpp"
 #include "vm/compiler.hpp"
 #include "vm/executor.hpp"
@@ -27,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <set>
 #include <string>
 
 namespace qirkit {
@@ -309,7 +311,8 @@ TEST(VmStepBudget, RejectsAtSameStepWithSameMessage) {
   const std::uint64_t steps = probe.stats().instructionsExecuted;
   ASSERT_GT(steps, 10U);
 
-  for (const std::uint64_t limit : {steps, steps - 1, steps / 2}) {
+  for (const std::uint64_t limit : {steps, steps - 1, steps - 2, steps / 2,
+                                    steps / 2 + 1, std::uint64_t{1}}) {
     interp::Interpreter interp(*m);
     interp.setStepLimit(limit);
     vm::Vm machine(vm::compileModule(*m));
@@ -478,133 +481,99 @@ TEST(VmBytecode, DisassemblyListsCompiledFunctions) {
   EXPECT_NE(listing.find("[step]"), std::string::npos);
 }
 
+TEST(VmBytecode, EveryOpcodeHasADistinctMnemonic) {
+  std::set<std::string> mnemonics;
+  for (std::size_t op = 0; op < vm::kNumOps; ++op) {
+    mnemonics.insert(vm::opName(static_cast<vm::Op>(op)));
+  }
+  EXPECT_EQ(mnemonics.size(), vm::kNumOps);
+}
+
 // ---------------------------------------------------------------------------
-// Dispatch differential: the token-threaded loop with superinstructions
-// must be bit-compatible with the reference switch loop — same values,
-// same histograms, same step accounting, same traps, same fault-drill
-// and deadline behaviour. The switch loop is compiled explicitly
-// (DispatchMode::Switch) in every build, so both loops are tested
-// wherever the suite runs.
+// Argument counts: a function runs only with as many arguments as it has
+// parameters, on either engine, and the mismatch is one classified error.
 // ---------------------------------------------------------------------------
 
-/// The two engine configurations under comparison. Reference = switch
-/// loop on plain opcodes; fast = threaded loop on superinstruction-mined
-/// code (the executor's Threaded pairing).
-vm::CompileOptions referenceConfig() {
-  return {.fuseGates = true,
-          .dispatch = vm::DispatchMode::Switch,
-          .superinstructions = false};
-}
-
-vm::CompileOptions threadedConfig() {
-  return {.fuseGates = true,
-          .dispatch = vm::DispatchMode::Threaded,
-          .superinstructions = true};
-}
-
-TEST(VmDispatchDifferential, ClassicalProgramsBitCompatible) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const std::string program = ProgramGenerator(seed).generate();
-    ir::Context ctx;
-    const auto m = ir::parseModule(ctx, program);
-    const std::int64_t inputs[][2] = {{0, 0}, {42, 7}, {-100, 3}};
-    for (const auto& [a, b] : inputs) {
-      vm::Vm reference(vm::compileModule(*m, referenceConfig()));
-      reference.setStepLimit(1 << 22);
-      vm::Vm threaded(vm::compileModule(*m, threadedConfig()));
-      threaded.setStepLimit(1 << 22);
-      const std::array<RtValue, 2> argStorage{RtValue::makeInt(a),
-                                              RtValue::makeInt(b)};
-      const std::span<const RtValue> args{argStorage};
-      EXPECT_EQ(reference.run("f", args).i, threaded.run("f", args).i)
-          << "seed " << seed << " inputs (" << a << ", " << b << ")";
-      EXPECT_EQ(reference.stats().instructionsExecuted,
-                threaded.stats().instructionsExecuted);
-      EXPECT_EQ(reference.stats().blocksEntered, threaded.stats().blocksEntered);
-      EXPECT_EQ(reference.stats().internalCalls, threaded.stats().internalCalls);
-    }
+/// The error \p run throws (empty when it returns), and its code.
+template <typename Run>
+std::pair<std::string, ErrorCode> errorOf(Run run) {
+  try {
+    run();
+  } catch (const Error& e) {
+    return {e.what(), e.code()};
   }
+  return {};
 }
 
-QuantumRun runQuantumVmWith(const ir::Module& m, std::uint64_t seed,
-                            const vm::CompileOptions& options) {
-  vm::Vm machine(vm::compileModule(m, options));
-  runtime::QuantumRuntime rt(seed);
-  rt.bind(machine);
-  machine.runEntryPoint();
-  return {rt.recordedOutput(), rt.stats(), machine.stats()};
-}
-
-TEST(VmDispatchDifferential, QuantumProgramsBitCompatible) {
+TEST(VmArguments, BothEnginesRejectAMismatchedArgumentCount) {
   ir::Context ctx;
-  const auto ghz = qir::exportCircuit(ctx, circuit::ghz(5, true), {});
-  const auto qft = qir::exportCircuit(ctx, circuit::qft(4, true), {});
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    for (const ir::Module* m : {ghz.get(), qft.get()}) {
-      const QuantumRun a = runQuantumVmWith(*m, seed, referenceConfig());
-      const QuantumRun b = runQuantumVmWith(*m, seed, threadedConfig());
-      EXPECT_EQ(a.output, b.output) << "seed " << seed;
-      EXPECT_EQ(a.runtimeStats.gatesApplied, b.runtimeStats.gatesApplied);
-      EXPECT_EQ(a.runtimeStats.measurements, b.runtimeStats.measurements);
-      EXPECT_EQ(a.engineStats.instructionsExecuted,
-                b.engineStats.instructionsExecuted);
-      EXPECT_EQ(a.engineStats.externalCalls, b.engineStats.externalCalls);
-      EXPECT_EQ(a.engineStats.blocksEntered, b.engineStats.blocksEntered);
-    }
+  const auto m = ir::parseModule(ctx, R"(
+define i64 @f(i64 %a, i64 %b) {
+entry:
+  %s = add i64 %a, %b
+  ret i64 %s
+}
+)");
+  const std::array<RtValue, 3> argStorage{
+      RtValue::makeInt(1), RtValue::makeInt(2), RtValue::makeInt(3)};
+  for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    const std::span<const RtValue> args{argStorage.data(), count};
+    interp::Interpreter interp(*m);
+    vm::Vm machine(vm::compileModule(*m));
+    const auto interpError =
+        errorOf([&] { interp.run(*m->getFunction("f"), args); });
+    const auto vmError = errorOf([&] { machine.run("f", args); });
+    EXPECT_EQ(interpError, vmError) << count << " arguments";
+    EXPECT_EQ(vmError.second, ErrorCode::Semantic) << count << " arguments";
+    EXPECT_NE(vmError.first.find("@f takes 2 parameter(s) but was called with " +
+                                 std::to_string(count) + " argument(s)"),
+              std::string::npos)
+        << vmError.first;
+    // Nothing ran: the check precedes the frame.
+    EXPECT_EQ(interp.stats().instructionsExecuted, 0U);
+    EXPECT_EQ(machine.stats().instructionsExecuted, 0U);
   }
 }
 
-TEST(VmDispatchDifferential, StepBudgetParityIncludingProbeStrides) {
-  const std::string program = ProgramGenerator(11).generate();
+TEST(VmArguments, AnEntryPointWithParametersIsRejectedByBothEngines) {
   ir::Context ctx;
-  const auto m = ir::parseModule(ctx, program);
-  const std::array<RtValue, 2> argStorage{RtValue::makeInt(13),
-                                          RtValue::makeInt(-5)};
-  const std::span<const RtValue> args{argStorage};
-
-  vm::Vm probe(vm::compileModule(*m, referenceConfig()));
-  probe.setStepLimit(1 << 22);
-  probe.run("f", args);
-  const std::uint64_t steps = probe.stats().instructionsExecuted;
-  ASSERT_GT(steps, 10U);
-
-  // Limits straddling superinstruction pairs and the credit-refresh
-  // boundaries: the trap must fire on the identical instruction with the
-  // identical message, and the stats must agree on how many retired.
-  for (const std::uint64_t limit :
-       {steps, steps - 1, steps - 2, steps / 2, steps / 2 + 1, std::uint64_t{1}}) {
-    vm::Vm reference(vm::compileModule(*m, referenceConfig()));
-    reference.setStepLimit(limit);
-    vm::Vm threaded(vm::compileModule(*m, threadedConfig()));
-    threaded.setStepLimit(limit);
-    std::string referenceError;
-    std::string threadedError;
-    try {
-      reference.run("f", args);
-    } catch (const interp::TrapError& e) {
-      referenceError = e.what();
-    }
-    try {
-      threaded.run("f", args);
-    } catch (const interp::TrapError& e) {
-      threadedError = e.what();
-    }
-    EXPECT_EQ(referenceError, threadedError) << "limit " << limit;
-    EXPECT_EQ(reference.stats().instructionsExecuted,
-              threaded.stats().instructionsExecuted)
-        << "limit " << limit;
-    if (limit < steps) {
-      EXPECT_EQ(threadedError,
-                "step limit exceeded (" + std::to_string(limit) + ")");
-    }
-  }
+  const auto m = ir::parseModule(ctx, R"(
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+define void @main(i64 %n) #0 {
+entry:
+  %c = icmp eq i64 %n, 0
+  br i1 %c, label %measure, label %flip
+flip:
+  call void @__quantum__qis__x__body(ptr null)
+  br label %measure
+measure:
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" }
+)");
+  interp::Interpreter interp(*m);
+  runtime::QuantumRuntime interpRt(1);
+  interpRt.bind(interp);
+  vm::Vm machine(vm::compileModule(*m));
+  runtime::QuantumRuntime vmRt(1);
+  vmRt.bind(machine);
+  const auto interpError = errorOf([&] { interp.runEntryPoint(); });
+  const auto vmError = errorOf([&] { machine.runEntryPoint(); });
+  EXPECT_EQ(interpError, vmError);
+  EXPECT_EQ(vmError.second, ErrorCode::Semantic);
+  EXPECT_NE(vmError.first.find("QIR entry points take none"), std::string::npos)
+      << vmError.first;
+  EXPECT_EQ(vmRt.stats().measurements, 0U);
 }
 
-TEST(VmDispatchDifferential, CancelledRunsTrapOnBothLoops) {
-  // An already-expired deadline must stop both loops at a cancellation
-  // checkpoint. The threaded loop hoists the probe to stride boundaries;
-  // expiry is still observed (just never later than a stride's worth of
-  // steps after the switch loop would have seen it).
+// ---------------------------------------------------------------------------
+// Cancellation: an expired token stops the dispatch loop at its first
+// strided checkpoint.
+// ---------------------------------------------------------------------------
+
+TEST(VmCancellation, ExpiredTokenStopsWithinOneStride) {
   // Checkpoints are strided (every kCancelStrideSteps steps), so the
   // program must spin long enough inside ONE call to cross a stride.
   ir::Context ctx;
@@ -623,57 +592,152 @@ exit:
 )");
   const std::array<RtValue, 1> argStorage{RtValue::makeInt(1 << 20)};
   const std::span<const RtValue> args{argStorage};
-  for (const vm::CompileOptions& config : {referenceConfig(), threadedConfig()}) {
-    vm::Vm machine(vm::compileModule(*m, config));
-    machine.setStepLimit(1ULL << 40);
-    CancelToken token;
-    token.cancel();
+  vm::Vm machine(vm::compileModule(*m));
+  machine.setStepLimit(1ULL << 40);
+  CancelToken token;
+  token.cancel();
+  machine.setCancelToken(&token);
+  EXPECT_EQ(errorOf([&] { machine.run("f", args); }).second,
+            ErrorCode::Deadline);
+  EXPECT_GT(machine.stats().instructionsExecuted, 0U);
+  EXPECT_LE(machine.stats().instructionsExecuted, vm::kCancelStrideSteps);
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch differential: the per-step preamble (step budget, then the
+// strided cancel checkpoint) traps on the same instruction as the
+// interpreter's, at limits on either side of the checkpoint strides.
+// ---------------------------------------------------------------------------
+
+TEST(VmDispatchDifferential, StepBudgetParityIncludingProbeStrides) {
+  ir::Context ctx;
+  const auto m = ir::parseModule(ctx, R"(
+define i64 @f(i64 %n) {
+entry:
+  br label %head
+head:
+  %i = phi i64 [ 0, %entry ], [ %next, %head ]
+  %next = add i64 %i, 1
+  %c = icmp slt i64 %next, %n
+  br i1 %c, label %head, label %exit
+exit:
+  ret i64 %next
+}
+)");
+  const std::array<RtValue, 1> argStorage{RtValue::makeInt(1000)};
+  const std::span<const RtValue> args{argStorage};
+  // Armed with a deadline no run reaches, so every stride boundary runs a
+  // real checkpoint on both engines without stopping either.
+  CancelToken token;
+  token.setDeadlineNs(CancelToken::nowNs() + 3'600'000'000'000ULL);
+
+  interp::Interpreter probe(*m);
+  probe.run(*m->getFunction("f"), args);
+  const std::uint64_t steps = probe.stats().instructionsExecuted;
+  constexpr std::uint64_t stride = vm::kCancelStrideSteps;
+  ASSERT_GT(steps, 2 * stride + 1);
+
+  for (const std::uint64_t limit :
+       {steps, steps - 1, steps - 2, steps / 2, steps / 2 + 1, std::uint64_t{1},
+        stride - 1, stride, stride + 1, 2 * stride - 1, 2 * stride,
+        2 * stride + 1}) {
+    interp::Interpreter interp(*m);
+    interp.setStepLimit(limit);
+    interp.setCancelToken(&token);
+    vm::Vm machine(vm::compileModule(*m));
+    machine.setStepLimit(limit);
     machine.setCancelToken(&token);
-    bool cancelled = false;
-    try {
-      machine.run("f", args);
-    } catch (const Error& e) {
-      cancelled = e.code() == ErrorCode::Deadline;
+    const auto interpError =
+        errorOf([&] { interp.run(*m->getFunction("f"), args); });
+    const auto vmError = errorOf([&] { machine.run("f", args); });
+    EXPECT_EQ(interpError, vmError) << "limit " << limit;
+    EXPECT_EQ(interp.stats().instructionsExecuted,
+              machine.stats().instructionsExecuted)
+        << "limit " << limit;
+    if (limit < steps) {
+      EXPECT_EQ(vmError.first,
+                "step limit exceeded (" + std::to_string(limit) + ")");
+      EXPECT_EQ(vmError.second, ErrorCode::StepBudgetExceeded);
+      EXPECT_EQ(machine.stats().instructionsExecuted, limit);
+    } else {
+      EXPECT_TRUE(vmError.first.empty()) << vmError.first;
+      EXPECT_EQ(machine.stats().instructionsExecuted, steps);
     }
-    EXPECT_TRUE(cancelled) << "dispatch "
-                           << vm::dispatchModeName(config.dispatch);
-    // Strided polling means the trap lands within one stride of the start.
-    EXPECT_LE(machine.stats().instructionsExecuted, 8U * 1024U);
   }
 }
 
-TEST(VmDispatchDifferential, FaultDrillsAgreeAcrossDispatchModes) {
-  // With injection armed, Threaded modules take the switch loop (its
-  // preamble carries the per-step probes), so a drill must fire on the
-  // same probe and classify the same way regardless of the compiled loop.
-  const std::string program = ProgramGenerator(9).generate();
+// ---------------------------------------------------------------------------
+// Dispatch counters: QIRKIT_VM_OPS's class column is the only definition of
+// the vm.dispatch.* counts, so pin them on a program whose dispatches can
+// be counted by hand.
+// ---------------------------------------------------------------------------
+
+TEST(VmDispatchCounters, CountEveryClassOnAFeedbackLoop) {
+  // Unoptimized, so every IR instruction below lowers to one VM
+  // instruction, plus one PushArg per call operand and one Op::Fused head
+  // in front of entry's four gates (two single-qubit blocks).
   ir::Context ctx;
-  const auto m = ir::parseModule(ctx, program);
-  const std::array<RtValue, 2> argStorage{RtValue::makeInt(3),
-                                          RtValue::makeInt(8)};
-  const std::span<const RtValue> args{argStorage};
-  std::array<std::string, 2> errors;
-  std::array<std::uint64_t, 2> probes{};
-  std::size_t slot = 0;
-  for (const vm::CompileOptions& config : {referenceConfig(), threadedConfig()}) {
-    fault::Plan plan;
-    plan.site = fault::Site::VmDispatch;
-    plan.at = 40;
-    const fault::ScopedPlan scoped(plan);
-    vm::Vm machine(vm::compileModule(*m, config));
-    machine.setStepLimit(1 << 22);
-    try {
-      machine.run("f", args);
-    } catch (const Error& e) {
-      errors[slot] = e.what();
-    }
-    probes[slot] = fault::FaultInjector::instance().probeCount(
-        fault::Site::VmDispatch);
-    ++slot;
-  }
-  EXPECT_FALSE(errors[0].empty());
-  EXPECT_EQ(errors[0], errors[1]);
-  EXPECT_EQ(probes[0], probes[1]);
+  const auto m = ir::parseModule(ctx, R"(
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__t__body(ptr)
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare i1 @__quantum__qis__read_result__body(ptr)
+define void @main() #0 {
+entry:
+  %i = alloca i64, align 8
+  store i64 0, ptr %i, align 8
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__t__body(ptr null)
+  call void @__quantum__qis__h__body(ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__qis__t__body(ptr inttoptr (i64 1 to ptr))
+  br label %loop
+loop:
+  %n = load i64, ptr %i, align 8
+  %next = add i64 %n, 1
+  store i64 %next, ptr %i, align 8
+  %more = icmp slt i64 %next, 3
+  br i1 %more, label %loop, label %measure
+measure:
+  call void @__quantum__qis__x__body(ptr inttoptr (i64 2 to ptr))
+  call void @__quantum__qis__mz__body(ptr inttoptr (i64 2 to ptr), ptr null)
+  %r = call i1 @__quantum__qis__read_result__body(ptr null)
+  %wide = zext i1 %r to i64
+  br i1 %r, label %flip, label %done
+flip:
+  call void @__quantum__qis__x__body(ptr null)
+  br label %done
+done:
+  ret void
+}
+attributes #0 = { "entry_point" }
+)");
+  const auto compiled = vm::compileModule(*m);
+  ASSERT_EQ(compiled->functions[0].fusedSweeps.size(), 1U)
+      << compiled->disassemble();
+  ASSERT_EQ(compiled->functions[0].fusedSweeps[0].blockCount, 2U);
+
+  telemetry::setEnabled(true);
+  telemetry::resetAll();
+  vm::Vm machine(compiled);
+  runtime::QuantumRuntime rt(1);
+  rt.bind(machine);
+  machine.runEntryPoint();
+  const auto count = [](const char* name) {
+    return telemetry::counterValue(std::string("vm.dispatch.") + name);
+  };
+  // The loop body runs three times; x then mz on q2 reads 1, so the
+  // branch takes %flip.
+  EXPECT_EQ(count("data"), 1U);       // zext
+  EXPECT_EQ(count("arithmetic"), 6U); // (add, icmp) x 3
+  EXPECT_EQ(count("memory"), 8U);     // alloca, store; (load, store) x 3
+  // br entry, br loop x 3, br measure, br flip, ret
+  EXPECT_EQ(count("control_flow"), 7U);
+  EXPECT_EQ(count("call_internal"), 5U); // PushArgs: x 1, mz 2, read 1, x 1
+  EXPECT_EQ(count("call_external"), 4U); // x, mz, read_result, x
+  EXPECT_EQ(count("fused"), 2U);         // one head applying two blocks
+  telemetry::resetAll();
+  telemetry::setEnabled(false);
 }
 
 TEST(VmShotExecutor, DeadlineYieldsPartialResults) {
@@ -688,38 +752,6 @@ TEST(VmShotExecutor, DeadlineYieldsPartialResults) {
   const vm::ShotBatchResult result = vm::runShots(*m, options);
   EXPECT_TRUE(result.deadlineExceeded);
   EXPECT_LT(result.completedShots, 50U);
-}
-
-TEST(VmCompileCache, DispatchFlipNeverReusesAStaleModule) {
-  vm::CompileCache cache;
-  const std::string program = ProgramGenerator(6).generate();
-  ir::Context ctx;
-  const auto parsed = ir::parseModule(ctx, program);
-  const auto reference = cache.getOrCompile(*parsed, referenceConfig());
-  const auto threaded = cache.getOrCompile(*parsed, threadedConfig());
-  // Different dispatch/superinstruction options must occupy distinct
-  // entries — the compiled code shapes differ.
-  EXPECT_NE(reference.get(), threaded.get());
-  EXPECT_EQ(reference->dispatch, vm::DispatchMode::Switch);
-  EXPECT_EQ(threaded->dispatch, vm::DispatchMode::Threaded);
-  EXPECT_EQ(cache.stats().misses, 2U);
-  // Repeating each lookup hits its own entry.
-  EXPECT_EQ(cache.getOrCompile(*parsed, referenceConfig()).get(),
-            reference.get());
-  EXPECT_EQ(cache.getOrCompile(*parsed, threadedConfig()).get(),
-            threaded.get());
-  EXPECT_EQ(cache.stats().hits, 2U);
-}
-
-TEST(VmDispatch, BuildDefaultIsTheBestAvailableLoop) {
-  const vm::DispatchMode mode = vm::defaultDispatchMode();
-  if (vm::threadedDispatchAvailable()) {
-    EXPECT_EQ(mode, vm::DispatchMode::Threaded);
-  } else {
-    EXPECT_EQ(mode, vm::DispatchMode::Switch);
-  }
-  EXPECT_STREQ(vm::dispatchModeName(vm::DispatchMode::Switch), "switch");
-  EXPECT_STREQ(vm::dispatchModeName(vm::DispatchMode::Threaded), "threaded");
 }
 
 } // namespace

@@ -138,6 +138,48 @@ grep -q "^exec mode: branch (2 outcome paths for 10 shots)$" "$WORK/err" \
 grep -q "exec mode: branch" "$WORK/err" && fail "resim must not branch"
 cmp -s "$WORK/branch.out" "$WORK/resim.out" || fail "branch and resim disagree"
 
+# the VM has one dispatch loop: --stats=json reports its seven
+# vm.dispatch.* class counts and nothing else of dispatch or compile
+"$QIRKIT" run "$WORK/feedback.ll" --shots 10 --stats=json >/dev/null \
+  2>"$WORK/err" || fail "feedback program with --stats=json"
+tail -n 1 "$WORK/err" | python3 -c '
+import json, sys
+vm = json.load(sys.stdin)["vm"]
+assert sorted(vm["dispatch"]) == ["arithmetic", "call_external", "call_internal",
+                                  "control_flow", "data", "fused", "memory"], vm
+assert vm["dispatch"]["call_external"] > 0, vm
+assert "compile" not in vm, vm' || fail "vm.dispatch counts in --stats=json"
+
+# an entry point that takes parameters is one classified error on both
+# engines, in every exec mode (QIR entry points take none)
+cat > "$WORK/params.ll" <<'EOF'
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @main(i64 %n) #0 {
+entry:
+  %c = icmp eq i64 %n, 0
+  br i1 %c, label %measure, label %flip
+flip:
+  call void @__quantum__qis__x__body(ptr null)
+  br label %measure
+measure:
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"="1" }
+EOF
+for engine in vm interp; do
+  for mode in auto resim sample; do
+    rc=0; "$QIRKIT" run "$WORK/params.ll" --shots 4 --seed 1 --engine "$engine" \
+      --exec-mode "$mode" >/dev/null 2>"$WORK/err" || rc=$?
+    [ "$rc" -eq 1 ] || fail "entry point parameters on $engine/$mode must exit 1 (got $rc)"
+    grep -q "qirkit: error\[semantic\]: .*@main takes 1 parameter(s) but was called with 0 argument(s)" \
+      "$WORK/err" || fail "entry point parameters diagnostic on $engine/$mode"
+  done
+done
+
 # a declaration that disagrees with its QIR signature is rejected before
 # anything runs it, on every engine
 cat > "$WORK/arity.ll" <<'EOF'
