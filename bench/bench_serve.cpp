@@ -256,8 +256,8 @@ BENCHMARK(BM_ServeConcurrentTenants)
     ->Unit(benchmark::kMicrosecond);
 
 /// The baseline the daemon replaces: one `qirkit run` process per request,
-/// each paying fork/exec + dynamic loading + cold parse + compile before a
-/// single shot executes.
+/// each paying fork/exec + process start-up + cold parse + compile before
+/// a single shot executes.
 void BM_ServePerProcessBaseline(benchmark::State& state) {
   const std::string bin = qirkitBinaryPath();
   if (bin.empty()) {

@@ -84,6 +84,23 @@ void checkArgumentCount(const std::string& function, std::size_t params,
   }
 }
 
+const ir::Function* findEntryPoint(const ir::Module& module) {
+  const Function* entry = module.entryPoint();
+  if (entry == nullptr) {
+    entry = module.getFunction("main");
+  }
+  return entry == nullptr || entry->isDeclaration() ? nullptr : entry;
+}
+
+const ir::Function& checkEntryPoint(const ir::Module& module) {
+  const Function* entry = findEntryPoint(module);
+  if (entry == nullptr) {
+    throw TrapError("module has no executable entry point");
+  }
+  checkArgumentCount(entry->name(), entry->numArgs(), 0);
+  return *entry;
+}
+
 RtValue Interpreter::run(const ir::Function& fn, std::span<const RtValue> args) {
   checkArgumentCount(fn.name(), fn.numArgs(), args.size());
   stepsTaken_ = 0;
@@ -91,14 +108,7 @@ RtValue Interpreter::run(const ir::Function& fn, std::span<const RtValue> args) 
 }
 
 RtValue Interpreter::runEntryPoint() {
-  const Function* entry = module_.entryPoint();
-  if (entry == nullptr) {
-    entry = module_.getFunction("main");
-  }
-  if (entry == nullptr || entry->isDeclaration()) {
-    throw TrapError("module has no executable entry point");
-  }
-  return run(*entry, {});
+  return run(checkEntryPoint(module_), {});
 }
 
 RtValue Interpreter::execute(const ir::Function& fn, std::span<const RtValue> args,

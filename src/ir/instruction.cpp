@@ -349,7 +349,12 @@ std::size_t BasicBlock::indexOf(const Instruction* inst) const {
 }
 
 std::unique_ptr<Instruction> BasicBlock::detach(Instruction* inst) {
-  const std::size_t index = indexOf(inst);
+  // The last instruction, usually a terminator a pass replaces or drops,
+  // is found without a scan: merging a chain of blocks drops the growing
+  // head's terminator once per link.
+  const std::size_t index = !instructions_.empty() && instructions_.back().get() == inst
+                                ? instructions_.size() - 1
+                                : indexOf(inst);
   std::unique_ptr<Instruction> owned = std::move(instructions_[index]);
   instructions_.erase(instructions_.begin() + static_cast<std::ptrdiff_t>(index));
   owned->parent_ = nullptr;

@@ -48,14 +48,6 @@ BasicBlock* Function::createBlockAfter(BasicBlock* after, std::string name) {
   return it->get();
 }
 
-void Function::eraseBlock(BasicBlock* block) {
-  assert(!block->hasUses() && "erasing a block that is still branched to");
-  // Drop instruction operands first so intra-block uses don't trip asserts.
-  block->eraseIf([](Instruction*) { return true; });
-  const std::size_t index = blockIndexOf(block);
-  blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(index));
-}
-
 void Function::reorderBlocks(std::span<BasicBlock* const> order) {
   std::unordered_map<const BasicBlock*, std::size_t> rank;
   rank.reserve(order.size());
@@ -122,20 +114,9 @@ Function* Module::getOrInsertFunction(std::string_view name, const Type* functio
 }
 
 void Module::eraseFunction(Function* fn) {
-  // Release block contents first (calls inside fn may reference other
-  // functions' use lists); drop operands across all blocks before
-  // destroying anything, since blocks reference each other's values.
-  for (const auto& bb : fn->blocks()) {
-    for (const auto& inst : bb->instructions()) {
-      inst->dropAllOperands();
-    }
-  }
-  while (!fn->blocks().empty()) {
-    BasicBlock* bb = fn->blocks().back().get();
-    bb->eraseIf([](Instruction*) { return true; });
-    assert(!bb->hasUses());
-    fn->eraseBlock(bb);
-  }
+  // Release block contents first: calls inside fn may reference other
+  // functions' use lists.
+  fn->eraseBlocksIf([](BasicBlock*) { return true; });
   const auto it = std::find_if(functions_.begin(), functions_.end(),
                                [fn](const auto& f) { return f.get() == fn; });
   assert(it != functions_.end());

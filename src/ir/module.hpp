@@ -5,6 +5,7 @@
 #include "ir/context.hpp"
 #include "ir/instruction.hpp"
 
+#include <cassert>
 #include <map>
 #include <memory>
 #include <span>
@@ -93,8 +94,37 @@ public:
   BasicBlock* createBlock(std::string name = {});
   /// Create a new block inserted after \p after.
   BasicBlock* createBlockAfter(BasicBlock* after, std::string name = {});
-  /// Destroy \p block; it must have no uses and hold no used instructions.
-  void eraseBlock(BasicBlock* block);
+  /// Destroy every block for which \p pred returns true, in one compaction
+  /// pass: erasing blocks one at a time is quadratic in the block count,
+  /// which dominated simplify-cfg on fully unrolled loops. The doomed
+  /// blocks may branch to each other and use each other's values (every
+  /// operand among them is released before any is destroyed); nothing
+  /// that survives may.
+  template <typename Pred> void eraseBlocksIf(Pred pred) {
+    std::vector<bool> doomed(blocks_.size());
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+      doomed[i] = pred(blocks_[i].get());
+      if (doomed[i]) {
+        for (const auto& inst : blocks_[i]->instructions()) {
+          inst->dropAllOperands();
+        }
+      }
+    }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+      if (doomed[i]) {
+        blocks_[i]->eraseIf([](Instruction*) { return true; });
+        assert(!blocks_[i]->hasUses() && "erasing a block that is still branched to");
+        blocks_[i].reset();
+      } else {
+        if (kept != i) {
+          blocks_[kept] = std::move(blocks_[i]);
+        }
+        ++kept;
+      }
+    }
+    blocks_.resize(kept);
+  }
   /// Lay the blocks out in \p order; blocks it does not list follow, in
   /// their current order.
   void reorderBlocks(std::span<BasicBlock* const> order);

@@ -434,19 +434,8 @@ private:
         phi->removeIncoming(header);
       }
     }
-    // Drop every operand across *all* doomed blocks before destroying any
-    // instruction — the blocks reference each other's values.
-    for (BasicBlock* block : loopBlocks) {
-      for (const auto& inst : block->instructions()) {
-        inst->dropAllOperands();
-      }
-    }
-    for (BasicBlock* block : loopBlocks) {
-      block->eraseIf([](Instruction*) { return true; });
-    }
-    for (BasicBlock* block : loopBlocks) {
-      fn.eraseBlock(block);
-    }
+    // The clones are not in loop.blocks: it was computed before them.
+    fn.eraseBlocksIf([&](BasicBlock* block) { return loop.contains(block); });
   }
 };
 

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_set>
 
 namespace qirkit::passes {
 namespace {
@@ -42,10 +43,13 @@ private:
   /// Remove the phi entries in \p target for edge(s) from \p pred, if the
   /// edge no longer exists.
   static void removePhiEdge(BasicBlock* target, BasicBlock* pred) {
-    if (target->hasPredecessor(pred)) {
-      return; // another edge from pred still reaches target
+    // Phis first: the predecessor check walks target's use list, and an
+    // unrolled loop's exit is branched to from every iteration.
+    const std::vector<Instruction*> phis = target->phis();
+    if (phis.empty() || target->hasPredecessor(pred)) {
+      return; // nothing to fix, or another edge from pred still reaches target
     }
-    for (Instruction* phi : target->phis()) {
+    for (Instruction* phi : phis) {
       if (phi->incomingValueFor(pred) != nullptr) {
         phi->removeIncoming(pred);
       }
@@ -136,8 +140,7 @@ private:
     if (dead.empty()) {
       return false;
     }
-    // Detach phi edges from dead predecessors, drop dead instructions,
-    // then erase the blocks.
+    // Detach phi edges from dead predecessors, then erase the blocks.
     for (BasicBlock* block : dead) {
       for (BasicBlock* succ : block->successors()) {
         if (reachable.count(succ) != 0) {
@@ -149,19 +152,8 @@ private:
         }
       }
     }
-    // Drop operands across all dead blocks before destroying instructions:
-    // dead blocks may reference each other's values.
-    for (BasicBlock* block : dead) {
-      for (const auto& inst : block->instructions()) {
-        inst->dropAllOperands();
-      }
-    }
-    for (BasicBlock* block : dead) {
-      block->eraseIf([](Instruction*) { return true; });
-    }
-    for (BasicBlock* block : dead) {
-      fn.eraseBlock(block);
-    }
+    fn.eraseBlocksIf(
+        [&](BasicBlock* block) { return reachable.count(block) == 0; });
     return true;
   }
 
@@ -188,39 +180,44 @@ private:
     return changed;
   }
 
+  /// One scan: each block absorbs its chain of unique successors with
+  /// unique predecessors in place, and the emptied blocks go in one
+  /// compaction. Merging is confluent, so every chain ends in its head
+  /// whatever the block order, as a rescan after each merge would leave it.
   static bool mergeBlocks(Function& fn) {
-    bool changed = false;
-    bool merged = true;
-    while (merged) {
-      merged = false;
-      for (const auto& blockOwner : fn.blocks()) {
-        BasicBlock* block = blockOwner.get();
+    std::unordered_set<const BasicBlock*> absorbed;
+    for (const auto& blockOwner : fn.blocks()) {
+      BasicBlock* block = blockOwner.get();
+      while (true) {
+        // An absorbed block is empty, so it has no terminator either.
         Instruction* term = block->terminator();
         if (term == nullptr || term->op() != Opcode::Br || term->isConditionalBr()) {
-          continue;
+          break;
         }
         BasicBlock* succ = term->successor(0);
         if (succ == block || succ == fn.entry()) {
-          continue;
+          break;
         }
         const std::vector<BasicBlock*> preds = succ->predecessors();
         if (preds.size() != 1 || preds[0] != block) {
-          continue;
+          break;
         }
         if (!succ->phis().empty()) {
-          continue; // simplifyPhis will reduce these first
+          break; // simplifyPhis will reduce these first
         }
         // Splice succ's instructions into block.
         term->eraseFromParent();
         succ->moveTailTo(0, *block);
         succ->replaceAllUsesWith(block); // phis in succ's successors
-        fn.eraseBlock(succ);
-        merged = true;
-        changed = true;
-        break; // container mutated; restart scan
+        absorbed.insert(succ);
       }
     }
-    return changed;
+    if (absorbed.empty()) {
+      return false;
+    }
+    fn.eraseBlocksIf(
+        [&](BasicBlock* block) { return absorbed.count(block) != 0; });
+    return true;
   }
 };
 

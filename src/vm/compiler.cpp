@@ -2,6 +2,7 @@
 
 #include "vm/fusion.hpp"
 
+#include "interp/interpreter.hpp"
 #include "ir/constant.hpp"
 #include "support/faultinject.hpp"
 #include "support/telemetry/telemetry.hpp"
@@ -531,11 +532,7 @@ std::shared_ptr<const BytecodeModule> compileModule(const ir::Module& module,
         static_cast<std::uint32_t>(out->functions.size() - 1);
   }
 
-  const Function* entry = module.entryPoint();
-  if (entry == nullptr) {
-    entry = module.getFunction("main");
-  }
-  if (entry != nullptr && !entry->isDeclaration()) {
+  if (const Function* entry = interp::findEntryPoint(module); entry != nullptr) {
     out->entryIndex = static_cast<int>(functionIndex.at(entry));
   }
   if (options.fuseGates) {

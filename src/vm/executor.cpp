@@ -609,6 +609,13 @@ ShotBatchResult runBatch(const ir::Module& module, const Program* program,
     return result;
   }
 
+  // A program no shot can run (no defined entry point, or one that takes
+  // parameters) is one error for the batch, raised before analysis and
+  // compile: run per shot, it would fail every shot alike, and
+  // --max-failed-shots would turn it into an empty histogram. Both
+  // engines keep their own check.
+  interp::checkEntryPoint(module);
+
   ShotAnalysis computed;
   const ShotAnalysis* analysis = program != nullptr ? &program->analysis : nullptr;
   const auto analyze = [&]() -> const ShotAnalysis& {

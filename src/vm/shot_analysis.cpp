@@ -1,5 +1,6 @@
 #include "vm/shot_analysis.hpp"
 
+#include "interp/interpreter.hpp"
 #include "ir/instruction.hpp"
 #include "qir/names.hpp"
 
@@ -98,11 +99,8 @@ public:
   explicit Analyzer(const ir::Module& module) : module_(module) {}
 
   ShotAnalysis run() {
-    const Function* entry = module_.entryPoint();
+    const Function* entry = interp::findEntryPoint(module_);
     if (entry == nullptr) {
-      entry = module_.getFunction("main");
-    }
-    if (entry == nullptr || entry->isDeclaration()) {
       return fail("module has no executable entry point");
     }
     entry_ = entry;

@@ -7,7 +7,8 @@
 /// to per-shot resim when sampling faults, and shot branching: auto on a
 /// feedback program answers exactly as per-shot resim and the reference
 /// interpreter on generated and corpus programs, traps, an armed fault
-/// injector and a deadline included.
+/// injector and a deadline included. A program no shot can run is one
+/// error for the batch, raised before any engine runs.
 #include "circuit/generators.hpp"
 #include "ir/parser.hpp"
 #include "qasm/load.hpp"
@@ -17,6 +18,7 @@
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
 #include "support/parallel.hpp"
+#include "support/telemetry/telemetry.hpp"
 #include "vm/executor.hpp"
 #include "vm/shot_analysis.hpp"
 
@@ -257,6 +259,94 @@ TEST(ExecMode, ForcingSampleOnFeedbackProgramIsUsageError) {
     EXPECT_NE(std::string(e.what()).find("measurement-terminal"),
               std::string::npos);
   }
+}
+
+/// An entry point that takes a parameter: QIR entry points take none.
+constexpr const char* kParameterizedEntryProgram = R"(
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @main(i64 %n) #0 {
+entry:
+  %c = icmp eq i64 %n, 0
+  br i1 %c, label %measure, label %flip
+flip:
+  call void @__quantum__qis__x__body(ptr null)
+  br label %measure
+measure:
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"="1" }
+)";
+
+/// No entry point: neither an "entry_point" function nor a @main.
+constexpr const char* kNoEntryProgram = R"(
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @helper() {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  ret void
+}
+)";
+
+TEST(ExecMode, ProgramNoShotCanRunFailsOnceBeforeAnyEngineRuns) {
+  // A --max-failed-shots that covers every shot must not turn either into
+  // an empty histogram.
+  struct Case {
+    const char* program;
+    ErrorCode code;
+    const char* message;
+  };
+  const Case cases[] = {
+      {kParameterizedEntryProgram, ErrorCode::Semantic,
+       "@main takes 1 parameter(s) but was called with 0 argument(s) (QIR "
+       "entry points take none)"},
+      {kNoEntryProgram, ErrorCode::Trap, "module has no executable entry point"},
+  };
+  const char* const untouched[] = {
+      "shots.completed", "shots.failed", "shots.sample_fallbacks",
+      "shots.sample_mode_batches", "shots.branch_batches",
+      "shots.analysis.terminal", "shots.analysis.feedback_dependent",
+      "vm.dispatch.data", "vm.dispatch.arithmetic", "vm.dispatch.memory",
+      "vm.dispatch.control_flow", "vm.dispatch.call_internal",
+      "vm.dispatch.call_external", "vm.dispatch.fused"};
+  telemetry::setEnabled(true);
+  for (const Case& c : cases) {
+    ir::Context ctx;
+    const auto m = parse(ctx, c.program);
+    for (const vm::Engine engine : {vm::Engine::Vm, vm::Engine::Interp}) {
+      for (const vm::ExecMode mode :
+           {vm::ExecMode::Auto, vm::ExecMode::Resim, vm::ExecMode::Sample}) {
+        SCOPED_TRACE(std::string(c.message) + " on " + vm::engineName(engine) +
+                     "/" + vm::execModeName(mode));
+        telemetry::resetAll();
+        vm::ShotOptions opts;
+        opts.shots = 4;
+        opts.seed = 1;
+        opts.engine = engine;
+        opts.execMode = mode;
+        opts.maxFailedShots = opts.shots;
+        try {
+          (void)vm::runShots(*m, opts);
+          ADD_FAILURE() << "expected one error for the batch";
+        } catch (const Error& e) {
+          EXPECT_EQ(e.code(), c.code);
+          EXPECT_EQ(e.message(), c.message);
+        }
+        for (const char* counter : untouched) {
+          EXPECT_EQ(telemetry::counterValue(counter), 0U) << counter;
+        }
+      }
+    }
+  }
+  telemetry::resetAll();
+  telemetry::setEnabled(false);
 }
 
 TEST(ExecMode, ForcedResimNeverSamples) {

@@ -303,6 +303,137 @@ b:
   EXPECT_EQ(m->getFunction("f")->blocks().size(), 1U);
 }
 
+std::vector<std::string> blockNames(const Function& f) {
+  std::vector<std::string> names;
+  for (const auto& block : f.blocks()) {
+    names.push_back(block->name());
+  }
+  return names;
+}
+
+TEST(SimplifyCFG, LongChainLaidOutBackwardsBecomesOneBlockInOneRun) {
+  // The shape of a fully unrolled loop, laid out last link first: each
+  // block absorbs the rest of its chain in place, whatever the order.
+  constexpr int kLinks = 1000;
+  std::string text = "define i64 @f(i64 %v0) {\nentry:\n  br label %b1\n";
+  for (int k = kLinks; k >= 1; --k) {
+    text += "b" + std::to_string(k) + ":\n  %v" + std::to_string(k) +
+            " = add i64 %v" + std::to_string(k - 1) + ", 1\n";
+    text += k == kLinks ? "  ret i64 %v" + std::to_string(k) + "\n"
+                        : "  br label %b" + std::to_string(k + 1) + "\n";
+  }
+  text += "}\n";
+  Context ctx;
+  auto m = parse(ctx, text);
+  Function& f = *m->getFunction("f");
+  const auto pass = createSimplifyCFGPass();
+  EXPECT_TRUE(pass->run(f));
+  ASSERT_EQ(blockNames(f), std::vector<std::string>{"entry"});
+  const auto& insts = f.entry()->instructions();
+  ASSERT_EQ(insts.size(), static_cast<std::size_t>(kLinks) + 1);
+  const Value* previous = f.arg(0);
+  for (int k = 0; k < kLinks; ++k) {
+    EXPECT_EQ(insts[k]->op(), Opcode::Add);
+    EXPECT_EQ(insts[k]->operand(0), previous) << "link " << k + 1;
+    previous = insts[k].get();
+  }
+  EXPECT_EQ(insts.back()->op(), Opcode::Ret);
+  EXPECT_EQ(insts.back()->operand(0), previous);
+  EXPECT_FALSE(pass->run(f)); // nothing left for a second run
+  verifyModuleOrThrow(*m);
+}
+
+TEST(SimplifyCFG, ChainStopsAtABlockWithTwoPredecessors) {
+  Context ctx;
+  auto m = parse(ctx, R"(
+define i64 @f(i1 %c) {
+entry:
+  br i1 %c, label %a, label %b
+a:
+  br label %a2
+a2:
+  br label %join
+b:
+  br label %join
+join:
+  br label %tail
+tail:
+  ret i64 0
+}
+)");
+  runPass(createSimplifyCFGPass(), *m);
+  const Function& f = *m->getFunction("f");
+  EXPECT_EQ(blockNames(f), (std::vector<std::string>{"entry", "a", "b", "join"}));
+  EXPECT_EQ(f.blocks()[3]->terminator()->op(), Opcode::Ret);
+}
+
+TEST(SimplifyCFG, ChainThatClosesIntoASelfLoopStopsThere) {
+  // a absorbs b, whose branch back to a then makes a its own successor.
+  Context ctx;
+  auto m = parse(ctx, R"(
+define void @f() {
+entry:
+  br label %a
+a:
+  %x = add i64 1, 2
+  br label %b
+b:
+  %y = add i64 %x, 3
+  br label %a
+}
+)");
+  runPass(createSimplifyCFGPass(), *m);
+  const Function& f = *m->getFunction("f");
+  ASSERT_EQ(blockNames(f), (std::vector<std::string>{"entry", "a"}));
+  const BasicBlock* a = f.blocks()[1].get();
+  EXPECT_EQ(a->size(), 3U);
+  EXPECT_EQ(a->terminator()->successor(0), a);
+}
+
+TEST(SimplifyCFG, NeverMergesTheEntryBlockIntoItsPredecessor) {
+  // The verifier rejects a branch to the entry block; the pass must still
+  // keep the entry first and in place when handed one.
+  Context ctx;
+  auto m = parseModule(ctx, R"(
+define void @f(i1 %c) {
+entry:
+  br i1 %c, label %back, label %exit
+back:
+  br label %entry
+exit:
+  ret void
+}
+)");
+  Function& f = *m->getFunction("f");
+  EXPECT_FALSE(createSimplifyCFGPass()->run(f));
+  EXPECT_EQ(blockNames(f), (std::vector<std::string>{"entry", "back", "exit"}));
+}
+
+TEST(SimplifyCFG, SuccessorWithPhisMergesOnceSimplifyPhisHasReducedThem) {
+  Context ctx;
+  auto m = parse(ctx, R"(
+define i64 @f(i64 %n) {
+entry:
+  br label %a
+a:
+  %p = phi i64 [ %n, %entry ]
+  %q = add i64 %p, 1
+  br label %b
+b:
+  %r = phi i64 [ %q, %a ]
+  ret i64 %r
+}
+)");
+  runPass(createSimplifyCFGPass(), *m);
+  const Function& f = *m->getFunction("f");
+  ASSERT_EQ(blockNames(f), std::vector<std::string>{"entry"});
+  const auto& insts = f.entry()->instructions();
+  ASSERT_EQ(insts.size(), 2U);
+  EXPECT_EQ(insts[0]->op(), Opcode::Add);
+  EXPECT_EQ(insts[0]->operand(0), f.arg(0));
+  EXPECT_EQ(insts[1]->operand(0), insts[0].get());
+}
+
 // --- mem2reg ----------------------------------------------------------------
 
 TEST(Mem2Reg, PromotesSimpleSlot) {

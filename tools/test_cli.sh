@@ -180,6 +180,31 @@ for engine in vm interp; do
   done
 done
 
+# a program no shot can run is one error for the batch, found before any
+# shot runs, even when --max-failed-shots would tolerate every shot failing
+cat > "$WORK/noentry.ll" <<'EOF'
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @helper() {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  ret void
+}
+EOF
+rc=0; "$QIRKIT" run "$WORK/params.ll" --shots 4 --max-failed-shots 4 \
+  >/dev/null 2>"$WORK/err" || rc=$?
+[ "$rc" -eq 1 ] || fail "entry point parameters under --max-failed-shots must exit 1 (got $rc)"
+grep -q "^qirkit: error\[semantic\]: @main takes 1 parameter(s)" "$WORK/err" ||
+  fail "entry point parameters under --max-failed-shots: one unwrapped error"
+rc=0; "$QIRKIT" run "$WORK/noentry.ll" --shots 3 --max-failed-shots 3 \
+  >/dev/null 2>"$WORK/err" || rc=$?
+[ "$rc" -eq 1 ] || fail "a module with no entry point must exit 1 (got $rc)"
+grep -q "^qirkit: error\[trap\]: module has no executable entry point" "$WORK/err" ||
+  fail "a module with no entry point: one unwrapped error"
+
 # a declaration that disagrees with its QIR signature is rejected before
 # anything runs it, on every engine
 cat > "$WORK/arity.ll" <<'EOF'
