@@ -64,11 +64,15 @@ bool Operation::touches(std::uint32_t qubit) const noexcept {
 }
 
 void Circuit::setNumQubits(unsigned n) {
-  for (const Operation& op : ops_) {
-    for (const std::uint32_t q : op.qubits) {
-      if (q >= n) {
-        throw SemanticError("cannot shrink circuit below used qubit index " +
-                            std::to_string(q));
+  // Only shrinking can strand an operation, so growing skips the scan:
+  // widening the circuit once per declaration or qubit stays linear.
+  if (n < numQubits_) {
+    for (const Operation& op : ops_) {
+      for (const std::uint32_t q : op.qubits) {
+        if (q >= n) {
+          throw SemanticError("cannot shrink circuit below used qubit index " +
+                              std::to_string(q));
+        }
       }
     }
   }

@@ -86,21 +86,19 @@ std::size_t Function::instructionCount() const noexcept {
 }
 
 Function* Module::createFunction(std::string name, const Type* functionType) {
-  if (getFunction(name) != nullptr) {
+  if (functionsByName_.contains(name)) {
     throw SemanticError("duplicate function @" + name);
   }
   functions_.push_back(std::unique_ptr<Function>(
       new Function(this, functionType, context_->ptrTy(), std::move(name))));
-  return functions_.back().get();
+  Function* fn = functions_.back().get();
+  functionsByName_.emplace(fn->name(), fn);
+  return fn;
 }
 
 Function* Module::getFunction(std::string_view name) const {
-  for (const auto& fn : functions_) {
-    if (fn->name() == name) {
-      return fn.get();
-    }
-  }
-  return nullptr;
+  const auto it = functionsByName_.find(name);
+  return it == functionsByName_.end() ? nullptr : it->second;
 }
 
 Function* Module::getOrInsertFunction(std::string_view name, const Type* functionType) {
@@ -121,6 +119,7 @@ void Module::eraseFunction(Function* fn) {
                                [fn](const auto& f) { return f.get() == fn; });
   assert(it != functions_.end());
   assert(!fn->hasUses() && "erasing a function that is still called");
+  functionsByName_.erase(fn->name());
   functions_.erase(it);
 }
 
@@ -134,23 +133,21 @@ Function* Module::entryPoint() const {
 }
 
 GlobalVariable* Module::createGlobalString(std::string name, std::string bytes) {
-  if (getGlobal(name) != nullptr) {
+  if (globalsByName_.contains(name)) {
     throw SemanticError("duplicate global @" + name);
   }
   const Type* arrayType = context_->arrayTy(context_->i8(), bytes.size());
   globals_.push_back(std::unique_ptr<GlobalVariable>(
       new GlobalVariable(context_->ptrTy(), arrayType, std::move(bytes), true)));
-  globals_.back()->setName(std::move(name));
-  return globals_.back().get();
+  GlobalVariable* global = globals_.back().get();
+  global->setName(std::move(name));
+  globalsByName_.emplace(global->name(), global);
+  return global;
 }
 
 GlobalVariable* Module::getGlobal(std::string_view name) const {
-  for (const auto& g : globals_) {
-    if (g->name() == name) {
-      return g.get();
-    }
-  }
-  return nullptr;
+  const auto it = globalsByName_.find(name);
+  return it == globalsByName_.end() ? nullptr : it->second;
 }
 
 std::size_t Module::instructionCount() const noexcept {

@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace qirkit::ir {
@@ -163,6 +164,9 @@ private:
 };
 
 /// A translation unit: globals plus functions, owned, with name lookup.
+/// Functions and globals are two name spaces, each kept in creation order
+/// (for iteration and printing) and indexed by name, so a lookup costs
+/// the same however many symbols the module has.
 class Module {
 public:
   explicit Module(Context& context, std::string name = "module")
@@ -202,6 +206,15 @@ public:
   [[nodiscard]] std::size_t instructionCount() const noexcept;
 
 private:
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  template <typename T>
+  using NameIndex = std::unordered_map<std::string, T*, NameHash, std::equal_to<>>;
+
   Context* context_;
   std::string name_;
   // Note: globals_ is declared before functions_ so that it is destroyed
@@ -209,6 +222,8 @@ private:
   // must stay alive while the instructions detach.
   std::vector<std::unique_ptr<GlobalVariable>> globals_;
   std::vector<std::unique_ptr<Function>> functions_;
+  NameIndex<GlobalVariable> globalsByName_;
+  NameIndex<Function> functionsByName_;
 };
 
 } // namespace qirkit::ir

@@ -1,13 +1,17 @@
 #include "qasm/load.hpp"
 
+#include "ir/constant.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/qasm3.hpp"
+#include "qasm/reader.hpp"
 #include "qir/compile.hpp"
 #include "qir/names.hpp"
 #include "support/error.hpp"
 
+#include <cstdlib>
+#include <optional>
 #include <string>
 
 namespace qirkit::qasm {
@@ -32,16 +36,52 @@ void checkQirDeclarations(const ir::Module& module) {
   }
 }
 
+/// The OpenQASM 3 frontend checks a constant register index, but not one
+/// a loop variable computes. Once the pipeline has unrolled the loop, that
+/// index is a constant address too: reject one at or past the entry
+/// point's declared qubits or results, which would otherwise simulate an
+/// undeclared qubit or measure into a result nothing records.
+void checkStaticAddresses(const ir::Module& module) {
+  const ir::Function* entry = module.entryPoint();
+  const auto width = [&](const char* attribute) {
+    return std::strtoull(entry->getAttribute(attribute).c_str(), nullptr, 10);
+  };
+  const std::uint64_t qubits = width("required_num_qubits");
+  const std::uint64_t results = width("required_num_results");
+  for (const auto& block : entry->blocks()) {
+    for (const auto& inst : block->instructions()) {
+      const ir::Function* callee = inst->op() == ir::Opcode::Call ? inst->callee() : nullptr;
+      if (callee == nullptr || !qir::isQisFunction(callee->name())) {
+        continue;
+      }
+      for (unsigned i = 0; i < inst->numOperands(); ++i) {
+        std::uint64_t address = 0;
+        if (!ir::getStaticPointerAddress(inst->operand(i), address)) {
+          continue;
+        }
+        const bool isResult = (callee->name() == qir::kQisMz && i == 1) ||
+                              callee->name() == qir::kQisReadResult;
+        const std::uint64_t declared = isResult ? results : qubits;
+        if (address >= declared) {
+          throw SemanticError("@" + callee->name() + " addresses " +
+                              (isResult ? "result " : "qubit ") + std::to_string(address) +
+                              ", but the program declares " + std::to_string(declared) +
+                              (isResult ? " bits" : " qubits"));
+        }
+      }
+    }
+  }
+}
+
 } // namespace
 
 SourceFormat classifySource(std::string_view text,
                             std::string_view path) noexcept {
-  const auto header = text.find("OPENQASM");
-  if (header == std::string_view::npos) {
+  const std::optional<double> version = headerVersion(text);
+  if (!version) {
     return path.ends_with(".qasm") ? SourceFormat::Qasm2 : SourceFormat::Qir;
   }
-  return text.substr(header).starts_with("OPENQASM 3") ? SourceFormat::Qasm3
-                                                       : SourceFormat::Qasm2;
+  return *version >= 3 && *version < 4 ? SourceFormat::Qasm3 : SourceFormat::Qasm2;
 }
 
 std::unique_ptr<ir::Module> loadProgram(ir::Context& context,
@@ -52,7 +92,9 @@ std::unique_ptr<ir::Module> loadProgram(ir::Context& context,
   switch (classifySource(text, path)) {
   case SourceFormat::Qasm3:
     module = compileQasm3(context, text);
-    break;
+    qir::transformDirect(*module);
+    checkStaticAddresses(*module);
+    return module;
   case SourceFormat::Qasm2:
     module = qir::exportCircuit(context, parse(text), {.addressing = addressing});
     break;

@@ -14,9 +14,11 @@ namespace qirkit::qasm {
 
 enum class SourceFormat : std::uint8_t { Qir, Qasm2, Qasm3 };
 
-/// Classify program text: an `OPENQASM 3` header means OpenQASM 3; any
-/// other `OPENQASM` header, or a \p path ending in `.qasm`, OpenQASM 2;
-/// anything else QIR. \p path is empty for daemon submissions.
+/// Classify program text by its first token, after whitespace and `//` or
+/// `/* */` comments: `OPENQASM` with version 3 or 3.x means OpenQASM 3,
+/// with any other version OpenQASM 2. A text without that header (or one
+/// the OpenQASM lexer cannot start on) is OpenQASM 2 when \p path ends in
+/// `.qasm` and QIR otherwise. \p path is empty for daemon submissions.
 [[nodiscard]] SourceFormat classifySource(std::string_view text,
                                           std::string_view path = {}) noexcept;
 
@@ -25,8 +27,10 @@ enum class SourceFormat : std::uint8_t { Qir, Qasm2, Qasm3 };
 /// straight to QIR; QIR text is parsed under the module name \p path
 /// ("module" when empty). The module is then run through the classical
 /// pipeline (qir::transformDirect), so every consumer executes, analyses
-/// and compiles the optimized program. Frontend errors propagate as
-/// qirkit::Error.
+/// and compiles the optimized program. An OpenQASM 3 call whose constant
+/// qubit or result address, once the pipeline has folded it, lies past
+/// the entry point's required_num_qubits or required_num_results is an
+/// error[semantic]. Frontend errors propagate as qirkit::Error.
 [[nodiscard]] std::unique_ptr<ir::Module>
 loadProgram(ir::Context& context, std::string_view text, std::string_view path,
             qir::Addressing addressing);

@@ -9,6 +9,11 @@
 /// broadcasting over registers, measure, reset, barrier, and
 /// `if (creg == n)` conditions. Angle expressions support pi, + - * / ^,
 /// unary minus, parentheses, and sin/cos/tan/exp/ln/sqrt.
+///
+/// Lexing, the header and include rule and the register table are the
+/// shared OpenQASM reader (reader.hpp): `//` and `/* */` comments and
+/// reals written `.5` are accepted, and a register index is checked
+/// against its register where it is written.
 #pragma once
 
 #include "circuit/circuit.hpp"
@@ -19,7 +24,11 @@ namespace qirkit::qasm {
 
 /// Parse OpenQASM 2.0 source into a circuit. Registers are flattened into
 /// one qubit index space (declaration order) and one bit index space.
-/// Throws qirkit::ParseError on malformed input.
+/// Throws qirkit::ParseError on malformed input, including an index past
+/// its register, and an error[semantic] qirkit::Error when the registers
+/// declare more than passes::kMaxExpandedModuleSize qubits or bits, or
+/// when user gates and broadcasts expand the program by more than that
+/// many operations beyond one per statement.
 [[nodiscard]] circuit::Circuit parse(std::string_view source);
 
 } // namespace qirkit::qasm

@@ -2,15 +2,12 @@
 
 #include "ir/builder.hpp"
 #include "passes/folding.hpp"
+#include "qasm/reader.hpp"
 #include "qir/names.hpp"
-#include "support/source_location.hpp"
-#include "support/string_utils.hpp"
 #include "support/telemetry/telemetry.hpp"
 
-#include <cctype>
 #include <map>
 #include <numbers>
-#include <optional>
 #include <vector>
 
 namespace qirkit::qasm {
@@ -18,215 +15,13 @@ namespace {
 
 using namespace qirkit::ir;
 
-// ---------------------------------------------------------------------------
-// Lexer (QASM3 dialect: adds ':' ranges and '=' assignment)
-// ---------------------------------------------------------------------------
-
-enum class Tok : std::uint8_t {
-  Eof,
-  Ident,
-  Int,
-  Real,
-  String,
-  LParen,
-  RParen,
-  LBracket,
-  RBracket,
-  LBrace,
-  RBrace,
-  Semi,
-  Comma,
-  Colon,
-  Equal,
-  EqEq,
-  Plus,
-  Minus,
-  Star,
-  Slash,
-};
-
-struct Token {
-  Tok kind = Tok::Eof;
-  std::string text;
-  double real = 0;
-  long long integer = 0;
-  SourceLoc loc;
-};
-
-class Lexer {
+class Compiler : Reader {
 public:
-  explicit Lexer(std::string_view src) : src_(src) {}
-
-  std::vector<Token> lexAll() {
-    std::vector<Token> out;
-    while (true) {
-      Token t = next();
-      const bool end = t.kind == Tok::Eof;
-      out.push_back(std::move(t));
-      if (end) {
-        return out;
-      }
-    }
-  }
-
-private:
-  [[nodiscard]] char peek(std::size_t k = 0) const {
-    return pos_ + k < src_.size() ? src_[pos_ + k] : '\0';
-  }
-  char advance() {
-    const char c = src_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    return c;
-  }
-  [[nodiscard]] bool atEnd() const { return pos_ >= src_.size(); }
-  [[noreturn]] void fail(const std::string& m) { throw ParseError({line_, col_}, m); }
-
-  Token next() {
-    while (!atEnd()) {
-      if (std::isspace(static_cast<unsigned char>(peek())) != 0) {
-        advance();
-      } else if (peek() == '/' && peek(1) == '/') {
-        while (!atEnd() && peek() != '\n') {
-          advance();
-        }
-      } else if (peek() == '/' && peek(1) == '*') {
-        advance();
-        advance();
-        while (!atEnd() && !(peek() == '*' && peek(1) == '/')) {
-          advance();
-        }
-        if (!atEnd()) {
-          advance();
-          advance();
-        }
-      } else {
-        break;
-      }
-    }
-    Token t;
-    t.loc = {line_, col_};
-    if (atEnd()) {
-      return t;
-    }
-    const char c = peek();
-    switch (c) {
-    case '(': advance(); t.kind = Tok::LParen; return t;
-    case ')': advance(); t.kind = Tok::RParen; return t;
-    case '[': advance(); t.kind = Tok::LBracket; return t;
-    case ']': advance(); t.kind = Tok::RBracket; return t;
-    case '{': advance(); t.kind = Tok::LBrace; return t;
-    case '}': advance(); t.kind = Tok::RBrace; return t;
-    case ';': advance(); t.kind = Tok::Semi; return t;
-    case ',': advance(); t.kind = Tok::Comma; return t;
-    case ':': advance(); t.kind = Tok::Colon; return t;
-    case '+': advance(); t.kind = Tok::Plus; return t;
-    case '-': advance(); t.kind = Tok::Minus; return t;
-    case '*': advance(); t.kind = Tok::Star; return t;
-    case '/': advance(); t.kind = Tok::Slash; return t;
-    case '=':
-      advance();
-      if (peek() == '=') {
-        advance();
-        t.kind = Tok::EqEq;
-      } else {
-        t.kind = Tok::Equal;
-      }
-      return t;
-    case '"': {
-      advance();
-      while (!atEnd() && peek() != '"') {
-        t.text.push_back(advance());
-      }
-      if (atEnd()) {
-        fail("unterminated string");
-      }
-      advance();
-      t.kind = Tok::String;
-      return t;
-    }
-    default:
-      break;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      std::string text;
-      bool isReal = false;
-      while (!atEnd()) {
-        const char d = peek();
-        if (std::isdigit(static_cast<unsigned char>(d)) != 0) {
-          text.push_back(advance());
-        } else if (d == '.' || d == 'e' || d == 'E') {
-          isReal = true;
-          text.push_back(advance());
-          if ((d == 'e' || d == 'E') && (peek() == '+' || peek() == '-')) {
-            text.push_back(advance());
-          }
-        } else {
-          break;
-        }
-      }
-      if (isReal) {
-        const auto v = parseDouble(text);
-        if (!v) {
-          fail("malformed real literal");
-        }
-        t.kind = Tok::Real;
-        t.real = *v;
-      } else {
-        const auto v = parseInt(text);
-        if (!v) {
-          fail("malformed integer literal");
-        }
-        t.kind = Tok::Int;
-        t.integer = *v;
-      }
-      return t;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
-      while (!atEnd() &&
-             (std::isalnum(static_cast<unsigned char>(peek())) != 0 || peek() == '_')) {
-        t.text.push_back(advance());
-      }
-      t.kind = Tok::Ident;
-      return t;
-    }
-    fail(std::string("unexpected character '") + c + "'");
-  }
-
-  std::string_view src_;
-  std::size_t pos_ = 0;
-  std::uint32_t line_ = 1;
-  std::uint32_t col_ = 1;
-};
-
-// ---------------------------------------------------------------------------
-// Compiler
-// ---------------------------------------------------------------------------
-
-struct Register {
-  std::uint32_t offset = 0;
-  std::uint32_t size = 0;
-  bool quantum = true;
-};
-
-class Compiler {
-public:
-  Compiler(Context& ctx, std::vector<Token> tokens)
-      : ctx_(ctx), tokens_(std::move(tokens)),
-        module_(std::make_unique<Module>(ctx, "qasm3")) {}
+  Compiler(Context& ctx, std::string_view source)
+      : Reader(source), ctx_(ctx), module_(std::make_unique<Module>(ctx, "qasm3")) {}
 
   std::unique_ptr<Module> run() {
-    expectIdent("OPENQASM");
-    if (at(Tok::Real) || at(Tok::Int)) {
-      ++pos_;
-    } else {
-      fail("expected version");
-    }
-    expect(Tok::Semi, "';'");
+    readHeader();
 
     entry_ = module_->createFunction("main", ctx_.functionTy(ctx_.voidTy(), {}));
     entry_->setAttribute("entry_point");
@@ -238,42 +33,12 @@ public:
     }
     emitRecordOutput();
     builder_.createRetVoid();
-    entry_->setAttribute("required_num_qubits", std::to_string(numQubits_));
-    entry_->setAttribute("required_num_results", std::to_string(numBits_));
+    entry_->setAttribute("required_num_qubits", std::to_string(numQubits()));
+    entry_->setAttribute("required_num_results", std::to_string(numBits()));
     return std::move(module_);
   }
 
 private:
-  // -- cursor ------------------------------------------------------------
-  [[nodiscard]] const Token& cur() const { return tokens_[pos_]; }
-  [[nodiscard]] bool at(Tok k) const { return cur().kind == k; }
-  [[nodiscard]] bool atIdent(std::string_view s) const {
-    return at(Tok::Ident) && cur().text == s;
-  }
-  Token take() { return tokens_[pos_++]; }
-  void expect(Tok k, const char* what) {
-    if (!at(k)) {
-      fail(std::string("expected ") + what);
-    }
-    ++pos_;
-  }
-  void expectIdent(std::string_view s) {
-    if (!atIdent(s)) {
-      fail("expected '" + std::string(s) + "'");
-    }
-    ++pos_;
-  }
-  bool acceptIdent(std::string_view s) {
-    if (atIdent(s)) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  [[noreturn]] void fail(const std::string& m) const {
-    throw ParseError(cur().loc, m + " (got '" + cur().text + "')");
-  }
-
   /// Emit an integer binary op, folding constant operands immediately so
   /// literal arithmetic (`[0:n-1]`, `pi/2`) never reaches the IR.
   Value* ibin(Opcode op, Value* lhs, Value* rhs) {
@@ -303,8 +68,7 @@ private:
   Value* parseIntAdditive() {
     Value* lhs = parseIntMultiplicative();
     while (at(Tok::Plus) || at(Tok::Minus)) {
-      const Opcode op = at(Tok::Plus) ? Opcode::Add : Opcode::Sub;
-      ++pos_;
+      const Opcode op = take().kind == Tok::Plus ? Opcode::Add : Opcode::Sub;
       lhs = ibin(op, lhs, parseIntMultiplicative());
     }
     return lhs;
@@ -313,23 +77,20 @@ private:
   Value* parseIntMultiplicative() {
     Value* lhs = parseIntPrimary();
     while (at(Tok::Star) || at(Tok::Slash)) {
-      const Opcode op = at(Tok::Star) ? Opcode::Mul : Opcode::SDiv;
-      ++pos_;
+      const Opcode op = take().kind == Tok::Star ? Opcode::Mul : Opcode::SDiv;
       lhs = ibin(op, lhs, parseIntPrimary());
     }
     return lhs;
   }
 
   Value* parseIntPrimary() {
-    if (at(Tok::Minus)) {
-      ++pos_;
+    if (accept(Tok::Minus)) {
       return ibin(Opcode::Sub, ctx_.getI64(0), parseIntPrimary());
     }
     if (at(Tok::Int)) {
       return ctx_.getI64(take().integer);
     }
-    if (at(Tok::LParen)) {
-      ++pos_;
+    if (accept(Tok::LParen)) {
       Value* inner = parseIntExpr();
       expect(Tok::RParen, "')'");
       return inner;
@@ -339,7 +100,7 @@ private:
       if (it == intVars_.end()) {
         fail("unknown integer variable '" + cur().text + "'");
       }
-      ++pos_;
+      take();
       return builder_.createLoad(ctx_.i64(), it->second);
     }
     fail("expected integer expression");
@@ -351,8 +112,7 @@ private:
   Value* parseAngleAdditive() {
     Value* lhs = parseAngleMultiplicative();
     while (at(Tok::Plus) || at(Tok::Minus)) {
-      const Opcode op = at(Tok::Plus) ? Opcode::FAdd : Opcode::FSub;
-      ++pos_;
+      const Opcode op = take().kind == Tok::Plus ? Opcode::FAdd : Opcode::FSub;
       lhs = fbin(op, lhs, parseAngleMultiplicative());
     }
     return lhs;
@@ -361,16 +121,14 @@ private:
   Value* parseAngleMultiplicative() {
     Value* lhs = parseAnglePrimary();
     while (at(Tok::Star) || at(Tok::Slash)) {
-      const Opcode op = at(Tok::Star) ? Opcode::FMul : Opcode::FDiv;
-      ++pos_;
+      const Opcode op = take().kind == Tok::Star ? Opcode::FMul : Opcode::FDiv;
       lhs = fbin(op, lhs, parseAnglePrimary());
     }
     return lhs;
   }
 
   Value* parseAnglePrimary() {
-    if (at(Tok::Minus)) {
-      ++pos_;
+    if (accept(Tok::Minus)) {
       return fbin(Opcode::FSub, ctx_.getDouble(0.0), parseAnglePrimary());
     }
     if (at(Tok::Real)) {
@@ -379,12 +137,10 @@ private:
     if (at(Tok::Int)) {
       return ctx_.getDouble(static_cast<double>(take().integer));
     }
-    if (atIdent("pi")) {
-      ++pos_;
+    if (acceptIdent("pi")) {
       return ctx_.getDouble(std::numbers::pi);
     }
-    if (at(Tok::LParen)) {
-      ++pos_;
+    if (accept(Tok::LParen)) {
       Value* inner = parseAngleExpr();
       expect(Tok::RParen, "')'");
       return inner;
@@ -394,7 +150,7 @@ private:
       if (it == intVars_.end()) {
         fail("unknown variable '" + cur().text + "' in angle expression");
       }
-      ++pos_;
+      take();
       Value* loaded = builder_.createLoad(ctx_.i64(), it->second);
       return builder_.createCast(Opcode::SIToFP, loaded, ctx_.doubleTy());
     }
@@ -402,24 +158,22 @@ private:
   }
 
   // -- register references ---------------------------------------------------
-  /// `name[expr]` -> (register, index value).
+  /// `name[expr]` -> (register, index value). A constant index is
+  /// checked here; one computed from a loop variable is checked by the
+  /// loader once the pipeline has folded it.
   std::pair<const Register*, Value*> parseIndexedRef(bool quantum) {
     if (!at(Tok::Ident)) {
       fail("expected register name");
     }
-    const std::string name = take().text;
-    const auto it = registers_.find(name);
-    if (it == registers_.end()) {
-      fail("unknown register '" + name + "'");
-    }
-    if (it->second.quantum != quantum) {
-      fail(std::string("register '") + name + "' is not a " +
-           (quantum ? "qubit" : "bit") + " register");
-    }
+    const Register& reg = lookup(take(), quantum);
     expect(Tok::LBracket, "'['");
+    const SourceLoc indexLoc = cur().loc;
     Value* index = parseIntExpr();
     expect(Tok::RBracket, "']'");
-    return {&it->second, index};
+    if (const auto* c = dynamic_cast<ConstantInt*>(index)) {
+      checkIndex(reg, c->value(), indexLoc);
+    }
+    return {&reg, index};
   }
 
   /// Static-or-computed address for register element (offset + index).
@@ -443,41 +197,23 @@ private:
 
   // -- statements --------------------------------------------------------
   void parseStatement() {
-    if (acceptIdent("include")) {
-      if (!at(Tok::String)) {
-        fail("expected include path");
-      }
-      const std::string file = take().text;
-      if (file != "stdgates.inc") {
-        fail("only stdgates.inc is available");
-      }
-      expect(Tok::Semi, "';'");
+    if (acceptInclude("stdgates.inc")) {
       return;
     }
     if (atIdent("qubit") || atIdent("bit")) {
-      const bool quantum = cur().text == "qubit";
-      ++pos_;
+      const bool quantum = take().text == "qubit";
       expect(Tok::LBracket, "'['");
       if (!at(Tok::Int)) {
         fail("expected register size");
       }
-      const auto size = static_cast<std::uint32_t>(take().integer);
+      const Token& size = take();
       expect(Tok::RBracket, "']'");
       if (!at(Tok::Ident)) {
         fail("expected register name");
       }
-      const std::string name = take().text;
+      const Token& name = take();
       expect(Tok::Semi, "';'");
-      if (registers_.count(name) != 0) {
-        fail("redeclaration of '" + name + "'");
-      }
-      if (quantum) {
-        registers_[name] = {numQubits_, size, true};
-        numQubits_ += size;
-      } else {
-        registers_[name] = {numBits_, size, false};
-        numBits_ += size;
-      }
+      declare(name, quantum, size);
       return;
     }
     if (atIdent("for")) {
@@ -492,16 +228,15 @@ private:
       parseIf();
       return;
     }
-    if (atIdent("reset")) {
-      ++pos_;
+    if (acceptIdent("reset")) {
       Value* q = qubitAddress();
       expect(Tok::Semi, "';'");
       builder_.createCall(qir::declareQIRFunction(*module_, qir::kQisReset), {q});
       return;
     }
     // `bit[i] = measure qubit[j];`
-    if (at(Tok::Ident) && registers_.count(cur().text) != 0 &&
-        !registers_.at(cur().text).quantum) {
+    if (const Register* bits = at(Tok::Ident) ? find(cur().text) : nullptr;
+        bits != nullptr && !bits->quantum) {
       const auto [reg, index] = parseIndexedRef(/*quantum=*/false);
       expect(Tok::Equal, "'='");
       expectIdent("measure");
@@ -518,7 +253,7 @@ private:
     if (!at(Tok::Ident)) {
       fail("expected statement");
     }
-    const std::string name = take().text;
+    const std::string& name = take().text;
     std::vector<Value*> args;
     if (name == "U") {
       // U(theta, phi, lambda) q  ->  rz(lambda); ry(theta); rz(phi)
@@ -545,16 +280,15 @@ private:
     if (!qisName) {
       fail("unknown gate '" + name + "'");
     }
-    if (at(Tok::LParen)) {
-      ++pos_;
+    if (accept(Tok::LParen)) {
       do {
         args.push_back(parseAngleExpr());
-      } while (at(Tok::Comma) && (++pos_, true));
+      } while (accept(Tok::Comma));
       expect(Tok::RParen, "')'");
     }
     do {
       args.push_back(qubitAddress());
-    } while (at(Tok::Comma) && (++pos_, true));
+    } while (accept(Tok::Comma));
     expect(Tok::Semi, "';'");
     Function* callee = qir::declareQIRFunction(*module_, *qisName);
     if (args.size() != callee->functionType()->paramTypes().size()) {
@@ -569,7 +303,7 @@ private:
     if (!at(Tok::Ident)) {
       fail("expected loop variable");
     }
-    const std::string var = take().text;
+    const std::string& var = take().text;
     expectIdent("in");
     expect(Tok::LBracket, "'['");
     Value* begin = parseIntExpr();
@@ -599,11 +333,7 @@ private:
 
     builder_.setInsertPoint(body);
     block_ = body;
-    expect(Tok::LBrace, "'{'");
-    while (!at(Tok::RBrace)) {
-      parseStatement();
-    }
-    expect(Tok::RBrace, "'}'");
+    parseBody();
     // Latch: i = i + 1; back to header. (block_ may have changed if the
     // body contained nested control flow.)
     Value* latchValue = builder_.createLoad(ctx_.i64(), slot);
@@ -622,18 +352,7 @@ private:
   /// the expressiveness gap of §III.A in one construct.
   void parseWhile() {
     expectIdent("while");
-    expect(Tok::LParen, "'('");
-    const auto [reg, index] = parseIndexedRef(/*quantum=*/false);
-    bool expectOne = true;
-    if (at(Tok::EqEq)) {
-      ++pos_;
-      if (!at(Tok::Int)) {
-        fail("expected 0 or 1 in bit comparison");
-      }
-      expectOne = take().integer != 0;
-    }
-    expect(Tok::RParen, "')'");
-    Value* resultPtr = address(*reg, index);
+    const auto [result, expectOne] = parseBitCondition();
 
     Function* fn = entry_;
     BasicBlock* header = fn->createBlock("while.header");
@@ -642,20 +361,11 @@ private:
     builder_.createBr(header);
 
     builder_.setInsertPoint(header);
-    Function* readResult = qir::declareQIRFunction(*module_, qir::kQisReadResult);
-    Value* bit = builder_.createCall(readResult, {resultPtr});
-    Value* cond = expectOne
-                      ? bit
-                      : builder_.createBinOp(Opcode::Xor, bit, ctx_.getI1(true));
-    builder_.createCondBr(cond, body, exit);
+    builder_.createCondBr(emitBitTest(result, expectOne), body, exit);
 
     builder_.setInsertPoint(body);
     block_ = body;
-    expect(Tok::LBrace, "'{'");
-    while (!at(Tok::RBrace)) {
-      parseStatement();
-    }
-    expect(Tok::RBrace, "'}'");
+    parseBody();
     builder_.createBr(header);
 
     block_ = exit;
@@ -664,23 +374,8 @@ private:
 
   void parseIf() {
     expectIdent("if");
-    expect(Tok::LParen, "'('");
-    const auto [reg, index] = parseIndexedRef(/*quantum=*/false);
-    bool expectOne = true;
-    if (at(Tok::EqEq)) {
-      ++pos_;
-      if (!at(Tok::Int)) {
-        fail("expected 0 or 1 in bit comparison");
-      }
-      expectOne = take().integer != 0;
-    }
-    expect(Tok::RParen, "')'");
-
-    Function* readResult = qir::declareQIRFunction(*module_, qir::kQisReadResult);
-    Value* bit = builder_.createCall(readResult, {address(*reg, index)});
-    Value* cond = expectOne
-                      ? bit
-                      : builder_.createBinOp(Opcode::Xor, bit, ctx_.getI1(true));
+    const auto [result, expectOne] = parseBitCondition();
+    Value* cond = emitBitTest(result, expectOne);
 
     Function* fn = entry_;
     BasicBlock* then = fn->createBlock("if.then");
@@ -690,11 +385,7 @@ private:
     builder_.setInsertPoint(then);
     block_ = then;
     if (at(Tok::LBrace)) {
-      ++pos_;
-      while (!at(Tok::RBrace)) {
-        parseStatement();
-      }
-      expect(Tok::RBrace, "'}'");
+      parseBody();
     } else {
       parseStatement();
     }
@@ -703,8 +394,40 @@ private:
     builder_.setInsertPoint(cont);
   }
 
+  /// `{ statement* }`
+  void parseBody() {
+    expect(Tok::LBrace, "'{'");
+    while (!at(Tok::RBrace)) {
+      parseStatement();
+    }
+    expect(Tok::RBrace, "'}'");
+  }
+
+  /// `(bit[i])` or `(bit[i] == 0|1)`: the result's address and the value
+  /// the condition holds for.
+  std::pair<Value*, bool> parseBitCondition() {
+    expect(Tok::LParen, "'('");
+    const auto [reg, index] = parseIndexedRef(/*quantum=*/false);
+    bool expectOne = true;
+    if (accept(Tok::EqEq)) {
+      if (!at(Tok::Int)) {
+        fail("expected 0 or 1 in bit comparison");
+      }
+      expectOne = take().integer != 0;
+    }
+    expect(Tok::RParen, "')'");
+    return {address(*reg, index), expectOne};
+  }
+
+  /// Read the result at \p result: true when it is \p expectOne.
+  Value* emitBitTest(Value* result, bool expectOne) {
+    Value* bit = builder_.createCall(
+        qir::declareQIRFunction(*module_, qir::kQisReadResult), {result});
+    return expectOne ? bit : builder_.createBinOp(Opcode::Xor, bit, ctx_.getI1(true));
+  }
+
   void emitRecordOutput() {
-    if (numBits_ == 0) {
+    if (numBits() == 0) {
       return;
     }
     Function* record =
@@ -713,8 +436,8 @@ private:
         qir::declareQIRFunction(*module_, qir::kRtArrayRecordOutput);
     GlobalVariable* arrayLabel =
         module_->createGlobalString("lbl.array", std::string("array\0", 6));
-    builder_.createCall(arrayRecord, {ctx_.getI64(numBits_), arrayLabel});
-    for (std::uint32_t bit = 0; bit < numBits_; ++bit) {
+    builder_.createCall(arrayRecord, {ctx_.getI64(numBits()), arrayLabel});
+    for (std::uint32_t bit = 0; bit < numBits(); ++bit) {
       const std::string label = "r" + std::to_string(bit);
       GlobalVariable* labelGlobal =
           module_->createGlobalString("lbl." + label, label + '\0');
@@ -725,16 +448,11 @@ private:
   }
 
   Context& ctx_;
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
   std::unique_ptr<Module> module_;
   Function* entry_ = nullptr;
   BasicBlock* block_ = nullptr;
   IRBuilder builder_{ctx_};
-  std::map<std::string, Register> registers_;
   std::map<std::string, Instruction*> intVars_; // name -> alloca slot
-  std::uint32_t numQubits_ = 0;
-  std::uint32_t numBits_ = 0;
 };
 
 telemetry::Stage g_parseQasm3{"parse.qasm3"};
@@ -743,9 +461,7 @@ telemetry::Stage g_parseQasm3{"parse.qasm3"};
 
 std::unique_ptr<Module> compileQasm3(Context& context, std::string_view source) {
   const telemetry::Span span(g_parseQasm3);
-  Lexer lexer(source);
-  Compiler compiler(context, lexer.lexAll());
-  return compiler.run();
+  return Compiler(context, source).run();
 }
 
 } // namespace qirkit::qasm

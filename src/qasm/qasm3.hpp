@@ -20,6 +20,11 @@
 ///   reset q[i];
 ///   for int i in [a:b] { ... }                 (inclusive range, step 1)
 ///   if (bit[i] == 0|1) { ... }  /  if (bit[i]) { ... }
+///   while (bit[i] == 0|1) { ... }
+///
+/// Lexing, the header and include rule and the register table are the
+/// shared OpenQASM reader (reader.hpp), so `//` and `/* */` comments and
+/// reals written `.5` are accepted.
 #pragma once
 
 #include "ir/module.hpp"
@@ -31,7 +36,11 @@ namespace qirkit::qasm {
 
 /// Compile OpenQASM 3 source to a QIR module (entry point @main with the
 /// standard attributes). Classical constructs become IR control flow; run
-/// qir::transformDirect to resolve them to plain gate sequences.
+/// qir::transformDirect to resolve them to plain gate sequences. A
+/// constant register index is checked here (qirkit::ParseError); one a
+/// loop variable computes is checked by qasm::loadProgram after the
+/// pipeline. Registers past passes::kMaxExpandedModuleSize qubits or bits
+/// are an error[semantic] qirkit::Error.
 [[nodiscard]] std::unique_ptr<ir::Module> compileQasm3(ir::Context& context,
                                                        std::string_view source);
 

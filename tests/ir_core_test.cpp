@@ -195,6 +195,35 @@ TEST_F(IRCoreTest, GlobalStrings) {
   EXPECT_TRUE(g->valueType()->isArray());
   EXPECT_EQ(g->valueType()->arrayCount(), 3U);
   EXPECT_TRUE(g->type()->isPointer());
+  EXPECT_THROW((void)module.createGlobalString("lbl", "x"), qirkit::SemanticError);
+}
+
+TEST_F(IRCoreTest, SymbolLookupFollowsCreateAndErase) {
+  const Type* voidFn = ctx.functionTy(ctx.voidTy(), {});
+  Function* a = module.createFunction("a", voidFn);
+  Function* b = module.createFunction("b", voidFn);
+  // Functions and globals are separate name spaces.
+  GlobalVariable* g = module.createGlobalString("a", "x");
+  EXPECT_EQ(module.getFunction("a"), a);
+  EXPECT_EQ(module.getFunction("b"), b);
+  EXPECT_EQ(module.getGlobal("a"), g);
+  EXPECT_EQ(module.getGlobal("b"), nullptr);
+  EXPECT_EQ(module.getFunction("c"), nullptr);
+
+  module.eraseFunction(a);
+  EXPECT_EQ(module.getFunction("a"), nullptr);
+  EXPECT_EQ(module.getFunction("b"), b);
+  EXPECT_EQ(module.getGlobal("a"), g);
+  ASSERT_EQ(module.functions().size(), 1U);
+  EXPECT_EQ(module.functions().front().get(), b);
+
+  // An erased name is free again; a live one still throws.
+  Function* again = module.createFunction("a", voidFn);
+  EXPECT_EQ(module.getFunction("a"), again);
+  EXPECT_THROW((void)module.createFunction("b", voidFn), qirkit::SemanticError);
+  // Creation order is iteration order.
+  ASSERT_EQ(module.functions().size(), 2U);
+  EXPECT_EQ(module.functions().back().get(), again);
 }
 
 TEST_F(IRCoreTest, MayTrapOnlyWhenTheDivisorOrShiftIsNotKnownSafe) {

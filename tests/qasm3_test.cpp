@@ -1,6 +1,7 @@
 #include "interp/interpreter.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "qasm/load.hpp"
 #include "qasm/qasm3.hpp"
 #include "qir/compile.hpp"
 #include "qir/importer.hpp"
@@ -177,6 +178,84 @@ TEST(Qasm3, Errors) {
                                   "OPENQASM 3; qubit[1] q; bit[1] c; h c[0];"),
                ParseError); // classical register as qubit
   EXPECT_THROW((void)compileQasm3(ctx, "OPENQASM 3; include \"other.inc\";"),
+               ParseError);
+}
+
+/// The error code and location loading \p source fails with.
+std::pair<ErrorCode, SourceLoc> loadFailure(const std::string& source) {
+  ir::Context ctx;
+  try {
+    (void)loadProgram(ctx, source, "", qir::Addressing::Static);
+  } catch (const Error& e) {
+    return {e.code(), e.loc()};
+  }
+  ADD_FAILURE() << "expected a failure for: " << source;
+  return {ErrorCode::Internal, {}};
+}
+
+const std::string kTwoQubitsOneBit = "OPENQASM 3;\nqubit[2] q;\nbit[1] c;\n";
+
+TEST(Qasm3, ConstantIndicesAreCheckedAtTheIndex) {
+  // Once measured into a result nothing records, or run on a third qubit.
+  EXPECT_EQ(loadFailure(kTwoQubitsOneBit + "x q[0];\nc[3] = measure q[0];"),
+            std::make_pair(ErrorCode::Parse, SourceLoc{5, 3}));
+  EXPECT_EQ(loadFailure(kTwoQubitsOneBit + "h q[5];"),
+            std::make_pair(ErrorCode::Parse, SourceLoc{4, 5}));
+  // Folded arithmetic is constant too, and is reported where it starts.
+  EXPECT_EQ(loadFailure(kTwoQubitsOneBit + "cx q[0], q[3 - 2 * 2];"),
+            std::make_pair(ErrorCode::Parse, SourceLoc{4, 12}));
+  for (const char* bad : {"reset q[2];", "c[0] = measure q[2];", "if (c[1]) x q[0];",
+                          "while (c[1] == 0) { x q[0]; }", "U(0, 0, 0) q[2];"}) {
+    EXPECT_EQ(loadFailure(kTwoQubitsOneBit + bad).first, ErrorCode::Parse) << bad;
+  }
+  // A bit register is not a qubit register, nor the other way round.
+  EXPECT_EQ(loadFailure(kTwoQubitsOneBit + "h c[0];"),
+            std::make_pair(ErrorCode::Parse, SourceLoc{4, 3}));
+  EXPECT_EQ(loadFailure(kTwoQubitsOneBit + "qubit[1] c;"),
+            std::make_pair(ErrorCode::Parse, SourceLoc{4, 10}));
+}
+
+TEST(Qasm3, LoopComputedAddressesAreCheckedAfterThePipeline) {
+  // The unrolled loop addresses q[2..5] of a 2-qubit register.
+  EXPECT_EQ(loadFailure(kTwoQubitsOneBit + "for int i in [0:5] {\n  h q[i];\n}").first,
+            ErrorCode::Semantic);
+  // mz's result operand, and read_result's.
+  EXPECT_EQ(loadFailure(kTwoQubitsOneBit +
+                        "for int i in [0:1] {\n  c[i] = measure q[i];\n}")
+                .first,
+            ErrorCode::Semantic);
+  EXPECT_EQ(loadFailure(kTwoQubitsOneBit + "c[0] = measure q[0];\n"
+                                           "for int i in [1:1] {\n  if (c[i]) x q[0];\n}")
+                .first,
+            ErrorCode::Semantic);
+  // In range, the same loops load.
+  ir::Context ctx;
+  EXPECT_NO_THROW((void)loadProgram(
+      ctx, kTwoQubitsOneBit + "for int i in [0:1] {\n  h q[i];\n  c[0] = measure q[i];\n}",
+      "", qir::Addressing::Static));
+}
+
+TEST(Qasm3, RegisterWidthsAreBounded) {
+  // 2^32 + 1 once truncated to one qubit.
+  EXPECT_EQ(loadFailure("OPENQASM 3;\nqubit[4294967297] q;"),
+            std::make_pair(ErrorCode::Semantic, SourceLoc{2, 7}));
+  EXPECT_EQ(loadFailure("OPENQASM 3;\nbit[40000] c;").first, ErrorCode::Semantic);
+  EXPECT_EQ(loadFailure("OPENQASM 3;\nqubit[32768] q;\nqubit[1] r;").first,
+            ErrorCode::Semantic);
+  ir::Context ctx;
+  EXPECT_EQ(compileQasm3(ctx, "OPENQASM 3;\nbit[32768] c;")
+                ->entryPoint()
+                ->getAttribute("required_num_results"),
+            "32768");
+}
+
+TEST(Qasm3, AcceptsLeadingDotRealsAndRejectsOpenQasm2Tokens) {
+  ir::Context ctx;
+  const auto m = compile(ctx, "OPENQASM 3; // c\nqubit[1] q;\nrz(.5) q[0];");
+  EXPECT_EQ(qir::importFromModule(*m).op(0).params[0], 0.5);
+  EXPECT_THROW((void)compileQasm3(ctx, "OPENQASM 3; qubit[1] q; bit[1] c; h q[0] -> c[0];"),
+               ParseError);
+  EXPECT_THROW((void)compileQasm3(ctx, "OPENQASM 3; qubit[1] q; rz(2^2) q[0];"),
                ParseError);
 }
 

@@ -1,12 +1,16 @@
 /// Fault-tolerance test suite: the structured error taxonomy, the
 /// malformed-input corpus (every frontend must reject garbage with a
-/// classified, located diagnostic — never crash), deterministic fault
+/// classified, located diagnostic — never crash), a seeded mutation sweep
+/// over the OpenQASM a tenant can send, deterministic fault
 /// injection, per-shot fault isolation in the batched executor, transient
 /// retry, graceful VM -> interpreter degradation, and trap parity between
 /// the two engines under injected faults.
+#include "workloads.hpp"
+
 #include "circuit/generators.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/parser.hpp"
+#include "qasm/load.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/qasm3.hpp"
 #include "qir/exporter.hpp"
@@ -16,12 +20,15 @@
 #include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
+#include "support/rng.hpp"
 #include "vm/executor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -228,6 +235,98 @@ TEST(MalformedInput, QasmFrontendsRejectGarbageWithParseErrors) {
       EXPECT_EQ(e.code(), ErrorCode::Parse) << text;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Mutation sweep: the OpenQASM a tenant sends, 1-3 byte edits at a time.
+// ---------------------------------------------------------------------------
+
+/// The sweep's seeds: programs that load, and each class the loader
+/// rejects (indices past a register, widths past the budget, gate
+/// expansion past the budget).
+std::vector<std::string> qasmMutationSeeds() {
+  std::string doubling = "OPENQASM 2.0;\nqreg q[1];\ngate g0 a { h a; h a; }\n";
+  for (int k = 1; k <= 40; ++k) {
+    const std::string inner = "g" + std::to_string(k - 1) + " a; ";
+    doubling += "gate g" + std::to_string(k) + " a { " + inner + inner + "}\n";
+  }
+  doubling += "g40 q[0];\n";
+  const std::string twoQubitsOneBit = "OPENQASM 3;\nqubit[2] q;\nbit[1] c;\n";
+  return {
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\ngate bell(theta) a, b {\n  h a;\n"
+      "  cx a, b;\n  rz(-theta / 2) b;\n}\nqreg q[3];\ncreg c[3];\n"
+      "bell(pi / 4) q[0], q[1];\nh q;\nmeasure q -> c;\nif (c == 3) x q[2];\n",
+      "OPENQASM 3;\nqubit[3] q;\nbit[3] c;\nh q[0];\nfor int i in [0:1] {\n"
+      "  cx q[i], q[i+1];\n}\nfor int i in [0:2] {\n  c[i] = measure q[i];\n}\n",
+      bench::layeredQasm3(16, 3),
+      twoQubitsOneBit + "x q[0];\nc[3] = measure q[0];\n",
+      twoQubitsOneBit + "h q[5];\n",
+      twoQubitsOneBit + "for int i in [0:5] {\n  h q[i];\n}\n",
+      "OPENQASM 2.0;\nqreg q[4294967297];\ncreg c[1];\n",
+      "OPENQASM 3;\nqubit[1] q;\nbit[32769] c;\n",
+      doubling,
+      "OPENQASM 2.0;\nqreg q[20000];\nh q;\nx q;\n",
+  };
+}
+
+/// \p text with one replaced, inserted, deleted or duplicated span. A
+/// replaced digit is mostly another digit, so indices, widths and loop
+/// bounds change while the program still parses.
+void mutate(std::string& text, SplitMix64& rng) {
+  static constexpr std::string_view kGrammar = "[](){};:,.=-+*/^>\" \nqcxhi";
+  const auto pick = [&](std::size_t n) { return n == 0 ? 0 : rng() % n; };
+  const auto digit = [&] { return static_cast<char>('0' + rng() % 10); };
+  const auto anyByte = [&] {
+    return rng() % 2 == 0 ? kGrammar[pick(kGrammar.size())]
+                          : static_cast<char>(rng() % 256);
+  };
+  const std::size_t at = pick(text.size() + 1);
+  const std::size_t span = std::min<std::size_t>(1 + pick(8), text.size() - at);
+  switch (rng() % 4) {
+  case 0:
+    if (at < text.size()) {
+      const bool isDigit = std::isdigit(static_cast<unsigned char>(text[at])) != 0;
+      text[at] = isDigit && rng() % 4 != 0 ? digit() : anyByte();
+    }
+    break;
+  case 1:
+    text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                rng() % 2 == 0 ? digit() : anyByte());
+    break;
+  case 2:
+    text.erase(at, span);
+    break;
+  default:
+    text.insert(at, text.substr(at, span));
+    break;
+  }
+}
+
+TEST(MalformedInput, QasmMutantsLoadOrFailWithAClassifiedError) {
+  const std::vector<std::string> seeds = qasmMutationSeeds();
+  SplitMix64 rng(0x51a7e5eedULL);
+  std::size_t loaded = 0;
+  std::set<ErrorCode> codes;
+  for (int i = 0; i < 2000; ++i) {
+    std::string text = seeds[rng() % seeds.size()];
+    for (std::uint64_t edits = 1 + rng() % 3; edits > 0; --edits) {
+      mutate(text, rng);
+    }
+    ir::Context ctx;
+    try {
+      (void)qasm::loadProgram(ctx, text, "", qir::Addressing::Static);
+      ++loaded;
+    } catch (const Error& e) {
+      EXPECT_NE(e.code(), ErrorCode::Internal) << e.what() << "\n" << text;
+      codes.insert(e.code());
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "unclassified " << e.what() << "\n" << text;
+    }
+  }
+  // Most mutants die in the reader, but the sweep also reaches the
+  // loader's checks past it and the pipeline.
+  EXPECT_GT(loaded, 10U);
+  EXPECT_TRUE(codes.count(ErrorCode::Parse) != 0 && codes.count(ErrorCode::Semantic) != 0);
 }
 
 // ---------------------------------------------------------------------------

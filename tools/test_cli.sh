@@ -226,6 +226,31 @@ done
 # run an OpenQASM 3 program directly
 "$QIRKIT" run "$WORK/rus.qasm3" --shots 20 | grep -qE "^(000|111): " || fail "qasm3 run"
 
+# only a first token OPENQASM makes a text OpenQASM: a QIR module whose
+# comment mentions it runs as QIR, and answers what it answers without
+{ echo "; translated from OPENQASM 2.0 by qirkit"; cat "$WORK/bell.ll"; } > "$WORK/commented.ll"
+"$QIRKIT" run "$WORK/commented.ll" --shots 30 --seed 5 >"$WORK/commented.out" 2>/dev/null \
+  || fail "commented QIR module run"
+"$QIRKIT" run "$WORK/bell.ll" --shots 30 --seed 5 2>/dev/null | cmp -s - "$WORK/commented.out" \
+  || fail "commented QIR module answers differently"
+
+# OpenQASM input the reader refuses: an index past its register, a
+# 1.2 KB gate nest asking for 2^41 gates, and a declaration past the
+# 32 768-bit budget
+printf 'OPENQASM 3;\nqubit[2] q;\nbit[1] c;\nx q[0];\nc[3] = measure q[0];\n' > "$WORK/index.qasm"
+{
+  printf 'OPENQASM 2.0;\nqreg q[1];\ngate g0 a { h a; h a; }\n'
+  k=1
+  while [ "$k" -le 40 ]; do printf 'gate g%d a { g%d a; g%d a; }\n' "$k" $((k - 1)) $((k - 1)); k=$((k + 1)); done
+  printf 'g40 q[0];\n'
+} > "$WORK/gates40.qasm"
+printf 'OPENQASM 2.0;\nqreg q[1];\ncreg c[40000];\n' > "$WORK/wide.qasm"
+for case in index.qasm:parse gates40.qasm:semantic wide.qasm:semantic; do
+  rc=0; "$QIRKIT" run "$WORK/${case%%:*}" --shots 4 >/dev/null 2>"$WORK/err" || rc=$?
+  [ "$rc" -eq 1 ] || fail "${case%%:*} must exit 1 (got $rc)"
+  grep -q "^qirkit: error\[${case##*:}\]: " "$WORK/err" || fail "${case%%:*} diagnostic"
+done
+
 # A loop past the unroll budget stays a loop: run executes it as written,
 # and compile, which needs straight-line code, rejects it with a
 # classified error instead of unrolling 800 000 instructions.

@@ -156,6 +156,21 @@ grep -q "error\[parse\]" "$WORK/err1" || fail "parse error format"
 "$QIRKIT" submit "@nosuchprogram" --socket "$SOCK" 2> "$WORK/err2"
 [ $? -eq 2 ] || fail "unknown ref should exit 2 (usage)"
 
+# a 1.2 KB gate nest asking for 2^41 gates is refused while it loads, on
+# the connection thread, and the daemon goes on answering
+{
+  printf 'OPENQASM 2.0;\nqreg q[1];\ngate g0 a { h a; h a; }\n'
+  k=1
+  while [ "$k" -le 40 ]; do printf 'gate g%d a { g%d a; g%d a; }\n' "$k" $((k - 1)) $((k - 1)); k=$((k + 1)); done
+  printf 'g40 q[0];\n'
+} > "$WORK/gates40.qasm"
+timeout 10 "$QIRKIT" submit "$WORK/gates40.qasm" --socket "$SOCK" 2> "$WORK/err5"
+[ $? -eq 1 ] || fail "gate nest should exit 1"
+grep -q "error\[semantic\]" "$WORK/err5" || fail "gate nest error format"
+"$QIRKIT" submit "$WORK/bell.qasm" --socket "$SOCK" --shots 60 --seed 7 \
+  2>/dev/null > "$WORK/bell.after" || fail "submit after the gate nest"
+cmp -s "$WORK/bell.after" "$WORK/bell.expected" || fail "bell after the gate nest differs"
+
 # --program-capacity is the one store bound; the retired compile-cache
 # bound is refused before a daemon starts.
 timeout 10 "$QIRKIT" serve "$WORK/retired.sock" --cache-capacity 4 \
