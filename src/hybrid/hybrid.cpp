@@ -95,48 +95,9 @@ double LatencyModel::instructionCost(const Instruction& inst) const {
 
 namespace {
 
-const Function* entryOf(const Module& module) {
-  const Function* entry = module.entryPoint();
-  if (entry == nullptr) {
-    entry = module.getFunction("main");
-  }
-  return entry;
-}
-
 bool isQisCall(const Instruction& inst) {
   return inst.op() == Opcode::Call && qir::isQisFunction(inst.callee()->name()) &&
          inst.callee()->name() != qir::kQisReadResult;
-}
-
-bool isReadResult(const Instruction& inst) {
-  return inst.op() == Opcode::Call && inst.callee()->name() == qir::kQisReadResult;
-}
-
-/// Forward taint closure: every instruction whose value (transitively)
-/// depends on a read_result.
-std::set<const Instruction*> taintClosure(const Function& fn) {
-  std::set<const Instruction*> tainted;
-  std::vector<const Instruction*> worklist;
-  for (const auto& block : fn.blocks()) {
-    for (const auto& inst : block->instructions()) {
-      if (isReadResult(*inst)) {
-        tainted.insert(inst.get());
-        worklist.push_back(inst.get());
-      }
-    }
-  }
-  while (!worklist.empty()) {
-    const Instruction* inst = worklist.back();
-    worklist.pop_back();
-    for (const Use* use : inst->uses()) {
-      if (const auto* user = dynamic_cast<const Instruction*>(use->user)) {
-        if (tainted.insert(user).second) {
-          worklist.push_back(user);
-        }
-      }
-    }
-  }
-  return tainted;
 }
 
 /// True if any quantum instruction is reachable from \p start.
@@ -164,7 +125,7 @@ bool reachesQuantum(const BasicBlock* start,
 }
 
 /// Backward slice of classical instructions feeding \p root (inclusive),
-/// stopping at read_result reads.
+/// stopping at measurement reads.
 std::vector<const Instruction*> backwardSlice(const Instruction* root) {
   std::set<const Instruction*> seen;
   std::vector<const Instruction*> order;
@@ -176,7 +137,7 @@ std::vector<const Instruction*> backwardSlice(const Instruction* root) {
       continue;
     }
     order.push_back(inst);
-    if (isReadResult(*inst)) {
+    if (qir::readsMeasurement(*inst)) {
       continue; // path input; do not walk into the measurement itself
     }
     for (unsigned i = 0; i < inst->numOperands(); ++i) {
@@ -192,11 +153,11 @@ std::vector<const Instruction*> backwardSlice(const Instruction* root) {
 
 PartitionReport partitionHybrid(const Module& module) {
   PartitionReport report;
-  const Function* entry = entryOf(module);
-  if (entry == nullptr || entry->isDeclaration()) {
+  const Function* entry = module.entryFunction();
+  if (entry == nullptr) {
     return report;
   }
-  const std::set<const Instruction*> tainted = taintClosure(*entry);
+  const auto tainted = qir::measurementDependents(*entry);
   for (const auto& block : entry->blocks()) {
     for (const auto& inst : block->instructions()) {
       Placement placement = Placement::ClassicalHost;
@@ -216,11 +177,11 @@ FeasibilityReport checkFeasibility(const Module& module, const LatencyModel& mod
                                    double coherenceBudgetNs) {
   FeasibilityReport report;
   report.coherenceBudgetNs = coherenceBudgetNs;
-  const Function* entry = entryOf(module);
-  if (entry == nullptr || entry->isDeclaration()) {
+  const Function* entry = module.entryFunction();
+  if (entry == nullptr) {
     return report;
   }
-  const std::set<const Instruction*> tainted = taintClosure(*entry);
+  const auto tainted = qir::measurementDependents(*entry);
 
   for (const auto& block : entry->blocks()) {
     const Instruction* term = block->terminator();
@@ -244,7 +205,7 @@ FeasibilityReport checkFeasibility(const Module& module, const LatencyModel& mod
       if (inst == term) {
         continue;
       }
-      if (isReadResult(*inst)) {
+      if (qir::readsMeasurement(*inst)) {
         path.readResult = inst;
         latency += model.readResultNs;
         continue;

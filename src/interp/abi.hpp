@@ -23,9 +23,10 @@
 namespace qirkit::interp {
 
 /// A dynamic value flowing through an execution engine. Integers carry
-/// their canonical sign-extended representation; pointers are opaque
-/// 64-bit addresses (arena offsets, qubit handles, or static QIR
-/// addresses — the engine does not distinguish, the runtime does).
+/// their canonical sign-extended representation, as ir::ConstantInt does,
+/// so an i1 true is -1 (makeI1); pointers are opaque 64-bit addresses
+/// (arena offsets, qubit handles, or static QIR addresses — the engine
+/// does not distinguish, the runtime does).
 struct RtValue {
   enum class Kind : std::uint8_t { Void, Int, Double, Ptr };
   Kind kind = Kind::Void;
@@ -35,6 +36,7 @@ struct RtValue {
 
   static RtValue makeVoid() { return {}; }
   static RtValue makeInt(std::int64_t v) { return {Kind::Int, v, 0.0, 0}; }
+  static RtValue makeI1(bool v) { return makeInt(v ? -1 : 0); }
   static RtValue makeDouble(double v) { return {Kind::Double, 0, v, 0}; }
   static RtValue makePtr(std::uint64_t v) { return {Kind::Ptr, 0, 0.0, v}; }
 };
@@ -81,25 +83,23 @@ public:
     std::memcpy(data, arena_.data() + (address - kBase), size);
   }
 
-  std::uint64_t storeInt(std::uint64_t address, std::int64_t value,
-                         unsigned bytes) {
-    const std::uint64_t raw = static_cast<std::uint64_t>(value);
-    check(address, bytes);
-    std::memcpy(arena_.data() + (address - kBase), &raw, bytes);
+  /// Store an i\p bits value in LLVM's layout: its low \p bits bits,
+  /// zero-extended to whole bytes (an i1 true is the byte 1).
+  std::uint64_t storeInt(std::uint64_t address, std::int64_t value, unsigned bits) {
+    const unsigned unused = 64 - bits;
+    const std::uint64_t raw = static_cast<std::uint64_t>(value) << unused >> unused;
+    check(address, (bits + 7) / 8);
+    std::memcpy(arena_.data() + (address - kBase), &raw, (bits + 7) / 8);
     return address;
   }
-  [[nodiscard]] std::int64_t loadInt(std::uint64_t address, unsigned bytes,
-                                     bool signExtend) const {
+  /// Load an i\p bits value in the canonical sign-extended form registers
+  /// hold, whatever the unused bits of its last byte are.
+  [[nodiscard]] std::int64_t loadInt(std::uint64_t address, unsigned bits) const {
     std::uint64_t raw = 0;
-    check(address, bytes);
-    std::memcpy(&raw, arena_.data() + (address - kBase), bytes);
-    if (signExtend && bytes < 8) {
-      const std::uint64_t signBit = std::uint64_t{1} << (bytes * 8 - 1);
-      if ((raw & signBit) != 0) {
-        raw |= ~((std::uint64_t{1} << (bytes * 8)) - 1);
-      }
-    }
-    return static_cast<std::int64_t>(raw);
+    check(address, (bits + 7) / 8);
+    std::memcpy(&raw, arena_.data() + (address - kBase), (bits + 7) / 8);
+    const unsigned unused = 64 - bits;
+    return static_cast<std::int64_t>(raw << unused) >> unused;
   }
 
   /// Read a NUL-terminated string (for output labels).

@@ -84,16 +84,8 @@ void checkArgumentCount(const std::string& function, std::size_t params,
   }
 }
 
-const ir::Function* findEntryPoint(const ir::Module& module) {
-  const Function* entry = module.entryPoint();
-  if (entry == nullptr) {
-    entry = module.getFunction("main");
-  }
-  return entry == nullptr || entry->isDeclaration() ? nullptr : entry;
-}
-
 const ir::Function& checkEntryPoint(const ir::Module& module) {
-  const Function* entry = findEntryPoint(module);
+  const Function* entry = module.entryFunction();
   if (entry == nullptr) {
     throw TrapError("module has no executable entry point");
   }
@@ -190,6 +182,11 @@ RtValue Interpreter::execute(const ir::Function& fn, std::span<const RtValue> ar
             op, get(inst->operand(0)).d, get(inst->operand(1)).d));
         continue;
       }
+      if (isCastOp(op)) {
+        frame[inst] =
+            passes::evalCast(op, passes::castBits(*inst), get(inst->operand(0)));
+        continue;
+      }
 
       switch (op) {
       case Opcode::Ret:
@@ -239,8 +236,7 @@ RtValue Interpreter::execute(const ir::Function& fn, std::span<const RtValue> ar
           memory_.load(address, &value, sizeof value);
           frame[inst] = RtValue::makePtr(value);
         } else {
-          frame[inst] = RtValue::makeInt(memory_.loadInt(
-              address, static_cast<unsigned>(type->storeSize()), true));
+          frame[inst] = RtValue::makeInt(memory_.loadInt(address, type->bits()));
         }
         continue;
       }
@@ -253,7 +249,7 @@ RtValue Interpreter::execute(const ir::Function& fn, std::span<const RtValue> ar
         } else if (type->isPointer()) {
           memory_.store(address, &value.p, sizeof value.p);
         } else {
-          memory_.storeInt(address, value.i, static_cast<unsigned>(type->storeSize()));
+          memory_.storeInt(address, value.i, type->bits());
         }
         continue;
       }
@@ -265,68 +261,12 @@ RtValue Interpreter::execute(const ir::Function& fn, std::span<const RtValue> ar
         const std::int64_t li = ptrCmp ? static_cast<std::int64_t>(lhs.p) : lhs.i;
         const std::int64_t ri = ptrCmp ? static_cast<std::int64_t>(rhs.p) : rhs.i;
         const unsigned bits = ptrCmp ? 64 : lhsV->type()->bits();
-        frame[inst] =
-            RtValue::makeInt(passes::evalICmp(inst->icmpPred(), bits, li, ri) ? 1 : 0);
+        frame[inst] = RtValue::makeI1(passes::evalICmp(inst->icmpPred(), bits, li, ri));
         continue;
       }
       case Opcode::FCmp:
-        frame[inst] = RtValue::makeInt(
-            passes::evalFCmp(inst->fcmpPred(), get(inst->operand(0)).d,
-                             get(inst->operand(1)).d)
-                ? 1
-                : 0);
-        continue;
-      case Opcode::ZExt: {
-        const std::uint64_t raw =
-            static_cast<std::uint64_t>(get(inst->operand(0)).i);
-        const unsigned srcBits = inst->operand(0)->type()->bits();
-        const std::uint64_t mask =
-            srcBits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << srcBits) - 1;
-        frame[inst] = RtValue::makeInt(static_cast<std::int64_t>(raw & mask));
-        continue;
-      }
-      case Opcode::SExt:
-        frame[inst] = RtValue::makeInt(get(inst->operand(0)).i);
-        continue;
-      case Opcode::Trunc: {
-        const unsigned bits = inst->type()->bits();
-        std::int64_t v = get(inst->operand(0)).i;
-        if (bits < 64) {
-          const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
-          std::uint64_t raw = static_cast<std::uint64_t>(v) & mask;
-          if ((raw >> (bits - 1)) & 1) {
-            raw |= ~mask;
-          }
-          v = static_cast<std::int64_t>(raw);
-        }
-        frame[inst] = RtValue::makeInt(v);
-        continue;
-      }
-      case Opcode::PtrToInt:
-        frame[inst] =
-            RtValue::makeInt(static_cast<std::int64_t>(get(inst->operand(0)).p));
-        continue;
-      case Opcode::IntToPtr:
-        frame[inst] =
-            RtValue::makePtr(static_cast<std::uint64_t>(get(inst->operand(0)).i));
-        continue;
-      case Opcode::SIToFP:
-        frame[inst] = RtValue::makeDouble(static_cast<double>(get(inst->operand(0)).i));
-        continue;
-      case Opcode::UIToFP:
-        frame[inst] = RtValue::makeDouble(
-            static_cast<double>(static_cast<std::uint64_t>(get(inst->operand(0)).i)));
-        continue;
-      case Opcode::FPToSI:
-        frame[inst] =
-            RtValue::makeInt(static_cast<std::int64_t>(get(inst->operand(0)).d));
-        continue;
-      case Opcode::FPToUI:
-        frame[inst] = RtValue::makeInt(static_cast<std::int64_t>(
-            static_cast<std::uint64_t>(get(inst->operand(0)).d)));
-        continue;
-      case Opcode::Bitcast:
-        frame[inst] = get(inst->operand(0));
+        frame[inst] = RtValue::makeI1(passes::evalFCmp(
+            inst->fcmpPred(), get(inst->operand(0)).d, get(inst->operand(1)).d));
         continue;
       case Opcode::Select:
         frame[inst] = get(inst->operand(0)).i != 0 ? get(inst->operand(1))

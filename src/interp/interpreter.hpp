@@ -42,13 +42,9 @@ struct InterpStats {
 void checkArgumentCount(const std::string& function, std::size_t params,
                         std::size_t given);
 
-/// The function an entry-point run executes: the "entry_point"-attributed
-/// function, else @main; nullptr when neither is defined.
-[[nodiscard]] const ir::Function* findEntryPoint(const ir::Module& module);
-
 /// What both engines check before they run \p module's entry point:
-/// throws TrapError unless findEntryPoint finds one (ErrorCode::Trap) and
-/// it takes no parameters (checkArgumentCount).
+/// throws TrapError unless Module::entryFunction finds one
+/// (ErrorCode::Trap) and it takes no parameters (checkArgumentCount).
 const ir::Function& checkEntryPoint(const ir::Module& module);
 
 /// The interpreter. Bind externals, then run a function.

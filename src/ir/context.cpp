@@ -2,6 +2,7 @@
 
 #include "ir/constant.hpp"
 
+#include <bit>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -23,7 +24,9 @@ struct Context::TypeStore {
 
 struct Context::ConstantStore {
   std::map<std::pair<unsigned, std::int64_t>, std::unique_ptr<ConstantInt>> ints;
-  std::map<double, std::unique_ptr<ConstantFP>> doubles;
+  // Keyed by bit pattern: -0.0 and 0.0 are distinct constants, and a NaN
+  // key would break the map's ordering.
+  std::map<std::uint64_t, std::unique_ptr<ConstantFP>> doubles;
   std::unique_ptr<ConstantPointerNull> nullPtr;
   std::map<std::uint64_t, std::unique_ptr<ConstantIntToPtr>> intToPtrs;
   std::map<const Type*, std::unique_ptr<UndefValue>> undefs;
@@ -90,7 +93,7 @@ ConstantInt* Context::getInt(unsigned bits, std::int64_t value) {
 }
 
 ConstantFP* Context::getDouble(double value) {
-  auto& slot = constants_->doubles[value];
+  auto& slot = constants_->doubles[std::bit_cast<std::uint64_t>(value)];
   if (slot == nullptr) {
     slot.reset(new ConstantFP(doubleTy_, value));
   }

@@ -125,10 +125,9 @@ const BasicBlock* DomTree::idom(const BasicBlock* block) const {
 
 void DomTree::computeIntervals() {
   // Build dominator-tree children, then DFS to assign (in, out) intervals.
-  std::map<const BasicBlock*, std::vector<const BasicBlock*>> children;
   for (const BasicBlock* block : rpo_) {
     if (const BasicBlock* parent = idom(block)) {
-      children[parent].push_back(block);
+      children_[parent].push_back(block);
     }
   }
   std::uint32_t clock = 0;
@@ -145,11 +144,8 @@ void DomTree::computeIntervals() {
     }
     intervals_[node].first = clock++;
     stack.emplace_back(node, true);
-    const auto kids = children.find(node);
-    if (kids != children.end()) {
-      for (const BasicBlock* child : kids->second) {
-        stack.emplace_back(child, false);
-      }
+    for (const BasicBlock* child : children(node)) {
+      stack.emplace_back(child, false);
     }
   }
 }
@@ -199,12 +195,17 @@ std::vector<const BasicBlock*> DomTree::unreachableBlocks() const {
   return result;
 }
 
+const std::vector<const BasicBlock*>& DomTree::children(const BasicBlock* block) const {
+  const auto it = children_.find(block);
+  return it == children_.end() ? none_ : it->second;
+}
+
 const std::vector<const BasicBlock*>& DomTree::frontier(const BasicBlock* block) const {
   if (!frontiersComputed_) {
     computeFrontiers();
   }
   const auto it = frontiers_.find(block);
-  return it == frontiers_.end() ? emptyFrontier_ : it->second;
+  return it == frontiers_.end() ? none_ : it->second;
 }
 
 } // namespace qirkit::ir

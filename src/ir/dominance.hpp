@@ -40,6 +40,10 @@ public:
     return rpo_;
   }
 
+  /// Dominator-tree children of \p block, in reverse post order.
+  [[nodiscard]] const std::vector<const BasicBlock*>&
+  children(const BasicBlock* block) const;
+
   /// Dominance frontier of each reachable block. Computed lazily on first
   /// use (it costs O(preds * tree depth) — only mem2reg needs it).
   [[nodiscard]] const std::vector<const BasicBlock*>&
@@ -53,6 +57,7 @@ private:
   std::vector<const BasicBlock*> rpo_;
   std::map<const BasicBlock*, std::size_t> rpoIndex_;
   std::map<const BasicBlock*, const BasicBlock*> idom_;
+  std::map<const BasicBlock*, std::vector<const BasicBlock*>> children_;
   mutable bool frontiersComputed_ = false;
   mutable std::map<const BasicBlock*, std::vector<const BasicBlock*>> frontiers_;
   // Position of each instruction in its block, filled by the first
@@ -64,7 +69,7 @@ private:
   // walk (which is O(depth) — quadratic on the long chains unrolling
   // produces).
   std::map<const BasicBlock*, std::pair<std::uint32_t, std::uint32_t>> intervals_;
-  std::vector<const BasicBlock*> emptyFrontier_;
+  std::vector<const BasicBlock*> none_;
 };
 
 } // namespace qirkit::ir

@@ -7,138 +7,46 @@
 
 namespace qirkit::ir {
 
+namespace {
+
+#define QIRKIT_IR_MNEMONIC(name, mnemonic, ...) mnemonic,
+constexpr std::string_view kOpcodeNames[] = {QIRKIT_IR_OPCODES(QIRKIT_IR_MNEMONIC)};
+constexpr std::string_view kICmpPredNames[] = {QIRKIT_ICMP_PREDS(QIRKIT_IR_MNEMONIC)};
+constexpr std::string_view kFCmpPredNames[] = {QIRKIT_FCMP_PREDS(QIRKIT_IR_MNEMONIC)};
+#undef QIRKIT_IR_MNEMONIC
+
+/// The enumerator spelled \p name in \p names (a linear scan: the lists
+/// are short, and the parser asks once per instruction).
+template <typename Enum, std::size_t N>
+std::optional<Enum> fromName(const std::string_view (&names)[N],
+                             std::string_view name) noexcept {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (names[i] == name) {
+      return static_cast<Enum>(i);
+    }
+  }
+  return std::nullopt;
+}
+
+} // namespace
+
 const char* opcodeName(Opcode op) noexcept {
-  switch (op) {
-  case Opcode::Ret: return "ret";
-  case Opcode::Br: return "br";
-  case Opcode::Switch: return "switch";
-  case Opcode::Unreachable: return "unreachable";
-  case Opcode::Add: return "add";
-  case Opcode::Sub: return "sub";
-  case Opcode::Mul: return "mul";
-  case Opcode::SDiv: return "sdiv";
-  case Opcode::UDiv: return "udiv";
-  case Opcode::SRem: return "srem";
-  case Opcode::URem: return "urem";
-  case Opcode::And: return "and";
-  case Opcode::Or: return "or";
-  case Opcode::Xor: return "xor";
-  case Opcode::Shl: return "shl";
-  case Opcode::LShr: return "lshr";
-  case Opcode::AShr: return "ashr";
-  case Opcode::FAdd: return "fadd";
-  case Opcode::FSub: return "fsub";
-  case Opcode::FMul: return "fmul";
-  case Opcode::FDiv: return "fdiv";
-  case Opcode::FRem: return "frem";
-  case Opcode::Alloca: return "alloca";
-  case Opcode::Load: return "load";
-  case Opcode::Store: return "store";
-  case Opcode::ICmp: return "icmp";
-  case Opcode::FCmp: return "fcmp";
-  case Opcode::ZExt: return "zext";
-  case Opcode::SExt: return "sext";
-  case Opcode::Trunc: return "trunc";
-  case Opcode::PtrToInt: return "ptrtoint";
-  case Opcode::IntToPtr: return "inttoptr";
-  case Opcode::SIToFP: return "sitofp";
-  case Opcode::FPToSI: return "fptosi";
-  case Opcode::UIToFP: return "uitofp";
-  case Opcode::FPToUI: return "fptoui";
-  case Opcode::Bitcast: return "bitcast";
-  case Opcode::Phi: return "phi";
-  case Opcode::Select: return "select";
-  case Opcode::Call: return "call";
-  }
-  return "<bad opcode>";
+  return kOpcodeNames[static_cast<std::size_t>(op)].data();
 }
-
 const char* icmpPredName(ICmpPred p) noexcept {
-  switch (p) {
-  case ICmpPred::EQ: return "eq";
-  case ICmpPred::NE: return "ne";
-  case ICmpPred::SLT: return "slt";
-  case ICmpPred::SLE: return "sle";
-  case ICmpPred::SGT: return "sgt";
-  case ICmpPred::SGE: return "sge";
-  case ICmpPred::ULT: return "ult";
-  case ICmpPred::ULE: return "ule";
-  case ICmpPred::UGT: return "ugt";
-  case ICmpPred::UGE: return "uge";
-  }
-  return "<bad pred>";
+  return kICmpPredNames[static_cast<std::size_t>(p)].data();
 }
-
 const char* fcmpPredName(FCmpPred p) noexcept {
-  switch (p) {
-  case FCmpPred::OEQ: return "oeq";
-  case FCmpPred::ONE: return "one";
-  case FCmpPred::OLT: return "olt";
-  case FCmpPred::OLE: return "ole";
-  case FCmpPred::OGT: return "ogt";
-  case FCmpPred::OGE: return "oge";
-  case FCmpPred::UNE: return "une";
-  }
-  return "<bad pred>";
+  return kFCmpPredNames[static_cast<std::size_t>(p)].data();
 }
-
-bool isIntBinaryOp(Opcode op) noexcept {
-  switch (op) {
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::SDiv:
-  case Opcode::UDiv:
-  case Opcode::SRem:
-  case Opcode::URem:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::LShr:
-  case Opcode::AShr:
-    return true;
-  default:
-    return false;
-  }
+std::optional<Opcode> opcodeFromName(std::string_view name) noexcept {
+  return fromName<Opcode>(kOpcodeNames, name);
 }
-
-bool isFloatBinaryOp(Opcode op) noexcept {
-  switch (op) {
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-  case Opcode::FDiv:
-  case Opcode::FRem:
-    return true;
-  default:
-    return false;
-  }
+std::optional<ICmpPred> icmpPredFromName(std::string_view name) noexcept {
+  return fromName<ICmpPred>(kICmpPredNames, name);
 }
-
-bool isBinaryOp(Opcode op) noexcept { return isIntBinaryOp(op) || isFloatBinaryOp(op); }
-
-bool isCastOp(Opcode op) noexcept {
-  switch (op) {
-  case Opcode::ZExt:
-  case Opcode::SExt:
-  case Opcode::Trunc:
-  case Opcode::PtrToInt:
-  case Opcode::IntToPtr:
-  case Opcode::SIToFP:
-  case Opcode::FPToSI:
-  case Opcode::UIToFP:
-  case Opcode::FPToUI:
-  case Opcode::Bitcast:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isTerminatorOp(Opcode op) noexcept {
-  return op == Opcode::Ret || op == Opcode::Br || op == Opcode::Switch ||
-         op == Opcode::Unreachable;
+std::optional<FCmpPred> fcmpPredFromName(std::string_view name) noexcept {
+  return fromName<FCmpPred>(kFCmpPredNames, name);
 }
 
 Function* Instruction::function() const noexcept {
@@ -146,17 +54,8 @@ Function* Instruction::function() const noexcept {
 }
 
 bool Instruction::hasSideEffects() const noexcept {
-  switch (op_) {
-  case Opcode::Store:
-  case Opcode::Call: // conservatively: every call may have effects
-  case Opcode::Ret:
-  case Opcode::Br:
-  case Opcode::Switch:
-  case Opcode::Unreachable:
-    return true;
-  default:
-    return false;
-  }
+  // Conservatively, every call may have effects.
+  return op_ == Opcode::Store || op_ == Opcode::Call || isTerminator();
 }
 
 bool Instruction::mayTrap() const noexcept {

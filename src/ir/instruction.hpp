@@ -16,7 +16,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qirkit::ir {
@@ -25,71 +27,111 @@ class BasicBlock;
 class Function;
 class Instruction;
 
-/// Instruction opcodes of the modeled subset.
-enum class Opcode : std::uint8_t {
-  // Terminators
-  Ret,
-  Br,
-  Switch,
-  Unreachable,
-  // Integer binary
-  Add,
-  Sub,
-  Mul,
-  SDiv,
-  UDiv,
-  SRem,
-  URem,
-  And,
-  Or,
-  Xor,
-  Shl,
-  LShr,
-  AShr,
-  // Floating binary
-  FAdd,
-  FSub,
-  FMul,
-  FDiv,
-  FRem,
-  // Memory
-  Alloca,
-  Load,
-  Store,
-  // Comparisons
-  ICmp,
-  FCmp,
-  // Casts
-  ZExt,
-  SExt,
-  Trunc,
-  PtrToInt,
-  IntToPtr,
-  SIToFP,
-  FPToSI,
-  UIToFP,
-  FPToUI,
-  Bitcast,
-  // Other
-  Phi,
-  Select,
-  Call,
-};
+/// Every IR opcode, spelled once: OP(enumerator, LLVM mnemonic, class).
+/// The class is one of OpcodeClass's. The list generates Opcode,
+/// opcodeName, opcodeFromName (the parser's dispatch) and the is*Op class
+/// tests.
+#define QIRKIT_IR_OPCODES(OP)                                                  \
+  OP(Ret, "ret", Terminator)                                                   \
+  OP(Br, "br", Terminator)                                                     \
+  OP(Switch, "switch", Terminator)                                             \
+  OP(Unreachable, "unreachable", Terminator)                                   \
+  OP(Add, "add", IntBinary)                                                    \
+  OP(Sub, "sub", IntBinary)                                                    \
+  OP(Mul, "mul", IntBinary)                                                    \
+  OP(SDiv, "sdiv", IntBinary)                                                  \
+  OP(UDiv, "udiv", IntBinary)                                                  \
+  OP(SRem, "srem", IntBinary)                                                  \
+  OP(URem, "urem", IntBinary)                                                  \
+  OP(And, "and", IntBinary)                                                    \
+  OP(Or, "or", IntBinary)                                                      \
+  OP(Xor, "xor", IntBinary)                                                    \
+  OP(Shl, "shl", IntBinary)                                                    \
+  OP(LShr, "lshr", IntBinary)                                                  \
+  OP(AShr, "ashr", IntBinary)                                                  \
+  OP(FAdd, "fadd", FloatBinary)                                                \
+  OP(FSub, "fsub", FloatBinary)                                                \
+  OP(FMul, "fmul", FloatBinary)                                                \
+  OP(FDiv, "fdiv", FloatBinary)                                                \
+  OP(FRem, "frem", FloatBinary)                                                \
+  OP(Alloca, "alloca", Memory)                                                 \
+  OP(Load, "load", Memory)                                                     \
+  OP(Store, "store", Memory)                                                   \
+  OP(ICmp, "icmp", Compare)                                                    \
+  OP(FCmp, "fcmp", Compare)                                                    \
+  OP(ZExt, "zext", Cast)                                                       \
+  OP(SExt, "sext", Cast)                                                       \
+  OP(Trunc, "trunc", Cast)                                                     \
+  OP(PtrToInt, "ptrtoint", Cast)                                               \
+  OP(IntToPtr, "inttoptr", Cast)                                               \
+  OP(SIToFP, "sitofp", Cast)                                                   \
+  OP(FPToSI, "fptosi", Cast)                                                   \
+  OP(UIToFP, "uitofp", Cast)                                                   \
+  OP(FPToUI, "fptoui", Cast)                                                   \
+  OP(Bitcast, "bitcast", Cast)                                                 \
+  OP(Phi, "phi", Other)                                                        \
+  OP(Select, "select", Other)                                                  \
+  OP(Call, "call", Other)
 
-/// Integer comparison predicates.
-enum class ICmpPred : std::uint8_t { EQ, NE, SLT, SLE, SGT, SGE, ULT, ULE, UGT, UGE };
+/// Integer comparison predicates: P(enumerator, mnemonic).
+#define QIRKIT_ICMP_PREDS(P)                                                   \
+  P(EQ, "eq") P(NE, "ne") P(SLT, "slt") P(SLE, "sle") P(SGT, "sgt")             \
+  P(SGE, "sge") P(ULT, "ult") P(ULE, "ule") P(UGT, "ugt") P(UGE, "uge")
 
 /// Floating comparison predicates (ordered subset plus UNE).
-enum class FCmpPred : std::uint8_t { OEQ, ONE, OLT, OLE, OGT, OGE, UNE };
+#define QIRKIT_FCMP_PREDS(P)                                                   \
+  P(OEQ, "oeq") P(ONE, "one") P(OLT, "olt") P(OLE, "ole") P(OGT, "ogt")         \
+  P(OGE, "oge") P(UNE, "une")
+
+/// The class column of QIRKIT_IR_OPCODES.
+enum class OpcodeClass : std::uint8_t {
+  Terminator,
+  IntBinary,
+  FloatBinary,
+  Memory,
+  Compare,
+  Cast,
+  Other,
+};
+
+#define QIRKIT_IR_ENUMERATOR(name, ...) name,
+/// Instruction opcodes of the modeled subset, in QIRKIT_IR_OPCODES order.
+enum class Opcode : std::uint8_t { QIRKIT_IR_OPCODES(QIRKIT_IR_ENUMERATOR) };
+enum class ICmpPred : std::uint8_t { QIRKIT_ICMP_PREDS(QIRKIT_IR_ENUMERATOR) };
+enum class FCmpPred : std::uint8_t { QIRKIT_FCMP_PREDS(QIRKIT_IR_ENUMERATOR) };
+#undef QIRKIT_IR_ENUMERATOR
+
+[[nodiscard]] constexpr OpcodeClass opcodeClass(Opcode op) noexcept {
+  constexpr OpcodeClass kClasses[] = {
+#define QIRKIT_IR_CLASS(name, mnemonic, cls) OpcodeClass::cls,
+      QIRKIT_IR_OPCODES(QIRKIT_IR_CLASS)
+#undef QIRKIT_IR_CLASS
+  };
+  return kClasses[static_cast<std::size_t>(op)];
+}
+[[nodiscard]] constexpr bool isIntBinaryOp(Opcode op) noexcept {
+  return opcodeClass(op) == OpcodeClass::IntBinary;
+}
+[[nodiscard]] constexpr bool isFloatBinaryOp(Opcode op) noexcept {
+  return opcodeClass(op) == OpcodeClass::FloatBinary;
+}
+[[nodiscard]] constexpr bool isBinaryOp(Opcode op) noexcept {
+  return isIntBinaryOp(op) || isFloatBinaryOp(op);
+}
+[[nodiscard]] constexpr bool isCastOp(Opcode op) noexcept {
+  return opcodeClass(op) == OpcodeClass::Cast;
+}
+[[nodiscard]] constexpr bool isTerminatorOp(Opcode op) noexcept {
+  return opcodeClass(op) == OpcodeClass::Terminator;
+}
 
 [[nodiscard]] const char* opcodeName(Opcode op) noexcept;
 [[nodiscard]] const char* icmpPredName(ICmpPred p) noexcept;
 [[nodiscard]] const char* fcmpPredName(FCmpPred p) noexcept;
-[[nodiscard]] bool isBinaryOp(Opcode op) noexcept;
-[[nodiscard]] bool isIntBinaryOp(Opcode op) noexcept;
-[[nodiscard]] bool isFloatBinaryOp(Opcode op) noexcept;
-[[nodiscard]] bool isCastOp(Opcode op) noexcept;
-[[nodiscard]] bool isTerminatorOp(Opcode op) noexcept;
+/// Inverses of the *Name functions: nullopt for a name not in the lists.
+[[nodiscard]] std::optional<Opcode> opcodeFromName(std::string_view name) noexcept;
+[[nodiscard]] std::optional<ICmpPred> icmpPredFromName(std::string_view name) noexcept;
+[[nodiscard]] std::optional<FCmpPred> fcmpPredFromName(std::string_view name) noexcept;
 
 /// A single IR instruction. Operand layout per opcode:
 ///   Ret:      [] or [value]

@@ -132,6 +132,14 @@ Function* Module::entryPoint() const {
   return nullptr;
 }
 
+Function* Module::entryFunction() const {
+  Function* entry = entryPoint();
+  if (entry == nullptr) {
+    entry = getFunction("main");
+  }
+  return entry == nullptr || entry->isDeclaration() ? nullptr : entry;
+}
+
 GlobalVariable* Module::createGlobalString(std::string name, std::string bytes) {
   if (globalsByName_.contains(name)) {
     throw SemanticError("duplicate global @" + name);

@@ -192,6 +192,9 @@ public:
 
   /// First function carrying the "entry_point" attribute, or nullptr.
   [[nodiscard]] Function* entryPoint() const;
+  /// The function a run of the module starts in: entryPoint(), else
+  /// @main; nullptr when that function is missing or only declared.
+  [[nodiscard]] Function* entryFunction() const;
 
   // -- Globals ------------------------------------------------------------
   /// Create a constant byte-array global (e.g. an output label).

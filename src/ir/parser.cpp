@@ -889,7 +889,7 @@ private:
     if (acceptIdent("undef") || acceptIdent("poison")) {
       return ctx_.getUndef(type);
     }
-    if (atIdent("inttoptr")) {
+    if (atIdent(opcodeName(Opcode::IntToPtr))) {
       // inttoptr (i64 N to ptr)
       ++pos_;
       expect(TokKind::LParen, "'('");
@@ -975,56 +975,18 @@ private:
     if (!at(TokKind::Ident)) {
       fail("expected instruction");
     }
-    const std::string op = take().text;
+    const std::string name = take().text;
+    const std::optional<Opcode> opcode = opcodeFromName(name);
+    if (!opcode) {
+      fail(name == "getelementptr"
+               ? "getelementptr is outside the supported QIR subset (QIR arrays "
+                 "use __quantum__rt__array_get_element_ptr_1d)"
+               : "unknown instruction '" + name + "'");
+    }
+    const Opcode op = *opcode;
     Instruction* inst = nullptr;
 
-    const auto binOp = binOpFromName(op);
-    const auto castOp = castOpFromName(op);
-
-    if (op == "ret") {
-      if (acceptIdent("void")) {
-        inst = builder.createRetVoid();
-      } else {
-        const Type* type = parseType();
-        inst = builder.createRet(parseValueRef(type));
-      }
-    } else if (op == "br") {
-      if (atIdent("label")) {
-        inst = builder.createBr(parseBlockRef());
-      } else {
-        const Type* type = parseType();
-        if (!type->isInteger(1)) {
-          fail("br condition must be i1");
-        }
-        Value* cond = parseValueRef(type);
-        expect(TokKind::Comma, "','");
-        BasicBlock* ifTrue = parseBlockRef();
-        expect(TokKind::Comma, "','");
-        BasicBlock* ifFalse = parseBlockRef();
-        inst = builder.createCondBr(cond, ifTrue, ifFalse);
-      }
-    } else if (op == "switch") {
-      const Type* type = parseType();
-      Value* cond = parseValueRef(type);
-      expect(TokKind::Comma, "','");
-      BasicBlock* defaultDest = parseBlockRef();
-      Instruction* sw = builder.createSwitch(cond, defaultDest);
-      expect(TokKind::LBracket, "'['");
-      while (!accept(TokKind::RBracket)) {
-        const Type* caseType = parseType();
-        Value* caseValue = parseValueRef(caseType);
-        if (caseValue->kind() != Value::Kind::ConstantInt) {
-          fail("switch case value must be an integer constant");
-        }
-        expect(TokKind::Comma, "','");
-        BasicBlock* dest = parseBlockRef();
-        sw->addOperand(caseValue);
-        sw->addOperand(dest);
-      }
-      inst = sw;
-    } else if (op == "unreachable") {
-      inst = builder.createUnreachable();
-    } else if (binOp) {
+    if (isBinaryOp(op)) {
       // Skip wrap/exactness flags.
       while (atIdent("nuw") || atIdent("nsw") || atIdent("exact") ||
              atIdent("disjoint") || atIdent("fast") || atIdent("reassoc") ||
@@ -1036,81 +998,140 @@ private:
       Value* lhs = parseValueRef(type);
       expect(TokKind::Comma, "','");
       Value* rhs = parseValueRef(type);
-      inst = builder.createBinOp(*binOp, lhs, rhs);
-    } else if (op == "alloca") {
-      const Type* allocated = parseType();
-      inst = builder.createAlloca(allocated);
-    } else if (op == "load") {
-      const Type* type = parseType();
-      expect(TokKind::Comma, "','");
-      const Type* ptrType = parseType();
-      if (!ptrType->isPointer()) {
-        fail("load pointer operand must be ptr");
-      }
-      inst = builder.createLoad(type, parseValueRef(ptrType));
-    } else if (op == "store") {
-      const Type* valueType = parseType();
-      Value* value = parseValueRef(valueType);
-      expect(TokKind::Comma, "','");
-      const Type* ptrType = parseType();
-      if (!ptrType->isPointer()) {
-        fail("store pointer operand must be ptr");
-      }
-      inst = builder.createStore(value, parseValueRef(ptrType));
-    } else if (op == "icmp") {
-      const ICmpPred pred = parseICmpPred();
-      const Type* type = parseType();
-      Value* lhs = parseValueRef(type);
-      expect(TokKind::Comma, "','");
-      inst = builder.createICmp(pred, lhs, parseValueRef(type));
-    } else if (op == "fcmp") {
-      const FCmpPred pred = parseFCmpPred();
-      const Type* type = parseType();
-      Value* lhs = parseValueRef(type);
-      expect(TokKind::Comma, "','");
-      inst = builder.createFCmp(pred, lhs, parseValueRef(type));
-    } else if (castOp) {
+      inst = builder.createBinOp(op, lhs, rhs);
+    } else if (isCastOp(op)) {
       const Type* srcType = parseType();
       Value* value = parseValueRef(srcType);
       if (!acceptIdent("to")) {
         fail("expected 'to' in cast");
       }
       const Type* dstType = parseType();
-      inst = builder.createCast(*castOp, value, dstType);
-    } else if (op == "phi") {
-      const Type* type = parseType();
-      Instruction* phi = builder.createPhi(type);
-      do {
-        expect(TokKind::LBracket, "'['");
-        Value* value = parseValueRef(type);
-        expect(TokKind::Comma, "','");
-        if (!at(TokKind::LocalVar)) {
-          fail("expected incoming block label");
-        }
-        const Token incomingLabel = take();
-        BasicBlock* incoming =
-            getOrCreateBlock(incomingLabel.text, incomingLabel.loc);
-        expect(TokKind::RBracket, "']'");
-        phi->addIncoming(value, incoming);
-      } while (accept(TokKind::Comma) && at(TokKind::LBracket));
-      inst = phi;
-    } else if (op == "select") {
-      const Type* condType = parseType();
-      Value* cond = parseValueRef(condType);
-      expect(TokKind::Comma, "','");
-      const Type* valueType = parseType();
-      Value* ifTrue = parseValueRef(valueType);
-      expect(TokKind::Comma, "','");
-      (void)parseType();
-      Value* ifFalse = parseValueRef(valueType);
-      inst = builder.createSelect(cond, ifTrue, ifFalse);
-    } else if (op == "call") {
-      inst = parseCall(builder);
-    } else if (op == "getelementptr") {
-      fail("getelementptr is outside the supported QIR subset (QIR arrays "
-           "use __quantum__rt__array_get_element_ptr_1d)");
+      inst = builder.createCast(op, value, dstType);
     } else {
-      fail("unknown instruction '" + op + "'");
+      switch (op) {
+      case Opcode::Ret:
+        if (acceptIdent("void")) {
+          inst = builder.createRetVoid();
+        } else {
+          const Type* type = parseType();
+          inst = builder.createRet(parseValueRef(type));
+        }
+        break;
+      case Opcode::Br:
+        if (atIdent("label")) {
+          inst = builder.createBr(parseBlockRef());
+        } else {
+          const Type* type = parseType();
+          if (!type->isInteger(1)) {
+            fail("br condition must be i1");
+          }
+          Value* cond = parseValueRef(type);
+          expect(TokKind::Comma, "','");
+          BasicBlock* ifTrue = parseBlockRef();
+          expect(TokKind::Comma, "','");
+          BasicBlock* ifFalse = parseBlockRef();
+          inst = builder.createCondBr(cond, ifTrue, ifFalse);
+        }
+        break;
+      case Opcode::Switch: {
+        const Type* type = parseType();
+        Value* cond = parseValueRef(type);
+        expect(TokKind::Comma, "','");
+        BasicBlock* defaultDest = parseBlockRef();
+        Instruction* sw = builder.createSwitch(cond, defaultDest);
+        expect(TokKind::LBracket, "'['");
+        while (!accept(TokKind::RBracket)) {
+          const Type* caseType = parseType();
+          Value* caseValue = parseValueRef(caseType);
+          if (caseValue->kind() != Value::Kind::ConstantInt) {
+            fail("switch case value must be an integer constant");
+          }
+          expect(TokKind::Comma, "','");
+          BasicBlock* dest = parseBlockRef();
+          sw->addOperand(caseValue);
+          sw->addOperand(dest);
+        }
+        inst = sw;
+        break;
+      }
+      case Opcode::Unreachable:
+        inst = builder.createUnreachable();
+        break;
+      case Opcode::Alloca:
+        inst = builder.createAlloca(parseType());
+        break;
+      case Opcode::Load: {
+        const Type* type = parseType();
+        expect(TokKind::Comma, "','");
+        const Type* ptrType = parseType();
+        if (!ptrType->isPointer()) {
+          fail("load pointer operand must be ptr");
+        }
+        inst = builder.createLoad(type, parseValueRef(ptrType));
+        break;
+      }
+      case Opcode::Store: {
+        const Type* valueType = parseType();
+        Value* value = parseValueRef(valueType);
+        expect(TokKind::Comma, "','");
+        const Type* ptrType = parseType();
+        if (!ptrType->isPointer()) {
+          fail("store pointer operand must be ptr");
+        }
+        inst = builder.createStore(value, parseValueRef(ptrType));
+        break;
+      }
+      case Opcode::ICmp: {
+        const ICmpPred pred = parsePredicate(icmpPredFromName, opcodeName(op));
+        const Type* type = parseType();
+        Value* lhs = parseValueRef(type);
+        expect(TokKind::Comma, "','");
+        inst = builder.createICmp(pred, lhs, parseValueRef(type));
+        break;
+      }
+      case Opcode::FCmp: {
+        const FCmpPred pred = parsePredicate(fcmpPredFromName, opcodeName(op));
+        const Type* type = parseType();
+        Value* lhs = parseValueRef(type);
+        expect(TokKind::Comma, "','");
+        inst = builder.createFCmp(pred, lhs, parseValueRef(type));
+        break;
+      }
+      case Opcode::Phi: {
+        const Type* type = parseType();
+        Instruction* phi = builder.createPhi(type);
+        do {
+          expect(TokKind::LBracket, "'['");
+          Value* value = parseValueRef(type);
+          expect(TokKind::Comma, "','");
+          if (!at(TokKind::LocalVar)) {
+            fail("expected incoming block label");
+          }
+          const Token incomingLabel = take();
+          BasicBlock* incoming =
+              getOrCreateBlock(incomingLabel.text, incomingLabel.loc);
+          expect(TokKind::RBracket, "']'");
+          phi->addIncoming(value, incoming);
+        } while (accept(TokKind::Comma) && at(TokKind::LBracket));
+        inst = phi;
+        break;
+      }
+      case Opcode::Select: {
+        const Type* condType = parseType();
+        Value* cond = parseValueRef(condType);
+        expect(TokKind::Comma, "','");
+        const Type* valueType = parseType();
+        Value* ifTrue = parseValueRef(valueType);
+        expect(TokKind::Comma, "','");
+        (void)parseType();
+        Value* ifFalse = parseValueRef(valueType);
+        inst = builder.createSelect(cond, ifTrue, ifFalse);
+        break;
+      }
+      default: // Call: the binary and cast classes are handled above
+        inst = parseCall(builder);
+        break;
+      }
     }
 
     skipInstructionSuffix();
@@ -1159,60 +1180,19 @@ private:
     return builder.createCall(callee, std::span<Value* const>(args.data(), args.size()));
   }
 
-  ICmpPred parseICmpPred() {
-    static const std::map<std::string_view, ICmpPred> preds = {
-        {"eq", ICmpPred::EQ},   {"ne", ICmpPred::NE},   {"slt", ICmpPred::SLT},
-        {"sle", ICmpPred::SLE}, {"sgt", ICmpPred::SGT}, {"sge", ICmpPred::SGE},
-        {"ult", ICmpPred::ULT}, {"ule", ICmpPred::ULE}, {"ugt", ICmpPred::UGT},
-        {"uge", ICmpPred::UGE}};
+  /// The \p what predicate spelled by the current token.
+  template <typename Pred>
+  Pred parsePredicate(std::optional<Pred> (*fromName)(std::string_view) noexcept,
+                      const std::string& what) {
     if (!at(TokKind::Ident)) {
-      fail("expected icmp predicate");
+      fail("expected " + what + " predicate");
     }
-    const auto it = preds.find(cur().text);
-    if (it == preds.end()) {
-      fail("unknown icmp predicate '" + cur().text + "'");
+    const std::optional<Pred> pred = fromName(cur().text);
+    if (!pred) {
+      fail("unknown " + what + " predicate '" + cur().text + "'");
     }
     ++pos_;
-    return it->second;
-  }
-
-  FCmpPred parseFCmpPred() {
-    static const std::map<std::string_view, FCmpPred> preds = {
-        {"oeq", FCmpPred::OEQ}, {"one", FCmpPred::ONE}, {"olt", FCmpPred::OLT},
-        {"ole", FCmpPred::OLE}, {"ogt", FCmpPred::OGT}, {"oge", FCmpPred::OGE},
-        {"une", FCmpPred::UNE}};
-    if (!at(TokKind::Ident)) {
-      fail("expected fcmp predicate");
-    }
-    const auto it = preds.find(cur().text);
-    if (it == preds.end()) {
-      fail("unsupported fcmp predicate '" + cur().text + "'");
-    }
-    ++pos_;
-    return it->second;
-  }
-
-  static std::optional<Opcode> binOpFromName(std::string_view name) {
-    static const std::map<std::string_view, Opcode> ops = {
-        {"add", Opcode::Add},   {"sub", Opcode::Sub},   {"mul", Opcode::Mul},
-        {"sdiv", Opcode::SDiv}, {"udiv", Opcode::UDiv}, {"srem", Opcode::SRem},
-        {"urem", Opcode::URem}, {"and", Opcode::And},   {"or", Opcode::Or},
-        {"xor", Opcode::Xor},   {"shl", Opcode::Shl},   {"lshr", Opcode::LShr},
-        {"ashr", Opcode::AShr}, {"fadd", Opcode::FAdd}, {"fsub", Opcode::FSub},
-        {"fmul", Opcode::FMul}, {"fdiv", Opcode::FDiv}, {"frem", Opcode::FRem}};
-    const auto it = ops.find(name);
-    return it == ops.end() ? std::nullopt : std::optional<Opcode>(it->second);
-  }
-
-  static std::optional<Opcode> castOpFromName(std::string_view name) {
-    static const std::map<std::string_view, Opcode> ops = {
-        {"zext", Opcode::ZExt},         {"sext", Opcode::SExt},
-        {"trunc", Opcode::Trunc},       {"ptrtoint", Opcode::PtrToInt},
-        {"inttoptr", Opcode::IntToPtr}, {"sitofp", Opcode::SIToFP},
-        {"fptosi", Opcode::FPToSI},     {"uitofp", Opcode::UIToFP},
-        {"fptoui", Opcode::FPToUI},     {"bitcast", Opcode::Bitcast}};
-    const auto it = ops.find(name);
-    return it == ops.end() ? std::nullopt : std::optional<Opcode>(it->second);
+    return *pred;
   }
 
   void applyPendingAttributes() {

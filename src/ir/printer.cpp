@@ -3,7 +3,10 @@
 #include "support/string_utils.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cmath>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
@@ -160,8 +163,18 @@ private:
       }
       return std::to_string(c->value());
     }
-    case Value::Kind::ConstantFP:
-      return formatDouble(static_cast<const ConstantFP*>(v)->value());
+    case Value::Kind::ConstantFP: {
+      // A NaN or an infinity has no decimal spelling; LLVM, and the
+      // parser, take its bit pattern in hex.
+      const double value = static_cast<const ConstantFP*>(v)->value();
+      if (std::isfinite(value)) {
+        return formatDouble(value);
+      }
+      char hex[19];
+      std::snprintf(hex, sizeof hex, "0x%016llX",
+                    static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(value)));
+      return hex;
+    }
     case Value::Kind::ConstantPointerNull:
       return "null";
     case Value::Kind::ConstantIntToPtr:
@@ -192,25 +205,30 @@ private:
       out_ << numbering_.nameOf(&inst) << " = ";
     }
     const Opcode op = inst.op();
+    out_ << opcodeName(op);
+    if (isBinaryOp(op)) {
+      out_ << " " << typedRef(inst.operand(0)) << ", " << ref(inst.operand(1));
+      return;
+    }
+    if (isCastOp(op)) {
+      out_ << " " << typedRef(inst.operand(0)) << " to " << inst.type()->str();
+      return;
+    }
     switch (op) {
     case Opcode::Ret:
-      if (inst.numOperands() == 0) {
-        out_ << "ret void";
-      } else {
-        out_ << "ret " << typedRef(inst.operand(0));
-      }
+      out_ << " " << (inst.numOperands() == 0 ? "void" : typedRef(inst.operand(0)));
       return;
     case Opcode::Br:
       if (inst.isConditionalBr()) {
-        out_ << "br i1 " << ref(inst.brCondition()) << ", label "
+        out_ << " i1 " << ref(inst.brCondition()) << ", label "
              << ref(inst.operand(1)) << ", label " << ref(inst.operand(2));
       } else {
-        out_ << "br label " << ref(inst.operand(0));
+        out_ << " label " << ref(inst.operand(0));
       }
       return;
     case Opcode::Switch: {
-      out_ << "switch " << typedRef(inst.operand(0)) << ", label "
-           << ref(inst.operand(1)) << " [";
+      out_ << " " << typedRef(inst.operand(0)) << ", label " << ref(inst.operand(1))
+           << " [";
       for (unsigned i = 0; i < inst.numSwitchCases(); ++i) {
         out_ << "\n    " << typedRef(inst.switchCaseValue(i)) << ", label "
              << ref(inst.switchCaseDest(i));
@@ -219,30 +237,29 @@ private:
       return;
     }
     case Opcode::Unreachable:
-      out_ << "unreachable";
       return;
     case Opcode::Alloca:
-      out_ << "alloca " << inst.allocatedType()->str() << ", align 8";
+      out_ << " " << inst.allocatedType()->str() << ", align 8";
       return;
     case Opcode::Load:
-      out_ << "load " << inst.type()->str() << ", " << typedRef(inst.operand(0))
+      out_ << " " << inst.type()->str() << ", " << typedRef(inst.operand(0))
            << ", align " << std::max<std::uint64_t>(1, inst.type()->storeSize());
       return;
     case Opcode::Store:
-      out_ << "store " << typedRef(inst.operand(0)) << ", "
-           << typedRef(inst.operand(1)) << ", align "
+      out_ << " " << typedRef(inst.operand(0)) << ", " << typedRef(inst.operand(1))
+           << ", align "
            << std::max<std::uint64_t>(1, inst.operand(0)->type()->storeSize());
       return;
     case Opcode::ICmp:
-      out_ << "icmp " << icmpPredName(inst.icmpPred()) << " "
+      out_ << " " << icmpPredName(inst.icmpPred()) << " "
            << typedRef(inst.operand(0)) << ", " << ref(inst.operand(1));
       return;
     case Opcode::FCmp:
-      out_ << "fcmp " << fcmpPredName(inst.fcmpPred()) << " "
+      out_ << " " << fcmpPredName(inst.fcmpPred()) << " "
            << typedRef(inst.operand(0)) << ", " << ref(inst.operand(1));
       return;
     case Opcode::Phi: {
-      out_ << "phi " << inst.type()->str() << " ";
+      out_ << " " << inst.type()->str() << " ";
       for (unsigned i = 0; i < inst.numIncoming(); ++i) {
         if (i != 0) {
           out_ << ", ";
@@ -253,11 +270,11 @@ private:
       return;
     }
     case Opcode::Select:
-      out_ << "select " << typedRef(inst.operand(0)) << ", "
-           << typedRef(inst.operand(1)) << ", " << typedRef(inst.operand(2));
+      out_ << " " << typedRef(inst.operand(0)) << ", " << typedRef(inst.operand(1))
+           << ", " << typedRef(inst.operand(2));
       return;
-    case Opcode::Call: {
-      out_ << "call " << inst.callee()->returnType()->str() << " "
+    default: // Call: the binary and cast classes are printed above
+      out_ << " " << inst.callee()->returnType()->str() << " "
            << sigilName('@', inst.callee()->name()) << "(";
       for (unsigned i = 0; i < inst.numOperands(); ++i) {
         if (i != 0) {
@@ -268,20 +285,6 @@ private:
       out_ << ")";
       return;
     }
-    default:
-      break;
-    }
-    if (isBinaryOp(op)) {
-      out_ << opcodeName(op) << " " << typedRef(inst.operand(0)) << ", "
-           << ref(inst.operand(1));
-      return;
-    }
-    if (isCastOp(op)) {
-      out_ << opcodeName(op) << " " << typedRef(inst.operand(0)) << " to "
-           << inst.type()->str();
-      return;
-    }
-    assert(false && "unhandled opcode in printer");
   }
 
   const Function& fn_;

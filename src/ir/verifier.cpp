@@ -207,6 +207,14 @@ private:
         error(fn, "invalid fp-to-int cast");
       }
       break;
+    case Opcode::Bitcast:
+      // With opaque pointers the subset's bitcast is a no-op. A
+      // reinterpreting one (i64 to double) would need the engines to move
+      // bits between register fields, which they do not.
+      if (inst.operand(0)->type() != inst.type()) {
+        error(fn, describe(inst), ": bitcast between different types");
+      }
+      break;
     case Opcode::Select:
       if (!inst.operand(0)->type()->isInteger(1)) {
         error(fn, "select condition is not i1");

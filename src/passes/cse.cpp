@@ -92,12 +92,6 @@ public:
       return false;
     }
     const DomTree dom(fn);
-    std::map<const BasicBlock*, std::vector<const BasicBlock*>> children;
-    for (const BasicBlock* block : dom.reversePostOrder()) {
-      if (const BasicBlock* parent = dom.idom(block)) {
-        children[parent].push_back(block);
-      }
-    }
     // Scoped hash table over a dominator-tree DFS: available expressions
     // are those defined in dominating blocks (or earlier in the same
     // block). The walk keeps an explicit stack, because a recursive one
@@ -125,12 +119,10 @@ public:
       }
       stack.push_back({frame.block, true, added.size()});
       changed |= visit(*const_cast<BasicBlock*>(frame.block), available, added);
-      const auto kids = children.find(frame.block);
-      if (kids != children.end()) {
-        // Pushed in reverse, so children are visited in order.
-        for (auto it = kids->second.rbegin(); it != kids->second.rend(); ++it) {
-          stack.push_back({*it, false, 0});
-        }
+      // Pushed in reverse, so children are visited in order.
+      const auto& kids = dom.children(frame.block);
+      for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
+        stack.push_back({*it, false, 0});
       }
     }
     return changed;

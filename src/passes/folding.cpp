@@ -20,14 +20,24 @@ const ConstantFP* asConstFP(const Value* v) noexcept {
                                               : nullptr;
 }
 
-} // namespace
+/// A constant in the register shape evalCast reads and writes.
+struct Scalar {
+  std::int64_t i = 0;
+  double d = 0.0;
+  std::uint64_t p = 0;
+  static Scalar makeInt(std::int64_t v) { return {v, 0.0, 0}; }
+  static Scalar makeDouble(double v) { return {0, v, 0}; }
+  static Scalar makePtr(std::uint64_t v) { return {0, 0.0, v}; }
+};
 
-Value* foldInstruction(Context& ctx, const Instruction& inst) {
+/// foldInstruction with \p operand(i) standing for \p inst's operand i.
+template <typename Operand>
+Value* fold(Context& ctx, const Instruction& inst, Operand operand) {
   const Opcode op = inst.op();
 
   if (isIntBinaryOp(op)) {
-    Value* lhs = inst.operand(0);
-    Value* rhs = inst.operand(1);
+    Value* lhs = operand(0);
+    Value* rhs = operand(1);
     const ConstantInt* cl = asConstInt(lhs);
     const ConstantInt* cr = asConstInt(rhs);
     const unsigned bits = inst.type()->bits();
@@ -86,18 +96,39 @@ Value* foldInstruction(Context& ctx, const Instruction& inst) {
   }
 
   if (isFloatBinaryOp(op)) {
-    const ConstantFP* cl = asConstFP(inst.operand(0));
-    const ConstantFP* cr = asConstFP(inst.operand(1));
+    const ConstantFP* cl = asConstFP(operand(0));
+    const ConstantFP* cr = asConstFP(operand(1));
     if (cl != nullptr && cr != nullptr) {
       return ctx.getDouble(evalFloatBinOp(op, cl->value(), cr->value()));
     }
     return nullptr;
   }
 
+  if (isCastOp(op)) {
+    Value* source = operand(0);
+    if (op == Opcode::Bitcast) {
+      // With opaque pointers the only bitcasts left are no-ops.
+      return inst.type() == source->type() ? source : nullptr;
+    }
+    Scalar value;
+    if (const ConstantInt* c = asConstInt(source)) {
+      value.i = c->value();
+    } else if (const ConstantFP* c = asConstFP(source)) {
+      value.d = c->value();
+    } else if (!getStaticPointerAddress(source, value.p)) {
+      return nullptr;
+    }
+    const Scalar result = evalCast(op, castBits(inst), value);
+    const Type* type = inst.type();
+    return type->isInteger()  ? static_cast<Value*>(ctx.getInt(type->bits(), result.i))
+           : type->isDouble() ? static_cast<Value*>(ctx.getDouble(result.d))
+                              : ctx.getIntToPtr(result.p);
+  }
+
   switch (op) {
   case Opcode::ICmp: {
-    Value* lhs = inst.operand(0);
-    Value* rhs = inst.operand(1);
+    Value* lhs = operand(0);
+    Value* rhs = operand(1);
     if (const ConstantInt* cl = asConstInt(lhs)) {
       if (const ConstantInt* cr = asConstInt(rhs)) {
         return ctx.getI1(
@@ -123,96 +154,27 @@ Value* foldInstruction(Context& ctx, const Instruction& inst) {
     return nullptr;
   }
   case Opcode::FCmp: {
-    const ConstantFP* cl = asConstFP(inst.operand(0));
-    const ConstantFP* cr = asConstFP(inst.operand(1));
+    const ConstantFP* cl = asConstFP(operand(0));
+    const ConstantFP* cr = asConstFP(operand(1));
     if (cl != nullptr && cr != nullptr) {
       return ctx.getI1(evalFCmp(inst.fcmpPred(), cl->value(), cr->value()));
     }
     return nullptr;
   }
   case Opcode::Select: {
-    if (const ConstantInt* cond = asConstInt(inst.operand(0))) {
-      return cond->isZero() ? inst.operand(2) : inst.operand(1);
+    if (const ConstantInt* cond = asConstInt(operand(0))) {
+      return cond->isZero() ? operand(2) : operand(1);
     }
-    if (inst.operand(1) == inst.operand(2)) {
-      return inst.operand(1);
-    }
-    return nullptr;
-  }
-  case Opcode::ZExt: {
-    if (const ConstantInt* c = asConstInt(inst.operand(0))) {
-      return ctx.getInt(inst.type()->bits(),
-                        static_cast<std::int64_t>(c->zextValue()));
+    if (operand(1) == operand(2)) {
+      return operand(1);
     }
     return nullptr;
   }
-  case Opcode::SExt: {
-    if (const ConstantInt* c = asConstInt(inst.operand(0))) {
-      return ctx.getInt(inst.type()->bits(), c->value());
-    }
-    return nullptr;
-  }
-  case Opcode::Trunc: {
-    if (const ConstantInt* c = asConstInt(inst.operand(0))) {
-      return ctx.getInt(inst.type()->bits(), c->value());
-    }
-    return nullptr;
-  }
-  case Opcode::IntToPtr: {
-    if (const ConstantInt* c = asConstInt(inst.operand(0))) {
-      return ctx.getIntToPtr(c->zextValue());
-    }
-    return nullptr;
-  }
-  case Opcode::PtrToInt: {
-    std::uint64_t address = 0;
-    if (getStaticPointerAddress(inst.operand(0), address)) {
-      return ctx.getInt(inst.type()->bits(), static_cast<std::int64_t>(address));
-    }
-    return nullptr;
-  }
-  case Opcode::SIToFP: {
-    if (const ConstantInt* c = asConstInt(inst.operand(0))) {
-      return ctx.getDouble(static_cast<double>(c->value()));
-    }
-    return nullptr;
-  }
-  case Opcode::UIToFP: {
-    if (const ConstantInt* c = asConstInt(inst.operand(0))) {
-      return ctx.getDouble(static_cast<double>(c->zextValue()));
-    }
-    return nullptr;
-  }
-  case Opcode::FPToSI: {
-    if (const ConstantFP* c = asConstFP(inst.operand(0))) {
-      if (std::isnan(c->value())) {
-        return nullptr;
-      }
-      return ctx.getInt(inst.type()->bits(), static_cast<std::int64_t>(c->value()));
-    }
-    return nullptr;
-  }
-  case Opcode::FPToUI: {
-    if (const ConstantFP* c = asConstFP(inst.operand(0))) {
-      if (std::isnan(c->value()) || c->value() < 0) {
-        return nullptr;
-      }
-      return ctx.getInt(inst.type()->bits(),
-                        static_cast<std::int64_t>(static_cast<std::uint64_t>(c->value())));
-    }
-    return nullptr;
-  }
-  case Opcode::Bitcast:
-    // With opaque pointers the only bitcasts left are no-ops.
-    if (inst.type() == inst.operand(0)->type()) {
-      return inst.operand(0);
-    }
-    return nullptr;
   case Opcode::Phi: {
     // Phi with all-identical incoming values (ignoring self-references).
     Value* unique = nullptr;
     for (unsigned i = 0; i < inst.numIncoming(); ++i) {
-      Value* in = inst.incomingValue(i);
+      Value* in = operand(2 * i);
       if (in == &inst) {
         continue;
       }
@@ -227,6 +189,17 @@ Value* foldInstruction(Context& ctx, const Instruction& inst) {
   default:
     return nullptr;
   }
+}
+
+} // namespace
+
+Value* foldInstruction(Context& ctx, const Instruction& inst) {
+  return fold(ctx, inst, [&inst](unsigned i) { return inst.operand(i); });
+}
+
+Value* foldInstruction(Context& ctx, const Instruction& inst,
+                       std::span<Value* const> operands) {
+  return fold(ctx, inst, [operands](unsigned i) { return operands[i]; });
 }
 
 } // namespace qirkit::passes

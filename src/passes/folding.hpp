@@ -1,6 +1,10 @@
 /// \file folding.hpp
-/// Constant folding and algebraic simplification of single instructions.
-/// Shared by the constant-fold pass, SCCP, and the interpreter tests.
+/// The one meaning of each classical opcode: the eval* functions compute
+/// a result from operand values, and foldInstruction turns them into
+/// constant folding and algebraic simplification of single instructions.
+/// The constant-fold pass and SCCP fold through foldInstruction; the
+/// interpreter and the VM evaluate through the same eval* functions, so
+/// the folder and both engines give one answer.
 #pragma once
 
 #include "ir/instruction.hpp"
@@ -37,6 +41,34 @@ inline std::uint64_t zext(std::int64_t value, unsigned bits) noexcept {
     return static_cast<std::uint64_t>(value);
   }
   return static_cast<std::uint64_t>(value) & ((std::uint64_t{1} << bits) - 1);
+}
+
+/// fptosi / fptoui to iN: LLVM's value where it defines one (truncation
+/// toward zero), else saturation to iN's range, and 0 for NaN. Returns the
+/// canonical iN representation. The range checks come first, so the C++
+/// conversion only ever sees a value it can represent.
+inline std::int64_t fpToInt(double x, unsigned bits, bool isSigned) noexcept {
+  if (std::isnan(x)) {
+    return 0;
+  }
+  if (isSigned) {
+    const double limit = std::ldexp(1.0, static_cast<int>(bits) - 1); // 2^(N-1)
+    const std::uint64_t top = std::uint64_t{1} << (bits - 1);
+    if (x >= limit) {
+      return static_cast<std::int64_t>(top - 1);
+    }
+    if (x < -limit) {
+      return static_cast<std::int64_t>(~(top - 1));
+    }
+    return static_cast<std::int64_t>(x);
+  }
+  if (x <= -1.0) {
+    return 0;
+  }
+  if (x >= std::ldexp(1.0, static_cast<int>(bits))) {
+    return -1; // 2^N - 1, canonical
+  }
+  return toWidth(static_cast<std::int64_t>(static_cast<std::uint64_t>(x)), bits);
 }
 
 } // namespace detail
@@ -175,6 +207,58 @@ inline std::uint64_t zext(std::int64_t value, unsigned bits) noexcept {
   return false;
 }
 
+/// The one width evalCast reads for \p cast: the source width of zext,
+/// uitofp and inttoptr, the destination width of trunc, fptosi, fptoui
+/// and ptrtoint, and 0 for sext and bitcast, which read none.
+[[nodiscard]] inline unsigned castBits(const ir::Instruction& cast) noexcept {
+  switch (cast.op()) {
+  case ir::Opcode::ZExt:
+  case ir::Opcode::UIToFP:
+  case ir::Opcode::IntToPtr:
+    return cast.operand(0)->type()->bits();
+  case ir::Opcode::Trunc:
+  case ir::Opcode::FPToSI:
+  case ir::Opcode::FPToUI:
+  case ir::Opcode::PtrToInt:
+    return cast.type()->bits();
+  default:
+    return 0;
+  }
+}
+
+/// Evaluate cast \p op on \p value, a register of the engines' shape
+/// (interp::RtValue: fields i, d and p, factories makeInt, makeDouble and
+/// makePtr). Integers are held in their canonical sign-extended form, so
+/// sext and bitcast return \p value unchanged. \p bits is castBits().
+/// Where LLVM defines a result this is LLVM's; an out-of-range or NaN
+/// fptosi/fptoui saturates (detail::fpToInt).
+template <typename Register>
+[[nodiscard]] inline Register evalCast(ir::Opcode op, unsigned bits,
+                                       const Register& value) noexcept {
+  using detail::zext;
+  switch (op) {
+  case ir::Opcode::ZExt:
+    return Register::makeInt(static_cast<std::int64_t>(zext(value.i, bits)));
+  case ir::Opcode::Trunc:
+    return Register::makeInt(detail::toWidth(value.i, bits));
+  case ir::Opcode::PtrToInt:
+    return Register::makeInt(
+        detail::toWidth(static_cast<std::int64_t>(value.p), bits));
+  case ir::Opcode::IntToPtr:
+    return Register::makePtr(zext(value.i, bits));
+  case ir::Opcode::SIToFP:
+    return Register::makeDouble(static_cast<double>(value.i));
+  case ir::Opcode::UIToFP:
+    return Register::makeDouble(static_cast<double>(zext(value.i, bits)));
+  case ir::Opcode::FPToSI:
+    return Register::makeInt(detail::fpToInt(value.d, bits, true));
+  case ir::Opcode::FPToUI:
+    return Register::makeInt(detail::fpToInt(value.d, bits, false));
+  default:
+    return value;
+  }
+}
+
 /// Try to fold \p inst given its current operands.
 /// Returns the replacement value — an existing constant or operand — or
 /// nullptr if the instruction cannot be simplified. Does not mutate IR.
@@ -184,5 +268,11 @@ inline std::uint64_t zext(std::int64_t value, unsigned bits) noexcept {
 /// x/1, select with equal arms, icmp x==x, phi with identical incoming).
 [[nodiscard]] ir::Value* foldInstruction(ir::Context& context,
                                          const ir::Instruction& inst);
+
+/// foldInstruction as if \p inst's operands were \p operands (one per
+/// operand): SCCP folds with its lattice-resolved operands this way.
+[[nodiscard]] ir::Value* foldInstruction(ir::Context& context,
+                                         const ir::Instruction& inst,
+                                         std::span<ir::Value* const> operands);
 
 } // namespace qirkit::passes

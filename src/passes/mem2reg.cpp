@@ -139,14 +139,6 @@ private:
       }
     }
 
-    // Dominator-tree children for the renaming walk.
-    std::map<const BasicBlock*, std::vector<const BasicBlock*>> children;
-    for (const BasicBlock* block : dom.reversePostOrder()) {
-      if (const BasicBlock* parent = dom.idom(block)) {
-        children[parent].push_back(block);
-      }
-    }
-
     // Renaming walk.
     struct Frame {
       const BasicBlock* block;
@@ -204,11 +196,8 @@ private:
       }
 
       // Recurse into dominator-tree children.
-      const auto kids = children.find(block);
-      if (kids != children.end()) {
-        for (const BasicBlock* child : kids->second) {
-          stack.push_back({child, current});
-        }
+      for (const BasicBlock* child : dom.children(block)) {
+        stack.push_back({child, current});
       }
     }
 

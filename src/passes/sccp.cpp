@@ -165,107 +165,12 @@ private:
       resolved[i] = lv.state == LatticeValue::State::Constant ? lv.constant
                                                               : inst->operand(i);
     }
-    // Fold on a throwaway clone with resolved operands.
-    Value* folded = foldWithOperands(inst, resolved);
+    Value* folded = foldInstruction(ctx_, *inst, resolved);
     if (folded != nullptr && folded->isConstant() &&
         folded->kind() != Value::Kind::Undef) {
       markConstant(inst, folded);
     } else {
       markOverdefined(inst);
-    }
-  }
-
-  Value* foldWithOperands(Instruction* inst, const std::vector<Value*>& resolved) {
-    // Temporarily substituting operands would disturb use lists; instead
-    // evaluate the common cases directly.
-    const Opcode op = inst->op();
-    if (isIntBinaryOp(op)) {
-      const auto* l = dynamic_cast<ConstantInt*>(resolved[0]);
-      const auto* r = dynamic_cast<ConstantInt*>(resolved[1]);
-      if (l != nullptr && r != nullptr) {
-        std::int64_t result = 0;
-        if (evalIntBinOp(op, inst->type()->bits(), l->value(), r->value(), result)) {
-          return ctx_.getInt(inst->type()->bits(), result);
-        }
-      }
-      return nullptr;
-    }
-    if (isFloatBinaryOp(op)) {
-      const auto* l = dynamic_cast<ConstantFP*>(resolved[0]);
-      const auto* r = dynamic_cast<ConstantFP*>(resolved[1]);
-      if (l != nullptr && r != nullptr) {
-        return ctx_.getDouble(evalFloatBinOp(op, l->value(), r->value()));
-      }
-      return nullptr;
-    }
-    switch (op) {
-    case Opcode::ICmp: {
-      const auto* l = dynamic_cast<ConstantInt*>(resolved[0]);
-      const auto* r = dynamic_cast<ConstantInt*>(resolved[1]);
-      if (l != nullptr && r != nullptr) {
-        return ctx_.getI1(
-            evalICmp(inst->icmpPred(), l->type()->bits(), l->value(), r->value()));
-      }
-      std::uint64_t la = 0;
-      std::uint64_t ra = 0;
-      if (resolved[0]->type()->isPointer() &&
-          getStaticPointerAddress(resolved[0], la) &&
-          getStaticPointerAddress(resolved[1], ra)) {
-        return ctx_.getI1(evalICmp(inst->icmpPred(), 64,
-                                   static_cast<std::int64_t>(la),
-                                   static_cast<std::int64_t>(ra)));
-      }
-      return nullptr;
-    }
-    case Opcode::FCmp: {
-      const auto* l = dynamic_cast<ConstantFP*>(resolved[0]);
-      const auto* r = dynamic_cast<ConstantFP*>(resolved[1]);
-      if (l != nullptr && r != nullptr) {
-        return ctx_.getI1(evalFCmp(inst->fcmpPred(), l->value(), r->value()));
-      }
-      return nullptr;
-    }
-    case Opcode::Select: {
-      const auto* cond = dynamic_cast<ConstantInt*>(resolved[0]);
-      if (cond != nullptr) {
-        return resolved[cond->isZero() ? 2 : 1];
-      }
-      return nullptr;
-    }
-    case Opcode::ZExt: {
-      const auto* c = dynamic_cast<ConstantInt*>(resolved[0]);
-      return c != nullptr ? ctx_.getInt(inst->type()->bits(),
-                                        static_cast<std::int64_t>(c->zextValue()))
-                          : nullptr;
-    }
-    case Opcode::SExt:
-    case Opcode::Trunc: {
-      const auto* c = dynamic_cast<ConstantInt*>(resolved[0]);
-      return c != nullptr ? ctx_.getInt(inst->type()->bits(), c->value()) : nullptr;
-    }
-    case Opcode::IntToPtr: {
-      const auto* c = dynamic_cast<ConstantInt*>(resolved[0]);
-      return c != nullptr ? static_cast<Value*>(ctx_.getIntToPtr(c->zextValue()))
-                          : nullptr;
-    }
-    case Opcode::PtrToInt: {
-      std::uint64_t address = 0;
-      if (getStaticPointerAddress(resolved[0], address)) {
-        return ctx_.getInt(inst->type()->bits(), static_cast<std::int64_t>(address));
-      }
-      return nullptr;
-    }
-    case Opcode::SIToFP: {
-      const auto* c = dynamic_cast<ConstantInt*>(resolved[0]);
-      return c != nullptr ? ctx_.getDouble(static_cast<double>(c->value())) : nullptr;
-    }
-    case Opcode::UIToFP: {
-      const auto* c = dynamic_cast<ConstantInt*>(resolved[0]);
-      return c != nullptr ? ctx_.getDouble(static_cast<double>(c->zextValue()))
-                          : nullptr;
-    }
-    default:
-      return nullptr;
     }
   }
 

@@ -17,7 +17,8 @@ public:
   }
 
   bool run(Module& module) override {
-    if (module.entryPoint() == nullptr && module.getFunction("main") == nullptr) {
+    const Function* root = module.entryFunction();
+    if (root == nullptr) {
       return false; // library module: every definition is a root
     }
     bool changedAny = false;
@@ -37,8 +38,7 @@ public:
       }
       Function* dead = nullptr;
       for (const auto& fn : module.functions()) {
-        if (fn->isDeclaration() || fn->hasAttribute("entry_point") ||
-            fn->name() == "main") {
+        if (fn->isDeclaration() || fn.get() == root) {
           continue;
         }
         if (called.count(fn.get()) == 0 && !fn->hasUses()) {

@@ -538,11 +538,8 @@ public:
   explicit ModuleImporter(const ir::Module& module) : module_(module) {}
 
   Circuit run() {
-    const ir::Function* entry = module_.entryPoint();
+    const ir::Function* entry = module_.entryFunction();
     if (entry == nullptr) {
-      entry = module_.getFunction("main");
-    }
-    if (entry == nullptr || entry->isDeclaration()) {
       machine_.fail("module has no entry-point definition");
     }
     const ir::BasicBlock* block = entry->entry();

@@ -26,6 +26,35 @@ bool isQuantumFunction(std::string_view name) noexcept {
   return name.starts_with("__quantum__");
 }
 
+bool readsMeasurement(const ir::Instruction& inst) {
+  return inst.op() == ir::Opcode::Call &&
+         (inst.callee()->name() == kQisReadResult ||
+          inst.callee()->name() == kRtResultEqual);
+}
+
+std::unordered_set<const ir::Value*> measurementDependents(const ir::Function& fn) {
+  std::unordered_set<const ir::Value*> dependents;
+  std::vector<const ir::Value*> worklist;
+  for (const auto& block : fn.blocks()) {
+    for (const auto& inst : block->instructions()) {
+      if (readsMeasurement(*inst) && dependents.insert(inst.get()).second) {
+        worklist.push_back(inst.get());
+      }
+    }
+  }
+  while (!worklist.empty()) {
+    const ir::Value* value = worklist.back();
+    worklist.pop_back();
+    for (const ir::Use* use : value->uses()) {
+      if (use->user->kind() == ir::Value::Kind::Instruction &&
+          dependents.insert(use->user).second) {
+        worklist.push_back(use->user);
+      }
+    }
+  }
+  return dependents;
+}
+
 namespace {
 
 /// Each gate with its QIS function: the one pairing qisNameFor,

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 
 namespace qirkit::qir {
 
@@ -62,6 +63,16 @@ inline constexpr std::string_view kRtResultEqual = "__quantum__rt__result_equal"
 [[nodiscard]] bool isRtFunction(std::string_view name) noexcept;
 /// True for any `__quantum__*` name.
 [[nodiscard]] bool isQuantumFunction(std::string_view name) noexcept;
+
+/// True for a call whose value reads a measurement outcome: read_result
+/// and result_equal.
+[[nodiscard]] bool readsMeasurement(const ir::Instruction& inst);
+
+/// Every instruction of \p fn whose value depends on a measurement
+/// outcome: the readsMeasurement calls and, through the use lists, every
+/// instruction that (transitively) uses one, phis and branches included.
+[[nodiscard]] std::unordered_set<const ir::Value*>
+measurementDependents(const ir::Function& fn);
 
 /// Signature of a known QIR function in \p context, or nullptr for unknown
 /// names.

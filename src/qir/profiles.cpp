@@ -31,11 +31,8 @@ public:
       : module_(module), profile_(profile) {}
 
   ProfileReport run() {
-    const Function* entry = module_.entryPoint();
+    const Function* entry = module_.entryFunction();
     if (entry == nullptr) {
-      entry = module_.getFunction("main");
-    }
-    if (entry == nullptr || entry->isDeclaration()) {
       report_.violations.push_back("module has no entry-point definition");
       return report_;
     }

@@ -118,7 +118,7 @@ std::string RuntimeAbi::outputBitString() const {
 void RuntimeAbi::bindRuntimeFunctions(interp::ExternalRegistry& registry) {
   registry.bindExternal(std::string(qir::kQisReadResult),
                         [this](std::span<const RtValue> args, ExternContext&) {
-                          return RtValue::makeInt(resultValue(args[0].p) ? 1 : 0);
+                          return RtValue::makeI1(resultValue(args[0].p));
                         });
   registry.bindExternal(std::string(qir::kRtInitialize),
                         [](std::span<const RtValue>, ExternContext&) {
@@ -209,8 +209,8 @@ void RuntimeAbi::bindRuntimeFunctions(interp::ExternalRegistry& registry) {
                         });
   registry.bindExternal(std::string(qir::kRtResultEqual),
                         [this](std::span<const RtValue> args, ExternContext&) {
-                          return RtValue::makeInt(
-                              resultValue(args[0].p) == resultValue(args[1].p) ? 1 : 0);
+                          return RtValue::makeI1(resultValue(args[0].p) ==
+                                                 resultValue(args[1].p));
                         });
 }
 

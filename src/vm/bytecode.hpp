@@ -44,9 +44,9 @@ inline constexpr std::size_t kNumOpClasses =
 /// where `sub` says how the disassembler spells the instruction's `sub`
 /// field — None, Opcode (an ir::Opcode), ICmpPred or FCmpPred. Operand
 /// meanings follow each entry: `r[x]` is frame register x, and `d` carries
-/// an immediate (bit width, byte count, size, or a fourth register for
-/// Select). The list generates Op, kNumOps, opName, opClassOf and the
-/// disassembler's suffix.
+/// an immediate (bit width, size, or a fourth register for Select). The
+/// list generates Op, kNumOps, opName, opClassOf and the disassembler's
+/// suffix.
 #define QIRKIT_VM_OPS(OP)                                                      \
   OP(Nop, "nop", Data, None)                                                   \
   OP(Mov, "mov", Data, None) /* r[a] = r[b] */                                 \
@@ -54,30 +54,22 @@ inline constexpr std::size_t kNumOpClasses =
   OP(IntBin, "ibin", Arithmetic, Opcode)                                       \
   /* r[a].d = evalFloatBinOp(sub, r[b].d, r[c].d) */                           \
   OP(FloatBin, "fbin", Arithmetic, Opcode)                                     \
-  /* r[a].i = evalICmp(sub, bits=d, r[b].i, r[c].i) */                         \
+  /* r[a] = makeI1(evalICmp(sub, bits=d, r[b].i, r[c].i)) */                   \
   OP(ICmp, "icmp", Arithmetic, ICmpPred)                                       \
-  /* r[a].i = evalICmp(sub, 64, (i64)r[b].p, (i64)r[c].p) */                   \
+  /* r[a] = makeI1(evalICmp(sub, 64, (i64)r[b].p, (i64)r[c].p)) */             \
   OP(ICmpPtr, "icmp.ptr", Arithmetic, ICmpPred)                                \
-  /* r[a].i = evalFCmp(sub, r[b].d, r[c].d) */                                 \
+  /* r[a] = makeI1(evalFCmp(sub, r[b].d, r[c].d)) */                           \
   OP(FCmp, "fcmp", Arithmetic, FCmpPred)                                       \
-  /* r[a].i = r[b].i zero-extended from d source bits */                       \
-  OP(ZExt, "zext", Data, None)                                                 \
-  /* r[a].i = r[b].i truncated to d bits, then sign-extended */                \
-  OP(Trunc, "trunc", Data, None)                                               \
-  OP(PtrToInt, "ptrtoint", Data, None) /* r[a].i = (i64)r[b].p */              \
-  OP(IntToPtr, "inttoptr", Data, None) /* r[a].p = (u64)r[b].i */              \
-  OP(SiToF, "sitofp", Data, None)      /* r[a].d = (double)r[b].i */           \
-  OP(UiToF, "uitofp", Data, None)      /* r[a].d = (double)(u64)r[b].i */      \
-  OP(FToSi, "fptosi", Data, None)      /* r[a].i = (i64)r[b].d */              \
-  OP(FToUi, "fptoui", Data, None)      /* r[a].i = (i64)(u64)r[b].d */         \
+  /* r[a] = evalCast(sub, bits=d, r[b]), d = castBits */                       \
+  OP(Cast, "cast", Data, Opcode)                                               \
   /* r[a] = r[b].i != 0 ? r[c] : r[d] */                                       \
   OP(Select, "select", Data, None)                                             \
   OP(Alloca, "alloca", Memory, None) /* r[a].p = memory.allocate(d) */         \
-  /* r[a].i = memory.loadInt(r[b].p, d bytes, sign-extended) */                \
+  /* r[a].i = memory.loadInt(r[b].p, d bits) */                                \
   OP(LoadInt, "load.i", Memory, None)                                          \
   OP(LoadDouble, "load.d", Memory, None) /* r[a].d = memory[r[b].p] */         \
   OP(LoadPtr, "load.p", Memory, None)    /* r[a].p = memory[r[b].p] */         \
-  /* memory.storeInt(r[c].p, r[b].i, d bytes) */                               \
+  /* memory.storeInt(r[c].p, r[b].i, d bits) */                                \
   OP(StoreInt, "store.i", Memory, None)                                        \
   OP(StoreDouble, "store.d", Memory, None) /* memory[r[c].p] = r[b].d */       \
   OP(StorePtr, "store.p", Memory, None)    /* memory[r[c].p] = r[b].p */       \

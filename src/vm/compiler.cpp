@@ -4,6 +4,7 @@
 
 #include "interp/interpreter.hpp"
 #include "ir/constant.hpp"
+#include "passes/folding.hpp"
 #include "support/faultinject.hpp"
 #include "support/telemetry/telemetry.hpp"
 
@@ -182,6 +183,11 @@ private:
            regOf(inst.operand(0)), regOf(inst.operand(1)));
       return;
     }
+    if (isCastOp(op)) {
+      emit(Op::Cast, static_cast<std::uint8_t>(op), kStep, dstOf(&inst),
+           regOf(inst.operand(0)), 0, passes::castBits(inst));
+      return;
+    }
     switch (op) {
     case Opcode::Ret:
       if (inst.numOperands() == 1) {
@@ -224,7 +230,7 @@ private:
         emit(Op::LoadPtr, 0, kStep, dstOf(&inst), regOf(inst.operand(0)));
       } else {
         emit(Op::LoadInt, 0, kStep, dstOf(&inst), regOf(inst.operand(0)), 0,
-             static_cast<std::uint32_t>(type->storeSize()));
+             type->bits());
       }
       return;
     }
@@ -237,8 +243,7 @@ private:
       } else if (type->isPointer()) {
         emit(Op::StorePtr, 0, kStep, kNoReg, value, address);
       } else {
-        emit(Op::StoreInt, 0, kStep, kNoReg, value, address,
-             static_cast<std::uint32_t>(type->storeSize()));
+        emit(Op::StoreInt, 0, kStep, kNoReg, value, address, type->bits());
       }
       return;
     }
@@ -256,38 +261,6 @@ private:
     case Opcode::FCmp:
       emit(Op::FCmp, static_cast<std::uint8_t>(inst.fcmpPred()), kStep,
            dstOf(&inst), regOf(inst.operand(0)), regOf(inst.operand(1)));
-      return;
-    case Opcode::ZExt:
-      emit(Op::ZExt, 0, kStep, dstOf(&inst), regOf(inst.operand(0)), 0,
-           inst.operand(0)->type()->bits());
-      return;
-    case Opcode::SExt:
-    case Opcode::Bitcast:
-      // Values are stored canonically sign-extended; both are plain moves,
-      // exactly as in the interpreter.
-      emit(Op::Mov, 0, kStep, dstOf(&inst), regOf(inst.operand(0)));
-      return;
-    case Opcode::Trunc:
-      emit(Op::Trunc, 0, kStep, dstOf(&inst), regOf(inst.operand(0)), 0,
-           inst.type()->bits());
-      return;
-    case Opcode::PtrToInt:
-      emit(Op::PtrToInt, 0, kStep, dstOf(&inst), regOf(inst.operand(0)));
-      return;
-    case Opcode::IntToPtr:
-      emit(Op::IntToPtr, 0, kStep, dstOf(&inst), regOf(inst.operand(0)));
-      return;
-    case Opcode::SIToFP:
-      emit(Op::SiToF, 0, kStep, dstOf(&inst), regOf(inst.operand(0)));
-      return;
-    case Opcode::UIToFP:
-      emit(Op::UiToF, 0, kStep, dstOf(&inst), regOf(inst.operand(0)));
-      return;
-    case Opcode::FPToSI:
-      emit(Op::FToSi, 0, kStep, dstOf(&inst), regOf(inst.operand(0)));
-      return;
-    case Opcode::FPToUI:
-      emit(Op::FToUi, 0, kStep, dstOf(&inst), regOf(inst.operand(0)));
       return;
     case Opcode::Select:
       emit(Op::Select, 0, kStep, dstOf(&inst), regOf(inst.operand(0)),
@@ -532,7 +505,7 @@ std::shared_ptr<const BytecodeModule> compileModule(const ir::Module& module,
         static_cast<std::uint32_t>(out->functions.size() - 1);
   }
 
-  if (const Function* entry = interp::findEntryPoint(module); entry != nullptr) {
+  if (const Function* entry = module.entryFunction(); entry != nullptr) {
     out->entryIndex = static_cast<int>(functionIndex.at(entry));
   }
   if (options.fuseGates) {

@@ -1,6 +1,5 @@
 #include "vm/shot_analysis.hpp"
 
-#include "interp/interpreter.hpp"
 #include "ir/instruction.hpp"
 #include "qir/names.hpp"
 
@@ -99,7 +98,7 @@ public:
   explicit Analyzer(const ir::Module& module) : module_(module) {}
 
   ShotAnalysis run() {
-    const Function* entry = interp::findEntryPoint(module_);
+    const Function* entry = module_.entryFunction();
     if (entry == nullptr) {
       return fail("module has no executable entry point");
     }
@@ -193,43 +192,12 @@ private:
   }
 
   /// Taint analysis: nothing observable may depend on a measurement
-  /// result. Sources are read_result / result_equal calls; taint flows
-  /// through every value-producing instruction (phi fixpoint included) and
-  /// must not reach a branch or switch condition, a store, a call
-  /// argument, the return value, or an instruction that may trap.
+  /// result (qir::measurementDependents, whose sources are read_result
+  /// and result_equal calls). Taint must not reach a branch or switch
+  /// condition, a store, a call argument, the return value, or an
+  /// instruction that may trap.
   bool checkTaint() {
-    std::set<const Value*> tainted;
-    for (const auto& block : entry_->blocks()) {
-      for (const auto& inst : block->instructions()) {
-        if (inst->op() == Opcode::Call &&
-            (calleeNamed(inst.get(), qir::kQisReadResult) ||
-             calleeNamed(inst.get(), qir::kRtResultEqual))) {
-          tainted.insert(inst.get());
-        }
-      }
-    }
-    if (tainted.empty()) {
-      return true;
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const auto& block : entry_->blocks()) {
-        for (const auto& inst : block->instructions()) {
-          if (tainted.count(inst.get()) != 0) {
-            continue;
-          }
-          for (unsigned i = 0; i < inst->numOperands(); ++i) {
-            const Value* v = inst->operand(i);
-            if (v->kind() != Value::Kind::BasicBlock && tainted.count(v) != 0) {
-              tainted.insert(inst.get());
-              changed = true;
-              break;
-            }
-          }
-        }
-      }
-    }
+    const auto tainted = qir::measurementDependents(*entry_);
     const auto isTainted = [&](const Value* v) { return tainted.count(v) != 0; };
     for (const auto& block : entry_->blocks()) {
       for (const auto& inst : block->instructions()) {

@@ -194,76 +194,24 @@ RtValue Vm::execute(std::uint32_t funcIndex, std::span<const RtValue> args,
       break;
 
     case Op::ICmp:
-      regs[in.a] = RtValue::makeInt(
-          passes::evalICmp(static_cast<ir::ICmpPred>(in.sub), in.d,
-                           regs[in.b].i, regs[in.c].i)
-              ? 1
-              : 0);
+      regs[in.a] = RtValue::makeI1(passes::evalICmp(
+          static_cast<ir::ICmpPred>(in.sub), in.d, regs[in.b].i, regs[in.c].i));
       break;
 
     case Op::ICmpPtr:
-      regs[in.a] = RtValue::makeInt(
-          passes::evalICmp(static_cast<ir::ICmpPred>(in.sub), 64,
-                           static_cast<std::int64_t>(regs[in.b].p),
-                           static_cast<std::int64_t>(regs[in.c].p))
-              ? 1
-              : 0);
+      regs[in.a] = RtValue::makeI1(passes::evalICmp(
+          static_cast<ir::ICmpPred>(in.sub), 64,
+          static_cast<std::int64_t>(regs[in.b].p),
+          static_cast<std::int64_t>(regs[in.c].p)));
       break;
 
     case Op::FCmp:
-      regs[in.a] = RtValue::makeInt(
-          passes::evalFCmp(static_cast<ir::FCmpPred>(in.sub), regs[in.b].d,
-                           regs[in.c].d)
-              ? 1
-              : 0);
+      regs[in.a] = RtValue::makeI1(passes::evalFCmp(
+          static_cast<ir::FCmpPred>(in.sub), regs[in.b].d, regs[in.c].d));
       break;
 
-    case Op::ZExt: {
-      const std::uint64_t raw = static_cast<std::uint64_t>(regs[in.b].i);
-      const std::uint64_t mask =
-          in.d >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << in.d) - 1;
-      regs[in.a] = RtValue::makeInt(static_cast<std::int64_t>(raw & mask));
-      break;
-    }
-
-    case Op::Trunc: {
-      std::int64_t v = regs[in.b].i;
-      if (in.d < 64) {
-        const std::uint64_t mask = (std::uint64_t{1} << in.d) - 1;
-        std::uint64_t raw = static_cast<std::uint64_t>(v) & mask;
-        if (((raw >> (in.d - 1)) & 1) != 0) {
-          raw |= ~mask;
-        }
-        v = static_cast<std::int64_t>(raw);
-      }
-      regs[in.a] = RtValue::makeInt(v);
-      break;
-    }
-
-    case Op::PtrToInt:
-      regs[in.a] = RtValue::makeInt(static_cast<std::int64_t>(regs[in.b].p));
-      break;
-
-    case Op::IntToPtr:
-      regs[in.a] = RtValue::makePtr(static_cast<std::uint64_t>(regs[in.b].i));
-      break;
-
-    case Op::SiToF:
-      regs[in.a] = RtValue::makeDouble(static_cast<double>(regs[in.b].i));
-      break;
-
-    case Op::UiToF:
-      regs[in.a] = RtValue::makeDouble(
-          static_cast<double>(static_cast<std::uint64_t>(regs[in.b].i)));
-      break;
-
-    case Op::FToSi:
-      regs[in.a] = RtValue::makeInt(static_cast<std::int64_t>(regs[in.b].d));
-      break;
-
-    case Op::FToUi:
-      regs[in.a] = RtValue::makeInt(
-          static_cast<std::int64_t>(static_cast<std::uint64_t>(regs[in.b].d)));
+    case Op::Cast:
+      regs[in.a] = passes::evalCast(static_cast<ir::Opcode>(in.sub), in.d, regs[in.b]);
       break;
 
     case Op::Select:
@@ -275,7 +223,7 @@ RtValue Vm::execute(std::uint32_t funcIndex, std::span<const RtValue> args,
       break;
 
     case Op::LoadInt:
-      regs[in.a] = RtValue::makeInt(memory_.loadInt(regs[in.b].p, in.d, true));
+      regs[in.a] = RtValue::makeInt(memory_.loadInt(regs[in.b].p, in.d));
       break;
 
     case Op::LoadDouble: {

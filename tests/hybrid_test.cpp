@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace qirkit::hybrid {
 namespace {
 
@@ -143,6 +145,56 @@ attributes #0 = { "entry_point" }
   const FeasibilityReport cpu =
       checkFeasibility(*m, LatencyModel::ionTrapCPU(), 1e9);
   EXPECT_TRUE(cpu.feasible);
+}
+
+/// A measurement feeds a gate through uitofp/fmul/fcmp, read either with
+/// read_result or with result_equal: one dependence, two spellings.
+std::string measurementFeedback(bool viaResultEqual) {
+  return std::string(R"(
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare i1 @__quantum__qis__read_result__body(ptr)
+declare ptr @__quantum__rt__result_get_one()
+declare i1 @__quantum__rt__result_equal(ptr, ptr)
+define void @main() #0 {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  %one = call ptr @__quantum__rt__result_get_one()
+)") + (viaResultEqual ? "  %r = call i1 @__quantum__rt__result_equal(ptr null, ptr %one)\n"
+                      : "  %r = call i1 @__quantum__qis__read_result__body(ptr null)\n") +
+         R"(  %f = uitofp i1 %r to double
+  %s = fmul double %f, 2.0
+  %c = fcmp ogt double %s, 1.0
+  br i1 %c, label %then, label %done
+then:
+  call void @__quantum__qis__x__body(ptr inttoptr (i64 1 to ptr))
+  br label %done
+done:
+  ret void
+}
+attributes #0 = { "entry_point" }
+)";
+}
+
+TEST(Feasibility, ResultEqualFeedbackIsAFeedbackPathLikeReadResult) {
+  for (const bool viaResultEqual : {false, true}) {
+    ir::Context ctx;
+    const auto m = parse(ctx, measurementFeedback(viaResultEqual).c_str());
+    const PartitionReport partition = partitionHybrid(*m);
+    // The measurement read, uitofp, fmul, fcmp and the branch.
+    EXPECT_EQ(partition.count(Placement::ClassicalFeedback), 5U) << viaResultEqual;
+    EXPECT_EQ(partition.count(Placement::Quantum), 3U) << viaResultEqual;
+    const FeasibilityReport report =
+        checkFeasibility(*m, LatencyModel::superconductingFPGA(), 1e9);
+    EXPECT_FALSE(report.feasible) << viaResultEqual;
+    ASSERT_EQ(report.paths.size(), 1U) << viaResultEqual;
+    EXPECT_NE(report.paths[0].readResult, nullptr) << viaResultEqual;
+    EXPECT_EQ(report.paths[0].classicalOps, 3U) << viaResultEqual;
+    ASSERT_EQ(report.reasons.size(), 1U);
+    EXPECT_EQ(report.reasons[0], "co-processor cannot execute 'uitofp'");
+  }
 }
 
 TEST(Feasibility, LatencyScalesWithClassicalWork) {

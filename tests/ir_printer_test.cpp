@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
+
 namespace qirkit::ir {
 namespace {
 
@@ -108,6 +114,102 @@ TEST(Printer, SpecialDoubleValues) {
                                  ctx.getDouble(123456789.123456789));
   b.createRet(v);
   expectRoundTrip(m);
+}
+
+TEST(Printer, NonFiniteAndNegativeZeroDoublesRoundTrip) {
+  Context ctx;
+  Module m(ctx, "nonfinite");
+  Function* f = m.createFunction("f", ctx.functionTy(ctx.doubleTy(), {}));
+  IRBuilder b(f->createBlock("entry"));
+  const double inf = std::numeric_limits<double>::infinity();
+  Instruction* sum = b.createBinOp(Opcode::FAdd, ctx.getDouble(inf), ctx.getDouble(-inf));
+  Instruction* nan = b.createBinOp(Opcode::FMul, sum, ctx.getDouble(std::nan("")));
+  b.createRet(b.createBinOp(Opcode::FSub, nan, ctx.getDouble(-0.0)));
+  EXPECT_NE(ctx.getDouble(-0.0), ctx.getDouble(0.0));
+  const std::string printed = printModule(m);
+  EXPECT_NE(printed.find("fadd double 0x7FF0000000000000, 0xFFF0000000000000"),
+            std::string::npos)
+      << printed;
+  EXPECT_NE(printed.find(", -0.0"), std::string::npos) << printed;
+  expectRoundTrip(m);
+}
+
+/// Each opcode's mnemonic (QIRKIT_IR_OPCODES) and each predicate's, written
+/// in an instruction as the printer spells it, parses and prints back
+/// unchanged.
+TEST(Printer, EveryOpcodeAndPredicateSpellingRoundTrips) {
+  std::string body;
+  std::vector<std::string> lines;
+  const auto add = [&](const std::string& line) {
+    lines.push_back(line);
+    body += "  " + line + "\n";
+  };
+#define QIRKIT_TEST_OPCODE(name, mnemonic, ...) {Opcode::name, mnemonic},
+#define QIRKIT_TEST_ICMP(name, mnemonic) {ICmpPred::name, mnemonic},
+#define QIRKIT_TEST_FCMP(name, mnemonic) {FCmpPred::name, mnemonic},
+  const std::pair<Opcode, std::string> opcodes[] = {
+      QIRKIT_IR_OPCODES(QIRKIT_TEST_OPCODE)};
+  const std::pair<ICmpPred, std::string> icmpPreds[] = {
+      QIRKIT_ICMP_PREDS(QIRKIT_TEST_ICMP)};
+  const std::pair<FCmpPred, std::string> fcmpPreds[] = {
+      QIRKIT_FCMP_PREDS(QIRKIT_TEST_FCMP)};
+#undef QIRKIT_TEST_OPCODE
+#undef QIRKIT_TEST_ICMP
+#undef QIRKIT_TEST_FCMP
+  // The operands and result type of each cast.
+  const std::map<Opcode, std::string> castOperands = {
+      {Opcode::ZExt, "i1 %c to i64"},      {Opcode::SExt, "i1 %c to i64"},
+      {Opcode::Trunc, "i64 %a to i8"},     {Opcode::PtrToInt, "ptr %p to i64"},
+      {Opcode::IntToPtr, "i64 %a to ptr"}, {Opcode::SIToFP, "i64 %a to double"},
+      {Opcode::FPToSI, "double %x to i64"}, {Opcode::UIToFP, "i64 %a to double"},
+      {Opcode::FPToUI, "double %x to i64"}, {Opcode::Bitcast, "ptr %p to ptr"}};
+  for (const auto& [op, mnemonic] : opcodes) {
+    EXPECT_EQ(opcodeName(op), mnemonic);
+    EXPECT_EQ(opcodeFromName(mnemonic), op) << mnemonic;
+    const std::string result = "%" + mnemonic + " = " + mnemonic + " ";
+    if (isIntBinaryOp(op)) {
+      add(result + "i64 %a, %b");
+    } else if (isFloatBinaryOp(op)) {
+      add(result + "double %x, %y");
+    } else if (isCastOp(op)) {
+      add(result + castOperands.at(op));
+    }
+  }
+  for (const auto& [pred, mnemonic] : icmpPreds) {
+    EXPECT_EQ(icmpPredName(pred), mnemonic);
+    EXPECT_EQ(icmpPredFromName(mnemonic), pred) << mnemonic;
+    add("%i_" + mnemonic + " = icmp " + mnemonic + " i64 %a, %b");
+  }
+  for (const auto& [pred, mnemonic] : fcmpPreds) {
+    EXPECT_EQ(fcmpPredName(pred), mnemonic);
+    EXPECT_EQ(fcmpPredFromName(mnemonic), pred) << mnemonic;
+    add("%f_" + mnemonic + " = fcmp " + mnemonic + " double %x, %y");
+  }
+  EXPECT_EQ(opcodeFromName("getelementptr"), std::nullopt);
+  add("%alloca = alloca i64, align 8");
+  add("store i64 %a, ptr %alloca, align 8");
+  add("%load = load i64, ptr %alloca, align 8");
+  add("%select = select i1 %c, i64 %a, i64 %b");
+  add("call void @g()");
+  const std::string terminators[] = {
+      "br i1 %c, label %sw, label %dead", "switch i64 %a, label %done [\n    i64 1, label "
+                                          "%dead\n  ]",
+      "unreachable", "br label %exit", "%phi = phi i64 [ %a, %done ]", "ret i64 %phi"};
+  const std::string text = "declare void @g()\n\ndefine i64 @f(i64 %a, i64 %b, double %x, "
+                           "double %y, ptr %p, i1 %c) {\nentry:\n" +
+                           body + "  " + terminators[0] + "\n\nsw:\n  " + terminators[1] +
+                           "\n\ndead:\n  " + terminators[2] + "\n\ndone:\n  " +
+                           terminators[3] + "\n\nexit:\n  " + terminators[4] + "\n  " +
+                           terminators[5] + "\n}\n";
+  lines.insert(lines.end(), std::begin(terminators), std::end(terminators));
+  Context ctx;
+  const auto m = parseModule(ctx, text);
+  verifyModuleOrThrow(*m);
+  const std::string printed = printModule(*m);
+  for (const std::string& line : lines) {
+    EXPECT_NE(printed.find("  " + line + "\n"), std::string::npos) << line << "\n" << printed;
+  }
+  expectRoundTrip(*m);
 }
 
 TEST(Printer, AttributeValuesWithSpecialCharacters) {

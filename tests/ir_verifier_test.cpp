@@ -138,6 +138,17 @@ TEST_F(VerifierTest, BinaryTypeMismatchIsReported) {
   EXPECT_NE(errors[0].find("type mismatch"), std::string::npos);
 }
 
+TEST_F(VerifierTest, ReinterpretingBitcastIsReported) {
+  Function* f = makeFn();
+  IRBuilder b(f->createBlock("entry"));
+  b.createCast(Opcode::Bitcast, ctx.getI64(4607182418800017408), ctx.doubleTy());
+  b.createCast(Opcode::Bitcast, ctx.getDouble(1.0), ctx.doubleTy());
+  b.createRetVoid();
+  const auto errors = verifyModule(module);
+  ASSERT_EQ(errors.size(), 1U);
+  EXPECT_NE(errors[0].find("bitcast between different types"), std::string::npos);
+}
+
 TEST_F(VerifierTest, EntryBlockWithPredecessorsIsReported) {
   Function* f = makeFn();
   BasicBlock* entry = f->createBlock("entry");

@@ -476,5 +476,90 @@ TEST(OptimizedRun, LoopPastTheUnrollBudgetLoadsFastAndStaysALoop) {
             runStdout(runMode(*written, Mode::Interp, 1, 5), 1));
 }
 
+/// A program that flips qubit 0 when \p decide (a cast, then the i1 %ok
+/// or a switch) says so and measures it. With \p inLoop, the cast reads
+/// %n, which a loop of \p trips iterations past the unroll budget counts
+/// up to, so the engines evaluate it at run time; otherwise %n is the
+/// literal \p trips and the folder evaluates it.
+std::string castFeedback(bool inLoop, std::int64_t trips, std::string decide) {
+  const std::string n = inLoop ? "%n" : std::to_string(trips);
+  for (std::size_t at = decide.find("%n"); at != std::string::npos;
+       at = decide.find("%n", at + n.size())) {
+    decide.replace(at, 2, n);
+  }
+  if (decide.find("switch") == std::string::npos) {
+    decide += "  br i1 %ok, label %flip, label %meas\n";
+  }
+  const std::string loop = "  br label %loop\nloop:\n"
+                           "  %i = phi i64 [ 0, %entry ], [ %n, %loop ]\n"
+                           "  %n = add i64 %i, 1\n"
+                           "  %more = icmp slt i64 %n, " +
+                           std::to_string(trips) +
+                           "\n"
+                           "  br i1 %more, label %loop, label %done\ndone:\n";
+  return R"(@lbl = internal constant [2 x i8] c"r\00"
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @main() #0 {
+entry:
+)" + (inLoop ? loop : std::string()) +
+         decide + R"(flip:
+  call void @__quantum__qis__x__body(ptr null)
+  br label %meas
+meas:
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr @lbl)
+  ret void
+}
+attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"="1" }
+)";
+}
+
+/// The engines and the folder used to compute these casts differently:
+/// uitofp read a sign-extended i8, i1 true was 1 in an engine register
+/// and -1 in a constant, and fptosi wrapped in the folder but left 300
+/// in an i8 register. Each twin now gives one histogram on both engines.
+TEST(OptimizedRun, CastsOfRunTimeValuesAgreeWithTheirFoldedTwins) {
+  struct Twin {
+    std::int64_t trips;
+    const char* decide;
+    const char* histogram;
+  };
+  const Twin twins[] = {
+      {40000,
+       "  %t = trunc i64 %n to i8\n  %u = sub i8 %t, 65\n"
+       "  %f = uitofp i8 %u to double\n  %ok = fcmp oeq double %f, 255.0\n",
+       "1: 10"},
+      {40000,
+       "  %p = icmp sgt i64 %n, 5\n  %s = sext i1 %p to i64\n"
+       "  %ok = icmp eq i64 %s, -1\n",
+       "1: 10"},
+      {40000,
+       "  %p = icmp sgt i64 %n, 5\n"
+       "  switch i1 %p, label %meas [ i1 true, label %flip ]\n",
+       "1: 10"},
+      {38400,
+       "  %d = sitofp i64 %n to double\n  %f = fmul double %d, 0.0078125\n"
+       "  %b = fptosi double %f to i8\n  %w = sext i8 %b to i64\n"
+       "  %ok = icmp eq i64 %w, 300\n",
+       "0: 10"},
+  };
+  for (const Twin& twin : twins) {
+    for (const bool inLoop : {true, false}) {
+      ir::Context ctx;
+      const auto module = loadOptimized(ctx, castFeedback(inLoop, twin.trips, twin.decide));
+      EXPECT_EQ(passes::findNaturalLoops(*module->entryPoint()).size(), inLoop ? 1U : 0U);
+      for (const Mode mode : {Mode::Default, Mode::Interp}) {
+        const std::string out = runStdout(runMode(*module, mode, 10, 1), 10);
+        EXPECT_NE(out.find(std::string("\n") + twin.histogram + "\nfailed: 0"),
+                  std::string::npos)
+            << twin.decide << (inLoop ? "in a loop" : "folded") << "\n"
+            << out;
+      }
+    }
+  }
+}
+
 } // namespace
 } // namespace qirkit

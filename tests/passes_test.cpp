@@ -131,6 +131,50 @@ define i64 @f() {
   EXPECT_EQ(c->value(), 2); // 300 -> i8 44 -> 44 >= 0
 }
 
+/// What each cast folds to: LLVM's value where LLVM defines one, else
+/// saturation (NaN gives 0). The engines evaluate through the same
+/// evalCast, so these are their answers too.
+TEST(Folding, CastsComputeLlvmValuesAndSaturate) {
+  struct Case {
+    const char* cast; // `<op> <from> <constant> to <to>`
+    const char* expected;
+  };
+  const Case cases[] = {
+      {"zext i1 true to i64", "i64 1"},
+      {"sext i1 true to i64", "i64 -1"},
+      {"zext i8 -1 to i32", "i32 255"},
+      {"trunc i64 40000 to i8", "i8 64"},
+      {"uitofp i8 -1 to double", "double 255.0"},
+      {"uitofp i1 true to double", "double 1.0"},
+      {"sitofp i8 -128 to double", "double -128.0"},
+      {"inttoptr i32 -1 to ptr", "ptr inttoptr (i64 4294967295 to ptr)"},
+      {"ptrtoint ptr inttoptr (i64 4294967297 to ptr) to i32", "i32 1"},
+      {"fptosi double -2.9 to i8", "i8 -2"},
+      {"fptosi double 300.0 to i8", "i8 127"},
+      {"fptosi double -300.0 to i8", "i8 -128"},
+      {"fptosi double 3.84e304 to i64", "i64 9223372036854775807"},
+      {"fptosi double 0x7FF8000000000000 to i32", "i32 0"},
+      {"fptosi double 1.0 to i1", "i1 false"},
+      {"fptoui double 255.9 to i8", "i8 -1"},
+      {"fptoui double 256.0 to i8", "i8 -1"},
+      {"fptoui double -1.0 to i64", "i64 0"},
+      {"fptoui double -0.5 to i64", "i64 0"},
+      {"fptoui double 0x7FF0000000000000 to i64", "i64 -1"},
+  };
+  for (const Case& c : cases) {
+    Context ctx;
+    const std::string text = std::string(c.cast);
+    const std::string to = text.substr(text.rfind(" to ") + 4);
+    auto m = parse(ctx, "define " + to + " @f() {\n  %r = " + text + "\n  ret " + to +
+                            " %r\n}\n");
+    runPass(createConstantFoldPass(), *m);
+    const std::string printed = printModule(*m);
+    EXPECT_NE(printed.find("ret " + std::string(c.expected) + "\n"), std::string::npos)
+        << c.cast << " folds to\n"
+        << printed;
+  }
+}
+
 // --- DCE ---------------------------------------------------------------
 
 TEST(DCEPass, RemovesDeadChains) {
@@ -603,6 +647,35 @@ exit:
   const auto* c = dynamic_cast<const ConstantInt*>(ret->operand(0));
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->value(), 7);
+}
+
+TEST(SCCP, FoldsACastCycleThroughTheSharedFolder) {
+  // The fp round trip of a loop-carried value is the identity on 5, as
+  // `add %x, 0` is; SCCP folds both through foldInstruction.
+  for (const char* body : {"%f = sitofp i64 %x to double\n  %y = fptosi double %f to i64",
+                           "%f = add i64 %x, 0\n  %y = mul i64 %f, 1"}) {
+    Context ctx;
+    auto m = parse(ctx, std::string(R"(
+define i64 @f() {
+entry:
+  br label %loop
+loop:
+  %x = phi i64 [ 5, %entry ], [ %y, %loop ]
+  %n = phi i64 [ 0, %entry ], [ %n.next, %loop ]
+  )") + body + R"(
+  %n.next = add i64 %n, 1
+  %c = icmp slt i64 %n.next, 100000000
+  br i1 %c, label %loop, label %done
+done:
+  ret i64 %y
+}
+)");
+    runPass(createSCCPPass(), *m);
+    const Instruction* ret = m->getFunction("f")->blocks().back()->back();
+    const auto* c = dynamic_cast<const ConstantInt*>(ret->operand(0));
+    ASSERT_NE(c, nullptr) << body;
+    EXPECT_EQ(c->value(), 5) << body;
+  }
 }
 
 // --- whole pipeline ------------------------------------------------------

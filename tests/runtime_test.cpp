@@ -200,7 +200,7 @@ attributes #0 = { "entry_point" }
   interp::Interpreter interp(*m);
   QuantumRuntime rt(1);
   rt.bind(interp);
-  EXPECT_EQ(interp.runEntryPoint().i, 1);
+  EXPECT_EQ(interp.runEntryPoint().i, -1); // i1 true, canonically sign-extended
 }
 
 TEST(Runtime, RunQIRModuleConvenience) {

@@ -18,12 +18,13 @@
 #include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
-#include "support/rng.hpp"
 #include "support/telemetry/telemetry.hpp"
 #include "vm/cache.hpp"
 #include "vm/compiler.hpp"
 #include "vm/executor.hpp"
 #include "vm/vm.hpp"
+
+#include "program_generator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -36,141 +37,7 @@ namespace {
 
 using interp::RtValue;
 
-/// Random classical function generator (same shape as differential_test:
-/// four memory slots, data-dependent branches, a bounded loop). After
-/// mem2reg the loop and branch joins become phi nodes, exercising the
-/// VM's edge-move lowering.
-class ProgramGenerator {
-public:
-  explicit ProgramGenerator(std::uint64_t seed) : rng_(seed) {}
-
-  std::string generate() {
-    const unsigned bodyBlocks = 2 + static_cast<unsigned>(rng_.below(4));
-    std::string s = "define i64 @f(i64 %arg0, i64 %arg1) {\nentry:\n";
-    for (unsigned slot = 0; slot < kSlots; ++slot) {
-      s += "  %s" + std::to_string(slot) + " = alloca i64, align 8\n";
-      s += "  store i64 " + pickSeedValue() + ", ptr %s" + std::to_string(slot) +
-           ", align 8\n";
-    }
-    s += "  br label %b0\n";
-    for (unsigned block = 0; block < bodyBlocks; ++block) {
-      s += emitBodyBlock(block, bodyBlocks);
-    }
-    s += emitLoop(bodyBlocks);
-    s += emitFinal();
-    s += "}\n";
-    return s;
-  }
-
-private:
-  static constexpr unsigned kSlots = 4;
-
-  std::string pickSeedValue() {
-    switch (rng_.below(3)) {
-    case 0: return std::to_string(static_cast<std::int64_t>(rng_.below(100)) - 50);
-    case 1: return "%arg0";
-    default: return "%arg1";
-    }
-  }
-
-  std::string slot() { return "%s" + std::to_string(rng_.below(kSlots)); }
-
-  std::string freshValue() { return "%v" + std::to_string(nextValue_++); }
-
-  const char* pickOp() {
-    static const char* const ops[] = {"add", "sub", "mul", "and", "or",
-                                      "xor", "shl", "ashr", "lshr"};
-    return ops[rng_.below(std::size(ops))];
-  }
-
-  std::string emitComputation() {
-    const std::string a = freshValue();
-    const std::string b = freshValue();
-    std::string s;
-    s += "  " + a + " = load i64, ptr " + slot() + ", align 8\n";
-    s += "  " + b + " = load i64, ptr " + slot() + ", align 8\n";
-    const std::string op = pickOp();
-    const std::string r = freshValue();
-    if (op == "shl" || op == "ashr" || op == "lshr") {
-      const std::string amount = freshValue();
-      s += "  " + amount + " = and i64 " + b + ", 7\n";
-      s += "  " + r + " = " + op + " i64 " + a + ", " + amount + "\n";
-    } else {
-      s += "  " + r + " = " + op + " i64 " + a + ", " + b + "\n";
-    }
-    s += "  store i64 " + r + ", ptr " + slot() + ", align 8\n";
-    return s;
-  }
-
-  std::string emitBodyBlock(unsigned index, unsigned bodyBlocks) {
-    std::string s = "b" + std::to_string(index) + ":\n";
-    const unsigned computations = 1 + static_cast<unsigned>(rng_.below(4));
-    for (unsigned i = 0; i < computations; ++i) {
-      s += emitComputation();
-    }
-    const std::string next = "b" + std::to_string(index + 1);
-    const std::string later =
-        index + 2 < bodyBlocks
-            ? "b" + std::to_string(index + 2 + rng_.below(bodyBlocks - index - 2 + 1))
-            : next;
-    const std::string target =
-        later == "b" + std::to_string(bodyBlocks) ? next : later;
-    if (rng_.below(3) == 0 || next == target) {
-      s += "  br label %" + next + "\n";
-    } else {
-      const std::string v = freshValue();
-      const std::string c = freshValue();
-      s += "  " + v + " = load i64, ptr " + slot() + ", align 8\n";
-      s += "  " + c + " = icmp " + (rng_.below(2) == 0 ? "slt" : "sge") + " i64 " +
-           v + ", " + std::to_string(static_cast<std::int64_t>(rng_.below(20)) - 10) +
-           "\n";
-      s += "  br i1 " + c + ", label %" + next + ", label %" + target + "\n";
-    }
-    return s;
-  }
-
-  std::string emitLoop(unsigned bodyBlocks) {
-    const std::string pre = "b" + std::to_string(bodyBlocks);
-    const unsigned trips = 1 + static_cast<unsigned>(rng_.below(8));
-    std::string s = pre + ":\n";
-    s += "  %lc = alloca i64, align 8\n";
-    s += "  store i64 0, ptr %lc, align 8\n";
-    s += "  br label %loop.header\n";
-    s += "loop.header:\n";
-    s += "  %li = load i64, ptr %lc, align 8\n";
-    s += "  %lcond = icmp slt i64 %li, " + std::to_string(trips) + "\n";
-    s += "  br i1 %lcond, label %loop.body, label %final\n";
-    s += "loop.body:\n";
-    s += emitComputation();
-    s += "  %li2 = load i64, ptr %lc, align 8\n";
-    s += "  %lnext = add i64 %li2, 1\n";
-    s += "  store i64 %lnext, ptr %lc, align 8\n";
-    s += "  br label %loop.header\n";
-    return s;
-  }
-
-  std::string emitFinal() {
-    std::string s = "final:\n";
-    std::string acc;
-    for (unsigned slotIndex = 0; slotIndex < kSlots; ++slotIndex) {
-      const std::string v = freshValue();
-      s += "  " + v + " = load i64, ptr %s" + std::to_string(slotIndex) +
-           ", align 8\n";
-      if (acc.empty()) {
-        acc = v;
-      } else {
-        const std::string sum = freshValue();
-        s += "  " + sum + " = xor i64 " + acc + ", " + v + "\n";
-        acc = sum;
-      }
-    }
-    s += "  ret i64 " + acc + "\n";
-    return s;
-  }
-
-  SplitMix64 rng_;
-  unsigned nextValue_ = 0;
-};
+using test::ProgramGenerator;
 
 std::int64_t runInterp(const ir::Module& m, std::int64_t a, std::int64_t b) {
   interp::Interpreter interp(m);
@@ -222,6 +89,32 @@ TEST_P(VmClassicalDifferential, MatchesInterpreterOnRandomPrograms) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VmClassicalDifferential,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+/// Registers hold integers sign-extended and memory holds them in LLVM's
+/// layout: a stored i1 true is the byte 1, and an i1 loaded from the byte
+/// 1 is the -1 that `i1 true` is, so a switch on it takes the case.
+TEST(VmMemory, IntegerLoadsAreCanonicalAndStoresUseLlvmLayout) {
+  ir::Context ctx;
+  const auto m = ir::parseModule(ctx, R"(
+@one = internal constant [1 x i8] c"\01"
+define i64 @f(i64 %a, i64 %b) {
+entry:
+  %slot = alloca i64
+  store i1 true, ptr %slot
+  %byte = load i8, ptr %slot
+  %wide = sext i8 %byte to i64
+  %v = load i1, ptr @one
+  switch i1 %v, label %miss [ i1 true, label %hit ]
+hit:
+  ret i64 %wide
+miss:
+  ret i64 -100
+}
+)");
+  ir::verifyModuleOrThrow(*m);
+  EXPECT_EQ(runInterp(*m, 0, 0), 1);
+  EXPECT_EQ(runVm(*m, 0, 0), 1);
+}
 
 // ---------------------------------------------------------------------------
 // Quantum differential: identical recorded results, runtime stats, and
