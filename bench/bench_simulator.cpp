@@ -282,18 +282,18 @@ void BM_KernelSweep(benchmark::State& state) {
   }
   const sim::GateMatrix2 chain = sim::matmul(
       sim::gateRZ(0.3), sim::matmul(sim::gateRX(0.7), sim::gateRZ(0.1)));
+  const sim::Complex table[] = {chain.m00, chain.m01, chain.m10, chain.m11};
   std::vector<sim::SweepGate> gates;
   for (unsigned q = 0; q < 8; ++q) {
-    sim::SweepGate gate;
-    gate.kind = sim::SweepGate::Kind::Unitary1;
-    gate.q0 = q;
-    gate.m2 = chain;
-    gates.push_back(gate);
+    gates.push_back({.kind = sim::SweepGate::Kind::Unitary1,
+                     .numQubits = 1,
+                     .qubits = {q},
+                     .matrix = table});
   }
   for (auto _ : state) {
     if (mode == 0) {
       for (const sim::SweepGate& gate : gates) {
-        sv.apply1(gate.m2, gate.q0);
+        sv.apply1(chain, gate.qubits[0]);
       }
     } else {
       sv.applyFusedSweep(gates);

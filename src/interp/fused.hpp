@@ -10,6 +10,7 @@
 #pragma once
 
 #include "interp/abi.hpp"
+#include "sim/gates.hpp"
 
 #include <complex>
 #include <cstddef>
@@ -19,18 +20,13 @@
 
 namespace qirkit::interp {
 
-/// A group of gates, precomposed at compile time.
-///  * Unitary1 — matrix is a 2x2 (row-major, 4 entries) on qubits[0].
-///  * Unitary2 — matrix is a 4x4 (row-major, 16 entries) on qubits[0..1];
-///    local basis index bit j corresponds to qubits[j].
-///  * Diagonal — matrix holds the 2^k diagonal phases over qubits[0..k-1],
-///    indexed by the same bit convention.
-///  * Controlled — one CNOT or CZ: matrix is the 2x2 applied to qubits[1]
-///    where qubits[0] is set.
-///  * Swap — one SWAP of qubits[0] and qubits[1]; matrix is empty.
-/// A block that holds one source gate keeps that gate's own kernel
-/// (Unitary1, Controlled or Swap); only composed blocks are Unitary2 or
-/// Diagonal.
+/// A group of gates, precomposed at compile time: the owning form of a
+/// sim::SweepGate. kind and matrix follow SweepGate's layout table (a 2x2,
+/// a 4x4 or 2^k phases, row-major; empty for Swap), and qubits holds the
+/// static QIR addresses a host resolves to the SweepGate's simulator
+/// indices, in the same order. A block that holds one source gate keeps
+/// that gate's own kernel (Unitary1, Controlled or Swap); only composed
+/// blocks are Unitary2 or Diagonal.
 ///
 /// The blocks of a region are ordered along qubit dataflow, not source
 /// order, so the order in which they first touch a qubit can differ from
@@ -42,16 +38,11 @@ namespace qirkit::interp {
 /// block, and so assigns the simulator indices the unfused gate sequence
 /// would have.
 struct FusedBlock {
-  enum class Kind : std::uint8_t { Unitary1, Unitary2, Diagonal, Controlled, Swap };
-
-  Kind kind = Kind::Unitary1;
+  sim::SweepGate::Kind kind = sim::SweepGate::Kind::Unitary1;
   std::uint32_t sourceGates = 0;
   std::vector<std::uint64_t> qubits;
   std::vector<std::complex<double>> matrix;
   std::vector<std::uint64_t> newQubits;
-
-  /// Upper bound on qubits.size() (Diagonal blocks; the others use 1 or 2).
-  static constexpr unsigned kMaxQubits = 6;
 };
 
 /// Blocks a host applies per kernel sweep: a runtime sizes its per-sweep

@@ -183,6 +183,9 @@ RtValue Interpreter::execute(const ir::Function& fn, std::span<const RtValue> ar
         continue;
       }
       if (isCastOp(op)) {
+        if (passes::isTypeChangingBitcast(*inst)) {
+          throw TrapError("bitcast between different types");
+        }
         frame[inst] =
             passes::evalCast(op, passes::castBits(*inst), get(inst->operand(0)));
         continue;

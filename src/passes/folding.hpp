@@ -226,6 +226,14 @@ inline std::int64_t fpToInt(double x, unsigned bits, bool isSigned) noexcept {
   }
 }
 
+/// True for the one cast the engines refuse, a bitcast between different
+/// types ("bitcast i64 %x to double"): it would move bits between register
+/// fields, which evalCast does not. The verifier rejects it too, but a
+/// module the verifier rejects still runs as written.
+[[nodiscard]] inline bool isTypeChangingBitcast(const ir::Instruction& cast) noexcept {
+  return cast.op() == ir::Opcode::Bitcast && cast.operand(0)->type() != cast.type();
+}
+
 /// Evaluate cast \p op on \p value, a register of the engines' shape
 /// (interp::RtValue: fields i, d and p, factories makeInt, makeDouble and
 /// makePtr). Integers are held in their canonical sign-extended form, so

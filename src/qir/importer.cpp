@@ -1,5 +1,6 @@
 #include "qir/importer.hpp"
 
+#include "passes/pass.hpp"
 #include "qir/names.hpp"
 #include "support/source_location.hpp"
 #include "support/string_utils.hpp"
@@ -83,14 +84,27 @@ public:
   /// walker has no line info and leaves it unset.
   void setLoc(SourceLoc loc) noexcept { loc_ = loc; }
 
+  /// The frontends' width bound: no program imports past this many
+  /// qubits or bits, so no address, count or index is ever narrowed.
+  static constexpr std::uint64_t kMaxWidth = passes::kMaxExpandedModuleSize;
+
+  /// A static address (an inttoptr constant): the qubit or result id it
+  /// names. An address past the width bound (a negative i64 included) is
+  /// refused.
+  [[nodiscard]] AbsVal staticPtr(std::uint64_t address) const {
+    if (address >= kMaxWidth) {
+      fail("static address " + std::to_string(address) + " is past the width bound (" +
+           std::to_string(kMaxWidth) + ")");
+    }
+    return AbsVal::make(AbsVal::Kind::StaticPtr, static_cast<std::uint32_t>(address));
+  }
+
   std::uint32_t resolveQubit(const AbsVal& v) {
     switch (v.kind) {
-    case AbsVal::Kind::StaticPtr: {
+    case AbsVal::Kind::StaticPtr:
       // Static addressing (Ex. 6): the address is the qubit id.
-      const auto id = static_cast<std::uint32_t>(v.base);
-      ensureQubits(id + 1);
-      return id;
-    }
+      ensureQubits(std::uint64_t{v.base} + 1);
+      return v.base;
     case AbsVal::Kind::QubitPtr:
       return v.base;
     default:
@@ -100,11 +114,9 @@ public:
 
   std::uint32_t resolveResult(const AbsVal& v) {
     switch (v.kind) {
-    case AbsVal::Kind::StaticPtr: {
-      const auto id = static_cast<std::uint32_t>(v.base);
-      ensureBits(id + 1);
-      return id;
-    }
+    case AbsVal::Kind::StaticPtr:
+      ensureBits(std::uint64_t{v.base} + 1);
+      return v.base;
     case AbsVal::Kind::ResultPtr:
       return v.base;
     default:
@@ -112,14 +124,20 @@ public:
     }
   }
 
-  void ensureQubits(std::uint32_t n) {
+  void ensureQubits(std::uint64_t n) {
+    if (n > kMaxWidth) {
+      fail("the program needs more than " + std::to_string(kMaxWidth) + " qubits");
+    }
     if (circuit_.numQubits() < n) {
-      circuit_.setNumQubits(n);
+      circuit_.setNumQubits(static_cast<std::uint32_t>(n));
     }
   }
-  void ensureBits(std::uint32_t n) {
+  void ensureBits(std::uint64_t n) {
+    if (n > kMaxWidth) {
+      fail("the program needs more than " + std::to_string(kMaxWidth) + " bits");
+    }
     if (circuit_.numBits() < n) {
-      circuit_.setNumBits(n);
+      circuit_.setNumBits(static_cast<std::uint32_t>(n));
     }
   }
 
@@ -136,7 +154,7 @@ public:
         fail("qubit_allocate_array requires a constant count");
       }
       const std::uint32_t base = circuit_.numQubits();
-      ensureQubits(base + static_cast<std::uint32_t>(args[0].i));
+      ensureQubits(base + static_cast<std::uint64_t>(args[0].i));
       return AbsVal::make(AbsVal::Kind::QubitArray, base,
                           static_cast<std::uint32_t>(args[0].i));
     }
@@ -146,7 +164,7 @@ public:
         fail("array_create_1d requires a constant count");
       }
       const std::uint32_t base = circuit_.numBits();
-      ensureBits(base + static_cast<std::uint32_t>(args[1].i));
+      ensureBits(base + static_cast<std::uint64_t>(args[1].i));
       return AbsVal::make(AbsVal::Kind::ResultArray, base,
                           static_cast<std::uint32_t>(args[1].i));
     }
@@ -155,18 +173,21 @@ public:
       if (args[1].kind != AbsVal::Kind::Int) {
         fail("array_get_element_ptr_1d requires a constant index");
       }
-      const auto index = static_cast<std::uint32_t>(args[1].i);
+      const std::int64_t index = args[1].i;
+      const bool inRange = index >= 0 && index < std::int64_t{args[0].count};
       if (args[0].kind == AbsVal::Kind::QubitArray) {
-        if (index >= args[0].count) {
+        if (!inRange) {
           fail("qubit array index out of range");
         }
-        return AbsVal::make(AbsVal::Kind::QubitPtr, args[0].base + index);
+        return AbsVal::make(AbsVal::Kind::QubitPtr,
+                            args[0].base + static_cast<std::uint32_t>(index));
       }
       if (args[0].kind == AbsVal::Kind::ResultArray) {
-        if (index >= args[0].count) {
+        if (!inRange) {
           fail("result array index out of range");
         }
-        return AbsVal::make(AbsVal::Kind::ResultPtr, args[0].base + index);
+        return AbsVal::make(AbsVal::Kind::ResultPtr,
+                            args[0].base + static_cast<std::uint32_t>(index));
       }
       fail("array_get_element_ptr_1d on a non-array value");
     }
@@ -483,8 +504,7 @@ private:
       if (!number) {
         fail(line, "non-constant inttoptr operand");
       }
-      return AbsVal::make(AbsVal::Kind::StaticPtr,
-                          static_cast<std::uint32_t>(*number));
+      return machine_.staticPtr(static_cast<std::uint64_t>(*number));
     }
     const std::size_t lastSpace = token.rfind(' ');
     const std::string_view value =
@@ -611,8 +631,7 @@ private:
         if (v.kind != AbsVal::Kind::Int) {
           machine_.fail("dynamic inttoptr is not importable");
         }
-        env_[inst.get()] =
-            AbsVal::make(AbsVal::Kind::StaticPtr, static_cast<std::uint32_t>(v.i));
+        env_[inst.get()] = machine_.staticPtr(static_cast<std::uint64_t>(v.i));
         continue;
       }
       case Opcode::Xor: {
@@ -718,10 +737,7 @@ private:
     case K::ConstantPointerNull:
       return AbsVal::make(AbsVal::Kind::StaticPtr, 0);
     case K::ConstantIntToPtr:
-      return AbsVal::make(
-          AbsVal::Kind::StaticPtr,
-          static_cast<std::uint32_t>(
-              static_cast<const ir::ConstantIntToPtr*>(v)->address()));
+      return machine_.staticPtr(static_cast<const ir::ConstantIntToPtr*>(v)->address());
     case K::GlobalVariable:
       return AbsVal::make(AbsVal::Kind::Label, 0);
     case K::Instruction: {

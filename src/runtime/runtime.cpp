@@ -261,42 +261,13 @@ void QuantumRuntime::applyFusedSweep(std::span<const interp::FusedBlock> blocks)
     if (queued == interp::kMaxSweepBlocks) {
       flush();
     }
-    std::array<unsigned, interp::FusedBlock::kMaxQubits>& qubits = sweepQubits_[queued];
-    for (std::size_t i = 0; i < block.qubits.size(); ++i) {
-      qubits[i] = resolveStaticQubit(block.qubits[i]);
-    }
     sim::SweepGate& gate = sweepGates_[queued];
-    gate.q0 = qubits[0];
-    gate.q1 = qubits[1];
-    switch (block.kind) {
-    case interp::FusedBlock::Kind::Unitary1:
-      gate.kind = sim::SweepGate::Kind::Unitary1;
-      gate.m2 = sim::GateMatrix2{block.matrix[0], block.matrix[1],
-                                 block.matrix[2], block.matrix[3]};
-      break;
-    case interp::FusedBlock::Kind::Unitary2:
-      gate.kind = sim::SweepGate::Kind::Unitary2;
-      for (int r = 0; r < 4; ++r) {
-        for (int c = 0; c < 4; ++c) {
-          gate.m4.m[r][c] = block.matrix[static_cast<std::size_t>(r * 4 + c)];
-        }
-      }
-      break;
-    case interp::FusedBlock::Kind::Diagonal:
-      gate.kind = sim::SweepGate::Kind::Diagonal;
-      gate.diag = block.matrix;
-      gate.diagQubits =
-          std::span<const unsigned>(qubits.data(), block.qubits.size());
-      break;
-    case interp::FusedBlock::Kind::Controlled:
-      gate.kind = sim::SweepGate::Kind::Controlled;
-      gate.m2 = sim::GateMatrix2{block.matrix[0], block.matrix[1],
-                                 block.matrix[2], block.matrix[3]};
-      break;
-    case interp::FusedBlock::Kind::Swap:
-      gate.kind = sim::SweepGate::Kind::Swap;
-      break;
+    gate.kind = block.kind;
+    gate.numQubits = static_cast<std::uint8_t>(block.qubits.size());
+    for (std::size_t i = 0; i < block.qubits.size(); ++i) {
+      gate.qubits[i] = resolveStaticQubit(block.qubits[i]);
     }
+    gate.matrix = block.matrix;
     ++queued;
     // Stats stay per source gate, so fused and unfused runs report the
     // same gatesApplied.

@@ -273,12 +273,8 @@ private:
   /// Defer mode: result key -> simulator qubit index backing it.
   std::map<std::uint64_t, unsigned> resultQubit_;
   /// applyFusedSweep scratch, kept across calls so the per-shot path
-  /// neither allocates nor re-initializes it; sweepQubits_[b] backs
-  /// sweepGates_[b].diagQubits.
+  /// neither allocates nor re-initializes it.
   std::array<sim::SweepGate, interp::kMaxSweepBlocks> sweepGates_{};
-  std::array<std::array<unsigned, interp::FusedBlock::kMaxQubits>,
-             interp::kMaxSweepBlocks>
-      sweepQubits_{};
 };
 
 /// A runtime that *records* the instruction trace as a circuit instead of

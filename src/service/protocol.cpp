@@ -218,26 +218,6 @@ std::string cancelResponseJson(bool found) {
   return out.str();
 }
 
-ErrorCode errorCodeFromName(std::string_view name) noexcept {
-  static constexpr ErrorCode kCodes[] = {
-      ErrorCode::Parse,           ErrorCode::Verify,
-      ErrorCode::Semantic,        ErrorCode::Io,
-      ErrorCode::Usage,           ErrorCode::Trap,
-      ErrorCode::TrapOutOfBounds, ErrorCode::TrapUnboundExternal,
-      ErrorCode::TrapArithmetic,  ErrorCode::TrapInvalidQubit,
-      ErrorCode::TrapUnreachable, ErrorCode::StepBudgetExceeded,
-      ErrorCode::ResourceLimit,   ErrorCode::CompileFail,
-      ErrorCode::InjectedFault,   ErrorCode::Deadline,
-      ErrorCode::Internal,
-  };
-  for (const ErrorCode code : kCodes) {
-    if (name == errorCodeName(code)) {
-      return code;
-    }
-  }
-  return ErrorCode::Internal;
-}
-
 std::string pingResponseJson() {
   std::ostringstream out;
   out << "{\"v\":" << kProtocolVersion << ",\"ok\":true,\"type\":\"pong\"}";

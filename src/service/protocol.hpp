@@ -145,11 +145,6 @@ struct Request {
 /// error[deadline]).
 [[nodiscard]] std::string cancelResponseJson(bool found);
 
-/// Reverse of errorCodeName: map a response's kebab-case code back onto
-/// the taxonomy so `qirkit submit` can honor the exit-code contract.
-/// Unknown names classify as Internal, the conservative default.
-[[nodiscard]] ErrorCode errorCodeFromName(std::string_view name) noexcept;
-
 /// Render the ping response.
 [[nodiscard]] std::string pingResponseJson();
 

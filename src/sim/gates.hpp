@@ -1,8 +1,12 @@
 /// \file gates.hpp
-/// Single-qubit gate matrices of the QIR quantum instruction set (qis).
+/// Gate matrices of the QIR quantum instruction set (qis), and SweepGate,
+/// the descriptor a precomposed gate takes to the statevector kernels.
 #pragma once
 
+#include <array>
 #include <complex>
+#include <cstdint>
+#include <span>
 
 namespace qirkit::sim {
 
@@ -62,5 +66,31 @@ struct GateMatrix4 {
 
 /// Frobenius distance ||a-b|| up to global phase — used by tests.
 [[nodiscard]] double distanceUpToPhase(const GateMatrix4& a, const GateMatrix4& b) noexcept;
+
+/// One gate on its way to a statevector kernel (StateVector::
+/// applyFusedSweep), with its qubits resolved to simulator indices and its
+/// matrix a row-major table, never copied:
+///
+///   kind        qubits                        matrix
+///   Unitary1    target                        2x2
+///   Unitary2    q0, q1 (index bit j = q_j)    4x4, the GateMatrix4 layout
+///   Diagonal    q_0 .. q_k-1, k <= kMaxQubits 2^k phases, index bit j = q_j
+///   Controlled  control, target               2x2 applied to the target
+///   Swap        a, b                          empty
+///
+/// The fusion pass emits its interp::FusedBlock tables in this layout, so
+/// a host points matrix at the block it was handed; the table must outlive
+/// the kernel call.
+struct SweepGate {
+  enum class Kind : std::uint8_t { Unitary1, Unitary2, Diagonal, Controlled, Swap };
+
+  /// Upper bound on numQubits (Diagonal; the other kinds use 1 or 2).
+  static constexpr unsigned kMaxQubits = 6;
+
+  Kind kind = Kind::Unitary1;
+  std::uint8_t numQubits = 0;
+  std::array<unsigned, kMaxQubits> qubits{};
+  std::span<const Complex> matrix{};
+};
 
 } // namespace qirkit::sim

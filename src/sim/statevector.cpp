@@ -24,9 +24,9 @@ telemetry::MaxGauge g_svPeakBytes{"sim.statevector.peak_bytes"};
 /// Fused runs that took the chunk-major path (one pass over each
 /// cache-sized chunk for the whole gate run).
 telemetry::Counter g_svBlockedSweeps{"sim.kernel.blocked_sweeps"};
-/// Accumulated SIMD lane width of the vector-friendly kernel sweeps: one
-/// 256-bit vector holds 4 f64 or 8 f32 complex components, so each sweep
-/// adds 4 or 8. Stays 0 in scalar (QIRKIT_SIMD=OFF) builds.
+/// Accumulated SIMD lane width of the vector-friendly kernel sweeps: each
+/// sweep adds 4 (f64) or 8 (f32). Stays 0 in scalar (QIRKIT_SIMD=OFF)
+/// builds.
 telemetry::Counter g_svSimdLanes{"sim.kernel.simd_lanes"};
 /// Shot batches executed against an f32 state (counted by the executor).
 telemetry::Counter g_svF32Batches{"sim.kernel.f32_batches"};
@@ -41,14 +41,6 @@ constexpr unsigned kMaxQubits = StateVector::kMaxQubits;
 /// across the whole gate run, large enough that the per-chunk dispatch
 /// overhead vanishes.
 constexpr unsigned kSweepChunkBits = 12;
-
-#if defined(QIRKIT_SIMD)
-inline void noteKernelSweeps(Precision precision, std::uint64_t sweeps) noexcept {
-  g_svSimdLanes.add((precision == Precision::F32 ? 8 : 4) * sweeps);
-}
-#else
-inline void noteKernelSweeps(Precision, std::uint64_t) noexcept {}
-#endif
 
 /// Amplitudes per block of the sampler's running sums: pass 1 keeps the
 /// sum at every block end, and pass 2 rescans only the blocks holding a
@@ -103,14 +95,20 @@ inline std::complex<Real> cmul(const std::complex<Real>& a,
 // compiler can vectorize, one cache-line fetch per 4 f64 amplitudes —
 // instead of striding pair by pair. Correctness never depends on where
 // [begin, end) is cut: every compressed index is visited exactly once.
+//
+// The kernels with arithmetic stay out of line (gnu::noinline). Inlined
+// into their one caller, applyRange, each would be vectorized and
+// FMA-contracted in that caller's context; out of line, a kernel is
+// compiled once, so it rounds the same whichever path calls it and
+// whatever else changes around it.
 
 template <typename Real>
-void apply1Range(std::complex<Real>* const amps, const GateMatrix2& gate,
-                 unsigned target, std::uint64_t begin,
-                 std::uint64_t end) noexcept {
+[[gnu::noinline]] void apply1Range(std::complex<Real>* const amps,
+                                   const Complex* const gate, unsigned target,
+                                   std::uint64_t begin, std::uint64_t end) noexcept {
   using C = std::complex<Real>;
-  const C m00 = toC<Real>(gate.m00), m01 = toC<Real>(gate.m01),
-          m10 = toC<Real>(gate.m10), m11 = toC<Real>(gate.m11);
+  const C m00 = toC<Real>(gate[0]), m01 = toC<Real>(gate[1]),
+          m10 = toC<Real>(gate[2]), m11 = toC<Real>(gate[3]);
   if (target == 0) {
     // Adjacent pairs (2i, 2i+1): a single contiguous stream.
     for (std::uint64_t i = begin; i < end; ++i) {
@@ -203,14 +201,14 @@ inline void forEachRun(unsigned lo, unsigned hi, std::uint64_t begin,
 }
 
 template <typename Real>
-void apply2Range(std::complex<Real>* const amps, const GateMatrix4& gate,
-                 unsigned q0, unsigned q1, std::uint64_t begin,
-                 std::uint64_t end) noexcept {
+[[gnu::noinline]] void apply2Range(std::complex<Real>* const amps,
+                                   const Complex* const gate, unsigned q0, unsigned q1,
+                                   std::uint64_t begin, std::uint64_t end) noexcept {
   using C = std::complex<Real>;
   C m[4][4];
   for (int r = 0; r < 4; ++r) {
     for (int c = 0; c < 4; ++c) {
-      m[r][c] = toC<Real>(gate.m[r][c]);
+      m[r][c] = toC<Real>(gate[r * 4 + c]);
     }
   }
   const std::uint64_t b0 = std::uint64_t{1} << q0;
@@ -240,13 +238,14 @@ void apply2Range(std::complex<Real>* const amps, const GateMatrix4& gate,
 }
 
 template <typename Real>
-void applyControlled1Range(std::complex<Real>* const amps,
-                           const GateMatrix2& gate, unsigned control,
-                           unsigned target, std::uint64_t begin,
-                           std::uint64_t end) noexcept {
+[[gnu::noinline]] void applyControlled1Range(std::complex<Real>* const amps,
+                                             const Complex* const gate,
+                                             unsigned control, unsigned target,
+                                             std::uint64_t begin,
+                                             std::uint64_t end) noexcept {
   using C = std::complex<Real>;
-  const C m00 = toC<Real>(gate.m00), m01 = toC<Real>(gate.m01),
-          m10 = toC<Real>(gate.m10), m11 = toC<Real>(gate.m11);
+  const C m00 = toC<Real>(gate[0]), m01 = toC<Real>(gate[1]),
+          m10 = toC<Real>(gate[2]), m11 = toC<Real>(gate[3]);
   const std::uint64_t cbit = std::uint64_t{1} << control;
   const std::uint64_t tbit = std::uint64_t{1} << target;
   const unsigned lo = control < target ? control : target;
@@ -265,9 +264,12 @@ void applyControlled1Range(std::complex<Real>* const amps,
   }, 2);
 }
 
+/// Enumerates only the a=1, b=0 subspace (dim/4), like the controlled
+/// kernels: each such index pairs with its a=0, b=1 partner.
 template <typename Real>
-void applySwapRange(std::complex<Real>* const amps, unsigned a, unsigned b,
-                    std::uint64_t begin, std::uint64_t end) noexcept {
+[[gnu::noinline]] void applySwapRange(std::complex<Real>* const amps, unsigned a,
+                                      unsigned b, std::uint64_t begin,
+                                      std::uint64_t end) noexcept {
   using C = std::complex<Real>;
   const std::uint64_t abit = std::uint64_t{1} << a;
   const std::uint64_t bbit = std::uint64_t{1} << b;
@@ -313,10 +315,11 @@ void applyCCXRange(std::complex<Real>* const amps, const unsigned (&pos)[3],
 }
 
 template <typename Real>
-void applyDiagonalRange(std::complex<Real>* const amps,
-                        const Complex* const table,
-                        const unsigned* const shifts, std::size_t numBits,
-                        std::uint64_t begin, std::uint64_t end) noexcept {
+[[gnu::noinline]] void applyDiagonalRange(std::complex<Real>* const amps,
+                                          const Complex* const table,
+                                          const unsigned* const shifts,
+                                          std::size_t numBits, std::uint64_t begin,
+                                          std::uint64_t end) noexcept {
   using C = std::complex<Real>;
   // Within an aligned run of 2^qmin amplitudes only bits below qmin vary,
   // so every table-index bit (all at positions >= qmin) is constant: one
@@ -382,6 +385,41 @@ void applyDiagonalRange(std::complex<Real>* const amps,
   }
 }
 
+/// log2 of the amplitudes one index of a kind's range kernel stands for:
+/// a pair (Unitary1), a quad (Unitary2, Controlled, Swap) or one amplitude
+/// (Diagonal). Indexed by SweepGate::Kind.
+constexpr unsigned kIndexBits[] = {1, 2, 0, 2, 2};
+
+inline unsigned indexBits(const SweepGate& gate) noexcept {
+  return kIndexBits[static_cast<std::size_t>(gate.kind)];
+}
+
+/// The one kind -> range-kernel switch: \p gate over [begin, end) of its
+/// kernel's index space, dimension >> indexBits(gate).
+template <typename Real>
+void applyRange(std::complex<Real>* const amps, const SweepGate& gate,
+                std::uint64_t begin, std::uint64_t end) noexcept {
+  const Complex* const m = gate.matrix.data();
+  const unsigned* const q = gate.qubits.data();
+  switch (gate.kind) {
+  case SweepGate::Kind::Unitary1:
+    apply1Range(amps, m, q[0], begin, end);
+    return;
+  case SweepGate::Kind::Unitary2:
+    apply2Range(amps, m, q[0], q[1], begin, end);
+    return;
+  case SweepGate::Kind::Diagonal:
+    applyDiagonalRange(amps, m, q, gate.numQubits, begin, end);
+    return;
+  case SweepGate::Kind::Controlled:
+    applyControlled1Range(amps, m, q[0], q[1], begin, end);
+    return;
+  case SweepGate::Kind::Swap:
+    applySwapRange(amps, q[0], q[1], begin, end);
+    return;
+  }
+}
+
 /// The fused-sweep inner driver: chunk-major, gate-minor. Every gate's
 /// qubits lie below chunkBits, so each gate only mixes amplitudes within
 /// one chunk — applying the whole run to chunk c before touching chunk
@@ -390,42 +428,11 @@ void applyDiagonalRange(std::complex<Real>* const amps,
 template <typename Real>
 void sweepChunkRange(std::complex<Real>* const amps,
                      std::span<const SweepGate> gates, unsigned chunkBits,
-                     std::uint64_t beginChunk, std::uint64_t endChunk) {
+                     std::uint64_t beginChunk, std::uint64_t endChunk) noexcept {
   for (std::uint64_t c = beginChunk; c < endChunk; ++c) {
-    for (const SweepGate& g : gates) {
-      switch (g.kind) {
-      case SweepGate::Kind::Unitary1: {
-        const std::uint64_t half = std::uint64_t{1} << (chunkBits - 1);
-        apply1Range(amps, g.m2, g.q0, c * half, (c + 1) * half);
-        break;
-      }
-      case SweepGate::Kind::Unitary2: {
-        const std::uint64_t quarter = std::uint64_t{1} << (chunkBits - 2);
-        apply2Range(amps, g.m4, g.q0, g.q1, c * quarter, (c + 1) * quarter);
-        break;
-      }
-      case SweepGate::Kind::Diagonal: {
-        const std::uint64_t full = std::uint64_t{1} << chunkBits;
-        unsigned shifts[64];
-        for (std::size_t j = 0; j < g.diagQubits.size(); ++j) {
-          shifts[j] = g.diagQubits[j];
-        }
-        applyDiagonalRange(amps, g.diag.data(), shifts, g.diagQubits.size(),
-                           c * full, (c + 1) * full);
-        break;
-      }
-      case SweepGate::Kind::Controlled: {
-        const std::uint64_t quarter = std::uint64_t{1} << (chunkBits - 2);
-        applyControlled1Range(amps, g.m2, g.q0, g.q1, c * quarter,
-                              (c + 1) * quarter);
-        break;
-      }
-      case SweepGate::Kind::Swap: {
-        const std::uint64_t quarter = std::uint64_t{1} << (chunkBits - 2);
-        applySwapRange(amps, g.q0, g.q1, c * quarter, (c + 1) * quarter);
-        break;
-      }
-      }
+    for (const SweepGate& gate : gates) {
+      const unsigned bits = chunkBits - indexBits(gate);
+      applyRange(amps, gate, c << bits, (c + 1) << bits);
     }
   }
 }
@@ -470,13 +477,7 @@ StateVector::StateVector(unsigned numQubits, qirkit::ThreadPool* pool,
                                 std::to_string(kMaxQubits) + " qubits");
   }
   try {
-    if (precision_ == Precision::F32) {
-      amplitudesF_.assign(dimension(), std::complex<float>{});
-      amplitudesF_[0] = 1.0F;
-    } else {
-      amplitudes_.assign(dimension(), Complex{});
-      amplitudes_[0] = 1.0;
-    }
+    setZeroState();
   } catch (const std::bad_alloc&) {
     throw qirkit::Error(qirkit::ErrorCode::ResourceLimit,
                         "cannot allocate " +
@@ -487,17 +488,20 @@ StateVector::StateVector(unsigned numQubits, qirkit::ThreadPool* pool,
   g_svPeakBytes.updateMax(predictedBytes(numQubits_, precision_));
 }
 
+void StateVector::setZeroState() {
+  withAmplitudes(*this, [&](auto& amps) {
+    amps.assign(dimension(), {});
+    amps[0] = 1;
+  });
+}
+
 bool StateVector::reserveQubits(unsigned numQubits) noexcept {
   if (numQubits > kMaxQubits) {
     return false;
   }
-  const std::uint64_t dim = std::uint64_t{1} << numQubits;
   try {
-    if (precision_ == Precision::F32) {
-      amplitudesF_.reserve(dim);
-    } else {
-      amplitudes_.reserve(dim);
-    }
+    withAmplitudes(*this,
+                   [&](auto& amps) { amps.reserve(std::uint64_t{1} << numQubits); });
   } catch (const std::exception&) { // bad_alloc, or length_error past max_size
     return false;
   }
@@ -510,19 +514,14 @@ unsigned StateVector::addQubit() {
                                 std::to_string(kMaxQubits) + " qubits");
   }
   const std::uint64_t dim = dimension() << 1;
-  const auto grow = [&](auto& amps) {
-    const bool moves = amps.capacity() < dim;
-    amps.resize(dim); // the appended qubit is |0>: the upper half is zero
-    if (moves) {
-      g_svBufferMoves.add();
-    }
-  };
   try {
-    if (precision_ == Precision::F32) {
-      grow(amplitudesF_);
-    } else {
-      grow(amplitudes_);
-    }
+    withAmplitudes(*this, [&](auto& amps) {
+      const bool moves = amps.capacity() < dim;
+      amps.resize(dim); // the appended qubit is |0>: the upper half is zero
+      if (moves) {
+        g_svBufferMoves.add();
+      }
+    });
   } catch (const std::bad_alloc&) {
     throw qirkit::Error(qirkit::ErrorCode::ResourceLimit,
                         "cannot allocate " +
@@ -538,194 +537,132 @@ unsigned StateVector::addQubit() {
 void StateVector::clear() {
   numQubits_ = 0;
   gateCount_ = 0;
-  if (precision_ == Precision::F32) {
-    amplitudesF_.assign(1, 1.0F);
-  } else {
-    amplitudes_.assign(1, 1.0);
-  }
+  setZeroState();
 }
 
 void StateVector::forRange(
-    std::uint64_t n,
-    const std::function<void(std::uint64_t, std::uint64_t)>& body) const {
-  // Cancellation checkpoint once per sweep, on the calling thread — pool
-  // tasks must not throw. Armed-and-expired tokens additionally make the
-  // parallel path skip remaining chunks (the state is abandoned anyway
-  // once the next checkpoint throws).
+    std::uint64_t n, const std::function<void(std::uint64_t, std::uint64_t)>& body,
+    std::uint64_t grain, std::uint64_t minParallel) const {
   if (cancel_ != nullptr) {
     cancel_->checkpoint("statevector kernel");
   }
-  if (pool_ != nullptr && n >= (std::uint64_t{1} << 14)) {
+  if (pool_ != nullptr && n >= minParallel) {
     const qirkit::CancelToken* const cancel = cancel_;
     qirkit::parallelForChunked(
         *pool_, n,
         [&body, cancel](std::uint64_t begin, std::uint64_t end) {
           if (cancel != nullptr && cancel->expired()) {
-            return; // chunk-boundary bail-out; caller throws on next probe
+            return; // the caller throws at its next checkpoint
           }
           body(begin, end);
         },
-        std::uint64_t{1} << 12);
+        grain);
   } else {
     body(0, n);
   }
 }
 
-void StateVector::apply1(const GateMatrix2& gate, unsigned target) {
-  assert(target < numQubits_);
-  ++gateCount_;
-  g_svGates.add();
-  noteKernelSweeps(precision_, 1);
-  const auto dispatch = [&](auto* const amps) {
-    forRange(dimension() >> 1, [&](std::uint64_t begin, std::uint64_t end) {
-      apply1Range(amps, gate, target, begin, end);
-    });
-  };
-  if (precision_ == Precision::F32) {
-    dispatch(amplitudesF_.data());
-  } else {
-    dispatch(amplitudes_.data());
+template <typename Kernel>
+void StateVector::runKernel(std::uint64_t gates, std::uint64_t n, const Kernel& kernel,
+                            std::uint64_t grain, std::uint64_t minParallel) {
+  gateCount_ += gates;
+  g_svGates.add(gates);
+  withAmplitudes(*this, [&](auto& amps) {
+    auto* const data = amps.data();
+#if defined(QIRKIT_SIMD)
+    // Complex components per 256-bit vector: 4 in f64, 8 in f32.
+    g_svSimdLanes.add(64 / sizeof(*data) * gates);
+#endif
+    forRange(
+        n, [&](std::uint64_t begin, std::uint64_t end) { kernel(data, begin, end); },
+        grain, minParallel);
+  });
+}
+
+void StateVector::apply(const SweepGate& gate) {
+#ifndef NDEBUG
+  for (unsigned j = 0; j < gate.numQubits; ++j) {
+    assert(gate.qubits[j] < numQubits_);
   }
+#endif
+  runKernel(1, dimension() >> indexBits(gate),
+            [&](auto* const amps, std::uint64_t begin, std::uint64_t end) {
+              applyRange(amps, gate, begin, end);
+            });
+}
+
+void StateVector::apply1(const GateMatrix2& gate, unsigned target) {
+  const Complex m[] = {gate.m00, gate.m01, gate.m10, gate.m11};
+  apply({.kind = SweepGate::Kind::Unitary1,
+         .numQubits = 1,
+         .qubits = {target},
+         .matrix = m});
 }
 
 void StateVector::apply2(const GateMatrix4& gate, unsigned q0, unsigned q1) {
-  assert(q0 < numQubits_ && q1 < numQubits_ && q0 != q1);
-  ++gateCount_;
-  g_svGates.add();
-  noteKernelSweeps(precision_, 1);
-  const auto dispatch = [&](auto* const amps) {
-    forRange(dimension() >> 2, [&](std::uint64_t begin, std::uint64_t end) {
-      apply2Range(amps, gate, q0, q1, begin, end);
-    });
-  };
-  if (precision_ == Precision::F32) {
-    dispatch(amplitudesF_.data());
-  } else {
-    dispatch(amplitudes_.data());
+  assert(q0 != q1);
+  Complex m[16];
+  for (int r = 0; r < 4; ++r) {
+    for (int c = 0; c < 4; ++c) {
+      m[r * 4 + c] = gate.m[r][c];
+    }
   }
+  apply({.kind = SweepGate::Kind::Unitary2,
+         .numQubits = 2,
+         .qubits = {q0, q1},
+         .matrix = m});
 }
 
 void StateVector::applyDiagonal(std::span<const Complex> diag,
                                 std::span<const unsigned> qubits) {
-  assert(!qubits.empty() &&
-         diag.size() == (std::size_t{1} << qubits.size()));
-#ifndef NDEBUG
-  for (const unsigned q : qubits) {
-    assert(q < numQubits_);
+  assert(!qubits.empty() && diag.size() == (std::size_t{1} << qubits.size()));
+  if (qubits.size() > SweepGate::kMaxQubits) {
+    throw std::invalid_argument("applyDiagonal: more than " +
+                                std::to_string(SweepGate::kMaxQubits) + " qubits");
   }
-#endif
-  ++gateCount_;
-  g_svGates.add();
-  noteKernelSweeps(precision_, 1);
-  // Hoist the qubit list out of the span (one indirect load per qubit per
-  // amplitude otherwise) and keep the phase table behind a raw pointer so
-  // the stores to the amplitudes cannot force reloads of either.
-  unsigned shifts[64];
-  const std::size_t numBits = qubits.size();
-  for (std::size_t j = 0; j < numBits; ++j) {
-    shifts[j] = qubits[j];
-  }
-  const Complex* const table = diag.data();
-  const auto dispatch = [&](auto* const amps) {
-    forRange(dimension(), [&](std::uint64_t begin, std::uint64_t end) {
-      applyDiagonalRange(amps, table, shifts, numBits, begin, end);
-    });
-  };
-  if (precision_ == Precision::F32) {
-    dispatch(amplitudesF_.data());
-  } else {
-    dispatch(amplitudes_.data());
-  }
+  SweepGate gate{.kind = SweepGate::Kind::Diagonal,
+                 .numQubits = static_cast<std::uint8_t>(qubits.size()),
+                 .matrix = diag};
+  std::copy(qubits.begin(), qubits.end(), gate.qubits.begin());
+  apply(gate);
 }
 
 void StateVector::applyControlled1(const GateMatrix2& gate, unsigned control,
                                    unsigned target) {
-  assert(control < numQubits_ && target < numQubits_ && control != target);
-  ++gateCount_;
-  g_svGates.add();
-  noteKernelSweeps(precision_, 1);
-  const auto dispatch = [&](auto* const amps) {
-    forRange(dimension() >> 2, [&](std::uint64_t begin, std::uint64_t end) {
-      applyControlled1Range(amps, gate, control, target, begin, end);
-    });
-  };
-  if (precision_ == Precision::F32) {
-    dispatch(amplitudesF_.data());
-  } else {
-    dispatch(amplitudes_.data());
-  }
+  assert(control != target);
+  const Complex m[] = {gate.m00, gate.m01, gate.m10, gate.m11};
+  apply({.kind = SweepGate::Kind::Controlled,
+         .numQubits = 2,
+         .qubits = {control, target},
+         .matrix = m});
 }
 
 void StateVector::applyCCX(unsigned control1, unsigned control2, unsigned target) {
   assert(control1 != control2 && control1 != target && control2 != target);
-  ++gateCount_;
-  g_svGates.add();
-  noteKernelSweeps(precision_, 1);
   const std::uint64_t c1 = std::uint64_t{1} << control1;
   const std::uint64_t c2 = std::uint64_t{1} << control2;
   const std::uint64_t tbit = std::uint64_t{1} << target;
   // Enumerate only the control1=1, control2=1, target=0 subspace.
   unsigned pos[3] = {control1, control2, target};
-  if (pos[0] > pos[1]) {
-    std::swap(pos[0], pos[1]);
-  }
-  if (pos[1] > pos[2]) {
-    std::swap(pos[1], pos[2]);
-  }
-  if (pos[0] > pos[1]) {
-    std::swap(pos[0], pos[1]);
-  }
-  const auto dispatch = [&](auto* const amps) {
-    forRange(dimension() >> 3, [&](std::uint64_t begin, std::uint64_t end) {
-      applyCCXRange(amps, pos, c1, c2, tbit, begin, end);
-    });
-  };
-  if (precision_ == Precision::F32) {
-    dispatch(amplitudesF_.data());
-  } else {
-    dispatch(amplitudes_.data());
-  }
+  std::sort(std::begin(pos), std::end(pos));
+  runKernel(1, dimension() >> 3,
+            [&](auto* const amps, std::uint64_t begin, std::uint64_t end) {
+              applyCCXRange(amps, pos, c1, c2, tbit, begin, end);
+            });
 }
 
 void StateVector::applySwap(unsigned a, unsigned b) {
-  assert(a < numQubits_ && b < numQubits_);
   if (a == b) {
     return;
   }
-  ++gateCount_;
-  g_svGates.add();
-  noteKernelSweeps(precision_, 1);
-  // Enumerate only the a=1, b=0 subspace (dim/4), like the other
-  // controlled kernels: each such index pairs with its a=0, b=1 partner.
-  const auto dispatch = [&](auto* const amps) {
-    forRange(dimension() >> 2, [&](std::uint64_t begin, std::uint64_t end) {
-      applySwapRange(amps, a, b, begin, end);
-    });
-  };
-  if (precision_ == Precision::F32) {
-    dispatch(amplitudesF_.data());
-  } else {
-    dispatch(amplitudes_.data());
-  }
+  apply({.kind = SweepGate::Kind::Swap, .numQubits = 2, .qubits = {a, b}});
 }
 
 void StateVector::applyFusedSweep(std::span<const SweepGate> gates) {
   unsigned maxQ = 0;
-  for (const SweepGate& g : gates) {
-    switch (g.kind) {
-    case SweepGate::Kind::Unitary1:
-      maxQ = std::max(maxQ, g.q0);
-      break;
-    case SweepGate::Kind::Unitary2:
-    case SweepGate::Kind::Controlled:
-    case SweepGate::Kind::Swap:
-      maxQ = std::max(maxQ, std::max(g.q0, g.q1));
-      break;
-    case SweepGate::Kind::Diagonal:
-      for (const unsigned q : g.diagQubits) {
-        maxQ = std::max(maxQ, q);
-      }
-      break;
+  for (const SweepGate& gate : gates) {
+    for (unsigned j = 0; j < gate.numQubits; ++j) {
+      maxQ = std::max(maxQ, gate.qubits[j]);
     }
   }
   assert(gates.empty() || maxQ < numQubits_);
@@ -737,58 +674,19 @@ void StateVector::applyFusedSweep(std::span<const SweepGate> gates) {
   if (gates.size() < 2 || numChunks <= 1) {
     // One gate, or a run whose chunk spans the register: nothing to share
     // between gates, so each takes its own full (pool-parallel) pass.
-    for (const SweepGate& g : gates) {
-      switch (g.kind) {
-      case SweepGate::Kind::Unitary1:
-        apply1(g.m2, g.q0);
-        break;
-      case SweepGate::Kind::Unitary2:
-        apply2(g.m4, g.q0, g.q1);
-        break;
-      case SweepGate::Kind::Diagonal:
-        applyDiagonal(g.diag, g.diagQubits);
-        break;
-      case SweepGate::Kind::Controlled:
-        applyControlled1(g.m2, g.q0, g.q1);
-        break;
-      case SweepGate::Kind::Swap:
-        applySwap(g.q0, g.q1);
-        break;
-      }
+    for (const SweepGate& gate : gates) {
+      apply(gate);
     }
     return;
   }
-  if (cancel_ != nullptr) {
-    cancel_->checkpoint("statevector sweep");
-  }
-  gateCount_ += gates.size();
-  g_svGates.add(gates.size());
-  noteKernelSweeps(precision_, gates.size());
   g_svBlockedSweeps.add();
-  const auto dispatch = [&](auto* const amps) {
-    const auto body = [&](std::uint64_t beginChunk, std::uint64_t endChunk) {
-      sweepChunkRange(amps, gates, chunkBits, beginChunk, endChunk);
-    };
-    if (pool_ != nullptr && dimension() >= (std::uint64_t{1} << 14)) {
-      const qirkit::CancelToken* const cancel = cancel_;
-      qirkit::parallelForChunked(
-          *pool_, numChunks,
-          [&body, cancel](std::uint64_t begin, std::uint64_t end) {
-            if (cancel != nullptr && cancel->expired()) {
-              return;
-            }
-            body(begin, end);
-          },
-          1);
-    } else {
-      body(0, numChunks);
-    }
-  };
-  if (precision_ == Precision::F32) {
-    dispatch(amplitudesF_.data());
-  } else {
-    dispatch(amplitudes_.data());
-  }
+  // Pool pieces of one chunk each, on the pool from 2^14 amplitudes on.
+  runKernel(
+      gates.size(), numChunks,
+      [&](auto* const amps, std::uint64_t beginChunk, std::uint64_t endChunk) {
+        sweepChunkRange(amps, gates, chunkBits, beginChunk, endChunk);
+      },
+      1, kRangeParallelMin >> chunkBits);
 }
 
 double StateVector::blockSum(
@@ -823,7 +721,7 @@ double StateVector::probabilityOfOne(unsigned q) const {
   // Enumerate only the q=1 half (ascending, so the term order matches a
   // full-dimension scan); partial sums reduce deterministically and always
   // accumulate in double, whatever the storage precision.
-  const auto compute = [&](const auto* const amps) {
+  return withAmplitudes(*this, [&](const auto& amps) {
     return blockSum(dimension() >> 1, [&](std::uint64_t begin, std::uint64_t end) {
       double p = 0;
       for (std::uint64_t i = begin; i < end; ++i) {
@@ -834,9 +732,7 @@ double StateVector::probabilityOfOne(unsigned q) const {
       }
       return p;
     });
-  };
-  return precision_ == Precision::F32 ? compute(amplitudesF_.data())
-                                      : compute(amplitudes_.data());
+  });
 }
 
 bool StateVector::measure(unsigned q, SplitMix64& rng) {
@@ -851,8 +747,9 @@ void StateVector::collapse(unsigned q, bool outcome, double p1) {
   const double keep = outcome ? p1 : 1.0 - p1;
   const double scale = keep > 0 ? 1.0 / std::sqrt(keep) : 0.0;
   const std::uint64_t bit = std::uint64_t{1} << q;
-  const auto project = [&](auto* const amps) {
-    using C = std::decay_t<decltype(*amps)>;
+  withAmplitudes(*this, [&](auto& buffer) {
+    using C = typename std::decay_t<decltype(buffer)>::value_type;
+    C* const amps = buffer.data();
     const auto s = static_cast<typename C::value_type>(scale);
     forRange(dimension(), [&](std::uint64_t begin, std::uint64_t end) {
       for (std::uint64_t i = begin; i < end; ++i) {
@@ -864,12 +761,7 @@ void StateVector::collapse(unsigned q, bool outcome, double p1) {
         }
       }
     });
-  };
-  if (precision_ == Precision::F32) {
-    project(amplitudesF_.data());
-  } else {
-    project(amplitudes_.data());
-  }
+  });
 }
 
 void StateVector::resetQubit(unsigned q, SplitMix64& rng) {
@@ -881,7 +773,7 @@ void StateVector::resetQubit(unsigned q, SplitMix64& rng) {
 std::vector<double> StateVector::blockEndSums() const {
   const std::uint64_t block = std::min(dimension(), kSampleBlock);
   std::vector<double> ends(dimension() / block);
-  const auto sum = [&](const auto* const amps) {
+  withAmplitudes(*this, [&](const auto& amps) {
     // One running sum in index order: the cumulative distribution's
     // entries, of which only every block's last is kept.
     double running = 0;
@@ -891,12 +783,7 @@ std::vector<double> StateVector::blockEndSums() const {
       }
       ends[b] = running;
     }
-  };
-  if (precision_ == Precision::F32) {
-    sum(amplitudesF_.data());
-  } else {
-    sum(amplitudes_.data());
-  }
+  });
   return ends;
 }
 
@@ -932,32 +819,27 @@ StateVector::countSortedDraws(std::span<const double> sortedDraws,
   }
   // Rescan each block from the previous block's end sum: the additions of
   // pass 1 in the same order, so the running sums are pass 1's bit for bit.
-  const auto walk = [&](const auto* const amps, std::size_t first, std::size_t last) {
-    for (std::size_t k = first; k < last; ++k) {
-      const Segment& seg = segments[k];
-      double running = seg.block == 0 ? 0.0 : blockEnds[seg.block - 1];
-      std::size_t d = seg.begin;
-      const std::uint64_t end = (seg.block + 1) * block;
-      for (std::uint64_t i = seg.block * block; i < end && d < seg.end; ++i) {
-        running += probability(amps[i]);
-        while (d < seg.end && sortedDraws[d] < running) {
-          basis[d++] = i;
+  const auto walk = [&](std::size_t first, std::size_t last) {
+    withAmplitudes(*this, [&](const auto& amps) {
+      for (std::size_t k = first; k < last; ++k) {
+        const Segment& seg = segments[k];
+        double running = seg.block == 0 ? 0.0 : blockEnds[seg.block - 1];
+        std::size_t d = seg.begin;
+        const std::uint64_t end = (seg.block + 1) * block;
+        for (std::uint64_t i = seg.block * block; i < end && d < seg.end; ++i) {
+          running += probability(amps[i]);
+          while (d < seg.end && sortedDraws[d] < running) {
+            basis[d++] = i;
+          }
         }
       }
-    }
-  };
-  const auto dispatch = [&](std::size_t first, std::size_t last) {
-    if (precision_ == Precision::F32) {
-      walk(amplitudesF_.data(), first, last);
-    } else {
-      walk(amplitudes_.data(), first, last);
-    }
+    });
   };
   if (pool_ != nullptr && segments.size() > 1 &&
       segments.size() * block >= (std::uint64_t{1} << 14)) {
-    qirkit::parallelForChunked(*pool_, segments.size(), dispatch, 1);
+    qirkit::parallelForChunked(*pool_, segments.size(), walk, 1);
   } else {
-    dispatch(0, segments.size());
+    walk(0, segments.size());
   }
   // Ascending draws land on ascending basis states, so each count goes
   // at the end of the map.
@@ -991,7 +873,7 @@ std::map<std::uint64_t, std::uint64_t> StateVector::sampleShots(
 }
 
 double StateVector::normSquared() const {
-  const auto compute = [&](const auto* const amps) {
+  return withAmplitudes(*this, [&](const auto& amps) {
     return blockSum(dimension(), [&](std::uint64_t begin, std::uint64_t end) {
       double n = 0;
       for (std::uint64_t i = begin; i < end; ++i) {
@@ -1001,9 +883,7 @@ double StateVector::normSquared() const {
       }
       return n;
     });
-  };
-  return precision_ == Precision::F32 ? compute(amplitudesF_.data())
-                                      : compute(amplitudes_.data());
+  });
 }
 
 double StateVector::fidelity(const StateVector& other) const {

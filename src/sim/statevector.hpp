@@ -66,27 +66,6 @@ void noteF32Batch() noexcept;
   return rng.uniform() < p1;
 }
 
-/// One gate of a fused sweep (applyFusedSweep), with qubit operands
-/// already resolved to simulator indices. Matrices and phase tables stay
-/// in double precision; kernels convert once per chunk. The diag/
-/// diagQubits spans must outlive the applyFusedSweep call.
-///  * Unitary1: m2 on q0 (apply1).
-///  * Unitary2: m4 on (q0, q1) (apply2).
-///  * Diagonal: diag over diagQubits (applyDiagonal).
-///  * Controlled: m2 on q1 where q0 is set (applyControlled1).
-///  * Swap: q0 and q1 (applySwap).
-struct SweepGate {
-  enum class Kind : std::uint8_t { Unitary1, Unitary2, Diagonal, Controlled, Swap };
-
-  Kind kind = Kind::Unitary1;
-  unsigned q0 = 0;
-  unsigned q1 = 0; // Unitary2, Controlled, Swap
-  GateMatrix2 m2{};
-  GateMatrix4 m4{};
-  std::span<const Complex> diag{};
-  std::span<const unsigned> diagQubits{};
-};
-
 /// Allocation of amplitude buffers: a buffer of 2 MiB or more is aligned
 /// to 2 MiB and advised MADV_HUGEPAGE where the platform has it (failure
 /// is ignored), so transparent huge pages can fault a state in 2 MiB
@@ -171,9 +150,10 @@ public:
   /// GateMatrix4 convention) — the target kernel of the fusion pass's
   /// two-qubit-window rule.
   void apply2(const GateMatrix4& gate, unsigned q0, unsigned q1);
-  /// Diagonal gate over \p qubits: one multiply per amplitude, no pair
-  /// indexing. diag holds the 2^k phases, indexed by bit j = qubits[j] —
-  /// the target kernel of the fusion pass's diagonal-run rule.
+  /// Diagonal gate over at most SweepGate::kMaxQubits \p qubits: one
+  /// multiply per amplitude, no pair indexing. diag holds the 2^k phases,
+  /// indexed by bit j = qubits[j] — the target kernel of the fusion pass's
+  /// diagonal-run rule.
   void applyDiagonal(std::span<const Complex> diag, std::span<const unsigned> qubits);
   /// Controlled single-qubit gate (CNOT = controlled X, CZ = controlled Z).
   void applyControlled1(const GateMatrix2& gate, unsigned control, unsigned target);
@@ -181,8 +161,8 @@ public:
   void applyCCX(unsigned control1, unsigned control2, unsigned target);
   void applySwap(unsigned a, unsigned b);
 
-  /// Apply a run of fused blocks, in order — the one kernel entry of the
-  /// fused path, for runs of any length. A run of several gates walks the
+  /// Apply a run of gates, in order — the one kernel entry of the fused
+  /// path, for runs of any length. A run of several gates walks the
   /// state one cache-sized chunk at a time: when every touched qubit lies
   /// below the chunk width, each gate's amplitude pairs are chunk-local,
   /// so applying all gates (in order) to chunk 0, then all to chunk 1, ...
@@ -229,11 +209,9 @@ public:
   // -- inspection --------------------------------------------------------
   /// Amplitude of \p basis, widened to double for f32 states.
   [[nodiscard]] Complex amplitude(std::uint64_t basis) const {
-    if (precision_ == Precision::F32) {
-      const std::complex<float> a = amplitudesF_[basis];
-      return Complex{a.real(), a.imag()};
-    }
-    return amplitudes_[basis];
+    return withAmplitudes(*this, [basis](const auto& amps) {
+      return Complex{amps[basis].real(), amps[basis].imag()};
+    });
   }
   /// Raw f64 storage; only meaningful for Precision::F64 states (empty
   /// span otherwise).
@@ -263,8 +241,41 @@ public:
   }
 
 private:
+  /// forRange's defaults: pieces of 2^12 indices, and a pool only from
+  /// 2^14 indices on, where the fork/join pays for itself.
+  static constexpr std::uint64_t kRangeGrain = std::uint64_t{1} << 12;
+  static constexpr std::uint64_t kRangeParallelMin = std::uint64_t{1} << 14;
+
+  /// Call \p f with the amplitude buffer of the state's precision, the f64
+  /// or the f32 one: the one place that picks between them.
+  template <typename Self, typename F>
+  static auto withAmplitudes(Self& self, F&& f) -> decltype(f(self.amplitudes_)) {
+    if (self.precision_ == Precision::F32) {
+      return f(self.amplitudesF_);
+    }
+    return f(self.amplitudes_);
+  }
+  /// |0...0> over the current width, in the buffer already held.
+  void setZeroState();
+
+  /// Run body(begin, end) over [0, n): on the pool in pieces of \p grain
+  /// when there is one and n is at least \p minParallel, else in one call.
+  /// The cancellation checkpoint runs first, on the calling thread (pool
+  /// tasks must not throw); an expired token makes the pool skip the
+  /// pieces not yet started.
   void forRange(std::uint64_t n,
-                const std::function<void(std::uint64_t, std::uint64_t)>& body) const;
+                const std::function<void(std::uint64_t, std::uint64_t)>& body,
+                std::uint64_t grain = kRangeGrain,
+                std::uint64_t minParallel = kRangeParallelMin) const;
+  /// The prologue of every kernel entry: count \p gates gate applications
+  /// (gateCount, telemetry, SIMD lanes), then forRange(n) with
+  /// kernel(amps, begin, end) on the amplitudes of the state's precision.
+  template <typename Kernel>
+  void runKernel(std::uint64_t gates, std::uint64_t n, const Kernel& kernel,
+                 std::uint64_t grain = kRangeGrain,
+                 std::uint64_t minParallel = kRangeParallelMin);
+  /// One gate, one kernel pass over the whole state.
+  void apply(const SweepGate& gate);
   /// Deterministic parallel sum reduction: [0, n) is split into fixed
   /// 4096-element blocks whose partial sums (computed by \p partial,
   /// possibly in parallel) are combined sequentially in block order. The

@@ -16,27 +16,24 @@ std::string Diagnostic::str() const {
   return loc.str() + ": " + sev + ": " + message;
 }
 
+namespace {
+#define QIRKIT_ERROR_NAME(name, text) text,
+constexpr const char* kErrorCodeNames[] = {QIRKIT_ERROR_CODES(QIRKIT_ERROR_NAME)};
+#undef QIRKIT_ERROR_NAME
+} // namespace
+
 const char* errorCodeName(ErrorCode code) noexcept {
-  switch (code) {
-  case ErrorCode::Parse: return "parse";
-  case ErrorCode::Verify: return "verify";
-  case ErrorCode::Semantic: return "semantic";
-  case ErrorCode::Io: return "io";
-  case ErrorCode::Usage: return "usage";
-  case ErrorCode::Trap: return "trap";
-  case ErrorCode::TrapOutOfBounds: return "trap-out-of-bounds";
-  case ErrorCode::TrapUnboundExternal: return "trap-unbound-external";
-  case ErrorCode::TrapArithmetic: return "trap-arithmetic";
-  case ErrorCode::TrapInvalidQubit: return "trap-invalid-qubit";
-  case ErrorCode::TrapUnreachable: return "trap-unreachable";
-  case ErrorCode::StepBudgetExceeded: return "step-budget-exceeded";
-  case ErrorCode::ResourceLimit: return "resource-limit";
-  case ErrorCode::CompileFail: return "compile-fail";
-  case ErrorCode::InjectedFault: return "injected-fault";
-  case ErrorCode::Deadline: return "deadline";
-  case ErrorCode::Internal: return "internal";
+  const auto i = static_cast<std::size_t>(code);
+  return i < kNumErrorCodes ? kErrorCodeNames[i] : "internal";
+}
+
+ErrorCode errorCodeFromName(std::string_view name) noexcept {
+  for (std::size_t i = 0; i < kNumErrorCodes; ++i) {
+    if (name == kErrorCodeNames[i]) {
+      return static_cast<ErrorCode>(i);
+    }
   }
-  return "internal";
+  return ErrorCode::Internal;
 }
 
 std::string Error::formatted() const {

@@ -14,9 +14,11 @@
 /// pre-taxonomy catch sites keep compiling unchanged.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace qirkit {
 
@@ -45,32 +47,48 @@ struct Diagnostic {
   [[nodiscard]] std::string str() const;
 };
 
+/// The error taxonomy, one row per code: X(enumerator, kebab-case name).
+/// The names are stable: the CLI prints error[<name>], and serve responses
+/// carry them back to `qirkit submit`.
+#define QIRKIT_ERROR_CODES(X)                                                  \
+  X(Parse, "parse")             /* malformed textual input (QIR, QASM) */     \
+  X(Verify, "verify")           /* IR verifier rejected the module */         \
+  X(Semantic, "semantic")       /* semantic invariant (profiles, targets) */  \
+  X(Io, "io")                   /* file cannot be read or written */          \
+  X(Usage, "usage")             /* bad command-line invocation */             \
+  X(Trap, "trap")               /* generic dynamic violation */               \
+  X(TrapOutOfBounds, "trap-out-of-bounds") /* memory outside the arena */     \
+  X(TrapUnboundExternal, "trap-unbound-external") /* no runtime binding */    \
+  X(TrapArithmetic, "trap-arithmetic") /* division by zero, big shift */      \
+  X(TrapInvalidQubit, "trap-invalid-qubit") /* released or unknown qubit */   \
+  X(TrapUnreachable, "trap-unreachable") /* executed 'unreachable' */         \
+  X(StepBudgetExceeded, "step-budget-exceeded") /* hit the step limit */      \
+  X(ResourceLimit, "resource-limit") /* stack, qubit budget or arena */       \
+  X(CompileFail, "compile-fail") /* module cannot be lowered to bytecode */   \
+  X(InjectedFault, "injected-fault") /* fault-injection hook fired */         \
+  X(Deadline, "deadline")       /* deadline exceeded or request cancelled */  \
+  X(Internal, "internal")       /* invariant broken inside qirkit itself */
+
 /// What went wrong, as a machine-readable class. The CLI maps these to its
 /// exit-code contract and prints them as error[<name>]; the shot executor
 /// keys its per-shot failure histogram on them.
-enum class ErrorCode : std::uint8_t {
-  Parse,              ///< malformed textual input (QIR, QASM, patterns)
-  Verify,             ///< IR verifier rejected the module
-  Semantic,           ///< semantic invariant violated (profiles, targets)
-  Io,                 ///< file cannot be read or written
-  Usage,              ///< bad command-line invocation
-  Trap,               ///< generic dynamic violation
-  TrapOutOfBounds,    ///< memory access outside the arena
-  TrapUnboundExternal,///< call to an external with no runtime binding
-  TrapArithmetic,     ///< division by zero / oversized shift
-  TrapInvalidQubit,   ///< released, unknown, or out-of-register qubit
-  TrapUnreachable,    ///< executed an 'unreachable' terminator
-  StepBudgetExceeded, ///< runaway program hit the step limit
-  ResourceLimit,      ///< stack depth / qubit budget / arena exhausted
-  CompileFail,        ///< module cannot be lowered to bytecode
-  InjectedFault,      ///< deterministic fault-injection hook fired
-  Deadline,           ///< deadline exceeded or request cancelled
-  Internal,           ///< invariant broken inside qirkit itself
-};
+#define QIRKIT_ERROR_ENUMERATOR(name, text) name,
+enum class ErrorCode : std::uint8_t { QIRKIT_ERROR_CODES(QIRKIT_ERROR_ENUMERATOR) };
+#undef QIRKIT_ERROR_ENUMERATOR
+
+/// The number of error codes, for tables indexed by ErrorCode.
+#define QIRKIT_ERROR_ONE(name, text) +1
+inline constexpr std::size_t kNumErrorCodes = 0 QIRKIT_ERROR_CODES(QIRKIT_ERROR_ONE);
+#undef QIRKIT_ERROR_ONE
 
 /// Stable kebab-case name ("trap-out-of-bounds") used in CLI output and
-/// the fault-injection env knob.
+/// serve responses.
 [[nodiscard]] const char* errorCodeName(ErrorCode code) noexcept;
+
+/// Reverse of errorCodeName, so `qirkit submit` can map a response's code
+/// back onto the exit-code contract. Unknown names classify as Internal,
+/// the conservative default.
+[[nodiscard]] ErrorCode errorCodeFromName(std::string_view name) noexcept;
 
 /// Base class of every qirkit exception: a std::runtime_error whose what()
 /// is the (possibly decorated) human-readable message, plus the structured

@@ -30,9 +30,6 @@ void armSink(unsigned sink, bool on) noexcept {
 
 namespace {
 
-constexpr std::size_t kNumErrorCodes =
-    static_cast<std::size_t>(ErrorCode::Internal) + 1;
-
 /// Registration lists. Metrics have static storage duration and register
 /// themselves on construction; the mutex-guarded vectors inside a
 /// function-local struct sidestep static-initialization-order hazards.

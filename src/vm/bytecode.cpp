@@ -71,7 +71,7 @@ std::string BytecodeModule::disassemble() const {
       }
       if (in.op == Op::Fused && in.a < fn.fusedSweeps.size()) {
         const FusedSweepRun& run = fn.fusedSweeps[in.a];
-        // Indexed by FusedBlock::Kind.
+        // Indexed by sim::SweepGate::Kind.
         static constexpr const char* kKindNames[] = {"u1", "u2", "diag", "ctl",
                                                      "swap"};
         out << " ; " << run.blockCount << " blocks, " << run.totalGates

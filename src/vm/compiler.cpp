@@ -184,6 +184,9 @@ private:
       return;
     }
     if (isCastOp(op)) {
+      if (passes::isTypeChangingBitcast(inst)) {
+        throw CompileError("bitcast between different types");
+      }
       emit(Op::Cast, static_cast<std::uint8_t>(op), kStep, dstOf(&inst),
            regOf(inst.operand(0)), 0, passes::castBits(inst));
       return;

@@ -20,6 +20,8 @@ using interp::RtValue;
 
 namespace {
 
+using Kind = sim::SweepGate::Kind;
+
 /// Every code offset control may enter at (branch and switch targets).
 /// Gate fusion refuses to form a run a branch could enter mid-way.
 std::vector<bool> computeJumpTargets(const CompiledFunction& fn) {
@@ -274,7 +276,7 @@ private:
             widened.push_back(q);
           }
         }
-        if (widened.size() > FusedBlock::kMaxQubits) {
+        if (widened.size() > sim::SweepGate::kMaxQubits) {
           break;
         }
         support = std::move(widened);
@@ -335,17 +337,17 @@ private:
       // irrelevant to them.
       block.qubits = {first.qubits[0], first.qubits[1]};
       if (first.kind == OpKind::Swap) {
-        block.kind = FusedBlock::Kind::Swap;
+        block.kind = Kind::Swap;
         return block;
       }
-      block.kind = FusedBlock::Kind::Controlled;
+      block.kind = Kind::Controlled;
       const sim::GateMatrix2 t =
           first.kind == OpKind::CX ? sim::gateX() : sim::gateZ();
       block.matrix = {t.m00, t.m01, t.m10, t.m11};
       return block;
     }
     if (d.qubits.size() == 1) {
-      block.kind = FusedBlock::Kind::Unitary1;
+      block.kind = Kind::Unitary1;
       sim::GateMatrix2 u{1, 0, 0, 1};
       for (const std::uint32_t i : d.gates) {
         u = sim::matmul(region[i].matrix(), u);
@@ -353,7 +355,7 @@ private:
       block.matrix = {u.m00, u.m01, u.m10, u.m11};
       return block;
     }
-    block.kind = FusedBlock::Kind::Unitary2;
+    block.kind = Kind::Unitary2;
     sim::GateMatrix4 u = sim::identity4();
     for (const std::uint32_t i : d.gates) {
       const GateUnit& g = region[i];
@@ -386,13 +388,13 @@ private:
   static std::vector<std::complex<double>> diagonalOf(const FusedBlock& block) {
     std::size_t dim = 0;
     switch (block.kind) {
-    case FusedBlock::Kind::Unitary1:
+    case Kind::Unitary1:
       dim = 2;
       break;
-    case FusedBlock::Kind::Unitary2:
+    case Kind::Unitary2:
       dim = 4;
       break;
-    case FusedBlock::Kind::Controlled:
+    case Kind::Controlled:
       if (block.matrix[1] != 0.0 || block.matrix[2] != 0.0) {
         return {};
       }
@@ -421,7 +423,7 @@ private:
     std::sort(support.begin(), support.end(),
               [&](std::uint64_t a, std::uint64_t b) { return rankOf_.at(a) < rankOf_.at(b); });
     FusedBlock table;
-    table.kind = FusedBlock::Kind::Diagonal;
+    table.kind = Kind::Diagonal;
     table.matrix.assign(std::size_t{1} << support.size(), 1.0);
     for (std::size_t m = 0; m < group.size(); ++m) {
       const FusedBlock& member = group[m];

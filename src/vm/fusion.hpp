@@ -17,7 +17,7 @@
 ///    one-qubit block.
 ///  * A block whose composed matrix has exactly-zero off-diagonal entries
 ///    is a diagonal; adjacent diagonal blocks merge into one phase table
-///    over up to interp::FusedBlock::kMaxQubits qubits.
+///    over up to sim::SweepGate::kMaxQubits qubits.
 ///  * A block holding a single source gate keeps that gate's own kernel.
 /// A region whose blocks are as many as its gates saves no kernel pass and
 /// stays plain calls.

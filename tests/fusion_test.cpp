@@ -13,6 +13,7 @@
 #include "runtime/runtime.hpp"
 #include "support/faultinject.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry/telemetry.hpp"
 #include "vm/cache.hpp"
 #include "vm/compiler.hpp"
 #include "vm/executor.hpp"
@@ -24,6 +25,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 namespace qirkit {
@@ -160,7 +162,7 @@ std::size_t countSubstr(const std::string& haystack, const std::string& needle) 
 
 /// Fused blocks of \p kind in the module's first function.
 std::size_t countBlocks(const vm::BytecodeModule& module,
-                        interp::FusedBlock::Kind kind) {
+                        sim::SweepGate::Kind kind) {
   std::size_t n = 0;
   for (const interp::FusedBlock& block : module.functions[0].fusedBlocks) {
     n += block.kind == kind ? 1 : 0;
@@ -211,7 +213,7 @@ TEST(FusionPass, SingleQubitChainFusesToOneBlock) {
   EXPECT_EQ(block.sourceGates, 3U);
   // H RX(0.5) H == RZ(0.5) up to global phase, and the composed 2x2's
   // off-diagonal entries cancel exactly: a one-qubit phase table.
-  EXPECT_EQ(block.kind, interp::FusedBlock::Kind::Diagonal);
+  EXPECT_EQ(block.kind, sim::SweepGate::Kind::Diagonal);
   ASSERT_EQ(block.matrix.size(), 2U);
   const GateMatrix2 got{block.matrix[0], 0.0, 0.0, block.matrix[1]};
   EXPECT_LT(sim::distanceUpToPhase(got, sim::gateRZ(0.5)), 1e-12);
@@ -224,7 +226,7 @@ TEST(FusionPass, NonDiagonalChainStaysAUnitary) {
 )"));
   ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
   const interp::FusedBlock& block = compiled->functions[0].fusedBlocks[0];
-  EXPECT_EQ(block.kind, interp::FusedBlock::Kind::Unitary1);
+  EXPECT_EQ(block.kind, sim::SweepGate::Kind::Unitary1);
   ASSERT_EQ(block.matrix.size(), 4U);
   const GateMatrix2 got{block.matrix[0], block.matrix[1], block.matrix[2],
                         block.matrix[3]};
@@ -243,7 +245,7 @@ TEST(FusionPass, TwoQubitWindowFusesMixedGates) {
   EXPECT_EQ(countSubstr(listing, "call.ext"), 3U) << listing;
   ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
   const interp::FusedBlock& block = compiled->functions[0].fusedBlocks[0];
-  EXPECT_EQ(block.kind, interp::FusedBlock::Kind::Unitary2);
+  EXPECT_EQ(block.kind, sim::SweepGate::Kind::Unitary2);
   EXPECT_EQ(block.qubits, (std::vector<std::uint64_t>{0, 1}));
   EXPECT_EQ(block.sourceGates, 3U);
 }
@@ -263,7 +265,7 @@ TEST(FusionPass, DiagonalRunFusesAcrossManyQubits) {
   EXPECT_EQ(countSubstr(listing, "call.ext"), 5U) << listing;
   ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
   const interp::FusedBlock& block = compiled->functions[0].fusedBlocks[0];
-  EXPECT_EQ(block.kind, interp::FusedBlock::Kind::Diagonal);
+  EXPECT_EQ(block.kind, sim::SweepGate::Kind::Diagonal);
   EXPECT_EQ(block.sourceGates, 5U);
   ASSERT_EQ(block.qubits.size(), 3U);
   EXPECT_EQ(block.matrix.size(), 8U);
@@ -278,7 +280,7 @@ TEST(FusionPass, MeasurementIsABarrier) {
   call void @__quantum__qis__x__body(ptr null)
 )"));
   const std::string listing = compiled->disassemble();
-  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Unitary1), 2U);
+  EXPECT_EQ(countBlocks(*compiled, sim::SweepGate::Kind::Unitary1), 2U);
   // One run on each side of the measurement.
   EXPECT_EQ(compiled->functions[0].fusedSweeps.size(), 2U) << listing;
   EXPECT_EQ(countSubstr(listing, "@__quantum__qis__mz__body"), 1U) << listing;
@@ -292,7 +294,7 @@ TEST(FusionPass, ResetIsABarrier) {
   call void @__quantum__qis__h__body(ptr null)
   call void @__quantum__qis__x__body(ptr null)
 )"));
-  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Unitary1), 2U);
+  EXPECT_EQ(countBlocks(*compiled, sim::SweepGate::Kind::Unitary1), 2U);
   EXPECT_EQ(compiled->functions[0].fusedSweeps.size(), 2U)
       << compiled->disassemble();
 }
@@ -333,7 +335,7 @@ attributes #0 = { "entry_point" }
 )");
   const std::string listing = compiled->disassemble();
   // Only the X;Z pair inside %flip forms a run (single-qubit chain).
-  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Unitary1), 1U)
+  EXPECT_EQ(countBlocks(*compiled, sim::SweepGate::Kind::Unitary1), 1U)
       << listing;
   ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 1U);
   const interp::FusedBlock& block = compiled->functions[0].fusedBlocks[0];
@@ -358,8 +360,8 @@ TEST(FusionPass, GhzLadderFusesOnlyTheFrontWindow) {
   ir::Context ctx;
   const auto module = qir::exportCircuit(ctx, circuit::ghz(4, false), {});
   const auto compiled = vm::compileModule(*module);
-  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Unitary2), 1U);
-  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Controlled), 2U)
+  EXPECT_EQ(countBlocks(*compiled, sim::SweepGate::Kind::Unitary2), 1U);
+  EXPECT_EQ(countBlocks(*compiled, sim::SweepGate::Kind::Controlled), 2U)
       << compiled->disassemble();
   EXPECT_EQ(compiled->functions[0].fusedSweeps.size(), 1U);
 }
@@ -810,10 +812,10 @@ TEST(FusionPass, QftControlledPhasesBecomePhaseTables) {
   std::size_t tables = 0;
   std::uint32_t tableGates = 0;
   for (const interp::FusedBlock& block : fn.fusedBlocks) {
-    if (block.kind == interp::FusedBlock::Kind::Diagonal) {
+    if (block.kind == sim::SweepGate::Kind::Diagonal) {
       ++tables;
       tableGates += block.sourceGates;
-      EXPECT_LE(block.qubits.size(), interp::FusedBlock::kMaxQubits);
+      EXPECT_LE(block.qubits.size(), sim::SweepGate::kMaxQubits);
       EXPECT_EQ(block.matrix.size(), std::size_t{1} << block.qubits.size());
     }
   }
@@ -821,8 +823,8 @@ TEST(FusionPass, QftControlledPhasesBecomePhaseTables) {
   // source gates each, in 6+5+4+3+2+1 groups, the first of two tables.
   EXPECT_EQ(tableGates, 21U * 5U) << compiled->disassemble();
   EXPECT_EQ(tables, 7U) << compiled->disassemble();
-  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Unitary2), 7U);
-  EXPECT_EQ(countBlocks(*compiled, interp::FusedBlock::Kind::Swap), 4U);
+  EXPECT_EQ(countBlocks(*compiled, sim::SweepGate::Kind::Unitary2), 7U);
+  EXPECT_EQ(countBlocks(*compiled, sim::SweepGate::Kind::Swap), 4U);
 }
 
 TEST(FusionPass, CountsWhyEachGateStayedAPlainCall) {
@@ -905,6 +907,44 @@ TEST(FusionDifferential, RandomCircuitStatesStayFaithful) {
     EXPECT_GE(fusedRt.state().fidelity(plainRt.state()), 1.0 - 1e-10)
         << "seed " << seed;
   }
+}
+
+/// A run goes chunk-major (StateVector::applyFusedSweep carries one
+/// cache-sized chunk through the whole run) only on 13 or more qubits,
+/// which the case above never reaches. Random 16-qubit circuits, fused and
+/// unfused, through QuantumRuntime at f64 and f32: the same gate
+/// accounting, states faithful to the unfused f64 state, and the
+/// chunk-major path taken in each precision.
+TEST(FusionDifferential, ChunkMajorRunsStayFaithfulInBothPrecisions) {
+  telemetry::setEnabled(true);
+  const auto run = [](const std::shared_ptr<const vm::BytecodeModule>& code,
+                      sim::Precision precision) {
+    auto rt = std::make_unique<runtime::QuantumRuntime>(1, nullptr, precision);
+    vm::Vm machine(code);
+    rt->bind(machine);
+    machine.runEntryPoint();
+    return rt;
+  };
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ir::Context ctx;
+    const auto module =
+        qir::exportCircuit(ctx, circuit::randomCircuit(16, 6, seed, false), {});
+    const auto fused = vm::compileModule(*module);
+    const auto plain = vm::compileModule(*module, {.fuseGates = false});
+    const auto reference = run(plain, sim::Precision::F64);
+    for (const auto& [precision, bound] : {std::pair{sim::Precision::F64, 1e-10},
+                                           std::pair{sim::Precision::F32, 1e-5}}) {
+      const std::uint64_t blocked = telemetry::counterValue("sim.kernel.blocked_sweeps");
+      const auto fusedRt = run(fused, precision);
+      EXPECT_GT(telemetry::counterValue("sim.kernel.blocked_sweeps"), blocked)
+          << "seed " << seed;
+      const auto plainRt = run(plain, precision);
+      EXPECT_EQ(fusedRt->stats().gatesApplied, plainRt->stats().gatesApplied);
+      EXPECT_GE(fusedRt->state().fidelity(reference->state()), 1.0 - bound)
+          << "seed " << seed;
+    }
+  }
+  telemetry::setEnabled(false);
 }
 
 TEST(FusionDifferential, ResimHistogramsAreIdenticalPerSeed) {

@@ -426,9 +426,10 @@ TEST(OptimizedRun, RecursionLoadsFastAndFailsTheSameShots) {
 }
 
 /// The passes assume well-formed IR, so the loader hands a module the
-/// verifier rejects (here: a block without a terminator) to the engines
-/// as written. The VM refuses to compile it, and the interpreter it falls
-/// back to traps at the end of the block.
+/// verifier rejects to the engines as written. The VM refuses to compile
+/// it, and the interpreter it falls back to traps: at the end of a block
+/// without a terminator, and at a bitcast between different types, whose
+/// double would otherwise read 0.0 and take the branch LLVM does not.
 constexpr const char* kUnterminated = R"(
 declare void @__quantum__qis__h__body(ptr)
 define void @main() #0 {
@@ -438,16 +439,39 @@ entry:
 attributes #0 = { "entry_point" }
 )";
 
+constexpr const char* kTypeChangingBitcast = R"(
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @main() #0 {
+entry:
+  %x = add i64 4607182418800017408, 0
+  %d = bitcast i64 %x to double
+  %c = fcmp oeq double %d, 1.0
+  br i1 %c, label %one, label %done
+one:
+  call void @__quantum__qis__x__body(ptr null)
+  br label %done
+done:
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" }
+)";
+
 TEST(OptimizedRun, ModuleTheVerifierRejectsRunsAsWritten) {
-  ir::Context ctx;
-  const auto loaded = loadOptimized(ctx, kUnterminated);
-  EXPECT_FALSE(ir::verifyModule(*loaded).empty());
-  EXPECT_EQ(loaded->instructionCount(), 1U);
-  for (const Mode mode : {Mode::Default, Mode::Jobs2, Mode::Interp}) {
-    const vm::ShotBatchResult result = runMode(*loaded, mode, 4, 1);
-    EXPECT_EQ(result.degradedToInterp, mode != Mode::Interp);
-    EXPECT_EQ(result.failedShots, 4U);
-    EXPECT_EQ(result.failureCounts.at(ErrorCode::Trap), 4U);
+  for (const char* text : {kUnterminated, kTypeChangingBitcast}) {
+    ir::Context ctx;
+    const auto loaded = loadOptimized(ctx, text);
+    EXPECT_FALSE(ir::verifyModule(*loaded).empty());
+    EXPECT_EQ(loaded->instructionCount(), loadAsWritten(ctx, text)->instructionCount());
+    for (const Mode mode : {Mode::Default, Mode::Jobs2, Mode::Interp}) {
+      const vm::ShotBatchResult result = runMode(*loaded, mode, 4, 1);
+      EXPECT_EQ(result.degradedToInterp, mode != Mode::Interp);
+      EXPECT_EQ(result.failedShots, 4U);
+      EXPECT_EQ(result.failureCounts.at(ErrorCode::Trap), 4U);
+    }
   }
 }
 

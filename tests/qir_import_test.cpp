@@ -242,6 +242,63 @@ attributes #0 = { "entry_point" }
   EXPECT_THROW((void)importFromModule(*m), ParseError);
 }
 
+// --- bounds ------------------------------------------------------------
+
+/// Every static address, array count and array index is checked against
+/// its bound before it is stored in 32 bits: 4294967297 used to import as
+/// qubit 1. One program per site; the pattern parser and the AST walker
+/// share the runtime-call sites.
+TEST(ImportBounds, RefusesAddressesCountsAndIndicesPastTheirBounds) {
+  const auto program = [](const std::string& body) {
+    return "declare void @__quantum__qis__x__body(ptr)\n"
+           "declare ptr @__quantum__rt__qubit_allocate_array(i64)\n"
+           "declare ptr @__quantum__rt__array_create_1d(i32, i64)\n"
+           "declare ptr @__quantum__rt__array_get_element_ptr_1d(ptr, i64)\n"
+           "define void @main() #0 {\n" +
+           body + "  ret void\n}\nattributes #0 = { \"entry_point\" }\n";
+  };
+  const std::string pastBound =
+      "  call void @__quantum__qis__x__body(ptr inttoptr (i64 4294967297 to ptr))\n";
+  struct Case {
+    const char* site;
+    bool patternParser;
+    std::string text;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"pattern parser inttoptr", true, program(pastBound),
+       "static address 4294967297 is past the width bound (32768)"},
+      {"inttoptr constant", false, program(pastBound),
+       "static address 4294967297 is past the width bound (32768)"},
+      {"inttoptr instruction", false,
+       program("  %p = inttoptr i64 -1 to ptr\n"
+               "  call void @__quantum__qis__x__body(ptr %p)\n"),
+       "static address 18446744073709551615 is past the width bound (32768)"},
+      {"qubit_allocate_array count", false,
+       program("  %a = call ptr @__quantum__rt__qubit_allocate_array(i64 4294967297)\n"),
+       "the program needs more than 32768 qubits"},
+      {"array_create_1d count", false,
+       program("  %a = call ptr @__quantum__rt__array_create_1d(i32 1, i64 4294967297)\n"),
+       "the program needs more than 32768 bits"},
+      {"array_get_element_ptr_1d index", false,
+       program("  %a = call ptr @__quantum__rt__qubit_allocate_array(i64 2)\n"
+               "  %e = call ptr @__quantum__rt__array_get_element_ptr_1d(ptr %a, "
+               "i64 4294967296)\n"),
+       "qubit array index out of range"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.site);
+    try {
+      ir::Context ctx;
+      (void)(c.patternParser ? importBaseProfileText(c.text)
+                             : importFromModule(*ir::parseModule(ctx, c.text)));
+      ADD_FAILURE() << "imported";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos) << e.what();
+    }
+  }
+}
+
 // --- export -> import round trips ---------------------------------------
 
 class RoundTrip : public ::testing::TestWithParam<std::tuple<int, Addressing>> {};

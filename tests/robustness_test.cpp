@@ -78,6 +78,15 @@ TEST(ErrorTaxonomy, CodesHaveStableNames) {
   EXPECT_STREQ(errorCodeName(ErrorCode::Internal), "internal");
 }
 
+TEST(ErrorTaxonomy, EveryCodeNameMapsBackToItsCode) {
+  for (std::size_t i = 0; i < kNumErrorCodes; ++i) {
+    const auto code = static_cast<ErrorCode>(i);
+    EXPECT_EQ(errorCodeFromName(errorCodeName(code)), code) << errorCodeName(code);
+  }
+  EXPECT_EQ(kNumErrorCodes, static_cast<std::size_t>(ErrorCode::Internal) + 1);
+  EXPECT_EQ(errorCodeFromName("never-heard-of-it"), ErrorCode::Internal);
+}
+
 TEST(ErrorTaxonomy, FormattedIncludesCodeAndLocation) {
   const Error located(ErrorCode::Parse, "bad token", {7, 3});
   EXPECT_EQ(located.formatted(), "error[parse]: bad token at 7:3");

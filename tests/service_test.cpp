@@ -153,16 +153,6 @@ TEST(ServiceProtocolTest, RejectsStructurallyInvalidRequests) {
   EXPECT_THROW((void)parseRequest("not json"), qirkit::Error);
 }
 
-TEST(ServiceProtocolTest, ErrorCodeNamesRoundTrip) {
-  for (const ErrorCode code :
-       {ErrorCode::Parse, ErrorCode::Usage, ErrorCode::ResourceLimit,
-        ErrorCode::TrapInvalidQubit, ErrorCode::Deadline,
-        ErrorCode::Internal}) {
-    EXPECT_EQ(errorCodeFromName(errorCodeName(code)), code);
-  }
-  EXPECT_EQ(errorCodeFromName("never-heard-of-it"), ErrorCode::Internal);
-}
-
 TEST(ServiceProtocolTest, DeadlineAndRequestIdRoundTrip) {
   SubmitRequest original;
   original.tenant = "alice";

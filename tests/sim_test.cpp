@@ -637,13 +637,11 @@ TEST(KernelDifferential, BlockedKernelsMatchNaiveReferenceF32) {
   runKernelDifferential(Precision::F32, 1e-5);
 }
 
-/// A run of fused gates plus the phase tables and qubit lists its
-/// Diagonal members point into (the inner vectors' buffers, which stay put
-/// when the outer vectors grow).
+/// A run of fused gates plus the tables their matrix spans point into (the
+/// inner vectors' buffers, which stay put when the outer vector grows).
 struct SweepRun {
   std::vector<SweepGate> gates;
-  std::vector<std::vector<Complex>> diagStore;
-  std::vector<std::vector<unsigned>> diagQubitStore;
+  std::vector<std::vector<Complex>> tables;
 
   /// Append a random gate of \p kind on qubits below \p n; a nonzero
   /// \p fixedQubit pins a Unitary1's target instead.
@@ -651,43 +649,56 @@ struct SweepRun {
            unsigned fixedQubit = 0) {
     SweepGate gate;
     gate.kind = kind;
+    std::vector<Complex> table;
     switch (kind) {
-    case SweepGate::Kind::Unitary1:
-      gate.q0 =
+    case SweepGate::Kind::Unitary1: {
+      gate.numQubits = 1;
+      gate.qubits[0] =
           fixedQubit != 0 ? fixedQubit : static_cast<unsigned>(rng.below(n));
-      gate.m2 = randomUnitary2(rng);
+      const GateMatrix2 m = randomUnitary2(rng);
+      table = {m.m00, m.m01, m.m10, m.m11};
       break;
-    case SweepGate::Kind::Unitary2:
-      gate.q0 = static_cast<unsigned>(rng.below(n));
-      gate.q1 = static_cast<unsigned>(rng.below(n));
-      if (gate.q1 == gate.q0) {
-        gate.q1 = (gate.q1 + 1) % n;
+    }
+    case SweepGate::Kind::Unitary2: {
+      gate.numQubits = 2;
+      gate.qubits[0] = static_cast<unsigned>(rng.below(n));
+      gate.qubits[1] = static_cast<unsigned>(rng.below(n));
+      if (gate.qubits[1] == gate.qubits[0]) {
+        gate.qubits[1] = (gate.qubits[1] + 1) % n;
       }
-      gate.m4 = randomUnitary4(rng);
+      const GateMatrix4 m = randomUnitary4(rng);
+      table.assign(&m.m[0][0], &m.m[0][0] + 16);
       break;
+    }
     case SweepGate::Kind::Diagonal: {
       const std::size_t k = 1 + rng.below(4);
-      std::vector<unsigned> qubits;
+      gate.numQubits = static_cast<std::uint8_t>(k);
       for (std::size_t j = 0; j < k; ++j) {
         unsigned q = static_cast<unsigned>(rng.below(n));
-        while (std::find(qubits.begin(), qubits.end(), q) != qubits.end()) {
+        while (std::find(gate.qubits.begin(), gate.qubits.begin() + j, q) !=
+               gate.qubits.begin() + j) {
           q = (q + 1) % n;
         }
-        qubits.push_back(q);
+        gate.qubits[j] = q;
       }
-      diagStore.push_back(randomPhases(rng, k));
-      diagQubitStore.push_back(std::move(qubits));
-      gate.diag = diagStore.back();
-      gate.diagQubits = diagQubitStore.back();
+      table = randomPhases(rng, k);
       break;
     }
     case SweepGate::Kind::Controlled:
-    case SweepGate::Kind::Swap:
-      gate.q0 = static_cast<unsigned>(rng.below(n));
-      gate.q1 = (gate.q0 + 1 + static_cast<unsigned>(rng.below(n - 1))) % n;
-      gate.m2 = randomUnitary2(rng);
+    case SweepGate::Kind::Swap: {
+      gate.numQubits = 2;
+      gate.qubits[0] = static_cast<unsigned>(rng.below(n));
+      gate.qubits[1] =
+          (gate.qubits[0] + 1 + static_cast<unsigned>(rng.below(n - 1))) % n;
+      const GateMatrix2 m = randomUnitary2(rng);
+      if (kind == SweepGate::Kind::Controlled) {
+        table = {m.m00, m.m01, m.m10, m.m11};
+      }
       break;
     }
+    }
+    tables.push_back(std::move(table));
+    gate.matrix = tables.back();
     gates.push_back(gate);
   }
 };
@@ -705,21 +716,27 @@ void expectSweepMatchesPerGatePasses(Precision precision, unsigned n,
   }
   swept.applyFusedSweep(gates);
   for (const SweepGate& gate : gates) {
+    const std::span<const Complex> m = gate.matrix;
+    const unsigned q0 = gate.qubits[0];
+    const unsigned q1 = gate.qubits[1];
     switch (gate.kind) {
     case SweepGate::Kind::Unitary1:
-      perGate.apply1(gate.m2, gate.q0);
+      perGate.apply1({m[0], m[1], m[2], m[3]}, q0);
       break;
-    case SweepGate::Kind::Unitary2:
-      perGate.apply2(gate.m4, gate.q0, gate.q1);
+    case SweepGate::Kind::Unitary2: {
+      GateMatrix4 m4;
+      std::copy(m.begin(), m.end(), &m4.m[0][0]);
+      perGate.apply2(m4, q0, q1);
       break;
+    }
     case SweepGate::Kind::Diagonal:
-      perGate.applyDiagonal(gate.diag, gate.diagQubits);
+      perGate.applyDiagonal(m, {gate.qubits.data(), gate.numQubits});
       break;
     case SweepGate::Kind::Controlled:
-      perGate.applyControlled1(gate.m2, gate.q0, gate.q1);
+      perGate.applyControlled1({m[0], m[1], m[2], m[3]}, q0, q1);
       break;
     case SweepGate::Kind::Swap:
-      perGate.applySwap(gate.q0, gate.q1);
+      perGate.applySwap(q0, q1);
       break;
     }
   }

@@ -237,11 +237,14 @@ TEST_F(TelemetryTest, KernelCountersSurfaceInStatsJson) {
   (void)vm::runShots(*m, opts);
 
   sim::StateVector sv(13); // one chunk is 2^12 amplitudes -> two chunks
+  const sim::GateMatrix2 h = sim::gateH();
+  const sim::Complex table[] = {h.m00, h.m01, h.m10, h.m11};
   sim::SweepGate gates[2];
   for (unsigned q = 0; q < 2; ++q) {
-    gates[q].kind = sim::SweepGate::Kind::Unitary1;
-    gates[q].q0 = q;
-    gates[q].m2 = sim::gateH();
+    gates[q] = {.kind = sim::SweepGate::Kind::Unitary1,
+                .numQubits = 1,
+                .qubits = {q},
+                .matrix = table};
   }
   sv.applyFusedSweep(gates);
   const std::uint64_t blocked =

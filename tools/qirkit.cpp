@@ -627,7 +627,7 @@ int reportServiceError(const json::Value& root) {
             << (message != nullptr && message->isString() ? message->string
                                                           : "malformed error response")
             << "\n";
-  return exitCodeFor(service::errorCodeFromName(codeName));
+  return exitCodeFor(errorCodeFromName(codeName));
 }
 
 /// Print a service verb's raw response and map it onto the exit contract.

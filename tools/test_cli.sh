@@ -223,6 +223,45 @@ for engine in vm interp; do
     "$WORK/err" || fail "signature mismatch diagnostic"
 done
 
+# A module the verifier rejects runs as written, and a bitcast between
+# different types is refused where an engine meets it instead of reading
+# 0.0: the VM does not compile it, the interpreter traps, and run exits 1.
+cat > "$WORK/bitcast.ll" <<'EOF'
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+define void @main() #0 {
+entry:
+  %x = add i64 4607182418800017408, 0
+  %d = bitcast i64 %x to double
+  %c = fcmp oeq double %d, 1.0
+  br i1 %c, label %one, label %done
+one:
+  call void @__quantum__qis__x__body(ptr null)
+  br label %done
+done:
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  ret void
+}
+attributes #0 = { "entry_point" }
+EOF
+for flags in "--engine vm:trap" "--engine interp:trap" "--no-fallback:compile-fail"; do
+  rc=0; "$QIRKIT" run "$WORK/bitcast.ll" --shots 10 ${flags%%:*} >"$WORK/out" 2>"$WORK/err" || rc=$?
+  [ "$rc" -eq 1 ] || fail "bitcast run ${flags%%:*} must exit 1 (got $rc)"
+  grep -q "^qirkit: error\\[${flags##*:}\\]: .*bitcast between different types" "$WORK/err" \
+    || fail "bitcast run ${flags%%:*} diagnostic"
+done
+
+# translate refuses a static address past the 32 768-qubit width bound
+# instead of narrowing 4294967297 to qubit 1
+sed 's/inttoptr (i64 1 to ptr)/inttoptr (i64 4294967297 to ptr)/' "$WORK/bell.ll" > "$WORK/far.ll"
+grep -q "4294967297" "$WORK/far.ll" || fail "far.ll has no far address"
+rc=0; "$QIRKIT" translate "$WORK/far.ll" --to qasm >"$WORK/out" 2>"$WORK/err" || rc=$?
+[ "$rc" -eq 1 ] || fail "translate of a far address must exit 1 (got $rc)"
+grep -q "^qirkit: error\\[parse\\]: .*QIR import: static address 4294967297 is past the width bound" \
+  "$WORK/err" || fail "far address diagnostic"
+
 # run an OpenQASM 3 program directly
 "$QIRKIT" run "$WORK/rus.qasm3" --shots 20 | grep -qE "^(000|111): " || fail "qasm3 run"
 
