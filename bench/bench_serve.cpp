@@ -337,7 +337,7 @@ service::Server& overloadDaemon() {
     // throughput ratio measures.
     options.runners = 1;
     options.poolThreads = 2;
-    options.memoryBudgetBytes = 64ULL << 20U;
+    options.queue.memoryBudgetBytes = 64ULL << 20U;
     options.queue.tenantMaxPending = 1;
     options.queue.maxShotsPerJob = 100'000'000;
     auto s = std::make_unique<service::Server>(options);

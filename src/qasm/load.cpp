@@ -10,7 +10,6 @@
 #include "qir/names.hpp"
 #include "support/error.hpp"
 
-#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -39,16 +38,13 @@ void checkQirDeclarations(const ir::Module& module) {
 /// The OpenQASM 3 frontend checks a constant register index, but not one
 /// a loop variable computes. Once the pipeline has unrolled the loop, that
 /// index is a constant address too: reject one at or past the entry
-/// point's declared qubits or results, which would otherwise simulate an
-/// undeclared qubit or measure into a result nothing records.
+/// point's declared qubits or results here, so `compile` and `translate`,
+/// which never execute, refuse it as well. A loop that stays a loop meets
+/// the same bound at run time (RuntimeAbi::bindDeclaredWidth).
 void checkStaticAddresses(const ir::Module& module) {
-  const ir::Function* entry = module.entryPoint();
-  const auto width = [&](const char* attribute) {
-    return std::strtoull(entry->getAttribute(attribute).c_str(), nullptr, 10);
-  };
-  const std::uint64_t qubits = width("required_num_qubits");
-  const std::uint64_t results = width("required_num_results");
-  for (const auto& block : entry->blocks()) {
+  const std::uint64_t qubits = qir::declaredWidth(module, "required_num_qubits");
+  const std::uint64_t results = qir::declaredWidth(module, "required_num_results");
+  for (const auto& block : module.entryPoint()->blocks()) {
     for (const auto& inst : block->instructions()) {
       const ir::Function* callee = inst->op() == ir::Opcode::Call ? inst->callee() : nullptr;
       if (callee == nullptr || !qir::isQisFunction(callee->name())) {

@@ -126,14 +126,19 @@ const Type* qirFunctionType(Context& ctx, std::string_view name) {
 }
 
 unsigned requiredNumQubits(const ir::Module& module) {
+  const std::uint64_t width = declaredWidth(module, "required_num_qubits");
+  return width == kUndeclaredWidth
+             ? 0
+             : static_cast<unsigned>(std::min<std::uint64_t>(
+                   width, std::numeric_limits<unsigned>::max()));
+}
+
+std::uint64_t declaredWidth(const ir::Module& module, std::string_view attribute) {
   const ir::Function* entry = module.entryPoint();
-  if (entry == nullptr) {
-    return 0;
+  if (entry == nullptr || !entry->hasAttribute(attribute)) {
+    return kUndeclaredWidth;
   }
-  const std::string attr = entry->getAttribute("required_num_qubits");
-  return static_cast<unsigned>(
-      std::min<unsigned long>(std::strtoul(attr.c_str(), nullptr, 10),
-                              std::numeric_limits<unsigned>::max()));
+  return std::strtoull(entry->getAttribute(attribute).c_str(), nullptr, 10);
 }
 
 ir::Function* declareQIRFunction(ir::Module& module, std::string_view name) {

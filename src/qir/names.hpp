@@ -7,6 +7,7 @@
 #include "circuit/circuit.hpp"
 #include "ir/module.hpp"
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -90,6 +91,18 @@ ir::Function* declareQIRFunction(ir::Module& module, std::string_view name);
 /// executor reserves the statevector for it, so the reservation never
 /// exceeds the charge.
 [[nodiscard]] unsigned requiredNumQubits(const ir::Module& module);
+
+/// What declaredWidth() answers for a width the entry point does not
+/// declare: no bound.
+inline constexpr std::uint64_t kUndeclaredWidth = ~std::uint64_t{0};
+
+/// The entry point's \p attribute (`required_num_qubits` or
+/// `required_num_results`) as a bound on static addresses, or
+/// kUndeclaredWidth when there is no entry point or no such attribute.
+/// The loader checks constant addresses against it and the runtime every
+/// static address it meets (RuntimeAbi::bindDeclaredWidth).
+[[nodiscard]] std::uint64_t declaredWidth(const ir::Module& module,
+                                          std::string_view attribute);
 
 /// The qis function implementing a circuit operation kind: each gate the
 /// QIS has, and reset. Measure maps to nothing here (mz takes a result

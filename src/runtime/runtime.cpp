@@ -48,6 +48,19 @@ void RuntimeAbi::reserveStaticQubits(unsigned n) {
   }
 }
 
+void RuntimeAbi::bindDeclaredWidth(const ir::Module& module) {
+  staticQubitBound_ = qir::declaredWidth(module, "required_num_qubits");
+  staticResultBound_ = qir::declaredWidth(module, "required_num_results");
+}
+
+void RuntimeAbi::trapUndeclared(const char* what, std::uint64_t address,
+                                std::uint64_t declared) {
+  throw TrapError(std::string("static ") + what + " address " + std::to_string(address) +
+                      " is past the " + std::to_string(declared) + " " + what +
+                      (declared == 1 ? "" : "s") + " the entry point declares",
+                  ErrorCode::TrapInvalidQubit);
+}
+
 unsigned RuntimeAbi::preallocateFromAttributes(const ir::Module& module) {
   const unsigned n = qir::requiredNumQubits(module);
   reserveStaticQubits(n);
@@ -92,6 +105,9 @@ unsigned RuntimeAbi::resolveStaticQubit(std::uint64_t address) {
   if (it != qubitByHandle_.end()) {
     return it->second;
   }
+  if (address >= staticQubitBound_) {
+    trapUndeclared("qubit", address, staticQubitBound_);
+  }
   const unsigned index = newQubit();
   qubitByHandle_.emplace(address, index);
   ++stats_.staticQubitsAllocated;
@@ -118,6 +134,7 @@ std::string RuntimeAbi::outputBitString() const {
 void RuntimeAbi::bindRuntimeFunctions(interp::ExternalRegistry& registry) {
   registry.bindExternal(std::string(qir::kQisReadResult),
                         [this](std::span<const RtValue> args, ExternContext&) {
+                          checkResultAddress(args[0].p);
                           return RtValue::makeI1(resultValue(args[0].p));
                         });
   registry.bindExternal(std::string(qir::kRtInitialize),

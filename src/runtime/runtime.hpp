@@ -20,8 +20,9 @@
 ///    passed directly) and the spec style (handle loaded first);
 ///  * any other small address is a *static* qubit id, allocated on the fly
 ///    the first time it is seen — the on-the-fly strategy the paper
-///    describes for simulators with a variable number of qubits. A gate's
-///    operands are resolved left to right.
+///    describes for simulators with a variable number of qubits — unless
+///    the program declares its width (bindDeclaredWidth), which then bounds
+///    it. A gate's operands are resolved left to right.
 #pragma once
 
 #include "circuit/circuit.hpp"
@@ -88,6 +89,15 @@ public:
   /// Pre-allocate static qubit ids 0..n-1 up front.
   void reserveStaticQubits(unsigned n);
 
+  /// Bound static addresses by \p module's declared widths
+  /// (qir::declaredWidth), the loader's rule for constant addresses: a
+  /// static qubit at or past required_num_qubits, or a static result at or
+  /// past required_num_results, traps error[trap-invalid-qubit]. An
+  /// undeclared width bounds nothing. The bounds survive clearAbi(), and
+  /// cost one compare at a static qubit's first use and one per mz or
+  /// read_result.
+  void bindDeclaredWidth(const ir::Module& module);
+
 protected:
   RuntimeAbi() = default;
   ~RuntimeAbi() = default;
@@ -111,6 +121,12 @@ protected:
   /// The static-address leg of resolveQubit: first-seen on-the-fly
   /// allocation (§IV.A), shared with the fused-block path.
   unsigned resolveStaticQubit(std::uint64_t address);
+  /// Trap on a static result address past the declared results.
+  void checkResultAddress(std::uint64_t address) const {
+    if (address >= staticResultBound_ && address < interp::Memory::kBase) {
+      trapUndeclared("result", address, staticResultBound_);
+    }
+  }
   [[nodiscard]] bool hasQubit(std::uint64_t address) const {
     return qubitByHandle_.contains(address);
   }
@@ -130,6 +146,8 @@ private:
   /// Bind every __quantum__rt__* function and read_result.
   void bindRuntimeFunctions(interp::ExternalRegistry& registry);
   std::uint64_t allocateQubitHandle();
+  [[noreturn]] static void trapUndeclared(const char* what, std::uint64_t address,
+                                          std::uint64_t declared);
 
   std::map<std::uint64_t, unsigned> qubitByHandle_; // handle or static id -> index
   std::uint64_t nextDynamicHandle_ = kDynamicHandleBase;
@@ -137,6 +155,8 @@ private:
   std::map<std::uint64_t, std::uint64_t> arraySizes_;
   std::vector<std::pair<std::string, bool>> output_;
   std::vector<std::uint64_t> outputKeys_;
+  std::uint64_t staticQubitBound_ = qir::kUndeclaredWidth;
+  std::uint64_t staticResultBound_ = qir::kUndeclaredWidth;
 };
 
 template <class Gate, class Measure, class Reset>
@@ -171,7 +191,9 @@ void RuntimeAbi::bindAbi(interp::ExternalRegistry& registry, Gate gate, Measure 
   }
   registry.bindExternal(std::string(qir::kQisMz),
                         [this, measure](std::span<const RtValue> args, ExternContext& ctx) {
-                          measure(resolveQubit(args[0].p, ctx), args[1].p);
+                          const unsigned qubit = resolveQubit(args[0].p, ctx);
+                          checkResultAddress(args[1].p);
+                          measure(qubit, args[1].p);
                           ++stats_.measurements;
                           return RtValue::makeVoid();
                         });

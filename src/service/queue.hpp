@@ -1,10 +1,14 @@
 /// \file queue.hpp
 /// The service's admission queue: the single point where multi-tenancy is
-/// enforced. Admission applies the quotas (global queue capacity, per-
-/// tenant pending bound, per-job shot ceiling) and resolves each job's
-/// seed; scheduling is round-robin across tenants with per-tenant priority
-/// ordering, so one chatty tenant can delay its own jobs but never starve
-/// another tenant's.
+/// enforced, and the one place an unfinished job is held. Admission takes
+/// two steps around the program-store lookup: the quotas that need no
+/// program (draining, per-job shot ceiling, queue capacity, per-tenant
+/// pending bound, per-tenant rate limit) before it, so an over-quota
+/// submit costs no load, and the memory budget right after it. Scheduling
+/// is round-robin across tenants with per-tenant priority ordering, so one
+/// chatty tenant can delay its own jobs but never starve another tenant's.
+/// One mutex guards the quotas, the memory budget and the set of
+/// unfinished jobs that the cancel verb and the watchdog scan.
 ///
 /// Seeds: a job that names no seed draws the next value from its tenant's
 /// deterministic SplitMix64 stream (keyed on the tenant name), so a
@@ -13,30 +17,25 @@
 #pragma once
 
 #include "service/protocol.hpp"
+#include "support/cancel.hpp"
 #include "support/error.hpp"
+#include "support/telemetry/request_trace.hpp"
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
-
-namespace qirkit {
-class CancelToken;
-} // namespace qirkit
 
 namespace qirkit::vm {
 struct Program;
 } // namespace qirkit::vm
-
-namespace qirkit::telemetry {
-class RequestTrace;
-} // namespace qirkit::telemetry
 
 namespace qirkit::service {
 
@@ -48,7 +47,7 @@ namespace qirkit::service {
 class AdmissionError : public qirkit::Error {
 public:
   AdmissionError(const std::string& message, std::uint64_t retryAfterMs,
-                 std::string cause = {})
+                 std::string cause)
       : Error(ErrorCode::ResourceLimit, message), retryAfterMs_(retryAfterMs),
         cause_(std::move(cause)) {}
 
@@ -65,35 +64,38 @@ private:
   std::string cause_;
 };
 
-/// One admitted unit of work. The runner fulfills `deliver` with the final
-/// response line (result or structured error); the connection thread holds
-/// the matching future.
+/// One submitted job: the one record the connection thread, the queue, a
+/// runner, the cancel verb and the watchdog share, from admission to the
+/// delivery of its response.
 struct Job {
-  std::uint64_t id = 0;
+  explicit Job(SubmitRequest submitted)
+      : request(std::move(submitted)), trace(request.tenant, request.requestId) {}
+
   SubmitRequest request;
-  std::uint64_t seed = 0;       // resolved at admission
-  /// The program-store entry, held alive for the job's whole lifetime (an
-  /// eviction only drops the store's reference).
+  telemetry::RequestTrace trace;      // its stages, returned in the response
+  qirkit::CancelToken cancel;         // the batch's, the cancel verb's, the watchdog's
+  std::promise<std::string> response; // fulfilled once, by Server::settle
+
+  // Filled in by the load step between the two admission steps.
+  /// The program-store entry, alive for the job's lifetime (an eviction
+  /// only drops the store's reference).
   std::shared_ptr<const vm::Program> program;
-  /// The store lookup found the program resident or joined its load.
-  bool cacheHit = false;
-  std::uint64_t enqueuedNs = 0; // for queue-wait attribution
-  /// Absolute steady-clock deadline (CancelToken::nowNs units; 0 = none).
-  /// Armed at admission, so queue wait counts against the budget and a
-  /// job can expire while still pending (queue TTL).
-  std::uint64_t deadlineNs = 0;
-  /// The job's cancellation token: shared by the executing batch, the
-  /// cancel verb, and the watchdog. Null for jobs that set neither a
-  /// deadline nor a request id.
-  std::shared_ptr<qirkit::CancelToken> cancel;
-  /// The request-scoped trace context (request_trace.hpp), created at
-  /// admission and carried to the executing batch via ShotOptions.
-  std::shared_ptr<telemetry::RequestTrace> trace;
-  /// The server's ActiveJob record for this job (opaque: the type lives
-  /// in server.hpp), so the runner can attribute a cancellation to the
-  /// watchdog vs the cancel verb when it records the outcome.
-  std::shared_ptr<void> active;
-  std::function<void(std::string)> deliver;
+  bool cacheHit = false;       // the lookup found it resident or joined its load
+  std::uint64_t stateBytes = 0; // memory charge; 0 when no width is declared
+
+  // Stamped by the queue.
+  std::uint64_t id = 0;   // admitted jobs only
+  std::uint64_t seed = 0; // resolved at admission
+  /// Steady-clock tick at which the job entered the queue, or, for a
+  /// rejected job, at which the refused admission step began. Queue wait,
+  /// the watchdog's budget and the flight record's total count from it.
+  std::uint64_t admittedNs = 0;
+  /// Popped with its deadline unexpired, so a runner takes it up; the
+  /// watchdog scans only these. Guarded by the queue's mutex.
+  bool started = false;
+  /// Set by the watchdog before it force-cancels the job, so the deadline
+  /// outcome is attributed to it rather than to the cancel verb.
+  std::atomic<bool> watchdogFlagged{false};
 };
 
 struct QueueLimits {
@@ -112,15 +114,23 @@ struct QueueLimits {
   /// deficit.
   double ratePerSec = 0.0;
   double rateBurst = 8.0;
+  /// Upfront memory budget: the predicted statevector footprints
+  /// (Job::stateBytes) of the unfinished jobs may not sum past it, so an
+  /// excess request is rejected at admission instead of OOM-killing the
+  /// daemon mid-simulation. 0 disables the guard.
+  std::uint64_t memoryBudgetBytes = 8ULL << 30U;
 };
 
 /// Point-in-time view for the metrics endpoint.
 struct QueueStats {
   std::size_t depth = 0;
   std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t rateLimited = 0; // subset of rejected
+  std::uint64_t rejected = 0;       // every admission reject
+  std::uint64_t rateLimited = 0;    // subset of rejected
+  std::uint64_t memoryRejected = 0; // subset of rejected
   std::uint64_t finished = 0;
+  std::size_t unfinished = 0;       // admitted, response not yet settled
+  std::uint64_t inFlightBytes = 0;  // their summed stateBytes
   struct Tenant {
     std::string name;
     std::size_t pending = 0; // queued + running
@@ -133,30 +143,44 @@ class AdmissionQueue {
 public:
   explicit AdmissionQueue(QueueLimits limits) : limits_(limits) {}
 
-  /// Admit \p job (assigning id, seed, and enqueue tick) or throw
-  /// Error(ErrorCode::ResourceLimit) naming the violated quota.
-  /// Thread-safe; wakes one blocked pop().
-  void push(Job job);
+  /// Admit \p job: check the quotas that need no program, run \p load
+  /// outside the lock (it resolves the program and Job::stateBytes), then
+  /// check the memory budget and enqueue the job with its id, seed and
+  /// admission tick. Throws AdmissionError naming the violated quota, or
+  /// what \p load throws; either way the job holds no slot. Thread-safe;
+  /// wakes one blocked pop().
+  void admit(const std::shared_ptr<Job>& job,
+             const std::function<void(Job&)>& load = {});
 
   /// Next job in fair order; blocks while the queue is open and empty.
-  /// Returns nullopt once close()d and drained.
-  [[nodiscard]] std::optional<Job> pop();
+  /// Marks it started unless its token already expired while it waited.
+  /// Returns nullptr once close()d and drained.
+  [[nodiscard]] std::shared_ptr<Job> pop();
 
-  /// Release the tenant's pending slot after its job ran (or failed).
-  void onJobFinished(const std::string& tenant);
+  /// Release an admitted job's tenant slot and memory charge, and forget
+  /// it, once its outcome is settled.
+  void finish(const Job& job);
 
-  /// Stop admitting (push throws ResourceLimit) and wake every pop().
+  /// Cancel every unfinished job tagged (\p tenant, \p requestId), queued
+  /// or running. Returns whether one was found.
+  bool cancel(const std::string& tenant, const std::string& requestId);
+
+  /// The watchdog's scan: flag and cancel each started job that is still
+  /// unfinished \p factor times its deadline after admission, and return
+  /// those newly flagged.
+  std::vector<std::shared_ptr<Job>> flagOverdue(unsigned factor);
+
+  /// Stop admitting (admit throws ResourceLimit) and wake every pop().
   /// Already-queued jobs still drain.
   void close();
 
-  [[nodiscard]] std::size_t depth() const;
   [[nodiscard]] QueueStats stats() const;
   [[nodiscard]] const QueueLimits& limits() const noexcept { return limits_; }
 
 private:
   struct Tenant {
-    std::deque<Job> queued; // priority-ordered, FIFO within a priority
-    std::size_t pending = 0;
+    std::deque<std::shared_ptr<Job>> queued; // priority-ordered, FIFO within a priority
+    std::size_t pending = 0; // loading + queued + running
     std::uint64_t admitted = 0;
     std::uint64_t seedState = 0; // SplitMix64 state, lazily keyed on name
     bool seeded = false;
@@ -167,6 +191,14 @@ private:
     bool rateInit = false;
   };
 
+  /// The quotas that need no program; on success the job's tenant holds a
+  /// pending slot, and the job a queue place, while its program loads.
+  void reserve(Job& job);
+  /// Count a reject, record the admission stage from \p stageStartNs, and
+  /// throw.
+  [[noreturn]] void rejectLocked(Job& job, std::uint64_t stageStartNs,
+                                 const std::string& why,
+                                 std::uint64_t retryAfterMs, const char* cause);
   [[nodiscard]] std::size_t depthLocked() const;
 
   QueueLimits limits_;
@@ -177,10 +209,17 @@ private:
   /// order) serves next, so no tenant is drained twice in a row while
   /// another waits.
   std::string cursor_;
+  /// Jobs past the quotas whose program is loading: they count against
+  /// the queue capacity, so the load cannot overfill it.
+  std::size_t loading_ = 0;
+  /// Admitted jobs not yet finished, queued or running.
+  std::vector<std::shared_ptr<Job>> unfinished_;
+  std::uint64_t inFlightBytes_ = 0;
   std::uint64_t nextJobId_ = 1;
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t rateLimited_ = 0;
+  std::uint64_t memoryRejected_ = 0;
   std::uint64_t finished_ = 0;
   bool closed_ = false;
 };

@@ -36,7 +36,6 @@ telemetry::Counter g_jobsFailed{"serve.jobs.failed"};
 telemetry::Counter g_jobsExpired{"serve.jobs.expired"};
 telemetry::Counter g_drainCancelled{"serve.drain.cancelled"};
 telemetry::Counter g_cancelRequests{"serve.cancel.requests"};
-telemetry::Counter g_memoryRejected{"serve.admission.memory_rejected"};
 telemetry::Counter g_watchdogScans{"serve.watchdog.scans"};
 telemetry::Counter g_watchdogFlagged{"serve.watchdog.flagged"};
 telemetry::LatencyHistogram g_jobLatency{"serve.job.latency_ns"};
@@ -77,30 +76,23 @@ telemetry::LabeledHistogram g_tenantExec{
     "serve.tenant.exec_ns", telemetry::LabeledHistogram::kDefaultMaxLabels,
     "tenant"};
 
-// A request's stages after its store lookup (vm::g_compileStage) and
-// around the executor's execute.
-telemetry::Stage g_admissionStage{"admission"};
+// A request's stages besides its store lookup (vm::g_compileStage), its
+// admission (queue.cpp) and the executor's execute.
 telemetry::Stage g_queueStage{"queue"};
 telemetry::Stage g_watchdogStage{"serve.watchdog.flag"};
 
-/// Frame-reject bookkeeping that must work with telemetry disabled: the
-/// metrics endpoint reports these unconditionally.
-std::atomic<std::uint64_t> g_rejectedFramesExact{0};
-std::atomic<std::uint64_t> g_jobsCompletedExact{0};
-std::atomic<std::uint64_t> g_jobsFailedExact{0};
-std::atomic<std::uint64_t> g_jobsExpiredExact{0};
-std::atomic<std::uint64_t> g_drainCancelledExact{0};
-std::atomic<std::uint64_t> g_memoryRejectedExact{0};
-std::atomic<std::uint64_t> g_watchdogFlaggedExact{0};
-
 /// Deadline responses carry the partial results: how far the batch got and
-/// the histogram over the completed shots.
-std::string deadlineExtrasJson(const vm::ShotBatchResult& batch) {
+/// the histogram over the completed shots, or, for a job that never ran
+/// (\p batch null), that none of its \p shots started.
+std::string deadlineExtrasJson(const vm::ShotBatchResult* batch, std::uint64_t shots) {
+  if (batch == nullptr) {
+    return "\"completed_shots\":0,\"unstarted_shots\":" + std::to_string(shots);
+  }
   std::ostringstream out;
-  out << "\"completed_shots\":" << batch.completedShots
-      << ",\"unstarted_shots\":" << batch.unstartedShots << ",\"histogram\":{";
+  out << "\"completed_shots\":" << batch->completedShots
+      << ",\"unstarted_shots\":" << batch->unstartedShots << ",\"histogram\":{";
   bool first = true;
-  for (const auto& [bits, count] : batch.histogram) {
+  for (const auto& [bits, count] : batch->histogram) {
     if (!first) {
       out << ",";
     }
@@ -156,9 +148,10 @@ Server::~Server() {
 }
 
 void Server::start() {
-  if (options_.enableTelemetry) {
-    telemetry::setEnabled(true);
-  }
+  // The serve observability surface (per-tenant families, latency
+  // percentiles, the metrics verb's counters) reads the telemetry
+  // registry, so the daemon runs armed.
+  telemetry::setEnabled(true);
   if (options_.socketPath.empty()) {
     throw qirkit::Error(ErrorCode::Usage, "serve requires a socket path");
   }
@@ -319,7 +312,6 @@ void Server::connectionLoop(int fd) {
   };
   const auto rejectFrame = [&](ErrorCode code, const std::string& message) {
     g_rejectedFrames.add();
-    g_rejectedFramesExact.fetch_add(1, std::memory_order_relaxed);
     return respond(errorResponseJson(code, message));
   };
 
@@ -390,7 +382,7 @@ void Server::connectionLoop(int fd) {
       busyRequests_.fetch_add(1, std::memory_order_relaxed);
       std::string response;
       try {
-        response = handleRequest(request);
+        response = handleRequest(std::move(request));
       } catch (const qirkit::Error& e) {
         response = errorResponseJson(e.code(), e.message());
       } catch (const std::exception& e) {
@@ -405,7 +397,7 @@ void Server::connectionLoop(int fd) {
   }
 }
 
-std::string Server::handleRequest(const Request& request) {
+std::string Server::handleRequest(Request request) {
   switch (request.type) {
   case RequestType::Ping:
     return pingResponseJson();
@@ -421,20 +413,36 @@ std::string Server::handleRequest(const Request& request) {
   case RequestType::Cancel:
     return handleCancel(request.cancel);
   case RequestType::Submit:
-    return handleSubmit(request.submit);
+    return handleSubmit(std::move(request.submit));
   }
   throw qirkit::Error(ErrorCode::Internal, "unhandled request type");
 }
 
-std::string Server::handleSubmit(const SubmitRequest& request) {
-  // The request's trace context: born here, threaded through the queue
-  // into the executor via ShotOptions, delivered back in the response's
-  // "stages" array and the flight recorder.
-  auto trace = std::make_shared<telemetry::RequestTrace>(request.tenant,
-                                                         request.requestId);
+std::string Server::handleSubmit(SubmitRequest request) {
+  const auto job = std::make_shared<Job>(std::move(request));
+  std::future<std::string> response = job->response.get_future();
+  try {
+    queue_.admit(job, [this](Job& loading) { loadProgram(loading); });
+  } catch (const AdmissionError& e) {
+    // Overload rejections carry the machine-readable retry hint; 0 means
+    // the limit is static and a retry can never succeed, so no hint.
+    settle(*job, {.outcome = Outcome::Rejected,
+                  .code = e.code(),
+                  .message = e.message(),
+                  .extras = e.retryAfterMs() == 0
+                                ? std::string()
+                                : "\"retry_after_ms\":" +
+                                      std::to_string(e.retryAfterMs()),
+                  .cause = e.cause()});
+  }
+  return response.get();
+}
+
+void Server::loadProgram(Job& job) {
+  const SubmitRequest& request = job.request;
   // The store lookup is the request's compile stage: a miss loads,
   // compiles and analyses the program; a hit reuses all three.
-  telemetry::Span compile(vm::g_compileStage, trace.get());
+  telemetry::Span compile(vm::g_compileStage, &job.trace);
   vm::CompileCache::Lookup lookup;
   if (request.programRef.empty()) {
     lookup = cache_.getOrLoad(request.program);
@@ -449,194 +457,52 @@ std::string Server::handleSubmit(const SubmitRequest& request) {
   }
   compile.setNote(lookup.outcome);
   compile.end();
-  const std::shared_ptr<const vm::Program>& program = lookup.program;
-  telemetry::Span admission(g_admissionStage, trace.get());
-
-  auto active = std::make_shared<ActiveJob>();
-  active->tenant = request.tenant;
-  active->requestId = request.requestId;
-  active->shots = request.shots;
-  active->deadlineMs = request.deadlineMs;
-  // The width the executor reserves; 0 (no required_num_qubits attribute)
-  // bypasses the guard and relies on the StateVector allocation guard.
-  const unsigned qubits = qir::requiredNumQubits(*program->module);
-  active->stateBytes =
-      qubits == 0 ? 0
-                  : sim::StateVector::predictedBytes(qubits, request.precision);
-  active->admittedNs = qirkit::CancelToken::nowNs();
-  active->cancel = std::make_shared<qirkit::CancelToken>();
-  if (request.deadlineMs != 0) {
-    // Armed from admission, so queue wait counts against the budget and
-    // the job can expire while still pending (the queue TTL).
-    active->cancel->setTimeoutNs(request.deadlineMs * 1'000'000ULL);
-    active->deadlineNs = active->cancel->deadlineNs();
-  }
-
-  auto delivered = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = delivered->get_future();
-
-  Job job;
-  job.request = request;
-  job.program = program;
+  job.program = lookup.program;
   job.cacheHit = std::string_view(lookup.outcome) != "miss";
-  job.deadlineNs = active->deadlineNs;
-  job.cancel = active->cancel;
-  job.trace = trace;
-  job.active = active;
-  job.deliver = [delivered](std::string response) {
-    delivered->set_value(std::move(response));
-  };
-  try {
-    // Register before the push: the runner may pop (and finish) the job
-    // before push even returns, and the cancel verb / watchdog must be
-    // able to see it for that whole window.
-    registerActive(active);
-    // Stage ended before the push so a fast runner's "queue" stage
-    // always lands after it; the push itself is a couple of map updates.
-    admission.end();
-    try {
-      queue_.push(std::move(job)); // throws AdmissionError on quota violations
-    } catch (...) {
-      unregisterActive(active);
-      throw;
-    }
-  } catch (const AdmissionError& e) {
-    // Only a registration (memory) rejection ends admission here; a
-    // queue rejection comes after the stage has ended.
-    admission.setNote("rejected");
-    admission.end();
-    g_tenantRejected.add(request.tenant);
-    g_rejectByCause.add(e.cause().empty() ? "other" : e.cause());
-    FlightRecord rec;
-    rec.tenant = request.tenant;
-    rec.requestId = request.requestId;
-    rec.programId = program->id;
-    rec.shots = request.shots;
-    rec.totalNs = telemetry::nowNs() - admission.startNs();
-    rec.outcome = "rejected";
-    rec.errorCode = errorCodeName(e.code());
-    rec.cause = e.cause();
-    rec.stagesJson = trace->stagesJson();
-    flight_.record(std::move(rec));
-    // Overload rejections carry the machine-readable retry hint; 0 means
-    // the limit is static and a retry can never succeed, so no hint.
-    return errorResponseJson(e.code(), e.message(),
-                             e.retryAfterMs() == 0
-                                 ? std::string()
-                                 : "\"retry_after_ms\":" +
-                                       std::to_string(e.retryAfterMs()));
+  // The charge is the declared width, which the executor reserves and the
+  // runtime enforces; 0 (no required_num_qubits attribute) bypasses the
+  // memory guard and relies on the StateVector allocation guard.
+  const unsigned qubits = qir::requiredNumQubits(*job.program->module);
+  job.stateBytes =
+      qubits == 0 ? 0 : sim::StateVector::predictedBytes(qubits, request.precision);
+  if (request.deadlineMs != 0) {
+    // Armed before the job is queued, so queue wait counts against the
+    // budget and the job can expire while still pending (the queue TTL).
+    job.cancel.setTimeoutNs(request.deadlineMs * 1'000'000ULL);
   }
-  std::string response = future.get();
-  unregisterActive(active);
-  return response;
 }
 
 std::string Server::handleCancel(const CancelRequest& request) {
   g_cancelRequests.add();
-  bool found = false;
-  {
-    const std::lock_guard lock(activeMutex_);
-    for (const std::shared_ptr<ActiveJob>& active : active_) {
-      if (active->tenant == request.tenant && !active->requestId.empty() &&
-          active->requestId == request.requestId) {
-        active->cancel->cancel();
-        found = true;
-      }
-    }
-  }
-  return cancelResponseJson(found);
-}
-
-void Server::registerActive(const std::shared_ptr<ActiveJob>& active) {
-  const std::lock_guard lock(activeMutex_);
-  const std::uint64_t budget = options_.memoryBudgetBytes;
-  if (budget != 0 && active->stateBytes != 0) {
-    if (active->stateBytes > budget) {
-      g_memoryRejected.add();
-      g_memoryRejectedExact.fetch_add(1, std::memory_order_relaxed);
-      throw AdmissionError("predicted statevector footprint (" +
-                               std::to_string(active->stateBytes) +
-                               " bytes) exceeds the memory budget (" +
-                               std::to_string(budget) + " bytes)",
-                           0, "memory"); // can never fit; no retry hint
-    }
-    if (inFlightStateBytes_ + active->stateBytes > budget) {
-      g_memoryRejected.add();
-      g_memoryRejectedExact.fetch_add(1, std::memory_order_relaxed);
-      throw AdmissionError("predicted statevector footprint (" +
-                               std::to_string(active->stateBytes) +
-                               " bytes) does not fit: " +
-                               std::to_string(inFlightStateBytes_) +
-                               " bytes already in flight against a " +
-                               std::to_string(budget) + "-byte budget",
-                           100, "memory");
-    }
-  }
-  inFlightStateBytes_ += active->stateBytes;
-  active_.push_back(active);
-}
-
-void Server::unregisterActive(const std::shared_ptr<ActiveJob>& active) {
-  const std::lock_guard lock(activeMutex_);
-  inFlightStateBytes_ -= active->stateBytes;
-  active_.remove(active);
+  return cancelResponseJson(queue_.cancel(request.tenant, request.requestId));
 }
 
 void Server::runnerLoop() {
-  while (true) {
-    std::optional<Job> job = queue_.pop();
-    if (!job.has_value()) {
-      return;
+  while (const std::shared_ptr<Job> job = queue_.pop()) {
+    const std::uint64_t waitNs = telemetry::nowNs() - job->admittedNs;
+    const bool lapsed = !job->started;
+    if (!lapsed && !stopping_.load(std::memory_order_relaxed)) {
+      telemetry::recordStage(g_queueStage, job->admittedNs, waitNs, &job->trace);
+      executeJob(*job, waitNs);
+      continue;
     }
-    const bool draining = stopping_.load(std::memory_order_relaxed);
-    if (job->cancel != nullptr && job->cancel->expired()) {
-      // Queue TTL: the deadline ran out (or the cancel verb fired) while
-      // the job was still pending — it never starts executing.
-      g_jobsExpired.add();
-      g_jobsExpiredExact.fetch_add(1, std::memory_order_relaxed);
-      g_tenantExpired.add(job->request.tenant);
-      const std::uint64_t waitNs = telemetry::nowNs() - job->enqueuedNs;
-      telemetry::recordStage(g_queueStage, job->enqueuedNs, waitNs,
-                             job->trace.get(), "ttl-expired");
-      const auto active = std::static_pointer_cast<ActiveJob>(job->active);
-      const bool watchdogHit =
-          active != nullptr &&
-          active->watchdogFlagged.load(std::memory_order_relaxed);
-      const bool cancelled = job->cancel->cancelled();
-      const std::string why =
-          cancelled
-              ? "job cancelled while pending"
-              : "deadline of " + std::to_string(job->request.deadlineMs) +
-                    "ms expired while the job was queued";
-      failJob(*job, ErrorCode::Deadline, why,
-              "\"completed_shots\":0,\"unstarted_shots\":" +
-                  std::to_string(job->request.shots),
-              waitNs, 0,
-              watchdogHit ? "watchdog" : cancelled ? "cancel" : "queue-ttl");
-    } else if (draining) {
-      // Graceful drain: already-running jobs flush, still-queued jobs get
-      // an explicit cancelled disposition instead of executing into
-      // shutdown. Each disposition is logged so an operator can account
-      // for every job the SIGTERM displaced.
-      g_drainCancelled.add();
-      g_drainCancelledExact.fetch_add(1, std::memory_order_relaxed);
-      std::fprintf(stderr,
-                   "qirkit serve: drain: job %llu (tenant '%s') cancelled "
-                   "before execution\n",
-                   static_cast<unsigned long long>(job->id),
-                   job->request.tenant.c_str());
-      const std::uint64_t waitNs = telemetry::nowNs() - job->enqueuedNs;
-      telemetry::recordStage(g_queueStage, job->enqueuedNs, waitNs,
-                             job->trace.get(), "drain");
-      failJob(*job, ErrorCode::Deadline,
-              "service is draining; job cancelled before execution",
-              "\"completed_shots\":0,\"unstarted_shots\":" +
-                  std::to_string(job->request.shots),
-              waitNs, 0, "drain");
-    } else {
-      executeJob(*job);
-    }
-    queue_.onJobFinished(job->request.tenant);
+    // A job never starts when it lapsed in the queue (the queue TTL: its
+    // deadline ran out, or the cancel verb fired, while it was pending)
+    // or, during a graceful drain, while it is still queued: running jobs
+    // flush, queued ones get an explicit disposition instead of executing
+    // into shutdown.
+    const bool cancelled = job->cancel.cancelled();
+    telemetry::recordStage(g_queueStage, job->admittedNs, waitNs, &job->trace,
+                           lapsed ? "ttl-expired" : "drain");
+    settle(*job, {.outcome = lapsed ? Outcome::Lapsed : Outcome::Drained,
+                  .code = ErrorCode::Deadline,
+                  .message = !lapsed    ? "service is draining; job cancelled before execution"
+                             : cancelled ? "job cancelled while pending"
+                                         : "deadline of " +
+                                               std::to_string(job->request.deadlineMs) +
+                                               "ms expired while the job was queued",
+                  .cause = !lapsed ? "drain" : cancelled ? "cancel" : "queue-ttl",
+                  .queueWaitNs = waitNs});
   }
 }
 
@@ -647,44 +513,23 @@ void Server::watchdogLoop() {
       continue;
     }
     g_watchdogScans.add();
-    const std::uint64_t now = qirkit::CancelToken::nowNs();
-    const std::lock_guard lock(activeMutex_);
-    for (const std::shared_ptr<ActiveJob>& active : active_) {
-      if (active->deadlineNs == 0 || active->watchdogFlagged) {
-        continue;
-      }
-      const std::uint64_t budgetNs =
-          active->deadlineMs * 1'000'000ULL * options_.watchdogFactor;
-      if (now - active->admittedNs <= budgetNs) {
-        continue;
-      }
-      // The job outlived N x its own deadline: either a runner is stuck
-      // inside it or its cooperative probes stopped firing. Flag once and
-      // force the token as a backstop.
-      active->watchdogFlagged = true;
-      active->cancel->cancel();
+    for (const std::shared_ptr<Job>& job : queue_.flagOverdue(options_.watchdogFactor)) {
       g_watchdogFlagged.add();
-      g_watchdogFlaggedExact.fetch_add(1, std::memory_order_relaxed);
       const telemetry::Span span(g_watchdogStage);
+      const std::string& requestId = job->request.requestId;
       std::fprintf(stderr,
                    "qirkit serve: watchdog: job (tenant '%s'%s%s%s) exceeded "
                    "%ux its %llums deadline; forcing cancellation\n",
-                   active->tenant.c_str(),
-                   active->requestId.empty() ? "" : ", request_id '",
-                   active->requestId.c_str(),
-                   active->requestId.empty() ? "" : "'",
-                   options_.watchdogFactor,
-                   static_cast<unsigned long long>(active->deadlineMs));
+                   job->request.tenant.c_str(),
+                   requestId.empty() ? "" : ", request_id '", requestId.c_str(),
+                   requestId.empty() ? "" : "'", options_.watchdogFactor,
+                   static_cast<unsigned long long>(job->request.deadlineMs));
     }
   }
 }
 
-void Server::executeJob(Job& job) {
-  const auto active = std::static_pointer_cast<ActiveJob>(job.active);
-  telemetry::RequestTrace* const trace = job.trace.get();
+void Server::executeJob(Job& job, std::uint64_t queueWaitNs) {
   const std::uint64_t startNs = telemetry::nowNs();
-  const std::uint64_t queueWaitNs = startNs - job.enqueuedNs;
-  telemetry::recordStage(g_queueStage, job.enqueuedNs, queueWaitNs, trace);
   const telemetry::Snapshot before = telemetry::snapshot();
 
   vm::ShotOptions opts;
@@ -692,120 +537,139 @@ void Server::executeJob(Job& job) {
   opts.shots = job.request.shots;
   opts.seed = job.seed;
   opts.pool = &pool_;
-  opts.cancel = job.cancel.get(); // null when the job set no deadline/tag
-  opts.requestTrace = trace;      // the execute stage
+  opts.cancel = &job.cancel;
+  opts.requestTrace = &job.trace; // the execute stage
 
-  // Cause attribution for deadline outcomes: the watchdog flag beats the
-  // cancel flag (the watchdog cancels through the same token).
-  const auto deadlineCause = [&]() -> const char* {
-    if (active != nullptr &&
-        active->watchdogFlagged.load(std::memory_order_relaxed)) {
-      return "watchdog";
-    }
-    if (job.cancel != nullptr && job.cancel->cancelled()) {
-      return "cancel";
-    }
-    return "deadline";
-  };
-
-  SubmitResponse response;
-  response.programId = job.program->id;
-  response.cacheHit = job.cacheHit;
-  response.jobId = job.id;
-  response.shots = job.request.shots;
-  response.seed = job.seed;
+  vm::ShotBatchResult batch;
   try {
-    response.batch = vm::runShots(*job.program, opts);
+    batch = vm::runShots(*job.program, opts);
   } catch (const std::exception& e) {
     const ClassifiedError failure = classifyException(e);
-    g_jobsFailed.add();
-    g_jobsFailedExact.fetch_add(1, std::memory_order_relaxed);
-    g_tenantFailed.add(job.request.tenant);
-    std::string extras = failure.code == ErrorCode::Deadline
-                             ? "\"completed_shots\":0,\"unstarted_shots\":" +
-                                   std::to_string(job.request.shots)
-                             : std::string();
-    failJob(job, failure.code, failure.message, std::move(extras), queueWaitNs,
-            telemetry::nowNs() - startNs,
-            failure.code == ErrorCode::Deadline ? deadlineCause() : "");
+    settle(job, {.outcome = Outcome::Failed,
+                 .code = failure.code,
+                 .message = failure.message,
+                 .queueWaitNs = queueWaitNs,
+                 .execNs = telemetry::nowNs() - startNs});
     return;
   }
-  if (response.batch.deadlineExceeded) {
+  const std::uint64_t execNs = telemetry::nowNs() - startNs;
+  if (batch.deadlineExceeded) {
     // Partial-results contract: the batch stopped at a shot boundary, so
     // the histogram covers exactly the completed shots. Surface it in the
     // structured error instead of pretending the job succeeded.
-    g_jobsExpired.add();
-    g_jobsExpiredExact.fetch_add(1, std::memory_order_relaxed);
-    g_tenantExpired.add(job.request.tenant);
-    const std::string why =
-        job.cancel != nullptr && job.cancel->cancelled()
-            ? "job cancelled after " +
-                  std::to_string(response.batch.completedShots) + " of " +
-                  std::to_string(job.request.shots) + " shots"
-            : "deadline of " + std::to_string(job.request.deadlineMs) +
-                  "ms exceeded after " +
-                  std::to_string(response.batch.completedShots) + " of " +
-                  std::to_string(job.request.shots) + " shots";
-    failJob(job, ErrorCode::Deadline, why, deadlineExtrasJson(response.batch),
-            queueWaitNs, telemetry::nowNs() - startNs, deadlineCause());
+    const std::string progress = std::to_string(batch.completedShots) + " of " +
+                                 std::to_string(job.request.shots) + " shots";
+    settle(job, {.outcome = Outcome::Cut,
+                 .code = ErrorCode::Deadline,
+                 .message = job.cancel.cancelled()
+                                ? "job cancelled after " + progress
+                                : "deadline of " +
+                                      std::to_string(job.request.deadlineMs) +
+                                      "ms exceeded after " + progress,
+                 .queueWaitNs = queueWaitNs,
+                 .execNs = execNs},
+           &batch);
     return;
   }
-  const std::uint64_t endNs = telemetry::nowNs();
-  const std::uint64_t execNs = endNs - startNs;
-  // Latency probes fire before the after-snapshot so this response's own
-  // metrics delta carries the job's queue-wait and execution samples.
-  g_jobLatency.record(endNs - job.enqueuedNs);
-  g_queueWait.record(queueWaitNs);
-  g_execTime.record(execNs);
-  g_tenantCompleted.add(job.request.tenant);
-  g_tenantQueueWait.record(job.request.tenant, queueWaitNs);
-  g_tenantExec.record(job.request.tenant, execNs);
-  if (job.request.deadlineMs != 0) {
-    g_tenantDeadlineOk.add(job.request.tenant);
-  }
-  response.queueWaitNs = queueWaitNs;
-  response.execNs = execNs;
-  response.metricsDeltaJson =
-      telemetry::snapshotJson(telemetry::diff(before, telemetry::snapshot()));
-  g_jobsCompleted.add();
-  g_jobsCompletedExact.fetch_add(1, std::memory_order_relaxed);
-  if (trace != nullptr) {
-    response.stagesJson = trace->stagesJson();
-  }
-  recordFlight(job, queueWaitNs, execNs, "ok", "", "", response.stagesJson);
-  job.deliver(submitResponseJson(response));
+  settle(job, {.queueWaitNs = queueWaitNs, .execNs = execNs}, &batch, &before);
 }
 
-void Server::failJob(const Job& job, ErrorCode code, const std::string& message,
-                     std::string extras, std::uint64_t queueWaitNs,
-                     std::uint64_t execNs, std::string cause) {
-  std::string stages = job.trace != nullptr ? job.trace->stagesJson() : "";
-  if (!stages.empty()) {
-    extras += (extras.empty() ? "\"stages\":" : ",\"stages\":") + stages;
+void Server::settle(Job& job, Ending ending, vm::ShotBatchResult* batch,
+                    const telemetry::Snapshot* before) {
+  const std::string& tenant = job.request.tenant;
+  if (ending.outcome != Outcome::Rejected) {
+    queue_.finish(job);
   }
-  recordFlight(job, queueWaitNs, execNs, "error", errorCodeName(code),
-               std::move(cause), std::move(stages));
-  job.deliver(errorResponseJson(code, message, extras));
-}
+  if (ending.code == ErrorCode::Deadline) {
+    ending.extras = deadlineExtrasJson(batch, job.request.shots);
+    // The watchdog flag beats the cancel flag (the watchdog cancels
+    // through the same token).
+    if (ending.cause.empty()) {
+      ending.cause = job.watchdogFlagged ? "watchdog"
+                     : job.cancel.cancelled() ? "cancel"
+                                              : "deadline";
+    }
+  }
+  switch (ending.outcome) {
+  case Outcome::Rejected:
+    g_tenantRejected.add(tenant);
+    g_rejectByCause.add(ending.cause);
+    break;
+  case Outcome::Lapsed:
+  case Outcome::Cut:
+    g_jobsExpired.add();
+    g_tenantExpired.add(tenant);
+    break;
+  case Outcome::Drained:
+    // Each disposition is logged so an operator can account for every
+    // job the SIGTERM displaced.
+    g_drainCancelled.add();
+    std::fprintf(stderr,
+                 "qirkit serve: drain: job %llu (tenant '%s') cancelled "
+                 "before execution\n",
+                 static_cast<unsigned long long>(job.id), tenant.c_str());
+    break;
+  case Outcome::Failed:
+    g_jobsFailed.add();
+    g_tenantFailed.add(tenant);
+    break;
+  case Outcome::Completed:
+    // Before the after-snapshot, so the response's own metrics delta
+    // carries the job's queue-wait and execution samples.
+    g_jobLatency.record(telemetry::nowNs() - job.admittedNs);
+    g_queueWait.record(ending.queueWaitNs);
+    g_execTime.record(ending.execNs);
+    g_tenantQueueWait.record(tenant, ending.queueWaitNs);
+    g_tenantExec.record(tenant, ending.execNs);
+    g_jobsCompleted.add();
+    g_tenantCompleted.add(tenant);
+    if (job.request.deadlineMs != 0) {
+      g_tenantDeadlineOk.add(tenant);
+    }
+    break;
+  }
 
-void Server::recordFlight(const Job& job, std::uint64_t queueWaitNs,
-                          std::uint64_t execNs, const char* outcome,
-                          const char* errorCode, std::string cause,
-                          std::string stagesJson) {
+  std::string stages = job.trace.stagesJson();
+  std::string body;
+  if (ending.outcome == Outcome::Completed) {
+    SubmitResponse response;
+    response.programId = job.program->id;
+    response.cacheHit = job.cacheHit;
+    response.jobId = job.id;
+    response.shots = job.request.shots;
+    response.seed = job.seed;
+    response.batch = std::move(*batch);
+    response.queueWaitNs = ending.queueWaitNs;
+    response.execNs = ending.execNs;
+    response.metricsDeltaJson =
+        telemetry::snapshotJson(telemetry::diff(*before, telemetry::snapshot()));
+    response.stagesJson = stages;
+    body = submitResponseJson(response);
+  } else {
+    body = errorResponseJson(ending.code, ending.message,
+                             ending.extras + (ending.extras.empty() ? "" : ",") +
+                                 "\"stages\":" + stages);
+  }
+
   FlightRecord rec;
   rec.jobId = job.id;
-  rec.tenant = job.request.tenant;
+  rec.tenant = tenant;
   rec.requestId = job.request.requestId;
-  rec.programId = job.program->id;
+  rec.programId = job.program != nullptr ? job.program->id : std::string();
   rec.shots = job.request.shots;
-  rec.queueWaitNs = queueWaitNs;
-  rec.execNs = execNs;
-  rec.totalNs = telemetry::nowNs() - job.enqueuedNs;
-  rec.outcome = outcome;
-  rec.errorCode = errorCode;
-  rec.cause = std::move(cause);
-  rec.stagesJson = std::move(stagesJson);
+  rec.queueWaitNs = ending.queueWaitNs;
+  rec.execNs = ending.execNs;
+  rec.totalNs = telemetry::nowNs() - job.admittedNs;
+  rec.outcome = ending.outcome == Outcome::Completed  ? "ok"
+                : ending.outcome == Outcome::Rejected ? "rejected"
+                                                      : "error";
+  if (ending.outcome != Outcome::Completed) {
+    rec.errorCode = errorCodeName(ending.code);
+  }
+  rec.cause = std::move(ending.cause);
+  rec.stagesJson = std::move(stages);
   flight_.record(std::move(rec));
+  job.response.set_value(std::move(body));
 }
 
 std::string Server::handleEvents(const EventsRequest& request) {
@@ -838,14 +702,6 @@ std::string Server::metricsJson() {
   char hitRateBuf[32];
   std::snprintf(hitRateBuf, sizeof(hitRateBuf), "%.4f", hitRate);
 
-  std::uint64_t inFlightBytes = 0;
-  std::size_t activeJobs = 0;
-  {
-    const std::lock_guard lock(activeMutex_);
-    inFlightBytes = inFlightStateBytes_;
-    activeJobs = active_.size();
-  }
-
   std::ostringstream out;
   out << "{\"v\":" << kProtocolVersion << ",\"ok\":true,\"type\":\"metrics\""
       << ",\"uptime_ns\":" << (telemetry::nowNs() - startedNs_)
@@ -872,28 +728,23 @@ std::string Server::metricsJson() {
       << ",\"capacity\":" << cache_.capacity() << ",\"hit_rate\":" << hitRateBuf
       << "},\"pool\":{\"workers\":" << pool_.size()
       << "},\"runners\":" << runnerThreads_.size()
-      << ",\"jobs\":{\"completed\":"
-      << g_jobsCompletedExact.load(std::memory_order_relaxed)
-      << ",\"failed\":" << g_jobsFailedExact.load(std::memory_order_relaxed)
-      << ",\"expired\":" << g_jobsExpiredExact.load(std::memory_order_relaxed)
-      << ",\"drained\":"
-      << g_drainCancelledExact.load(std::memory_order_relaxed)
-      << "},\"memory\":{\"in_flight_bytes\":" << inFlightBytes
-      << ",\"budget_bytes\":" << options_.memoryBudgetBytes
-      << ",\"active_jobs\":" << activeJobs
-      << ",\"rejected\":"
-      << g_memoryRejectedExact.load(std::memory_order_relaxed)
+      << ",\"jobs\":{\"completed\":" << g_jobsCompleted.value()
+      << ",\"failed\":" << g_jobsFailed.value()
+      << ",\"expired\":" << g_jobsExpired.value()
+      << ",\"drained\":" << g_drainCancelled.value()
+      << "},\"memory\":{\"in_flight_bytes\":" << queue.inFlightBytes
+      << ",\"budget_bytes\":" << queue_.limits().memoryBudgetBytes
+      << ",\"active_jobs\":" << queue.unfinished
+      << ",\"rejected\":" << queue.memoryRejected
       << "},\"watchdog\":{\"factor\":" << options_.watchdogFactor
-      << ",\"flagged\":"
-      << g_watchdogFlaggedExact.load(std::memory_order_relaxed)
+      << ",\"flagged\":" << g_watchdogFlagged.value()
       << "},\"latency\":{\"job\":" << percentilesJson(g_jobLatency)
       << ",\"queue_wait\":" << percentilesJson(g_queueWait)
       << ",\"exec\":" << percentilesJson(g_execTime)
       << "},\"flight\":{\"capacity\":" << flight_.capacity()
       << ",\"recorded\":" << flight_.recorded()
       << ",\"slow_threshold_ms\":" << options_.slowThresholdMs
-      << "},\"protocol\":{\"rejected_frames\":"
-      << g_rejectedFramesExact.load(std::memory_order_relaxed)
+      << "},\"protocol\":{\"rejected_frames\":" << g_rejectedFrames.value()
       << "},\"telemetry\":" << telemetry::snapshotJson(telemetry::snapshot())
       << "}";
   return out.str();

@@ -7,12 +7,12 @@
 /// multiplex onto.
 ///
 /// Threading model: one accept thread, one thread per live connection
-/// (reads frames, resolves the program, admits jobs, blocks on the job's
-/// completion), and `runners` job-runner threads popping the queue and
-/// running each job's store Program on the injected pool. Runner threads
-/// are the only place programs execute, so `runners` bounds concurrent
-/// batches while the pool bounds total shot-kernel parallelism — nothing
-/// oversubscribes.
+/// (reads frames, admits each job around its program-store lookup, blocks
+/// on the job's response), a watchdog thread, and `runners` job-runner
+/// threads popping the queue and running each job's store Program on the
+/// injected pool. Runner threads are the only place programs execute, so
+/// `runners` bounds concurrent batches while the pool bounds total
+/// shot-kernel parallelism — nothing oversubscribes.
 ///
 /// Everything the per-process CLI treats as a singleton is a member here:
 /// the store and the pool live and die with the Server, which is why a
@@ -35,6 +35,10 @@
 #include <thread>
 #include <vector>
 
+namespace qirkit::telemetry {
+struct Snapshot;
+} // namespace qirkit::telemetry
+
 namespace qirkit::service {
 
 struct ServerOptions {
@@ -49,18 +53,11 @@ struct ServerOptions {
   std::size_t programCapacity = vm::CompileCache::kDefaultCapacity;
   /// Longest accepted request frame in bytes.
   std::size_t maxFrameBytes = kDefaultMaxFrameBytes;
-  /// Upfront memory-admission budget: the predicted statevector
-  /// footprints (2^n * sizeof(complex<double>)) of every in-flight job
-  /// may not sum past this — the excess request is rejected with
-  /// error[resource-limit] at admission instead of OOM-killing the daemon
-  /// mid-simulation. 0 disables the guard. Programs whose width cannot be
-  /// predicted (no required_num_qubits attribute) are admitted with a
-  /// footprint of 0 and rely on the StateVector bad_alloc guard instead.
-  std::uint64_t memoryBudgetBytes = 8ULL << 30U;
-  /// Watchdog: a job still unfinished after watchdogFactor x its own
-  /// deadline budget (counted from admission) is flagged and its token
+  /// Watchdog: a running job still unfinished after watchdogFactor x its
+  /// own deadline budget (counted from admission) is flagged and its token
   /// force-cancelled — the backstop for a runner stuck inside a shot that
-  /// stops probing. 0 disables; jobs without deadlines are never flagged.
+  /// stops probing. A job that lapses in the queue is a queue TTL, never
+  /// the watchdog's. 0 disables; jobs without deadlines are never flagged.
   unsigned watchdogFactor = 4;
   /// Flight recorder: how many recent request records the `events` verb
   /// can replay. Clamped to at least 1.
@@ -69,12 +66,6 @@ struct ServerOptions {
   /// per-stage trace in the flight recorder even when they succeed;
   /// errored requests always keep theirs. 0 marks nothing as slow.
   std::uint64_t slowThresholdMs = 1000;
-  /// Arm the process-wide telemetry registry on start(). The serve
-  /// observability surface (per-tenant families, latency percentiles,
-  /// the telemetry section of the metrics verb) feeds from it, so the
-  /// daemon runs armed by default; `--no-telemetry` opts out and leaves
-  /// every probe at its one-relaxed-load disabled cost.
-  bool enableTelemetry = true;
   QueueLimits queue;
 };
 
@@ -110,24 +101,24 @@ public:
   [[nodiscard]] std::string metricsJson();
 
 private:
-  /// One admitted-but-unfinished job, as the overload machinery sees it:
-  /// the cancel verb resolves (tenant, request_id) to the token, the
-  /// watchdog scans deadlines, and the memory guard accounts stateBytes.
-  /// Registered before the queue push (the runner may pop immediately),
-  /// unregistered once the submit response is delivered.
-  struct ActiveJob {
-    std::shared_ptr<qirkit::CancelToken> cancel;
-    std::string tenant;
-    std::string requestId; // empty: not cancellable by verb
-    std::uint64_t deadlineMs = 0;
-    std::uint64_t deadlineNs = 0; // absolute; 0 = none
-    std::uint64_t admittedNs = 0;
-    std::uint64_t stateBytes = 0; // predicted footprint
-    std::uint64_t shots = 0;
-    /// Set by the watchdog before it force-cancels; read lock-free by the
-    /// runner to attribute the resulting deadline error to "watchdog"
-    /// rather than a client cancel.
-    std::atomic<bool> watchdogFlagged{false};
+  /// How a job ended. settle() counts each outcome once.
+  enum class Outcome : std::uint8_t {
+    Rejected,  ///< refused at admission
+    Lapsed,    ///< its deadline ran out, or it was cancelled, while queued
+    Drained,   ///< still queued when the daemon began to drain
+    Failed,    ///< the batch threw a classified error
+    Cut,       ///< its deadline or a cancel stopped the batch part-way
+    Completed, ///< ran all its shots
+  };
+  /// One outcome, as settle() counts, archives and answers it.
+  struct Ending {
+    Outcome outcome = Outcome::Completed;
+    ErrorCode code = ErrorCode::Internal; ///< every outcome but Completed
+    std::string message{};
+    std::string extras{}; ///< the retry hint; deadline members are derived
+    std::string cause{};  ///< the flight record's cause; derived when empty
+    std::uint64_t queueWaitNs = 0;
+    std::uint64_t execNs = 0;
   };
 
   void acceptLoop();
@@ -135,32 +126,28 @@ private:
   void runnerLoop();
   void watchdogLoop();
   /// Dispatch one well-formed frame; returns the response line.
-  std::string handleRequest(const Request& request);
-  /// Admission path of a submit: look the program up in the store,
-  /// enqueue, and wait for the runner's response.
-  std::string handleSubmit(const SubmitRequest& request);
+  std::string handleRequest(Request request);
+  /// A submit: admit the job around its program-store lookup, then wait
+  /// for its response.
+  std::string handleSubmit(SubmitRequest request);
+  /// The load step of admission: look the program up in the store (the
+  /// request's compile stage), size its memory charge and arm its
+  /// deadline.
+  void loadProgram(Job& job);
   std::string handleCancel(const CancelRequest& request);
   /// Replay the flight recorder for {"type":"events"}.
   std::string handleEvents(const EventsRequest& request);
   /// The metrics verb's format=prometheus mode: the exposition text,
   /// escaped into the JSON response's "body" field.
   std::string prometheusMetricsJson();
-  void executeJob(Job& job);
-  /// Archive one finished (or expired) job into the flight recorder with
-  /// \p stagesJson, the job's stage list as rendered for its response.
-  void recordFlight(const Job& job, std::uint64_t queueWaitNs,
-                    std::uint64_t execNs, const char* outcome,
-                    const char* errorCode, std::string cause,
-                    std::string stagesJson);
-  /// Archive \p job as failed, then deliver its error response: \p extras
-  /// plus the job's stage list, rendered once for both.
-  void failJob(const Job& job, ErrorCode code, const std::string& message,
-               std::string extras, std::uint64_t queueWaitNs,
-               std::uint64_t execNs, std::string cause);
-  /// Memory-admission guard + registration; throws AdmissionError when
-  /// the predicted footprint does not fit the budget.
-  void registerActive(const std::shared_ptr<ActiveJob>& active);
-  void unregisterActive(const std::shared_ptr<ActiveJob>& active);
+  void executeJob(Job& job, std::uint64_t queueWaitNs);
+  /// Settle \p job: release its queue slot (an admitted job), count the
+  /// outcome, archive the flight record and deliver the response. The
+  /// stage list is rendered once for both. A job that ran passes its
+  /// \p batch; a completed one also the telemetry snapshot taken
+  /// \p before it ran.
+  void settle(Job& job, Ending ending, vm::ShotBatchResult* batch = nullptr,
+              const telemetry::Snapshot* before = nullptr);
 
   ServerOptions options_;
   AdmissionQueue queue_;
@@ -173,10 +160,6 @@ private:
   std::thread acceptThread_;
   std::thread watchdogThread_;
   std::vector<std::thread> runnerThreads_;
-
-  std::mutex activeMutex_;
-  std::list<std::shared_ptr<ActiveJob>> active_;
-  std::uint64_t inFlightStateBytes_ = 0;
 
   std::mutex connectionsMutex_;
   std::list<std::pair<int, std::thread>> connections_;

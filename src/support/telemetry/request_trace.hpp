@@ -9,8 +9,8 @@
 /// recorder.
 ///
 /// It is the third sink of telemetry::Span (telemetry.hpp), and records
-/// unconditionally: the response returns the stages even under
-/// `serve --no-telemetry`. The cost is a clock pair and one short mutex
+/// unconditionally: a serve response returns its stages whatever sinks
+/// are armed. The cost is a clock pair and one short mutex
 /// section per stage, at request cadence; the per-shot path never sees a
 /// RequestTrace.
 #pragma once

@@ -157,13 +157,15 @@ struct ShotOutcome {
   interp::InterpStats engineStats;
 };
 
-/// §IV.A's attribute inference, used for capacity only: reserve the
-/// statevector for \p module's declared width, so growing to it moves no
-/// amplitude. Simulator indices are still assigned at first use. A width
-/// that is absent, above StateVector::kMaxQubits or unallocatable
-/// reserves nothing.
-void reserveDeclaredWidth(runtime::QuantumRuntime& rt, const ir::Module& module) {
+/// §IV.A's attribute inference: reserve the statevector for \p module's
+/// declared width, so growing to it moves no amplitude, and bound static
+/// addresses by it (RuntimeAbi::bindDeclaredWidth), so the program runs
+/// within the width the serve memory guard charged. Simulator indices are
+/// still assigned at first use. A width that is absent, above
+/// StateVector::kMaxQubits or unallocatable reserves nothing.
+void declareWidth(runtime::QuantumRuntime& rt, const ir::Module& module) {
   (void)rt.state().reserveQubits(qir::requiredNumQubits(module));
+  rt.bindDeclaredWidth(module);
 }
 
 /// One shot on the reference engine: fresh Interpreter + runtime, as the
@@ -174,7 +176,7 @@ ShotOutcome runInterpShot(const ir::Module& module, std::uint64_t seed,
                           sim::Precision precision = sim::Precision::F64) {
   interp::Interpreter interp(module);
   runtime::QuantumRuntime rt(seed, nullptr, precision);
-  reserveDeclaredWidth(rt, module);
+  declareWidth(rt, module);
   interp.setCancelToken(cancel);
   rt.setCancelToken(cancel);
   rt.bind(interp);
@@ -330,7 +332,7 @@ public:
       rt_->bind(*interp_);
     }
     rt_->setCancelToken(opts.cancel);
-    reserveDeclaredWidth(*rt_, module_);
+    declareWidth(*rt_, module_);
   }
 
   void run(std::uint64_t begin, std::uint64_t end, ChunkResult& out) {
@@ -538,7 +540,7 @@ void runSampledBatch(const ir::Module& module,
   runtime::QuantumRuntime rt(opts.seed, opts.pool, opts.precision);
   rt.setMeasurementMode(runtime::QuantumRuntime::MeasurementMode::Defer);
   rt.setCancelToken(opts.cancel);
-  reserveDeclaredWidth(rt, module);
+  declareWidth(rt, module);
   interp::InterpStats engineStats;
   if (engine == Engine::Vm) {
     Vm machine(compiled);

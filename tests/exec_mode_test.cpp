@@ -937,5 +937,93 @@ TEST(ShotBranching, DeadlineCountsEveryShotOnce) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Declared width: an entry point's required_num_qubits and
+// required_num_results bound the static addresses a run may touch, on both
+// engines and every route
+// ---------------------------------------------------------------------------
+
+/// An entry point that declares \p declared qubits and applies h to static
+/// qubits 0..touched-1.
+std::string hOnStaticQubits(unsigned touched, unsigned declared) {
+  std::string text = "declare void @__quantum__qis__h__body(ptr)\n"
+                     "define void @main() #0 {\nentry:\n";
+  for (unsigned q = 0; q < touched; ++q) {
+    text += "  call void @__quantum__qis__h__body(ptr " +
+            (q == 0 ? std::string("null")
+                    : "inttoptr (i64 " + std::to_string(q) + " to ptr)") +
+            ")\n";
+  }
+  return text + "  ret void\n}\nattributes #0 = { \"entry_point\" \"required_num_qubits\"=\"" +
+         std::to_string(declared) + "\" }\n";
+}
+
+/// Run \p shots of \p m with every shot tolerated, and expect each to have
+/// trapped with \p message: the bound survives the runtime's per-shot reset.
+void expectEveryShotTraps(const ir::Module& m, const std::string& message,
+                          std::uint64_t shots = 4) {
+  for (const vm::Engine engine : {vm::Engine::Vm, vm::Engine::Interp}) {
+    for (const vm::ExecMode mode :
+         {vm::ExecMode::Auto, vm::ExecMode::Resim, vm::ExecMode::Sample}) {
+      SCOPED_TRACE(std::string(vm::engineName(engine)) + "/" + vm::execModeName(mode));
+      vm::ShotBatchResult batch;
+      try {
+        batch = runRoute(m, engine, mode, nullptr, 1, shots, shots);
+      } catch (const Error& e) {
+        // Sampling a program the analysis cannot prove terminal is a
+        // usage error before any shot runs.
+        EXPECT_EQ(mode, vm::ExecMode::Sample) << e.what();
+        continue;
+      }
+      EXPECT_EQ(batch.failedShots, shots);
+      ASSERT_FALSE(batch.failures.empty());
+      for (const vm::ShotFailure& failure : batch.failures) {
+        EXPECT_EQ(failure.code, ErrorCode::TrapInvalidQubit);
+        EXPECT_EQ(failure.message, message);
+      }
+    }
+  }
+}
+
+TEST(DeclaredWidth, AStaticQubitPastTheDeclaredWidthTraps) {
+  ir::Context ctx;
+  // Two qubits declared (what the serve memory guard charges), 22 touched:
+  // the third address traps instead of growing a 64 MiB state.
+  const auto under = parse(ctx, hOnStaticQubits(22, 2));
+  expectEveryShotTraps(*under,
+                       "static qubit address 2 is past the 2 qubits the entry point declares");
+}
+
+TEST(DeclaredWidth, AStaticResultPastTheDeclaredResultsTraps) {
+  for (const char* call :
+       {"call void @__quantum__qis__mz__body(ptr null, ptr inttoptr (i64 2 to ptr))",
+        "%r = call i1 @__quantum__qis__read_result__body(ptr inttoptr (i64 2 to ptr))"}) {
+    SCOPED_TRACE(call);
+    ir::Context ctx;
+    const auto m = parse(ctx, std::string("declare void @__quantum__qis__mz__body(ptr, ptr)\n"
+                                          "declare i1 @__quantum__qis__read_result__body(ptr)\n"
+                                          "define void @main() #0 {\nentry:\n  ") +
+                                  call +
+                                  "\n  ret void\n}\nattributes #0 = { \"entry_point\" "
+                                  "\"required_num_qubits\"=\"1\" "
+                                  "\"required_num_results\"=\"2\" }\n");
+    expectEveryShotTraps(*m,
+                         "static result address 2 is past the 2 results the entry point declares");
+  }
+}
+
+TEST(DeclaredWidth, AnOpenQasm3LoopPastItsRegisterTraps) {
+  // 40 001 iterations stay a loop (past the unroll budget), so the loader
+  // cannot check q[i / 20000]; the last iteration addresses q[2].
+  ir::Context ctx;
+  const auto m = qasm::loadProgram(ctx,
+                                   "OPENQASM 3;\nqubit[2] q;\nbit[2] c;\n"
+                                   "for int i in [0:40000] {\n  rz(0.001) q[i / 20000];\n}\n"
+                                   "c[0] = measure q[0];\nc[1] = measure q[1];\n",
+                                   {}, qir::Addressing::Static);
+  expectEveryShotTraps(*m, "static qubit address 2 is past the 2 qubits the entry point declares",
+                       2);
+}
+
 } // namespace
 } // namespace qirkit

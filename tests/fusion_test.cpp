@@ -706,6 +706,31 @@ TEST(FusionReorder, BlockOrderDiffersFromFirstUseOrder) {
   EXPECT_EQ(fn.fusedBlocks[1].newQubits, (std::vector<std::uint64_t>{2}));
 }
 
+TEST(FusionReorder, AFusedBlockPastTheDeclaredWidthTraps) {
+  // The CZ block is the first use of q2, which the entry point does not
+  // declare: the fused path resolves it like a plain call and traps.
+  std::string program = reorderProgram();
+  const std::string plain = "attributes #0 = { \"entry_point\" }";
+  program.replace(program.find(plain), plain.size(),
+                  "attributes #0 = { \"entry_point\" \"required_num_qubits\"=\"2\" }");
+  ir::Context ctx;
+  const auto module = ir::parseModule(ctx, program);
+  const auto compiled = vm::compileModule(*module);
+  ASSERT_EQ(compiled->functions[0].fusedBlocks.size(), 2U);
+  EXPECT_EQ(compiled->functions[0].fusedBlocks[1].newQubits, (std::vector<std::uint64_t>{2}));
+  vm::ShotOptions opts;
+  opts.shots = 3;
+  opts.execMode = vm::ExecMode::Resim;
+  opts.interpFallback = false;
+  opts.maxFailedShots = opts.shots;
+  const vm::ShotBatchResult batch = vm::runShots(*module, opts);
+  EXPECT_EQ(batch.failedShots, 3U);
+  ASSERT_FALSE(batch.failures.empty());
+  EXPECT_EQ(batch.failures[0].code, ErrorCode::TrapInvalidQubit);
+  EXPECT_EQ(batch.failures[0].message,
+            "static qubit address 2 is past the 2 qubits the entry point declares");
+}
+
 TEST(FusionReorder, HistogramsMatchTheInterpreterPerSeed) {
   ir::Context ctx;
   const auto module = ir::parseModule(ctx, reorderProgram());

@@ -310,13 +310,13 @@ TEST(PrometheusTest, SanitizesMetricNames) {
 
 // --------------------------------------------------------------- queue --
 
-Job makeJob(const std::string& tenant, std::int64_t priority = 0,
-            std::uint64_t shots = 10) {
-  Job job;
-  job.request.tenant = tenant;
-  job.request.priority = priority;
-  job.request.shots = shots;
-  return job;
+std::shared_ptr<Job> makeJob(const std::string& tenant, std::int64_t priority = 0,
+                             std::uint64_t shots = 10) {
+  SubmitRequest request;
+  request.tenant = tenant;
+  request.priority = priority;
+  request.shots = shots;
+  return std::make_shared<Job>(request);
 }
 
 TEST(AdmissionQueueTest, EnforcesEveryQuota) {
@@ -326,35 +326,36 @@ TEST(AdmissionQueueTest, EnforcesEveryQuota) {
   limits.maxShotsPerJob = 100;
   AdmissionQueue queue(limits);
 
-  EXPECT_THROW(queue.push(makeJob("a", 0, 101)), qirkit::Error); // shot cap
-  queue.push(makeJob("a"));
-  queue.push(makeJob("a"));
-  EXPECT_THROW(queue.push(makeJob("a")), qirkit::Error); // tenant pending
-  queue.push(makeJob("b"));
-  EXPECT_THROW(queue.push(makeJob("c")), qirkit::Error); // global capacity
+  EXPECT_THROW(queue.admit(makeJob("a", 0, 101)), qirkit::Error); // shot cap
+  queue.admit(makeJob("a"));
+  queue.admit(makeJob("a"));
+  EXPECT_THROW(queue.admit(makeJob("a")), qirkit::Error); // tenant pending
+  queue.admit(makeJob("b"));
+  EXPECT_THROW(queue.admit(makeJob("c")), qirkit::Error); // global capacity
   EXPECT_EQ(queue.stats().rejected, 3U);
   EXPECT_EQ(queue.stats().admitted, 3U);
 
   // Finishing a job frees the tenant slot (capacity frees on pop).
-  ASSERT_TRUE(queue.pop().has_value());
-  queue.onJobFinished("a");
-  queue.push(makeJob("a"));
+  const std::shared_ptr<Job> popped = queue.pop();
+  ASSERT_NE(popped, nullptr);
+  queue.finish(*popped);
+  queue.admit(makeJob("a"));
 
   queue.close();
-  EXPECT_THROW(queue.push(makeJob("a")), qirkit::Error); // closed
+  EXPECT_THROW(queue.admit(makeJob("a")), qirkit::Error); // closed
 }
 
 TEST(AdmissionQueueTest, RoundRobinAcrossTenantsPriorityWithin) {
   AdmissionQueue queue(QueueLimits{});
-  queue.push(makeJob("alice", 0)); // id 1
-  queue.push(makeJob("alice", 5)); // id 2, jumps the tenant queue
-  queue.push(makeJob("alice", 0)); // id 3
-  queue.push(makeJob("bob", 0));   // id 4
+  queue.admit(makeJob("alice", 0)); // id 1
+  queue.admit(makeJob("alice", 5)); // id 2, jumps the tenant queue
+  queue.admit(makeJob("alice", 0)); // id 3
+  queue.admit(makeJob("bob", 0));   // id 4
 
   std::vector<std::uint64_t> order;
   for (int i = 0; i < 4; ++i) {
     auto job = queue.pop();
-    ASSERT_TRUE(job.has_value());
+    ASSERT_NE(job, nullptr);
     order.push_back(job->id);
   }
   // Fair interleave between tenants; alice's high-priority job first
@@ -362,7 +363,7 @@ TEST(AdmissionQueueTest, RoundRobinAcrossTenantsPriorityWithin) {
   EXPECT_EQ(order, (std::vector<std::uint64_t>{2, 4, 1, 3}));
 
   queue.close();
-  EXPECT_FALSE(queue.pop().has_value()); // closed and drained
+  EXPECT_EQ(queue.pop(), nullptr); // closed and drained
 }
 
 TEST(AdmissionQueueTest, TenantSeedStreamsAreDeterministicAndDistinct) {
@@ -371,21 +372,21 @@ TEST(AdmissionQueueTest, TenantSeedStreamsAreDeterministicAndDistinct) {
   std::vector<std::uint64_t> seedsA;
   std::vector<std::uint64_t> seedsB;
   for (int i = 0; i < 3; ++i) {
-    first.push(makeJob("alice"));
-    first.push(makeJob("bob"));
+    first.admit(makeJob("alice"));
+    first.admit(makeJob("bob"));
   }
   for (int i = 0; i < 6; ++i) {
     auto job = first.pop();
-    ASSERT_TRUE(job.has_value());
+    ASSERT_NE(job, nullptr);
     (job->request.tenant == "alice" ? seedsA : seedsB).push_back(job->seed);
   }
   // A fresh daemon replays the identical per-tenant stream...
   for (int i = 0; i < 3; ++i) {
-    second.push(makeJob("alice"));
+    second.admit(makeJob("alice"));
   }
   for (int i = 0; i < 3; ++i) {
     auto job = second.pop();
-    ASSERT_TRUE(job.has_value());
+    ASSERT_NE(job, nullptr);
     EXPECT_EQ(job->seed, seedsA[static_cast<std::size_t>(i)]);
   }
   // ...streams advance (no repeated seeds) and tenants are decorrelated.
@@ -393,11 +394,11 @@ TEST(AdmissionQueueTest, TenantSeedStreamsAreDeterministicAndDistinct) {
   EXPECT_NE(seedsA[0], seedsB[0]);
 
   // An explicit seed bypasses the stream entirely.
-  Job pinned = makeJob("alice");
-  pinned.request.seed = 42;
-  second.push(std::move(pinned));
+  const std::shared_ptr<Job> pinned = makeJob("alice");
+  pinned->request.seed = 42;
+  second.admit(pinned);
   auto job = second.pop();
-  ASSERT_TRUE(job.has_value());
+  ASSERT_NE(job, nullptr);
   EXPECT_EQ(job->seed, 42U);
 }
 
@@ -407,10 +408,10 @@ TEST(AdmissionQueueTest, TokenBucketRateLimitsWithRetryHint) {
   limits.rateBurst = 2;
   AdmissionQueue queue(limits);
 
-  queue.push(makeJob("alice"));
-  queue.push(makeJob("alice"));
+  queue.admit(makeJob("alice"));
+  queue.admit(makeJob("alice"));
   try {
-    queue.push(makeJob("alice"));
+    queue.admit(makeJob("alice"));
     FAIL() << "third admission must exhaust the burst";
   } catch (const AdmissionError& e) {
     EXPECT_EQ(e.code(), ErrorCode::ResourceLimit);
@@ -423,11 +424,35 @@ TEST(AdmissionQueueTest, TokenBucketRateLimitsWithRetryHint) {
   // The bucket refills continuously: after a token's worth of wall time
   // the same tenant is admitted again — a sliding window, not an epoch.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.push(makeJob("alice"));
+  queue.admit(makeJob("alice"));
 
   // Other tenants have their own bucket and are unaffected.
-  queue.push(makeJob("bob"));
+  queue.admit(makeJob("bob"));
   queue.close();
+}
+
+TEST(AdmissionQueueTest, AFailedLoadGivesItsSlotBack) {
+  QueueLimits limits;
+  limits.tenantMaxPending = 1;
+  AdmissionQueue queue(limits);
+  EXPECT_THROW(queue.admit(makeJob("alice"),
+                           [](Job&) { throw qirkit::Error(ErrorCode::Parse, "bad text"); }),
+               qirkit::Error);
+  queue.admit(makeJob("alice")); // the one pending slot is free again
+  EXPECT_EQ(queue.stats().admitted, 1U);
+  EXPECT_EQ(queue.stats().rejected, 0U);
+}
+
+TEST(AdmissionQueueTest, AQueueThatClosesWhileAProgramLoadsRefusesTheJob) {
+  AdmissionQueue queue(QueueLimits{});
+  try {
+    queue.admit(makeJob("alice"), [&](Job&) { queue.close(); });
+    FAIL() << "a closed queue took a job no runner may be left to run";
+  } catch (const AdmissionError& e) {
+    EXPECT_EQ(e.cause(), "draining");
+  }
+  EXPECT_EQ(queue.pop(), nullptr); // closed and empty
+  EXPECT_EQ(queue.stats().tenants[0].pending, 0U);
 }
 
 // -------------------------------------------------------------- server --
@@ -518,6 +543,15 @@ TEST_F(ServeTest, PingAndShutdownVerbs) {
 }
 
 TEST_F(ServeTest, ConcurrentTenantsShareTheCompileCache) {
+  // jobs.completed counts across the process, so read it as a delta.
+  const auto completedJobs = [&] {
+    Client client(socketPath_);
+    return json::parse(client.call(R"({"type":"metrics"})"))
+        .find("jobs")
+        ->find("completed")
+        ->asU64("completed");
+  };
+  const std::uint64_t completedBefore = completedJobs();
   constexpr int kClients = 4;
   std::atomic<int> failures{0};
   std::vector<std::string> histograms(kClients);
@@ -571,7 +605,7 @@ TEST_F(ServeTest, ConcurrentTenantsShareTheCompileCache) {
                 cache->find("coalesced")->asU64("coalesced"),
             11U);
   EXPECT_EQ(metrics.find("queue")->find("admitted")->asU64("admitted"), 12U);
-  EXPECT_EQ(metrics.find("jobs")->find("completed")->asU64("completed"), 12U);
+  EXPECT_EQ(completedJobs() - completedBefore, 12U);
 }
 
 TEST_F(ServeTest, MalformedFrameKeepsConnectionAlive) {
@@ -857,7 +891,7 @@ TEST_F(ServeTest, QueueTtlExpiresJobsAndReleasesTenantQuota) {
 TEST_F(ServeTest, MemoryAdmissionGuardRejectsOversizedPrograms) {
   restart([](ServerOptions& options) {
     // 1 MiB: a 16-qubit f64 state, or a 17-qubit f32 state, at most.
-    options.memoryBudgetBytes = 1U << 20U;
+    options.queue.memoryBudgetBytes = 1U << 20U;
   });
 
   // 17 qubits predict a 2 MiB statevector: rejected upfront, before any
@@ -899,6 +933,118 @@ TEST_F(ServeTest, MemoryAdmissionGuardRejectsOversizedPrograms) {
   ASSERT_NE(memory, nullptr);
   EXPECT_EQ(memory->find("budget_bytes")->asU64("budget_bytes"), 1U << 20U);
   EXPECT_GE(memory->find("rejected")->asU64("rejected"), 1U);
+}
+
+TEST_F(ServeTest, AnUnderDeclaredWidthTrapsInsteadOfPassingTheMemoryGuard) {
+  restart([](ServerOptions& options) { options.queue.memoryBudgetBytes = 1U << 20U; });
+  // Declares 2 qubits (a 64-byte charge) but touches 17 static addresses,
+  // a 2 MiB state: the runtime refuses the third address.
+  std::string program = R"(
+declare void @__quantum__qis__h__body(ptr)
+define void @main() #0 {
+entry:
+)";
+  for (unsigned q = 0; q < 17; ++q) {
+    program += "  call void @__quantum__qis__h__body(ptr " +
+               (q == 0 ? std::string("null") : "inttoptr (i64 " + std::to_string(q) + " to ptr)") +
+               ")\n";
+  }
+  program += "  ret void\n}\nattributes #0 = { \"entry_point\" \"required_num_qubits\"=\"2\" }\n";
+  Client client(socketPath_);
+  SubmitRequest req;
+  req.tenant = "alice";
+  req.program = program;
+  req.shots = 3;
+  for (const vm::Engine engine : {vm::Engine::Vm, vm::Engine::Interp}) {
+    req.engine = engine;
+    const json::Value error = json::parse(client.call(submitRequestJson(req)));
+    ASSERT_FALSE(error.find("ok")->boolean) << vm::engineName(engine);
+    EXPECT_EQ(error.find("error")->find("code")->string, "trap-invalid-qubit")
+        << vm::engineName(engine);
+  }
+  const json::Value good = json::parse(client.call(submitLine("alice", 10, 1)));
+  EXPECT_TRUE(good.find("ok")->boolean);
+}
+
+TEST_F(ServeTest, AnOverQuotaSubmitNeverLoadsItsProgram) {
+  restart([](ServerOptions& options) {
+    options.queue.ratePerSec = 0.01; // one admission, then none for 100 s
+    options.queue.rateBurst = 1;
+    options.programCapacity = 2;
+  });
+  Client client(socketPath_);
+  for (unsigned k = 1; k <= 3; ++k) {
+    SubmitRequest req;
+    req.tenant = "alice";
+    req.program = std::string(kBellQasm) + "// fresh program " + std::to_string(k) + "\n";
+    req.shots = 10;
+    const json::Value v = json::parse(client.call(submitRequestJson(req)));
+    if (k == 1) {
+      EXPECT_TRUE(v.find("ok")->boolean);
+      continue;
+    }
+    EXPECT_FALSE(v.find("ok")->boolean) << k;
+    EXPECT_EQ(v.find("error")->find("code")->string, "resource-limit") << k;
+    ASSERT_NE(v.find("retry_after_ms"), nullptr) << k;
+    EXPECT_GE(v.find("retry_after_ms")->asU64("retry_after_ms"), 1U) << k;
+  }
+  // The rejected programs were neither loaded nor allowed to evict the
+  // admitted one.
+  const json::Value metrics = json::parse(client.call(R"({"type":"metrics"})"));
+  EXPECT_EQ(metrics.find("cache")->find("misses")->asU64("misses"), 1U);
+  EXPECT_EQ(metrics.find("cache")->find("evictions")->asU64("evictions"), 0U);
+  EXPECT_EQ(metrics.find("queue")->find("rate_limited")->asU64("rate_limited"), 2U);
+}
+
+TEST_F(ServeTest, AJobThatLapsesInTheQueueIsAQueueTtlNotTheWatchdogs) {
+  restart([](ServerOptions&) {}); // one runner, watchdog factor 4
+  Client controller(socketPath_);
+  const auto metric = [&](const char* section, const char* key) {
+    const json::Value metrics = json::parse(controller.call(R"({"type":"metrics"})"));
+    return metrics.find(section)->find(key)->asU64(key);
+  };
+  const auto waitFor = [&](const std::function<bool()>& ready) {
+    for (int i = 0; i < 500 && !ready(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  };
+  const std::uint64_t flaggedBefore = metric("watchdog", "flagged");
+
+  std::string hogResponse;
+  std::thread hog([&] {
+    Client client(socketPath_);
+    hogResponse = client.call(slowSubmitLine("alice", "hog", 3'000'000));
+  });
+  waitFor([&] { return metric("memory", "active_jobs") == 1 && metric("queue", "depth") == 0; });
+
+  // Behind the hog with a 5 ms budget, it waits far past 4 x 5 ms and
+  // several 50 ms watchdog scans before the runner pops it.
+  std::string lapsedResponse;
+  std::thread lapsed([&] {
+    Client client(socketPath_);
+    lapsedResponse = client.call(slowSubmitLine("bob", "lapsed", 500, /*deadlineMs=*/5));
+  });
+  waitFor([&] { return metric("queue", "depth") == 1; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  (void)controller.call(cancelLine("alice", "hog"));
+  lapsed.join();
+  hog.join();
+
+  const json::Value v = json::parse(lapsedResponse);
+  EXPECT_FALSE(v.find("ok")->boolean);
+  EXPECT_EQ(v.find("error")->find("code")->string, "deadline");
+  EXPECT_EQ(v.find("error")->find("message")->string,
+            "deadline of 5ms expired while the job was queued");
+  EXPECT_EQ(v.find("unstarted_shots")->asU64("unstarted_shots"), 500U);
+  EXPECT_EQ(metric("watchdog", "flagged"), flaggedBefore);
+
+  const json::Value events =
+      json::parse(controller.call(R"({"type":"events","tenant":"bob"})"));
+  const json::Value* list = events.find("events");
+  ASSERT_NE(list, nullptr);
+  ASSERT_FALSE(list->array.empty());
+  EXPECT_EQ(list->array.back().find("request_id")->string, "lapsed");
+  EXPECT_EQ(list->array.back().find("cause")->string, "queue-ttl");
 }
 
 namespace {

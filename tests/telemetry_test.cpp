@@ -533,7 +533,7 @@ TEST_F(TelemetryTest, RequestTraceEmitsTaggedChromeSpans) {
 TEST_F(TelemetryTest, DisabledRequestTraceSpansStoreNothing) {
   // Nothing armed: the stage histogram and the Chrome buffer stay empty,
   // while the attached request trace records unconditionally (a serve
-  // response returns its stages even under --no-telemetry).
+  // response returns its stages whatever sinks are armed).
   static telemetry::Stage stage{"test.request.disarmed"};
   telemetry::setEnabled(false);
   ASSERT_FALSE(telemetry::trace::enabled());

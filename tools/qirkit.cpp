@@ -80,6 +80,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace {
@@ -525,75 +526,44 @@ extern "C" void handleServeSignal(int /*signum*/) {
 int cmdServe(const Args& args) {
   service::ServerOptions options;
   options.socketPath = args.positional[0];
-  options.runners = std::max<std::size_t>(
-      1, parseUint(args.option("runners", "2"), "runners"));
-  options.poolThreads =
-      static_cast<std::size_t>(parseUint(args.option("jobs", "0"), "jobs"));
-  if (!args.option("program-capacity").empty()) {
-    options.programCapacity = std::max<std::size_t>(
-        1, parseUint(args.option("program-capacity"), "program-capacity"));
-  }
-  if (!args.option("max-frame-bytes").empty()) {
-    options.maxFrameBytes = std::max<std::size_t>(
-        1, parseUint(args.option("max-frame-bytes"), "max-frame-bytes"));
-  }
-  if (!args.option("queue-capacity").empty()) {
-    options.queue.capacity = std::max<std::size_t>(
-        1, parseUint(args.option("queue-capacity"), "queue-capacity"));
-  }
-  if (!args.option("tenant-pending").empty()) {
-    options.queue.tenantMaxPending = std::max<std::size_t>(
-        1, parseUint(args.option("tenant-pending"), "tenant-pending"));
-  }
-  if (!args.option("max-shots").empty()) {
-    options.queue.maxShotsPerJob =
-        std::max<std::uint64_t>(1, parseUint(args.option("max-shots"), "max-shots"));
-  }
-  if (!args.option("rate-limit").empty()) {
-    try {
-      options.queue.ratePerSec = std::stod(args.option("rate-limit"));
-    } catch (const std::exception&) {
-      options.queue.ratePerSec = -1;
+  // An absent option keeps its default; a present one is raised to
+  // \p floor.
+  const auto setUint = [&](const char* name, auto& field, std::uint64_t floor) {
+    if (!args.option(name).empty()) {
+      field = static_cast<std::remove_reference_t<decltype(field)>>(
+          std::max(floor, parseUint(args.option(name), name)));
     }
-    if (options.queue.ratePerSec < 0) {
-      fail("--rate-limit expects a non-negative number, got '" +
-           args.option("rate-limit") + "'");
+  };
+  const auto setRate = [&](const char* name, double& field, double floor,
+                           const char* expects) {
+    if (!args.option(name).empty()) {
+      try {
+        field = std::stod(args.option(name));
+      } catch (const std::exception&) {
+        field = floor - 1;
+      }
+      if (field < floor) {
+        fail(std::string("--") + name + " expects " + expects + ", got '" +
+             args.option(name) + "'");
+      }
     }
+  };
+  setUint("runners", options.runners, 1);
+  setUint("jobs", options.poolThreads, 0); // 0 sizes the pool to the hardware
+  setUint("program-capacity", options.programCapacity, 1);
+  setUint("max-frame-bytes", options.maxFrameBytes, 1);
+  setUint("queue-capacity", options.queue.capacity, 1);
+  setUint("tenant-pending", options.queue.tenantMaxPending, 1);
+  setUint("max-shots", options.queue.maxShotsPerJob, 1);
+  setRate("rate-limit", options.queue.ratePerSec, 0, "a non-negative number");
+  setRate("rate-burst", options.queue.rateBurst, 1, "a number >= 1");
+  if (!args.option("memory-budget-mb").empty()) { // 0 disables the guard
+    options.queue.memoryBudgetBytes =
+        parseUint(args.option("memory-budget-mb"), "memory-budget-mb") << 20U;
   }
-  if (!args.option("rate-burst").empty()) {
-    try {
-      options.queue.rateBurst = std::stod(args.option("rate-burst"));
-    } catch (const std::exception&) {
-      options.queue.rateBurst = 0;
-    }
-    if (options.queue.rateBurst < 1) {
-      fail("--rate-burst expects a number >= 1, got '" +
-           args.option("rate-burst") + "'");
-    }
-  }
-  if (!args.option("memory-budget-mb").empty()) {
-    options.memoryBudgetBytes =
-        parseUint(args.option("memory-budget-mb"), "memory-budget-mb") <<
-        20U; // 0 disables the admission guard
-  }
-  if (!args.option("watchdog-factor").empty()) {
-    options.watchdogFactor = static_cast<unsigned>(
-        parseUint(args.option("watchdog-factor"), "watchdog-factor"));
-  }
-  if (!args.option("flight-capacity").empty()) {
-    options.flightCapacity = std::max<std::size_t>(
-        1, parseUint(args.option("flight-capacity"), "flight-capacity"));
-  }
-  if (!args.option("slow-threshold-ms").empty()) {
-    options.slowThresholdMs =
-        parseUint(args.option("slow-threshold-ms"), "slow-threshold-ms");
-  }
-  // The daemon's observability surface (per-tenant metrics, latency
-  // percentiles, the flight recorder's stage traces) feeds from the
-  // telemetry registry, so serve arms it by default — the opposite of
-  // the one-shot CLI, where --stats opts in per run.
-  options.enableTelemetry = !args.flag("no-telemetry");
-
+  setUint("watchdog-factor", options.watchdogFactor, 0);
+  setUint("flight-capacity", options.flightCapacity, 1);
+  setUint("slow-threshold-ms", options.slowThresholdMs, 0);
   service::Server server(std::move(options));
   server.start();
   g_server.store(&server, std::memory_order_relaxed);
@@ -795,7 +765,6 @@ void usage() {
          "             [--rate-limit R/s] [--rate-burst B]\n"
          "             [--memory-budget-mb N] [--watchdog-factor N]\n"
          "             [--flight-capacity N] [--slow-threshold-ms N]\n"
-         "             [--no-telemetry]\n"
          "submit: qirkit submit <file|@program-id|metrics|events|ping|"
          "shutdown|cancel>\n"
          "             --socket <path> [--tenant T] [--shots N] [--seed S]\n"
@@ -880,7 +849,7 @@ int main(int argc, char** argv) {
            "max-frame-bytes", "queue-capacity", "tenant-pending", "max-shots",
            "rate-limit", "rate-burst", "memory-budget-mb", "watchdog-factor",
            "flight-capacity", "slow-threshold-ms"},
-          {"no-telemetry"}}},
+          {}}},
         {"submit", cmdSubmit,
          {{"socket", "connect-retries", "tenant", "request-id", "format",
            "limit", "shots", "seed", "priority", "deadline-ms"},

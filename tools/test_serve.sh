@@ -4,7 +4,8 @@
 # concurrently, histograms byte-identical to single-process `qirkit run`,
 # a cross-request program-store hit visible in the metrics document,
 # program_ref resubmission, the exit-code contract for structured errors,
-# and a clean drain-and-exit shutdown.
+# a clean drain-and-exit shutdown, and the admission drills (a declared
+# width that binds, a rate limit that loads nothing, a queue TTL).
 set -e
 QIRKIT="$1/tools/qirkit"
 WORK="$(mktemp -d)"
@@ -178,6 +179,11 @@ timeout 10 "$QIRKIT" serve "$WORK/retired.sock" --cache-capacity 4 \
 [ $? -eq 2 ] || fail "retired capacity option should exit 2 (usage)"
 grep -q "error\[usage\]" "$WORK/err7" || fail "retired option error format"
 
+# the telemetry opt-out is gone: the daemon always counts
+timeout 10 "$QIRKIT" serve "$WORK/retired2.sock" --no-telemetry 2> "$WORK/err8"
+[ $? -eq 2 ] || fail "--no-telemetry should exit 2 (usage)"
+grep -q "error\[usage\]" "$WORK/err8" || fail "--no-telemetry error format"
+
 "$QIRKIT" submit "$WORK/bell.qasm" --socket "$SOCK" --shots 99999999 \
   2> "$WORK/err3"
 [ $? -eq 1 ] || fail "quota reject should exit 1"
@@ -300,5 +306,100 @@ SERVE_PID=""
 grep -q "drain: job" "$WORK/chaos.log" \
   || fail "per-job drain disposition not logged"
 grep -q "shut down" "$WORK/chaos.log" || fail "drain shutdown not logged"
+
+# -- admission drills ------------------------------------------------------
+# One runner, a 1 MiB memory budget and one admission per tenant per 100 s,
+# so each drill below uses its own tenant.
+SOCK3="$WORK/admission.sock"
+"$QIRKIT" serve "$SOCK3" --runners 1 --jobs 2 --max-shots 100000000 \
+  --memory-budget-mb 1 --rate-limit 0.01 --rate-burst 1 \
+  2> "$WORK/admission.log" &
+SERVE_PID=$!
+for i in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do
+  [ -S "$SOCK3" ] && break
+  sleep 0.1
+done
+[ -S "$SOCK3" ] || fail "admission daemon did not create the socket"
+metric() {
+  "$QIRKIT" submit metrics --socket "$SOCK3" | python3 -c \
+    "import json,sys; d=json.load(sys.stdin); print(d['$1']['$2'])"
+}
+
+# A program that declares 2 qubits but touches 17 passes the memory guard
+# (a 64-byte charge); the runtime refuses the third static address.
+{
+  printf 'declare void @__quantum__qis__h__body(ptr)\ndefine void @main() #0 {\nentry:\n'
+  printf '  call void @__quantum__qis__h__body(ptr null)\n'
+  k=1
+  while [ "$k" -lt 17 ]; do
+    printf '  call void @__quantum__qis__h__body(ptr inttoptr (i64 %d to ptr))\n' "$k"
+    k=$((k + 1))
+  done
+  printf '  ret void\n}\nattributes #0 = { "entry_point" "required_num_qubits"="2" }\n'
+} > "$WORK/under17.ll"
+set +e
+"$QIRKIT" submit "$WORK/under17.ll" --socket "$SOCK3" --tenant wide --shots 5 \
+  2> "$WORK/err9" > /dev/null
+[ $? -eq 1 ] || fail "under-declared program should exit 1"
+set -e
+grep -q "error\[trap-invalid-qubit\]" "$WORK/err9" \
+  || fail "under-declared program should answer trap-invalid-qubit"
+"$QIRKIT" submit "$WORK/bell.qasm" --socket "$SOCK3" --tenant after-wide \
+  --shots 60 --seed 7 2>/dev/null > "$WORK/bell.admission" \
+  || fail "submit after the under-declared program"
+cmp -s "$WORK/bell.admission" "$WORK/bell.expected" \
+  || fail "histogram after the under-declared program differs"
+
+# Over its rate, a fresh program is refused before it is loaded.
+"$QIRKIT" submit "$WORK/bell.qasm" --socket "$SOCK3" --tenant rate \
+  --shots 10 > /dev/null 2>&1 || fail "first rate-limited tenant submit"
+MISSES="$(metric cache misses)"
+{ cat "$WORK/ghz.qasm"; echo "// never loaded"; } > "$WORK/fresh.qasm"
+set +e
+"$QIRKIT" submit "$WORK/fresh.qasm" --socket "$SOCK3" --tenant rate \
+  --shots 10 2> "$WORK/err10" > /dev/null
+[ $? -eq 1 ] || fail "rate-limited submit should exit 1"
+set -e
+grep -q "error\[resource-limit\]" "$WORK/err10" || fail "rate limit error format"
+[ "$(metric cache misses)" = "$MISSES" ] \
+  || fail "a rate-limited submit loaded its program"
+
+# A job whose deadline lapses behind a busy runner is a queue TTL, not a
+# watchdog catch: the hog holds the one runner until it is cancelled.
+"$QIRKIT" submit "$WORK/bell.qasm" --socket "$SOCK3" --tenant hog \
+  --request-id hog --shots 3000000 --seed 7 --exec-mode resim \
+  > /dev/null 2>&1 &
+A=$!
+for i in $(seq 1 100); do
+  [ "$(metric memory active_jobs)" = "1" ] && [ "$(metric queue depth)" = "0" ] && break
+  sleep 0.1
+done
+"$QIRKIT" submit "$WORK/bell.qasm" --socket "$SOCK3" --tenant lapse \
+  --shots 50 --deadline-ms 50 2> "$WORK/err11" > /dev/null &
+B=$!
+for i in $(seq 1 100); do
+  [ "$(metric queue depth)" = "1" ] && break
+  sleep 0.1
+done
+sleep 0.5 # ten times the lapsing job's budget, several watchdog scans
+"$QIRKIT" submit cancel --socket "$SOCK3" --tenant hog --request-id hog \
+  > /dev/null || fail "cancel the hog"
+set +e
+wait $B
+[ $? -eq 1 ] || fail "a lapsed job should exit 1"
+wait $A
+set -e
+grep -q "error\[deadline\].*expired while the job was queued" "$WORK/err11" \
+  || fail "lapsed job should answer the queue TTL"
+"$QIRKIT" submit events --socket "$SOCK3" --tenant lapse \
+  | grep -q '"cause":"queue-ttl"' || fail "events should show queue-ttl"
+[ "$(metric watchdog flagged)" = "0" ] || fail "the watchdog flagged a queued job"
+
+"$QIRKIT" submit shutdown --socket "$SOCK3" > /dev/null || fail "admission shutdown"
+set +e
+wait "$SERVE_PID"
+[ $? -eq 0 ] || fail "admission daemon exited nonzero"
+set -e
+SERVE_PID=""
 
 echo "SERVE TESTS PASSED"
